@@ -89,6 +89,11 @@ class Circuit:
                 raise ValueError(f"check qubit {q} appears in no rotation")
         if self.ideal_output.shape != (1 << self.n,):
             raise ValueError("ideal output has the wrong dimension")
+        # Circuits are shared (factory schedules are cached), so the
+        # reference state must not be writable through any of them.
+        ideal = self.ideal_output.copy()
+        ideal.setflags(write=False)
+        object.__setattr__(self, "ideal_output", ideal)
 
 
 def _zrot(n: int, qubits: tuple[int, ...], sign: int) -> Rotation:
@@ -391,16 +396,6 @@ def _apply_single(state: np.ndarray, op2: np.ndarray, qubit: int,
     t = np.moveaxis(t, ax, 0)
     t = np.tensordot(op2, t, axes=(1, 0))
     return np.moveaxis(t, 0, ax).reshape(-1)
-
-
-def _rot_on_data(data_n: int, p_support: tuple[int, ...], k8: float,
-                 register_n: int) -> np.ndarray:
-    """exp(-i * P * k8*pi/8) acting on the data qubits of the register."""
-    letters = "".join("Z" if i in p_support else "I" for i in range(register_n))
-    p = PauliProduct(letters)
-    theta = k8 * np.pi / 8
-    dim = 1 << register_n
-    return np.cos(theta) * np.eye(dim) - 1j * np.sin(theta) * matrix_of(p)
 
 
 def _test_states(data_n: int, rng: np.random.Generator, count: int = 4):

@@ -762,6 +762,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand with --kmax checks it, including the paths (such
+        # as coherent circuit noise) that never build a graded state
+        if getattr(args, "kmax", 1) < 1:
+            raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

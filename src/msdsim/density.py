@@ -11,9 +11,8 @@ Two engines share one operation set:
   smaller) are extracted without catastrophic cancellation.  Restricted to
   Z-type axes (all catalog circuits are Z-type).
 
-Module-level functions (``init_plus``, ``apply_faulty_rotation``, ...)
-delegate to either engine.  All operations are functional: they return a new
-state and leave the input untouched.
+All operations are functional: they return a new state and leave the input
+untouched.
 
 Usage::
 
@@ -288,6 +287,8 @@ class GradedDensityMatrix:
     def init_plus(cls, n: int, kmax: int = DEFAULT_MAX_GRADE) -> GradedDensityMatrix:
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
+        if kmax < 1:
+            raise ValueError(f"kmax must be at least 1, got {kmax}")
         dim = 1 << n
         pure = np.full(dim, dim ** -0.5, dtype=np.complex128)
         grades = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(kmax)]
@@ -481,32 +482,3 @@ def pure_state_infidelity(phi: np.ndarray, psi: np.ndarray) -> float:
     nphi = float(np.vdot(phi, phi).real)
     residual = phi - (psi.conj() @ phi) * psi
     return float(np.vdot(residual, residual).real) / nphi
-
-
-# ---------------------------------------------------------------------------
-# spec-level functional API (works with either engine)
-# ---------------------------------------------------------------------------
-
-
-def init_plus(n: int) -> DensityMatrix:
-    return DensityMatrix.init_plus(n)
-
-
-def apply_faulty_rotation(rho, axis, profile, output_qubits=frozenset(), sign=1):
-    return rho.apply_faulty_rotation(axis, profile, output_qubits, sign)
-
-
-def apply_coherent_rotation(rho, axis, excess_angle, sign=1):
-    return rho.apply_coherent_rotation(axis, excess_angle, sign)
-
-
-def apply_storage(rho, qubit, rates, cycles):
-    return rho.apply_storage(qubit, rates, cycles)
-
-
-def project_plus(rho, check_qubits):
-    return rho.project_plus(frozenset(check_qubits))
-
-
-def fidelity_with_pure(rho, psi):
-    return rho.fidelity_with_pure(psi)

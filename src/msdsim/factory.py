@@ -26,6 +26,7 @@ Usage::
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -154,8 +155,13 @@ def _fs(*qubits: int) -> frozenset[int]:
     return frozenset(qubits)
 
 
+@lru_cache(maxsize=None)
 def build_schedule(family: str) -> Schedule:
-    """The step-to-rotation mapping of each family (part of the contract)."""
+    """The step-to-rotation mapping of each family (part of the contract).
+
+    Built once per family; the cached schedule is shared, and its circuit's
+    ideal output is read-only.
+    """
     if family in ("L1_15to1", "L1_15to1_small"):
         c = catalog("fifteen_to_one")
         steps = (
@@ -527,6 +533,14 @@ def d3_cost(qubits: float, cycles: float, outputs: int, d: int) -> float:
     return qubits * cycles / (2.0 * outputs * d**3)
 
 
+def _costs(config: FactoryConfig,
+           p_fail_L1: float) -> tuple[float, float, float]:
+    """(qubits, cycles, qubitcycles per state) of one configuration."""
+    qubits = qubit_cost(config)
+    cycles = cycle_cost(config, p_fail_L1)
+    return qubits, cycles, qubits * cycles / family_outputs(config.family)
+
+
 def simulate_factory(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
     """Full factory run: error simulation plus closed-form cost metrics."""
     if config.family in ("L1_15to1", "L1_15to1_small"):
@@ -536,8 +550,7 @@ def simulate_factory(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
         level1 = level1_output_error(config, kmax)
         p_out, p_fail_l2 = _run_level2(config, level1, kmax)
         p_fail_l1 = level1.p_fail
-    qubits = qubit_cost(config)
-    cycles = cycle_cost(config, p_fail_l1)
+    qubits, cycles, per_state = _costs(config, p_fail_l1)
     outputs = family_outputs(config.family)
     # One CCZ resource state substitutes four T-gate magic states, so the
     # full-distance normalization uses the per-T-equivalent error p_out/4.
@@ -559,7 +572,7 @@ def simulate_factory(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
         p_fail_L2=p_fail_l2,
         qubits=qubits,
         cycles=cycles,
-        qubitcycles_per_state=qubits * cycles / outputs,
+        qubitcycles_per_state=per_state,
         d_full_100=d100,
         cost_d3_100=cost100,
         d_full_10k=d10k,
@@ -578,12 +591,25 @@ def sweep(
     """Pareto-minimal configurations meeting the output-error target.
 
     ranges maps DistanceSet field names (dX, dZ, dm, and for level-2
-    families dX2, dZ2, dm2, nL1) to iterables of values.  Every
-    combination with a valid DistanceSet is simulated (level-1 results are
-    memoized); configurations with p_out <= target_p_out are filtered to
-    the Pareto front in (qubits, qubitcycles_per_state) and sorted by
-    qubitcycles_per_state, ties broken by qubits then distances.
+    families dX2, dZ2, dm2, nL1) to iterables of values.  Combinations
+    without a valid DistanceSet are skipped.  The result is the Pareto
+    front in (qubits, qubitcycles_per_state) of the configurations with
+    p_out <= target_p_out, sorted by qubitcycles_per_state, ties broken by
+    qubits then distances.
+
+    Candidates are costed before they are simulated, and simulated
+    cheapest first.  Qubits are closed-form; qubitcycles/state are exact
+    for level-2 families (their cycles need only the memoized level-1
+    p_fail) and bounded below by the p_fail = 0 value for level-1 families
+    (cycles grow with the block's own p_fail).  A candidate whose costs an
+    already simulated, target-meeting configuration strictly dominates can
+    never reach the front and is not simulated.  Dominance is transitive,
+    so the front -- and every reported p_out -- is the same as simulating
+    the whole grid, whatever the order of the ranges.
     """
+    if not (math.isfinite(target_p_out) and target_p_out > 0.0):
+        raise ValueError(
+            f"target p_out must be finite and positive, got {target_p_out}")
     level2 = family in _LEVEL2_CIRCUIT
     keys = ["dX", "dZ", "dm"]
     if level2:
@@ -605,26 +631,41 @@ def sweep(
                                    consumption_prefactor_toggle)
         except ValueError:
             continue
+        p_fail = level1_output_error(config, kmax).p_fail if level2 else 0.0
+        qubits, _, per_state = _costs(config, p_fail)
+        candidates.append((per_state, qubits, combo, config))
+    candidates.sort(key=lambda c: c[:3])
+    feasible = []
+    for per_state, qubits, combo, config in candidates:
+        if any(_dominates(r.qubits, r.qubitcycles_per_state, qubits, per_state)
+               for r, _ in feasible):
+            continue
         report = simulate_factory(config, kmax)
         if report.p_out <= target_p_out:
-            sort_key = tuple(kwargs[k] for k in keys)
-            candidates.append((report, sort_key))
+            feasible.append((report, combo))
+    return _pareto_front(feasible)
+
+
+def _dominates(qubits: float, per_state: float, other_qubits: float,
+               other_per_state: float) -> bool:
+    """No worse in both costs and strictly better in one."""
+    return (qubits <= other_qubits and per_state <= other_per_state
+            and (qubits < other_qubits or per_state < other_per_state))
+
+
+def _pareto_front(
+    reports: list[tuple[FactoryReport, tuple[int, ...]]],
+) -> list[FactoryReport]:
+    """Undominated reports, by (qubitcycles/state, qubits, distances)."""
+    ordered = sorted(reports, key=lambda rk: (rk[0].qubitcycles_per_state,
+                                              rk[0].qubits, rk[1]))
     front = []
-    for report, key in candidates:
-        dominated = False
-        for other, _ in candidates:
-            if other is report:
-                continue
-            if (other.qubits <= report.qubits
-                    and other.qubitcycles_per_state
-                    <= report.qubitcycles_per_state
-                    and (other.qubits < report.qubits
-                         or other.qubitcycles_per_state
-                         < report.qubitcycles_per_state)):
-                dominated = True
-                break
-        if not dominated:
-            front.append((report, key))
-    front.sort(key=lambda rk: (rk[0].qubitcycles_per_state, rk[0].qubits,
-                               rk[1]))
-    return [report for report, _ in front]
+    fewest_cheaper = math.inf  # fewest qubits at lower qubitcycles/state
+    for _, tied in itertools.groupby(
+            ordered, key=lambda rk: rk[0].qubitcycles_per_state):
+        tied = [report for report, _ in tied]
+        fewest = tied[0].qubits
+        if fewest < fewest_cheaper:
+            front += [r for r in tied if r.qubits == fewest]
+            fewest_cheaper = fewest
+    return front

@@ -247,6 +247,33 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "(15-to-1)_{7,3,3}" in out
 
+    def test_sweep_rejects_bad_target(self, capsys):
+        for target in ("nan", "-1", "0", "inf"):
+            assert main(["sweep", "--family", "l1_15to1", "--pphys", "1e-4",
+                         "--target", target, "--dx", "7", "--dz", "3",
+                         "--dm", "3"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: target p_out")
+            assert captured.err.count("\n") == 1
+
+    def test_kmax_below_one_exits_2(self, capsys):
+        for argv in (
+            ["circuit", "--kind", "15to1", "--noise", "z:1e-4"],
+            ["circuit", "--kind", "15to1", "--noise", "coherent:0.01"],
+            ["factory", "--family", "l1_15to1", "--d", "7,3,3",
+             "--pphys", "1e-4"],
+            ["table", "--name", "table2"],
+            ["sweep", "--family", "l1_15to1", "--pphys", "1e-4",
+             "--target", "1e-7", "--dx", "7", "--dz", "3", "--dm", "3"],
+        ):
+            for kmax in ("0", "-3"):
+                assert main(argv + ["--kmax", kmax]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    f"error: --kmax must be at least 1, got {kmax}\n")
+
     def test_sweep_level2_requires_ranges(self, capsys):
         assert main(["sweep", "--family", "l2_15x15", "--pphys", "1e-4",
                      "--target", "1e-10", "--dx", "9", "--dz", "3",

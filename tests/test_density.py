@@ -205,6 +205,11 @@ class TestGradedAgainstDense:
                             - cut.materialize().data))
         assert gap <= dropped + 1e-12
 
+    def test_graded_requires_one_grade(self):
+        with pytest.raises(ValueError, match="kmax"):
+            GradedDensityMatrix.init_plus(2, kmax=0)
+        GradedDensityMatrix.init_plus(2, kmax=1)
+
     def test_graded_rejects_non_z_axes(self):
         graded = GradedDensityMatrix.init_plus(2, kmax=2)
         with pytest.raises(ValueError):

@@ -1,12 +1,17 @@
 """Tests for factory schedules, cost formulas, and resource reports."""
 from __future__ import annotations
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import msdsim.factory as factory
 from msdsim.factory import (
     FactoryConfig,
+    FactoryReport,
     build_schedule,
     cycle_cost,
     d3_cost,
@@ -76,6 +81,13 @@ class TestSchedules:
                     assert set(axis.support) <= init | step.initialize
                 init |= step.initialize
             assert init == set(range(s.circuit.n))
+
+
+    def test_schedules_are_built_once_and_shared_read_only(self):
+        s = build_schedule("L2_15x20")
+        assert build_schedule("L2_15x20") is s
+        with pytest.raises(ValueError):
+            s.circuit.ideal_output[0] = 0.0
 
 
 class TestQubitCost:
@@ -324,3 +336,184 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("L1_15to1", {"dX": [7], "dZ": [3], "dm": [3],
                                "dX2": [15]}, noise, 1e-7)
+
+    def test_target_validation(self):
+        noise = PhysicalNoise(1e-4)
+        ranges = {"dX": [7], "dZ": [3], "dm": [3]}
+        for target in (float("nan"), float("inf"), 0.0, -1e-7):
+            with pytest.raises(ValueError, match="target"):
+                sweep("L1_15to1", ranges, noise, target)
+
+
+_REPORTS: dict[tuple[FactoryConfig, int], FactoryReport] = {}
+
+
+def _simulate_once(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
+    """simulate_factory memoized across tests; the engine is deterministic."""
+    if (config, kmax) not in _REPORTS:
+        _REPORTS[config, kmax] = simulate_factory(config, kmax)
+    return _REPORTS[config, kmax]
+
+
+def _valid_configs(family, ranges, noise) -> list[FactoryConfig]:
+    configs = []
+    for combo in itertools.product(*ranges.values()):
+        try:
+            configs.append(FactoryConfig(
+                family, DistanceSet(**dict(zip(ranges, combo))), noise))
+        except ValueError:
+            continue
+    return configs
+
+
+def _brute_force_front(family, ranges, noise, target,
+                       simulate=_simulate_once) -> list[FactoryReport]:
+    """Simulate every valid candidate, then apply the plain dominance rule."""
+    feasible = []
+    for config in _valid_configs(family, ranges, noise):
+        report = simulate(config)
+        if report.p_out <= target:
+            d = config.distances
+            key = tuple(v for v in (d.dX, d.dZ, d.dm, d.dX2, d.dZ2, d.dm2,
+                                    d.nL1) if v is not None)
+            feasible.append((report, key))
+
+    def dominates(a: FactoryReport, b: FactoryReport) -> bool:
+        return (a.qubits <= b.qubits
+                and a.qubitcycles_per_state <= b.qubitcycles_per_state
+                and (a.qubits < b.qubits
+                     or a.qubitcycles_per_state < b.qubitcycles_per_state))
+
+    front = [(r, k) for r, k in feasible
+             if not any(dominates(o, r) for o, _ in feasible)]
+    front.sort(key=lambda rk: (rk[0].qubitcycles_per_state, rk[0].qubits,
+                               rk[1]))
+    return [r for r, _ in front]
+
+
+_L2_SMALL = {"dX": [7, 9], "dZ": [3], "dm": [3], "dX2": [13, 15],
+             "dZ2": [5], "dm2": [7], "nL1": [4]}
+
+# (family, p_phys, ranges, target): small grids on which some candidates
+# miss the target and some are dominated by a cheaper feasible one.
+_PRUNING_CASES = [
+    ("L1_15to1", 1e-4, {"dX": [7, 9, 11], "dZ": [3, 5], "dm": [3, 5]},
+     1.05e-9),
+    ("L1_15to1_small", 1e-4, {"dX": [7, 9], "dZ": [3, 5], "dm": [3, 5]},
+     1.5e-9),
+    ("L2_15x15", 1e-4, _L2_SMALL, 1e-13),
+    ("L2_15x20", 1e-4, {**_L2_SMALL, "dX2": [13]}, 1e-12),
+    ("L2_15xCCZ", 1e-4, _L2_SMALL, 5e-12),
+    ("L2_15x15_small", 1e-3, {"dX": [9], "dZ": [5], "dm": [5],
+                              "dX2": [17, 21], "dZ2": [7, 9], "dm2": [11]},
+     5e-8),
+]
+
+
+class TestSweepPruning:
+    """Cost-first pruning returns exactly the brute-force front."""
+
+    @pytest.mark.parametrize("family, p, ranges, target", _PRUNING_CASES,
+                             ids=[case[0] for case in _PRUNING_CASES])
+    def test_front_equals_brute_force(self, family, p, ranges, target,
+                                      monkeypatch):
+        noise = PhysicalNoise(p)
+        want = _brute_force_front(family, ranges, noise, target)
+        assert want
+        # the memo returns the reference's own reports, so each candidate
+        # is simulated once
+        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
+        assert sweep(family, ranges, noise, target) == want
+
+    def test_front_ignores_input_order(self):
+        noise = PhysicalNoise(1e-4)
+        family, _, ranges, target = _PRUNING_CASES[0]
+        reversed_ranges = {k: v[::-1] for k, v in reversed(ranges.items())}
+        front = sweep(family, reversed_ranges, noise, target)
+        assert [r.protocol for r in front] == [
+            "(15-to-1)_{9,5,3}", "(15-to-1)_{9,3,5}"]
+        assert front == _brute_force_front(family, ranges, noise, target)
+
+    def test_front_pass_handles_ties(self):
+        def report(name, qubits, per_state):
+            return FactoryReport(name, 1e-4, 1e-9, 0.0, 0.0, qubits, 1.0,
+                                 per_state, None, None, None, None)
+
+        costs = {"A": (10, 5.0), "B": (10, 6.0), "C": (8, 7.0),
+                 "D": (8, 7.0), "E": (12, 5.0), "F": (7, 9.0),
+                 "G": (9, 9.0)}
+        reports = [(report(name, q, c), (i,))
+                   for i, (name, (q, c)) in enumerate(costs.items())]
+        front = factory._pareto_front(reports[::-1])
+        assert [r.protocol for r in front] == ["A", "C", "D", "F"]
+
+    def test_dominated_candidates_are_not_simulated(self, monkeypatch):
+        family, p, ranges, _ = _PRUNING_CASES[0]
+        noise = PhysicalNoise(p)
+        valid = len(_valid_configs(family, ranges, noise))
+        calls = []
+
+        def counted(config, kmax=6):
+            calls.append(config)
+            return _simulate_once(config, kmax)
+
+        monkeypatch.setattr(factory, "simulate_factory", counted)
+        front = sweep(family, ranges, noise, 1e-7)
+        assert [r.protocol for r in front] == ["(15-to-1)_{7,3,3}"]
+        assert len(calls) < valid
+        # with nothing feasible, nothing can be pruned
+        calls.clear()
+        assert sweep(family, ranges, noise, 1e-12) == []
+        assert len(calls) == valid
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_level1_subgrids(self, data):
+        noise = PhysicalNoise(data.draw(st.sampled_from([1e-4, 1e-3])))
+        ranges = {
+            key: data.draw(st.lists(st.sampled_from(values), min_size=1,
+                                    max_size=len(values), unique=True))
+            for key, values in (("dX", [7, 9, 11, 13]), ("dZ", [3, 5, 7]),
+                                ("dm", [3, 5, 7]))
+        }
+        p_outs = [_simulate_once(c).p_out
+                  for c in _valid_configs("L1_15to1", ranges, noise)]
+        target = data.draw(st.sampled_from(p_outs + [1e-12, 1.0]))
+        with mock.patch.object(factory, "simulate_factory", _simulate_once):
+            front = sweep("L1_15to1", ranges, noise, target)
+        assert front == _brute_force_front("L1_15to1", ranges, noise, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_failure_rates(self, data):
+        # The engine is replaced by drawn outcomes, so a level-1 candidate's
+        # cycles may exceed their p_fail = 0 bound by any amount, or not at
+        # all, and repeated range values give exact cost ties.
+        family = data.draw(st.sampled_from(["L1_15to1", "L1_15to1_small"]))
+        noise = PhysicalNoise(1e-3)
+        ranges = {
+            key: data.draw(st.lists(st.sampled_from(values), min_size=1,
+                                    max_size=3))
+            for key, values in (("dX", [7, 9, 11]), ("dZ", [3, 5]),
+                                ("dm", [3, 5]))
+        }
+        outcomes = {
+            config: (data.draw(st.sampled_from([1e-9, 1e-8, 1e-7])),
+                     data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])))
+            for config in _valid_configs(family, ranges, noise)
+        }
+
+        def drawn(config, kmax=6):
+            p_out, p_fail = outcomes[config]
+            qubits, cycles = qubit_cost(config), cycle_cost(config, p_fail)
+            return FactoryReport(
+                protocol_name(config), noise.p_phys, p_out, p_fail, 0.0,
+                qubits, cycles, qubits * cycles / family_outputs(family),
+                None, None, None, None)
+
+        target = data.draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
+        with mock.patch.object(factory, "simulate_factory", drawn):
+            front = sweep(family, ranges, noise, target)
+            want = _brute_force_front(family, ranges, noise, target,
+                                      simulate=drawn)
+        assert front == want
