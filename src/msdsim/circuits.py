@@ -29,6 +29,7 @@ import numpy as np
 from .density import (
     GradedDensityMatrix,
     RotationErrorProfile,
+    _mask_of,
     _vec_project_checks,
     pure_state_infidelity,
 )
@@ -38,8 +39,9 @@ from .pauli import (
     RotationAngle,
     equal_up_to_phase,
     matrix_of,
-    parity_lookup,
+    rotation_phases,
     rotation_unitary,
+    z_signs,
 )
 
 SQ2 = np.sqrt(0.5)
@@ -237,10 +239,6 @@ def verify_equivalence(a, b, tol: float = 1e-9) -> bool:
     return equal_up_to_phase(compose_unitary(a, n), compose_unitary(b, n), tol)
 
 
-def _mask(axis: PauliProduct) -> int:
-    return sum(1 << i for i in axis.support)
-
-
 def undetected_error_sets(c: Circuit, order: int) -> int:
     """Count order-sized rotation subsets whose joint P_{pi/2} error passes.
 
@@ -253,7 +251,7 @@ def undetected_error_sets(c: Circuit, order: int) -> int:
         raise ValueError("order exceeds the rotation count")
     checks = tuple(sorted(c.check_qubits))
     ideal = c.ideal_output
-    masks = [_mask(r.axis) for r in c.rotations]
+    masks = [_mask_of(r.axis) for r in c.rotations]
     count = 0
     for subset in itertools.combinations(range(len(masks)), order):
         em = 0
@@ -261,8 +259,7 @@ def undetected_error_sets(c: Circuit, order: int) -> int:
             em ^= masks[j]
         # the Z-product error commutes with every rotation, so the final
         # state is the error applied to the noiseless output
-        signs = 1.0 - 2.0 * parity_lookup(em, c.n).astype(np.float64)
-        state = signs * ideal
+        state = z_signs(em, c.n) * ideal
         if checks:
             projected = _vec_project_checks(state, checks, c.n)
             if float(np.vdot(projected, projected).real) < 1.0 - 1e-9:
@@ -320,9 +317,9 @@ def simulate_circuit(
         psi = product_state([PLUS] * c.n)
         dim = 1 << c.n
         for r in c.rotations:
-            signs = 1.0 - 2.0 * parity_lookup(_mask(r.axis), c.n).astype(np.float64)
-            psi = np.exp(-1j * (r.angle.radians + noise.value * np.sign(r.angle.k))
-                         * signs) * psi
+            psi = rotation_phases(
+                _mask_of(r.axis), c.n,
+                r.angle.radians + noise.value * np.sign(r.angle.k)) * psi
         p_fail = 0.0
         if c.check_qubits:
             psi = _vec_project_checks(psi, tuple(sorted(c.check_qubits)), c.n)
@@ -448,7 +445,7 @@ def _check_consumption(psi, data_n, support, tol) -> bool:
         mid = proj @ start
         for t in (1, -1):
             branch = _project_outcome(mid, anc, n, _xstate(t))
-            data = _extract_data(branch, anc, n, _xstate(t))
+            data = _extract_many(branch, [(anc, _xstate(t))], n)
             if data is None:
                 return False
             if t == -1:
@@ -478,9 +475,9 @@ def _check_t_measurement(psi, data_n, support, tol) -> bool:
             tgate = np.array([[1.0, 0.0], [0.0, np.exp(1j * s * np.pi / 4)]])
             mid = _apply_single(mid, tgate, anc, n)
             for t in (1, -1):
-                data = _extract_data(
-                    _project_outcome(mid, anc, n, _xstate(t)), anc, n,
-                    _xstate(t))
+                data = _extract_many(
+                    _project_outcome(mid, anc, n, _xstate(t)),
+                    [(anc, _xstate(t))], n)
                 if data is None:
                     return False
                 if t == -1:
@@ -506,8 +503,8 @@ def _check_delayed_choice(psi, data_n, support, tol) -> bool:
             mid = _project_outcome(mid0, anc, n, _xstate(t))
             # later choice 1: Z readout of the extra qubit -> rotation
             for e, ket in ((1, ZERO), (-1, np.array([0.0, 1.0]))):
-                data = _extract_data2(mid, anc, extra, n,
-                                      _xstate(t), ket)
+                data = _extract_many(mid, [(anc, _xstate(t)), (extra, ket)],
+                                     n)
                 if data is None:
                     return False
                 if t == -1:
@@ -518,8 +515,8 @@ def _check_delayed_choice(psi, data_n, support, tol) -> bool:
                     return False
             # later choice 2: X readout -> no operation
             for x in (1, -1):
-                data = _extract_data2(mid, anc, extra, n,
-                                      _xstate(t), _xstate(x))
+                data = _extract_many(
+                    mid, [(anc, _xstate(t)), (extra, _xstate(x))], n)
                 if data is None:
                     return False
                 if x == -1:
@@ -546,8 +543,8 @@ def _check_auto_corrected(psi, data_n, support, tol) -> bool:
                 if a == 1:
                     readouts = [(ZERO, 0), (np.array([0.0, 1.0]), 1)]
                     for ket, z in readouts:
-                        data = _extract_data2(mid, anc, zero, n,
-                                              _xstate(c), ket)
+                        data = _extract_many(
+                            mid, [(anc, _xstate(c)), (zero, ket)], n)
                         if data is None:
                             return False
                         if (c == -1) ^ (z == 1):
@@ -557,8 +554,9 @@ def _check_auto_corrected(psi, data_n, support, tol) -> bool:
                             return False
                 else:
                     for x in (1, -1):
-                        data = _extract_data2(mid, anc, zero, n,
-                                              _xstate(c), _xstate(x))
+                        data = _extract_many(
+                            mid, [(anc, _xstate(c)), (zero, _xstate(x))],
+                            n)
                         if data is None:
                             return False
                         if (c == -1) ^ (x == -1) ^ (b == -1):
@@ -572,18 +570,7 @@ def _check_auto_corrected(psi, data_n, support, tol) -> bool:
 def _apply_register_rot(state: np.ndarray, support: tuple[int, ...],
                         k8: float, n: int) -> np.ndarray:
     mask = sum(1 << i for i in support)
-    signs = 1.0 - 2.0 * parity_lookup(mask, n).astype(np.float64)
-    return np.exp(-1j * (k8 * np.pi / 8) * signs) * state
-
-
-def _extract_data(state: np.ndarray, anc: int, n: int,
-                  anc_state: np.ndarray) -> np.ndarray | None:
-    """Factor out one ancilla qubit known to be in anc_state."""
-    return _extract_many(state, [(anc, anc_state)], n)
-
-
-def _extract_data2(state, anc1, anc2, n, s1, s2) -> np.ndarray | None:
-    return _extract_many(state, [(anc1, s1), (anc2, s2)], n)
+    return rotation_phases(mask, n, k8 * np.pi / 8) * state
 
 
 def _extract_many(state: np.ndarray, ancs: list[tuple[int, np.ndarray]],

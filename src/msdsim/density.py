@@ -12,7 +12,14 @@ Two engines share one operation set:
   Z-type axes (all catalog circuits are Z-type).
 
 All operations are functional: they return a new state and leave the input
-untouched.
+untouched.  The graded engine's grades are one ``(kmax, dim, dim)`` stack,
+updated in cache-sized blocks, in place only in a channel's own
+intermediates.  Complex products keep the operand order of
+``d[:, None] * g * d.conj()[None, :]`` and ``np.outer(v, v.conj())``:
+NumPy's SIMD loops round ``a * b`` and ``b * a`` differently, and the
+cancelling readout turns that last bit into p_out shifts beyond the
+``rtol=1e-9`` factory goldens.  Real factors (probabilities, +-1 signs) and
+permutations are exact in any order.
 
 Usage::
 
@@ -30,9 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import MAX_QUBITS, PauliProduct, matrix_of, parity_lookup
+from .pauli import MAX_QUBITS, PauliProduct, matrix_of, rotation_phases, z_signs
 
 DEFAULT_MAX_GRADE = 6
+
+# Graded channels walk the grade stack in blocks of at most this many bytes
+# (one grade at n=7, all six at n=5): passes over the whole 1.5 MB stack at
+# n=7 fall out of a core's cache and are slower.
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -98,20 +110,16 @@ def _mask_of(p: PauliProduct) -> int:
     return sum(1 << i for i in p.support)
 
 
-def _vec_zsigns(mask: int, n: int) -> np.ndarray:
-    """(-1)^<x, mask> for every basis index x, as float."""
-    return 1.0 - 2.0 * parity_lookup(mask, n).astype(np.float64)
+def _vec_xflip(vec: np.ndarray, qubit: int) -> np.ndarray:
+    """X on one qubit of a statevector: basis-index bit ``qubit`` flipped."""
+    return vec.reshape(-1, 2, 1 << qubit)[:, ::-1].reshape(-1)
 
 
-def _vec_xflip(vec: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    t = vec.reshape((2,) * n)
-    return np.flip(t, axis=_axis_of(qubit, n)).reshape(-1)
-
-
-def _mat_xflip(mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    t = mat.reshape((2,) * (2 * n))
-    ax = _axis_of(qubit, n)
-    return np.flip(np.flip(t, axis=ax), axis=n + ax).reshape(mat.shape)
+def _stack_xflip(stack: np.ndarray, qubit: int) -> np.ndarray:
+    """View of X rho X for every matrix of a (b, dim, dim) stack."""
+    b, dim, _ = stack.shape
+    hi, lo = dim >> (qubit + 1), 1 << qubit
+    return stack.reshape(b, hi, 2, lo, hi, 2, lo)[:, :, ::-1, :, :, ::-1]
 
 
 def _vec_project_checks(vec: np.ndarray, checks: tuple[int, ...], n: int) -> np.ndarray:
@@ -123,12 +131,17 @@ def _vec_project_checks(vec: np.ndarray, checks: tuple[int, ...], n: int) -> np.
 
 
 def _mat_project_checks(mat: np.ndarray, checks: tuple[int, ...], n: int) -> np.ndarray:
-    t = mat.reshape((2,) * (2 * n))
+    """prod_q (I + X_q)/2 rho prod_q (I + X_q)/2 on a matrix or a stack of them."""
+    shape = mat.shape[:-2] + (2,) * (2 * n)
+    lead = mat.ndim - 2
+    t = mat.reshape(shape)
     for q in checks:
-        ax = _axis_of(q, n)
+        ax = lead + _axis_of(q, n)
         t = t.mean(axis=ax, keepdims=True)
         t = t.mean(axis=n + ax, keepdims=True)
-    return np.broadcast_to(t, (2,) * (2 * n)).reshape(mat.shape).copy()
+    out = np.empty_like(mat)
+    out.reshape(shape)[...] = t
+    return out
 
 
 def _require_z_axis(axis: PauliProduct) -> None:
@@ -268,13 +281,13 @@ class GradedDensityMatrix:
     """State split by exact error count, with a pure zero-error branch.
 
     ``pure`` is the subnormalized statevector of the no-error branch;
-    ``grades[k]`` (k = 1..kmax) is the subnormalized density matrix of the
-    exactly-(k)-error mass.  Branches with more than ``kmax`` errors are
+    ``grades[k - 1]`` (k = 1..kmax) is the subnormalized density matrix of
+    the exactly-k-error mass.  Branches with more than ``kmax`` errors are
     dropped; their total probability is bounded by ``1 - trace_total()``
     and is negligible for the error rates in scope.
     """
 
-    def __init__(self, n: int, pure: np.ndarray, grades: list[np.ndarray]):
+    def __init__(self, n: int, pure: np.ndarray, grades: np.ndarray):
         self.n = n
         self.pure = pure
         self.grades = grades
@@ -291,13 +304,10 @@ class GradedDensityMatrix:
             raise ValueError(f"kmax must be at least 1, got {kmax}")
         dim = 1 << n
         pure = np.full(dim, dim ** -0.5, dtype=np.complex128)
-        grades = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(kmax)]
-        return cls(n, pure, grades)
+        return cls(n, pure, np.zeros((kmax, dim, dim), dtype=np.complex128))
 
     def copy(self) -> GradedDensityMatrix:
-        return GradedDensityMatrix(
-            self.n, self.pure.copy(), [g.copy() for g in self.grades]
-        )
+        return GradedDensityMatrix(self.n, self.pure.copy(), self.grades.copy())
 
     def trace_total(self) -> float:
         t = float(np.vdot(self.pure, self.pure).real)
@@ -312,30 +322,62 @@ class GradedDensityMatrix:
         return DensityMatrix(self.n, total)
 
     # -- internal channel machinery ---------------------------------------
-    def _mixture(
-        self, keep_prob: float, branch_ops: list[tuple[float, object, object]]
-    ) -> GradedDensityMatrix:
-        """Generic one-event channel.
+    def _blocks(self) -> list[tuple[int, int]]:
+        """Grade ranges [lo, hi) of at most _BLOCK_BYTES each, top block first."""
+        per = max(1, _BLOCK_BYTES // self.grades[0].nbytes)
+        return [(lo, min(lo + per, self.kmax))
+                for lo in reversed(range(0, self.kmax, per))]
 
-        With probability ``keep_prob`` nothing happens; each entry of
-        ``branch_ops`` is (prob, vec_op, mat_op) promoting the state one
-        grade.  Ideal-branch unitaries must be applied separately first.
+    def _mixture(self, keep_prob: float, branches: list,
+                 out: np.ndarray) -> GradedDensityMatrix:
+        """Generic one-event channel, writing the new grades into ``out``.
+
+        With probability ``keep_prob`` nothing happens; each branch
+        (prob, op) promotes the state one grade, op being a diagonal d
+        (d rho d^dagger) or an int qubit (X rho X).  ``out`` is a fresh stack
+        or, if the channel created it, ``self.grades``: blocks run from the
+        top grade down, so the grades below a block are still unscaled, and
+        a block holding its own inputs reads a copy.  Ideal-branch unitaries
+        must be applied separately first.
         """
-        new_pure = np.sqrt(keep_prob) * self.pure
-        new_grades = [keep_prob * g for g in self.grades]
-        for prob, vec_op, mat_op in branch_ops:
-            if prob == 0.0:
-                continue
-            v = vec_op(self.pure)
-            new_grades[0] = new_grades[0] + prob * np.outer(v, v.conj())
-            for k in range(1, self.kmax):
-                new_grades[k] = new_grades[k] + prob * mat_op(self.grades[k - 1])
-        return GradedDensityMatrix(self.n, new_pure, new_grades)
+        grades, pure, dim = self.grades, self.pure, len(self.pure)
+        branches = [
+            (prob, op, op * pure if isinstance(op, np.ndarray)
+             else _vec_xflip(pure, op))
+            for prob, op in branches if prob != 0.0
+        ]
+        blocks = self._blocks()
+        buf = np.empty((blocks[-1][1], dim, dim), np.complex128)
+        for lo, hi in blocks:
+            src = grades[max(lo - 1, 0):hi - 1]
+            if out is grades and lo < hi - 1:
+                src = src.copy()
+            block = np.multiply(grades[lo:hi], keep_prob, out=out[lo:hi])
+            term = buf[:hi - lo]
+            below = term[1:] if lo == 0 else term
+            for prob, op, v in branches:
+                if isinstance(op, np.ndarray):
+                    np.multiply(op[:, None], src, out=below)
+                    below *= op.conj()[None, :]
+                    below *= prob
+                else:
+                    flipped = _stack_xflip(src, op)
+                    np.multiply(flipped, prob,
+                                out=below.reshape(flipped.shape))
+                if lo == 0:
+                    np.multiply(v[:, None], v.conj()[None, :], out=term[0])
+                    term[0] *= prob
+                block += term
+        return GradedDensityMatrix(self.n, np.sqrt(keep_prob) * pure, out)
 
     def _apply_diag_all(self, diag: np.ndarray) -> GradedDensityMatrix:
-        pure = diag * self.pure
-        grades = [diag[:, None] * g * diag.conj()[None, :] for g in self.grades]
-        return GradedDensityMatrix(self.n, pure, grades)
+        """d rho d^dagger on every branch, into a fresh stack."""
+        out = np.empty_like(self.grades)
+        row, col = diag[:, None], diag.conj()[None, :]
+        for lo, hi in self._blocks():
+            block = np.multiply(row, self.grades[lo:hi], out=out[lo:hi])
+            block *= col
+        return GradedDensityMatrix(self.n, diag * self.pure, out)
 
     # -- channels ----------------------------------------------------------
     def apply_faulty_rotation(
@@ -349,33 +391,20 @@ class GradedDensityMatrix:
             raise ValueError("axis length differs from qubit count")
         _require_z_axis(axis)
         _check_sign(sign)
-        mask = _mask_of(axis)
-        signs = _vec_zsigns(mask, self.n)
-        ideal = np.exp(-1j * (sign * np.pi / 8) * signs)
-        state = self._apply_diag_all(ideal)
-
-        branch_ops = []
-        for prob, extra in (
+        signs = z_signs(_mask_of(axis), self.n)
+        state = self._apply_diag_all(np.exp(-1j * (sign * np.pi / 8) * signs))
+        branches = [(prob, np.exp(-1j * extra * signs)) for prob, extra in (
             (profile.p_half, np.pi / 2),
             (profile.p_quarter, np.pi / 4),
             (profile.p_mquarter, -np.pi / 4),
-        ):
-            if prob == 0.0:
-                continue
-            d = np.exp(-1j * extra * signs)
-            branch_ops.append(
-                (
-                    prob,
-                    (lambda v, d=d: d * v),
-                    (lambda g, d=d: d[:, None] * g * d.conj()[None, :]),
-                )
-            )
+        )]
         keep = 1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter
-        state = state._mixture(keep, branch_ops)
-
-        if profile.p_z_output:
+        state = state._mixture(keep, branches, state.grades)
+        p = profile.p_z_output
+        if p:
             for q in sorted(set(axis.support) & set(output_qubits)):
-                state = state._z_channel(q, profile.p_z_output)
+                state = state._mixture(
+                    1.0 - p, [(p, z_signs(1 << q, self.n))], state.grades)
         return state
 
     def apply_coherent_rotation(
@@ -385,35 +414,8 @@ class GradedDensityMatrix:
             raise ValueError("axis length differs from qubit count")
         _require_z_axis(axis)
         _check_sign(sign)
-        signs = _vec_zsigns(_mask_of(axis), self.n)
-        return self._apply_diag_all(
-            np.exp(-1j * (sign * np.pi / 8 + excess_angle) * signs)
-        )
-
-    def _z_channel(self, qubit: int, prob: float) -> GradedDensityMatrix:
-        signs = _vec_zsigns(1 << qubit, self.n)
-        return self._mixture(
-            1.0 - prob,
-            [
-                (
-                    prob,
-                    lambda v: signs * v,
-                    lambda g: signs[:, None] * g * signs[None, :],
-                )
-            ],
-        )
-
-    def _x_channel(self, qubit: int, prob: float) -> GradedDensityMatrix:
-        return self._mixture(
-            1.0 - prob,
-            [
-                (
-                    prob,
-                    lambda v: _vec_xflip(v, qubit, self.n),
-                    lambda g: _mat_xflip(g, qubit, self.n),
-                )
-            ],
-        )
+        return self._apply_diag_all(rotation_phases(
+            _mask_of(axis), self.n, sign * np.pi / 8 + excess_angle))
 
     def apply_storage(
         self, qubit: int, rates: StorageRates, cycles: float
@@ -423,11 +425,12 @@ class GradedDensityMatrix:
         px, pz = cycles * rates.pX, cycles * rates.pZ
         if px >= 1.0 or pz >= 1.0:
             raise ValueError("accumulated storage probability reaches 1")
-        state = self
+        state, out = self, np.empty_like(self.grades)
         if px:
-            state = state._x_channel(qubit, px)
+            state = state._mixture(1.0 - px, [(px, qubit)], out)
         if pz:
-            state = state._z_channel(qubit, pz)
+            state = state._mixture(
+                1.0 - pz, [(pz, z_signs(1 << qubit, self.n))], out)
         return state
 
     def project_plus(
@@ -436,19 +439,15 @@ class GradedDensityMatrix:
         checks = tuple(sorted(check_qubits))
         if not checks:
             raise ValueError("check set is empty")
-        total = self.trace_total()
         pure = _vec_project_checks(self.pure, checks, self.n)
-        grades = [_mat_project_checks(g, checks, self.n) for g in self.grades]
-        p_success = float(np.vdot(pure, pure).real)
-        for g in grades:
-            p_success += float(np.trace(g).real)
+        grades = _mat_project_checks(self.grades, checks, self.n)
+        p_success = GradedDensityMatrix(self.n, pure, grades).trace_total()
         if p_success <= 1e-300:
             raise ValueError("success probability is numerically zero")
         scale = 1.0 / p_success
-        state = GradedDensityMatrix(
-            self.n, np.sqrt(scale) * pure, [scale * g for g in grades]
-        )
-        return state, 1.0 - p_success / total
+        grades *= scale
+        state = GradedDensityMatrix(self.n, np.sqrt(scale) * pure, grades)
+        return state, 1.0 - p_success / self.trace_total()
 
     def fidelity_with_pure(self, psi: np.ndarray) -> float:
         return 1.0 - self.infidelity_with_pure(psi)

@@ -40,9 +40,8 @@ from .density import (
     _mask_of,
     _vec_project_checks,
     _vec_xflip,
-    _vec_zsigns,
 )
-from .pauli import rotation_phases
+from .pauli import rotation_phases, z_signs
 from .noise import (
     DistanceSet,
     PhysicalNoise,
@@ -377,7 +376,7 @@ def _perturbative_p_out(
 
     def z_harm(mask: int) -> float:
         if mask not in harm_cache:
-            amp = np.vdot(out, _vec_zsigns(mask, n) * out)
+            amp = np.vdot(out, z_signs(mask, n) * out)
             harm_cache[mask] = max(1.0 - abs(amp) ** 2, 0.0)
         return harm_cache[mask]
 
@@ -404,7 +403,7 @@ def _perturbative_p_out(
                 v = v * rotation_phases(_mask_of(r.axis), n,
                                         -2.0 * r.angle.radians)
         v = _vec_project_checks(v, checks, n)
-        v = _vec_xflip(v, q, n)
+        v = _vec_xflip(v, q)
         mass = np.vdot(v, v).real
         total += p * max(mass - abs(np.vdot(out, v)) ** 2, 0.0)
 
@@ -412,9 +411,12 @@ def _perturbative_p_out(
 
 
 def _run_level1(config: FactoryConfig, kmax: int) -> tuple[float, float]:
+    return _run_factory(config, kmax, _level1_inputs)
+
+
+def _level1_inputs(config: FactoryConfig, c: Circuit):
+    """(profiles, storage rates, storage cycles, consumption) of level 1."""
     d, noise = config.distances, config.noise
-    schedule = build_schedule(config.family)
-    c = schedule.circuit
     l_anc = d.dX + 4 * d.dZ
     profiles = [
         single_qubit_rotation_profile(noise, d.dZ, d.dm)
@@ -430,12 +432,7 @@ def _run_level1(config: FactoryConfig, kmax: int) -> tuple[float, float]:
     half_consume = 0.5 * logical_error_rate(noise.p_phys, d.dX) * d.dX
     consumption = StorageRates(half_consume, half_consume)
     storage_cycles = 2 * d.dm if config.family == "L1_15to1_small" else d.dm
-    p_out, p_fail = _run_schedule(schedule, profiles, rates, storage_cycles,
-                                  consumption, kmax)
-    if p_out < PERTURBATIVE_THRESHOLD:
-        p_out = _perturbative_p_out(schedule, profiles, rates,
-                                    storage_cycles, consumption)
-    return p_out, p_fail
+    return profiles, rates, storage_cycles, consumption
 
 
 @lru_cache(maxsize=None)
@@ -454,9 +451,12 @@ def level1_output_error(config: FactoryConfig, kmax: int = 6) -> Level1Result:
 
 def _run_level2(config: FactoryConfig, level1: Level1Result,
                 kmax: int) -> tuple[float, float]:
+    return _run_factory(config, kmax, _level2_inputs, level1)
+
+
+def _level2_inputs(config: FactoryConfig, c: Circuit, level1: Level1Result):
+    """(profiles, storage rates, storage cycles, consumption) of level 2."""
     d, noise = config.distances, config.noise
-    schedule = build_schedule(config.family)
-    c = schedule.circuit
     if config.family == "L2_15xCCZ":
         l_anc = 3 * d.dX2 + d.dZ2 + d.dm2
     else:
@@ -480,10 +480,32 @@ def _run_level2(config: FactoryConfig, level1: Level1Result,
     consume = prefactor * d.dX2 * logical_error_rate(noise.p_phys, d.dX2)
     consumption = StorageRates(consume, consume)
     t_l1 = _t_level1(config, level1.p_fail)
-    p_out, p_fail = _run_schedule(schedule, profiles, rates, t_l1,
+    return profiles, rates, t_l1, consumption
+
+
+def _run_factory(config: FactoryConfig, kmax: int, inputs,
+                 *args) -> tuple[float, float]:
+    """Run a family's schedule on the noise inputs ``inputs`` builds.
+
+    Shared by both levels.  For some distances the closed-form noise model
+    leaves its domain (a probability reaches 1) below p_phys = 0.01; that
+    is rejected here, before the engine runs, with a message naming the
+    inputs.
+    """
+    schedule = build_schedule(config.family)
+    try:
+        profiles, rates, cycles, consumption = inputs(
+            config, schedule.circuit, *args)
+        if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
+            raise ValueError("accumulated storage probability reaches 1")
+    except ValueError as e:
+        raise ValueError(
+            f"p_phys={config.noise.p_phys} is outside the noise model's "
+            f"range for {protocol_name(config)} ({e})") from None
+    p_out, p_fail = _run_schedule(schedule, profiles, rates, cycles,
                                   consumption, kmax)
     if p_out < PERTURBATIVE_THRESHOLD:
-        p_out = _perturbative_p_out(schedule, profiles, rates, t_l1,
+        p_out = _perturbative_p_out(schedule, profiles, rates, cycles,
                                     consumption)
     return p_out, p_fail
 

@@ -126,9 +126,16 @@ def rotation_phases(mask: int, n: int, phi: float) -> np.ndarray:
     computational value.  Z-type rotations are diagonal, so circuits made of
     them can be applied as elementwise phase multiplications.
     """
-    par = parity_lookup(mask, n)
-    signs = 1.0 - 2.0 * par  # (+1) for even overlap, (-1) for odd
-    return np.exp(-1j * phi * signs)
+    return np.exp(-1j * phi * z_signs(mask, n))
+
+
+def z_signs(mask: int, n: int) -> np.ndarray:
+    """Diagonal of Z_mask: (-1)^parity(x & mask) for every basis index x.
+
+    The entries are exactly +1.0 and -1.0 (float64), so multiplying by them
+    is exact in any order.
+    """
+    return 1.0 - 2.0 * parity_lookup(mask, n).astype(np.float64)
 
 
 def parity_lookup(mask: int, n: int) -> np.ndarray:

@@ -61,6 +61,12 @@ class TestArgumentParsing:
             with pytest.raises(ValueError):
                 parse_noise_spec(bad)
 
+    def test_noise_spec_rejects_non_finite_values(self):
+        for kind in ("z", "pauli", "coherent"):
+            for value in ("inf", "-inf", "nan"):
+                with pytest.raises(ValueError, match="finite"):
+                    parse_noise_spec(f"{kind}:{value}")
+
     def test_int_triple(self):
         assert parse_int_triple("9,3,3", "--d") == (9, 3, 3)
         for bad in ("9,3", "9,3,3,3", "a,3,3"):
@@ -226,6 +232,25 @@ class TestMainExitCodes:
         assert main(["factory", "--family", "l1_15to1", "--d", "8,3,3",
                      "--pphys", "1e-4"]) == 2
         capsys.readouterr()
+
+    def test_non_finite_noise_exit_2(self, capsys):
+        for kind in ("z", "pauli", "coherent"):
+            for value in ("inf", "-inf", "nan"):
+                assert main(["circuit", "--kind", "15to1", "--noise",
+                             f"{kind}:{value}"]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.splitlines() == [
+                    f"error: noise value must be finite, got {value!r}"]
+
+    def test_pphys_outside_model_range_exit_2(self, capsys):
+        assert main(["factory", "--family", "l1_15to1", "--d", "7,3,3",
+                     "--pphys", "9e-3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "error: p_phys=0.009 is outside the noise model's range for "
+            "(15-to-1)_{7,3,3} (")
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

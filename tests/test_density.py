@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msdsim.density import (
     DensityMatrix,
@@ -53,6 +54,46 @@ def _random_ops(rng: np.random.Generator, n: int, count: int):
                  int(rng.choice([1, -1]))),
             ))
     return ops
+
+
+def _draw_ops(draw, n: int):
+    """A shuffled channel sequence with every kind and storage on every qubit.
+
+    Every op adds at most two error events (a rotation has one output
+    qubit), so kmax = 2 * len(ops) truncates nothing.
+    """
+    prob = st.floats(0.0, 0.03)
+
+    def z_axis():
+        mask = draw(st.integers(1, (1 << n) - 1))
+        return PauliProduct("".join("Z" if mask >> i & 1 else "I"
+                                    for i in range(n)))
+
+    def rotation():
+        profile = RotationErrorProfile(draw(prob), draw(prob), draw(prob),
+                                       p_z_output=draw(st.floats(0.0, 0.02)))
+        return ("rotation", (z_axis(), profile,
+                             frozenset({draw(st.integers(0, n - 1))}),
+                             draw(st.sampled_from([1, -1]))))
+
+    def storage(qubit):
+        rates = StorageRates(draw(st.floats(0.0, 0.01)),
+                             draw(st.floats(0.0, 0.01)))
+        return ("storage", (qubit, rates, draw(st.floats(0.5, 3.0))))
+
+    def coherent():
+        return ("coherent", (z_axis(), draw(st.floats(-0.05, 0.05)),
+                             draw(st.sampled_from([1, -1]))))
+
+    ops = [storage(q) for q in range(n)] + [rotation(), coherent()]
+    for kind in draw(st.lists(st.sampled_from("rsc"), max_size=3)):
+        if kind == "r":
+            ops.append(rotation())
+        elif kind == "s":
+            ops.append(storage(draw(st.integers(0, n - 1))))
+        else:
+            ops.append(coherent())
+    return draw(st.permutations(ops))
 
 
 def _apply(state, op):
@@ -160,6 +201,54 @@ class TestGradedAgainstDense:
             np.testing.assert_allclose(
                 graded.materialize().data, dense.data, atol=1e-12
             )
+
+    # n=7 updates one grade per block, n=5 several, n=2 all; kmax=None
+    # stands for 2 * len(ops)
+    @pytest.mark.parametrize("kmax", [1, 2, None])
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_any_channel_sequence_agrees(self, n, kmax, data):
+        ops = _draw_ops(data.draw, n)
+        full = kmax is None
+        dense = DensityMatrix.init_plus(n)
+        graded = GradedDensityMatrix.init_plus(
+            n, kmax=2 * len(ops) if full else kmax)
+        for op in ops:
+            dense = _apply(dense, op)
+            graded = _apply(graded, op)
+        gap = np.max(np.abs(graded.materialize().data - dense.data))
+        if full:
+            np.testing.assert_allclose(graded.trace_total(), 1.0, rtol=1e-12)
+            assert gap <= 1e-12
+        else:
+            dropped = 1.0 - graded.trace_total()
+            assert dropped >= -1e-12
+            assert gap <= dropped + 1e-12
+
+    def test_channels_leave_their_input_unchanged(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 5, 7):
+            state = GradedDensityMatrix.init_plus(n, kmax=3)
+            for op in _random_ops(rng, n, 6):
+                state = _apply(state, op)
+            axis = PauliProduct("Z" * n)
+            channels = [
+                lambda s: s.apply_faulty_rotation(
+                    axis, RotationErrorProfile(0.01, 0.02, 0.03, 0.01),
+                    frozenset({0, n - 1})),
+                lambda s: s.apply_coherent_rotation(axis, 0.01, sign=-1),
+            ] + [
+                lambda s, q=q, rates=rates: s.apply_storage(q, rates, 2.0)
+                for q in range(n)
+                for rates in (StorageRates(0.01, 0.0), StorageRates(0.0, 0.01),
+                              StorageRates(0.01, 0.02), StorageRates(0.0, 0.0))
+            ] + [lambda s: s.project_plus(frozenset({n - 1}))]
+            for channel in channels:
+                pure, grades = state.pure.tobytes(), state.grades.tobytes()
+                channel(state)
+                assert state.pure.tobytes() == pure
+                assert state.grades.tobytes() == grades
 
     def test_projection_agrees(self):
         rng = np.random.default_rng(99)

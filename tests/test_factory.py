@@ -282,6 +282,30 @@ class TestSimulatedErrors:
         assert full.p_out > half.p_out
 
 
+class TestNoiseModelDomain:
+    """p_phys that PhysicalNoise accepts but the rate model cannot use."""
+
+    @pytest.mark.parametrize("config, where", [
+        # a rotation's P_{-pi/4} rate exceeds 1
+        (_l1(7, 3, 3, 9e-3), "(15-to-1)_{7,3,3}"),
+        # every rotation is valid, but dm cycles of storage reach 1
+        (_l1(15, 3, 9, 7e-3), "(15-to-1)_{15,3,9}"),
+        # a level-2 request fails in its level-1 block
+        (_l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 9e-3), "(15-to-1)_{9,3,3}"),
+    ])
+    def test_rejected_before_the_engine_runs(self, config, where,
+                                              monkeypatch):
+        def engine(*args):
+            raise AssertionError("engine ran")
+
+        monkeypatch.setattr(factory, "_run_schedule", engine)
+        with pytest.raises(ValueError) as info:
+            simulate_factory(config)
+        assert str(info.value).startswith(
+            f"p_phys={config.noise.p_phys} is outside the noise model's "
+            f"range for {where} (")
+
+
 class TestReports:
     def test_report_fields(self):
         r = simulate_factory(_l1(7, 3, 3, 1e-4))

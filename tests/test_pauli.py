@@ -14,6 +14,7 @@ from msdsim.pauli import (
     parity_lookup,
     rotation_phases,
     rotation_unitary,
+    z_signs,
 )
 
 
@@ -108,6 +109,8 @@ class TestRotation:
             )
             diag = rotation_phases(mask, n, k * np.pi / 8)
             np.testing.assert_allclose(np.diag(u), diag, atol=1e-12)
+            np.testing.assert_array_equal(
+                z_signs(mask, n), np.diag(matrix_of(PauliProduct(letters))))
 
 
 class TestHelpers:
