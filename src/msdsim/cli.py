@@ -138,10 +138,6 @@ def fmt_pout(x: float) -> str:
     return f"{x:.1e}"
 
 
-def report_to_dict(report: FactoryReport) -> dict:
-    return asdict(report)
-
-
 def format_report_plain(report: FactoryReport) -> str:
     lines = [
         f"protocol:             {report.protocol}",
@@ -224,7 +220,7 @@ def emit_reports(reports: list[FactoryReport], fmt: str) -> str:
     if fmt == "csv":
         return reports_to_csv(reports)
     if fmt == "json":
-        return json.dumps([report_to_dict(r) for r in reports], indent=2)
+        return json.dumps([asdict(r) for r in reports], indent=2)
     return "\n\n".join(format_report_plain(r) for r in reports)
 
 
@@ -769,8 +765,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "kmax", 1) < 1:
             raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
         return args.func(args)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

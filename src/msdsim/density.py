@@ -6,9 +6,10 @@ Two engines share one operation set:
   (any Pauli axes), used for property tests and cross-checks.
 * :class:`GradedDensityMatrix` — the same state split by exact error count:
   the zero-error branch is kept as a pure statevector and each grade k holds
-  the exactly-k-error mass.  Because the ideal branch never mixes with error
-  terms, output infidelities far below float epsilon of the trace (1e-15 and
-  smaller) are extracted without catastrophic cancellation.  Restricted to
+  the exactly-k-error mass.  Grade 1 is also kept as a store of pure
+  branches, one per single error event.  Output infidelities far below
+  float epsilon of the trace (1e-15 and smaller) are read as squared norms
+  of deviation vectors, without catastrophic cancellation.  Restricted to
   Z-type axes (all catalog circuits are Z-type).
 
 All operations are functional: they return a new state and leave the input
@@ -16,10 +17,16 @@ untouched.  The graded engine's grades are one ``(kmax, dim, dim)`` stack,
 updated in cache-sized blocks, in place only in a channel's own
 intermediates.  Complex products keep the operand order of
 ``d[:, None] * g * d.conj()[None, :]`` and ``np.outer(v, v.conj())``:
-NumPy's SIMD loops round ``a * b`` and ``b * a`` differently, and the
-cancelling readout turns that last bit into p_out shifts beyond the
-``rtol=1e-9`` factory goldens.  Real factors (probabilities, +-1 signs) and
+NumPy's SIMD loops round ``a * b`` and ``b * a`` differently in the last
+bit, and the fixed order keeps the grades bit-identical from one version of
+the engine to the next.  Real factors (probabilities, +-1 signs) and
 permutations are exact in any order.
+
+The branch store keeps each grade-1 branch as it was born, pulled back
+through the ideal operations applied since: storage and error channels only
+scale grade 1, and every ideal operation is diagonal.  A stored ``(w, row)``
+is read as weight ``scale * w`` and vector ``conj(pullback) * row``; only a
+projection and the readout materialize the rows.
 
 Usage::
 
@@ -79,9 +86,6 @@ class RotationErrorProfile:
         )
 
 
-ZERO_PROFILE = RotationErrorProfile(0.0, 0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class StorageRates:
     """Per-code-cycle X and Z flip probabilities of an idle patch."""
@@ -97,13 +101,9 @@ class StorageRates:
 
 
 # ---------------------------------------------------------------------------
-# array helpers (little-endian: basis-index bit i is qubit i)
+# array helpers (little-endian: basis-index bit i is qubit i, so once a
+# length-2**n axis is reshaped to (2,)*n, qubit i is axis -1 - i)
 # ---------------------------------------------------------------------------
-
-
-def _axis_of(qubit: int, n: int) -> int:
-    """Tensor axis of a qubit once a length-2**n vector is reshaped to (2,)*n."""
-    return n - 1 - qubit
 
 
 def _mask_of(p: PauliProduct) -> int:
@@ -123,22 +123,21 @@ def _stack_xflip(stack: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def _vec_project_checks(vec: np.ndarray, checks: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply prod_q (I + X_q)/2 over the check qubits to a statevector."""
-    t = vec.reshape((2,) * n)
+    """prod_q (I + X_q)/2 over the check qubits, on a statevector or on rows."""
+    shape = vec.shape[:-1] + (2,) * n
+    t = vec.reshape(shape)
     for q in checks:
-        t = t.mean(axis=_axis_of(q, n), keepdims=True)
-    return np.broadcast_to(t, (2,) * n).reshape(-1).copy()
+        t = t.mean(axis=-1 - q, keepdims=True)
+    return np.broadcast_to(t, shape).reshape(vec.shape).copy()
 
 
 def _mat_project_checks(mat: np.ndarray, checks: tuple[int, ...], n: int) -> np.ndarray:
     """prod_q (I + X_q)/2 rho prod_q (I + X_q)/2 on a matrix or a stack of them."""
     shape = mat.shape[:-2] + (2,) * (2 * n)
-    lead = mat.ndim - 2
     t = mat.reshape(shape)
     for q in checks:
-        ax = lead + _axis_of(q, n)
-        t = t.mean(axis=ax, keepdims=True)
-        t = t.mean(axis=n + ax, keepdims=True)
+        t = t.mean(axis=-1 - q - n, keepdims=True)  # row axis of qubit q
+        t = t.mean(axis=-1 - q, keepdims=True)
     out = np.empty_like(mat)
     out.reshape(shape)[...] = t
     return out
@@ -285,12 +284,20 @@ class GradedDensityMatrix:
     the exactly-k-error mass.  Branches with more than ``kmax`` errors are
     dropped; their total probability is bounded by ``1 - trace_total()``
     and is negligible for the error rates in scope.
+
+    ``births`` holds grade 1 once more, as ``(weight, row)`` pairs, one per
+    single error event, to be read through ``pullback`` (the conjugated
+    ideal diagonals) and ``scale`` (see the module docstring).
     """
 
-    def __init__(self, n: int, pure: np.ndarray, grades: np.ndarray):
+    def __init__(self, n: int, pure: np.ndarray, grades: np.ndarray,
+                 births: tuple = (), pullback=1.0, scale: float = 1.0):
         self.n = n
         self.pure = pure
         self.grades = grades
+        self.births = births
+        self.pullback = pullback
+        self.scale = scale
 
     @property
     def kmax(self) -> int:
@@ -306,8 +313,11 @@ class GradedDensityMatrix:
         pure = np.full(dim, dim ** -0.5, dtype=np.complex128)
         return cls(n, pure, np.zeros((kmax, dim, dim), dtype=np.complex128))
 
-    def copy(self) -> GradedDensityMatrix:
-        return GradedDensityMatrix(self.n, self.pure.copy(), self.grades.copy())
+    def grade1_branches(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, b) with grades[0] = sum_i w_i b_i b_i^dagger; b is (m, dim)."""
+        weights = self.scale * np.array([w for w, _ in self.births])
+        rows = np.array([r for _, r in self.births], dtype=np.complex128)
+        return weights, np.conj(self.pullback) * rows.reshape(-1, len(self.pure))
 
     def trace_total(self) -> float:
         t = float(np.vdot(self.pure, self.pure).real)
@@ -368,7 +378,14 @@ class GradedDensityMatrix:
                     np.multiply(v[:, None], v.conj()[None, :], out=term[0])
                     term[0] *= prob
                 block += term
-        return GradedDensityMatrix(self.n, np.sqrt(keep_prob) * pure, out)
+        # grade 1 is scaled by keep_prob and each event adds one branch; at
+        # keep_prob = 0 every earlier branch is gone and the store restarts
+        scale, pullback, births = self.scale * keep_prob, self.pullback, self.births
+        if keep_prob == 0.0:
+            scale, pullback, births = 1.0, 1.0, ()
+        births += tuple([(p / scale, pullback * v) for p, _, v in branches])
+        return GradedDensityMatrix(self.n, np.sqrt(keep_prob) * pure, out,
+                                   births, pullback, scale)
 
     def _apply_diag_all(self, diag: np.ndarray) -> GradedDensityMatrix:
         """d rho d^dagger on every branch, into a fresh stack."""
@@ -377,7 +394,8 @@ class GradedDensityMatrix:
         for lo, hi in self._blocks():
             block = np.multiply(row, self.grades[lo:hi], out=out[lo:hi])
             block *= col
-        return GradedDensityMatrix(self.n, diag * self.pure, out)
+        return GradedDensityMatrix(self.n, diag * self.pure, out, self.births,
+                                   diag.conj() * self.pullback, self.scale)
 
     # -- channels ----------------------------------------------------------
     def apply_faulty_rotation(
@@ -446,19 +464,24 @@ class GradedDensityMatrix:
             raise ValueError("success probability is numerically zero")
         scale = 1.0 / p_success
         grades *= scale
-        state = GradedDensityMatrix(self.n, np.sqrt(scale) * pure, grades)
+        # projection is linear: project the rows, keep their weights
+        weights, rows = self.grade1_branches()
+        births = tuple(zip(weights, _vec_project_checks(rows, checks, self.n)))
+        state = GradedDensityMatrix(self.n, np.sqrt(scale) * pure, grades,
+                                    births, 1.0, scale)
         return state, 1.0 - p_success / self.trace_total()
 
     def fidelity_with_pure(self, psi: np.ndarray) -> float:
         return 1.0 - self.infidelity_with_pure(psi)
 
     def infidelity_with_pure(self, psi: np.ndarray) -> float:
-        """1 - <psi|rho|psi>, accumulated grade-wise to avoid cancellation.
+        """1 - <psi|rho|psi>, accumulated branch-wise to avoid cancellation.
 
-        The zero-error branch contributes the squared norm of its deviation
-        from psi (exactly zero when the branch is proportional to psi);
-        grade k >= 1 contributes tr(rho_k) - <psi|rho_k|psi>, which is a
-        difference of already-small numbers.
+        The zero-error branch and each grade-1 branch contribute the squared
+        norm of their deviation from psi (exactly zero for a branch
+        proportional to psi), so their error is about eps^2 of their mass.
+        Grade k >= 2 contributes tr(rho_k) - <psi|rho_k|psi>, a difference of
+        already-small numbers with an error of about eps of its mass.
         """
         psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
         if psi.shape[0] != 1 << self.n:
@@ -468,7 +491,10 @@ class GradedDensityMatrix:
             raise ValueError("reference state is not normalized")
         residual = self.pure - (psi.conj() @ self.pure) * psi
         dev = float(np.vdot(residual, residual).real)
-        for g in self.grades:
+        weights, rows = self.grade1_branches()
+        rows -= np.outer(rows @ psi.conj(), psi)
+        dev += float(weights @ (rows.real**2 + rows.imag**2).sum(1))
+        for g in self.grades[1:]:
             dev += float(np.trace(g).real - np.real(psi.conj() @ g @ psi))
         total = self.trace_total()
         return dev / total

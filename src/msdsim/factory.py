@@ -31,17 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .circuits import Circuit, catalog
-from .density import (
-    GradedDensityMatrix,
-    StorageRates,
-    _mask_of,
-    _vec_project_checks,
-    _vec_xflip,
-)
-from .pauli import rotation_phases, z_signs
+from .density import GradedDensityMatrix, StorageRates
 from .noise import (
     DistanceSet,
     PhysicalNoise,
@@ -96,6 +87,10 @@ class FactoryConfig:
                 raise ValueError(f"{self.family} requires level-2 distances")
             if self.family != "L2_15x15_small" and d.nL1 is None:
                 raise ValueError(f"{self.family} requires nL1")
+
+
+class NoiseDomainError(ValueError):
+    """p_phys lies outside the noise model's range for a configuration."""
 
 
 class Level1Result(NamedTuple):
@@ -268,13 +263,6 @@ def cycle_cost(config: FactoryConfig, p_fail_L1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Below this output error the dense engine's float64 extraction is swamped
-# by round-off from harmless branch mass (~1e-8 of trace, eps ~1e-16), so
-# simulate_factory switches to the perturbative event enumeration, which is
-# exact to third order in the event probabilities.
-PERTURBATIVE_THRESHOLD = 1e-18
-
-
 def _run_schedule(
     schedule: Schedule,
     profiles: list,
@@ -305,109 +293,6 @@ def _run_schedule(
         rho = rho.apply_storage(q, consumption, 1.0)
     p_out = rho.infidelity_with_pure(c.ideal_output) / c.outputs
     return p_out, p_fail
-
-
-def _ideal_prefinal(c: Circuit) -> np.ndarray:
-    """Noiseless pre-measurement state: every rotation applied to |+>^n."""
-    vec = np.full(2**c.n, 2.0 ** (-c.n / 2), dtype=complex)
-    for r in c.rotations:
-        vec = vec * rotation_phases(_mask_of(r.axis), c.n, r.angle.radians)
-    return vec
-
-
-def _perturbative_p_out(
-    schedule: Schedule,
-    profiles: list,
-    rates: dict[int, StorageRates],
-    storage_cycles: float,
-    consumption: StorageRates,
-) -> float:
-    """Output infidelity per state by third-order error-event enumeration.
-
-    Replaces the dense engine's readout when the measured infidelity falls
-    below PERTURBATIVE_THRESHOLD, where float64 round-off from harmless
-    branch mass swamps the true signal.  Quarter-angle error branches are
-    counted as axis flips at half probability.  Z-type events commute with
-    the whole circuit, so subsets of up to three are enumerated directly: a
-    subset goes undetected exactly when the XOR of its masks avoids every
-    check qubit, and its damage is one minus the squared overlap that the
-    combined flip leaves on the ideal output.  X-type events are evaluated
-    one at a time with their exact end effect (a mid-circuit bit flip
-    reverses the sign of every later rotation touching that qubit).
-    Neglected terms -- fourth-order subsets, interference between branches,
-    X-event pairs, and acceptance renormalization -- are smaller by at
-    least the total event probability, far inside the tolerance wherever
-    the threshold applies.
-    """
-    c = schedule.circuit
-    n = c.n
-    checks = tuple(sorted(c.check_qubits))
-    checkmask = sum(1 << q for q in checks)
-    psi_pre = _ideal_prefinal(c)
-    out = c.ideal_output
-
-    z_events: dict[int, float] = {}
-
-    def add_z(mask: int, p: float) -> None:
-        if p > 0.0 and mask:
-            z_events[mask] = z_events.get(mask, 0.0) + p
-
-    x_events: list[tuple[int, float, int]] = []  # (qubit, prob, step index)
-    initialized: set[int] = set()
-    for si, step in enumerate(schedule.steps):
-        initialized |= step.initialize
-        for ri in step.rotations:
-            r = c.rotations[ri]
-            prof = profiles[ri]
-            mask = _mask_of(r.axis)
-            add_z(mask, prof.p_half + (prof.p_quarter + prof.p_mquarter) / 2)
-            for q in c.output_qubits & frozenset(r.axis.support):
-                add_z(1 << q, prof.p_z_output)
-        if step.storage:
-            for q in sorted(initialized):
-                add_z(1 << q, rates[q].pZ * storage_cycles)
-                x_events.append((q, rates[q].pX * storage_cycles, si))
-    n_steps = len(schedule.steps)
-    for q in sorted(c.output_qubits):
-        add_z(1 << q, consumption.pZ)
-        x_events.append((q, consumption.pX, n_steps))
-
-    harm_cache: dict[int, float] = {}
-
-    def z_harm(mask: int) -> float:
-        if mask not in harm_cache:
-            amp = np.vdot(out, z_signs(mask, n) * out)
-            harm_cache[mask] = max(1.0 - abs(amp) ** 2, 0.0)
-        return harm_cache[mask]
-
-    total = 0.0
-    items = sorted(z_events.items())
-    for size in (1, 2, 3):
-        for combo in itertools.combinations(items, size):
-            mask = 0
-            prob = 1.0
-            for m, p in combo:
-                mask ^= m
-                prob *= p
-            if mask & checkmask == 0:
-                total += prob * z_harm(mask)
-
-    step_of = {ri: si for si, step in enumerate(schedule.steps)
-               for ri in step.rotations}
-    for q, p, si in x_events:
-        if p <= 0.0:
-            continue
-        v = psi_pre
-        for ri, r in enumerate(c.rotations):
-            if step_of[ri] > si and q in r.axis.support:
-                v = v * rotation_phases(_mask_of(r.axis), n,
-                                        -2.0 * r.angle.radians)
-        v = _vec_project_checks(v, checks, n)
-        v = _vec_xflip(v, q)
-        mass = np.vdot(v, v).real
-        total += p * max(mass - abs(np.vdot(out, v)) ** 2, 0.0)
-
-    return float(total) / c.outputs
 
 
 def _run_level1(config: FactoryConfig, kmax: int) -> tuple[float, float]:
@@ -449,11 +334,6 @@ def level1_output_error(config: FactoryConfig, kmax: int = 6) -> Level1Result:
     return _level1_cached(d.dX, d.dZ, d.dm, noise.p_phys, noise.c_T, kmax)
 
 
-def _run_level2(config: FactoryConfig, level1: Level1Result,
-                kmax: int) -> tuple[float, float]:
-    return _run_factory(config, kmax, _level2_inputs, level1)
-
-
 def _level2_inputs(config: FactoryConfig, c: Circuit, level1: Level1Result):
     """(profiles, storage rates, storage cycles, consumption) of level 2."""
     d, noise = config.distances, config.noise
@@ -489,8 +369,8 @@ def _run_factory(config: FactoryConfig, kmax: int, inputs,
 
     Shared by both levels.  For some distances the closed-form noise model
     leaves its domain (a probability reaches 1) below p_phys = 0.01; that
-    is rejected here, before the engine runs, with a message naming the
-    inputs.
+    is rejected here, before the engine runs, as a NoiseDomainError naming
+    the inputs.
     """
     schedule = build_schedule(config.family)
     try:
@@ -499,15 +379,11 @@ def _run_factory(config: FactoryConfig, kmax: int, inputs,
         if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
             raise ValueError("accumulated storage probability reaches 1")
     except ValueError as e:
-        raise ValueError(
+        raise NoiseDomainError(
             f"p_phys={config.noise.p_phys} is outside the noise model's "
             f"range for {protocol_name(config)} ({e})") from None
-    p_out, p_fail = _run_schedule(schedule, profiles, rates, cycles,
-                                  consumption, kmax)
-    if p_out < PERTURBATIVE_THRESHOLD:
-        p_out = _perturbative_p_out(schedule, profiles, rates, cycles,
-                                    consumption)
-    return p_out, p_fail
+    return _run_schedule(schedule, profiles, rates, cycles, consumption,
+                         kmax)
 
 
 def protocol_name(config: FactoryConfig) -> str:
@@ -570,7 +446,7 @@ def simulate_factory(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
         p_fail_l2 = 0.0
     else:
         level1 = level1_output_error(config, kmax)
-        p_out, p_fail_l2 = _run_level2(config, level1, kmax)
+        p_out, p_fail_l2 = _run_factory(config, kmax, _level2_inputs, level1)
         p_fail_l1 = level1.p_fail
     qubits, cycles, per_state = _costs(config, p_fail_l1)
     outputs = family_outputs(config.family)
@@ -614,7 +490,9 @@ def sweep(
 
     ranges maps DistanceSet field names (dX, dZ, dm, and for level-2
     families dX2, dZ2, dm2, nL1) to iterables of values.  Combinations
-    without a valid DistanceSet are skipped.  The result is the Pareto
+    without a valid DistanceSet, or outside the noise model's range
+    (:class:`NoiseDomainError`), are skipped; if no combination can be
+    simulated, the first range error is raised.  The result is the Pareto
     front in (qubits, qubitcycles_per_state) of the configurations with
     p_out <= target_p_out, sorted by qubitcycles_per_state, ties broken by
     qubits then distances.
@@ -645,6 +523,7 @@ def sweep(
     if missing:
         raise ValueError(f"missing range keys: {sorted(missing)}")
     candidates = []
+    out_of_range = []
     for combo in itertools.product(*(list(ranges[k]) for k in keys)):
         kwargs = dict(zip(keys, combo))
         try:
@@ -653,18 +532,30 @@ def sweep(
                                    consumption_prefactor_toggle)
         except ValueError:
             continue
-        p_fail = level1_output_error(config, kmax).p_fail if level2 else 0.0
+        try:
+            p_fail = level1_output_error(config, kmax).p_fail if level2 else 0.0
+        except NoiseDomainError as e:
+            out_of_range.append(e)
+            continue
         qubits, _, per_state = _costs(config, p_fail)
         candidates.append((per_state, qubits, combo, config))
     candidates.sort(key=lambda c: c[:3])
     feasible = []
+    simulated = False
     for per_state, qubits, combo, config in candidates:
         if any(_dominates(r.qubits, r.qubitcycles_per_state, qubits, per_state)
                for r, _ in feasible):
             continue
-        report = simulate_factory(config, kmax)
+        try:
+            report = simulate_factory(config, kmax)
+        except NoiseDomainError as e:
+            out_of_range.append(e)
+            continue
+        simulated = True
         if report.p_out <= target_p_out:
             feasible.append((report, combo))
+    if out_of_range and not simulated:
+        raise out_of_range[0]
     return _pareto_front(feasible)
 
 

@@ -25,7 +25,7 @@ class PhysicalNoise:
 
     p_phys must lie in [0, 0.01]; zero is the noiseless edge case.  c_T
     scales only the T-measurement Pauli rate (1 or 10 in the reproduced
-    tables, any positive value accepted).
+    tables, any finite positive value accepted).
     """
 
     p_phys: float
@@ -34,8 +34,8 @@ class PhysicalNoise:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_phys <= 0.01:
             raise ValueError("p_phys must lie in [0, 0.01]")
-        if self.c_T <= 0.0:
-            raise ValueError("c_T must be positive")
+        if not 0.0 < self.c_T < float("inf"):
+            raise ValueError(f"c_T must be finite and positive, got {self.c_T}")
 
 
 @dataclass(frozen=True)

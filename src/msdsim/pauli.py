@@ -15,7 +15,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -129,13 +129,16 @@ def rotation_phases(mask: int, n: int, phi: float) -> np.ndarray:
     return np.exp(-1j * phi * z_signs(mask, n))
 
 
+@lru_cache(maxsize=None)
 def z_signs(mask: int, n: int) -> np.ndarray:
     """Diagonal of Z_mask: (-1)^parity(x & mask) for every basis index x.
 
     The entries are exactly +1.0 and -1.0 (float64), so multiplying by them
-    is exact in any order.
+    is exact in any order.  Memoized per (mask, n); the array is read-only.
     """
-    return 1.0 - 2.0 * parity_lookup(mask, n).astype(np.float64)
+    signs = 1.0 - 2.0 * parity_lookup(mask, n).astype(np.float64)
+    signs.flags.writeable = False
+    return signs
 
 
 def parity_lookup(mask: int, n: int) -> np.ndarray:

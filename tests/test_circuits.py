@@ -130,7 +130,7 @@ class TestSimulateCircuit:
     def test_fifteen_to_one_random_pauli(self):
         p_out, p_fail = simulate_circuit(catalog("fifteen_to_one"),
                                          random_pauli(1e-4))
-        np.testing.assert_allclose(p_out, 1.0372444616892254e-11, rtol=1e-9)
+        np.testing.assert_allclose(p_out, 1.0372444942152906e-11, rtol=1e-9)
         np.testing.assert_allclose(p_fail, 0.0009995334577566073, rtol=1e-9)
 
     def test_twenty_to_four_z_only(self):

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import msdsim.cli as cli
 from msdsim.cli import (
     ConfigError,
     check_row,
@@ -252,6 +253,28 @@ class TestMainExitCodes:
             "error: p_phys=0.009 is outside the noise model's range for "
             "(15-to-1)_{7,3,3} (")
 
+    def test_non_finite_ct_exit_2(self, capsys):
+        for value in ("nan", "inf"):
+            assert main(["factory", "--family", "l1_15to1", "--d", "7,3,3",
+                         "--pphys", "1e-4", "--ct", value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: c_T must be finite and positive, got {value}\n")
+
+    def test_failed_allocation_exits_2(self, capsys, monkeypatch):
+        for message, shown in (("Unable to allocate 15 TiB", None),
+                               ("", "MemoryError")):
+            def too_big(config, kmax):
+                raise MemoryError(message)
+
+            monkeypatch.setattr(cli, "simulate_factory", too_big)
+            assert main(["factory", "--family", "l1_15to1", "--d", "7,3,3",
+                         "--pphys", "1e-4", "--kmax", "1000000000"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {shown or message}\n"
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")
@@ -271,6 +294,21 @@ class TestMainExitCodes:
                      "--dm", "3"]) == 0
         out = capsys.readouterr().out
         assert "(15-to-1)_{7,3,3}" in out
+
+    def test_sweep_skips_distances_outside_the_noise_range(self, capsys):
+        argv = ["sweep", "--family", "l1_15to1", "--pphys", "7e-3",
+                "--target", "1e-2", "--dz", "3", "--dm", "9"]
+        assert main(argv + ["--dx", "13,15"]) == 0
+        captured = capsys.readouterr()
+        assert "(15-to-1)_{13,3,9}" in captured.out
+        assert captured.err == ""
+        # with nothing in range, the first range error names the input
+        assert main(argv + ["--dx", "15"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: p_phys=0.007 is outside the noise model's range for "
+            "(15-to-1)_{15,3,9} (accumulated storage probability reaches 1)"]
 
     def test_sweep_rejects_bad_target(self, capsys):
         for target in ("nan", "-1", "0", "inf"):
@@ -319,6 +357,7 @@ class TestTableCommand:
     def test_every_row_check_passes(self):
         for row in TABLE1 + TABLE2:
             report = simulate_factory(row_config(row))
+            assert report.p_out > 0.0, report.protocol
             for label, ok, detail in check_row(row, report):
                 assert ok, f"{report.protocol}: {label}: {detail}"
 

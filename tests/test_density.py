@@ -96,6 +96,13 @@ def _draw_ops(draw, n: int):
     return draw(st.permutations(ops))
 
 
+def _state_bytes(state) -> tuple:
+    """Raw bytes of every array a graded state holds, branch store included."""
+    return (state.pure.tobytes(), state.grades.tobytes(),
+            np.asarray(state.pullback).tobytes(), state.scale,
+            tuple((w, row.tobytes()) for w, row in state.births))
+
+
 def _apply(state, op):
     kind, args = op
     if kind == "rotation":
@@ -245,10 +252,40 @@ class TestGradedAgainstDense:
                               StorageRates(0.01, 0.02), StorageRates(0.0, 0.0))
             ] + [lambda s: s.project_plus(frozenset({n - 1}))]
             for channel in channels:
-                pure, grades = state.pure.tobytes(), state.grades.tobytes()
+                before = _state_bytes(state)
                 channel(state)
-                assert state.pure.tobytes() == pure
-                assert state.grades.tobytes() == grades
+                assert _state_bytes(state) == before
+
+    def test_branch_store_rebuilds_grade_one(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 7):
+            state = GradedDensityMatrix.init_plus(n, kmax=2)
+            weights, rows = state.grade1_branches()
+            assert weights.shape == (0,) and rows.shape == (0, 1 << n)
+            assert rows.dtype == np.complex128
+            for op in _random_ops(rng, n, 8):
+                state = _apply(state, op)
+            state, _ = state.project_plus(frozenset({n - 1}))
+            if n == 5:  # keep probability 0: every earlier branch is gone
+                state = state.apply_faulty_rotation(
+                    PauliProduct("ZZIII"),
+                    RotationErrorProfile(0.5, 0.25, 0.25))
+            for op in _random_ops(rng, n, 4):
+                state = _apply(state, op)
+            weights, rows = state.grade1_branches()
+            assert len(weights) == len(rows) > 0
+            rebuilt = np.einsum("i,ij,ik->jk", weights, rows, rows.conj())
+            np.testing.assert_allclose(rebuilt, state.grades[0], rtol=0,
+                                       atol=1e-12)
+
+    def test_noiseless_state_has_an_empty_branch_store(self):
+        state = GradedDensityMatrix.init_plus(3, kmax=1)
+        state = state.apply_faulty_rotation(
+            PauliProduct("ZZI"), RotationErrorProfile(0.0, 0.0, 0.0))
+        state, _ = state.project_plus(frozenset({2}))
+        assert state.births == ()
+        assert state.infidelity_with_pure(state.pure / np.linalg.norm(
+            state.pure)) == pytest.approx(0.0, abs=1e-30)
 
     def test_projection_agrees(self):
         rng = np.random.default_rng(99)

@@ -220,8 +220,8 @@ class TestSimulatedErrors:
     def test_level1(self):
         cases = [
             (_l1(7, 3, 3, 1e-4), 4.331820452545726e-08),
-            (_l1(9, 3, 3, 1e-4), 1.094631895575301e-09),
-            (_l1(11, 5, 5, 1e-4), 1.883747843496231e-11),
+            (_l1(9, 3, 3, 1e-4), 1.0946318974287541e-09),
+            (_l1(11, 5, 5, 1e-4), 1.8837478790945815e-11),
             (_l1(17, 7, 7, 1e-3), 4.978326945221143e-08),
             (_l1(9, 3, 3, 1e-4, family="L1_15to1_small"),
              1.7628342448563551e-09),
@@ -239,9 +239,9 @@ class TestSimulatedErrors:
     def test_level2(self):
         cases = [
             (_l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4),
-             1.9161636539801793e-15),
+             1.9161636517121426e-15),
             (_l2("L2_15xCCZ", 7, 3, 3, 15, 7, 9, 4, 1e-4),
-             7.049050442538589e-14),
+             7.049050456916525e-14),
             (FactoryConfig("L2_15x15_small",
                            DistanceSet(9, 5, 5, 21, 9, 11),
                            PhysicalNoise(1e-3)),
@@ -251,23 +251,57 @@ class TestSimulatedErrors:
             np.testing.assert_allclose(simulate_factory(cfg).p_out, want,
                                        rtol=1e-9)
 
-    def test_deep_row_uses_event_enumeration(self):
-        # This output error sits far below the dense engine's float64
-        # extraction floor; the event-enumeration path takes over.
+    def test_deep_row(self):
+        # Far below float64 epsilon of the trace: the readout takes squared
+        # norms of deviation vectors, so it stays positive and exact.
         report = simulate_factory(_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4,
                                       1e-4))
-        np.testing.assert_allclose(report.p_out, 8.192460937670754e-25,
+        np.testing.assert_allclose(report.p_out, 8.192464245047546e-25,
                                    rtol=1e-9)
         assert report.p_out > 0.0
 
-    def test_event_enumeration_matches_engine(self, monkeypatch):
-        # Force the enumeration path on a row the dense engine extracts
-        # cleanly; the two must agree to the quarter-branch approximation.
-        cfg = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
-        engine = simulate_factory(cfg).p_out
-        monkeypatch.setattr(factory, "PERTURBATIVE_THRESHOLD", 1e-10)
-        enumerated = simulate_factory(cfg).p_out
-        np.testing.assert_allclose(enumerated, engine, rtol=2e-3)
+    def test_deep_rows_match_event_enumeration(self):
+        # Values of the third-order error-event enumeration that msdsim
+        # used as its readout below p_out = 1e-18 until the engine could
+        # resolve these rows alone.  The enumeration counts quarter-angle
+        # branches as axis flips at half probability and leaves out
+        # fourth-order terms and interference.
+        cases = [
+            # table1 row 5
+            (_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4, 1e-4),
+             8.192460937670754e-25),
+            # table1 row 11
+            (_l2("L2_15x15", 17, 7, 7, 41, 17, 17, 6, 1e-3),
+             4.687344038357969e-20),
+            # table2 row 4
+            (_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4, 1e-4, ct=10.0),
+             5.557665386905996e-22),
+        ]
+        for cfg, enumerated in cases:
+            np.testing.assert_allclose(simulate_factory(cfg).p_out,
+                                       enumerated, rtol=2e-3)
+
+    def test_storage_order_within_a_step_does_not_move_p_out(
+            self, monkeypatch):
+        # Storage channels on different qubits commute, so running a step's
+        # storage in reverse qubit order is the same physics.  The last
+        # config is table1 row 5: its limit is the dense grade-2 readout,
+        # whose floor (about eps x its 7e-17 mass) is about 4e-8 of this p_out.
+        configs = [_l1(11, 5, 5, 1e-4),
+                   _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4),
+                   _l2("L2_15x15", 13, 5, 5, 29, 11, 13, 6, 1e-3),
+                   _l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4, 1e-4)]
+        forward = [simulate_factory(c).p_out for c in configs]
+        monkeypatch.setattr(factory, "sorted",
+                            lambda qubits: sorted(qubits, reverse=True),
+                            raising=False)
+        factory._level1_cached.cache_clear()
+        try:
+            backward = [simulate_factory(c).p_out for c in configs]
+        finally:
+            factory._level1_cached.cache_clear()
+        np.testing.assert_allclose(backward[:3], forward[:3], rtol=1e-10)
+        np.testing.assert_allclose(backward[3], forward[3], rtol=1e-6)
 
     def test_t_cost_factor_increases_error(self):
         report = simulate_factory(_l1(9, 3, 3, 1e-4, ct=10.0))
@@ -360,6 +394,34 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("L1_15to1", {"dX": [7], "dZ": [3], "dm": [3],
                                "dX2": [15]}, noise, 1e-7)
+
+    def test_candidates_outside_the_noise_range_are_skipped(self):
+        # dm = 9 cycles of storage reach probability 1 at dX = 15, p = 7e-3
+        noise = PhysicalNoise(7e-3)
+        ranges = {"dX": [13, 15], "dZ": [3], "dm": [9]}
+        front = sweep("L1_15to1", ranges, noise, target_p_out=1e-2)
+        assert [r.protocol for r in front] == ["(15-to-1)_{13,3,9}"]
+        with pytest.raises(factory.NoiseDomainError,
+                           match=r"\(15-to-1\)_\{15,3,9\}"):
+            sweep("L1_15to1", {**ranges, "dX": [15]}, noise, 1e-2)
+
+    def test_level2_candidates_outside_the_noise_range_are_skipped(self):
+        # the level-1 block (15, 3, 9) is out of range at p = 7e-3
+        noise = PhysicalNoise(7e-3)
+        ranges = {"dX": [13, 15], "dZ": [3], "dm": [9], "dX2": [25],
+                  "dZ2": [25], "dm2": [25], "nL1": [4]}
+        front = sweep("L2_15x15", ranges, noise, target_p_out=1.0)
+        assert [r.protocol for r in front] == [
+            "(15-to-1)^4_{13,3,9} x (15-to-1)_{25,25,25}"]
+
+    def test_other_simulation_errors_still_raise(self, monkeypatch):
+        def broken(config, kmax):
+            raise ValueError("not a range error")
+
+        monkeypatch.setattr(factory, "simulate_factory", broken)
+        with pytest.raises(ValueError, match="not a range error"):
+            sweep("L1_15to1", {"dX": [7], "dZ": [3], "dm": [3]},
+                  PhysicalNoise(1e-4), 1e-7)
 
     def test_target_validation(self):
         noise = PhysicalNoise(1e-4)

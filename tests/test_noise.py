@@ -51,6 +51,9 @@ class TestPhysicalNoise:
             PhysicalNoise(0.02)
         with pytest.raises(ValueError):
             PhysicalNoise(1e-4, c_T=0.0)
+        for c_T in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="c_T must be finite"):
+                PhysicalNoise(1e-4, c_T=c_T)
 
 
 class TestDistanceSet:

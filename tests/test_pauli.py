@@ -119,6 +119,13 @@ class TestHelpers:
         par = parity_lookup(0b101, 3)
         np.testing.assert_array_equal(par, [0, 1, 0, 1, 1, 0, 1, 0])
 
+    def test_z_signs_are_memoized_read_only(self):
+        signs = z_signs(0b101, 3)
+        assert z_signs(0b101, 3) is signs
+        np.testing.assert_array_equal(signs, [1, -1, 1, -1, -1, 1, -1, 1])
+        with pytest.raises(ValueError):
+            signs[0] = 0.0
+
     def test_equal_up_to_phase(self):
         a = np.array([1.0, 1j]) / np.sqrt(2)
         assert equal_up_to_phase(a, np.exp(0.7j) * a)
