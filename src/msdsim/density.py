@@ -14,13 +14,17 @@ Two engines share one operation set:
 
 All operations are functional: they return a new state and leave the input
 untouched.  The graded engine's grades are one ``(kmax, dim, dim)`` stack,
-updated in cache-sized blocks, in place only in a channel's own
-intermediates.  Complex products keep the operand order of
-``d[:, None] * g * d.conj()[None, :]`` and ``np.outer(v, v.conj())``:
-NumPy's SIMD loops round ``a * b`` and ``b * a`` differently in the last
-bit, and the fixed order keeps the grades bit-identical from one version of
-the engine to the next.  Real factors (probabilities, +-1 signs) and
-permutations are exact in any order.
+updated in cache-sized blocks.  Each channel is one elementwise kernel,
+``out_k = A o g_k + B o P(g_{k-1})`` with ``g_0 = pure pure^dagger``: P
+permutes for an X flip; a Z-type operation scales ``rho_ij`` by a value set
+by the class ``c_ij = 1 + (s_i - s_j)/2`` of the axis's Z signs s, so A and
+B are 3-entry tables looked up by c (a faulty rotation folds its ideal
+phase D and error branches W into ``A = keep D`` and ``B = D W``).  Real
+factors (probabilities, +-1 signs) and permutations are exact in any order,
+so X and Z flips give bit-identical grades from one engine version to the
+next.  Products of complex phases are not: NumPy's SIMD loops round
+``a * b`` and ``b * a`` differently in the last bit, so rotations move in
+the last bits when their operand order changes.
 
 The branch store keeps each grade-1 branch as it was born, pulled back
 through the ideal operations applied since: storage and error channels only
@@ -41,6 +45,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,14 +81,6 @@ class RotationErrorProfile:
                 raise ValueError(f"{name}={v} outside [0, 1)")
         if self.p_half + self.p_quarter + self.p_mquarter > 1.0:
             raise ValueError("substitution probabilities sum above 1")
-
-    def scaled(self, factor: float) -> RotationErrorProfile:
-        return RotationErrorProfile(
-            self.p_half * factor,
-            self.p_quarter * factor,
-            self.p_mquarter * factor,
-            self.p_z_output * factor,
-        )
 
 
 @dataclass(frozen=True)
@@ -141,6 +138,30 @@ def _mat_project_checks(mat: np.ndarray, checks: tuple[int, ...], n: int) -> np.
     out = np.empty_like(mat)
     out.reshape(shape)[...] = t
     return out
+
+
+# s_i - s_j and s_i * s_j of the entries of each class c_ij under Z signs s
+_CLASS_STEP = np.array([-2.0, 0.0, 2.0])
+_CLASS_SIGN = np.array([-1.0, 1.0, -1.0])
+
+
+@lru_cache(maxsize=None)
+def _z_classes(mask: int, n: int) -> np.ndarray:
+    """Class c_ij in {0, 1, 2} of every matrix entry under Z_mask's signs.
+
+    A Z-diagonal operation scales rho_ij by a value that depends on c_ij
+    only, so it is a 3-entry table looked up by c.  Memoized per (mask, n);
+    the int8 array is read-only.
+    """
+    s = z_signs(mask, n)
+    c = (1.0 + (s[:, None] - s[None, :]) / 2).astype(np.int8)
+    c.flags.writeable = False
+    return c
+
+
+def _phase_table(theta: float) -> np.ndarray:
+    """d rho d^dagger by class, d = exp(-i theta s): exp(-i theta (s_i - s_j))."""
+    return np.exp(-1j * theta * _CLASS_STEP)
 
 
 def _require_z_axis(axis: PauliProduct) -> None:
@@ -338,64 +359,57 @@ class GradedDensityMatrix:
         return [(lo, min(lo + per, self.kmax))
                 for lo in reversed(range(0, self.kmax, per))]
 
-    def _mixture(self, keep_prob: float, branches: list,
-                 out: np.ndarray) -> GradedDensityMatrix:
-        """Generic one-event channel, writing the new grades into ``out``.
+    def _channel(self, a, b, out: np.ndarray, qubit=None) -> np.ndarray:
+        """Grades of a one-event channel: out_k = a o g_k + b o P(g_{k-1}).
 
-        With probability ``keep_prob`` nothing happens; each branch
-        (prob, op) promotes the state one grade, op being a diagonal d
-        (d rho d^dagger) or an int qubit (X rho X).  ``out`` is a fresh stack
-        or, if the channel created it, ``self.grades``: blocks run from the
-        top grade down, so the grades below a block are still unscaled, and
-        a block holding its own inputs reads a copy.  Ideal-branch unitaries
-        must be applied separately first.
+        P is X rho X on ``qubit``, or the identity for None; a and b are
+        scalars or (dim, dim) arrays.  ``out`` is a fresh stack or, if the
+        caller created it, ``self.grades``: blocks run from the top grade
+        down, each reading the grades below it before it overwrites itself.
         """
-        grades, pure, dim = self.grades, self.pure, len(self.pure)
-        branches = [
-            (prob, op, op * pure if isinstance(op, np.ndarray)
-             else _vec_xflip(pure, op))
-            for prob, op in branches if prob != 0.0
-        ]
-        blocks = self._blocks()
-        buf = np.empty((blocks[-1][1], dim, dim), np.complex128)
+        grades, blocks = self.grades, self._blocks()
+        v = self.pure if qubit is None else _vec_xflip(self.pure, qubit)
+        buf = np.empty((blocks[-1][1],) + grades.shape[1:], np.complex128)
         for lo, hi in blocks:
-            src = grades[max(lo - 1, 0):hi - 1]
-            if out is grades and lo < hi - 1:
-                src = src.copy()
-            block = np.multiply(grades[lo:hi], keep_prob, out=out[lo:hi])
             term = buf[:hi - lo]
             below = term[1:] if lo == 0 else term
-            for prob, op, v in branches:
-                if isinstance(op, np.ndarray):
-                    np.multiply(op[:, None], src, out=below)
-                    below *= op.conj()[None, :]
-                    below *= prob
-                else:
-                    flipped = _stack_xflip(src, op)
-                    np.multiply(flipped, prob,
-                                out=below.reshape(flipped.shape))
-                if lo == 0:
-                    np.multiply(v[:, None], v.conj()[None, :], out=term[0])
-                    term[0] *= prob
-                block += term
-        # grade 1 is scaled by keep_prob and each event adds one branch; at
-        # keep_prob = 0 every earlier branch is gone and the store restarts
-        scale, pullback, births = self.scale * keep_prob, self.pullback, self.births
-        if keep_prob == 0.0:
+            src = grades[max(lo - 1, 0):hi - 1]
+            if qubit is not None:
+                src = _stack_xflip(src, qubit)
+                below = below.reshape(src.shape)
+            np.multiply(src, b, out=below)
+            if lo == 0:
+                np.multiply(v[:, None], v.conj()[None, :], out=term[0])
+                term[0] *= b
+            block = np.multiply(grades[lo:hi], a, out=out[lo:hi])
+            block += term
+        return out
+
+    def _event(self, keep: float, branches: list, grades: np.ndarray,
+               pure: np.ndarray, pullback) -> GradedDensityMatrix:
+        """The state with new grades after one event of probability 1 - keep.
+
+        ``pure`` and ``pullback`` follow the channel's ideal diagonal; each
+        branch (prob, v) turns the pure branch into v and joins the store.
+        At keep = 0 every earlier branch is gone and the store restarts.
+        """
+        scale, births = self.scale * keep, self.births
+        if keep == 0.0:
             scale, pullback, births = 1.0, 1.0, ()
-        births += tuple([(p / scale, pullback * v) for p, _, v in branches])
-        return GradedDensityMatrix(self.n, np.sqrt(keep_prob) * pure, out,
+        births += tuple([(p / scale, pullback * v) for p, v in branches if p])
+        return GradedDensityMatrix(self.n, np.sqrt(keep) * pure, grades,
                                    births, pullback, scale)
 
-    def _apply_diag_all(self, diag: np.ndarray) -> GradedDensityMatrix:
-        """d rho d^dagger on every branch, into a fresh stack."""
-        out = np.empty_like(self.grades)
-        row, col = diag[:, None], diag.conj()[None, :]
-        for lo, hi in self._blocks():
-            block = np.multiply(row, self.grades[lo:hi], out=out[lo:hi])
-            block *= col
-        return GradedDensityMatrix(self.n, diag * self.pure, out, self.births,
-                                   diag.conj() * self.pullback, self.scale)
+    def _flip(self, letter: str, qubit: int, p: float,
+              out: np.ndarray) -> GradedDensityMatrix:
+        """(1 - p) rho + p P rho P for P = X or Z on ``qubit``."""
+        if letter == "X":
+            b, v, xq = p, _vec_xflip(self.pure, qubit), qubit
+        else:
+            b = np.take(p * _CLASS_SIGN, _z_classes(1 << qubit, self.n))
+            v, xq = z_signs(1 << qubit, self.n) * self.pure, None
+        grades = self._channel(1.0 - p, b, out, xq)
+        return self._event(1.0 - p, [(p, v)], grades, self.pure, self.pullback)
 
     # -- channels ----------------------------------------------------------
     def apply_faulty_rotation(
@@ -409,20 +423,25 @@ class GradedDensityMatrix:
             raise ValueError("axis length differs from qubit count")
         _require_z_axis(axis)
         _check_sign(sign)
-        signs = z_signs(_mask_of(axis), self.n)
-        state = self._apply_diag_all(np.exp(-1j * (sign * np.pi / 8) * signs))
-        branches = [(prob, np.exp(-1j * extra * signs)) for prob, extra in (
-            (profile.p_half, np.pi / 2),
-            (profile.p_quarter, np.pi / 4),
-            (profile.p_mquarter, -np.pi / 4),
-        )]
+        mask = _mask_of(axis)
+        signs, classes = z_signs(mask, self.n), _z_classes(mask, self.n)
+        theta = sign * np.pi / 8
+        errors = [(profile.p_half, np.pi / 2), (profile.p_quarter, np.pi / 4),
+                  (profile.p_mquarter, -np.pi / 4)]
         keep = 1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter
-        state = state._mixture(keep, branches, state.grades)
+        ideal = _phase_table(theta)
+        errs = sum(p * _phase_table(extra) for p, extra in errors)
+        grades = self._channel(np.take(keep * ideal, classes),
+                               np.take(ideal * errs, classes),
+                               np.empty_like(self.grades))
+        d = rotation_phases(mask, self.n, theta)
+        pure = d * self.pure
+        born = [(p, np.exp(-1j * extra * signs) * pure) for p, extra in errors]
+        state = self._event(keep, born, grades, pure, d.conj() * self.pullback)
         p = profile.p_z_output
         if p:
             for q in sorted(set(axis.support) & set(output_qubits)):
-                state = state._mixture(
-                    1.0 - p, [(p, z_signs(1 << q, self.n))], state.grades)
+                state = state._flip("Z", q, p, state.grades)
         return state
 
     def apply_coherent_rotation(
@@ -432,8 +451,12 @@ class GradedDensityMatrix:
             raise ValueError("axis length differs from qubit count")
         _require_z_axis(axis)
         _check_sign(sign)
-        return self._apply_diag_all(rotation_phases(
-            _mask_of(axis), self.n, sign * np.pi / 8 + excess_angle))
+        mask, theta = _mask_of(axis), sign * np.pi / 8 + excess_angle
+        d = rotation_phases(mask, self.n, theta)
+        grades = self.grades * np.take(_phase_table(theta),
+                                       _z_classes(mask, self.n))
+        return GradedDensityMatrix(self.n, d * self.pure, grades, self.births,
+                                   d.conj() * self.pullback, self.scale)
 
     def apply_storage(
         self, qubit: int, rates: StorageRates, cycles: float
@@ -445,10 +468,9 @@ class GradedDensityMatrix:
             raise ValueError("accumulated storage probability reaches 1")
         state, out = self, np.empty_like(self.grades)
         if px:
-            state = state._mixture(1.0 - px, [(px, qubit)], out)
+            state = state._flip("X", qubit, px, out)
         if pz:
-            state = state._mixture(
-                1.0 - pz, [(pz, z_signs(1 << qubit, self.n))], out)
+            state = state._flip("Z", qubit, pz, out)
         return state
 
     def project_plus(
@@ -470,9 +492,6 @@ class GradedDensityMatrix:
         state = GradedDensityMatrix(self.n, np.sqrt(scale) * pure, grades,
                                     births, 1.0, scale)
         return state, 1.0 - p_success / self.trace_total()
-
-    def fidelity_with_pure(self, psi: np.ndarray) -> float:
-        return 1.0 - self.infidelity_with_pure(psi)
 
     def infidelity_with_pure(self, psi: np.ndarray) -> float:
         """1 - <psi|rho|psi>, accumulated branch-wise to avoid cancellation.

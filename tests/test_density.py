@@ -15,9 +15,10 @@ from msdsim.density import (
     GradedDensityMatrix,
     RotationErrorProfile,
     StorageRates,
+    _z_classes,
     pure_state_infidelity,
 )
-from msdsim.pauli import PauliProduct
+from msdsim.pauli import PauliProduct, z_signs
 
 
 def _random_z_axis(rng: np.random.Generator, n: int) -> PauliProduct:
@@ -59,10 +60,18 @@ def _random_ops(rng: np.random.Generator, n: int, count: int):
 def _draw_ops(draw, n: int):
     """A shuffled channel sequence with every kind and storage on every qubit.
 
-    Every op adds at most two error events (a rotation has one output
-    qubit), so kmax = 2 * len(ops) truncates nothing.
+    Probabilities come from the small range the circuits use or, in about
+    half the sequences, also from the whole allowed range, where the error
+    branches outweigh the kept branch (keep probability 0, a large output
+    Z, storage next to its bound).  Every op adds at most two error events
+    (a rotation has one output qubit), so kmax = 2 * len(ops) truncates
+    nothing.
     """
     prob = st.floats(0.0, 0.03)
+    wide = draw(st.booleans())
+
+    def either(small, large):
+        return st.one_of(small, large) if wide else small
 
     def z_axis():
         mask = draw(st.integers(1, (1 << n) - 1))
@@ -70,16 +79,26 @@ def _draw_ops(draw, n: int):
                                     for i in range(n)))
 
     def rotation():
-        profile = RotationErrorProfile(draw(prob), draw(prob), draw(prob),
-                                       p_z_output=draw(st.floats(0.0, 0.02)))
+        big = st.floats(0.0, 1.0 / 3.0)
+        profile = draw(either(
+            st.builds(RotationErrorProfile, prob, prob, prob,
+                      p_z_output=st.floats(0.0, 0.02)),
+            st.builds(RotationErrorProfile, big, big, big,
+                      p_z_output=st.floats(0.0, 0.99))
+            | st.just(RotationErrorProfile(0.5, 0.25, 0.25, 0.9)),
+        ))
         return ("rotation", (z_axis(), profile,
                              frozenset({draw(st.integers(0, n - 1))}),
                              draw(st.sampled_from([1, -1]))))
 
     def storage(qubit):
-        rates = StorageRates(draw(st.floats(0.0, 0.01)),
-                             draw(st.floats(0.0, 0.01)))
-        return ("storage", (qubit, rates, draw(st.floats(0.5, 3.0))))
+        cycles = draw(st.floats(0.5, 3.0))
+        # a rate below 1 whose flip probability cycles * rate is at least
+        # 0.45 and, from one cycle on, at least 0.9
+        near_bound = st.floats(0.9, 0.999).map(lambda p: p / max(cycles, 1.0))
+        rate = either(st.floats(0.0, 0.01), near_bound)
+        return ("storage", (qubit, StorageRates(draw(rate), draw(rate)),
+                            cycles))
 
     def coherent():
         return ("coherent", (z_axis(), draw(st.floats(-0.05, 0.05)),
@@ -177,13 +196,6 @@ class TestProfiles:
         with pytest.raises(ValueError):
             RotationErrorProfile(0.5, 0.4, 0.2)
 
-    def test_profile_scaled(self):
-        p = RotationErrorProfile(0.1, 0.02, 0.03, 0.04).scaled(0.5)
-        np.testing.assert_allclose(
-            [p.p_half, p.p_quarter, p.p_mquarter, p.p_z_output],
-            [0.05, 0.01, 0.015, 0.02],
-        )
-
     def test_storage_rates_validation(self):
         with pytest.raises(ValueError):
             StorageRates(-0.1, 0.0)
@@ -277,6 +289,33 @@ class TestGradedAgainstDense:
             rebuilt = np.einsum("i,ij,ik->jk", weights, rows, rows.conj())
             np.testing.assert_allclose(rebuilt, state.grades[0], rtol=0,
                                        atol=1e-12)
+
+    def test_z_flip_is_exact(self):
+        # +-p factors are exact in any operand order, so a Z flip's grades
+        # equal the textbook (1 - p) g_k + p (s s^T) o g_{k-1} bit for bit
+        rng = np.random.default_rng(8)
+        for n in (2, 5, 7):
+            state = GradedDensityMatrix.init_plus(n, kmax=3)
+            for op in _random_ops(rng, n, 6):
+                state = _apply(state, op)
+            for q, rate, cycles in ((0, 0.01, 2.0), (n - 1, 0.3, 1.5)):
+                p = cycles * rate
+                s = z_signs(1 << q, n)
+                below = np.concatenate(
+                    [np.outer(state.pure, state.pure.conj())[None],
+                     state.grades[:-1]])
+                want = (1.0 - p) * state.grades + (p * np.outer(s, s)) * below
+                got = state.apply_storage(q, StorageRates(0.0, rate), cycles)
+                assert got.grades.tobytes() == want.tobytes()
+
+    def test_z_classes_are_memoized_and_read_only(self):
+        classes = _z_classes(0b101, 3)
+        assert _z_classes(0b101, 3) is classes
+        assert classes.dtype == np.int8 and not classes.flags.writeable
+        s = z_signs(0b101, 3)
+        np.testing.assert_array_equal(classes, 1 + (s[:, None] - s) / 2)
+        with pytest.raises(ValueError):
+            classes[0, 0] = 1
 
     def test_noiseless_state_has_an_empty_branch_store(self):
         state = GradedDensityMatrix.init_plus(3, kmax=1)

@@ -256,7 +256,7 @@ class TestSimulatedErrors:
         # norms of deviation vectors, so it stays positive and exact.
         report = simulate_factory(_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4,
                                       1e-4))
-        np.testing.assert_allclose(report.p_out, 8.192464245047546e-25,
+        np.testing.assert_allclose(report.p_out, 8.192463875269003e-25,
                                    rtol=1e-9)
         assert report.p_out > 0.0
 
