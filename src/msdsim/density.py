@@ -140,19 +140,15 @@ def _mat_project_checks(mat: np.ndarray, checks: tuple[int, ...], n: int) -> np.
     return out
 
 
-# s_i - s_j and s_i * s_j of the entries of each class c_ij under Z signs s
+# s_i - s_j and s_i s_j for the entries of each class c_ij under Z signs s;
+# complex, since a real operand makes NumPy's complex loops cast in buffers
 _CLASS_STEP = np.array([-2.0, 0.0, 2.0])
-_CLASS_SIGN = np.array([-1.0, 1.0, -1.0])
+_CLASS_SIGN = np.array([-1.0, 1.0, -1.0], dtype=np.complex128)
 
 
 @lru_cache(maxsize=None)
 def _z_classes(mask: int, n: int) -> np.ndarray:
-    """Class c_ij in {0, 1, 2} of every matrix entry under Z_mask's signs.
-
-    A Z-diagonal operation scales rho_ij by a value that depends on c_ij
-    only, so it is a 3-entry table looked up by c.  Memoized per (mask, n);
-    the int8 array is read-only.
-    """
+    """c_ij = 1 + (s_i - s_j)/2 of every entry; memoized, read-only int8."""
     s = z_signs(mask, n)
     c = (1.0 + (s[:, None] - s[None, :]) / 2).astype(np.int8)
     c.flags.writeable = False
@@ -160,13 +156,18 @@ def _z_classes(mask: int, n: int) -> np.ndarray:
 
 
 def _phase_table(theta: float) -> np.ndarray:
-    """d rho d^dagger by class, d = exp(-i theta s): exp(-i theta (s_i - s_j))."""
+    """By class: exp(-i theta (s_i - s_j)), the factor of d rho d^dagger."""
     return np.exp(-1j * theta * _CLASS_STEP)
 
 
-def _require_z_axis(axis: PauliProduct) -> None:
+def _z_mask(axis: PauliProduct, n: int, sign: int) -> int:
+    """Bitmask of a rotation's Z-type axis on n qubits, once both are valid."""
+    if axis.n != n:
+        raise ValueError("axis length differs from qubit count")
     if set(axis.letters) - {"I", "Z"}:
         raise ValueError("graded engine supports Z-type axes only")
+    _check_sign(sign)
+    return _mask_of(axis)
 
 
 def _check_sign(sign: int) -> None:
@@ -359,17 +360,25 @@ class GradedDensityMatrix:
         return [(lo, min(lo + per, self.kmax))
                 for lo in reversed(range(0, self.kmax, per))]
 
-    def _channel(self, a, b, out: np.ndarray, qubit=None) -> np.ndarray:
-        """Grades of a one-event channel: out_k = a o g_k + b o P(g_{k-1}).
+    def _channel(self, a, b, out, qubit=None, mask=0) -> np.ndarray:
+        """Grades of a one-event channel: out_k = A o g_k + B o P(g_{k-1}).
 
-        P is X rho X on ``qubit``, or the identity for None; a and b are
-        scalars or (dim, dim) arrays.  ``out`` is a fresh stack or, if the
-        caller created it, ``self.grades``: blocks run from the top grade
-        down, each reading the grades below it before it overwrites itself.
+        P is X rho X on ``qubit``, or the identity for None.  a and b are
+        scalars or 3-entry tables, which the classes of Z_mask turn into A
+        and B.  ``out`` is a fresh stack or, if the caller created it,
+        ``self.grades``: blocks run from the top grade down, each reading
+        the grades below it before it overwrites itself.
         """
         grades, blocks = self.grades, self._blocks()
         v = self.pure if qubit is None else _vec_xflip(self.pure, qubit)
-        buf = np.empty((blocks[-1][1],) + grades.shape[1:], np.complex128)
+        # one scratch allocation for A, B and a block of terms: freeing
+        # several of this size per call makes malloc return and refault pages
+        work = np.empty((blocks[-1][1] + 2, *grades.shape[1:]), grades.dtype)
+        if np.ndim(a):
+            a = np.take(a, _z_classes(mask, self.n), out=work[0], mode="clip")
+        if np.ndim(b):
+            b = np.take(b, _z_classes(mask, self.n), out=work[1], mode="clip")
+        buf = work[2:]
         for lo, hi in blocks:
             term = buf[:hi - lo]
             below = term[1:] if lo == 0 else term
@@ -389,9 +398,8 @@ class GradedDensityMatrix:
                pure: np.ndarray, pullback) -> GradedDensityMatrix:
         """The state with new grades after one event of probability 1 - keep.
 
-        ``pure`` and ``pullback`` follow the channel's ideal diagonal; each
-        branch (prob, v) turns the pure branch into v and joins the store.
-        At keep = 0 every earlier branch is gone and the store restarts.
+        Each branch (prob, v) turns ``pure`` into v and joins the store; at
+        keep = 0 every earlier branch is gone and the store restarts.
         """
         scale, births = self.scale * keep, self.births
         if keep == 0.0:
@@ -406,9 +414,9 @@ class GradedDensityMatrix:
         if letter == "X":
             b, v, xq = p, _vec_xflip(self.pure, qubit), qubit
         else:
-            b = np.take(p * _CLASS_SIGN, _z_classes(1 << qubit, self.n))
-            v, xq = z_signs(1 << qubit, self.n) * self.pure, None
-        grades = self._channel(1.0 - p, b, out, xq)
+            b, xq = p * _CLASS_SIGN, None
+            v = z_signs(1 << qubit, self.n) * self.pure
+        grades = self._channel(1.0 - p, b, out, xq, 1 << qubit)
         return self._event(1.0 - p, [(p, v)], grades, self.pure, self.pullback)
 
     # -- channels ----------------------------------------------------------
@@ -419,21 +427,16 @@ class GradedDensityMatrix:
         output_qubits: frozenset[int] = frozenset(),
         sign: int = 1,
     ) -> GradedDensityMatrix:
-        if axis.n != self.n:
-            raise ValueError("axis length differs from qubit count")
-        _require_z_axis(axis)
-        _check_sign(sign)
-        mask = _mask_of(axis)
-        signs, classes = z_signs(mask, self.n), _z_classes(mask, self.n)
+        mask = _z_mask(axis, self.n, sign)
+        signs = z_signs(mask, self.n)
         theta = sign * np.pi / 8
         errors = [(profile.p_half, np.pi / 2), (profile.p_quarter, np.pi / 4),
                   (profile.p_mquarter, -np.pi / 4)]
         keep = 1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter
         ideal = _phase_table(theta)
         errs = sum(p * _phase_table(extra) for p, extra in errors)
-        grades = self._channel(np.take(keep * ideal, classes),
-                               np.take(ideal * errs, classes),
-                               np.empty_like(self.grades))
+        grades = self._channel(keep * ideal, ideal * errs,
+                               np.empty_like(self.grades), mask=mask)
         d = rotation_phases(mask, self.n, theta)
         pure = d * self.pure
         born = [(p, np.exp(-1j * extra * signs) * pure) for p, extra in errors]
@@ -447,11 +450,8 @@ class GradedDensityMatrix:
     def apply_coherent_rotation(
         self, axis: PauliProduct, excess_angle: float, sign: int = 1
     ) -> GradedDensityMatrix:
-        if axis.n != self.n:
-            raise ValueError("axis length differs from qubit count")
-        _require_z_axis(axis)
-        _check_sign(sign)
-        mask, theta = _mask_of(axis), sign * np.pi / 8 + excess_angle
+        mask = _z_mask(axis, self.n, sign)
+        theta = sign * np.pi / 8 + excess_angle
         d = rotation_phases(mask, self.n, theta)
         grades = self.grades * np.take(_phase_table(theta),
                                        _z_classes(mask, self.n))
