@@ -197,16 +197,6 @@ CATALOG_KINDS = (
 )
 
 
-def format_circuit(c: Circuit) -> str:
-    """Plain-text table, one rotation per line: sign and axis letters."""
-    lines = [f"# {c.name}: {c.n} qubits, checks {sorted(c.check_qubits)}, "
-             f"outputs {sorted(c.output_qubits)}"]
-    for r in c.rotations:
-        sign = "+" if r.angle.k > 0 else "-"
-        lines.append(f"{sign} {r.axis.letters}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # algebraic checks
 # ---------------------------------------------------------------------------

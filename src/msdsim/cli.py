@@ -56,11 +56,14 @@ import numpy as np
 from .circuits import (
     NoiseSpec,
     catalog,
+    coherent,
     compose_unitary,
+    random_pauli,
     simulate_circuit,
     undetected_error_sets,
     verify_equivalence,
     verify_gadget,
+    z_only,
 )
 from .factory import (
     FactoryConfig,
@@ -92,7 +95,7 @@ CIRCUIT_KINDS = {
     "ccz7": "ccz7",
 }
 
-NOISE_KINDS = {"z": "z_only", "pauli": "random_pauli", "coherent": "coherent"}
+NOISE_KINDS = {"z": z_only, "pauli": random_pauli, "coherent": coherent}
 
 CSV_COLUMNS = (
     "protocol",
@@ -186,36 +189,6 @@ def reports_to_csv(reports: list[FactoryReport]) -> str:
     return out.getvalue()
 
 
-def reports_from_csv(text: str) -> list[dict]:
-    """Parse reports_to_csv output back into typed dictionaries."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValueError("empty CSV input") from None
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header: {header!r}")
-    rows = []
-    for fields in reader:
-        if not fields:
-            continue
-        if len(fields) != len(CSV_COLUMNS):
-            raise ValueError(f"row has {len(fields)} fields, "
-                             f"expected {len(CSV_COLUMNS)}")
-        row: dict = {"protocol": fields[0]}
-        for name, value in zip(CSV_COLUMNS[1:5 + 1], fields[1:5 + 1]):
-            row[name] = float(value)
-        for name, value, kind in (
-            ("d_full_100", fields[6], int),
-            ("cost_d3_100", fields[7], float),
-            ("d_full_10k", fields[8], int),
-            ("cost_d3_10k", fields[9], float),
-        ):
-            row[name] = None if value == "" else kind(value)
-        rows.append(row)
-    return rows
-
-
 def emit_reports(reports: list[FactoryReport], fmt: str) -> str:
     if fmt == "csv":
         return reports_to_csv(reports)
@@ -243,7 +216,7 @@ def parse_noise_spec(text: str) -> NoiseSpec:
         raise ValueError(f"bad noise value {value!r}") from None
     if not math.isfinite(number):
         raise ValueError(f"noise value must be finite, got {value!r}")
-    return NoiseSpec(NOISE_KINDS[kind], number)
+    return NOISE_KINDS[kind](number)
 
 
 def parse_int_triple(text: str, label: str) -> tuple[int, int, int]:
@@ -307,6 +280,15 @@ def _config_triple(value, path: str) -> tuple[int, int, int]:
     return tuple(value)  # type: ignore[return-value]
 
 
+def _config_number(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: number too large") from None
+
+
 def _config_prefactor(value, path: str) -> bool:
     if value not in ("half", "full"):
         raise ConfigError(f'{path}: expected "half" or "full"')
@@ -327,6 +309,8 @@ def load_config(path: str) -> list[FactoryConfig]:
         raise ConfigError(
             f"{path}:{e.lineno}:{e.colno}: {e.msg}"
         ) from None
+    except (ValueError, RecursionError) as e:  # too many digits or too deep
+        raise ConfigError(f"{path}: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(data) - {"defaults", "protocols"}
@@ -355,7 +339,7 @@ def load_config(path: str) -> list[FactoryConfig]:
 
         merged = {**defaults, **entry}
         family_cli = merged.get("family")
-        if family_cli not in FAMILY_NAMES:
+        if not isinstance(family_cli, str) or family_cli not in FAMILY_NAMES:
             raise ConfigError(
                 f"{where}.family: expected one of "
                 f"{', '.join(sorted(FAMILY_NAMES))}; got {family_cli!r}"
@@ -373,20 +357,15 @@ def load_config(path: str) -> list[FactoryConfig]:
         if "p_phys" not in merged:
             raise ConfigError(f"{where}.p_phys: required "
                               "(set it here or in defaults)")
-        p_phys = merged["p_phys"]
-        if not isinstance(p_phys, (int, float)) or isinstance(p_phys, bool):
-            raise ConfigError(f"{where}.p_phys: expected a number")
-        c_t = merged.get("c_t", 1.0)
-        if not isinstance(c_t, (int, float)) or isinstance(c_t, bool):
-            raise ConfigError(f"{where}.c_t: expected a number")
+        p_phys = _config_number(merged["p_phys"], f"{where}.p_phys")
+        c_t = _config_number(merged.get("c_t", 1.0), f"{where}.c_t")
         toggle = _config_prefactor(
             merged.get("consumption_prefactor", "half"),
             f"{where}.consumption_prefactor",
         )
         try:
             configs.append(
-                _build_config(family_cli, d, d2, n_l1, float(p_phys),
-                              float(c_t), toggle)
+                _build_config(family_cli, d, d2, n_l1, p_phys, c_t, toggle)
             )
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from None
@@ -597,22 +576,14 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     family = FAMILY_NAMES[args.family]
+    # every range given goes to sweep, which rejects missing and extra ones
     ranges = {
-        "dX": parse_int_list(args.dx, "--dx"),
-        "dZ": parse_int_list(args.dz, "--dz"),
-        "dm": parse_int_list(args.dm, "--dm"),
+        key: parse_int_list(getattr(args, attr), f"--{attr.replace('_', '-')}")
+        for attr, key in (("dx", "dX"), ("dz", "dZ"), ("dm", "dm"),
+                          ("dx2", "dX2"), ("dz2", "dZ2"), ("dm2", "dm2"),
+                          ("n_l1", "nL1"))
+        if getattr(args, attr) is not None
     }
-    level2 = family.startswith("L2")
-    if level2:
-        for flag, key in (("dx2", "dX2"), ("dz2", "dZ2"), ("dm2", "dm2")):
-            value = getattr(args, flag)
-            if value is None:
-                raise ValueError(f"--{flag} is required for {args.family}")
-            ranges[key] = parse_int_list(value, f"--{flag}")
-        if family != "L2_15x15_small":
-            if args.n_l1 is None:
-                raise ValueError(f"--n-l1 is required for {args.family}")
-            ranges["nL1"] = parse_int_list(args.n_l1, "--n-l1")
     noise = PhysicalNoise(args.pphys, args.ct)
     reports = sweep(family, ranges, noise, args.target,
                     args.consumption_full, kmax=args.kmax)
@@ -648,7 +619,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "15-to-1 composes to a -pi/8 Z-rotation on its output",
         verify_equivalence(c15, target),
     ))
-    p_out20, p_fail20 = simulate_circuit(c20, NoiseSpec("z_only", 0.0), kmax=1)
+    p_out20, p_fail20 = simulate_circuit(c20, z_only(0.0), kmax=1)
     checks.append((
         "20-to-4 noiseless output fidelity >= 1 - 1e-10",
         c20.outputs * p_out20 <= 1e-10 and p_fail20 <= 1e-10,

@@ -1,20 +1,16 @@
-"""Density-matrix engines for noisy Pauli-rotation circuits.
+"""Graded density-matrix engine for noisy Pauli-rotation circuits.
 
-Two engines share one operation set:
-
-* :class:`DensityMatrix` — a plain dense matrix.  Simple, fully general
-  (any Pauli axes), used for property tests and cross-checks.
-* :class:`GradedDensityMatrix` — the same state split by exact error count:
-  the zero-error branch is kept as a pure statevector and each grade k holds
-  the exactly-k-error mass.  Grade 1 is also kept as a store of pure
-  branches, one per single error event.  Output infidelities far below
-  float epsilon of the trace (1e-15 and smaller) are read as squared norms
-  of deviation vectors, without catastrophic cancellation.  Restricted to
-  Z-type axes (all catalog circuits are Z-type).
+:class:`GradedDensityMatrix` splits the state by exact error count: the
+zero-error branch is kept as a pure statevector and each grade k holds the
+exactly-k-error mass.  Grade 1 is also kept as a store of pure branches,
+one per single error event.  Output infidelities far below float epsilon
+of the trace (1e-15 and smaller) are read as squared norms of deviation
+vectors, without catastrophic cancellation.  Restricted to Z-type axes
+(all catalog circuits are Z-type).
 
 All operations are functional: they return a new state and leave the input
-untouched.  The graded engine's grades are one ``(kmax, dim, dim)`` stack,
-updated in cache-sized blocks.  Each channel is one elementwise kernel,
+untouched.  The grades are one ``(kmax, dim, dim)`` stack, updated in
+cache-sized blocks.  Each channel is one elementwise kernel,
 ``out_k = A o g_k + B o P(g_{k-1})`` with ``g_0 = pure pure^dagger``: P
 permutes for an X flip; a Z-type operation scales ``rho_ij`` by a value set
 by the class ``c_ij = 1 + (s_i - s_j)/2`` of the axis's Z signs s, so A and
@@ -49,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import MAX_QUBITS, PauliProduct, matrix_of, rotation_phases, z_signs
+from .pauli import MAX_QUBITS, PauliProduct, rotation_phases, z_signs
 
 DEFAULT_MAX_GRADE = 6
 
@@ -166,131 +162,9 @@ def _z_mask(axis: PauliProduct, n: int, sign: int) -> int:
         raise ValueError("axis length differs from qubit count")
     if set(axis.letters) - {"I", "Z"}:
         raise ValueError("graded engine supports Z-type axes only")
-    _check_sign(sign)
-    return _mask_of(axis)
-
-
-def _check_sign(sign: int) -> None:
     if sign not in (1, -1):
         raise ValueError(f"rotation sign must be +1 or -1, got {sign}")
-
-
-# ---------------------------------------------------------------------------
-# plain dense engine
-# ---------------------------------------------------------------------------
-
-
-class DensityMatrix:
-    """Plain dense density matrix on n <= 10 qubits."""
-
-    def __init__(self, n: int, data: np.ndarray):
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
-        data = np.asarray(data, dtype=np.complex128)
-        if data.shape != (1 << n, 1 << n):
-            raise ValueError(f"shape {data.shape} does not match n={n}")
-        self.n = n
-        self.data = data
-
-    @classmethod
-    def init_plus(cls, n: int) -> DensityMatrix:
-        dim = 1 << n
-        return cls(n, np.full((dim, dim), 1.0 / dim, dtype=np.complex128))
-
-    # -- invariant checks -------------------------------------------------
-    def validate(self, tol: float = 1e-10, eig_tol: float = 1e-9) -> None:
-        if np.max(np.abs(self.data - self.data.conj().T)) > tol:
-            raise ValueError("state is not Hermitian")
-        if abs(np.trace(self.data).real - 1.0) > tol:
-            raise ValueError("trace differs from 1")
-        if np.linalg.eigvalsh(self.data).min() < -eig_tol:
-            raise ValueError("state has a significantly negative eigenvalue")
-
-    # -- channels ----------------------------------------------------------
-    def apply_faulty_rotation(
-        self,
-        axis: PauliProduct,
-        profile: RotationErrorProfile,
-        output_qubits: frozenset[int] = frozenset(),
-        sign: int = 1,
-    ) -> DensityMatrix:
-        if axis.n != self.n:
-            raise ValueError("axis length differs from qubit count")
-        _check_sign(sign)
-        m = matrix_of(axis)
-        eye = np.eye(1 << self.n, dtype=np.complex128)
-
-        def unitary(theta: float) -> np.ndarray:
-            return np.cos(theta) * eye - 1j * np.sin(theta) * m
-
-        base = sign * np.pi / 8
-        branches = [
-            (1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter, base),
-            (profile.p_half, base + np.pi / 2),
-            (profile.p_quarter, base + np.pi / 4),
-            (profile.p_mquarter, base - np.pi / 4),
-        ]
-        out = np.zeros_like(self.data)
-        for prob, theta in branches:
-            if prob == 0.0:
-                continue
-            u = unitary(theta)
-            out += prob * (u @ self.data @ u.conj().T)
-        result = DensityMatrix(self.n, out)
-        if profile.p_z_output:
-            for q in sorted(set(axis.support) & set(output_qubits)):
-                result = result._pauli_channel("Z", q, profile.p_z_output)
-        return result
-
-    def apply_coherent_rotation(
-        self, axis: PauliProduct, excess_angle: float, sign: int = 1
-    ) -> DensityMatrix:
-        if axis.n != self.n:
-            raise ValueError("axis length differs from qubit count")
-        _check_sign(sign)
-        theta = sign * np.pi / 8 + excess_angle
-        m = matrix_of(axis)
-        u = np.cos(theta) * np.eye(1 << self.n) - 1j * np.sin(theta) * m
-        return DensityMatrix(self.n, u @ self.data @ u.conj().T)
-
-    def _pauli_channel(self, letter: str, qubit: int, prob: float) -> DensityMatrix:
-        if prob == 0.0:
-            return self
-        p = PauliProduct(
-            "".join(letter if i == qubit else "I" for i in range(self.n))
-        )
-        m = matrix_of(p)
-        return DensityMatrix(
-            self.n, (1.0 - prob) * self.data + prob * (m @ self.data @ m)
-        )
-
-    def apply_storage(
-        self, qubit: int, rates: StorageRates, cycles: float
-    ) -> DensityMatrix:
-        if qubit >= self.n:
-            raise ValueError("qubit index out of range")
-        px, pz = cycles * rates.pX, cycles * rates.pZ
-        if px >= 1.0 or pz >= 1.0:
-            raise ValueError("accumulated storage probability reaches 1")
-        return self._pauli_channel("X", qubit, px)._pauli_channel("Z", qubit, pz)
-
-    def project_plus(
-        self, check_qubits: frozenset[int]
-    ) -> tuple[DensityMatrix, float]:
-        checks = tuple(sorted(check_qubits))
-        if not checks:
-            raise ValueError("check set is empty")
-        projected = _mat_project_checks(self.data, checks, self.n)
-        p_success = np.trace(projected).real
-        if p_success <= 1e-300:
-            raise ValueError("success probability is numerically zero")
-        return DensityMatrix(self.n, projected / p_success), 1.0 - p_success
-
-    def fidelity_with_pure(self, psi: np.ndarray) -> float:
-        psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-        if psi.shape[0] != 1 << self.n:
-            raise ValueError("dimension mismatch")
-        return float(np.real(psi.conj() @ self.data @ psi))
+    return _mask_of(axis)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +220,6 @@ class GradedDensityMatrix:
         for g in self.grades:
             t += float(np.trace(g).real)
         return t
-
-    def materialize(self) -> DensityMatrix:
-        total = np.outer(self.pure, self.pure.conj())
-        for g in self.grades:
-            total = total + g
-        return DensityMatrix(self.n, total)
 
     # -- internal channel machinery ---------------------------------------
     def _blocks(self) -> list[tuple[int, int]]:
@@ -446,17 +314,6 @@ class GradedDensityMatrix:
             for q in sorted(set(axis.support) & set(output_qubits)):
                 state = state._flip("Z", q, p, state.grades)
         return state
-
-    def apply_coherent_rotation(
-        self, axis: PauliProduct, excess_angle: float, sign: int = 1
-    ) -> GradedDensityMatrix:
-        mask = _z_mask(axis, self.n, sign)
-        theta = sign * np.pi / 8 + excess_angle
-        d = rotation_phases(mask, self.n, theta)
-        grades = self.grades * np.take(_phase_table(theta),
-                                       _z_classes(mask, self.n))
-        return GradedDensityMatrix(self.n, d * self.pure, grades, self.births,
-                                   d.conj() * self.pullback, self.scale)
 
     def apply_storage(
         self, qubit: int, rates: StorageRates, cycles: float

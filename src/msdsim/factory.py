@@ -82,11 +82,13 @@ class FactoryConfig:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family: {self.family}")
         d = self.distances
-        if self.family in _LEVEL2_CIRCUIT:
-            if not d.has_level2:
-                raise ValueError(f"{self.family} requires level-2 distances")
-            if self.family != "L2_15x15_small" and d.nL1 is None:
-                raise ValueError(f"{self.family} requires nL1")
+        level2 = self.family in _LEVEL2_CIRCUIT
+        blocks = level2 and self.family != "L2_15x15_small"
+        for needed, given, what in ((level2, d.has_level2, "level-2 distances"),
+                                    (blocks, d.nL1 is not None, "nL1")):
+            if needed != given:
+                verb = "requires" if needed else "takes no"
+                raise ValueError(f"{self.family} {verb} {what}")
 
 
 class NoiseDomainError(ValueError):

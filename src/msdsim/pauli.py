@@ -8,9 +8,9 @@ lattice-surgery gadgets.
 
 Usage::
 
-    from msdsim.pauli import PauliProduct, Rotation, RotationAngle
+    from msdsim.pauli import PauliProduct, Rotation, RotationAngle, rotation_unitary
     zz = PauliProduct("ZZ")
-    u = Rotation(zz, RotationAngle(1)).unitary()   # exp(-i ZZ pi/8)
+    u = rotation_unitary(Rotation(zz, RotationAngle(1)))   # exp(-i ZZ pi/8)
 """
 from __future__ import annotations
 
@@ -53,9 +53,6 @@ class PauliProduct:
         """Indices (0-based) with a non-identity letter."""
         return tuple(i for i, c in enumerate(self.letters) if c != "I")
 
-    def is_identity(self) -> bool:
-        return all(c == "I" for c in self.letters)
-
 
 def matrix_of(p: PauliProduct) -> np.ndarray:
     """Dense matrix of a Pauli product.
@@ -67,18 +64,6 @@ def matrix_of(p: PauliProduct) -> np.ndarray:
     if p.n > MAX_QUBITS:
         raise ValueError(f"too many qubits: {p.n} > {MAX_QUBITS}")
     return reduce(np.kron, (_SINGLE[c] for c in reversed(p.letters)))
-
-
-def commutes(p: PauliProduct, q: PauliProduct) -> bool:
-    """True iff the products commute (even number of anticommuting positions)."""
-    if p.n != q.n:
-        raise ValueError(f"length mismatch: {p.n} vs {q.n}")
-    clashes = sum(
-        1
-        for a, b in zip(p.letters, q.letters)
-        if a != "I" and b != "I" and a != b
-    )
-    return clashes % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -106,9 +91,6 @@ class Rotation:
 
     axis: PauliProduct
     angle: RotationAngle
-
-    def unitary(self) -> np.ndarray:
-        return rotation_unitary(self)
 
 
 def rotation_unitary(r: Rotation) -> np.ndarray:

@@ -13,7 +13,6 @@ from msdsim.circuits import (
     catalog,
     coherent,
     compose_unitary,
-    format_circuit,
     random_pauli,
     simulate_circuit,
     undetected_error_sets,
@@ -29,7 +28,6 @@ class TestCatalog:
         for kind in CATALOG_KINDS:
             c = catalog(kind)
             assert c.name == kind
-            assert len(format_circuit(c).splitlines()) == len(c.rotations) + 1
         with pytest.raises(ValueError):
             catalog("nonsense")
 

@@ -1,24 +1,29 @@
 """Tests for the command-line interface, formats, and config loading."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import msdsim.cli as cli
 from msdsim.cli import (
+    CSV_COLUMNS,
     ConfigError,
     check_row,
+    FAMILY_NAMES,
     fmt_pout,
     fmt_sig,
     load_config,
     main,
+    parse_int_list,
     parse_int_triple,
     parse_noise_spec,
-    reports_from_csv,
     reports_to_csv,
     round_sig,
     row_config,
@@ -73,6 +78,36 @@ class TestArgumentParsing:
         for bad in ("9,3", "9,3,3,3", "a,3,3"):
             with pytest.raises(ValueError):
                 parse_int_triple(bad, "--d")
+
+
+def reports_from_csv(text: str) -> list[dict]:
+    """Parse reports_to_csv output back into typed dictionaries."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = tuple(next(reader))
+    except StopIteration:
+        raise ValueError("empty CSV input") from None
+    if header != CSV_COLUMNS:
+        raise ValueError(f"unexpected CSV header: {header!r}")
+    rows = []
+    for fields in reader:
+        if not fields:
+            continue
+        if len(fields) != len(CSV_COLUMNS):
+            raise ValueError(f"row has {len(fields)} fields, "
+                             f"expected {len(CSV_COLUMNS)}")
+        row: dict = {"protocol": fields[0]}
+        for name, value in zip(CSV_COLUMNS[1:5 + 1], fields[1:5 + 1]):
+            row[name] = float(value)
+        for name, value, kind in (
+            ("d_full_100", fields[6], int),
+            ("cost_d3_100", fields[7], float),
+            ("d_full_10k", fields[8], int),
+            ("cost_d3_10k", fields[9], float),
+        ):
+            row[name] = None if value == "" else kind(value)
+        rows.append(row)
+    return rows
 
 
 class TestCsvRoundTrip:
@@ -200,6 +235,88 @@ class TestLoadConfig:
             load_config(path)
 
 
+# A JSON number too large for a float
+_HUGE = 10 ** 400
+
+_json_scalars = (st.none() | st.booleans() | st.floats() | st.integers()
+                 | st.integers(_HUGE, 10 * _HUGE) | st.text(max_size=8))
+_json = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+_numbers = st.floats() | st.integers() | st.integers(_HUGE, 10 * _HUGE)
+
+
+def _either(valid):
+    return valid | _json_scalars | st.lists(_json_scalars, max_size=3)
+
+
+_protocol = st.fixed_dictionaries(
+    {"family": _either(st.sampled_from(sorted(FAMILY_NAMES))),
+     "d": _either(st.lists(st.integers(-3, 31), min_size=3, max_size=3))},
+    optional={
+        "d2": _either(st.lists(st.integers(-3, 31), min_size=3, max_size=3)),
+        "n_l1": _either(st.integers(-2, 8)),
+        "p_phys": _either(_numbers),
+        "c_t": _either(_numbers),
+        "consumption_prefactor": _either(st.sampled_from(["half", "full"])),
+    })
+_config_text = st.one_of(
+    st.fixed_dictionaries(
+        {"protocols": st.lists(_protocol, max_size=3)},
+        optional={"defaults": st.fixed_dictionaries({}, optional={
+            "p_phys": _either(_numbers), "c_t": _either(_numbers)})},
+    ).map(json.dumps),
+    _json.map(json.dumps),
+    st.text(),
+)
+_int_lists = st.text(st.sampled_from("0123456789,-+ _x"), max_size=12)
+
+
+class TestParsersNeverCrash:
+    """Any input either parses or raises the parser's own error type."""
+
+    @settings(max_examples=100)
+    @given(text=st.text() | st.builds(
+        "{}:{}".format, st.sampled_from(["z", "pauli", "coherent", "w"]),
+        st.text() | st.floats().map(repr)))
+    def test_noise_spec(self, text):
+        try:
+            parse_noise_spec(text)
+        except ValueError:
+            pass
+
+    @settings(max_examples=100)
+    @given(text=st.text() | _int_lists)
+    def test_int_triple_and_list(self, text):
+        for parse in (parse_int_triple, parse_int_list):
+            try:
+                parse(text, "--d")
+            except ValueError:
+                pass
+
+    @settings(max_examples=50,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_config_text)
+    @example(text=json.dumps({"protocols": [
+        {"family": "l1_15to1", "d": [7, 3, 3], "p_phys": _HUGE}]}))
+    @example(text=json.dumps({"protocols": [
+        {"family": "l1_15to1", "d": [7, 3, 3], "p_phys": 1e-4,
+         "c_t": _HUGE}]}))
+    # nested deeper than the JSON parser recurses, and an integer with more
+    # digits than Python converts
+    @example(text="[" * 100_000)
+    @example(text="1" * 5000)
+    def test_load_config(self, tmp_path, text):
+        path = tmp_path / "fuzz.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_config(str(path))
+        except ConfigError:
+            pass
+
+
 class TestMainExitCodes:
     def test_circuit_command(self, capsys):
         assert main(["circuit", "--kind", "15to1", "--noise", "z:1e-4"]) == 0
@@ -282,6 +399,49 @@ class TestMainExitCodes:
         assert main(["factory", "--config", str(tmp_path / "missing.json")]
                     ) == 2
         capsys.readouterr()
+
+    def test_config_number_too_large_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        for field, entry in (
+            ("p_phys", {"p_phys": _HUGE}),
+            ("c_t", {"p_phys": 1e-4, "c_t": _HUGE}),
+        ):
+            path.write_text(json.dumps({"protocols": [
+                {"family": "l1_15to1", "d": [7, 3, 3], **entry}]}),
+                encoding="utf-8")
+            assert main(["factory", "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: protocols[0].{field}: number too large\n")
+
+    def test_flags_the_family_does_not_use_exit_2(self, capsys):
+        sweep = ["sweep", "--pphys", "1e-3", "--target", "1e-7"]
+        for argv, message in (
+            (sweep + ["--family", "l1_15to1", "--dx", "7", "--dz", "3",
+                      "--dm", "3", "--dx2", "x"],
+             "--dx2 must be comma-separated integers"),
+            (sweep + ["--family", "l1_15to1", "--dx", "7", "--dz", "3",
+                      "--dm", "3", "--dx2", "15", "--dz2", "7", "--dm2", "9"],
+             "unexpected range keys: ['dX2', 'dZ2', 'dm2']"),
+            (sweep + ["--family", "l2_15x15_small", "--dx", "9", "--dz", "5",
+                      "--dm", "5", "--dx2", "21", "--dz2", "9", "--dm2", "11",
+                      "--n-l1", "4"],
+             "unexpected range keys: ['nL1']"),
+            (["factory", "--family", "l1_15to1", "--d", "7,3,3",
+              "--d2", "15,7,9", "--pphys", "1e-4"],
+             "L1_15to1 takes no level-2 distances"),
+            (["factory", "--family", "l1_15to1", "--d", "7,3,3",
+              "--n-l1", "4", "--pphys", "1e-4"],
+             "L1_15to1 takes no nL1"),
+            (["factory", "--family", "l2_15x15_small", "--d", "9,5,5",
+              "--d2", "21,9,11", "--n-l1", "4", "--pphys", "1e-3"],
+             "L2_15x15_small takes no nL1"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     def test_verify_command(self, capsys):
         assert main(["verify"]) == 0

@@ -1,8 +1,9 @@
-"""Tests for the dense and graded density-matrix engines.
+"""Tests for the graded density-matrix engine against the dense oracle.
 
-The two engines implement the same channels; on any Z-type channel
-sequence whose error-event count stays within the graded engine's kmax,
-materializing the graded state must reproduce the dense state exactly.
+The dense reference in ``oracle.py`` implements the same channels; on any
+Z-type channel sequence whose error-event count stays within the graded
+engine's kmax, materializing the graded state must reproduce the dense
+state exactly.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msdsim.density import (
-    DensityMatrix,
     GradedDensityMatrix,
     RotationErrorProfile,
     StorageRates,
@@ -19,6 +19,7 @@ from msdsim.density import (
     pure_state_infidelity,
 )
 from msdsim.pauli import PauliProduct, z_signs
+from oracle import DensityMatrix, materialize
 
 
 def _random_z_axis(rng: np.random.Generator, n: int) -> PauliProduct:
@@ -31,8 +32,7 @@ def _random_ops(rng: np.random.Generator, n: int, count: int):
     """A list of (kind, args) channel applications on n qubits."""
     ops = []
     for _ in range(count):
-        kind = rng.choice(["rotation", "storage", "coherent"])
-        if kind == "rotation":
+        if rng.choice(["rotation", "storage"]) == "rotation":
             probs = rng.uniform(0.0, 0.03, size=3)
             profile = RotationErrorProfile(
                 probs[0], probs[1], probs[2],
@@ -43,22 +43,16 @@ def _random_ops(rng: np.random.Generator, n: int, count: int):
                 (_random_z_axis(rng, n), profile, frozenset({0}),
                  int(rng.choice([1, -1]))),
             ))
-        elif kind == "storage":
+        else:
             rates = StorageRates(float(rng.uniform(0.0, 0.01)),
                                  float(rng.uniform(0.0, 0.01)))
             ops.append(("storage", (int(rng.integers(0, n)), rates,
                                     float(rng.uniform(0.5, 3.0)))))
-        else:
-            ops.append((
-                "coherent",
-                (_random_z_axis(rng, n), float(rng.uniform(-0.05, 0.05)),
-                 int(rng.choice([1, -1]))),
-            ))
     return ops
 
 
 def _draw_ops(draw, n: int):
-    """A shuffled channel sequence with every kind and storage on every qubit.
+    """A shuffled channel sequence with a rotation and storage on every qubit.
 
     Probabilities come from the small range the circuits use or, in about
     half the sequences, also from the whole allowed range, where the error
@@ -100,18 +94,12 @@ def _draw_ops(draw, n: int):
         return ("storage", (qubit, StorageRates(draw(rate), draw(rate)),
                             cycles))
 
-    def coherent():
-        return ("coherent", (z_axis(), draw(st.floats(-0.05, 0.05)),
-                             draw(st.sampled_from([1, -1]))))
-
-    ops = [storage(q) for q in range(n)] + [rotation(), coherent()]
-    for kind in draw(st.lists(st.sampled_from("rsc"), max_size=3)):
+    ops = [storage(q) for q in range(n)] + [rotation()]
+    for kind in draw(st.lists(st.sampled_from("rs"), max_size=3)):
         if kind == "r":
             ops.append(rotation())
-        elif kind == "s":
-            ops.append(storage(draw(st.integers(0, n - 1))))
         else:
-            ops.append(coherent())
+            ops.append(storage(draw(st.integers(0, n - 1))))
     return draw(st.permutations(ops))
 
 
@@ -127,9 +115,7 @@ def _apply(state, op):
     if kind == "rotation":
         return state.apply_faulty_rotation(args[0], args[1], args[2],
                                            sign=args[3])
-    if kind == "storage":
-        return state.apply_storage(*args)
-    return state.apply_coherent_rotation(*args)
+    return state.apply_storage(*args)
 
 
 class TestDensityMatrix:
@@ -218,31 +204,35 @@ class TestGradedAgainstDense:
                 graded = _apply(graded, op)
             np.testing.assert_allclose(graded.trace_total(), 1.0, rtol=1e-12)
             np.testing.assert_allclose(
-                graded.materialize().data, dense.data, atol=1e-12
+                materialize(graded).data, dense.data, atol=1e-12
             )
 
-    # n=7 updates one grade per block, n=5 several, n=2 all; kmax=None
-    # stands for 2 * len(ops)
+    # n=7 updates one grade per block, n=5 several, n=2 all; every case
+    # checks kmax = 2 * len(ops) against the dense oracle, and kmax 1 and 2
+    # also run truncated
     @pytest.mark.parametrize("kmax", [1, 2, None])
     @pytest.mark.parametrize("n", [2, 5, 7])
     @settings(max_examples=5)
     @given(data=st.data())
     def test_any_channel_sequence_agrees(self, n, kmax, data):
         ops = _draw_ops(data.draw, n)
-        full = kmax is None
-        dense = DensityMatrix.init_plus(n)
-        graded = GradedDensityMatrix.init_plus(
-            n, kmax=2 * len(ops) if full else kmax)
+        states = [DensityMatrix.init_plus(n),
+                  GradedDensityMatrix.init_plus(n, kmax=2 * len(ops))]
+        if kmax is not None:
+            states.append(GradedDensityMatrix.init_plus(n, kmax=kmax))
         for op in ops:
-            dense = _apply(dense, op)
-            graded = _apply(graded, op)
-        gap = np.max(np.abs(graded.materialize().data - dense.data))
-        if full:
-            np.testing.assert_allclose(graded.trace_total(), 1.0, rtol=1e-12)
-            assert gap <= 1e-12
-        else:
-            dropped = 1.0 - graded.trace_total()
+            states = [_apply(state, op) for state in states]
+        dense, graded, *truncated = states
+        np.testing.assert_allclose(graded.trace_total(), 1.0, rtol=1e-12)
+        assert np.max(np.abs(materialize(graded).data - dense.data)) <= 1e-12
+        for cut in truncated:
+            # grades up to k do not depend on kmax: the truncated run is
+            # the full run's prefix, bit for bit
+            assert cut.pure.tobytes() == graded.pure.tobytes()
+            assert cut.grades.tobytes() == graded.grades[:kmax].tobytes()
+            dropped = 1.0 - cut.trace_total()
             assert dropped >= -1e-12
+            gap = np.max(np.abs(materialize(cut).data - dense.data))
             assert gap <= dropped + 1e-12
 
     def test_channels_leave_their_input_unchanged(self):
@@ -256,7 +246,6 @@ class TestGradedAgainstDense:
                 lambda s: s.apply_faulty_rotation(
                     axis, RotationErrorProfile(0.01, 0.02, 0.03, 0.01),
                     frozenset({0, n - 1})),
-                lambda s: s.apply_coherent_rotation(axis, 0.01, sign=-1),
             ] + [
                 lambda s, q=q, rates=rates: s.apply_storage(q, rates, 2.0)
                 for q in range(n)
@@ -339,7 +328,7 @@ class TestGradedAgainstDense:
         graded_p, graded_fail = graded.project_plus(frozenset({0, 2}))
         np.testing.assert_allclose(graded_fail, dense_fail, rtol=1e-10)
         np.testing.assert_allclose(
-            graded_p.materialize().data, dense_p.data, atol=1e-11
+            materialize(graded_p).data, dense_p.data, atol=1e-11
         )
 
     def test_infidelity_agrees_with_materialized(self):
@@ -352,7 +341,7 @@ class TestGradedAgainstDense:
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1 / np.sqrt(2)
         direct = graded.infidelity_with_pure(psi)
-        dense = graded.materialize()
+        dense = materialize(graded)
         reference = 1.0 - dense.fidelity_with_pure(psi) / graded.trace_total()
         np.testing.assert_allclose(direct, reference, rtol=1e-9)
 
@@ -366,8 +355,7 @@ class TestGradedAgainstDense:
             cut = _apply(cut, op)
         dropped = 1.0 - cut.trace_total()
         assert dropped >= -1e-12
-        gap = np.max(np.abs(full.materialize().data
-                            - cut.materialize().data))
+        gap = np.max(np.abs(materialize(full).data - materialize(cut).data))
         assert gap <= dropped + 1e-12
 
     def test_graded_requires_one_grade(self):

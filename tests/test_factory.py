@@ -50,10 +50,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FactoryConfig("L2_15x15", DistanceSet(9, 3, 3, 25, 9, 9),
                           PhysicalNoise(1e-4))  # nL1 missing
+        for distances in (DistanceSet(7, 3, 3, 15, 7, 9),
+                          DistanceSet(7, 3, 3, nL1=4)):
+            with pytest.raises(ValueError, match="L1_15to1 takes no"):
+                FactoryConfig("L1_15to1", distances, PhysicalNoise(1e-4))
 
     def test_small_two_level_needs_no_block_count(self):
         FactoryConfig("L2_15x15_small", DistanceSet(9, 5, 5, 21, 9, 11),
                       PhysicalNoise(1e-3))
+        with pytest.raises(ValueError, match="takes no nL1"):
+            FactoryConfig("L2_15x15_small",
+                          DistanceSet(9, 5, 5, 21, 9, 11, 4),
+                          PhysicalNoise(1e-3))
 
 
 class TestSchedules:

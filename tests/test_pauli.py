@@ -8,7 +8,6 @@ from msdsim.pauli import (
     PauliProduct,
     Rotation,
     RotationAngle,
-    commutes,
     equal_up_to_phase,
     matrix_of,
     parity_lookup,
@@ -23,8 +22,7 @@ class TestPauliProduct:
         p = PauliProduct("ZIZ")
         assert p.n == 3
         assert p.support == (0, 2)
-        assert not p.is_identity()
-        assert PauliProduct("II").is_identity()
+        assert PauliProduct("II").support == ()
 
     def test_invalid_letters_rejected(self):
         with pytest.raises(ValueError):
@@ -52,23 +50,6 @@ class TestPauliProduct:
             m = matrix_of(PauliProduct(word))
             np.testing.assert_allclose(m @ m, np.eye(16), atol=1e-12)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
-
-    def test_commutes(self):
-        assert not commutes(PauliProduct("ZI"), PauliProduct("XI"))
-        assert commutes(PauliProduct("ZZ"), PauliProduct("XX"))
-        assert commutes(PauliProduct("ZI"), PauliProduct("IZ"))
-        with pytest.raises(ValueError):
-            commutes(PauliProduct("Z"), PauliProduct("ZZ"))
-
-    def test_commutes_matches_matrices(self):
-        rng = np.random.default_rng(5)
-        letters = np.array(list("IXYZ"))
-        for _ in range(30):
-            p = PauliProduct("".join(rng.choice(letters, size=3)))
-            q = PauliProduct("".join(rng.choice(letters, size=3)))
-            mp, mq = matrix_of(p), matrix_of(q)
-            agree = np.allclose(mp @ mq, mq @ mp)
-            assert commutes(p, q) == agree
 
 
 class TestRotation:
