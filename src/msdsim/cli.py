@@ -69,6 +69,7 @@ from .factory import (
     FactoryConfig,
     FactoryReport,
     d3_cost,
+    distance_keys,
     family_outputs,
     full_distance,
     simulate_factory,
@@ -249,8 +250,19 @@ def _build_config(
     p_phys: float,
     c_t: float,
     consumption_full: bool,
+    names: tuple[str, str] = ("--d2", "--n-l1"),
 ) -> FactoryConfig:
+    """The configuration of these inputs.
+
+    ``names`` are how the user wrote d2 and n_l1 (flags or config keys),
+    for the error when the family needs one of them or takes none.
+    """
     family = FAMILY_NAMES[family_cli]
+    keys = distance_keys(family)
+    for value, key, name in ((d2, "dX2", names[0]), (n_l1, "nL1", names[1])):
+        if (value is not None) != (key in keys):
+            verb = "requires" if key in keys else "takes no"
+            raise ValueError(f"{family_cli} {verb} {name}")
     kwargs = {}
     if d2 is not None:
         kwargs.update(dX2=d2[0], dZ2=d2[1], dm2=d2[2])
@@ -365,7 +377,8 @@ def load_config(path: str) -> list[FactoryConfig]:
         )
         try:
             configs.append(
-                _build_config(family_cli, d, d2, n_l1, p_phys, c_t, toggle)
+                _build_config(family_cli, d, d2, n_l1, p_phys, c_t, toggle,
+                              ("d2", "n_l1"))
             )
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from None
@@ -576,14 +589,18 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     family = FAMILY_NAMES[args.family]
-    # every range given goes to sweep, which rejects missing and extra ones
-    ranges = {
-        key: parse_int_list(getattr(args, attr), f"--{attr.replace('_', '-')}")
-        for attr, key in (("dx", "dX"), ("dz", "dZ"), ("dm", "dm"),
-                          ("dx2", "dX2"), ("dz2", "dZ2"), ("dm2", "dm2"),
-                          ("n_l1", "nL1"))
-        if getattr(args, attr) is not None
-    }
+    flags = {"dX": "--dx", "dZ": "--dz", "dm": "--dm", "dX2": "--dx2",
+             "dZ2": "--dz2", "dm2": "--dm2", "nL1": "--n-l1"}
+    given = {key: getattr(args, flag[2:].replace("-", "_"))
+             for key, flag in flags.items()}
+    ranges = {key: parse_int_list(text, flags[key])
+              for key, text in given.items() if text is not None}
+    keys = distance_keys(family)
+    for verb, wrong in (("requires", [k for k in keys if k not in ranges]),
+                        ("takes no", [k for k in ranges if k not in keys])):
+        if wrong:
+            raise ValueError(f"{args.family} {verb} "
+                             f"{', '.join(flags[k] for k in wrong)}")
     noise = PhysicalNoise(args.pphys, args.ct)
     reports = sweep(family, ranges, noise, args.target,
                     args.consumption_full, kmax=args.kmax)

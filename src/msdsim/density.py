@@ -9,7 +9,9 @@ vectors, without catastrophic cancellation.  Restricted to Z-type axes
 (all catalog circuits are Z-type).
 
 All operations are functional: they return a new state and leave the input
-untouched.  The grades are one ``(kmax, dim, dim)`` stack, updated in
+untouched, except on a state a caller took as its own (``_owned``, for a
+schedule run that keeps no earlier state): its channels update its stack
+in place.  The grades are one ``(kmax, dim, dim)`` stack, updated in
 cache-sized blocks.  Each channel is one elementwise kernel,
 ``out_k = A o g_k + B o P(g_{k-1})`` with ``g_0 = pure pure^dagger``: P
 permutes for an X flip; a Z-type operation scales ``rho_ij`` by a value set
@@ -124,14 +126,17 @@ def _vec_project_checks(vec: np.ndarray, checks: tuple[int, ...], n: int) -> np.
     return np.broadcast_to(t, shape).reshape(vec.shape).copy()
 
 
-def _mat_project_checks(mat: np.ndarray, checks: tuple[int, ...], n: int) -> np.ndarray:
-    """prod_q (I + X_q)/2 rho prod_q (I + X_q)/2 on a matrix or a stack of them."""
+def _mat_project_checks(mat: np.ndarray, checks: tuple[int, ...], n: int,
+                        out: np.ndarray) -> np.ndarray:
+    """prod_q (I + X_q)/2 rho prod_q (I + X_q)/2 on a stack, into ``out``.
+
+    ``out`` may be ``mat``: the averages are taken before it is written.
+    """
     shape = mat.shape[:-2] + (2,) * (2 * n)
     t = mat.reshape(shape)
     for q in checks:
         t = t.mean(axis=-1 - q - n, keepdims=True)  # row axis of qubit q
         t = t.mean(axis=-1 - q, keepdims=True)
-    out = np.empty_like(mat)
     out.reshape(shape)[...] = t
     return out
 
@@ -186,6 +191,9 @@ class GradedDensityMatrix:
     ideal diagonals) and ``scale`` (see the module docstring).
     """
 
+    # an owned state's channels write its grade stack in place (``_owned``)
+    _in_place = False
+
     def __init__(self, n: int, pure: np.ndarray, grades: np.ndarray,
                  births: tuple = (), pullback=1.0, scale: float = 1.0):
         self.n = n
@@ -208,6 +216,20 @@ class GradedDensityMatrix:
         dim = 1 << n
         pure = np.full(dim, dim ** -0.5, dtype=np.complex128)
         return cls(n, pure, np.zeros((kmax, dim, dim), dtype=np.complex128))
+
+    def _owned(self) -> GradedDensityMatrix:
+        """This state, whose channels from now on write its stack in place.
+
+        For a caller that keeps no earlier state, such as a schedule run:
+        the run allocates one stack instead of one per channel, and each
+        state it returns shares that stack, so the next channel changes it.
+        """
+        self._in_place = True
+        return self
+
+    def _out(self) -> np.ndarray:
+        """The stack a channel writes: this one if owned, else a new one."""
+        return self.grades if self._in_place else np.empty_like(self.grades)
 
     def grade1_branches(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, b) with grades[0] = sum_i w_i b_i b_i^dagger; b is (m, dim)."""
@@ -273,8 +295,16 @@ class GradedDensityMatrix:
         if keep == 0.0:
             scale, pullback, births = 1.0, 1.0, ()
         births += tuple([(p / scale, pullback * v) for p, v in branches if p])
-        return GradedDensityMatrix(self.n, np.sqrt(keep) * pure, grades,
-                                   births, pullback, scale)
+        return self._successor(np.sqrt(keep) * pure, grades, births,
+                               pullback, scale)
+
+    def _successor(self, pure, grades, births, pullback,
+                   scale) -> GradedDensityMatrix:
+        """A new state with these fields, owned if this one is."""
+        state = GradedDensityMatrix(self.n, pure, grades, births, pullback,
+                                    scale)
+        state._in_place = self._in_place
+        return state
 
     def _flip(self, letter: str, qubit: int, p: float,
               out: np.ndarray) -> GradedDensityMatrix:
@@ -303,8 +333,8 @@ class GradedDensityMatrix:
         keep = 1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter
         ideal = _phase_table(theta)
         errs = sum(p * _phase_table(extra) for p, extra in errors)
-        grades = self._channel(keep * ideal, ideal * errs,
-                               np.empty_like(self.grades), mask=mask)
+        grades = self._channel(keep * ideal, ideal * errs, self._out(),
+                               mask=mask)
         d = rotation_phases(mask, self.n, theta)
         pure = d * self.pure
         born = [(p, np.exp(-1j * extra * signs) * pure) for p, extra in errors]
@@ -323,7 +353,7 @@ class GradedDensityMatrix:
         px, pz = cycles * rates.pX, cycles * rates.pZ
         if px >= 1.0 or pz >= 1.0:
             raise ValueError("accumulated storage probability reaches 1")
-        state, out = self, np.empty_like(self.grades)
+        state, out = self, self._out()
         if px:
             state = state._flip("X", qubit, px, out)
         if pz:
@@ -336,8 +366,9 @@ class GradedDensityMatrix:
         checks = tuple(sorted(check_qubits))
         if not checks:
             raise ValueError("check set is empty")
+        before = self.trace_total()
         pure = _vec_project_checks(self.pure, checks, self.n)
-        grades = _mat_project_checks(self.grades, checks, self.n)
+        grades = _mat_project_checks(self.grades, checks, self.n, self._out())
         p_success = GradedDensityMatrix(self.n, pure, grades).trace_total()
         if p_success <= 1e-300:
             raise ValueError("success probability is numerically zero")
@@ -346,9 +377,9 @@ class GradedDensityMatrix:
         # projection is linear: project the rows, keep their weights
         weights, rows = self.grade1_branches()
         births = tuple(zip(weights, _vec_project_checks(rows, checks, self.n)))
-        state = GradedDensityMatrix(self.n, np.sqrt(scale) * pure, grades,
-                                    births, 1.0, scale)
-        return state, 1.0 - p_success / self.trace_total()
+        state = self._successor(np.sqrt(scale) * pure, grades, births, 1.0,
+                                scale)
+        return state, 1.0 - p_success / before
 
     def infidelity_with_pure(self, psi: np.ndarray) -> float:
         """1 - <psi|rho|psi>, accumulated branch-wise to avoid cancellation.
@@ -374,6 +405,19 @@ class GradedDensityMatrix:
             dev += float(np.trace(g).real - np.real(psi.conj() @ g @ psi))
         total = self.trace_total()
         return dev / total
+
+    def infidelity_floor(self) -> float:
+        """Round-off floor of :meth:`infidelity_with_pure`.
+
+        eps^2 times the mass of the zero-error branch and grade 1 (read as
+        squared deviation norms) plus eps times the mass of grades 2 and
+        above (read as differences), over the trace.
+        """
+        eps = np.finfo(float).eps
+        low = float(np.vdot(self.pure, self.pure).real)
+        low += float(np.trace(self.grades[0]).real)
+        high = sum(float(np.trace(g).real) for g in self.grades[1:])
+        return (eps**2 * low + eps * high) / self.trace_total()
 
 
 def pure_state_infidelity(phi: np.ndarray, psi: np.ndarray) -> float:

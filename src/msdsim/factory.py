@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .circuits import Circuit, catalog
+from .circuits import LEADING_ORDER, Circuit, catalog
 from .density import GradedDensityMatrix, StorageRates
 from .noise import (
     DistanceSet,
@@ -63,6 +64,8 @@ _LEVEL2_MULTIPLIER = {"L2_15x15": 7.5, "L2_15x20": 10.0, "L2_15xCCZ": 4.0}
 
 FULL_DISTANCE_PATCHES = {"qubits100": 231, "qubits10k": 20284}
 
+_EPS = sys.float_info.epsilon
+
 
 @dataclass(frozen=True)
 class FactoryConfig:
@@ -79,16 +82,23 @@ class FactoryConfig:
     consumption_prefactor_toggle: bool = False
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family: {self.family}")
-        d = self.distances
-        level2 = self.family in _LEVEL2_CIRCUIT
-        blocks = level2 and self.family != "L2_15x15_small"
-        for needed, given, what in ((level2, d.has_level2, "level-2 distances"),
-                                    (blocks, d.nL1 is not None, "nL1")):
-            if needed != given:
-                verb = "requires" if needed else "takes no"
+        keys = distance_keys(self.family)
+        for key, what in (("dX2", "level-2 distances"), ("nL1", "nL1")):
+            if (key in keys) != (getattr(self.distances, key) is not None):
+                verb = "requires" if key in keys else "takes no"
                 raise ValueError(f"{self.family} {verb} {what}")
+
+
+def distance_keys(family: str) -> tuple[str, ...]:
+    """The DistanceSet fields a family's configurations set."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family: {family}")
+    keys = ("dX", "dZ", "dm")
+    if family in _LEVEL2_CIRCUIT:
+        keys += ("dX2", "dZ2", "dm2")
+        if family != "L2_15x15_small":
+            keys += ("nL1",)
+    return keys
 
 
 class NoiseDomainError(ValueError):
@@ -98,6 +108,18 @@ class NoiseDomainError(ValueError):
 class Level1Result(NamedTuple):
     p_out: float
     p_fail: float
+
+
+class ScheduleRun(NamedTuple):
+    """One schedule run at error order kmax.
+
+    ``p_out_lower`` bounds from below the p_out of the same run at any
+    higher kmax (see :func:`_run_schedule`).
+    """
+
+    p_out: float
+    p_fail: float
+    p_out_lower: float
 
 
 @dataclass(frozen=True)
@@ -272,32 +294,56 @@ def _run_schedule(
     storage_cycles: float,
     consumption: StorageRates,
     kmax: int,
-) -> tuple[float, float]:
-    """Run one factory schedule; return (p_out per state, p_fail)."""
+) -> ScheduleRun:
+    """Run one factory schedule in one owned grade stack.
+
+    Besides p_out and p_fail, bound the p_out of the same run at any
+    higher kmax from below.  Every grade's infidelity term is >= 0.
+    Before normalization, the mass of more than kmax error events is at
+    most S^(kmax+1)/(kmax+1)!, with S the sum of the probabilities of the
+    events applied, and the zero-event mass is prod(1 - p_e), which the
+    checks of an ideal run keep whole.  More grades thus add at most a
+    fraction tail = S^(kmax+1)/((kmax+1)! prod(1 - p_e)) to the trace, and
+    p_out(higher) >= (p_out - slack) / (1 + tail), where the slack covers
+    the round-off of both readouts.
+    """
     c = schedule.circuit
-    rho = GradedDensityMatrix.init_plus(c.n, kmax=kmax)
+    rho = GradedDensityMatrix.init_plus(c.n, kmax=kmax)._owned()
     initialized: set[int] = set()
+    events: list[float] = []  # probability of each error event applied
     p_fail = 0.0
     for step in schedule.steps:
         initialized |= step.initialize
         for ri in step.rotations:
-            r = c.rotations[ri]
+            r, profile = c.rotations[ri], profiles[ri]
             involved_outputs = c.output_qubits & frozenset(r.axis.support)
             rho = rho.apply_faulty_rotation(
-                r.axis, profiles[ri], involved_outputs,
+                r.axis, profile, involved_outputs,
                 sign=1 if r.angle.k > 0 else -1)
+            events.append(profile.p_half + profile.p_quarter
+                          + profile.p_mquarter)
+            events += [profile.p_z_output] * len(involved_outputs)
         if step.storage:
             for q in sorted(initialized):
                 rho = rho.apply_storage(q, rates[q], storage_cycles)
+                events += [storage_cycles * rates[q].pX,
+                           storage_cycles * rates[q].pZ]
         if step.measure:
             rho, p_fail = rho.project_plus(step.measure)
     for q in sorted(c.output_qubits):
         rho = rho.apply_storage(q, consumption, 1.0)
+        events += [consumption.pX, consumption.pZ]
     p_out = rho.infidelity_with_pure(c.ideal_output) / c.outputs
-    return p_out, p_fail
+    # this readout and a higher order's each round by about the floor plus
+    # a few eps of p_out (table1 row 5's two differ by 0.1 floor; other
+    # float orders of its readout moved it by up to 2.6 floors)
+    slack = 16 * (rho.infidelity_floor() / c.outputs + _EPS * p_out)
+    tail = sum(events) ** (kmax + 1) / (
+        math.factorial(kmax + 1) * math.prod(1.0 - p for p in events))
+    return ScheduleRun(p_out, p_fail, (p_out - slack) / (1.0 + tail))
 
 
-def _run_level1(config: FactoryConfig, kmax: int) -> tuple[float, float]:
+def _run_level1(config: FactoryConfig, kmax: int) -> ScheduleRun:
     return _run_factory(config, kmax, _level1_inputs)
 
 
@@ -327,7 +373,7 @@ def _level1_cached(dX: int, dZ: int, dm: int, p_phys: float, c_T: float,
                    kmax: int) -> Level1Result:
     cfg = FactoryConfig("L1_15to1", DistanceSet(dX, dZ, dm),
                         PhysicalNoise(p_phys, c_T))
-    return Level1Result(*_run_level1(cfg, kmax))
+    return Level1Result(*_run_level1(cfg, kmax)[:2])
 
 
 def level1_output_error(config: FactoryConfig, kmax: int = 6) -> Level1Result:
@@ -366,7 +412,7 @@ def _level2_inputs(config: FactoryConfig, c: Circuit, level1: Level1Result):
 
 
 def _run_factory(config: FactoryConfig, kmax: int, inputs,
-                 *args) -> tuple[float, float]:
+                 *args) -> ScheduleRun:
     """Run a family's schedule on the noise inputs ``inputs`` builds.
 
     Shared by both levels.  For some distances the closed-form noise model
@@ -443,13 +489,14 @@ def _costs(config: FactoryConfig,
 
 def simulate_factory(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
     """Full factory run: error simulation plus closed-form cost metrics."""
-    if config.family in ("L1_15to1", "L1_15to1_small"):
-        p_out, p_fail_l1 = _run_level1(config, kmax)
-        p_fail_l2 = 0.0
-    else:
+    if config.family in _LEVEL2_CIRCUIT:
         level1 = level1_output_error(config, kmax)
-        p_out, p_fail_l2 = _run_factory(config, kmax, _level2_inputs, level1)
+        p_out, p_fail_l2, _ = _run_factory(config, kmax, _level2_inputs,
+                                           level1)
         p_fail_l1 = level1.p_fail
+    else:
+        p_out, p_fail_l1, _ = _run_level1(config, kmax)
+        p_fail_l2 = 0.0
     qubits, cycles, per_state = _costs(config, p_fail_l1)
     outputs = family_outputs(config.family)
     # One CCZ resource state substitutes four T-gate magic states, so the
@@ -480,6 +527,27 @@ def simulate_factory(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
     )
 
 
+def p_out_lower_bound(config: FactoryConfig, kmax: int = 6) -> float:
+    """A lower bound on ``simulate_factory(config, kmax).p_out``, cheaply.
+
+    The family's top-level schedule runs at order K, its circuit's leading
+    undetected order (3 for 15-to-1, 2 for 20-to-4 and 8-to-CCZ), where
+    the p_out of the kmax run already has its leading term; a level-2
+    family's level-1 input is the kmax one, from the cache.  Grades up to
+    K do not depend on kmax, so the run's own bound on higher orders
+    holds.  At kmax <= K that run would cost as much as the simulation,
+    and the bound is 0.
+    """
+    order = LEADING_ORDER[build_schedule(config.family).circuit.name]
+    if kmax <= order:
+        return 0.0
+    if config.family in _LEVEL2_CIRCUIT:
+        level1 = level1_output_error(config, kmax)
+        return _run_factory(config, order, _level2_inputs,
+                            level1).p_out_lower
+    return _run_factory(config, order, _level1_inputs).p_out_lower
+
+
 def sweep(
     family: str,
     ranges: dict[str, Iterable[int]],
@@ -494,7 +562,7 @@ def sweep(
     families dX2, dZ2, dm2, nL1) to iterables of values.  Combinations
     without a valid DistanceSet, or outside the noise model's range
     (:class:`NoiseDomainError`), are skipped; if no combination can be
-    simulated, the first range error is raised.  The result is the Pareto
+    run, the first range error is raised.  The result is the Pareto
     front in (qubits, qubitcycles_per_state) of the configurations with
     p_out <= target_p_out, sorted by qubitcycles_per_state, ties broken by
     qubits then distances.
@@ -508,16 +576,17 @@ def sweep(
     never reach the front and is not simulated.  Dominance is transitive,
     so the front -- and every reported p_out -- is the same as simulating
     the whole grid, whatever the order of the ranges.
+
+    Each candidate left is screened before it is simulated: one whose
+    :func:`p_out_lower_bound` (a run at the top circuit's leading order)
+    exceeds the target cannot meet it and is not simulated.  Skipping it
+    changes neither the feasible set nor any pruning decision.
     """
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(
             f"target p_out must be finite and positive, got {target_p_out}")
+    keys = distance_keys(family)
     level2 = family in _LEVEL2_CIRCUIT
-    keys = ["dX", "dZ", "dm"]
-    if level2:
-        keys += ["dX2", "dZ2", "dm2"]
-        if family != "L2_15x15_small":
-            keys.append("nL1")
     unknown = set(ranges) - set(keys)
     if unknown:
         raise ValueError(f"unexpected range keys: {sorted(unknown)}")
@@ -543,20 +612,23 @@ def sweep(
         candidates.append((per_state, qubits, combo, config))
     candidates.sort(key=lambda c: c[:3])
     feasible = []
-    simulated = False
+    ran = False
     for per_state, qubits, combo, config in candidates:
         if any(_dominates(r.qubits, r.qubitcycles_per_state, qubits, per_state)
                for r, _ in feasible):
             continue
         try:
+            if p_out_lower_bound(config, kmax) > target_p_out:
+                ran = True
+                continue
             report = simulate_factory(config, kmax)
         except NoiseDomainError as e:
             out_of_range.append(e)
             continue
-        simulated = True
+        ran = True
         if report.p_out <= target_p_out:
             feasible.append((report, combo))
-    if out_of_range and not simulated:
+    if out_of_range and not ran:
         raise out_of_range[0]
     return _pareto_front(feasible)
 

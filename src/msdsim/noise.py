@@ -38,13 +38,18 @@ class PhysicalNoise:
             raise ValueError(f"c_T must be finite and positive, got {self.c_T}")
 
 
+# Distances and nL1 stay below this, so that the rate and cost formulas,
+# which mix them with floats, see them exactly and stay finite.
+MAX_COUNT = 2**53
+
+
 @dataclass(frozen=True)
 class DistanceSet:
     """Code distances of a factory: level-1 (dX, dZ, dm), optional level-2.
 
-    All distances are positive odd integers with dZ <= dX and dX <= 3*dm
-    (likewise at level 2); nL1 is the even number of level-1 blocks feeding
-    a level-2 block.
+    All distances are positive odd integers below MAX_COUNT with dZ <= dX
+    and dX <= 3*dm (likewise at level 2); nL1 is the even number of
+    level-1 blocks feeding a level-2 block, also below MAX_COUNT.
     """
 
     dX: int
@@ -65,20 +70,20 @@ class DistanceSet:
         if self.nL1 is not None:
             if self.nL1 <= 0 or self.nL1 % 2:
                 raise ValueError("nL1 must be a positive even integer")
+            if self.nL1 >= MAX_COUNT:
+                raise ValueError("nL1 must be below 2**53")
 
     @staticmethod
     def _check_triple(dx: int, dz: int, dm: int, label: str) -> None:
         for name, v in (("dX", dx), ("dZ", dz), ("dm", dm)):
             if not isinstance(v, int) or v <= 0 or v % 2 == 0:
                 raise ValueError(f"{label} {name} must be a positive odd integer")
+            if v >= MAX_COUNT:
+                raise ValueError(f"{label} {name} must be below 2**53")
         if dz > dx:
             raise ValueError(f"{label} requires dZ <= dX")
         if dx > 3 * dm:
             raise ValueError(f"{label} requires dX <= 3*dm")
-
-    @property
-    def has_level2(self) -> bool:
-        return self.dX2 is not None
 
 
 def logical_error_rate(p_phys: float, d: int) -> float:

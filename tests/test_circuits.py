@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from msdsim.circuits import (
+    LEADING_ORDER,
     CATALOG_KINDS,
     NoiseSpec,
     catalog,
@@ -93,6 +94,13 @@ class TestUndetectedErrorSets:
     def test_order_bound(self):
         with pytest.raises(ValueError):
             undetected_error_sets(catalog("eight_to_ccz"), 9)
+
+    def test_leading_orders(self):
+        # each recorded order is the first with an undetected error set
+        for kind, order in LEADING_ORDER.items():
+            counts = [undetected_error_sets(catalog(kind), k)
+                      for k in range(1, order + 1)]
+            assert counts[-1] > 0 and not any(counts[:-1]), kind
 
 
 class TestGadgets:

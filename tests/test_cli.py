@@ -423,20 +423,20 @@ class TestMainExitCodes:
              "--dx2 must be comma-separated integers"),
             (sweep + ["--family", "l1_15to1", "--dx", "7", "--dz", "3",
                       "--dm", "3", "--dx2", "15", "--dz2", "7", "--dm2", "9"],
-             "unexpected range keys: ['dX2', 'dZ2', 'dm2']"),
+             "l1_15to1 takes no --dx2, --dz2, --dm2"),
             (sweep + ["--family", "l2_15x15_small", "--dx", "9", "--dz", "5",
                       "--dm", "5", "--dx2", "21", "--dz2", "9", "--dm2", "11",
                       "--n-l1", "4"],
-             "unexpected range keys: ['nL1']"),
+             "l2_15x15_small takes no --n-l1"),
             (["factory", "--family", "l1_15to1", "--d", "7,3,3",
               "--d2", "15,7,9", "--pphys", "1e-4"],
-             "L1_15to1 takes no level-2 distances"),
+             "l1_15to1 takes no --d2"),
             (["factory", "--family", "l1_15to1", "--d", "7,3,3",
               "--n-l1", "4", "--pphys", "1e-4"],
-             "L1_15to1 takes no nL1"),
+             "l1_15to1 takes no --n-l1"),
             (["factory", "--family", "l2_15x15_small", "--d", "9,5,5",
               "--d2", "21,9,11", "--n-l1", "4", "--pphys", "1e-3"],
-             "L2_15x15_small takes no nL1"),
+             "l2_15x15_small takes no --n-l1"),
         ):
             assert main(argv) == 2
             captured = capsys.readouterr()
@@ -498,10 +498,50 @@ class TestMainExitCodes:
                     f"error: --kmax must be at least 1, got {kmax}\n")
 
     def test_sweep_level2_requires_ranges(self, capsys):
-        assert main(["sweep", "--family", "l2_15x15", "--pphys", "1e-4",
-                     "--target", "1e-10", "--dx", "9", "--dz", "3",
-                     "--dm", "3"]) == 2
-        capsys.readouterr()
+        argv = ["sweep", "--family", "l2_15x15", "--pphys", "1e-4",
+                "--target", "1e-10", "--dx", "9", "--dz", "3", "--dm", "3"]
+        for extra, missing in (
+            ([], "--dx2, --dz2, --dm2, --n-l1"),
+            (["--dx2", "25", "--dz2", "9", "--dm2", "9"], "--n-l1"),
+        ):
+            assert main(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: l2_15x15 requires {missing}\n"
+
+    def test_config_names_its_own_keys(self, tmp_path, capsys):
+        path = tmp_path / "extra.json"
+        for entry, message in (
+            ({"family": "l1_15to1", "d": [7, 3, 3], "n_l1": 4},
+             "l1_15to1 takes no n_l1"),
+            ({"family": "l2_15x15", "d": [9, 3, 3], "n_l1": 4},
+             "l2_15x15 requires d2"),
+        ):
+            path.write_text(json.dumps({"defaults": {"p_phys": 1e-4},
+                                        "protocols": [entry]}),
+                            encoding="utf-8")
+            assert main(["factory", "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: protocols[0]: {message}\n"
+
+    def test_huge_distance_exits_2(self, tmp_path, capsys):
+        # 401 digits: the rate formulas used to overflow a float
+        huge = 10 ** 400 + 1
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"protocols": [
+            {"family": "l1_15to1", "d": [huge, 3, huge], "p_phys": 1e-4}]}),
+            encoding="utf-8")
+        for argv, where in (
+            (["factory", "--family", "l1_15to1", "--d", f"{huge},3,{huge}",
+              "--pphys", "1e-4"], ""),
+            (["factory", "--config", str(path)], "protocols[0]: "),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {where}level-1 dX must be below 2**53\n")
 
 
 class TestTableCommand:

@@ -257,6 +257,25 @@ class TestGradedAgainstDense:
                 channel(state)
                 assert _state_bytes(state) == before
 
+    def test_owned_state_matches_the_functional_one(self):
+        # an owned state's channels update its stack in place and give the
+        # same state bit for bit, projection included
+        rng = np.random.default_rng(13)
+        for n, kmax in ((2, 1), (5, 3), (7, 2)):
+            functional = GradedDensityMatrix.init_plus(n, kmax=kmax)
+            owned = GradedDensityMatrix.init_plus(n, kmax=kmax)._owned()
+            stack = owned.grades
+            ops = _random_ops(rng, n, 8)
+            for i, op in enumerate(ops):
+                functional, owned = _apply(functional, op), _apply(owned, op)
+                if i == len(ops) // 2:
+                    functional, fail = functional.project_plus(
+                        frozenset({n - 1}))
+                    owned, owned_fail = owned.project_plus(frozenset({n - 1}))
+                    assert owned_fail == fail
+                assert _state_bytes(owned) == _state_bytes(functional)
+            assert owned.grades is stack
+
     def test_branch_store_rebuilds_grade_one(self):
         rng = np.random.default_rng(5)
         for n in (2, 5, 7):

@@ -6,17 +6,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import msdsim.factory as factory
+from msdsim.cli import TABLE1, TABLE2, row_config
 from msdsim.factory import (
+    FAMILIES,
     FactoryConfig,
     FactoryReport,
     build_schedule,
     cycle_cost,
     d3_cost,
+    distance_keys,
     family_outputs,
     full_distance,
+    p_out_lower_bound,
     protocol_name,
     qubit_cost,
     simulate_factory,
@@ -544,21 +548,32 @@ class TestSweepPruning:
     def test_dominated_candidates_are_not_simulated(self, monkeypatch):
         family, p, ranges, _ = _PRUNING_CASES[0]
         noise = PhysicalNoise(p)
-        valid = len(_valid_configs(family, ranges, noise))
-        calls = []
+        valid = _valid_configs(family, ranges, noise)
+        calls, bounds = [], []
 
         def counted(config, kmax=6):
             calls.append(config)
             return _simulate_once(config, kmax)
 
+        def screened(config, kmax=6):
+            bounds.append((config, p_out_lower_bound(config, kmax)))
+            return bounds[-1][1]
+
         monkeypatch.setattr(factory, "simulate_factory", counted)
+        monkeypatch.setattr(factory, "p_out_lower_bound", screened)
         front = sweep(family, ranges, noise, 1e-7)
         assert [r.protocol for r in front] == ["(15-to-1)_{7,3,3}"]
-        assert len(calls) < valid
-        # with nothing feasible, nothing can be pruned
+        assert len(calls) < len(valid)
+        # with nothing feasible, nothing can be pruned: every valid
+        # candidate is screened out or simulated, none twice
         calls.clear()
+        bounds.clear()
         assert sweep(family, ranges, noise, 1e-12) == []
-        assert len(calls) == valid
+        screened_configs = [config for config, _ in bounds]
+        assert len(set(screened_configs)) == len(bounds) == len(valid)
+        assert set(screened_configs) == set(valid)
+        assert calls == [config for config, bound in bounds
+                         if bound <= 1e-12]
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -591,14 +606,21 @@ class TestSweepPruning:
             for key, values in (("dX", [7, 9, 11]), ("dZ", [3, 5]),
                                 ("dm", [3, 5]))
         }
-        outcomes = {
-            config: (data.draw(st.sampled_from([1e-9, 1e-8, 1e-7])),
-                     data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])))
-            for config in _valid_configs(family, ranges, noise)
-        }
+        # each drawn screen bound is at most the drawn p_out, 0 and
+        # equality included, so the screen runs together with pruning
+        outcomes = {}
+        for config in _valid_configs(family, ranges, noise):
+            p_out = data.draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
+            outcomes[config] = (
+                p_out, data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])),
+                data.draw(st.sampled_from(
+                    [b for b in (0.0, 1e-9, 1e-8, 1e-7) if b <= p_out])))
+
+        def drawn_bound(config, kmax=6):
+            return outcomes[config][2]
 
         def drawn(config, kmax=6):
-            p_out, p_fail = outcomes[config]
+            p_out, p_fail, _ = outcomes[config]
             qubits, cycles = qubit_cost(config), cycle_cost(config, p_fail)
             return FactoryReport(
                 protocol_name(config), noise.p_phys, p_out, p_fail, 0.0,
@@ -606,8 +628,65 @@ class TestSweepPruning:
                 None, None, None, None)
 
         target = data.draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
-        with mock.patch.object(factory, "simulate_factory", drawn):
+        with mock.patch.object(factory, "simulate_factory", drawn), \
+                mock.patch.object(factory, "p_out_lower_bound", drawn_bound):
             front = sweep(family, ranges, noise, target)
             want = _brute_force_front(family, ranges, noise, target,
                                       simulate=drawn)
         assert front == want
+
+
+
+@st.composite
+def _configs(draw) -> FactoryConfig:
+    """A valid configuration of any family at p_phys 1e-4 to 1e-3."""
+    family = draw(st.sampled_from(FAMILIES))
+
+    def triple(dxs, dzs, dms):
+        dx = draw(st.sampled_from(dxs))
+        return (dx, draw(st.sampled_from([v for v in dzs if v <= dx])),
+                draw(st.sampled_from([v for v in dms if 3 * v >= dx])))
+
+    values = triple([5, 7, 9, 11, 13], [3, 5, 7], [3, 5, 7])
+    if "dX2" in distance_keys(family):
+        values += triple([9, 13, 17, 21, 25], [5, 7, 9, 11], [5, 7, 9, 11])
+    if "nL1" in distance_keys(family):
+        values += (draw(st.sampled_from([2, 4, 6])),)
+    noise = PhysicalNoise(draw(st.sampled_from([1e-4, 5e-4, 1e-3])),
+                          draw(st.sampled_from([1.0, 10.0])))
+    return FactoryConfig(family, DistanceSet(*values), noise)
+
+
+class TestScreen:
+    """The sweep's screen bound never exceeds the simulated p_out."""
+
+    @settings(max_examples=30)
+    @given(config=_configs())
+    def test_bound_is_below_p_out(self, config):
+        try:
+            p_out = _simulate_once(config).p_out
+        except factory.NoiseDomainError:
+            assume(False)
+        assert p_out_lower_bound(config) <= p_out
+
+    @pytest.mark.parametrize("row", TABLE1 + TABLE2,
+                             ids=[f"table1-{i}" for i in range(1, 16)]
+                             + [f"table2-{i}" for i in range(1, 10)])
+    def test_table_rows_are_not_screened(self, row, monkeypatch):
+        # table1 row 5 (p_out 8.2e-25) has its bound within 8e-9 of its
+        # p_out before the readout floor is subtracted
+        config = row_config(row)
+        report = _simulate_once(config)
+        bound = p_out_lower_bound(config)
+        assert 0.99 * report.p_out < bound <= report.p_out
+        d = config.distances
+        ranges = {key: [getattr(d, key)] for key in distance_keys(row.family)}
+        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
+        assert sweep(row.family, ranges, config.noise, report.p_out) == [
+            report]
+
+    def test_no_bound_below_the_leading_order(self):
+        config = _l1(7, 3, 3, 1e-4)
+        assert p_out_lower_bound(config, kmax=3) == 0.0
+        assert 0.0 < p_out_lower_bound(config, kmax=4) <= (
+            simulate_factory(config, kmax=4).p_out)

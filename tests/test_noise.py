@@ -59,9 +59,9 @@ class TestPhysicalNoise:
 class TestDistanceSet:
     def test_valid_sets(self):
         d = DistanceSet(9, 3, 3)
-        assert not d.has_level2
+        assert (d.dX2, d.dZ2, d.dm2, d.nL1) == (None,) * 4
         d2 = DistanceSet(9, 3, 3, 25, 9, 9, 4)
-        assert d2.has_level2
+        assert (d2.dX2, d2.dZ2, d2.dm2, d2.nL1) == (25, 9, 9, 4)
 
     def test_rejects_even_or_nonpositive(self):
         with pytest.raises(ValueError):
@@ -70,6 +70,14 @@ class TestDistanceSet:
             DistanceSet(9, 4, 3)
         with pytest.raises(ValueError):
             DistanceSet(9, 3, -3)
+
+    def test_rejects_counts_at_or_above_2_53(self):
+        big = 2**53 - 1
+        assert DistanceSet(big, 3, big, big, 3, big, big - 1).nL1 == big - 1
+        for args in ((big + 2, 3, big + 2), (9, 3, 3, 9, 3, big + 2),
+                     (9, 3, 3, 9, 3, 3, big + 1)):
+            with pytest.raises(ValueError, match="below 2\\*\\*53"):
+                DistanceSet(*args)
 
     def test_rejects_inconsistent_triples(self):
         with pytest.raises(ValueError):
