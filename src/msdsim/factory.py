@@ -66,6 +66,13 @@ FULL_DISTANCE_PATCHES = {"qubits100": 231, "qubits10k": 20284}
 
 _EPS = sys.float_info.epsilon
 
+# sweep screens a candidate only where its top circuit has this many qubits.
+# Below it a run's time is mostly per-step overhead: a screen costs 0.6-1.0
+# of a kmax = 6 simulation of a 4- or 5-qubit circuit, so one that passes
+# costs almost a second simulation and one that fails saves little.  On
+# the 7-qubit 20-to-4 it costs about 0.3-0.5 of one.
+_SCREEN_MIN_QUBITS = 7
+
 
 @dataclass(frozen=True)
 class FactoryConfig:
@@ -338,9 +345,15 @@ def _run_schedule(
     # a few eps of p_out (table1 row 5's two differ by 0.1 floor; other
     # float orders of its readout moved it by up to 2.6 floors)
     slack = 16 * (rho.infidelity_floor() / c.outputs + _EPS * p_out)
-    tail = sum(events) ** (kmax + 1) / (
-        math.factorial(kmax + 1) * math.prod(1.0 - p for p in events))
-    return ScheduleRun(p_out, p_fail, (p_out - slack) / (1.0 + tail))
+    # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at a large
+    # kmax where the factorial alone would overflow a float; the zero-event
+    # mass is 0 where a rotation's substitution probabilities sum to 1
+    total = sum(events)
+    tail = math.prod(total / j for j in range(1, kmax + 2))
+    zero_mass = math.prod(1.0 - p for p in events)
+    lower = ((p_out - slack) / (1.0 + tail / zero_mass) if zero_mass > 0.0
+             else 0.0)
+    return ScheduleRun(p_out, p_fail, lower)
 
 
 def _run_level1(config: FactoryConfig, kmax: int) -> ScheduleRun:
@@ -545,7 +558,7 @@ def p_out_lower_bound(config: FactoryConfig, kmax: int = 6) -> float:
         level1 = level1_output_error(config, kmax)
         return _run_factory(config, order, _level2_inputs,
                             level1).p_out_lower
-    return _run_factory(config, order, _level1_inputs).p_out_lower
+    return _run_level1(config, order).p_out_lower
 
 
 def sweep(
@@ -577,7 +590,8 @@ def sweep(
     so the front -- and every reported p_out -- is the same as simulating
     the whole grid, whatever the order of the ranges.
 
-    Each candidate left is screened before it is simulated: one whose
+    Where the top circuit has at least ``_SCREEN_MIN_QUBITS`` qubits, each
+    candidate left is screened before it is simulated: one whose
     :func:`p_out_lower_bound` (a run at the top circuit's leading order)
     exceeds the target cannot meet it and is not simulated.  Skipping it
     changes neither the feasible set nor any pruning decision.
@@ -611,6 +625,7 @@ def sweep(
         qubits, _, per_state = _costs(config, p_fail)
         candidates.append((per_state, qubits, combo, config))
     candidates.sort(key=lambda c: c[:3])
+    screen = build_schedule(family).circuit.n >= _SCREEN_MIN_QUBITS
     feasible = []
     ran = False
     for per_state, qubits, combo, config in candidates:
@@ -618,7 +633,7 @@ def sweep(
                for r, _ in feasible):
             continue
         try:
-            if p_out_lower_bound(config, kmax) > target_p_out:
+            if screen and p_out_lower_bound(config, kmax) > target_p_out:
                 ran = True
                 continue
             report = simulate_factory(config, kmax)

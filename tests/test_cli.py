@@ -497,6 +497,18 @@ class TestMainExitCodes:
                 assert captured.err == (
                     f"error: --kmax must be at least 1, got {kmax}\n")
 
+    def test_kmax_above_170_runs(self, capsys):
+        # (kmax + 1)! no longer fits a float; the higher grades add nothing
+        # at p = 1e-4, so the report is the kmax = 6 one
+        argv = ["factory", "--family", "l1_15to1", "--d", "7,3,3",
+                "--pphys", "1e-4", "--format", "json"]
+        assert main(argv + ["--kmax", "200"]) == 0
+        deep = json.loads(capsys.readouterr().out)[0]
+        assert main(argv) == 0
+        default = json.loads(capsys.readouterr().out)[0]
+        np.testing.assert_allclose(deep["p_out"], default["p_out"],
+                                   rtol=1e-12)
+
     def test_sweep_level2_requires_ranges(self, capsys):
         argv = ["sweep", "--family", "l2_15x15", "--pphys", "1e-4",
                 "--target", "1e-10", "--dx", "9", "--dz", "3", "--dm", "3"]

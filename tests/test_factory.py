@@ -561,6 +561,8 @@ class TestSweepPruning:
 
         monkeypatch.setattr(factory, "simulate_factory", counted)
         monkeypatch.setattr(factory, "p_out_lower_bound", screened)
+        # screen this level-1 grid, which sweep itself would not screen
+        monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", 0)
         front = sweep(family, ranges, noise, 1e-7)
         assert [r.protocol for r in front] == ["(15-to-1)_{7,3,3}"]
         assert len(calls) < len(valid)
@@ -629,7 +631,8 @@ class TestSweepPruning:
 
         target = data.draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
         with mock.patch.object(factory, "simulate_factory", drawn), \
-                mock.patch.object(factory, "p_out_lower_bound", drawn_bound):
+                mock.patch.object(factory, "p_out_lower_bound", drawn_bound), \
+                mock.patch.object(factory, "_SCREEN_MIN_QUBITS", 0):
             front = sweep(family, ranges, noise, target)
             want = _brute_force_front(family, ranges, noise, target,
                                       simulate=drawn)
@@ -682,8 +685,24 @@ class TestScreen:
         d = config.distances
         ranges = {key: [getattr(d, key)] for key in distance_keys(row.family)}
         monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
+        monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", 0)
         assert sweep(row.family, ranges, config.noise, report.p_out) == [
             report]
+
+    def test_only_large_top_circuits_are_screened(self, monkeypatch):
+        # a screen that passes costs almost a second simulation where the
+        # top circuit is small, so only the 20-to-4 family is screened
+        screened = []
+
+        def bound(config, kmax=6):
+            screened.append(config.family)
+            return 0.0
+
+        monkeypatch.setattr(factory, "p_out_lower_bound", bound)
+        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
+        for family, p, ranges, target in _PRUNING_CASES:
+            sweep(family, ranges, PhysicalNoise(p), target)
+        assert screened and set(screened) == {"L2_15x20"}
 
     def test_no_bound_below_the_leading_order(self):
         config = _l1(7, 3, 3, 1e-4)
