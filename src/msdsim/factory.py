@@ -32,8 +32,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .circuits import LEADING_ORDER, Circuit, catalog
-from .density import GradedDensityMatrix, StorageRates
+from .density import GradedDensityMatrix, StorageRates, window_size
 from .noise import (
     DistanceSet,
     PhysicalNoise,
@@ -296,13 +298,16 @@ def cycle_cost(config: FactoryConfig, p_fail_L1: float) -> float:
 
 def _run_schedule(
     schedule: Schedule,
-    profiles: list,
-    rates: dict[int, StorageRates],
-    storage_cycles: float,
-    consumption: StorageRates,
+    inputs: list,
     kmax: int,
-) -> ScheduleRun:
-    """Run one factory schedule in one owned grade stack.
+    stack: np.ndarray | None = None,
+) -> list[ScheduleRun]:
+    """Run one factory schedule for a batch of candidates in one owned stack.
+
+    ``inputs`` holds each candidate's (profiles, storage rates, storage
+    cycles, consumption); the batch runs them together and returns one
+    run per candidate, as a batch of one would (see ``density``), in
+    ``stack`` when given (see ``GradedDensityMatrix.init_plus``).
 
     Besides p_out and p_fail, bound the p_out of the same run at any
     higher kmax from below.  Every grade's infidelity term is >= 0.
@@ -315,49 +320,59 @@ def _run_schedule(
     the round-off of both readouts.
     """
     c = schedule.circuit
-    rho = GradedDensityMatrix.init_plus(c.n, kmax=kmax)._owned()
+    profiles, rates, cycles, consumption = zip(*inputs)
+    rho = GradedDensityMatrix.init_plus(c.n, kmax, len(inputs),
+                                        stack)._owned()
     initialized: set[int] = set()
-    events: list[float] = []  # probability of each error event applied
-    p_fail = 0.0
+    events: list[list[float]] = []  # each event's probability per candidate
+    p_fail = [0.0] * len(inputs)
     for step in schedule.steps:
         initialized |= step.initialize
         for ri in step.rotations:
-            r, profile = c.rotations[ri], profiles[ri]
+            r, profile = c.rotations[ri], [p[ri] for p in profiles]
             involved_outputs = c.output_qubits & frozenset(r.axis.support)
             rho = rho.apply_faulty_rotation(
                 r.axis, profile, involved_outputs,
                 sign=1 if r.angle.k > 0 else -1)
-            events.append(profile.p_half + profile.p_quarter
-                          + profile.p_mquarter)
-            events += [profile.p_z_output] * len(involved_outputs)
+            events.append([p.p_half + p.p_quarter + p.p_mquarter
+                           for p in profile])
+            events += [[p.p_z_output for p in profile]] * len(
+                involved_outputs)
         if step.storage:
             for q in sorted(initialized):
-                rho = rho.apply_storage(q, rates[q], storage_cycles)
-                events += [storage_cycles * rates[q].pX,
-                           storage_cycles * rates[q].pZ]
+                patch = [r[q] for r in rates]
+                rho = rho.apply_storage(q, patch, cycles)
+                events += [[n * r.pX for n, r in zip(cycles, patch)],
+                           [n * r.pZ for n, r in zip(cycles, patch)]]
         if step.measure:
             rho, p_fail = rho.project_plus(step.measure)
     for q in sorted(c.output_qubits):
         rho = rho.apply_storage(q, consumption, 1.0)
-        events += [consumption.pX, consumption.pZ]
+        events += [[r.pX for r in consumption], [r.pZ for r in consumption]]
     p_out = rho.infidelity_with_pure(c.ideal_output) / c.outputs
     # this readout and a higher order's each round by about the floor plus
     # a few eps of p_out (table1 row 5's two differ by 0.1 floor; other
     # float orders of its readout moved it by up to 2.6 floors)
     slack = 16 * (rho.infidelity_floor() / c.outputs + _EPS * p_out)
-    # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at a large
-    # kmax where the factorial alone would overflow a float; the zero-event
-    # mass is 0 where a rotation's substitution probabilities sum to 1
-    total = sum(events)
-    tail = math.prod(total / j for j in range(1, kmax + 2))
-    zero_mass = math.prod(1.0 - p for p in events)
-    lower = ((p_out - slack) / (1.0 + tail / zero_mass) if zero_mass > 0.0
-             else 0.0)
-    return ScheduleRun(p_out, p_fail, lower)
+    runs = []
+    for p, fail, s, probs in zip(*(np.atleast_1d(x).tolist()
+                                   for x in (p_out, p_fail, slack)),
+                                 zip(*events)):
+        # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at a
+        # large kmax where the factorial alone would overflow a float; the
+        # zero-event mass is 0 where a rotation's substitution
+        # probabilities sum to 1
+        total = sum(probs)
+        tail = math.prod(total / j for j in range(1, kmax + 2))
+        zero_mass = math.prod(1.0 - e for e in probs)
+        lower = (p - s) / (1.0 + tail / zero_mass) if zero_mass > 0.0 else 0.0
+        runs.append(ScheduleRun(p, fail, lower))
+    return runs
 
 
-def _run_level1(config: FactoryConfig, kmax: int) -> ScheduleRun:
-    return _run_factory(config, kmax, _level1_inputs)
+def _run_level1(configs: list[FactoryConfig], kmax: int,
+                stack: np.ndarray | None = None) -> list:
+    return _run_factory(configs, kmax, _level1_inputs, stack=stack)
 
 
 def _level1_inputs(config: FactoryConfig, c: Circuit):
@@ -386,7 +401,7 @@ def _level1_cached(dX: int, dZ: int, dm: int, p_phys: float, c_T: float,
                    kmax: int) -> Level1Result:
     cfg = FactoryConfig("L1_15to1", DistanceSet(dX, dZ, dm),
                         PhysicalNoise(p_phys, c_T))
-    return Level1Result(*_run_level1(cfg, kmax)[:2])
+    return Level1Result(*_raised(_run_level1([cfg], kmax))[:2])
 
 
 def level1_output_error(config: FactoryConfig, kmax: int = 6) -> Level1Result:
@@ -395,9 +410,13 @@ def level1_output_error(config: FactoryConfig, kmax: int = 6) -> Level1Result:
     return _level1_cached(d.dX, d.dZ, d.dm, noise.p_phys, noise.c_T, kmax)
 
 
-def _level2_inputs(config: FactoryConfig, c: Circuit, level1: Level1Result):
-    """(profiles, storage rates, storage cycles, consumption) of level 2."""
+def _level2_inputs(config: FactoryConfig, c: Circuit, kmax: int):
+    """(profiles, storage rates, storage cycles, consumption) of level 2.
+
+    The level-1 input is the block's kmax run, from the cache.
+    """
     d, noise = config.distances, config.noise
+    level1 = level1_output_error(config, kmax)
     if config.family == "L2_15xCCZ":
         l_anc = 3 * d.dX2 + d.dZ2 + d.dm2
     else:
@@ -424,27 +443,44 @@ def _level2_inputs(config: FactoryConfig, c: Circuit, level1: Level1Result):
     return profiles, rates, t_l1, consumption
 
 
-def _run_factory(config: FactoryConfig, kmax: int, inputs,
-                 *args) -> ScheduleRun:
+def _run_factory(configs: list[FactoryConfig], kmax: int, inputs, *args,
+                 stack: np.ndarray | None = None) -> list:
     """Run a family's schedule on the noise inputs ``inputs`` builds.
 
-    Shared by both levels.  For some distances the closed-form noise model
-    leaves its domain (a probability reaches 1) below p_phys = 0.01; that
-    is rejected here, before the engine runs, as a NoiseDomainError naming
-    the inputs.
+    Shared by both levels; the configurations, all of one family, run as
+    one batch.  For some distances the closed-form noise model leaves its
+    domain (a probability reaches 1) below p_phys = 0.01; such a
+    configuration gets, in place of its run, a NoiseDomainError naming its
+    inputs, and the others still run.
     """
-    schedule = build_schedule(config.family)
-    try:
-        profiles, rates, cycles, consumption = inputs(
-            config, schedule.circuit, *args)
-        if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
-            raise ValueError("accumulated storage probability reaches 1")
-    except ValueError as e:
-        raise NoiseDomainError(
-            f"p_phys={config.noise.p_phys} is outside the noise model's "
-            f"range for {protocol_name(config)} ({e})") from None
-    return _run_schedule(schedule, profiles, rates, cycles, consumption,
-                         kmax)
+    schedule = build_schedule(configs[0].family)
+    results, batch = [], []
+    for config in configs:
+        try:
+            profiles, rates, cycles, consumption = inputs(
+                config, schedule.circuit, *args)
+            if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
+                raise ValueError("accumulated storage probability reaches 1")
+        except NoiseDomainError as e:  # from a level-2 family's level 1
+            results.append(e)
+            continue
+        except ValueError as e:
+            results.append(NoiseDomainError(
+                f"p_phys={config.noise.p_phys} is outside the noise model's "
+                f"range for {protocol_name(config)} ({e})"))
+            continue
+        results.append(None)
+        batch.append((profiles, rates, cycles, consumption))
+    runs = iter(_run_schedule(schedule, batch, kmax, stack) if batch else ())
+    return [next(runs) if r is None else r for r in results]
+
+
+def _raised(results: list):
+    """The one result of a batch of one, raised if it is an error."""
+    result, = results
+    if isinstance(result, NoiseDomainError):
+        raise result
+    return result
 
 
 def protocol_name(config: FactoryConfig) -> str:
@@ -500,16 +536,41 @@ def _costs(config: FactoryConfig,
     return qubits, cycles, qubits * cycles / family_outputs(config.family)
 
 
+def simulate_factories(configs: list[FactoryConfig], kmax: int = 6,
+                       stack: np.ndarray | None = None) -> list:
+    """Error simulation plus closed-form cost metrics, for one batch.
+
+    The configurations, all of one family, run through the schedule
+    together; each gets the report a run of it alone gives, or the
+    NoiseDomainError that :func:`simulate_factory` would raise for it.
+    ``stack``, if given, is a ``GradedDensityMatrix.workspace`` of the top
+    circuit for at least this many candidates, which the run reuses.
+    """
+    if len({config.family for config in configs}) != 1:
+        raise ValueError("a batch needs configurations of one family")
+    if configs[0].family in _LEVEL2_CIRCUIT:
+        runs = _run_factory(configs, kmax, _level2_inputs, kmax, stack=stack)
+    else:
+        runs = _run_level1(configs, kmax, stack)
+    return [run if isinstance(run, NoiseDomainError)
+            else _report(config, run, kmax)
+            for config, run in zip(configs, runs)]
+
+
 def simulate_factory(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
     """Full factory run: error simulation plus closed-form cost metrics."""
+    return _raised(simulate_factories([config], kmax))
+
+
+def _report(config: FactoryConfig, run: ScheduleRun,
+            kmax: int) -> FactoryReport:
+    """The report of one configuration's top-level run."""
+    p_out = run.p_out
     if config.family in _LEVEL2_CIRCUIT:
-        level1 = level1_output_error(config, kmax)
-        p_out, p_fail_l2, _ = _run_factory(config, kmax, _level2_inputs,
-                                           level1)
-        p_fail_l1 = level1.p_fail
+        p_fail_l1 = level1_output_error(config, kmax).p_fail
+        p_fail_l2 = run.p_fail
     else:
-        p_out, p_fail_l1, _ = _run_level1(config, kmax)
-        p_fail_l2 = 0.0
+        p_fail_l1, p_fail_l2 = run.p_fail, 0.0
     qubits, cycles, per_state = _costs(config, p_fail_l1)
     outputs = family_outputs(config.family)
     # One CCZ resource state substitutes four T-gate magic states, so the
@@ -540,7 +601,8 @@ def simulate_factory(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
     )
 
 
-def p_out_lower_bound(config: FactoryConfig, kmax: int = 6) -> float:
+def p_out_lower_bound(config: FactoryConfig, kmax: int = 6,
+                      stack: np.ndarray | None = None) -> float:
     """A lower bound on ``simulate_factory(config, kmax).p_out``, cheaply.
 
     The family's top-level schedule runs at order K, its circuit's leading
@@ -549,16 +611,18 @@ def p_out_lower_bound(config: FactoryConfig, kmax: int = 6) -> float:
     family's level-1 input is the kmax one, from the cache.  Grades up to
     K do not depend on kmax, so the run's own bound on higher orders
     holds.  At kmax <= K that run would cost as much as the simulation,
-    and the bound is 0.
+    and the bound is 0.  ``stack``, if given, is a workspace the run
+    reuses, as for :func:`simulate_factories`.
     """
     order = LEADING_ORDER[build_schedule(config.family).circuit.name]
     if kmax <= order:
         return 0.0
     if config.family in _LEVEL2_CIRCUIT:
-        level1 = level1_output_error(config, kmax)
-        return _run_factory(config, order, _level2_inputs,
-                            level1).p_out_lower
-    return _run_level1(config, order).p_out_lower
+        runs = _run_factory([config], order, _level2_inputs, kmax,
+                            stack=stack)
+    else:
+        runs = _run_level1([config], order, stack)
+    return _raised(runs).p_out_lower
 
 
 def sweep(
@@ -589,6 +653,15 @@ def sweep(
     never reach the front and is not simulated.  Dominance is transitive,
     so the front -- and every reported p_out -- is the same as simulating
     the whole grid, whatever the order of the ranges.
+
+    Candidates are simulated in windows, each one batch
+    (:func:`simulate_factories`) of the next candidates in cost order that
+    no feasible report of an earlier window dominates, at most
+    ``density.window_size`` of them (ten 15-to-1 candidates, one 20-to-4).
+    The reports are then taken in cost order with the same dominance
+    check, so the feasible set is the one a window of one gives; a wider
+    window may simulate a candidate that a cheaper one of its own window
+    turns out to dominate.  All windows, and the screens, reuse one stack.
 
     Where the top circuit has at least ``_SCREEN_MIN_QUBITS`` qubits, each
     candidate left is screened before it is simulated: one whose
@@ -625,24 +698,40 @@ def sweep(
         qubits, _, per_state = _costs(config, p_fail)
         candidates.append((per_state, qubits, combo, config))
     candidates.sort(key=lambda c: c[:3])
-    screen = build_schedule(family).circuit.n >= _SCREEN_MIN_QUBITS
+    n = build_schedule(family).circuit.n
+    screen = n >= _SCREEN_MIN_QUBITS
+    size = window_size(n, kmax)
+    stack = GradedDensityMatrix.workspace(n, kmax, size)
     feasible = []
+    window = []
     ran = False
-    for per_state, qubits, combo, config in candidates:
-        if any(_dominates(r.qubits, r.qubitcycles_per_state, qubits, per_state)
-               for r, _ in feasible):
-            continue
-        try:
-            if screen and p_out_lower_bound(config, kmax) > target_p_out:
+
+    def dominated(qubits: float, per_state: float) -> bool:
+        return any(_dominates(r.qubits, r.qubitcycles_per_state, qubits,
+                              per_state) for r, _ in feasible)
+
+    for i, candidate in enumerate(candidates):
+        per_state, qubits, combo, config = candidate
+        if not dominated(qubits, per_state):
+            try:
+                if (screen and p_out_lower_bound(config, kmax, stack)
+                        > target_p_out):
+                    ran = True
+                else:
+                    window.append(candidate)
+            except NoiseDomainError as e:
+                out_of_range.append(e)
+        if window and (len(window) == size or i == len(candidates) - 1):
+            reports = simulate_factories([c[3] for c in window], kmax, stack)
+            for (per_state, qubits, combo, _), report in zip(window, reports):
+                if isinstance(report, NoiseDomainError):
+                    out_of_range.append(report)
+                    continue
                 ran = True
-                continue
-            report = simulate_factory(config, kmax)
-        except NoiseDomainError as e:
-            out_of_range.append(e)
-            continue
-        ran = True
-        if report.p_out <= target_p_out:
-            feasible.append((report, combo))
+                if (report.p_out <= target_p_out
+                        and not dominated(qubits, per_state)):
+                    feasible.append((report, combo))
+            window = []
     if out_of_range and not ran:
         raise out_of_range[0]
     return _pareto_front(feasible)

@@ -17,6 +17,7 @@ from msdsim.density import (
     StorageRates,
     _z_classes,
     pure_state_infidelity,
+    window_size,
 )
 from msdsim.pauli import PauliProduct, z_signs
 from oracle import DensityMatrix, materialize
@@ -406,3 +407,39 @@ class TestPureStateInfidelity:
         graded = GradedDensityMatrix.init_plus(1, kmax=1)
         with pytest.raises(ValueError):
             graded.infidelity_with_pure(np.array([1.0, 1.0]))
+
+
+class TestBatch:
+    def test_window_cap(self):
+        # 1 MiB of grade stack: one 20-to-4 candidate, several 15-to-1
+        assert window_size(7, 6) == 1
+        assert window_size(5, 6) >= 8
+
+    def test_a_batch_reads_one_value_per_candidate(self):
+        profiles = [RotationErrorProfile(p, 0.0, 0.0) for p in (1e-3, 2e-3)]
+        batch = GradedDensityMatrix.init_plus(2, kmax=2, candidates=2)
+        assert batch.pure.shape == (2, 4)
+        assert batch.grades.shape == (2, 2, 4, 4)
+        batch = batch.apply_faulty_rotation(PauliProduct("ZZ"), profiles)
+        batch, fail = batch.project_plus(frozenset({1}))
+        singles = [GradedDensityMatrix.init_plus(2, kmax=2)
+                   .apply_faulty_rotation(PauliProduct("ZZ"), p)
+                   .project_plus(frozenset({1})) for p in profiles]
+        psi = singles[0][0].pure / np.linalg.norm(singles[0][0].pure)
+        assert list(fail) == [f for _, f in singles]
+        assert list(batch.infidelity_with_pure(psi)) == [
+            s.infidelity_with_pure(psi) for s, _ in singles]
+        # a batch of one is a single state, without a candidate axis
+        one = GradedDensityMatrix.init_plus(2, kmax=2, candidates=1)
+        assert one.pure.shape == (4,) and one.grades.shape == (2, 4, 4)
+        with pytest.raises(ValueError, match="candidates"):
+            batch.apply_storage(0, [StorageRates(0.01, 0.0)] * 3, 1.0)
+
+    def test_stack_must_hold_the_batch(self):
+        stack = GradedDensityMatrix.workspace(3, 2, candidates=2)
+        state = GradedDensityMatrix.init_plus(3, 2, candidates=2, stack=stack)
+        assert np.shares_memory(state.grades, stack)
+        assert not state.grades.any()
+        for n, kmax, candidates in ((3, 2, 3), (3, 4, 2), (4, 2, 2)):
+            with pytest.raises(ValueError, match="cannot hold"):
+                GradedDensityMatrix.init_plus(n, kmax, candidates, stack)

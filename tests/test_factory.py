@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import msdsim.density as density
 import msdsim.factory as factory
 from msdsim.cli import TABLE1, TABLE2, row_config
+from msdsim.density import (
+    GradedDensityMatrix,
+    RotationErrorProfile,
+    StorageRates,
+)
 from msdsim.factory import (
     FAMILIES,
     FactoryConfig,
@@ -23,6 +29,7 @@ from msdsim.factory import (
     p_out_lower_bound,
     protocol_name,
     qubit_cost,
+    simulate_factories,
     simulate_factory,
     sweep,
 )
@@ -427,10 +434,10 @@ class TestSweep:
             "(15-to-1)^4_{13,3,9} x (15-to-1)_{25,25,25}"]
 
     def test_other_simulation_errors_still_raise(self, monkeypatch):
-        def broken(config, kmax):
+        def broken(configs, kmax, stack):
             raise ValueError("not a range error")
 
-        monkeypatch.setattr(factory, "simulate_factory", broken)
+        monkeypatch.setattr(factory, "simulate_factories", broken)
         with pytest.raises(ValueError, match="not a range error"):
             sweep("L1_15to1", {"dX": [7], "dZ": [3], "dm": [3]},
                   PhysicalNoise(1e-4), 1e-7)
@@ -451,6 +458,11 @@ def _simulate_once(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
     if (config, kmax) not in _REPORTS:
         _REPORTS[config, kmax] = simulate_factory(config, kmax)
     return _REPORTS[config, kmax]
+
+
+def _simulate_batch_once(configs, kmax=6, stack=None) -> list[FactoryReport]:
+    """simulate_factories through the memo of each configuration's report."""
+    return [_simulate_once(config, kmax) for config in configs]
 
 
 def _valid_configs(family, ranges, noise) -> list[FactoryConfig]:
@@ -520,7 +532,8 @@ class TestSweepPruning:
         assert want
         # the memo returns the reference's own reports, so each candidate
         # is simulated once
-        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
+        monkeypatch.setattr(factory, "simulate_factories",
+                            _simulate_batch_once)
         assert sweep(family, ranges, noise, target) == want
 
     def test_front_ignores_input_order(self):
@@ -549,23 +562,50 @@ class TestSweepPruning:
         family, p, ranges, _ = _PRUNING_CASES[0]
         noise = PhysicalNoise(p)
         valid = _valid_configs(family, ranges, noise)
-        calls, bounds = [], []
+        calls, bounds, windows = [], [], []
 
-        def counted(config, kmax=6):
-            calls.append(config)
-            return _simulate_once(config, kmax)
+        def counted(configs, kmax=6, stack=None):
+            calls.extend(configs)
+            windows.append(list(configs))
+            return _simulate_batch_once(configs, kmax)
 
-        def screened(config, kmax=6):
-            bounds.append((config, p_out_lower_bound(config, kmax)))
+        def screened(config, kmax=6, stack=None):
+            bounds.append((config, p_out_lower_bound(config, kmax, stack)))
             return bounds[-1][1]
 
-        monkeypatch.setattr(factory, "simulate_factory", counted)
+        monkeypatch.setattr(factory, "simulate_factories", counted)
         monkeypatch.setattr(factory, "p_out_lower_bound", screened)
         # screen this level-1 grid, which sweep itself would not screen
         monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", 0)
+        # a window of one candidate simulates exactly what a candidate-by-
+        # candidate sweep does
+        default_window = density._WINDOW_BYTES
+        monkeypatch.setattr(density, "_WINDOW_BYTES", 0)
         front = sweep(family, ranges, noise, 1e-7)
         assert [r.protocol for r in front] == ["(15-to-1)_{7,3,3}"]
         assert len(calls) < len(valid)
+        sequential = set(calls)
+        # wider windows (3 candidates, and the default) may simulate more,
+        # but never a candidate that a report meeting the target in an
+        # earlier window dominates by its costed (qubits, qubitcycles/state)
+        for window_bytes in (3 * 6 * 16 * 4**5, default_window):
+            monkeypatch.setattr(density, "_WINDOW_BYTES", window_bytes)
+            calls.clear()
+            windows.clear()
+            assert sweep(family, ranges, noise, 1e-7) == front
+            assert set(calls) >= sequential
+            assert len(calls) == len(set(calls))
+            met = []
+            for window in windows:
+                for config in window:
+                    qubits = qubit_cost(config)
+                    per_state = qubits * cycle_cost(config, 0.0)
+                    assert not any(
+                        factory._dominates(r.qubits, r.qubitcycles_per_state,
+                                           qubits, per_state) for r in met)
+                met += [r for r in _simulate_batch_once(window)
+                        if r.p_out <= 1e-7]
+        monkeypatch.setattr(density, "_WINDOW_BYTES", 0)
         # with nothing feasible, nothing can be pruned: every valid
         # candidate is screened out or simulated, none twice
         calls.clear()
@@ -590,7 +630,8 @@ class TestSweepPruning:
         p_outs = [_simulate_once(c).p_out
                   for c in _valid_configs("L1_15to1", ranges, noise)]
         target = data.draw(st.sampled_from(p_outs + [1e-12, 1.0]))
-        with mock.patch.object(factory, "simulate_factory", _simulate_once):
+        with mock.patch.object(factory, "simulate_factories",
+                               _simulate_batch_once):
             front = sweep("L1_15to1", ranges, noise, target)
         assert front == _brute_force_front("L1_15to1", ranges, noise, target)
 
@@ -618,7 +659,7 @@ class TestSweepPruning:
                 data.draw(st.sampled_from(
                     [b for b in (0.0, 1e-9, 1e-8, 1e-7) if b <= p_out])))
 
-        def drawn_bound(config, kmax=6):
+        def drawn_bound(config, kmax=6, stack=None):
             return outcomes[config][2]
 
         def drawn(config, kmax=6):
@@ -629,8 +670,11 @@ class TestSweepPruning:
                 qubits, cycles, qubits * cycles / family_outputs(family),
                 None, None, None, None)
 
+        def drawn_batch(configs, kmax=6, stack=None):
+            return [drawn(config, kmax) for config in configs]
+
         target = data.draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
-        with mock.patch.object(factory, "simulate_factory", drawn), \
+        with mock.patch.object(factory, "simulate_factories", drawn_batch), \
                 mock.patch.object(factory, "p_out_lower_bound", drawn_bound), \
                 mock.patch.object(factory, "_SCREEN_MIN_QUBITS", 0):
             front = sweep(family, ranges, noise, target)
@@ -641,9 +685,10 @@ class TestSweepPruning:
 
 
 @st.composite
-def _configs(draw) -> FactoryConfig:
-    """A valid configuration of any family at p_phys 1e-4 to 1e-3."""
-    family = draw(st.sampled_from(FAMILIES))
+def _configs(draw, family=None) -> FactoryConfig:
+    """A valid configuration of a family (any, by default) at p_phys 1e-4
+    to 1e-3."""
+    family = family or draw(st.sampled_from(FAMILIES))
 
     def triple(dxs, dzs, dms):
         dx = draw(st.sampled_from(dxs))
@@ -684,7 +729,8 @@ class TestScreen:
         assert 0.99 * report.p_out < bound <= report.p_out
         d = config.distances
         ranges = {key: [getattr(d, key)] for key in distance_keys(row.family)}
-        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
+        monkeypatch.setattr(factory, "simulate_factories",
+                            _simulate_batch_once)
         monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", 0)
         assert sweep(row.family, ranges, config.noise, report.p_out) == [
             report]
@@ -694,12 +740,13 @@ class TestScreen:
         # top circuit is small, so only the 20-to-4 family is screened
         screened = []
 
-        def bound(config, kmax=6):
+        def bound(config, kmax=6, stack=None):
             screened.append(config.family)
             return 0.0
 
         monkeypatch.setattr(factory, "p_out_lower_bound", bound)
-        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
+        monkeypatch.setattr(factory, "simulate_factories",
+                            _simulate_batch_once)
         for family, p, ranges, target in _PRUNING_CASES:
             sweep(family, ranges, PhysicalNoise(p), target)
         assert screened and set(screened) == {"L2_15x20"}
@@ -709,3 +756,74 @@ class TestScreen:
         assert p_out_lower_bound(config, kmax=3) == 0.0
         assert 0.0 < p_out_lower_bound(config, kmax=4) <= (
             simulate_factory(config, kmax=4).p_out)
+
+
+def _noise_inputs(config: FactoryConfig, kmax: int):
+    """A configuration's (profiles, storage rates, cycles, consumption), or
+    None outside the noise model's range."""
+    circuit = build_schedule(config.family).circuit
+    try:
+        if "dX2" in distance_keys(config.family):
+            inputs = factory._level2_inputs(config, circuit, kmax)
+        else:
+            inputs = factory._level1_inputs(config, circuit)
+    except ValueError:
+        return None
+    _, rates, cycles, _ = inputs
+    if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
+        return None
+    return inputs
+
+
+class TestBatch:
+    """A batch of candidates gives each the run it gets on its own."""
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_each_candidate_gets_its_own_run(self, data):
+        family = data.draw(st.sampled_from(FAMILIES))
+        kmax = data.draw(st.sampled_from([2, 3, 6]))
+        configs = data.draw(st.lists(_configs(family), min_size=2,
+                                     max_size=4))
+        inputs = [x for x in (_noise_inputs(c, kmax) for c in configs)
+                  if x is not None]
+        assume(len(inputs) >= 2)
+        # the first candidate loses its branch store to a keep-0 rotation,
+        # which must not touch the others' stores
+        profiles, rates, cycles, consumption = inputs[0]
+        profiles = list(profiles)
+        profiles[data.draw(st.integers(0, len(profiles) - 1))] = (
+            RotationErrorProfile(0.5, 0.25, 0.25))
+        inputs[0] = (profiles, rates, cycles, consumption)
+        # and some idle patches of the last do not decay, so the others'
+        # storage flips reach it with probability 0
+        profiles, rates, cycles, consumption = inputs[-1]
+        still = data.draw(st.sets(st.sampled_from(sorted(rates)), min_size=1))
+        rates = {q: StorageRates(0.0, 0.0) if q in still else r
+                 for q, r in rates.items()}
+        inputs[-1] = (profiles, rates, cycles, consumption)
+        schedule = build_schedule(family)
+        alone = [factory._run_schedule(schedule, [x], kmax)[0]
+                 for x in inputs]
+        assert factory._run_schedule(schedule, inputs, kmax) == alone
+
+    def test_reports_and_range_errors_per_candidate(self):
+        # dm = 9 cycles of storage reach probability 1 at dX = 15
+        configs = [_l1(13, 3, 9, 7e-3), _l1(15, 3, 9, 7e-3),
+                   _l1(13, 5, 9, 7e-3)]
+        results = simulate_factories(configs)
+        assert isinstance(results[1], factory.NoiseDomainError)
+        assert [results[0], results[2]] == [simulate_factory(configs[0]),
+                                           simulate_factory(configs[2])]
+        with pytest.raises(ValueError, match="one family"):
+            simulate_factories([configs[0], _l1(13, 3, 9, 7e-3,
+                                                family="L1_15to1_small")])
+
+    def test_a_reused_stack_gives_the_same_reports(self):
+        configs = [_l1(dx, 3, 5, 1e-4) for dx in (7, 9, 11)]
+        stack = GradedDensityMatrix.workspace(5, 6, 3)
+        want = [simulate_factory(c) for c in configs]
+        assert simulate_factories(configs, 6, stack) == want
+        assert simulate_factories(configs[:2], 6, stack) == want[:2]
+        assert p_out_lower_bound(configs[0], 6, stack) == p_out_lower_bound(
+            configs[0])
