@@ -656,12 +656,16 @@ def sweep(
 
     Candidates are simulated in windows, each one batch
     (:func:`simulate_factories`) of the next candidates in cost order that
-    no feasible report of an earlier window dominates, at most
-    ``density.window_size`` of them (ten 15-to-1 candidates, one 20-to-4).
-    The reports are then taken in cost order with the same dominance
-    check, so the feasible set is the one a window of one gives; a wider
-    window may simulate a candidate that a cheaper one of its own window
-    turns out to dominate.  All windows, and the screens, reuse one stack.
+    no feasible report of an earlier window dominates.  The reports are
+    then taken in cost order with the same dominance check, so the
+    feasible set is the one a window of one gives; a wider window may
+    simulate a candidate that a cheaper one of its own window turns out to
+    dominate.  Only a feasible report can do that, so a window grows only
+    while feasible reports stay away: the first holds one candidate, each
+    window that adds no feasible report doubles the next, up to
+    ``density.window_size`` (ten 15-to-1 candidates, one 20-to-4), and one
+    that adds one starts again at one candidate.  All windows, and the
+    screens, reuse one stack.
 
     Where the top circuit has at least ``_SCREEN_MIN_QUBITS`` qubits, each
     candidate left is screened before it is simulated: one whose
@@ -700,8 +704,9 @@ def sweep(
     candidates.sort(key=lambda c: c[:3])
     n = build_schedule(family).circuit.n
     screen = n >= _SCREEN_MIN_QUBITS
-    size = window_size(n, kmax)
-    stack = GradedDensityMatrix.workspace(n, kmax, size)
+    most = window_size(n, kmax)
+    size = 1
+    stack = GradedDensityMatrix.workspace(n, kmax, most)
     feasible = []
     window = []
     ran = False
@@ -723,6 +728,7 @@ def sweep(
                 out_of_range.append(e)
         if window and (len(window) == size or i == len(candidates) - 1):
             reports = simulate_factories([c[3] for c in window], kmax, stack)
+            met = len(feasible)
             for (per_state, qubits, combo, _), report in zip(window, reports):
                 if isinstance(report, NoiseDomainError):
                     out_of_range.append(report)
@@ -731,6 +737,7 @@ def sweep(
                 if (report.p_out <= target_p_out
                         and not dominated(qubits, per_state)):
                     feasible.append((report, combo))
+            size = min(2 * size, most) if len(feasible) == met else 1
             window = []
     if out_of_range and not ran:
         raise out_of_range[0]

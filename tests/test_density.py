@@ -7,6 +7,8 @@ state exactly.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -434,6 +436,20 @@ class TestBatch:
         assert one.pure.shape == (4,) and one.grades.shape == (2, 4, 4)
         with pytest.raises(ValueError, match="candidates"):
             batch.apply_storage(0, [StorageRates(0.01, 0.0)] * 3, 1.0)
+
+    def test_any_real_scalar_is_one_cycle_count(self):
+        # NumPy scalars, 0-d arrays and Fractions are one count, not one
+        # per candidate, for a single state as for a batch
+        one = StorageRates(1e-3, 2e-3)
+        for candidates, rates in ((1, one), (2, [one, one])):
+            state = GradedDensityMatrix.init_plus(2, kmax=2,
+                                                  candidates=candidates)
+            want = state.apply_storage(1, rates, 3)
+            for cycles in (np.int64(3), np.float64(3.0), np.array(3),
+                           Fraction(3)):
+                got = state.apply_storage(1, rates, cycles)
+                assert np.array_equal(got.grades, want.grades)
+                assert got.scale == want.scale
 
     def test_stack_must_hold_the_batch(self):
         stack = GradedDensityMatrix.workspace(3, 2, candidates=2)

@@ -451,12 +451,19 @@ class TestSweep:
 
 
 _REPORTS: dict[tuple[FactoryConfig, int], FactoryReport] = {}
+# the batched entry point itself, which tests patch on the module
+_SIMULATE_FACTORIES = factory.simulate_factories
 
 
 def _simulate_once(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
-    """simulate_factory memoized across tests; the engine is deterministic."""
+    """simulate_factory memoized across tests; the engine is deterministic.
+
+    It runs the unpatched engine, so a test that patches
+    ``factory.simulate_factories`` with it may run first or alone.
+    """
     if (config, kmax) not in _REPORTS:
-        _REPORTS[config, kmax] = simulate_factory(config, kmax)
+        _REPORTS[config, kmax] = factory._raised(
+            _SIMULATE_FACTORIES([config], kmax))
     return _REPORTS[config, kmax]
 
 
@@ -576,6 +583,7 @@ class TestSweepPruning:
         monkeypatch.setattr(factory, "simulate_factories", counted)
         monkeypatch.setattr(factory, "p_out_lower_bound", screened)
         # screen this level-1 grid, which sweep itself would not screen
+        screen_from = factory._SCREEN_MIN_QUBITS
         monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", 0)
         # a window of one candidate simulates exactly what a candidate-by-
         # candidate sweep does
@@ -584,27 +592,60 @@ class TestSweepPruning:
         front = sweep(family, ranges, noise, 1e-7)
         assert [r.protocol for r in front] == ["(15-to-1)_{7,3,3}"]
         assert len(calls) < len(valid)
-        sequential = set(calls)
         # wider windows (3 candidates, and the default) may simulate more,
         # but never a candidate that a report meeting the target in an
-        # earlier window dominates by its costed (qubits, qubitcycles/state)
-        for window_bytes in (3 * 6 * 16 * 4**5, default_window):
-            monkeypatch.setattr(density, "_WINDOW_BYTES", window_bytes)
+        # earlier window dominates by its costed (qubits, qubitcycles/state);
+        # the first window holds one candidate, one that adds no feasible
+        # report doubles the next up to the cap, one that adds one starts
+        # again at one (unscreened, as sweep runs this grid, so that windows
+        # grow)
+        monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", screen_from)
+        widest = 0
+        for target in (1e-7, _PRUNING_CASES[0][3], 1e-12):
+            monkeypatch.setattr(density, "_WINDOW_BYTES", 0)
             calls.clear()
-            windows.clear()
-            assert sweep(family, ranges, noise, 1e-7) == front
-            assert set(calls) >= sequential
-            assert len(calls) == len(set(calls))
-            met = []
-            for window in windows:
-                for config in window:
-                    qubits = qubit_cost(config)
-                    per_state = qubits * cycle_cost(config, 0.0)
-                    assert not any(
-                        factory._dominates(r.qubits, r.qubitcycles_per_state,
-                                           qubits, per_state) for r in met)
-                met += [r for r in _simulate_batch_once(window)
-                        if r.p_out <= 1e-7]
+            want = sweep(family, ranges, noise, target)
+            sequential = set(calls)
+            for window_bytes in (3 * 6 * 16 * 4**5, default_window):
+                monkeypatch.setattr(density, "_WINDOW_BYTES", window_bytes)
+                most = density.window_size(5, 6)
+                calls.clear()
+                windows.clear()
+                assert sweep(family, ranges, noise, target) == want
+                assert set(calls) >= sequential
+                assert len(calls) == len(set(calls))
+                met, size = [], 1
+                for k, window in enumerate(windows):
+                    assert (len(window) == size
+                            or k == len(windows) - 1 and len(window) < size)
+                    added = False
+                    for config, report in zip(window,
+                                              _simulate_batch_once(window)):
+                        qubits = qubit_cost(config)
+                        per_state = qubits * cycle_cost(config, 0.0)
+                        dominated = any(factory._dominates(
+                            r.qubits, r.qubitcycles_per_state, qubits,
+                            per_state) for r in met)
+                        if not added:
+                            assert not dominated
+                        if report.p_out <= target and not dominated:
+                            met.append(report)
+                            added = True
+                    size = 1 if added else min(2 * size, most)
+                widest = max(widest, *map(len, windows))
+        assert widest > 1
+        monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", 0)
+        # where every candidate meets the target, each window adds a
+        # feasible report, so windows stay at one candidate and simulate
+        # exactly what a candidate-by-candidate sweep does
+        monkeypatch.setattr(density, "_WINDOW_BYTES", 0)
+        calls.clear()
+        loose = sweep(family, ranges, noise, 1.0)
+        one_by_one = list(calls)
+        monkeypatch.setattr(density, "_WINDOW_BYTES", default_window)
+        calls.clear()
+        assert sweep(family, ranges, noise, 1.0) == loose
+        assert calls == one_by_one
         monkeypatch.setattr(density, "_WINDOW_BYTES", 0)
         # with nothing feasible, nothing can be pruned: every valid
         # candidate is screened out or simulated, none twice
