@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -123,7 +124,8 @@ class ScheduleRun(NamedTuple):
     """One schedule run at error order kmax.
 
     ``p_out_lower`` bounds from below the p_out of the same run at any
-    higher kmax (see :func:`_run_schedule`).
+    higher kmax, and that of the run with storage for a run left without
+    it (see :func:`_run_schedule`).
     """
 
     p_out: float
@@ -301,6 +303,7 @@ def _run_schedule(
     inputs: list,
     kmax: int,
     stack: np.ndarray | None = None,
+    storage: bool = True,
 ) -> list[ScheduleRun]:
     """Run one factory schedule for a batch of candidates in one owned stack.
 
@@ -318,6 +321,16 @@ def _run_schedule(
     fraction tail = S^(kmax+1)/((kmax+1)! prod(1 - p_e)) to the trace, and
     p_out(higher) >= (p_out - slack) / (1 + tail), where the slack covers
     the round-off of both readouts.
+
+    With ``storage`` False the storage and consumption channels are left
+    out (rates 0), and the bound is on the run with them, at any kmax at
+    least this one.  A run at any kmax reads p_out = N/T, with T <= 1 its
+    success mass and N the sum over its kept event sets s of w_s dev_s,
+    every dev_s >= 0.  Keeping only the sets without storage events, each
+    weighing prod over storage events of (1 - p_e) times its weight here,
+    and taking this run's success mass as at least its zero-event mass,
+    gives p_out(with storage) >= Z * (p_out - slack), where Z is
+    prod(1 - p_e) over every event, storage included.  No tail is needed.
     """
     c = schedule.circuit
     profiles, rates, cycles, consumption = zip(*inputs)
@@ -325,6 +338,8 @@ def _run_schedule(
                                         stack)._owned()
     initialized: set[int] = set()
     events: list[list[float]] = []  # each event's probability per candidate
+    idle: list[list[float]] = []  # those of the storage events left out
+    stored = events if storage else idle
     p_fail = [0.0] * len(inputs)
     for step in schedule.steps:
         initialized |= step.initialize
@@ -341,31 +356,41 @@ def _run_schedule(
         if step.storage:
             for q in sorted(initialized):
                 patch = [r[q] for r in rates]
-                rho = rho.apply_storage(q, patch, cycles)
-                events += [[n * r.pX for n, r in zip(cycles, patch)],
+                if storage:
+                    rho = rho.apply_storage(q, patch, cycles)
+                stored += [[n * r.pX for n, r in zip(cycles, patch)],
                            [n * r.pZ for n, r in zip(cycles, patch)]]
         if step.measure:
             rho, p_fail = rho.project_plus(step.measure)
     for q in sorted(c.output_qubits):
-        rho = rho.apply_storage(q, consumption, 1.0)
-        events += [[r.pX for r in consumption], [r.pZ for r in consumption]]
+        if storage:
+            rho = rho.apply_storage(q, consumption, 1.0)
+        stored += [[r.pX for r in consumption], [r.pZ for r in consumption]]
     p_out = rho.infidelity_with_pure(c.ideal_output) / c.outputs
     # this readout and a higher order's each round by about the floor plus
     # a few eps of p_out (table1 row 5's two differ by 0.1 floor; other
     # float orders of its readout moved it by up to 2.6 floors)
     slack = 16 * (rho.infidelity_floor() / c.outputs + _EPS * p_out)
     runs = []
-    for p, fail, s, probs in zip(*(np.atleast_1d(x).tolist()
-                                   for x in (p_out, p_fail, slack)),
-                                 zip(*events)):
-        # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at a
-        # large kmax where the factorial alone would overflow a float; the
-        # zero-event mass is 0 where a rotation's substitution
+    for p, fail, s, probs, left_out in zip(
+            *(np.atleast_1d(x).tolist() for x in (p_out, p_fail, slack)),
+            zip(*events), zip(*idle) if idle else [()] * len(inputs)):
+        # the zero-event mass is 0 where a rotation's substitution
         # probabilities sum to 1
-        total = sum(probs)
-        tail = math.prod(total / j for j in range(1, kmax + 2))
-        zero_mass = math.prod(1.0 - e for e in probs)
-        lower = (p - s) / (1.0 + tail / zero_mass) if zero_mass > 0.0 else 0.0
+        total = sum(probs) + sum(left_out)
+        zero_mass = math.prod(1.0 - e for e in probs + left_out)
+        if zero_mass == 0.0:
+            lower = 0.0
+        elif storage:
+            # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at
+            # a large kmax where the factorial alone would overflow a float
+            tail = math.prod(total / j for j in range(1, kmax + 2))
+            lower = (p - s) / (1.0 + tail / zero_mass)
+        else:
+            # the run with storage holds up to (S^2/2)/Z in grades 2 and
+            # up, so its floor may exceed this run's by eps times that
+            s += 8 * _EPS * total**2 / zero_mass / c.outputs
+            lower = zero_mass * (p - s)
         runs.append(ScheduleRun(p, fail, lower))
     return runs
 
@@ -444,14 +469,15 @@ def _level2_inputs(config: FactoryConfig, c: Circuit, kmax: int):
 
 
 def _run_factory(configs: list[FactoryConfig], kmax: int, inputs, *args,
-                 stack: np.ndarray | None = None) -> list:
+                 stack: np.ndarray | None = None, storage: bool = True) -> list:
     """Run a family's schedule on the noise inputs ``inputs`` builds.
 
     Shared by both levels; the configurations, all of one family, run as
-    one batch.  For some distances the closed-form noise model leaves its
-    domain (a probability reaches 1) below p_phys = 0.01; such a
-    configuration gets, in place of its run, a NoiseDomainError naming its
-    inputs, and the others still run.
+    one batch (``storage`` as for :func:`_run_schedule`).  For some
+    distances the closed-form noise model leaves its domain (a probability
+    reaches 1) below p_phys = 0.01; such a configuration gets, in place of
+    its run, a NoiseDomainError naming its inputs, and the others still
+    run, with or without storage.
     """
     schedule = build_schedule(configs[0].family)
     results, batch = [], []
@@ -471,7 +497,8 @@ def _run_factory(configs: list[FactoryConfig], kmax: int, inputs, *args,
             continue
         results.append(None)
         batch.append((profiles, rates, cycles, consumption))
-    runs = iter(_run_schedule(schedule, batch, kmax, stack) if batch else ())
+    runs = iter(_run_schedule(schedule, batch, kmax, stack, storage)
+                if batch else ())
     return [next(runs) if r is None else r for r in results]
 
 
@@ -602,7 +629,8 @@ def _report(config: FactoryConfig, run: ScheduleRun,
 
 
 def p_out_lower_bound(config: FactoryConfig, kmax: int = 6,
-                      stack: np.ndarray | None = None) -> float:
+                      stack: np.ndarray | None = None,
+                      storage: bool = True) -> float:
     """A lower bound on ``simulate_factory(config, kmax).p_out``, cheaply.
 
     The family's top-level schedule runs at order K, its circuit's leading
@@ -613,15 +641,24 @@ def p_out_lower_bound(config: FactoryConfig, kmax: int = 6,
     holds.  At kmax <= K that run would cost as much as the simulation,
     and the bound is 0.  ``stack``, if given, is a workspace the run
     reuses, as for :func:`simulate_factories`.
+
+    With ``storage`` False the run leaves out every storage and
+    consumption channel (146 of the 20-to-4's 194 channels), so it costs
+    about a third as much, and the bound is the storage-free one of
+    :func:`_run_schedule`.  It misses what storage adds to p_out (from 6%
+    to over 99% of it, and about half for the median candidate, on a
+    192-point 20-to-4 grid at p_phys = 1e-4), so it rules out only
+    candidates that miss the target by more than that.
     """
     order = LEADING_ORDER[build_schedule(config.family).circuit.name]
     if kmax <= order:
         return 0.0
     if config.family in _LEVEL2_CIRCUIT:
         runs = _run_factory([config], order, _level2_inputs, kmax,
-                            stack=stack)
+                            stack=stack, storage=storage)
     else:
-        runs = _run_level1([config], order, stack)
+        runs = _run_factory([config], order, _level1_inputs, stack=stack,
+                            storage=storage)
     return _raised(runs).p_out_lower
 
 
@@ -671,7 +708,13 @@ def sweep(
     candidate left is screened before it is simulated: one whose
     :func:`p_out_lower_bound` (a run at the top circuit's leading order)
     exceeds the target cannot meet it and is not simulated.  Skipping it
-    changes neither the feasible set nor any pruning decision.
+    changes neither the feasible set nor any pruning decision.  The
+    screen has two tiers.  The first is the storage-free bound
+    (``storage=False``), about a third of the cost; a candidate it does
+    not rule out gets the full bound.  The first tier runs only while,
+    in this sweep, it has ruled out at least as many candidates as it has
+    let through: where most candidates pass, as at a loose target, it
+    stops after the first it lets through.
     """
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(
@@ -710,17 +753,26 @@ def sweep(
     feasible = []
     window = []
     ran = False
+    cheap = Counter()  # storage-free screens, by whether they ruled out
 
     def dominated(qubits: float, per_state: float) -> bool:
         return any(_dominates(r.qubits, r.qubitcycles_per_state, qubits,
                               per_state) for r, _ in feasible)
 
+    def ruled_out(config: FactoryConfig) -> bool:
+        if cheap[True] >= cheap[False]:
+            out = p_out_lower_bound(config, kmax, stack,
+                                    storage=False) > target_p_out
+            cheap[out] += 1
+            if out:
+                return True
+        return p_out_lower_bound(config, kmax, stack) > target_p_out
+
     for i, candidate in enumerate(candidates):
         per_state, qubits, combo, config = candidate
         if not dominated(qubits, per_state):
             try:
-                if (screen and p_out_lower_bound(config, kmax, stack)
-                        > target_p_out):
+                if screen and ruled_out(config):
                     ran = True
                 else:
                     window.append(candidate)

@@ -576,7 +576,9 @@ class TestSweepPruning:
             windows.append(list(configs))
             return _simulate_batch_once(configs, kmax)
 
-        def screened(config, kmax=6, stack=None):
+        def screened(config, kmax=6, stack=None, storage=True):
+            if not storage:  # a storage-free tier that rules nothing out
+                return 0.0
             bounds.append((config, p_out_lower_bound(config, kmax, stack)))
             return bounds[-1][1]
 
@@ -690,21 +692,23 @@ class TestSweepPruning:
             for key, values in (("dX", [7, 9, 11]), ("dZ", [3, 5]),
                                 ("dm", [3, 5]))
         }
-        # each drawn screen bound is at most the drawn p_out, 0 and
-        # equality included, so the screen runs together with pruning
+        # each drawn screen bound, of either tier, is at most the drawn
+        # p_out, 0 and equality included, so the screen runs together with
+        # pruning
         outcomes = {}
         for config in _valid_configs(family, ranges, noise):
             p_out = data.draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
+            bounds = [b for b in (0.0, 1e-9, 1e-8, 1e-7) if b <= p_out]
             outcomes[config] = (
                 p_out, data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])),
-                data.draw(st.sampled_from(
-                    [b for b in (0.0, 1e-9, 1e-8, 1e-7) if b <= p_out])))
+                data.draw(st.sampled_from(bounds)),
+                data.draw(st.sampled_from(bounds)))
 
-        def drawn_bound(config, kmax=6, stack=None):
-            return outcomes[config][2]
+        def drawn_bound(config, kmax=6, stack=None, storage=True):
+            return outcomes[config][2 if storage else 3]
 
         def drawn(config, kmax=6):
-            p_out, p_fail, _ = outcomes[config]
+            p_out, p_fail, *_ = outcomes[config]
             qubits, cycles = qubit_cost(config), cycle_cost(config, p_fail)
             return FactoryReport(
                 protocol_name(config), noise.p_phys, p_out, p_fail, 0.0,
@@ -757,6 +761,39 @@ class TestScreen:
         except factory.NoiseDomainError:
             assume(False)
         assert p_out_lower_bound(config) <= p_out
+        assert p_out_lower_bound(config, storage=False) <= p_out
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_storage_free_bound_is_below_p_out(self, data):
+        # the storage-free run's bound on the run with storage, where some
+        # storage (consumption included) does not decay, where some flips
+        # half the time, so that grades above kmax hold much of the run's
+        # mass, and where a rotation's substitution probabilities sum to 1,
+        # so that no error event is certain not to happen and the bound is 0
+        config = data.draw(_configs())
+        inputs = _noise_inputs(config, 6)
+        assume(inputs is not None)
+        profiles, rates, cycles, consumption = inputs
+        loud = StorageRates(0.5 / cycles, 0.0)
+        rates = {q: data.draw(st.sampled_from([r, StorageRates(0.0, 0.0),
+                                               loud]))
+                 for q, r in rates.items()}
+        if data.draw(st.booleans()):
+            consumption = StorageRates(0.0, 0.0)
+        certain = data.draw(st.booleans())
+        if certain:
+            profiles = list(profiles)
+            profiles[data.draw(st.integers(0, len(profiles) - 1))] = (
+                RotationErrorProfile(0.5, 0.25, 0.25))
+        inputs = [(profiles, rates, cycles, consumption)]
+        schedule = build_schedule(config.family)
+        order = factory.LEADING_ORDER[schedule.circuit.name]
+        run, = factory._run_schedule(schedule, inputs, 6)
+        free, = factory._run_schedule(schedule, inputs, order, storage=False)
+        assert free.p_out_lower <= run.p_out
+        if certain:
+            assert free.p_out_lower == 0.0
 
     @pytest.mark.parametrize("row", TABLE1 + TABLE2,
                              ids=[f"table1-{i}" for i in range(1, 16)]
@@ -768,6 +805,7 @@ class TestScreen:
         report = _simulate_once(config)
         bound = p_out_lower_bound(config)
         assert 0.99 * report.p_out < bound <= report.p_out
+        assert p_out_lower_bound(config, storage=False) <= report.p_out
         d = config.distances
         ranges = {key: [getattr(d, key)] for key in distance_keys(row.family)}
         monkeypatch.setattr(factory, "simulate_factories",
@@ -781,7 +819,7 @@ class TestScreen:
         # top circuit is small, so only the 20-to-4 family is screened
         screened = []
 
-        def bound(config, kmax=6, stack=None):
+        def bound(config, kmax=6, stack=None, storage=True):
             screened.append(config.family)
             return 0.0
 
@@ -794,9 +832,65 @@ class TestScreen:
 
     def test_no_bound_below_the_leading_order(self):
         config = _l1(7, 3, 3, 1e-4)
-        assert p_out_lower_bound(config, kmax=3) == 0.0
-        assert 0.0 < p_out_lower_bound(config, kmax=4) <= (
-            simulate_factory(config, kmax=4).p_out)
+        top = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
+        for storage in (True, False):
+            assert p_out_lower_bound(config, kmax=3, storage=storage) == 0.0
+            assert 0.0 < p_out_lower_bound(config, kmax=4,
+                                           storage=storage) <= (
+                simulate_factory(config, kmax=4).p_out)
+            assert p_out_lower_bound(top, kmax=2, storage=storage) == 0.0
+
+    @pytest.mark.parametrize("rules_out", [False, True])
+    def test_storage_free_tier_runs_while_it_rules_out(self, rules_out,
+                                                        monkeypatch):
+        # a first tier that never rules out runs once per sweep; one that
+        # always does runs on every candidate screened, which with nothing
+        # feasible is every valid candidate
+        family, p, ranges, _ = _PRUNING_CASES[3]
+        noise = PhysicalNoise(p)
+        tiers = []
+
+        def bound(config, kmax=6, stack=None, storage=True):
+            tiers.append(storage)
+            return 1.0 if rules_out or storage else 0.0
+
+        monkeypatch.setattr(factory, "p_out_lower_bound", bound)
+        monkeypatch.setattr(factory, "simulate_factories",
+                            _simulate_batch_once)
+        assert sweep(family, ranges, noise, 1e-30) == []
+        valid = len(_valid_configs(family, ranges, noise))
+        if rules_out:
+            assert tiers == [False] * valid
+        else:
+            assert tiers == [False] + [True] * valid
+        # the count is the sweep's own: the next sweep starts afresh
+        tiers.clear()
+        sweep(family, ranges, noise, 1e-30)
+        assert tiers.count(False) == (valid if rules_out else 1)
+
+    def test_out_of_range_candidates_of_a_screened_sweep_are_skipped(
+            self, monkeypatch):
+        # at p = 3e-3 a (25, 5, 9) 20-to-4 block's storage reaches
+        # probability 1 over its cycles; a (25, 7, 9) one's does not
+        noise = PhysicalNoise(3e-3)
+        ranges = {"dX": [9], "dZ": [3], "dm": [3], "dX2": [25],
+                  "dZ2": [5, 7], "dm2": [9], "nL1": [2]}
+        tiers = []
+
+        def bound(config, kmax=6, stack=None, storage=True):
+            tiers.append((config.distances.dZ2, storage))
+            return p_out_lower_bound(config, kmax, stack, storage)
+
+        monkeypatch.setattr(factory, "p_out_lower_bound", bound)
+        front = sweep("L2_15x20", ranges, noise, 1.0)
+        assert [r.protocol for r in front] == [
+            "(15-to-1)^2_{9,3,3} x (20-to-4)_{25,7,9}"]
+        # the first screen raised and counted for neither outcome, so the
+        # storage-free tier still ran on the next candidate
+        assert tiers[:2] == [(5, False), (7, False)]
+        with pytest.raises(factory.NoiseDomainError,
+                           match=r"\(20-to-4\)_\{25,5,9\}"):
+            sweep("L2_15x20", {**ranges, "dZ2": [5]}, noise, 1.0)
 
 
 def _noise_inputs(config: FactoryConfig, kmax: int):
