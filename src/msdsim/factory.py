@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .circuits import LEADING_ORDER, Circuit, catalog
-from .density import GradedDensityMatrix, StorageRates, window_size
+from .density import GradedDensityMatrix, StorageRates
 from .noise import (
     DistanceSet,
     PhysicalNoise,
@@ -68,13 +68,6 @@ _LEVEL2_MULTIPLIER = {"L2_15x15": 7.5, "L2_15x20": 10.0, "L2_15xCCZ": 4.0}
 FULL_DISTANCE_PATCHES = {"qubits100": 231, "qubits10k": 20284}
 
 _EPS = sys.float_info.epsilon
-
-# sweep screens a candidate only where its top circuit has this many qubits.
-# Below it a run's time is mostly per-step overhead: a screen costs 0.6-1.0
-# of a kmax = 6 simulation of a 4- or 5-qubit circuit, so one that passes
-# costs almost a second simulation and one that fails saves little.  On
-# the 7-qubit 20-to-4 it costs about 0.3-0.5 of one.
-_SCREEN_MIN_QUBITS = 7
 
 
 @dataclass(frozen=True)
@@ -300,17 +293,16 @@ def cycle_cost(config: FactoryConfig, p_fail_L1: float) -> float:
 
 def _run_schedule(
     schedule: Schedule,
-    inputs: list,
+    inputs: tuple,
     kmax: int,
     stack: np.ndarray | None = None,
     storage: bool = True,
-) -> list[ScheduleRun]:
-    """Run one factory schedule for a batch of candidates in one owned stack.
+) -> ScheduleRun:
+    """Run one factory schedule in one owned stack.
 
-    ``inputs`` holds each candidate's (profiles, storage rates, storage
-    cycles, consumption); the batch runs them together and returns one
-    run per candidate, as a batch of one would (see ``density``), in
-    ``stack`` when given (see ``GradedDensityMatrix.init_plus``).
+    ``inputs`` is the (profiles, storage rates, storage cycles,
+    consumption) of one configuration; the run takes place in ``stack``
+    when given (see ``GradedDensityMatrix.init_plus``).
 
     Besides p_out and p_fail, bound the p_out of the same run at any
     higher kmax from below.  Every grade's infidelity term is >= 0.
@@ -333,71 +325,62 @@ def _run_schedule(
     prod(1 - p_e) over every event, storage included.  No tail is needed.
     """
     c = schedule.circuit
-    profiles, rates, cycles, consumption = zip(*inputs)
-    rho = GradedDensityMatrix.init_plus(c.n, kmax, len(inputs),
-                                        stack)._owned()
+    profiles, rates, cycles, consumption = inputs
+    rho = GradedDensityMatrix.init_plus(c.n, kmax, stack)._owned()
     initialized: set[int] = set()
-    events: list[list[float]] = []  # each event's probability per candidate
-    idle: list[list[float]] = []  # those of the storage events left out
+    events: list[float] = []  # each event's probability
+    idle: list[float] = []  # those of the storage events left out
     stored = events if storage else idle
-    p_fail = [0.0] * len(inputs)
+    p_fail = 0.0
     for step in schedule.steps:
         initialized |= step.initialize
         for ri in step.rotations:
-            r, profile = c.rotations[ri], [p[ri] for p in profiles]
+            r, profile = c.rotations[ri], profiles[ri]
             involved_outputs = c.output_qubits & frozenset(r.axis.support)
             rho = rho.apply_faulty_rotation(
                 r.axis, profile, involved_outputs,
                 sign=1 if r.angle.k > 0 else -1)
-            events.append([p.p_half + p.p_quarter + p.p_mquarter
-                           for p in profile])
-            events += [[p.p_z_output for p in profile]] * len(
-                involved_outputs)
+            events.append(profile.p_half + profile.p_quarter
+                          + profile.p_mquarter)
+            events += [profile.p_z_output] * len(involved_outputs)
         if step.storage:
             for q in sorted(initialized):
-                patch = [r[q] for r in rates]
                 if storage:
-                    rho = rho.apply_storage(q, patch, cycles)
-                stored += [[n * r.pX for n, r in zip(cycles, patch)],
-                           [n * r.pZ for n, r in zip(cycles, patch)]]
+                    rho = rho.apply_storage(q, rates[q], cycles)
+                stored += [cycles * rates[q].pX, cycles * rates[q].pZ]
         if step.measure:
             rho, p_fail = rho.project_plus(step.measure)
     for q in sorted(c.output_qubits):
         if storage:
             rho = rho.apply_storage(q, consumption, 1.0)
-        stored += [[r.pX for r in consumption], [r.pZ for r in consumption]]
+        stored += [consumption.pX, consumption.pZ]
     p_out = rho.infidelity_with_pure(c.ideal_output) / c.outputs
     # this readout and a higher order's each round by about the floor plus
     # a few eps of p_out (table1 row 5's two differ by 0.1 floor; other
     # float orders of its readout moved it by up to 2.6 floors)
     slack = 16 * (rho.infidelity_floor() / c.outputs + _EPS * p_out)
-    runs = []
-    for p, fail, s, probs, left_out in zip(
-            *(np.atleast_1d(x).tolist() for x in (p_out, p_fail, slack)),
-            zip(*events), zip(*idle) if idle else [()] * len(inputs)):
-        # the zero-event mass is 0 where a rotation's substitution
-        # probabilities sum to 1
-        total = sum(probs) + sum(left_out)
-        zero_mass = math.prod(1.0 - e for e in probs + left_out)
-        if zero_mass == 0.0:
-            lower = 0.0
-        elif storage:
-            # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at
-            # a large kmax where the factorial alone would overflow a float
-            tail = math.prod(total / j for j in range(1, kmax + 2))
-            lower = (p - s) / (1.0 + tail / zero_mass)
-        else:
-            # the run with storage holds up to (S^2/2)/Z in grades 2 and
-            # up, so its floor may exceed this run's by eps times that
-            s += 8 * _EPS * total**2 / zero_mass / c.outputs
-            lower = zero_mass * (p - s)
-        runs.append(ScheduleRun(p, fail, lower))
-    return runs
+    # the zero-event mass is 0 where a rotation's substitution
+    # probabilities sum to 1
+    total = sum(events) + sum(idle)
+    zero_mass = math.prod(1.0 - e for e in events + idle)
+    if zero_mass == 0.0:
+        lower = 0.0
+    elif storage:
+        # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at
+        # a large kmax where the factorial alone would overflow a float
+        tail = math.prod(total / j for j in range(1, kmax + 2))
+        lower = (p_out - slack) / (1.0 + tail / zero_mass)
+    else:
+        # the run with storage holds up to (S^2/2)/Z in grades 2 and
+        # up, so its floor may exceed this run's by eps times that
+        slack += 8 * _EPS * total**2 / zero_mass / c.outputs
+        lower = zero_mass * (p_out - slack)
+    return ScheduleRun(p_out, p_fail, lower)
 
 
-def _run_level1(configs: list[FactoryConfig], kmax: int,
-                stack: np.ndarray | None = None) -> list:
-    return _run_factory(configs, kmax, _level1_inputs, stack=stack)
+def _run_level1(config: FactoryConfig, kmax: int,
+                stack: np.ndarray | None = None) -> ScheduleRun:
+    return _run_factory(config, kmax, _level1_inputs, stack=stack)
 
 
 def _level1_inputs(config: FactoryConfig, c: Circuit):
@@ -426,7 +409,7 @@ def _level1_cached(dX: int, dZ: int, dm: int, p_phys: float, c_T: float,
                    kmax: int) -> Level1Result:
     cfg = FactoryConfig("L1_15to1", DistanceSet(dX, dZ, dm),
                         PhysicalNoise(p_phys, c_T))
-    return Level1Result(*_raised(_run_level1([cfg], kmax))[:2])
+    return Level1Result(*_run_level1(cfg, kmax)[:2])
 
 
 def level1_output_error(config: FactoryConfig, kmax: int = 6) -> Level1Result:
@@ -468,46 +451,29 @@ def _level2_inputs(config: FactoryConfig, c: Circuit, kmax: int):
     return profiles, rates, t_l1, consumption
 
 
-def _run_factory(configs: list[FactoryConfig], kmax: int, inputs, *args,
-                 stack: np.ndarray | None = None, storage: bool = True) -> list:
+def _run_factory(config: FactoryConfig, kmax: int, inputs, *args,
+                 stack: np.ndarray | None = None,
+                 storage: bool = True) -> ScheduleRun:
     """Run a family's schedule on the noise inputs ``inputs`` builds.
 
-    Shared by both levels; the configurations, all of one family, run as
-    one batch (``storage`` as for :func:`_run_schedule`).  For some
-    distances the closed-form noise model leaves its domain (a probability
-    reaches 1) below p_phys = 0.01; such a configuration gets, in place of
-    its run, a NoiseDomainError naming its inputs, and the others still
-    run, with or without storage.
+    Shared by both levels (``storage`` as for :func:`_run_schedule`).  For
+    some distances the closed-form noise model leaves its domain (a
+    probability reaches 1) below p_phys = 0.01; there it raises a
+    NoiseDomainError naming its inputs, with or without storage.
     """
-    schedule = build_schedule(configs[0].family)
-    results, batch = [], []
-    for config in configs:
-        try:
-            profiles, rates, cycles, consumption = inputs(
-                config, schedule.circuit, *args)
-            if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
-                raise ValueError("accumulated storage probability reaches 1")
-        except NoiseDomainError as e:  # from a level-2 family's level 1
-            results.append(e)
-            continue
-        except ValueError as e:
-            results.append(NoiseDomainError(
-                f"p_phys={config.noise.p_phys} is outside the noise model's "
-                f"range for {protocol_name(config)} ({e})"))
-            continue
-        results.append(None)
-        batch.append((profiles, rates, cycles, consumption))
-    runs = iter(_run_schedule(schedule, batch, kmax, stack, storage)
-                if batch else ())
-    return [next(runs) if r is None else r for r in results]
-
-
-def _raised(results: list):
-    """The one result of a batch of one, raised if it is an error."""
-    result, = results
-    if isinstance(result, NoiseDomainError):
-        raise result
-    return result
+    schedule = build_schedule(config.family)
+    try:
+        noise_inputs = inputs(config, schedule.circuit, *args)
+        _, rates, cycles, _ = noise_inputs
+        if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
+            raise ValueError("accumulated storage probability reaches 1")
+    except NoiseDomainError:  # from a level-2 family's level 1
+        raise
+    except ValueError as e:
+        raise NoiseDomainError(
+            f"p_phys={config.noise.p_phys} is outside the noise model's "
+            f"range for {protocol_name(config)} ({e})") from None
+    return _run_schedule(schedule, noise_inputs, kmax, stack, storage)
 
 
 def protocol_name(config: FactoryConfig) -> str:
@@ -563,41 +529,21 @@ def _costs(config: FactoryConfig,
     return qubits, cycles, qubits * cycles / family_outputs(config.family)
 
 
-def simulate_factories(configs: list[FactoryConfig], kmax: int = 6,
-                       stack: np.ndarray | None = None) -> list:
-    """Error simulation plus closed-form cost metrics, for one batch.
+def simulate_factory(config: FactoryConfig, kmax: int = 6,
+                     stack: np.ndarray | None = None) -> FactoryReport:
+    """Full factory run: error simulation plus closed-form cost metrics.
 
-    The configurations, all of one family, run through the schedule
-    together; each gets the report a run of it alone gives, or the
-    NoiseDomainError that :func:`simulate_factory` would raise for it.
     ``stack``, if given, is a ``GradedDensityMatrix.workspace`` of the top
-    circuit for at least this many candidates, which the run reuses.
+    circuit at kmax grades or more, which the run reuses.
     """
-    if len({config.family for config in configs}) != 1:
-        raise ValueError("a batch needs configurations of one family")
-    if configs[0].family in _LEVEL2_CIRCUIT:
-        runs = _run_factory(configs, kmax, _level2_inputs, kmax, stack=stack)
-    else:
-        runs = _run_level1(configs, kmax, stack)
-    return [run if isinstance(run, NoiseDomainError)
-            else _report(config, run, kmax)
-            for config, run in zip(configs, runs)]
-
-
-def simulate_factory(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
-    """Full factory run: error simulation plus closed-form cost metrics."""
-    return _raised(simulate_factories([config], kmax))
-
-
-def _report(config: FactoryConfig, run: ScheduleRun,
-            kmax: int) -> FactoryReport:
-    """The report of one configuration's top-level run."""
-    p_out = run.p_out
     if config.family in _LEVEL2_CIRCUIT:
+        run = _run_factory(config, kmax, _level2_inputs, kmax, stack=stack)
         p_fail_l1 = level1_output_error(config, kmax).p_fail
         p_fail_l2 = run.p_fail
     else:
+        run = _run_level1(config, kmax, stack)
         p_fail_l1, p_fail_l2 = run.p_fail, 0.0
+    p_out = run.p_out
     qubits, cycles, per_state = _costs(config, p_fail_l1)
     outputs = family_outputs(config.family)
     # One CCZ resource state substitutes four T-gate magic states, so the
@@ -640,7 +586,7 @@ def p_out_lower_bound(config: FactoryConfig, kmax: int = 6,
     K do not depend on kmax, so the run's own bound on higher orders
     holds.  At kmax <= K that run would cost as much as the simulation,
     and the bound is 0.  ``stack``, if given, is a workspace the run
-    reuses, as for :func:`simulate_factories`.
+    reuses, as for :func:`simulate_factory`.
 
     With ``storage`` False the run leaves out every storage and
     consumption channel (146 of the 20-to-4's 194 channels), so it costs
@@ -654,12 +600,12 @@ def p_out_lower_bound(config: FactoryConfig, kmax: int = 6,
     if kmax <= order:
         return 0.0
     if config.family in _LEVEL2_CIRCUIT:
-        runs = _run_factory([config], order, _level2_inputs, kmax,
-                            stack=stack, storage=storage)
+        run = _run_factory(config, order, _level2_inputs, kmax, stack=stack,
+                           storage=storage)
     else:
-        runs = _run_factory([config], order, _level1_inputs, stack=stack,
-                            storage=storage)
-    return _raised(runs).p_out_lower
+        run = _run_factory(config, order, _level1_inputs, stack=stack,
+                           storage=storage)
+    return run.p_out_lower
 
 
 def sweep(
@@ -691,21 +637,7 @@ def sweep(
     so the front -- and every reported p_out -- is the same as simulating
     the whole grid, whatever the order of the ranges.
 
-    Candidates are simulated in windows, each one batch
-    (:func:`simulate_factories`) of the next candidates in cost order that
-    no feasible report of an earlier window dominates.  The reports are
-    then taken in cost order with the same dominance check, so the
-    feasible set is the one a window of one gives; a wider window may
-    simulate a candidate that a cheaper one of its own window turns out to
-    dominate.  Only a feasible report can do that, so a window grows only
-    while feasible reports stay away: the first holds one candidate, each
-    window that adds no feasible report doubles the next, up to
-    ``density.window_size`` (ten 15-to-1 candidates, one 20-to-4), and one
-    that adds one starts again at one candidate.  All windows, and the
-    screens, reuse one stack.
-
-    Where the top circuit has at least ``_SCREEN_MIN_QUBITS`` qubits, each
-    candidate left is screened before it is simulated: one whose
+    Each candidate left is screened before it is simulated: one whose
     :func:`p_out_lower_bound` (a run at the top circuit's leading order)
     exceeds the target cannot meet it and is not simulated.  Skipping it
     changes neither the feasible set nor any pruning decision.  The
@@ -714,7 +646,8 @@ def sweep(
     not rule out gets the full bound.  The first tier runs only while,
     in this sweep, it has ruled out at least as many candidates as it has
     let through: where most candidates pass, as at a loose target, it
-    stops after the first it lets through.
+    stops after the first it lets through.  Every screen and simulation
+    reuses one workspace stack.
     """
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(
@@ -745,19 +678,11 @@ def sweep(
         qubits, _, per_state = _costs(config, p_fail)
         candidates.append((per_state, qubits, combo, config))
     candidates.sort(key=lambda c: c[:3])
-    n = build_schedule(family).circuit.n
-    screen = n >= _SCREEN_MIN_QUBITS
-    most = window_size(n, kmax)
-    size = 1
-    stack = GradedDensityMatrix.workspace(n, kmax, most)
+    stack = GradedDensityMatrix.workspace(build_schedule(family).circuit.n,
+                                          kmax)
     feasible = []
-    window = []
     ran = False
     cheap = Counter()  # storage-free screens, by whether they ruled out
-
-    def dominated(qubits: float, per_state: float) -> bool:
-        return any(_dominates(r.qubits, r.qubitcycles_per_state, qubits,
-                              per_state) for r, _ in feasible)
 
     def ruled_out(config: FactoryConfig) -> bool:
         if cheap[True] >= cheap[False]:
@@ -768,29 +693,18 @@ def sweep(
                 return True
         return p_out_lower_bound(config, kmax, stack) > target_p_out
 
-    for i, candidate in enumerate(candidates):
-        per_state, qubits, combo, config = candidate
-        if not dominated(qubits, per_state):
-            try:
-                if screen and ruled_out(config):
-                    ran = True
-                else:
-                    window.append(candidate)
-            except NoiseDomainError as e:
-                out_of_range.append(e)
-        if window and (len(window) == size or i == len(candidates) - 1):
-            reports = simulate_factories([c[3] for c in window], kmax, stack)
-            met = len(feasible)
-            for (per_state, qubits, combo, _), report in zip(window, reports):
-                if isinstance(report, NoiseDomainError):
-                    out_of_range.append(report)
-                    continue
-                ran = True
-                if (report.p_out <= target_p_out
-                        and not dominated(qubits, per_state)):
+    for per_state, qubits, combo, config in candidates:
+        if any(_dominates(r.qubits, r.qubitcycles_per_state, qubits,
+                          per_state) for r, _ in feasible):
+            continue
+        try:
+            if not ruled_out(config):
+                report = simulate_factory(config, kmax, stack)
+                if report.p_out <= target_p_out:
                     feasible.append((report, combo))
-            size = min(2 * size, most) if len(feasible) == met else 1
-            window = []
+            ran = True
+        except NoiseDomainError as e:
+            out_of_range.append(e)
     if out_of_range and not ran:
         raise out_of_range[0]
     return _pareto_front(feasible)

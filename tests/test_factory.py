@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import msdsim.density as density
 import msdsim.factory as factory
 from msdsim.cli import TABLE1, TABLE2, row_config
 from msdsim.density import (
@@ -29,7 +29,6 @@ from msdsim.factory import (
     p_out_lower_bound,
     protocol_name,
     qubit_cost,
-    simulate_factories,
     simulate_factory,
     sweep,
 )
@@ -434,10 +433,10 @@ class TestSweep:
             "(15-to-1)^4_{13,3,9} x (15-to-1)_{25,25,25}"]
 
     def test_other_simulation_errors_still_raise(self, monkeypatch):
-        def broken(configs, kmax, stack):
+        def broken(config, kmax, stack):
             raise ValueError("not a range error")
 
-        monkeypatch.setattr(factory, "simulate_factories", broken)
+        monkeypatch.setattr(factory, "simulate_factory", broken)
         with pytest.raises(ValueError, match="not a range error"):
             sweep("L1_15to1", {"dX": [7], "dZ": [3], "dm": [3]},
                   PhysicalNoise(1e-4), 1e-7)
@@ -451,25 +450,20 @@ class TestSweep:
 
 
 _REPORTS: dict[tuple[FactoryConfig, int], FactoryReport] = {}
-# the batched entry point itself, which tests patch on the module
-_SIMULATE_FACTORIES = factory.simulate_factories
+# the entry point itself, which tests patch on the module
+_SIMULATE_FACTORY = factory.simulate_factory
 
 
-def _simulate_once(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
+def _simulate_once(config: FactoryConfig, kmax: int = 6,
+                   stack=None) -> FactoryReport:
     """simulate_factory memoized across tests; the engine is deterministic.
 
     It runs the unpatched engine, so a test that patches
-    ``factory.simulate_factories`` with it may run first or alone.
+    ``factory.simulate_factory`` with it may run first or alone.
     """
     if (config, kmax) not in _REPORTS:
-        _REPORTS[config, kmax] = factory._raised(
-            _SIMULATE_FACTORIES([config], kmax))
+        _REPORTS[config, kmax] = _SIMULATE_FACTORY(config, kmax)
     return _REPORTS[config, kmax]
-
-
-def _simulate_batch_once(configs, kmax=6, stack=None) -> list[FactoryReport]:
-    """simulate_factories through the memo of each configuration's report."""
-    return [_simulate_once(config, kmax) for config in configs]
 
 
 def _valid_configs(family, ranges, noise) -> list[FactoryConfig]:
@@ -539,9 +533,26 @@ class TestSweepPruning:
         assert want
         # the memo returns the reference's own reports, so each candidate
         # is simulated once
-        monkeypatch.setattr(factory, "simulate_factories",
-                            _simulate_batch_once)
+        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
         assert sweep(family, ranges, noise, target) == want
+
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_screened_front_equals_brute_force(self, data):
+        # families whose sweeps were first screened when every family was:
+        # a loose target, one nothing meets, and a candidate's own p_out
+        family, ranges = data.draw(st.sampled_from([
+            ("L1_15to1_small", {"dX": [7, 9], "dZ": [3, 5], "dm": [3, 5]}),
+            ("L2_15x15", _L2_SMALL),
+            ("L2_15xCCZ", _L2_SMALL),
+        ]))
+        noise = PhysicalNoise(data.draw(st.sampled_from([1e-4, 1e-3])))
+        p_outs = [_simulate_once(c).p_out
+                  for c in _valid_configs(family, ranges, noise)]
+        target = data.draw(st.sampled_from([1.0, 1e-12] + p_outs))
+        with mock.patch.object(factory, "simulate_factory", _simulate_once):
+            front = sweep(family, ranges, noise, target)
+        assert front == _brute_force_front(family, ranges, noise, target)
 
     def test_front_ignores_input_order(self):
         noise = PhysicalNoise(1e-4)
@@ -569,12 +580,11 @@ class TestSweepPruning:
         family, p, ranges, _ = _PRUNING_CASES[0]
         noise = PhysicalNoise(p)
         valid = _valid_configs(family, ranges, noise)
-        calls, bounds, windows = [], [], []
+        calls, bounds = [], []
 
-        def counted(configs, kmax=6, stack=None):
-            calls.extend(configs)
-            windows.append(list(configs))
-            return _simulate_batch_once(configs, kmax)
+        def counted(config, kmax=6, stack=None):
+            calls.append(config)
+            return _simulate_once(config, kmax)
 
         def screened(config, kmax=6, stack=None, storage=True):
             if not storage:  # a storage-free tier that rules nothing out
@@ -582,73 +592,27 @@ class TestSweepPruning:
             bounds.append((config, p_out_lower_bound(config, kmax, stack)))
             return bounds[-1][1]
 
-        monkeypatch.setattr(factory, "simulate_factories", counted)
+        monkeypatch.setattr(factory, "simulate_factory", counted)
         monkeypatch.setattr(factory, "p_out_lower_bound", screened)
-        # screen this level-1 grid, which sweep itself would not screen
-        screen_from = factory._SCREEN_MIN_QUBITS
-        monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", 0)
-        # a window of one candidate simulates exactly what a candidate-by-
-        # candidate sweep does
-        default_window = density._WINDOW_BYTES
-        monkeypatch.setattr(density, "_WINDOW_BYTES", 0)
         front = sweep(family, ranges, noise, 1e-7)
         assert [r.protocol for r in front] == ["(15-to-1)_{7,3,3}"]
         assert len(calls) < len(valid)
-        # wider windows (3 candidates, and the default) may simulate more,
-        # but never a candidate that a report meeting the target in an
-        # earlier window dominates by its costed (qubits, qubitcycles/state);
-        # the first window holds one candidate, one that adds no feasible
-        # report doubles the next up to the cap, one that adds one starts
-        # again at one (unscreened, as sweep runs this grid, so that windows
-        # grow)
-        monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", screen_from)
-        widest = 0
-        for target in (1e-7, _PRUNING_CASES[0][3], 1e-12):
-            monkeypatch.setattr(density, "_WINDOW_BYTES", 0)
+        # no candidate is simulated twice, nor one that a report meeting the
+        # target dominates by its costed (qubits, qubitcycles/state)
+        for target in (1e-7, _PRUNING_CASES[0][3], 1.0):
             calls.clear()
-            want = sweep(family, ranges, noise, target)
-            sequential = set(calls)
-            for window_bytes in (3 * 6 * 16 * 4**5, default_window):
-                monkeypatch.setattr(density, "_WINDOW_BYTES", window_bytes)
-                most = density.window_size(5, 6)
-                calls.clear()
-                windows.clear()
-                assert sweep(family, ranges, noise, target) == want
-                assert set(calls) >= sequential
-                assert len(calls) == len(set(calls))
-                met, size = [], 1
-                for k, window in enumerate(windows):
-                    assert (len(window) == size
-                            or k == len(windows) - 1 and len(window) < size)
-                    added = False
-                    for config, report in zip(window,
-                                              _simulate_batch_once(window)):
-                        qubits = qubit_cost(config)
-                        per_state = qubits * cycle_cost(config, 0.0)
-                        dominated = any(factory._dominates(
-                            r.qubits, r.qubitcycles_per_state, qubits,
-                            per_state) for r in met)
-                        if not added:
-                            assert not dominated
-                        if report.p_out <= target and not dominated:
-                            met.append(report)
-                            added = True
-                    size = 1 if added else min(2 * size, most)
-                widest = max(widest, *map(len, windows))
-        assert widest > 1
-        monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", 0)
-        # where every candidate meets the target, each window adds a
-        # feasible report, so windows stay at one candidate and simulate
-        # exactly what a candidate-by-candidate sweep does
-        monkeypatch.setattr(density, "_WINDOW_BYTES", 0)
-        calls.clear()
-        loose = sweep(family, ranges, noise, 1.0)
-        one_by_one = list(calls)
-        monkeypatch.setattr(density, "_WINDOW_BYTES", default_window)
-        calls.clear()
-        assert sweep(family, ranges, noise, 1.0) == loose
-        assert calls == one_by_one
-        monkeypatch.setattr(density, "_WINDOW_BYTES", 0)
+            sweep(family, ranges, noise, target)
+            assert len(calls) == len(set(calls))
+            met = []
+            for config in calls:
+                qubits = qubit_cost(config)
+                per_state = qubits * cycle_cost(config, 0.0)
+                assert not any(factory._dominates(
+                    r.qubits, r.qubitcycles_per_state, qubits, per_state)
+                    for r in met)
+                report = _simulate_once(config)
+                if report.p_out <= target:
+                    met.append(report)
         # with nothing feasible, nothing can be pruned: every valid
         # candidate is screened out or simulated, none twice
         calls.clear()
@@ -673,8 +637,7 @@ class TestSweepPruning:
         p_outs = [_simulate_once(c).p_out
                   for c in _valid_configs("L1_15to1", ranges, noise)]
         target = data.draw(st.sampled_from(p_outs + [1e-12, 1.0]))
-        with mock.patch.object(factory, "simulate_factories",
-                               _simulate_batch_once):
+        with mock.patch.object(factory, "simulate_factory", _simulate_once):
             front = sweep("L1_15to1", ranges, noise, target)
         assert front == _brute_force_front("L1_15to1", ranges, noise, target)
 
@@ -707,7 +670,7 @@ class TestSweepPruning:
         def drawn_bound(config, kmax=6, stack=None, storage=True):
             return outcomes[config][2 if storage else 3]
 
-        def drawn(config, kmax=6):
+        def drawn(config, kmax=6, stack=None):
             p_out, p_fail, *_ = outcomes[config]
             qubits, cycles = qubit_cost(config), cycle_cost(config, p_fail)
             return FactoryReport(
@@ -715,13 +678,9 @@ class TestSweepPruning:
                 qubits, cycles, qubits * cycles / family_outputs(family),
                 None, None, None, None)
 
-        def drawn_batch(configs, kmax=6, stack=None):
-            return [drawn(config, kmax) for config in configs]
-
         target = data.draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
-        with mock.patch.object(factory, "simulate_factories", drawn_batch), \
-                mock.patch.object(factory, "p_out_lower_bound", drawn_bound), \
-                mock.patch.object(factory, "_SCREEN_MIN_QUBITS", 0):
+        with mock.patch.object(factory, "simulate_factory", drawn), \
+                mock.patch.object(factory, "p_out_lower_bound", drawn_bound):
             front = sweep(family, ranges, noise, target)
             want = _brute_force_front(family, ranges, noise, target,
                                       simulate=drawn)
@@ -786,14 +745,55 @@ class TestScreen:
             profiles = list(profiles)
             profiles[data.draw(st.integers(0, len(profiles) - 1))] = (
                 RotationErrorProfile(0.5, 0.25, 0.25))
-        inputs = [(profiles, rates, cycles, consumption)]
+        inputs = (profiles, rates, cycles, consumption)
         schedule = build_schedule(config.family)
         order = factory.LEADING_ORDER[schedule.circuit.name]
-        run, = factory._run_schedule(schedule, inputs, 6)
-        free, = factory._run_schedule(schedule, inputs, order, storage=False)
+        run = factory._run_schedule(schedule, inputs, 6)
+        free = factory._run_schedule(schedule, inputs, order, storage=False)
         assert free.p_out_lower <= run.p_out
         if certain:
             assert free.p_out_lower == 0.0
+
+    @pytest.mark.parametrize("config", [
+        _l1(7, 3, 3, 1e-4),
+        _l1(9, 5, 5, 1e-3, family="L1_15to1_small"),
+        _l2("L2_15x15", 7, 3, 3, 13, 5, 7, 4, 1e-4),
+        _l2("L2_15x20", 7, 3, 3, 13, 5, 7, 4, 1e-4),
+        _l2("L2_15xCCZ", 7, 3, 3, 13, 5, 7, 4, 1e-4),
+        FactoryConfig("L2_15x15_small", DistanceSet(9, 5, 5, 21, 9, 11),
+                      PhysicalNoise(1e-3)),
+    ], ids=FAMILIES)
+    def test_storage_free_bound_is_z_times_p_out(self, config):
+        # Z = prod(1 - p_e) over every event of the run with storage,
+        # recomputed here from the schedule and the noise inputs.  On these
+        # configurations the slack is below 1e-9 of p_out, while the
+        # storage and consumption events alone take over 4e-6 off Z, so a
+        # bound without Z, or with Z over the applied events only, fails.
+        profiles, rates, cycles, consumption = inputs = _noise_inputs(
+            config, 6)
+        schedule = build_schedule(config.family)
+        c = schedule.circuit
+        applied, stored, initialized = [], [], set()
+        for step in schedule.steps:
+            initialized |= step.initialize
+            for ri in step.rotations:
+                p = profiles[ri]
+                applied.append(1.0 - p.p_half - p.p_quarter - p.p_mquarter)
+                outputs = c.output_qubits & set(c.rotations[ri].axis.support)
+                applied += [1.0 - p.p_z_output] * len(outputs)
+            if step.storage:
+                stored += [1.0 - cycles * r for q in initialized
+                           for r in (rates[q].pX, rates[q].pZ)]
+        stored += [1.0 - consumption.pX,
+                   1.0 - consumption.pZ] * len(c.output_qubits)
+        z_storage = math.prod(stored)
+        z = math.prod(applied) * z_storage
+        free = factory._run_schedule(schedule, inputs,
+                                     factory.LEADING_ORDER[c.name],
+                                     storage=False)
+        assert 1.0 - z_storage > 4e-6
+        assert free.p_out_lower <= z * free.p_out
+        assert free.p_out_lower == pytest.approx(z * free.p_out, rel=1e-9)
 
     @pytest.mark.parametrize("row", TABLE1 + TABLE2,
                              ids=[f"table1-{i}" for i in range(1, 16)]
@@ -808,15 +808,13 @@ class TestScreen:
         assert p_out_lower_bound(config, storage=False) <= report.p_out
         d = config.distances
         ranges = {key: [getattr(d, key)] for key in distance_keys(row.family)}
-        monkeypatch.setattr(factory, "simulate_factories",
-                            _simulate_batch_once)
-        monkeypatch.setattr(factory, "_SCREEN_MIN_QUBITS", 0)
+        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
         assert sweep(row.family, ranges, config.noise, report.p_out) == [
             report]
 
-    def test_only_large_top_circuits_are_screened(self, monkeypatch):
-        # a screen that passes costs almost a second simulation where the
-        # top circuit is small, so only the 20-to-4 family is screened
+    def test_every_family_is_screened(self, monkeypatch):
+        # each candidate gets its own schedule run, so a screen that rules
+        # it out saves a simulation in every family
         screened = []
 
         def bound(config, kmax=6, stack=None, storage=True):
@@ -824,11 +822,10 @@ class TestScreen:
             return 0.0
 
         monkeypatch.setattr(factory, "p_out_lower_bound", bound)
-        monkeypatch.setattr(factory, "simulate_factories",
-                            _simulate_batch_once)
+        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
         for family, p, ranges, target in _PRUNING_CASES:
             sweep(family, ranges, PhysicalNoise(p), target)
-        assert screened and set(screened) == {"L2_15x20"}
+        assert set(screened) == set(FAMILIES)
 
     def test_no_bound_below_the_leading_order(self):
         config = _l1(7, 3, 3, 1e-4)
@@ -855,8 +852,7 @@ class TestScreen:
             return 1.0 if rules_out or storage else 0.0
 
         monkeypatch.setattr(factory, "p_out_lower_bound", bound)
-        monkeypatch.setattr(factory, "simulate_factories",
-                            _simulate_batch_once)
+        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
         assert sweep(family, ranges, noise, 1e-30) == []
         valid = len(_valid_configs(family, ranges, noise))
         if rules_out:
@@ -910,55 +906,14 @@ def _noise_inputs(config: FactoryConfig, kmax: int):
     return inputs
 
 
-class TestBatch:
-    """A batch of candidates gives each the run it gets on its own."""
-
-    @settings(max_examples=25)
-    @given(data=st.data())
-    def test_each_candidate_gets_its_own_run(self, data):
-        family = data.draw(st.sampled_from(FAMILIES))
-        kmax = data.draw(st.sampled_from([2, 3, 6]))
-        configs = data.draw(st.lists(_configs(family), min_size=2,
-                                     max_size=4))
-        inputs = [x for x in (_noise_inputs(c, kmax) for c in configs)
-                  if x is not None]
-        assume(len(inputs) >= 2)
-        # the first candidate loses its branch store to a keep-0 rotation,
-        # which must not touch the others' stores
-        profiles, rates, cycles, consumption = inputs[0]
-        profiles = list(profiles)
-        profiles[data.draw(st.integers(0, len(profiles) - 1))] = (
-            RotationErrorProfile(0.5, 0.25, 0.25))
-        inputs[0] = (profiles, rates, cycles, consumption)
-        # and some idle patches of the last do not decay, so the others'
-        # storage flips reach it with probability 0
-        profiles, rates, cycles, consumption = inputs[-1]
-        still = data.draw(st.sets(st.sampled_from(sorted(rates)), min_size=1))
-        rates = {q: StorageRates(0.0, 0.0) if q in still else r
-                 for q, r in rates.items()}
-        inputs[-1] = (profiles, rates, cycles, consumption)
-        schedule = build_schedule(family)
-        alone = [factory._run_schedule(schedule, [x], kmax)[0]
-                 for x in inputs]
-        assert factory._run_schedule(schedule, inputs, kmax) == alone
-
-    def test_reports_and_range_errors_per_candidate(self):
-        # dm = 9 cycles of storage reach probability 1 at dX = 15
-        configs = [_l1(13, 3, 9, 7e-3), _l1(15, 3, 9, 7e-3),
-                   _l1(13, 5, 9, 7e-3)]
-        results = simulate_factories(configs)
-        assert isinstance(results[1], factory.NoiseDomainError)
-        assert [results[0], results[2]] == [simulate_factory(configs[0]),
-                                           simulate_factory(configs[2])]
-        with pytest.raises(ValueError, match="one family"):
-            simulate_factories([configs[0], _l1(13, 3, 9, 7e-3,
-                                                family="L1_15to1_small")])
+class TestWorkspace:
+    """Runs that reuse one workspace stack give the runs of a fresh one."""
 
     def test_a_reused_stack_gives_the_same_reports(self):
         configs = [_l1(dx, 3, 5, 1e-4) for dx in (7, 9, 11)]
-        stack = GradedDensityMatrix.workspace(5, 6, 3)
+        stack = GradedDensityMatrix.workspace(5, 6)
         want = [simulate_factory(c) for c in configs]
-        assert simulate_factories(configs, 6, stack) == want
-        assert simulate_factories(configs[:2], 6, stack) == want[:2]
+        assert [simulate_factory(c, 6, stack) for c in configs] == want
         assert p_out_lower_bound(configs[0], 6, stack) == p_out_lower_bound(
             configs[0])
+        assert simulate_factory(configs[0], 6, stack) == want[0]
