@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -36,7 +35,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .circuits import LEADING_ORDER, Circuit, catalog
-from .density import GradedDensityMatrix, StorageRates
+from .density import _BLOCK_BYTES, GradedDensityMatrix, StorageRates
 from .noise import (
     DistanceSet,
     PhysicalNoise,
@@ -46,6 +45,7 @@ from .noise import (
     patch_storage_rates,
     single_qubit_rotation_profile,
 )
+from .pauli import z_signs
 
 FAMILIES = (
     "L1_15to1",
@@ -117,8 +117,7 @@ class ScheduleRun(NamedTuple):
     """One schedule run at error order kmax.
 
     ``p_out_lower`` bounds from below the p_out of the same run at any
-    higher kmax, and that of the run with storage for a run left without
-    it (see :func:`_run_schedule`).
+    higher kmax (see :func:`_run_schedule`).
     """
 
     p_out: float
@@ -291,12 +290,47 @@ def cycle_cost(config: FactoryConfig, p_fail_L1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _events(schedule: Schedule, inputs: tuple) -> list[float]:
+    """Each error event's probability in a run of ``schedule``, in the
+    order the run applies them.
+
+    A rotation's substitution branches count as one event, each output Z
+    flip as one, and each storage or consumption channel as two (its X and
+    its Z flip).  ``inputs`` is as for :func:`_run_schedule`.
+    """
+    c = schedule.circuit
+    profiles, rates, cycles, consumption = inputs
+    initialized: set[int] = set()
+    events: list[float] = []
+    for step in schedule.steps:
+        initialized |= step.initialize
+        for ri in step.rotations:
+            profile = profiles[ri]
+            events.append(profile.p_half + profile.p_quarter
+                          + profile.p_mquarter)
+            events += [profile.p_z_output] * len(
+                c.output_qubits & frozenset(c.rotations[ri].axis.support))
+        if step.storage:
+            for q in sorted(initialized):
+                events += [cycles * rates[q].pX, cycles * rates[q].pZ]
+    for q in sorted(c.output_qubits):
+        events += [consumption.pX, consumption.pZ]
+    return events
+
+
+def _readout_slack(p_out: float, floor: float, outputs: int) -> float:
+    """What a p_out of this floor may differ by from another order's."""
+    # this readout and a higher order's each round by about the floor plus
+    # a few eps of p_out (table1 row 5's two differ by 0.1 floor; other
+    # float orders of its readout moved it by up to 2.6 floors)
+    return 16 * (floor / outputs + _EPS * p_out)
+
+
 def _run_schedule(
     schedule: Schedule,
     inputs: tuple,
     kmax: int,
     stack: np.ndarray | None = None,
-    storage: bool = True,
 ) -> ScheduleRun:
     """Run one factory schedule in one owned stack.
 
@@ -308,74 +342,238 @@ def _run_schedule(
     higher kmax from below.  Every grade's infidelity term is >= 0.
     Before normalization, the mass of more than kmax error events is at
     most S^(kmax+1)/(kmax+1)!, with S the sum of the probabilities of the
-    events applied, and the zero-event mass is prod(1 - p_e), which the
-    checks of an ideal run keep whole.  More grades thus add at most a
-    fraction tail = S^(kmax+1)/((kmax+1)! prod(1 - p_e)) to the trace, and
-    p_out(higher) >= (p_out - slack) / (1 + tail), where the slack covers
-    the round-off of both readouts.
-
-    With ``storage`` False the storage and consumption channels are left
-    out (rates 0), and the bound is on the run with them, at any kmax at
-    least this one.  A run at any kmax reads p_out = N/T, with T <= 1 its
-    success mass and N the sum over its kept event sets s of w_s dev_s,
-    every dev_s >= 0.  Keeping only the sets without storage events, each
-    weighing prod over storage events of (1 - p_e) times its weight here,
-    and taking this run's success mass as at least its zero-event mass,
-    gives p_out(with storage) >= Z * (p_out - slack), where Z is
-    prod(1 - p_e) over every event, storage included.  No tail is needed.
+    events applied (:func:`_events`), and the zero-event mass is
+    Z = prod(1 - p_e), which the checks of an ideal run keep whole.  More
+    grades thus add at most a fraction tail = S^(kmax+1)/((kmax+1)! Z) to
+    the trace, and p_out(higher) >= (p_out - slack) / (1 + tail), where
+    the slack covers the round-off of both readouts.
     """
     c = schedule.circuit
     profiles, rates, cycles, consumption = inputs
     rho = GradedDensityMatrix.init_plus(c.n, kmax, stack)._owned()
     initialized: set[int] = set()
-    events: list[float] = []  # each event's probability
-    idle: list[float] = []  # those of the storage events left out
-    stored = events if storage else idle
     p_fail = 0.0
     for step in schedule.steps:
         initialized |= step.initialize
         for ri in step.rotations:
-            r, profile = c.rotations[ri], profiles[ri]
+            r = c.rotations[ri]
             involved_outputs = c.output_qubits & frozenset(r.axis.support)
             rho = rho.apply_faulty_rotation(
-                r.axis, profile, involved_outputs,
+                r.axis, profiles[ri], involved_outputs,
                 sign=1 if r.angle.k > 0 else -1)
-            events.append(profile.p_half + profile.p_quarter
-                          + profile.p_mquarter)
-            events += [profile.p_z_output] * len(involved_outputs)
         if step.storage:
             for q in sorted(initialized):
-                if storage:
-                    rho = rho.apply_storage(q, rates[q], cycles)
-                stored += [cycles * rates[q].pX, cycles * rates[q].pZ]
+                rho = rho.apply_storage(q, rates[q], cycles)
         if step.measure:
             rho, p_fail = rho.project_plus(step.measure)
     for q in sorted(c.output_qubits):
-        if storage:
-            rho = rho.apply_storage(q, consumption, 1.0)
-        stored += [consumption.pX, consumption.pZ]
+        rho = rho.apply_storage(q, consumption, 1.0)
     p_out = rho.infidelity_with_pure(c.ideal_output) / c.outputs
-    # this readout and a higher order's each round by about the floor plus
-    # a few eps of p_out (table1 row 5's two differ by 0.1 floor; other
-    # float orders of its readout moved it by up to 2.6 floors)
-    slack = 16 * (rho.infidelity_floor() / c.outputs + _EPS * p_out)
+    slack = _readout_slack(p_out, rho.infidelity_floor(), c.outputs)
+    events = _events(schedule, inputs)
     # the zero-event mass is 0 where a rotation's substitution
     # probabilities sum to 1
-    total = sum(events) + sum(idle)
-    zero_mass = math.prod(1.0 - e for e in events + idle)
+    zero_mass = math.prod(1.0 - e for e in events)
     if zero_mass == 0.0:
-        lower = 0.0
-    elif storage:
-        # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at
-        # a large kmax where the factorial alone would overflow a float
-        tail = math.prod(total / j for j in range(1, kmax + 2))
-        lower = (p_out - slack) / (1.0 + tail / zero_mass)
-    else:
-        # the run with storage holds up to (S^2/2)/Z in grades 2 and
-        # up, so its floor may exceed this run's by eps times that
-        slack += 8 * _EPS * total**2 / zero_mass / c.outputs
-        lower = zero_mass * (p_out - slack)
+        return ScheduleRun(p_out, p_fail, 0.0)
+    # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at a
+    # large kmax where the factorial alone would overflow a float
+    total = sum(events)
+    tail = math.prod(total / j for j in range(1, kmax + 2))
+    lower = (p_out - slack) / (1.0 + tail / zero_mass)
     return ScheduleRun(p_out, p_fail, lower)
+
+
+# every phase of a storage-free run is a power of exp(i pi/8); _PAIRS
+# holds the sum of powers a and b at 16 a + b
+_ROOTS = np.exp(1j * np.pi / 8 * np.arange(16))
+_PAIRS = (_ROOTS[:, None] + _ROOTS[None, :]).ravel()
+
+
+class _EventSets(NamedTuple):
+    """A schedule's storage-free runs, one per set of error events.
+
+    The events are each rotation's three substitution branches, then an
+    output Z flip per output qubit of its axis.  ``source`` is each
+    event's index into a row-major (rotations, 4) table of the odds of
+    (p_half, p_quarter, p_mquarter, p_z_output).  ``sizes[k]`` holds the
+    sets of k events, at most one branch per rotation, that the checks
+    let through, as ``(columns, norms)``: a (k, sets) uint8 array of
+    event indices, and a (2, sets) array of each set's deviation from the
+    ideal output and success mass.
+    """
+
+    source: np.ndarray
+    sizes: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=None)
+def _event_sets(family: str, order: int) -> _EventSets:
+    """The event sets of a family's schedule up to ``order`` events.
+
+    Built once per (family, order).  Every event and every ideal rotation
+    is a diagonal phase, a power of exp(i pi/8), so the pre-measurement
+    state a set leaves has amplitudes exp(i pi/8 a) / sqrt(2^n), where
+    the integer a (mod 16) sums the exponents of the ideal rotations and
+    of the set's events.  The checks' projection averages over the check
+    qubits, and the ideal output is a vector phi of the other qubits times
+    |+> on the checks, so a branch reads through its sums r over the check
+    bits: mass |r|^2 and deviation |r - <phi|r> phi|^2, scaled so that the
+    zero-event branch has mass 1.  Sets are read in chunks of at most
+    ``_BLOCK_BYTES``, their phases looked up two check bits at a time.
+
+    A set the checks reject (most 15-to-1 triples) has r = 0 exactly, so
+    its dev and mass are 0, and the table leaves it out; its growths are
+    still read.
+    """
+    c = build_schedule(family).circuit
+    checks = sorted(c.check_qubits)
+    rest = [q for q in range(c.n) if q not in c.check_qubits]
+    index = np.arange(1 << c.n)
+    # the basis index of each position, with the check bits fastest
+    basis = sum(((index >> pos) & 1) << q
+                for pos, q in enumerate(checks + rest))
+    pre = np.zeros(1 << c.n, dtype=np.int64)
+    # each event's exponents, the event that starts the next channel (a
+    # rotation's branches are adjacent), and its odds' index
+    steps, ends, source = [], [], []
+    for ri, r in enumerate(c.rotations):
+        mask = sum(1 << q for q in r.axis.support)
+        z = z_signs(mask, c.n)[basis].astype(np.int64)
+        pre -= r.angle.k * z
+        for col, k in enumerate((4, 2, -2)):  # P_{pi/2}, P_{pi/4}, P_{-pi/4}
+            steps.append(-k * z)
+            source.append(4 * ri + col)
+        ends += [len(steps)] * 3
+        for q in sorted(c.output_qubits & frozenset(r.axis.support)):
+            steps.append(8 * ((basis >> q) & 1))
+            ends.append(len(steps))
+            source.append(4 * ri + 3)
+    pre = (pre % 16).astype(np.uint8)
+    steps = (np.array(steps) % 16).astype(np.uint8)
+    ends = np.array(ends, dtype=np.int32)
+    shape = (1 << len(rest), 1 << len(checks))
+    phi = c.ideal_output[basis].reshape(shape).sum(axis=1)
+    phi /= np.linalg.norm(phi)
+    unit = 2.0 ** -(c.n + len(checks))  # |r|^2 of a pure |+>^n start is 1
+    # each entry of r is a sum of 2^nc unit roots, an algebraic integer:
+    # 0, or of norm (the product of its 8 conjugates, each at most 2^nc in
+    # modulus) a nonzero integer and so at least 2^(-7 nc) in modulus.  A
+    # 0 reads within about 4^nc eps, so a branch the checks reject reads
+    # |r|^2 below this, and any other above it
+    rejected = 2.0 ** (-14 * len(checks) - 2)
+
+    def read(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (dev, mass) rows of the branches of these exponents, and
+        whether the checks let each through."""
+        pairs = expo[:, ::2] << 4  # the first check qubit at 0, then 1
+        pairs |= expo[:, 1::2]
+        r = _PAIRS.take(pairs).reshape((len(expo), shape[0], -1)).sum(axis=2)
+        norms = np.empty((2, len(expo)))
+        norms[1] = np.square(r.view(np.float64)).sum(axis=1)
+        r -= (r * phi.conj()).sum(axis=1, keepdims=True) * phi
+        norms[0] = np.square(r.view(np.float64)).sum(axis=1)
+        return norms * unit, norms[1] > rejected
+
+    # every set of the last size and their exponents; the table keeps
+    # only the sets the checks let through, whose dev and mass are not 0
+    every, expo = np.zeros((0, 1), dtype=np.uint8), pre[None]
+    sizes = [(every, read(expo)[0])]
+    start = np.zeros(1, dtype=np.int32)  # each set's first event to add
+    per = max(1, _BLOCK_BYTES // (16 << c.n))
+    for k in range(1, order + 1):
+        # each set grows by each event from its start on, in order: the
+        # sets grown from set i take the positions from cum[i] - counts[i]
+        # on, and a position's new event is the position less first[i]
+        counts = len(steps) - start
+        cum = np.cumsum(counts)
+        first = cum - counts - start
+        columns, norms, grown = [], [], []
+        for lo in range(0, int(cum[-1]), per):
+            at = np.arange(lo, min(lo + per, int(cum[-1])))
+            rows = np.searchsorted(cum, at, side="right")
+            sets = np.empty((k, len(at)), dtype=np.uint8)
+            sets[:-1], sets[-1] = every[:, rows], at - first[rows]
+            chunk = expo[rows] + steps[sets[-1]]
+            chunk &= 15
+            chunk_norms, through = read(chunk)
+            columns.append(sets[:, through])
+            norms.append(chunk_norms[:, through])
+            if k < order:
+                grown.append((sets, chunk))
+        sizes.append((np.ascontiguousarray(np.concatenate(columns, axis=1)),
+                      np.concatenate(norms, axis=1)))
+        if k < order:
+            every = np.concatenate([sets for sets, _ in grown], axis=1)
+            expo = np.concatenate([chunk for _, chunk in grown])
+            start = ends[every[-1]]
+    return _EventSets(np.array(source), tuple(sizes))
+
+
+def _storage_free_p_out(family: str, profiles, order: int
+                        ) -> tuple[float, float]:
+    """(p_out, its floor) of the family's schedule run at ``order`` with
+    every storage and consumption channel left out, from its event sets.
+
+    A set E weighs prod over E of p_e / keep_e relative to the zero-event
+    run, keep_e being 1 minus the probabilities of its channel's events;
+    p_out is sum(weight * dev) / (outputs * sum(weight * mass)).  The
+    floor is the one the engine would state for that run: eps^2 of the
+    mass of zero and one event plus eps of the rest, over the total.
+    Every rotation must have keep > 0.
+    """
+    table = _event_sets(family, order)
+    p = np.array([(f.p_half, f.p_quarter, f.p_mquarter, f.p_z_output)
+                  for f in profiles])
+    keep = 1.0 - p[:, :3].sum(axis=1)
+    odds = (p / np.column_stack((keep, keep, keep, 1.0 - p[:, 3]))).ravel()
+    odds = odds.take(table.source)
+    deviation, masses = 0.0, []
+    for columns, norms in table.sizes:
+        weight = np.ones(columns.shape[1])
+        for column in columns:
+            weight *= odds.take(column)
+        dev, mass = (norms * weight).sum(axis=1).tolist()
+        deviation += dev
+        masses.append(mass)
+    total = sum(masses)
+    floor = (_EPS**2 * sum(masses[:2]) + _EPS * sum(masses[2:])) / total
+    return deviation / total / family_outputs(family), floor
+
+
+def _storage_free_bound(family: str, inputs: tuple, order: int) -> float:
+    """A lower bound on the p_out of the family's schedule run with the
+    noise ``inputs`` at any kmax >= ``order``, with no engine run.
+
+    Leave out storage and consumption, and every event of a run (a
+    rotation's substitution branch, an output Z flip) is a diagonal
+    unitary that commutes with the others and with the ideal rotations,
+    and the run projects once, at its end.  So each set of events leaves
+    one pure branch whose deviation and success mass depend on the
+    schedule alone (:func:`_event_sets`), and the run's order-``order``
+    p_out is read from them (:func:`_storage_free_p_out`).
+
+    That p_out bounds the run with storage.  A run at any kmax reads
+    p_out = N/T, with T <= 1 its success mass and N the sum over its kept
+    event sets s of w_s dev_s, every dev_s >= 0.  Keeping only the sets
+    without storage events, each weighing prod over storage events of
+    (1 - p_e) times its weight in the storage-free run, and taking that
+    run's success mass as at least its zero-event mass, gives
+    p_out(with storage) >= Z * (p_out - slack), where Z is prod(1 - p_e)
+    over every event of the run with storage (:func:`_events`).  No tail
+    is needed.  The run with storage holds up to (S^2/2)/Z in grades 2 and
+    up, with S the sum of those probabilities, so its floor may exceed
+    this one's by eps times that; the slack includes it.
+    """
+    events = _events(build_schedule(family), inputs)
+    zero_mass = math.prod(1.0 - e for e in events)
+    if zero_mass == 0.0:  # a rotation's substitution probabilities sum to 1
+        return 0.0
+    p_out, floor = _storage_free_p_out(family, inputs[0], order)
+    outputs = family_outputs(family)
+    slack = (_readout_slack(p_out, floor, outputs)
+             + 8 * _EPS * sum(events)**2 / zero_mass / outputs)
+    return zero_mass * (p_out - slack)
 
 
 def _run_level1(config: FactoryConfig, kmax: int,
@@ -451,19 +649,16 @@ def _level2_inputs(config: FactoryConfig, c: Circuit, kmax: int):
     return profiles, rates, t_l1, consumption
 
 
-def _run_factory(config: FactoryConfig, kmax: int, inputs, *args,
-                 stack: np.ndarray | None = None,
-                 storage: bool = True) -> ScheduleRun:
-    """Run a family's schedule on the noise inputs ``inputs`` builds.
+def _noise_inputs(config: FactoryConfig, inputs, *args) -> tuple:
+    """The noise inputs ``inputs`` builds for ``config``'s schedule.
 
-    Shared by both levels (``storage`` as for :func:`_run_schedule`).  For
-    some distances the closed-form noise model leaves its domain (a
+    For some distances the closed-form noise model leaves its domain (a
     probability reaches 1) below p_phys = 0.01; there it raises a
-    NoiseDomainError naming its inputs, with or without storage.
+    NoiseDomainError naming its inputs.
     """
-    schedule = build_schedule(config.family)
     try:
-        noise_inputs = inputs(config, schedule.circuit, *args)
+        noise_inputs = inputs(config, build_schedule(config.family).circuit,
+                              *args)
         _, rates, cycles, _ = noise_inputs
         if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
             raise ValueError("accumulated storage probability reaches 1")
@@ -473,7 +668,18 @@ def _run_factory(config: FactoryConfig, kmax: int, inputs, *args,
         raise NoiseDomainError(
             f"p_phys={config.noise.p_phys} is outside the noise model's "
             f"range for {protocol_name(config)} ({e})") from None
-    return _run_schedule(schedule, noise_inputs, kmax, stack, storage)
+    return noise_inputs
+
+
+def _run_factory(config: FactoryConfig, kmax: int, inputs, *args,
+                 stack: np.ndarray | None = None) -> ScheduleRun:
+    """Run a family's schedule on the noise inputs ``inputs`` builds.
+
+    Shared by both levels; a range error raises as in
+    :func:`_noise_inputs`, before the engine runs.
+    """
+    return _run_schedule(build_schedule(config.family),
+                         _noise_inputs(config, inputs, *args), kmax, stack)
 
 
 def protocol_name(config: FactoryConfig) -> str:
@@ -588,24 +794,25 @@ def p_out_lower_bound(config: FactoryConfig, kmax: int = 6,
     and the bound is 0.  ``stack``, if given, is a workspace the run
     reuses, as for :func:`simulate_factory`.
 
-    With ``storage`` False the run leaves out every storage and
-    consumption channel (146 of the 20-to-4's 194 channels), so it costs
-    about a third as much, and the bound is the storage-free one of
-    :func:`_run_schedule`.  It misses what storage adds to p_out (from 6%
-    to over 99% of it, and about half for the median candidate, on a
-    192-point 20-to-4 grid at p_phys = 1e-4), so it rules out only
-    candidates that miss the target by more than that.
+    With ``storage`` False the bound is :func:`_storage_free_bound`: the
+    order-K run without storage and consumption, read from the family's
+    table of event sets rather than run on the engine.  It misses what
+    storage adds to p_out (from 6% to over 99% of it, and about half for
+    the median candidate, on a 192-point 20-to-4 grid at p_phys = 1e-4),
+    so it rules out only candidates that miss the target by more than
+    that.
     """
     order = LEADING_ORDER[build_schedule(config.family).circuit.name]
     if kmax <= order:
         return 0.0
     if config.family in _LEVEL2_CIRCUIT:
-        run = _run_factory(config, order, _level2_inputs, kmax, stack=stack,
-                           storage=storage)
+        inputs, args = _level2_inputs, (kmax,)
     else:
-        run = _run_factory(config, order, _level1_inputs, stack=stack,
-                           storage=storage)
-    return run.p_out_lower
+        inputs, args = _level1_inputs, ()
+    if not storage:
+        return _storage_free_bound(
+            config.family, _noise_inputs(config, inputs, *args), order)
+    return _run_factory(config, order, inputs, *args, stack=stack).p_out_lower
 
 
 def sweep(
@@ -638,16 +845,14 @@ def sweep(
     the whole grid, whatever the order of the ranges.
 
     Each candidate left is screened before it is simulated: one whose
-    :func:`p_out_lower_bound` (a run at the top circuit's leading order)
+    :func:`p_out_lower_bound` (at the top circuit's leading order)
     exceeds the target cannot meet it and is not simulated.  Skipping it
     changes neither the feasible set nor any pruning decision.  The
-    screen has two tiers.  The first is the storage-free bound
-    (``storage=False``), about a third of the cost; a candidate it does
-    not rule out gets the full bound.  The first tier runs only while,
-    in this sweep, it has ruled out at least as many candidates as it has
-    let through: where most candidates pass, as at a loose target, it
-    stops after the first it lets through.  Every screen and simulation
-    reuses one workspace stack.
+    screen has two tiers.  The first, on every candidate screened, is the
+    storage-free bound (``storage=False``), read from a table of event
+    sets built once per family; a candidate it does not rule out gets the
+    second, the full bound, a schedule run.  Every schedule run reuses one
+    workspace stack.  A value repeated in a range counts once.
     """
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(
@@ -662,7 +867,7 @@ def sweep(
         raise ValueError(f"missing range keys: {sorted(missing)}")
     candidates = []
     out_of_range = []
-    for combo in itertools.product(*(list(ranges[k]) for k in keys)):
+    for combo in itertools.product(*(dict.fromkeys(ranges[k]) for k in keys)):
         kwargs = dict(zip(keys, combo))
         try:
             distances = DistanceSet(**kwargs)
@@ -682,16 +887,11 @@ def sweep(
                                           kmax)
     feasible = []
     ran = False
-    cheap = Counter()  # storage-free screens, by whether they ruled out
 
     def ruled_out(config: FactoryConfig) -> bool:
-        if cheap[True] >= cheap[False]:
-            out = p_out_lower_bound(config, kmax, stack,
-                                    storage=False) > target_p_out
-            cheap[out] += 1
-            if out:
-                return True
-        return p_out_lower_bound(config, kmax, stack) > target_p_out
+        return (p_out_lower_bound(config, kmax, stack,
+                                  storage=False) > target_p_out
+                or p_out_lower_bound(config, kmax, stack) > target_p_out)
 
     for per_state, qubits, combo, config in candidates:
         if any(_dominates(r.qubits, r.qubitcycles_per_state, qubits,

@@ -455,6 +455,13 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "(15-to-1)_{7,3,3}" in out
 
+    def test_sweep_prints_a_repeated_distance_once(self, capsys):
+        assert main(["sweep", "--family", "l1_15to1", "--pphys", "1e-4",
+                     "--target", "1e-3", "--dx", "7,7", "--dz", "3,3",
+                     "--dm", "3", "--format", "json"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["protocol"] for r in reports] == ["(15-to-1)_{7,3,3}"]
+
     def test_sweep_skips_distances_outside_the_noise_range(self, capsys):
         argv = ["sweep", "--family", "l1_15to1", "--pphys", "7e-3",
                 "--target", "1e-2", "--dz", "3", "--dm", "9"]

@@ -1,6 +1,7 @@
 """Tests for factory schedules, cost formulas, and resource reports."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -351,11 +352,14 @@ class TestNoiseModelDomain:
             raise AssertionError("engine ran")
 
         monkeypatch.setattr(factory, "_run_schedule", engine)
-        with pytest.raises(ValueError) as info:
-            simulate_factory(config)
-        assert str(info.value).startswith(
-            f"p_phys={config.noise.p_phys} is outside the noise model's "
-            f"range for {where} (")
+        # the storage-free screen reads no engine run, and checks the same
+        for run in (simulate_factory,
+                    lambda c: p_out_lower_bound(c, storage=False)):
+            with pytest.raises(factory.NoiseDomainError) as info:
+                run(config)
+            assert str(info.value).startswith(
+                f"p_phys={config.noise.p_phys} is outside the noise model's "
+                f"range for {where} (")
 
 
 class TestReports:
@@ -448,6 +452,28 @@ class TestSweep:
             with pytest.raises(ValueError, match="target"):
                 sweep("L1_15to1", ranges, noise, target)
 
+    def test_repeated_range_values_count_once(self, monkeypatch):
+        # equal configurations tie in both costs, so none dominates another
+        screened, simulated = [], []
+
+        def bound(config, kmax=6, stack=None, storage=True):
+            screened.append((config, storage))
+            return p_out_lower_bound(config, kmax, stack, storage)
+
+        def simulate(config, kmax=6, stack=None):
+            simulated.append(config)
+            return _simulate_once(config, kmax)
+
+        monkeypatch.setattr(factory, "p_out_lower_bound", bound)
+        monkeypatch.setattr(factory, "simulate_factory", simulate)
+        noise = PhysicalNoise(1e-4)
+        front = sweep("L1_15to1", {"dX": [7, 9, 7], "dZ": [3, 3], "dm": [3]},
+                      noise, target_p_out=1e-3)
+        config = _l1(7, 3, 3, 1e-4)
+        assert [r.protocol for r in front] == ["(15-to-1)_{7,3,3}"]
+        assert screened == [(config, False), (config, True)]
+        assert simulated == [config]
+
 
 _REPORTS: dict[tuple[FactoryConfig, int], FactoryReport] = {}
 # the entry point itself, which tests patch on the module
@@ -467,6 +493,7 @@ def _simulate_once(config: FactoryConfig, kmax: int = 6,
 
 
 def _valid_configs(family, ranges, noise) -> list[FactoryConfig]:
+    """Each valid configuration of the grid once, first occurrences first."""
     configs = []
     for combo in itertools.product(*ranges.values()):
         try:
@@ -474,7 +501,7 @@ def _valid_configs(family, ranges, noise) -> list[FactoryConfig]:
                 family, DistanceSet(**dict(zip(ranges, combo))), noise))
         except ValueError:
             continue
-    return configs
+    return list(dict.fromkeys(configs))
 
 
 def _brute_force_front(family, ranges, noise, target,
@@ -646,7 +673,8 @@ class TestSweepPruning:
     def test_any_failure_rates(self, data):
         # The engine is replaced by drawn outcomes, so a level-1 candidate's
         # cycles may exceed their p_fail = 0 bound by any amount, or not at
-        # all, and repeated range values give exact cost ties.
+        # all, and repeated range values, which tie exactly in cost, must
+        # not repeat a configuration on the front.
         family = data.draw(st.sampled_from(["L1_15to1", "L1_15to1_small"]))
         noise = PhysicalNoise(1e-3)
         ranges = {
@@ -709,6 +737,49 @@ def _configs(draw, family=None) -> FactoryConfig:
     return FactoryConfig(family, DistanceSet(*values), noise)
 
 
+def _noise_inputs(config: FactoryConfig, kmax: int):
+    """A configuration's (profiles, storage rates, cycles, consumption), or
+    None outside the noise model's range."""
+    if "dX2" in distance_keys(config.family):
+        inputs, args = factory._level2_inputs, (kmax,)
+    else:
+        inputs, args = factory._level1_inputs, ()
+    try:
+        return factory._noise_inputs(config, inputs, *args)
+    except factory.NoiseDomainError:
+        return None
+
+
+@st.composite
+def _edge_inputs(draw):
+    """(config, noise inputs, whether a rotation's error is certain).
+
+    The inputs of a drawn configuration, p_phys = 0 included, where some
+    storage (consumption included) does not decay, where some flips half
+    the time, so that grades above kmax hold much of the run's mass, and
+    where a rotation's substitution probabilities may sum to 1, so that no
+    error event is certain not to happen.
+    """
+    config = draw(_configs())
+    if draw(st.booleans()):
+        config = dataclasses.replace(
+            config, noise=PhysicalNoise(0.0, config.noise.c_T))
+    inputs = _noise_inputs(config, 6)
+    assume(inputs is not None)
+    profiles, rates, cycles, consumption = inputs
+    loud = StorageRates(0.5 / cycles, 0.0)
+    rates = {q: draw(st.sampled_from([r, StorageRates(0.0, 0.0), loud]))
+             for q, r in rates.items()}
+    if draw(st.booleans()):
+        consumption = StorageRates(0.0, 0.0)
+    certain = draw(st.booleans())
+    if certain:
+        profiles = list(profiles)
+        profiles[draw(st.integers(0, len(profiles) - 1))] = (
+            RotationErrorProfile(0.5, 0.25, 0.25))
+    return config, (profiles, rates, cycles, consumption), certain
+
+
 class TestScreen:
     """The sweep's screen bound never exceeds the simulated p_out."""
 
@@ -723,36 +794,56 @@ class TestScreen:
         assert p_out_lower_bound(config, storage=False) <= p_out
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_storage_free_bound_is_below_p_out(self, data):
-        # the storage-free run's bound on the run with storage, where some
-        # storage (consumption included) does not decay, where some flips
-        # half the time, so that grades above kmax hold much of the run's
-        # mass, and where a rotation's substitution probabilities sum to 1,
-        # so that no error event is certain not to happen and the bound is 0
-        config = data.draw(_configs())
-        inputs = _noise_inputs(config, 6)
-        assume(inputs is not None)
-        profiles, rates, cycles, consumption = inputs
-        loud = StorageRates(0.5 / cycles, 0.0)
-        rates = {q: data.draw(st.sampled_from([r, StorageRates(0.0, 0.0),
-                                               loud]))
-                 for q, r in rates.items()}
-        if data.draw(st.booleans()):
-            consumption = StorageRates(0.0, 0.0)
-        certain = data.draw(st.booleans())
-        if certain:
-            profiles = list(profiles)
-            profiles[data.draw(st.integers(0, len(profiles) - 1))] = (
-                RotationErrorProfile(0.5, 0.25, 0.25))
-        inputs = (profiles, rates, cycles, consumption)
+    @given(case=_edge_inputs())
+    def test_storage_free_bound_is_below_p_out(self, case):
+        config, inputs, certain = case
         schedule = build_schedule(config.family)
         order = factory.LEADING_ORDER[schedule.circuit.name]
         run = factory._run_schedule(schedule, inputs, 6)
-        free = factory._run_schedule(schedule, inputs, order, storage=False)
-        assert free.p_out_lower <= run.p_out
+        free = factory._storage_free_bound(config.family, inputs, order)
+        assert free <= run.p_out
         if certain:
-            assert free.p_out_lower == 0.0
+            assert free == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_edge_inputs())
+    def test_storage_free_table_matches_the_engine(self, case):
+        # the table's order-K p_out is the engine's at order K with every
+        # storage and consumption channel at rate 0, within the slack the
+        # bound takes for that run, and the bound is Z times p_out less
+        # the slack, Z and the slack taken over the run with storage.  The
+        # engine reads grades 2 and up to about eps of their mass before
+        # the checks (1.2e-12 of p_out on an L2_15x15 case, where the
+        # table is within 1e-16 of an extended-precision sum).  Its
+        # zero-error branch also deviates by its rounding, about eps per
+        # channel in norm, which its floor does not state (23 eps^2 of
+        # infidelity on a noiseless 20-to-4 run, where the table reads
+        # 1.2 eps^2), so the engine may read higher by that much more.
+        config, inputs, certain = case
+        assume(not certain)  # no odds exist, and the bound is 0 (above)
+        profiles, rates, cycles, consumption = inputs
+        schedule = build_schedule(config.family)
+        c = schedule.circuit
+        order = factory.LEADING_ORDER[c.name]
+        p_out, floor = factory._storage_free_p_out(config.family, profiles,
+                                                   order)
+
+        def slack(inputs):
+            events = factory._events(schedule, inputs)
+            z = math.prod(1.0 - e for e in events)
+            return z, (factory._readout_slack(p_out, floor, c.outputs)
+                       + 8 * factory._EPS * sum(events)**2 / z / c.outputs)
+
+        quiet = StorageRates(0.0, 0.0)
+        free = (profiles, {q: quiet for q in rates}, cycles, quiet)
+        run = factory._run_schedule(schedule, free, order)
+        channels = 1 + sum(1 + len(c.output_qubits & set(r.axis.support))
+                           for r in c.rotations)
+        pure = (channels * factory._EPS)**2 / c.outputs
+        assert -slack(free)[1] <= run.p_out - p_out <= slack(free)[1] + pure
+        z, full = slack(inputs)
+        assert factory._storage_free_bound(config.family, inputs, order) == (
+            pytest.approx(z * (p_out - full), rel=1e-12, abs=1e-300))
 
     @pytest.mark.parametrize("config", [
         _l1(7, 3, 3, 1e-4),
@@ -768,7 +859,7 @@ class TestScreen:
         # recomputed here from the schedule and the noise inputs.  On these
         # configurations the slack is below 1e-9 of p_out, while the
         # storage and consumption events alone take over 4e-6 off Z, so a
-        # bound without Z, or with Z over the applied events only, fails.
+        # bound without Z, or with Z over the rotations' events only, fails.
         profiles, rates, cycles, consumption = inputs = _noise_inputs(
             config, 6)
         schedule = build_schedule(config.family)
@@ -788,12 +879,12 @@ class TestScreen:
                    1.0 - consumption.pZ] * len(c.output_qubits)
         z_storage = math.prod(stored)
         z = math.prod(applied) * z_storage
-        free = factory._run_schedule(schedule, inputs,
-                                     factory.LEADING_ORDER[c.name],
-                                     storage=False)
+        order = factory.LEADING_ORDER[c.name]
+        p_out, _ = factory._storage_free_p_out(config.family, profiles, order)
+        free = factory._storage_free_bound(config.family, inputs, order)
         assert 1.0 - z_storage > 4e-6
-        assert free.p_out_lower <= z * free.p_out
-        assert free.p_out_lower == pytest.approx(z * free.p_out, rel=1e-9)
+        assert free <= z * p_out
+        assert free == pytest.approx(z * p_out, rel=1e-9)
 
     @pytest.mark.parametrize("row", TABLE1 + TABLE2,
                              ids=[f"table1-{i}" for i in range(1, 16)]
@@ -838,31 +929,31 @@ class TestScreen:
             assert p_out_lower_bound(top, kmax=2, storage=storage) == 0.0
 
     @pytest.mark.parametrize("rules_out", [False, True])
-    def test_storage_free_tier_runs_while_it_rules_out(self, rules_out,
-                                                        monkeypatch):
-        # a first tier that never rules out runs once per sweep; one that
-        # always does runs on every candidate screened, which with nothing
-        # feasible is every valid candidate
+    def test_storage_free_tier_screens_every_candidate(self, rules_out,
+                                                       monkeypatch):
+        # the first tier runs on every candidate screened, which with
+        # nothing feasible is every valid candidate, and the second only
+        # on those the first lets through
         family, p, ranges, _ = _PRUNING_CASES[3]
         noise = PhysicalNoise(p)
         tiers = []
 
         def bound(config, kmax=6, stack=None, storage=True):
-            tiers.append(storage)
+            tiers.append((config, storage))
             return 1.0 if rules_out or storage else 0.0
 
         monkeypatch.setattr(factory, "p_out_lower_bound", bound)
         monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
         assert sweep(family, ranges, noise, 1e-30) == []
-        valid = len(_valid_configs(family, ranges, noise))
+        valid = _valid_configs(family, ranges, noise)
+        first = [config for config, storage in tiers if not storage]
+        assert len(first) == len(set(first)) == len(valid)
+        assert set(first) == set(valid)
         if rules_out:
-            assert tiers == [False] * valid
+            assert len(tiers) == len(valid)
         else:
-            assert tiers == [False] + [True] * valid
-        # the count is the sweep's own: the next sweep starts afresh
-        tiers.clear()
-        sweep(family, ranges, noise, 1e-30)
-        assert tiers.count(False) == (valid if rules_out else 1)
+            assert tiers == [(config, storage) for config in first
+                             for storage in (False, True)]
 
     def test_out_of_range_candidates_of_a_screened_sweep_are_skipped(
             self, monkeypatch):
@@ -881,29 +972,11 @@ class TestScreen:
         front = sweep("L2_15x20", ranges, noise, 1.0)
         assert [r.protocol for r in front] == [
             "(15-to-1)^2_{9,3,3} x (20-to-4)_{25,7,9}"]
-        # the first screen raised and counted for neither outcome, so the
-        # storage-free tier still ran on the next candidate
+        # the first screen raised, and the next candidate was screened
         assert tiers[:2] == [(5, False), (7, False)]
         with pytest.raises(factory.NoiseDomainError,
                            match=r"\(20-to-4\)_\{25,5,9\}"):
             sweep("L2_15x20", {**ranges, "dZ2": [5]}, noise, 1.0)
-
-
-def _noise_inputs(config: FactoryConfig, kmax: int):
-    """A configuration's (profiles, storage rates, cycles, consumption), or
-    None outside the noise model's range."""
-    circuit = build_schedule(config.family).circuit
-    try:
-        if "dX2" in distance_keys(config.family):
-            inputs = factory._level2_inputs(config, circuit, kmax)
-        else:
-            inputs = factory._level1_inputs(config, circuit)
-    except ValueError:
-        return None
-    _, rates, cycles, _ = inputs
-    if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
-        return None
-    return inputs
 
 
 class TestWorkspace:
