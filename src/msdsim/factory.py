@@ -411,15 +411,16 @@ class _EventSets(NamedTuple):
 def _event_sets(family: str, order: int) -> _EventSets:
     """The event sets of a family's schedule up to ``order`` events.
 
-    Built once per (family, order).  Every event and every ideal rotation
-    is a diagonal phase, a power of exp(i pi/8), so the pre-measurement
-    state a set leaves has amplitudes exp(i pi/8 a) / sqrt(2^n), where
-    the integer a (mod 16) sums the exponents of the ideal rotations and
-    of the set's events.  The checks' projection averages over the check
-    qubits, and the ideal output is a vector phi of the other qubits times
-    |+> on the checks, so a branch reads through its sums r over the check
-    bits: mass |r|^2 and deviation |r - <phi|r> phi|^2, scaled so that the
-    zero-event branch has mass 1.  Sets are read in chunks of at most
+    Built once per (family, order); the memoized arrays are read-only.
+    Every event and every ideal rotation is a diagonal phase, a power of
+    exp(i pi/8), so the pre-measurement state a set leaves has amplitudes
+    exp(i pi/8 a) / sqrt(2^n), where the integer a (mod 16) sums the
+    exponents of the ideal rotations and of the set's events.  The
+    checks' projection averages over the check qubits, and the ideal
+    output is a vector phi of the other qubits times |+> on the checks,
+    so a branch reads through its sums r over the check bits: mass |r|^2
+    and deviation |r - <phi|r> phi|^2, scaled so that the zero-event
+    branch has mass 1.  Sets are read in chunks of at most
     ``_BLOCK_BYTES``, their phases looked up two check bits at a time.
 
     A set the checks reject (most 15-to-1 triples) has r = 0 exactly, so
@@ -466,7 +467,8 @@ def _event_sets(family: str, order: int) -> _EventSets:
     def read(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (dev, mass) rows of the branches of these exponents, and
         whether the checks let each through."""
-        pairs = expo[:, ::2] << 4  # the first check qubit at 0, then 1
+        # positions 2j and 2j + 1 differ in the first check bit only
+        pairs = expo[:, ::2] << 4
         pairs |= expo[:, 1::2]
         r = _PAIRS.take(pairs).reshape((len(expo), shape[0], -1)).sum(axis=2)
         norms = np.empty((2, len(expo)))
@@ -507,7 +509,10 @@ def _event_sets(family: str, order: int) -> _EventSets:
             every = np.concatenate([sets for sets, _ in grown], axis=1)
             expo = np.concatenate([chunk for _, chunk in grown])
             start = ends[every[-1]]
-    return _EventSets(np.array(source), tuple(sizes))
+    table = _EventSets(np.array(source), tuple(sizes))
+    for array in (table.source, *itertools.chain.from_iterable(sizes)):
+        array.flags.writeable = False
+    return table
 
 
 def _storage_free_p_out(family: str, profiles, order: int
