@@ -330,9 +330,8 @@ def simulate_circuit(
 
     rho = GradedDensityMatrix.init_plus(c.n, kmax=kmax)
     for r in c.rotations:
-        rho = rho.apply_faulty_rotation(
-            r.axis, profile, frozenset(), sign=int(np.sign(r.angle.k))
-        )
+        rho = rho.apply_faulty_rotation(r.axis, profile,
+                                        sign=int(np.sign(r.angle.k)))
     p_fail = 0.0
     if c.check_qubits:
         rho, p_fail = rho.project_plus(c.check_qubits)

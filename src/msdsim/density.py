@@ -15,20 +15,25 @@ in place.  The grades are one ``(kmax, dim, dim)`` stack, updated in
 cache-sized blocks.  ``workspace`` allocates that stack and a channel's
 scratch once, for successive runs to reuse.
 
-Each channel is one elementwise kernel,
+A rotation or an X flip is one elementwise kernel,
 ``out_k = A o g_k + B o P(g_{k-1})`` with ``g_0 = pure pure^dagger``: P
-permutes for an X flip; a Z-type operation scales ``rho_ij`` by a value set
-by the class ``c_ij = 1 + (s_i - s_j)/2`` of the axis's Z signs s, so A and
-B are 3-entry tables looked up by c (a faulty rotation folds its ideal
-phase D and error branches W into ``A = keep D`` and ``B = D W``).  Real
-factors (probabilities, +-1 signs) and permutations are exact in any order,
-so X and Z flips give bit-identical grades from one engine version to the
-next.  Products of complex phases are not: NumPy's SIMD loops round
+permutes for an X flip; a rotation scales ``rho_ij`` by a value set by
+the class ``c_ij = 1 + (s_i - s_j)/2`` of its axis's Z signs s, so A and
+B are 3-entry tables looked up by c (its ideal phase D and error
+branches W give ``A = keep D`` and ``B = D W``).  A Z flip scales
+``rho_ij`` by ``(1 - p) + p s(i ^ j)``, so Z flips commute with each
+other, with X flips and with rotations, and :meth:`apply_z_flips` applies
+a whole list of them in one pass, from tables over ``i ^ j``.  Real
+factors (probabilities, +-1 signs) and permutations are exact in any
+order, so X flips, and a lone Z flip, give bit-identical grades from one
+engine version to the next; a pass of several Z flips multiplies their
+probabilities, so regrouping them moves grades in the last bits.
+Products of complex phases are not exact either: NumPy's SIMD loops round
 ``a * b`` and ``b * a`` differently in the last bit, so rotations move in
 the last bits when their operand order changes.
 
 The branch store keeps each grade-1 branch as it was born, pulled back
-through the ideal operations applied since: storage and error channels only
+through the ideal operations applied since: flips and error channels only
 scale grade 1, and every ideal operation is diagonal.  A stored ``(w, row)``
 is read as weight ``scale * w`` and vector ``conj(pullback) * row``; only a
 projection and the readout materialize the rows.
@@ -40,12 +45,14 @@ Usage::
 
     rho = GradedDensityMatrix.init_plus(5)
     prof = RotationErrorProfile(1e-4, 0.0, 0.0, 0.0)
-    rho = rho.apply_faulty_rotation(PauliProduct("ZIIII"), prof, frozenset())
+    rho = rho.apply_faulty_rotation(PauliProduct("ZIIII"), prof)
+    rho = rho.apply_x_flip(1, 1e-4).apply_z_flips([(0, 1e-4), (1, 2e-4)])
     rho, p_fail = rho.project_plus(frozenset({1, 2, 3, 4}))
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +75,8 @@ class RotationErrorProfile:
     p_half / p_quarter / p_mquarter are the probabilities of an extra
     P_{pi/2} / P_{pi/4} / P_{-pi/4} rotation on the rotation's axis;
     p_z_output is the probability of an extra Pauli Z on each designated
-    output qubit in the rotation's support.
+    output qubit in the rotation's support, which the caller applies with
+    ``GradedDensityMatrix.apply_z_flips``.
     """
 
     p_half: float
@@ -148,10 +156,8 @@ def _mat_project_checks(mat: np.ndarray, checks: tuple[int, ...], n: int,
     return out
 
 
-# s_i - s_j and s_i s_j for the entries of each class c_ij under Z signs s;
-# complex, since a real operand makes NumPy's complex loops cast in buffers
+# s_i - s_j for the entries of each class c_ij under Z signs s
 _CLASS_STEP = np.array([-2.0, 0.0, 2.0])
-_CLASS_SIGN = np.array([-1.0, 1.0, -1.0], dtype=np.complex128)
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +167,48 @@ def _z_classes(mask: int, n: int) -> np.ndarray:
     c = (1.0 + (s[:, None] - s[None, :]) / 2).astype(np.int8)
     c.flags.writeable = False
     return c
+
+
+@lru_cache(maxsize=None)
+def _xor_index(n: int) -> np.ndarray:
+    """i ^ j of every entry (i, j); memoized, read-only, in the smallest
+    unsigned type that holds it."""
+    i = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    x = i[:, None] ^ i[None, :]
+    x.flags.writeable = False
+    return x
+
+
+def _z_flip_tables(counts: Counter, n: int, kmax: int) -> np.ndarray:
+    """(depth + 1, 2**n) complex, depth <= kmax: at x, the coefficients of
+    t^0..t^depth of prod_(q, p) ((1 - p) + p s_q(x) t)^m over the m flips
+    of each (q, p) in ``counts``, with s_q(x) the sign of Z on q at basis
+    index x.
+
+    Complex, since a real operand makes NumPy's complex loops cast in
+    buffers.
+    """
+    depth = min(kmax, sum(counts.values()))
+    table = np.zeros((depth + 1, 1 << n), dtype=np.complex128)
+    table[0] = 1.0
+    for (q, p), m in counts.items():
+        s = z_signs(1 << q, n)
+        grown = np.zeros_like(table)
+        for j in range(min(m, depth) + 1):
+            c = math.comb(m, j) * (1.0 - p)**(m - j) * p**j
+            grown[j:] += (c * s if j % 2 else c) * table[:depth + 1 - j]
+        table = grown
+    return table
+
+
+def _flip_p(qubit: int, p: float, n: int) -> float:
+    """A flip's probability as a float, once it and its qubit are valid."""
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit index {qubit} out of range")
+    p = float(p)
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"flip probability {p} outside [0, 1)")
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -203,8 +251,9 @@ def _blocks(kmax: int, dim: int):
 
 
 def _scratch(kmax: int, dim: int) -> int:
-    """Matrices of scratch a channel takes: A, B and a block of terms."""
-    return 2 + _per_block(kmax, dim)
+    """Matrices of scratch a channel takes: A, B and a block of terms, and
+    at least the kmax + 2 rows of a Z-flip pass (see ``apply_z_flips``)."""
+    return max(2 + _per_block(kmax, dim), -(-(kmax + 2) // dim))
 
 
 def _z_mask(axis: PauliProduct, n: int, sign: int) -> int:
@@ -228,8 +277,9 @@ class GradedDensityMatrix:
     ``pure`` is the subnormalized statevector of the no-error branch;
     ``grades[k - 1]`` (k = 1..kmax) is the subnormalized density matrix of
     the exactly-k-error mass.  Branches with more than ``kmax`` errors are
-    dropped; their total probability is bounded by ``1 - trace_total()``
-    and is negligible for the error rates in scope.
+    dropped.  ``1 - trace_total()`` does not measure them: it is round-off
+    (between -1.6e-15 and 1.3e-14 on the paper's tables).  A schedule run
+    bounds their share from its events instead (``factory._run_schedule``).
 
     ``births`` holds grade 1 once more, as ``(weight, row)`` pairs, one per
     single error event, to be read through ``pullback`` (the conjugated
@@ -346,12 +396,7 @@ class GradedDensityMatrix:
         before it overwrites itself.
         """
         grades, dim = self.grades, len(self.pure)
-        # one scratch for A, B and a block of terms, the run's own if owned:
-        # freeing several of this size per call makes malloc return and
-        # refault pages
-        work = (self._work if self._in_place
-                else np.empty((_scratch(self.kmax, dim), dim, dim),
-                              grades.dtype))
+        work = self._scratch_space()
         a = self._table(a, work[0], mask)
         b = self._table(b, work[1], mask)
         terms = work[2:]
@@ -370,6 +415,15 @@ class GradedDensityMatrix:
             block = np.multiply(grades[block], a, out=out[block])
             block += term
         return out
+
+    def _scratch_space(self) -> np.ndarray:
+        """A channel's scratch (:func:`_scratch`), the run's own if owned:
+        freeing several of this size per call makes malloc return and
+        refault pages."""
+        if self._in_place:
+            return self._work
+        dim = len(self.pure)
+        return np.empty((_scratch(self.kmax, dim), dim, dim), np.complex128)
 
     def _event(self, keep: float, branches: list, grades: np.ndarray,
                pure: np.ndarray, pullback) -> GradedDensityMatrix:
@@ -395,27 +449,19 @@ class GradedDensityMatrix:
             state._in_place, state._work = True, self._work
         return state
 
-    def _flip(self, letter: str, qubit: int, p: float,
-              out: np.ndarray) -> GradedDensityMatrix:
-        """(1 - p) rho + p P rho P for P = X or Z on ``qubit``."""
-        if letter == "X":
-            b, xq = p, qubit
-            v = moved = _vec_xflip(self.pure, qubit)
-        else:
-            b, xq, moved = p * _CLASS_SIGN, None, self.pure
-            v = z_signs(1 << qubit, self.n) * self.pure
-        keep = 1.0 - p
-        grades = self._channel(keep, b, out, moved, xq, 1 << qubit)
-        return self._event(keep, [(p, v)], grades, self.pure, self.pullback)
-
     # -- channels ----------------------------------------------------------
     def apply_faulty_rotation(
         self,
         axis: PauliProduct,
         profile: RotationErrorProfile,
-        output_qubits: frozenset[int] = frozenset(),
         sign: int = 1,
     ) -> GradedDensityMatrix:
+        """The pi/8 rotation on ``axis`` with its substitution errors.
+
+        The profile's output Z flips are the caller's to apply, with
+        :meth:`apply_z_flips`: they commute with every later Z-type
+        operation, so a schedule applies them all in one pass.
+        """
         mask = _z_mask(axis, self.n, sign)
         theta = sign * np.pi / 8
         errors = [(profile.p_half, np.pi / 2), (profile.p_quarter, np.pi / 4),
@@ -429,26 +475,65 @@ class GradedDensityMatrix:
         pure = d * self.pure
         born = [(p, _diagonal(mask, self.n, extra) * pure)
                 for p, extra in errors]
-        state = self._event(keep, born, grades, pure, d.conj() * self.pullback)
-        p = profile.p_z_output
-        if p:
-            for q in sorted(set(axis.support) & set(output_qubits)):
-                state = state._flip("Z", q, p, state.grades)
-        return state
+        return self._event(keep, born, grades, pure, d.conj() * self.pullback)
 
-    def apply_storage(self, qubit: int, rates: StorageRates,
-                      cycles: float) -> GradedDensityMatrix:
-        if qubit >= self.n:
-            raise ValueError("qubit index out of range")
-        px, pz = cycles * rates.pX, cycles * rates.pZ
-        if px >= 1.0 or pz >= 1.0:
-            raise ValueError("accumulated storage probability reaches 1")
-        state, out = self, self._out()
-        if px:
-            state = state._flip("X", qubit, px, out)
-        if pz:
-            state = state._flip("Z", qubit, pz, out)
-        return state
+    def apply_x_flip(self, qubit: int, p: float) -> GradedDensityMatrix:
+        """(1 - p) rho + p X rho X on ``qubit``."""
+        p = _flip_p(qubit, p, self.n)
+        if not p:
+            return self
+        v = _vec_xflip(self.pure, qubit)
+        keep = 1.0 - p
+        grades = self._channel(keep, p, self._out(), v, qubit)
+        return self._event(keep, [(p, v)], grades, self.pure, self.pullback)
+
+    def apply_z_flips(self, flips) -> GradedDensityMatrix:
+        """Every Z flip of ``flips``, (qubit, p) pairs, in one pass.
+
+        A flip is (1 - p) rho + p Z rho Z, which scales rho_ij by
+        ``(1 - p) + p s(i ^ j)`` for the sign s of Z on its qubit, so the
+        flips commute and together give
+        ``out_k = K g_k + sum_{j=1..k} E_j o g_{k-j}``, with K = prod(1 - p)
+        and E_j the degree-j coefficient of prod_e((1 - p_e) + p_e s_e t),
+        a table over i ^ j (:func:`_z_flip_tables`).  Each flipped qubit
+        adds one branch to the store, Z_q pure, weighted by K times the
+        summed odds p/(1 - p) of its flips.
+        """
+        n, dim, kmax = self.n, len(self.pure), self.kmax
+        counts = Counter()
+        for q, p in flips:
+            p = _flip_p(q, p, n)
+            if p:
+                counts[q, p] += 1
+        if not counts:
+            return self
+        table = _z_flip_tables(counts, n, kmax)
+        keep, depth = table[0, 0].real, len(table) - 1
+        # the E_j of a slab of rows, its g_0 and a term fill the scratch
+        work = self._scratch_space().reshape(-1, dim)
+        rows = min(dim, len(work) // (depth + 2))
+        grades, out, xor = self.grades, self._out(), _xor_index(n)
+        conj = self.pure.conj()
+        for r in (slice(lo, lo + rows) for lo in range(0, dim, rows)):
+            h = len(xor[r])
+            e = work[:depth * h].reshape(depth, h, dim)
+            for j in range(depth):
+                np.take(table[j + 1], xor[r], out=e[j], mode="clip")
+            g0 = work[depth * h:(depth + 1) * h]
+            np.multiply(self.pure[r, None], conj, out=g0)
+            term = work[(depth + 1) * h:(depth + 2) * h]
+            # from the top grade down: each reads only grades below it
+            for k in range(kmax, 0, -1):
+                block = np.multiply(grades[k - 1, r], keep, out=out[k - 1, r])
+                for j in range(1, min(k, depth) + 1):
+                    below = grades[k - j - 1, r] if k > j else g0
+                    block += np.multiply(e[j - 1], below, out=term)
+        odds = Counter()
+        for (q, p), m in counts.items():
+            odds[q] += m * p / (1.0 - p)
+        born = [(keep * o, z_signs(1 << q, n) * self.pure)
+                for q, o in odds.items()]
+        return self._event(keep, born, out, self.pure, self.pullback)
 
     def project_plus(
         self, check_qubits: frozenset[int]

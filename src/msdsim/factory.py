@@ -350,27 +350,36 @@ def _run_schedule(
     """
     c = schedule.circuit
     profiles, rates, cycles, consumption = inputs
+    events = _events(schedule, inputs)
+    if not any(events):  # noiseless: the engine would read its round-off
+        return ScheduleRun(0.0, 0.0, 0.0)
     rho = GradedDensityMatrix.init_plus(c.n, kmax, stack)._owned()
     initialized: set[int] = set()
     p_fail = 0.0
+    # Z flips commute with every Z flip, X flip and Z-type rotation, but
+    # not with the checks: each waits for one pass before the projection
+    z_flips = []
     for step in schedule.steps:
         initialized |= step.initialize
         for ri in step.rotations:
             r = c.rotations[ri]
-            involved_outputs = c.output_qubits & frozenset(r.axis.support)
-            rho = rho.apply_faulty_rotation(
-                r.axis, profiles[ri], involved_outputs,
-                sign=1 if r.angle.k > 0 else -1)
+            rho = rho.apply_faulty_rotation(r.axis, profiles[ri],
+                                            sign=1 if r.angle.k > 0 else -1)
+            z_flips += [(q, profiles[ri].p_z_output) for q in
+                        sorted(c.output_qubits & frozenset(r.axis.support))]
         if step.storage:
             for q in sorted(initialized):
-                rho = rho.apply_storage(q, rates[q], cycles)
+                rho = rho.apply_x_flip(q, cycles * rates[q].pX)
+                z_flips.append((q, cycles * rates[q].pZ))
         if step.measure:
+            rho, z_flips = rho.apply_z_flips(z_flips), []
             rho, p_fail = rho.project_plus(step.measure)
     for q in sorted(c.output_qubits):
-        rho = rho.apply_storage(q, consumption, 1.0)
+        rho = rho.apply_x_flip(q, consumption.pX)
+        z_flips.append((q, consumption.pZ))
+    rho = rho.apply_z_flips(z_flips)
     p_out = rho.infidelity_with_pure(c.ideal_output) / c.outputs
     slack = _readout_slack(p_out, rho.infidelity_floor(), c.outputs)
-    events = _events(schedule, inputs)
     # the zero-event mass is 0 where a rotation's substitution
     # probabilities sum to 1
     zero_mass = math.prod(1.0 - e for e in events)

@@ -60,7 +60,6 @@ class DensityMatrix:
         self,
         axis: PauliProduct,
         profile: RotationErrorProfile,
-        output_qubits: frozenset[int] = frozenset(),
         sign: int = 1,
     ) -> DensityMatrix:
         if axis.n != self.n:
@@ -86,11 +85,7 @@ class DensityMatrix:
                 continue
             u = unitary(theta)
             out += prob * (u @ self.data @ u.conj().T)
-        result = DensityMatrix(self.n, out)
-        if profile.p_z_output:
-            for q in sorted(set(axis.support) & set(output_qubits)):
-                result = result._pauli_channel("Z", q, profile.p_z_output)
-        return result
+        return DensityMatrix(self.n, out)
 
     def _pauli_channel(self, letter: str, qubit: int, prob: float) -> DensityMatrix:
         if prob == 0.0:
@@ -99,6 +94,16 @@ class DensityMatrix:
         return DensityMatrix(
             self.n, (1.0 - prob) * self.data + prob * (m @ self.data @ m)
         )
+
+    def apply_x_flip(self, qubit: int, p: float) -> DensityMatrix:
+        return self._pauli_channel("X", qubit, p)
+
+    def apply_z_flips(self, flips) -> DensityMatrix:
+        """Each (qubit, p) flip of ``flips`` as its own channel, in order."""
+        result = self
+        for q, p in flips:
+            result = result._pauli_channel("Z", q, p)
+        return result
 
     def apply_storage(
         self, qubit: int, rates: StorageRates, cycles: float

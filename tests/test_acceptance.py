@@ -206,13 +206,16 @@ class TestAcceptance:
                         probs[0], probs[1], probs[2],
                         p_z_output=float(rng.uniform(0.0, 0.02)))
                     rho = rho.apply_faulty_rotation(
-                        axis, profile, frozenset({0}),
-                        sign=int(rng.choice([1, -1])))
+                        axis, profile, sign=int(rng.choice([1, -1])))
+                    if mask & 1:  # qubit 0 is the output
+                        rho = rho.apply_z_flips([(0, profile.p_z_output)])
                 else:
                     rates = StorageRates(float(rng.uniform(0.0, 0.01)),
                                          float(rng.uniform(0.0, 0.01)))
-                    rho = rho.apply_storage(int(rng.integers(0, n)), rates,
-                                            float(rng.uniform(0.5, 3.0)))
+                    q = int(rng.integers(0, n))
+                    cycles = float(rng.uniform(0.5, 3.0))
+                    rho = rho.apply_x_flip(q, cycles * rates.pX)
+                    rho = rho.apply_z_flips([(q, cycles * rates.pZ)])
                 materialize(rho).validate()
                 applications += 1
         assert applications == 200

@@ -332,6 +332,13 @@ class TestMainExitCodes:
         assert "4.3e-08" in out
         assert "14,600" in out
 
+    def test_noiseless_factory_has_no_full_distance(self, capsys):
+        assert main(["factory", "--family", "l1_15to1", "--d", "7,3,3",
+                     "--pphys", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "p_out per state:      0.0e+00" in out
+        assert out.count("none <= 99") == 2
+
     def test_factory_json_mirrors_report(self, capsys):
         assert main(["factory", "--family", "l1_15to1", "--d", "7,3,3",
                      "--pphys", "1e-4", "--format", "json"]) == 0

@@ -17,6 +17,8 @@ from msdsim.density import (
     GradedDensityMatrix,
     RotationErrorProfile,
     StorageRates,
+    _scratch,
+    _xor_index,
     _z_classes,
     pure_state_infidelity,
 )
@@ -113,11 +115,23 @@ def _state_bytes(state) -> tuple:
 
 
 def _apply(state, op):
+    """One op on a dense or graded state.
+
+    A rotation's output Z flips follow it as flips; storage is the oracle's
+    own channel on a dense state, and an X flip then a Z flip on a graded
+    one.
+    """
     kind, args = op
     if kind == "rotation":
-        return state.apply_faulty_rotation(args[0], args[1], args[2],
-                                           sign=args[3])
-    return state.apply_storage(*args)
+        axis, profile, outputs, sign = args
+        state = state.apply_faulty_rotation(axis, profile, sign=sign)
+        return state.apply_z_flips([(q, profile.p_z_output) for q in
+                                    sorted(outputs & set(axis.support))])
+    qubit, rates, cycles = args
+    if isinstance(state, DensityMatrix):
+        return state.apply_storage(qubit, rates, cycles)
+    state = state.apply_x_flip(qubit, cycles * rates.pX)
+    return state.apply_z_flips([(qubit, cycles * rates.pZ)])
 
 
 class TestDensityMatrix:
@@ -246,13 +260,15 @@ class TestGradedAgainstDense:
             axis = PauliProduct("Z" * n)
             channels = [
                 lambda s: s.apply_faulty_rotation(
-                    axis, RotationErrorProfile(0.01, 0.02, 0.03, 0.01),
-                    frozenset({0, n - 1})),
+                    axis, RotationErrorProfile(0.01, 0.02, 0.03, 0.01)),
+                lambda s: s.apply_z_flips([(0, 0.01), (n - 1, 0.02),
+                                           (0, 0.03)]),
             ] + [
-                lambda s, q=q, rates=rates: s.apply_storage(q, rates, 2.0)
-                for q in range(n)
-                for rates in (StorageRates(0.01, 0.0), StorageRates(0.0, 0.01),
-                              StorageRates(0.01, 0.02), StorageRates(0.0, 0.0))
+                lambda s, q=q, p=p: s.apply_x_flip(q, p)
+                for q in range(n) for p in (0.01, 0.0)
+            ] + [
+                lambda s, q=q, p=p: s.apply_z_flips([(q, p)])
+                for q in range(n) for p in (0.01, 0.0)
             ] + [lambda s: s.project_plus(frozenset({n - 1}))]
             for channel in channels:
                 before = _state_bytes(state)
@@ -301,21 +317,21 @@ class TestGradedAgainstDense:
                                        atol=1e-12)
 
     def test_z_flip_is_exact(self):
-        # +-p factors are exact in any operand order, so a Z flip's grades
-        # equal the textbook (1 - p) g_k + p (s s^T) o g_{k-1} bit for bit
+        # +-p factors are exact in any operand order, so a lone Z flip's
+        # grades equal the textbook (1 - p) g_k + p (s s^T) o g_{k-1} bit
+        # for bit
         rng = np.random.default_rng(8)
         for n in (2, 5, 7):
             state = GradedDensityMatrix.init_plus(n, kmax=3)
             for op in _random_ops(rng, n, 6):
                 state = _apply(state, op)
-            for q, rate, cycles in ((0, 0.01, 2.0), (n - 1, 0.3, 1.5)):
-                p = cycles * rate
+            for q, p in ((0, 0.02), (n - 1, 0.45)):
                 s = z_signs(1 << q, n)
                 below = np.concatenate(
                     [np.outer(state.pure, state.pure.conj())[None],
                      state.grades[:-1]])
                 want = (1.0 - p) * state.grades + (p * np.outer(s, s)) * below
-                got = state.apply_storage(q, StorageRates(0.0, rate), cycles)
+                got = state.apply_z_flips([(q, p)])
                 assert got.grades.tobytes() == want.tobytes()
 
     def test_z_classes_are_memoized_and_read_only(self):
@@ -392,6 +408,126 @@ class TestGradedAgainstDense:
             )
 
 
+@st.composite
+def _z_flip_cases(draw):
+    """(n, kmax, prefix ops, flips): a state made by rotations, X flips and
+    maybe a projection, then a list of Z flips on it.
+
+    Flips repeat qubits and whole (qubit, p) pairs, and their
+    probabilities include 0 and values close to 1, where most of the mass
+    leaves the kept branch.
+    """
+    n = draw(st.integers(1, 5))
+    kmax = draw(st.integers(1, 4))
+    qubit = st.integers(0, n - 1)
+    prob = st.floats(0.0, 0.03)
+    ops = []
+    for kind in draw(st.lists(st.sampled_from("rxp"), max_size=5)):
+        if kind == "r":
+            mask = draw(st.integers(1, (1 << n) - 1))
+            axis = PauliProduct("".join("Z" if mask >> i & 1 else "I"
+                                        for i in range(n)))
+            profile = st.builds(RotationErrorProfile, prob, prob, prob)
+            ops.append(("rotation", (axis, draw(profile),
+                                     draw(st.sampled_from([1, -1])))))
+        elif kind == "x":
+            ops.append(("x", (draw(qubit), draw(st.floats(0.0, 0.5)))))
+        else:
+            ops.append(("project", frozenset({draw(qubit)})))
+    p = st.one_of(st.just(0.0), prob, st.floats(0.0, 0.999),
+                  st.floats(0.999, 1.0, exclude_max=True))
+    flips = draw(st.lists(st.tuples(qubit, p), max_size=4))
+    flips += flips[:draw(st.integers(0, len(flips)))]
+    return n, kmax, ops, draw(st.permutations(flips))
+
+
+def _run_prefix(state, ops):
+    for kind, args in ops:
+        if kind == "rotation":
+            state = state.apply_faulty_rotation(args[0], args[1],
+                                                sign=args[2])
+        elif kind == "x":
+            state = state.apply_x_flip(*args)
+        else:
+            state, _ = state.project_plus(args)
+    return state
+
+
+class TestZFlips:
+    """One pass of Z flips against the oracle's channel-by-channel ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_z_flip_cases())
+    def test_one_pass_agrees_with_the_oracle(self, case):
+        n, kmax, ops, flips = case
+        # every op and flip adds at most one error event, so this loses
+        # nothing, and it holds the kmax grades of the cut state
+        full = kmax + len(ops) + len(flips)
+        dense = _run_prefix(DensityMatrix.init_plus(n), ops)
+        states = [_run_prefix(GradedDensityMatrix.init_plus(n, k), ops)
+                  for k in (full, kmax)]
+        owned = _run_prefix(GradedDensityMatrix.init_plus(n, kmax)._owned(),
+                            ops)
+        before = [_state_bytes(state) for state in states]
+        graded, cut = [state.apply_z_flips(flips) for state in states]
+        assert [_state_bytes(state) for state in states] == before
+        dense = dense.apply_z_flips(flips)
+
+        np.testing.assert_allclose(graded.trace_total(), 1.0, rtol=1e-12)
+        assert np.max(np.abs(materialize(graded).data - dense.data)) <= 1e-12
+        # at kmax, the pass is the flips one at a time, and without a
+        # projection (which scales by the kept trace) it is the full
+        # state's prefix, bit for bit
+        apart = states[1]
+        for flip in flips:
+            apart = apart.apply_z_flips([flip])
+        np.testing.assert_allclose(cut.grades, apart.grades, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(cut.pure, apart.pure, rtol=1e-13)
+        if all(kind != "project" for kind, _ in ops):
+            assert cut.pure.tobytes() == graded.pure.tobytes()
+            assert cut.grades.tobytes() == graded.grades[:kmax].tobytes()
+        assert 1.0 - cut.trace_total() >= -1e-12
+        assert _state_bytes(owned.apply_z_flips(flips)) == _state_bytes(cut)
+        for state in (graded, cut):
+            weights, rows = state.grade1_branches()
+            rebuilt = np.einsum("i,ij,ik->jk", weights, rows, rows.conj())
+            np.testing.assert_allclose(rebuilt, state.grades[0], rtol=0,
+                                       atol=1e-12)
+
+    def test_no_flip_leaves_the_state(self):
+        state = GradedDensityMatrix.init_plus(3, kmax=2)
+        state = state.apply_x_flip(1, 0.01)
+        for flips in ([], [(0, 0.0)], [(2, 0.0), (1, 0.0)]):
+            assert state.apply_z_flips(flips) is state
+        assert state.apply_x_flip(2, 0.0) is state
+
+    def test_flips_are_checked(self):
+        state = GradedDensityMatrix.init_plus(2, kmax=2)
+        for q, p in ((2, 0.1), (-1, 0.1), (0, 1.0), (0, -0.1),
+                     (0, float("nan"))):
+            with pytest.raises(ValueError):
+                state.apply_z_flips([(1, 0.1), (q, p)])
+            with pytest.raises(ValueError):
+                state.apply_x_flip(q, p)
+
+    def test_an_owned_pass_works_in_its_own_scratch(self):
+        # a flip list's E_j are built in the channel scratch: at n = 7 with
+        # kmax = 6, six flips on distinct qubits fill six tables of rows,
+        # and the scratch holds the kmax + 2 rows a pass needs at any kmax
+        for kmax in (1, 6, 400, 5000):
+            for n in (1, 5, 7, 10):
+                assert _scratch(kmax, 1 << n) << n >= kmax + 2
+        n = 7
+        state = GradedDensityMatrix.init_plus(n, kmax=6)._owned()
+        work = state._work
+        flips = [(q, 0.01 * (q + 1)) for q in range(6)]
+        got = state.apply_z_flips(flips)
+        assert got.grades is state.grades and got._work is work
+        assert _xor_index(n).dtype == np.uint8
+        assert not _xor_index(n).flags.writeable
+
+
 class TestPureStateInfidelity:
     def test_exact_match_is_zero(self):
         psi = np.array([1.0, 1j]) / np.sqrt(2)
@@ -412,15 +548,22 @@ class TestPureStateInfidelity:
 
 class TestWorkspace:
     def test_any_real_scalar_is_one_cycle_count(self):
-        # NumPy scalars, 0-d arrays and Fractions count cycles as an int does
+        # NumPy scalars, 0-d arrays and Fractions count cycles as an int
+        # does, and are flip probabilities as their floats are
         rates = StorageRates(1e-3, 2e-3)
         state = GradedDensityMatrix.init_plus(2, kmax=2)
-        want = state.apply_storage(1, rates, 3)
+
+        def store(cycles, to=lambda p: p):
+            flipped = state.apply_x_flip(1, to(cycles * rates.pX))
+            return flipped.apply_z_flips([(1, to(cycles * rates.pZ))])
+
+        want = store(3)
         for cycles in (np.int64(3), np.float64(3.0), np.array(3),
                        Fraction(3)):
-            got = state.apply_storage(1, rates, cycles)
-            assert np.array_equal(got.grades, want.grades)
-            assert got.scale == want.scale
+            for got in (store(cycles), store(cycles, np.array),
+                        store(cycles, Fraction)):
+                assert np.array_equal(got.grades, want.grades)
+                assert got.scale == want.scale
 
     def test_stack_must_hold_the_grades(self):
         stack = GradedDensityMatrix.workspace(3, 4)

@@ -275,7 +275,7 @@ class TestSimulatedErrors:
         # norms of deviation vectors, so it stays positive and exact.
         report = simulate_factory(_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4,
                                       1e-4))
-        np.testing.assert_allclose(report.p_out, 8.192463875269003e-25,
+        np.testing.assert_allclose(report.p_out, 8.192464090973123e-25,
                                    rtol=1e-9)
         assert report.p_out > 0.0
 
@@ -304,8 +304,8 @@ class TestSimulatedErrors:
             self, monkeypatch):
         # Storage channels on different qubits commute, so running a step's
         # storage in reverse qubit order is the same physics.  The last
-        # config is table1 row 5: its limit is the dense grade-2 readout,
-        # whose floor (about eps x its 7e-17 mass) is about 4e-8 of this p_out.
+        # config is table1 row 5, whose stated floor is 8e-8 of its p_out;
+        # a reversal moves it by 1.5e-8.
         configs = [_l1(11, 5, 5, 1e-4),
                    _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4),
                    _l2("L2_15x15", 13, 5, 5, 29, 11, 13, 6, 1e-3),
@@ -333,6 +333,98 @@ class TestSimulatedErrors:
             "L2_15x15", DistanceSet(9, 3, 3, 25, 9, 9, 4),
             PhysicalNoise(1e-4), consumption_prefactor_toggle=True))
         assert full.p_out > half.p_out
+
+
+# Every table row's p_out as recorded at f061273, and its stated floor
+# (the top-level run's infidelity_floor per output) relative to it
+RECORDED_P_OUT = [
+    (4.331820452625028e-08, 8.7e-15),  # table1 row 1
+    (1.0946318974287547e-09, 5.6e-13),
+    (1.883747879097231e-11, 1.6e-12),
+    (1.9161636517121434e-15, 4.2e-16),
+    (8.192463875269003e-25, 8.0e-08),
+    (4.9783269461285136e-08, 1.5e-13),
+    (1.5305144257677854e-10, 3.8e-16),
+    (3.668238495196345e-11, 2.5e-16),
+    (2.6379666873430433e-12, 7.3e-13),
+    (3.526257069225591e-14, 4.1e-12),
+    (4.687344437410655e-20, 1.2e-10),
+    (1.7628342455790438e-09, 4.0e-13),
+    (7.189846471625695e-10, 2.4e-13),
+    (7.049050456916468e-14, 2.2e-16),
+    (5.467870472872384e-11, 2.1e-16),
+    (2.3544300216223393e-08, 2.2e-13),  # table2 row 1
+    (1.314879594345384e-12, 5.2e-15),
+    (6.868651363766698e-15, 3.4e-16),
+    (5.557665822624527e-22, 1.6e-10),
+    (6.835733362553666e-09, 2.3e-16),
+    (2.086431976644897e-10, 5.0e-14),
+    (2.5217318133505404e-11, 7.8e-14),
+    (7.251918868387085e-12, 3.1e-13),
+    (1.5389901007352774e-13, 2.8e-13),
+]
+
+
+class TestRecordedTables:
+    """Every table row's p_out stays where it was recorded, up to 16 of its
+    floors: a reordering of the run's channels may move its round-off,
+    never its physics."""
+
+    @pytest.mark.parametrize("row, recorded", zip(TABLE1 + TABLE2,
+                                                  RECORDED_P_OUT),
+                             ids=[f"table1-{i}" for i in range(1, 16)]
+                             + [f"table2-{i}" for i in range(1, 10)])
+    def test_p_out_is_within_sixteen_floors(self, row, recorded):
+        p_out, floor = recorded
+        np.testing.assert_allclose(
+            simulate_factory(row_config(row)).p_out, p_out,
+            rtol=max(16 * floor, 1e-12))
+
+
+def test_a_20_to_4_run_applies_its_z_flips_in_two_passes(monkeypatch):
+    # storage, output and consumption Z flips, one pass at the checks and
+    # one before the readout: the 15-to-1 level-1 run's 35 flips, then the
+    # 20-to-4's 101
+    passes = []
+    apply = GradedDensityMatrix.apply_z_flips
+
+    def counted(state, flips):
+        passes.append(len(flips))
+        return apply(state, flips)
+
+    monkeypatch.setattr(GradedDensityMatrix, "apply_z_flips", counted)
+    config = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
+    factory._level1_cached.cache_clear()
+    try:
+        run = factory._run_factory(config, 6, factory._level2_inputs, 6)
+    finally:
+        factory._level1_cached.cache_clear()
+    assert run.p_out > 0.0
+    assert passes == [34, 1, 97, 4]
+
+
+class TestNoiseless:
+    """At p_phys = 0 no error event can happen, so p_out is exactly 0."""
+
+    @pytest.mark.parametrize("config", [
+        _l1(7, 3, 3, 0.0),
+        _l1(9, 5, 5, 0.0, family="L1_15to1_small"),
+        _l2("L2_15x15", 9, 3, 3, 15, 7, 9, 4, 0.0),
+        _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 0.0),
+        _l2("L2_15xCCZ", 7, 3, 3, 13, 5, 7, 4, 0.0),
+        FactoryConfig("L2_15x15_small", DistanceSet(9, 5, 5, 21, 9, 11),
+                      PhysicalNoise(0.0)),
+    ], ids=FAMILIES)
+    def test_p_out_is_zero(self, config, monkeypatch):
+        factory._level1_cached.cache_clear()
+        monkeypatch.setattr(GradedDensityMatrix, "init_plus", None)
+        try:
+            report = simulate_factory(config)
+        finally:
+            factory._level1_cached.cache_clear()
+        assert report.p_out == 0.0
+        assert report.p_fail_L1 == report.p_fail_L2 == 0.0
+        assert report.d_full_100 is None and report.d_full_10k is None
 
 
 class TestNoiseModelDomain:
