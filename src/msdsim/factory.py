@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -155,8 +155,13 @@ class ScheduleStep:
 
 @dataclass(frozen=True)
 class Schedule:
+    """A circuit's steps.  ``rotation_outputs`` holds each rotation's
+    output qubits (those of its axis), sorted, computed once."""
+
     circuit: Circuit
     steps: tuple[ScheduleStep, ...]
+    rotation_outputs: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: list[int] = []
@@ -170,6 +175,10 @@ class Schedule:
                         f"rotation {ri} touches an uninitialized qubit")
         if sorted(seen) != list(range(len(self.circuit.rotations))):
             raise ValueError("schedule must apply every rotation exactly once")
+        c = self.circuit
+        object.__setattr__(self, "rotation_outputs", tuple(
+            tuple(sorted(c.output_qubits.intersection(r.axis.support)))
+            for r in c.rotations))
 
 
 def _fs(*qubits: int) -> frozenset[int]:
@@ -298,7 +307,6 @@ def _events(schedule: Schedule, inputs: tuple) -> list[float]:
     flip as one, and each storage or consumption channel as two (its X and
     its Z flip).  ``inputs`` is as for :func:`_run_schedule`.
     """
-    c = schedule.circuit
     profiles, rates, cycles, consumption = inputs
     initialized: set[int] = set()
     events: list[float] = []
@@ -308,12 +316,11 @@ def _events(schedule: Schedule, inputs: tuple) -> list[float]:
             profile = profiles[ri]
             events.append(profile.p_half + profile.p_quarter
                           + profile.p_mquarter)
-            events += [profile.p_z_output] * len(
-                c.output_qubits & frozenset(c.rotations[ri].axis.support))
+            events += [profile.p_z_output] * len(schedule.rotation_outputs[ri])
         if step.storage:
             for q in sorted(initialized):
                 events += [cycles * rates[q].pX, cycles * rates[q].pZ]
-    for q in sorted(c.output_qubits):
+    for q in sorted(schedule.circuit.output_qubits):
         events += [consumption.pX, consumption.pZ]
     return events
 
@@ -365,8 +372,8 @@ def _run_schedule(
             r = c.rotations[ri]
             rho = rho.apply_faulty_rotation(r.axis, profiles[ri],
                                             sign=1 if r.angle.k > 0 else -1)
-            z_flips += [(q, profiles[ri].p_z_output) for q in
-                        sorted(c.output_qubits & frozenset(r.axis.support))]
+            z_flips += [(q, profiles[ri].p_z_output)
+                        for q in schedule.rotation_outputs[ri]]
         if step.storage:
             for q in sorted(initialized):
                 rho = rho.apply_x_flip(q, cycles * rates[q].pX)
@@ -400,27 +407,38 @@ _PAIRS = (_ROOTS[:, None] + _ROOTS[None, :]).ravel()
 
 
 class _EventSets(NamedTuple):
-    """A schedule's storage-free runs, one per set of error events.
+    """A schedule's storage-free runs, summed by signature.
 
-    The events are each rotation's three substitution branches, then an
-    output Z flip per output qubit of its axis.  ``source`` is each
-    event's index into a row-major (rotations, 4) table of the odds of
-    (p_half, p_quarter, p_mquarter, p_z_output).  ``sizes[k]`` holds the
-    sets of k events, at most one branch per rotation, that the checks
-    let through, as ``(columns, norms)``: a (k, sets) uint8 array of
-    event indices, and a (2, sets) array of each set's deviation from the
-    ideal output and success mass.
+    A set of error events weighs the product of its events' odds, and
+    rotations of equal profiles have equal odds, so every set of one
+    signature, the sorted multiset of its events' (profile class, branch),
+    weighs the same.  The branches 0 to 3 are p_half, p_quarter,
+    p_mquarter and p_z_output.  ``terms`` is a (signatures, order) array
+    of each signature's events as indices into a row-major (classes, 4)
+    table of odds, padded with 4 * classes, which the read points at odds
+    1.  ``sums`` is a (2, signatures) array of the deviation from the
+    ideal output and the success mass of its sets, each summed with
+    ``math.fsum``.  The first ``low`` signatures are those of at most one
+    event.
     """
 
-    source: np.ndarray
-    sizes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    terms: np.ndarray
+    sums: np.ndarray
+    low: int
 
 
-@lru_cache(maxsize=None)
-def _event_sets(family: str, order: int) -> _EventSets:
-    """The event sets of a family's schedule up to ``order`` events.
+def _kept_sets(family: str, order: int):
+    """Yield the storage-free runs of a family's schedule, one per set of
+    up to ``order`` error events that the checks let through, in chunks.
 
-    Built once per (family, order); the memoized arrays are read-only.
+    The events are each rotation's three substitution branches, then an
+    output Z flip per output qubit of its axis; a set holds at most one
+    branch per rotation.  A chunk is ``(sources, norms)``, both with one
+    column per set and the sets of one chunk of one size: ``sources``
+    holds each event's 4 * rotation + branch, and ``norms`` each set's
+    deviation from the ideal output and success mass.  The sizes come in
+    increasing order.
+
     Every event and every ideal rotation is a diagonal phase, a power of
     exp(i pi/8), so the pre-measurement state a set leaves has amplitudes
     exp(i pi/8 a) / sqrt(2^n), where the integer a (mod 16) sums the
@@ -433,10 +451,11 @@ def _event_sets(family: str, order: int) -> _EventSets:
     ``_BLOCK_BYTES``, their phases looked up two check bits at a time.
 
     A set the checks reject (most 15-to-1 triples) has r = 0 exactly, so
-    its dev and mass are 0, and the table leaves it out; its growths are
-    still read.
+    its dev and mass are 0, and it is left out; its growths are still
+    read.
     """
-    c = build_schedule(family).circuit
+    schedule = build_schedule(family)
+    c = schedule.circuit
     checks = sorted(c.check_qubits)
     rest = [q for q in range(c.n) if q not in c.check_qubits]
     index = np.arange(1 << c.n)
@@ -445,7 +464,7 @@ def _event_sets(family: str, order: int) -> _EventSets:
                 for pos, q in enumerate(checks + rest))
     pre = np.zeros(1 << c.n, dtype=np.int64)
     # each event's exponents, the event that starts the next channel (a
-    # rotation's branches are adjacent), and its odds' index
+    # rotation's branches are adjacent), and its source
     steps, ends, source = [], [], []
     for ri, r in enumerate(c.rotations):
         mask = sum(1 << q for q in r.axis.support)
@@ -455,13 +474,14 @@ def _event_sets(family: str, order: int) -> _EventSets:
             steps.append(-k * z)
             source.append(4 * ri + col)
         ends += [len(steps)] * 3
-        for q in sorted(c.output_qubits & frozenset(r.axis.support)):
+        for q in schedule.rotation_outputs[ri]:
             steps.append(8 * ((basis >> q) & 1))
             ends.append(len(steps))
             source.append(4 * ri + 3)
     pre = (pre % 16).astype(np.uint8)
     steps = (np.array(steps) % 16).astype(np.uint8)
     ends = np.array(ends, dtype=np.int32)
+    source = np.array(source, dtype=np.uint8)
     shape = (1 << len(rest), 1 << len(checks))
     phi = c.ideal_output[basis].reshape(shape).sum(axis=1)
     phi /= np.linalg.norm(phi)
@@ -473,23 +493,26 @@ def _event_sets(family: str, order: int) -> _EventSets:
     # |r|^2 below this, and any other above it
     rejected = 2.0 ** (-14 * len(checks) - 2)
 
+    ones = np.ones(shape[1] // 2, dtype=complex)
+
     def read(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (dev, mass) rows of the branches of these exponents, and
         whether the checks let each through."""
         # positions 2j and 2j + 1 differ in the first check bit only
         pairs = expo[:, ::2] << 4
         pairs |= expo[:, 1::2]
-        r = _PAIRS.take(pairs).reshape((len(expo), shape[0], -1)).sum(axis=2)
+        r = (_PAIRS.take(pairs).reshape((-1, len(ones))) @ ones).reshape(
+            (len(expo), shape[0]))
         norms = np.empty((2, len(expo)))
-        norms[1] = np.square(r.view(np.float64)).sum(axis=1)
-        r -= (r * phi.conj()).sum(axis=1, keepdims=True) * phi
-        norms[0] = np.square(r.view(np.float64)).sum(axis=1)
+        squares = r.view(np.float64)
+        np.einsum("ij,ij->i", squares, squares, out=norms[1])
+        r -= np.multiply.outer(r @ phi.conj(), phi)
+        np.einsum("ij,ij->i", squares, squares, out=norms[0])
         return norms * unit, norms[1] > rejected
 
-    # every set of the last size and their exponents; the table keeps
-    # only the sets the checks let through, whose dev and mass are not 0
+    # every set of the last size and their exponents
     every, expo = np.zeros((0, 1), dtype=np.uint8), pre[None]
-    sizes = [(every, read(expo)[0])]
+    yield source.take(every), read(expo)[0]
     start = np.zeros(1, dtype=np.int32)  # each set's first event to add
     per = max(1, _BLOCK_BYTES // (16 << c.n))
     for k in range(1, order + 1):
@@ -499,28 +522,62 @@ def _event_sets(family: str, order: int) -> _EventSets:
         counts = len(steps) - start
         cum = np.cumsum(counts)
         first = cum - counts - start
-        columns, norms, grown = [], [], []
+        grown = []
         for lo in range(0, int(cum[-1]), per):
             at = np.arange(lo, min(lo + per, int(cum[-1])))
             rows = np.searchsorted(cum, at, side="right")
             sets = np.empty((k, len(at)), dtype=np.uint8)
-            sets[:-1], sets[-1] = every[:, rows], at - first[rows]
-            chunk = expo[rows] + steps[sets[-1]]
+            sets[:-1], sets[-1] = every.take(rows, axis=1), at - first[rows]
+            chunk = expo.take(rows, axis=0) + steps.take(sets[-1], axis=0)
             chunk &= 15
-            chunk_norms, through = read(chunk)
-            columns.append(sets[:, through])
-            norms.append(chunk_norms[:, through])
+            norms, through = read(chunk)
+            yield source.take(sets[:, through]), norms[:, through]
             if k < order:
                 grown.append((sets, chunk))
-        sizes.append((np.ascontiguousarray(np.concatenate(columns, axis=1)),
-                      np.concatenate(norms, axis=1)))
         if k < order:
             every = np.concatenate([sets for sets, _ in grown], axis=1)
             expo = np.concatenate([chunk for _, chunk in grown])
             start = ends[every[-1]]
-    table = _EventSets(np.array(source), tuple(sizes))
-    for array in (table.source, *itertools.chain.from_iterable(sizes)):
-        array.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _event_sets(family: str, order: int,
+                partition: tuple[int, ...]) -> _EventSets:
+    """The storage-free runs of a family's schedule up to ``order`` events
+    (:func:`_kept_sets`), summed by signature, rotation i being of
+    profile class ``partition[i]``.
+
+    Built once per (family, order, partition); the memoized arrays are
+    read-only.  Each signature's dev and mass are correctly rounded sums
+    (``math.fsum``) of its sets'.
+    """
+    classes = max(partition) + 1
+    # 4 * rotation + branch -> 4 * class + branch
+    relabel = (4 * np.array(partition, dtype=np.uint8)[:, None]
+               + np.arange(4, dtype=np.uint8)).ravel()
+    terms, sums, low = [], [], 0
+    for k, chunks in itertools.groupby(_kept_sets(family, order),
+                                       key=lambda chunk: len(chunk[0])):
+        sources, norms = zip(*chunks)
+        labels = np.sort(relabel.take(np.concatenate(sources, axis=1)),
+                         axis=0)
+        # each set's signature as one integer, its labels the digits
+        key = np.zeros(labels.shape[1], dtype=np.int64)
+        for row in labels:
+            key = key * (4 * classes) + row
+        by_key = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
+        grouped = np.concatenate(norms, axis=1)[:, by_key]
+        bounds = starts.tolist() + [len(key)]
+        sums += [[math.fsum(row.tolist()) for row in grouped[:, lo:hi]]
+                 for lo, hi in zip(bounds, bounds[1:])]
+        padded = np.full((len(starts), order), 4 * classes, dtype=np.uint8)
+        padded[:, :k] = labels[:, by_key[starts]].T
+        terms.append(padded)
+        if k <= 1:
+            low += len(starts)
+    table = _EventSets(np.concatenate(terms), np.array(sums).T.copy(), low)
+    table.terms.flags.writeable = table.sums.flags.writeable = False
     return table
 
 
@@ -529,30 +586,42 @@ def _storage_free_p_out(family: str, profiles, order: int
     """(p_out, its floor) of the family's schedule run at ``order`` with
     every storage and consumption channel left out, from its event sets.
 
+    The rotations are grouped by equal profiles, in order of first
+    appearance, and the run is read from the signature sums of that
+    partition (:func:`_event_sets`, :func:`_read_sums`).  A partition not
+    seen before, such as the single class of every rotation at p_phys = 0,
+    enumerates the sets again.
+    """
+    classes: dict = {}
+    partition = tuple(classes.setdefault(f, len(classes)) for f in profiles)
+    return _read_sums(_event_sets(family, order, partition), list(classes),
+                      family_outputs(family))
+
+
+def _read_sums(table: _EventSets, classes: list, outputs: int
+               ) -> tuple[float, float]:
+    """(p_out, its floor) of a storage-free run from its signature sums,
+    each class of rotations having the profile ``classes[i]``.
+
     A set E weighs prod over E of p_e / keep_e relative to the zero-event
-    run, keep_e being 1 minus the probabilities of its channel's events;
-    p_out is sum(weight * dev) / (outputs * sum(weight * mass)).  The
+    run, keep_e being 1 minus the probabilities of its channel's events,
+    and every set of one signature weighs the same; p_out is
+    sum(weight * dev) / (outputs * sum(weight * mass)), both sums over
+    the signatures and each a correctly rounded one (``math.fsum``).  The
     floor is the one the engine would state for that run: eps^2 of the
     mass of zero and one event plus eps of the rest, over the total.
-    Every rotation must have keep > 0.
+    Every class must have keep > 0.
     """
-    table = _event_sets(family, order)
     p = np.array([(f.p_half, f.p_quarter, f.p_mquarter, f.p_z_output)
-                  for f in profiles])
+                  for f in classes])
     keep = 1.0 - p[:, :3].sum(axis=1)
-    odds = (p / np.column_stack((keep, keep, keep, 1.0 - p[:, 3]))).ravel()
-    odds = odds.take(table.source)
-    deviation, masses = 0.0, []
-    for columns, norms in table.sizes:
-        weight = np.ones(columns.shape[1])
-        for column in columns:
-            weight *= odds.take(column)
-        dev, mass = (norms * weight).sum(axis=1).tolist()
-        deviation += dev
-        masses.append(mass)
-    total = sum(masses)
-    floor = (_EPS**2 * sum(masses[:2]) + _EPS * sum(masses[2:])) / total
-    return deviation / total / family_outputs(family), floor
+    odds = np.append(p / np.column_stack((keep, keep, keep, 1.0 - p[:, 3])),
+                     1.0)
+    dev, mass = (table.sums * odds.take(table.terms).prod(axis=1)).tolist()
+    total = math.fsum(mass)
+    floor = (_EPS**2 * math.fsum(mass[:table.low])
+             + _EPS * math.fsum(mass[table.low:])) / total
+    return math.fsum(dev) / total / outputs, floor
 
 
 def _storage_free_bound(family: str, inputs: tuple, order: int) -> float:
@@ -566,6 +635,13 @@ def _storage_free_bound(family: str, inputs: tuple, order: int) -> float:
     one pure branch whose deviation and success mass depend on the
     schedule alone (:func:`_event_sets`), and the run's order-``order``
     p_out is read from them (:func:`_storage_free_p_out`).
+
+    That read rounds by a few eps of p_out: a signature's weight is a
+    product of at most ``order`` odds, and both the sums within a
+    signature and those over signatures are correctly rounded
+    (``math.fsum``), so p_out lands within 4 eps of the correctly rounded
+    sum over the sets, and the floor likewise.  The slack's eps term, 16
+    eps of p_out, covers it.
 
     That p_out bounds the run with storage.  A run at any kmax reads
     p_out = N/T, with T <= 1 its success mass and N the sum over its kept
@@ -595,16 +671,16 @@ def _run_level1(config: FactoryConfig, kmax: int,
     return _run_factory(config, kmax, _level1_inputs, stack=stack)
 
 
-def _level1_inputs(config: FactoryConfig, c: Circuit):
+def _level1_inputs(config: FactoryConfig, schedule: Schedule):
     """(profiles, storage rates, storage cycles, consumption) of level 1."""
-    d, noise = config.distances, config.noise
+    d, noise, c = config.distances, config.noise, schedule.circuit
     l_anc = d.dX + 4 * d.dZ
     profiles = [
         single_qubit_rotation_profile(noise, d.dZ, d.dm)
         if len(r.axis.support) == 1
-        else multiqubit_rotation_profile(
-            noise, l_anc, d.dX, d.dm, bool(c.output_qubits & frozenset(r.axis.support)))
-        for r in c.rotations
+        else multiqubit_rotation_profile(noise, l_anc, d.dX, d.dm,
+                                         bool(outputs))
+        for r, outputs in zip(c.rotations, schedule.rotation_outputs)
     ]
     rates = {
         q: patch_storage_rates(noise, d.dX, d.dX if q in c.output_qubits else d.dZ)
@@ -630,12 +706,12 @@ def level1_output_error(config: FactoryConfig, kmax: int = 6) -> Level1Result:
     return _level1_cached(d.dX, d.dZ, d.dm, noise.p_phys, noise.c_T, kmax)
 
 
-def _level2_inputs(config: FactoryConfig, c: Circuit, kmax: int):
+def _level2_inputs(config: FactoryConfig, schedule: Schedule, kmax: int):
     """(profiles, storage rates, storage cycles, consumption) of level 2.
 
     The level-1 input is the block's kmax run, from the cache.
     """
-    d, noise = config.distances, config.noise
+    d, noise, c = config.distances, config.noise, schedule.circuit
     level1 = level1_output_error(config, kmax)
     if config.family == "L2_15xCCZ":
         l_anc = 3 * d.dX2 + d.dZ2 + d.dm2
@@ -646,10 +722,9 @@ def _level2_inputs(config: FactoryConfig, c: Circuit, kmax: int):
     else:
         l_move = d.nL1 / 4 * (d.dX + 4 * d.dZ) + 10.0 * d.dm2
     profiles = [
-        level2_rotation_profile(
-            noise, level1.p_out, l_anc, d.dX2, d.dm2, l_move,
-            bool(c.output_qubits & frozenset(r.axis.support)))
-        for r in c.rotations
+        level2_rotation_profile(noise, level1.p_out, l_anc, d.dX2, d.dm2,
+                                l_move, bool(outputs))
+        for outputs in schedule.rotation_outputs
     ]
     rates = {
         q: patch_storage_rates(noise, d.dX2,
@@ -671,8 +746,7 @@ def _noise_inputs(config: FactoryConfig, inputs, *args) -> tuple:
     NoiseDomainError naming its inputs.
     """
     try:
-        noise_inputs = inputs(config, build_schedule(config.family).circuit,
-                              *args)
+        noise_inputs = inputs(config, build_schedule(config.family), *args)
         _, rates, cycles, _ = noise_inputs
         if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
             raise ValueError("accumulated storage probability reaches 1")

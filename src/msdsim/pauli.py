@@ -15,7 +15,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -48,9 +48,9 @@ class PauliProduct:
     def n(self) -> int:
         return len(self.letters)
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
-        """Indices (0-based) with a non-identity letter."""
+        """Indices (0-based) with a non-identity letter, computed once."""
         return tuple(i for i, c in enumerate(self.letters) if c != "I")
 
 

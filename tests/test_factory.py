@@ -566,6 +566,27 @@ class TestSweep:
         assert screened == [(config, False), (config, True)]
         assert simulated == [config]
 
+    @pytest.mark.parametrize("family, p, ranges, target, front", [
+        # 150 valid level-1 candidates; the front is table1 row 6
+        ("L1_15to1", 1e-3, {"dX": range(5, 22, 2), "dZ": range(3, 12, 2),
+                            "dm": range(3, 12, 2)}, 1e-7,
+         [("(15-to-1)_{17,7,7}", 4.978326946127825e-08)]),
+        # 192 level-2 candidates; the front is table1 row 4
+        ("L2_15x20", 1e-4, {"dX": (7, 9), "dZ": (3, 5), "dm": (3, 5),
+                            "dX2": (13, 15, 17), "dZ2": (5, 7),
+                            "dm2": (7, 9), "nL1": (4, 6)}, 1e-14,
+         [("(15-to-1)^4_{9,3,3} x (20-to-4)_{15,7,9}",
+           1.916163651712136e-15)]),
+    ], ids=["sweep_l1_15to1", "sweep_l2_15x20"])
+    def test_benchmark_fronts(self, family, p, ranges, target, front):
+        # the grids of perfbench's two sweep workloads, with their recorded
+        # fronts: a screen that rules out a front configuration, or lets a
+        # cheaper one through wrongly, moves them
+        got = sweep(family, ranges, PhysicalNoise(p), target)
+        assert [r.protocol for r in got] == [name for name, _ in front]
+        assert [r.p_out for r in got] == pytest.approx(
+            [p_out for _, p_out in front], rel=1e-12, abs=0)
+
 
 _REPORTS: dict[tuple[FactoryConfig, int], FactoryReport] = {}
 # the entry point itself, which tests patch on the module
@@ -872,6 +893,29 @@ def _edge_inputs(draw):
     return config, (profiles, rates, cycles, consumption), certain
 
 
+def _set_by_set(family: str, profiles, order: int) -> tuple[float, float]:
+    """The storage-free (p_out, floor) summed over the kept event sets one
+    by one, each set weighing the product of its events' odds, with
+    math.fsum."""
+    odds = []
+    for f in profiles:
+        keep = 1.0 - (f.p_half + f.p_quarter + f.p_mquarter)
+        odds += [f.p_half / keep, f.p_quarter / keep, f.p_mquarter / keep,
+                 f.p_z_output / (1.0 - f.p_z_output)]
+    dev, low, high = [], [], []
+    for sources, norms in factory._kept_sets(family, order):
+        weights = [math.prod(odds[e] for e in events)
+                   for events in sources.T.tolist()]
+        devs, masses = norms.tolist()
+        dev += [w * d for w, d in zip(weights, devs)]
+        (low if len(sources) <= 1 else high).extend(
+            w * m for w, m in zip(weights, masses))
+    total = math.fsum(low + high)
+    eps = factory._EPS
+    return (math.fsum(dev) / total / family_outputs(family),
+            (eps**2 * math.fsum(low) + eps * math.fsum(high)) / total)
+
+
 class TestScreen:
     """The sweep's screen bound never exceeds the simulated p_out."""
 
@@ -936,6 +980,47 @@ class TestScreen:
         z, full = slack(inputs)
         assert factory._storage_free_bound(config.family, inputs, order) == (
             pytest.approx(z * (p_out - full), rel=1e-12, abs=1e-300))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_edge_inputs())
+    def test_storage_free_read_is_within_4_eps_of_a_sum_over_sets(self,
+                                                                 case):
+        # the signature sums are read within 4 eps of each set's weighted
+        # dev and mass summed with math.fsum; at p_phys = 0 every rotation
+        # is of one profile class
+        config, inputs, certain = case
+        assume(not certain)  # no odds exist
+        order = factory.LEADING_ORDER[build_schedule(config.family)
+                                      .circuit.name]
+        got = factory._storage_free_p_out(config.family, inputs[0], order)
+        want = _set_by_set(config.family, inputs[0], order)
+        for value, exact in zip(got, want):
+            assert abs(value - exact) <= 4 * factory._EPS * exact
+
+    def test_coinciding_profiles_get_their_own_table(self):
+        # three profile classes at level 1: single-qubit rotations, and
+        # multi-qubit ones without and with the output qubit.  Give the
+        # first class the second's profile and the partition collapses
+        family, order = "L1_15to1", 3
+        profiles = _noise_inputs(_l1(13, 3, 5, 5e-4), 6)[0]
+        classes = list(dict.fromkeys(profiles))
+        finer = tuple(classes.index(f) for f in profiles)
+        assert sorted(set(finer)) == [0, 1, 2]
+        coinciding = [classes[1] if f == classes[0] else f for f in profiles]
+        factory._event_sets.cache_clear()
+        p_out, floor = factory._storage_free_p_out(family, coinciding, order)
+        coarse = tuple(max(0, i - 1) for i in finer)
+        assert factory._event_sets.cache_info().currsize == 1
+        table = factory._event_sets(family, order, coarse)
+        assert factory._event_sets.cache_info().hits == 1
+        finer_table = factory._event_sets(family, order, finer)
+        assert len(table.terms) < len(finer_table.terms)
+        same = factory._read_sums(finer_table, [classes[1], *classes[1:]], 1)
+        assert same == pytest.approx((p_out, floor), rel=4 * factory._EPS,
+                                     abs=0)
+        want = _set_by_set(family, coinciding, order)
+        assert (p_out, floor) == pytest.approx(want, rel=4 * factory._EPS,
+                                               abs=0)
 
     @pytest.mark.parametrize("config", [
         _l1(7, 3, 3, 1e-4),
