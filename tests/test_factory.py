@@ -997,6 +997,37 @@ class TestScreen:
         for value, exact in zip(got, want):
             assert abs(value - exact) <= 4 * factory._EPS * exact
 
+    @pytest.mark.parametrize("config", [
+        _l1(13, 3, 5, 5e-4),
+        _l2("L2_15x20", 7, 3, 3, 13, 5, 7, 4, 1e-4),
+    ], ids=["L1_15to1", "L2_15x20"])
+    def test_signature_sums_are_correctly_rounded(self, config):
+        # each signature's dev and mass are the math.fsum of its sets', and
+        # the signatures of at most one event come first
+        profiles = _noise_inputs(config, 6)[0]
+        classes = list(dict.fromkeys(profiles))
+        partition = tuple(classes.index(f) for f in profiles)
+        pad = 4 * len(classes)
+        order = factory.LEADING_ORDER[build_schedule(config.family)
+                                      .circuit.name]
+        groups = {}
+        for sources, norms in factory._kept_sets(config.family, order):
+            for events, dev, mass in zip(sources.T.tolist(), *norms.tolist()):
+                labels = sorted(4 * partition[e // 4] + e % 4 for e in events)
+                key = tuple(labels) + (pad,) * (order - len(labels))
+                groups.setdefault(key, ([], []))
+                groups[key][0].append(dev)
+                groups[key][1].append(mass)
+        table = factory._event_sets(config.family, order, partition)
+        got = {tuple(terms): (dev, mass) for terms, dev, mass in zip(
+            table.terms.tolist(), *table.sums.tolist())}
+        assert got == {key: (math.fsum(devs), math.fsum(masses))
+                       for key, (devs, masses) in groups.items()}
+        sizes = [sum(label < pad for label in terms)
+                 for terms in table.terms.tolist()]
+        assert sizes[:table.low] == sorted(sizes[:table.low])
+        assert max(sizes[:table.low]) == 1 < min(sizes[table.low:])
+
     def test_coinciding_profiles_get_their_own_table(self):
         # three profile classes at level 1: single-qubit rotations, and
         # multi-qubit ones without and with the output qubit.  Give the
