@@ -884,7 +884,7 @@ def p_out_lower_bound(config: FactoryConfig, kmax: int = 6,
 
     With ``storage`` False the bound is :func:`_storage_free_bound`: the
     order-K run without storage and consumption, read from the family's
-    table of event sets rather than run on the engine.  It misses what
+    sums over event sets rather than run on the engine.  It misses what
     storage adds to p_out (from 6% to over 99% of it, and about half for
     the median candidate, on a 192-point 20-to-4 grid at p_phys = 1e-4),
     so it rules out only candidates that miss the target by more than
@@ -937,7 +937,7 @@ def sweep(
     exceeds the target cannot meet it and is not simulated.  Skipping it
     changes neither the feasible set nor any pruning decision.  The
     screen has two tiers.  The first, on every candidate screened, is the
-    storage-free bound (``storage=False``), read from a table of event
+    storage-free bound (``storage=False``), read from sums over event
     sets built once per family; a candidate it does not rule out gets the
     second, the full bound, a schedule run.  Every schedule run reuses one
     workspace stack.  A value repeated in a range counts once.
