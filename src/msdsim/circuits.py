@@ -39,9 +39,9 @@ from .pauli import (
     RotationAngle,
     equal_up_to_phase,
     matrix_of,
+    parity_lookup,
     rotation_phases,
     rotation_unitary,
-    z_signs,
 )
 
 SQ2 = np.sqrt(0.5)
@@ -246,23 +246,21 @@ def undetected_error_sets(c: Circuit, order: int) -> int:
         raise ValueError("order exceeds the rotation count")
     checks = tuple(sorted(c.check_qubits))
     ideal = c.ideal_output
-    masks = [_mask_of(r.axis) for r in c.rotations]
+    masks = np.array([_mask_of(r.axis) for r in c.rotations])
+    subsets = itertools.combinations(range(len(masks)), order)
     count = 0
-    for subset in itertools.combinations(range(len(masks)), order):
-        em = 0
-        for j in subset:
-            em ^= masks[j]
+    # a chunk of subsets at a time, one state row each
+    while chunk := list(itertools.islice(subsets, 4096)):
+        em = np.bitwise_xor.reduce(masks[np.array(chunk, dtype=int)], axis=1)
         # the Z-product error commutes with every rotation, so the final
         # state is the error applied to the noiseless output
-        state = z_signs(em, c.n) * ideal
+        states = (1.0 - 2.0 * parity_lookup(em[:, None], c.n)) * ideal
         if checks:
-            projected = _vec_project_checks(state, checks, c.n)
-            if float(np.vdot(projected, projected).real) < 1.0 - 1e-9:
-                continue  # some check flipped: detected
-            state = projected
-        overlap = abs(np.vdot(ideal, state)) ** 2
-        if overlap < 1.0 - 1e-9:
-            count += 1
+            states = _vec_project_checks(states, checks, c.n)
+            # a row that lost norm had some check flipped: detected
+            states = states[(abs(states) ** 2).sum(axis=1) >= 1.0 - 1e-9]
+        overlaps = abs(states @ ideal.conj()) ** 2
+        count += int(np.count_nonzero(overlaps < 1.0 - 1e-9))
     return count
 
 

@@ -15,17 +15,24 @@ in place.  The grades are one ``(kmax, dim, dim)`` stack, updated in
 cache-sized blocks.  ``workspace`` allocates that stack and a channel's
 scratch once, for successive runs to reuse.
 
-A rotation or an X flip is one elementwise kernel,
-``out_k = A o g_k + B o P(g_{k-1})`` with ``g_0 = pure pure^dagger``: P
-permutes for an X flip; a rotation scales ``rho_ij`` by a value set by
-the class ``c_ij = 1 + (s_i - s_j)/2`` of its axis's Z signs s, so A and
-B are 3-entry tables looked up by c (its ideal phase D and error
-branches W give ``A = keep D`` and ``B = D W``).  A Z flip scales
-``rho_ij`` by ``(1 - p) + p s(i ^ j)``, so Z flips commute with each
-other, with X flips and with rotations, and :meth:`apply_z_flips` applies
-a whole list of them in one pass, from tables over ``i ^ j``.  Real
-factors (probabilities, +-1 signs) and permutations are exact in any
-order, so X flips, and a lone Z flip, give bit-identical grades from one
+The stack is held divided by ``scale``, as the branch store is: grade k
+is ``scale * H_k`` for the stored ``H_k``, and ``scale`` is 1/p_success
+of the last projection times the keep factors (1 minus the channel's
+error probability) of every channel since, so no channel spends a pass
+on its keep term.  A rotation or an X flip is one elementwise kernel on
+the stored grades, ``out_k = A o H_k + B o P(H_{k-1})`` with
+``H_0 = pure pure^dagger / scale``.  P permutes for an X flip, whose A is
+1 and B its odds p/(1 - p): an X flip is one scaled permuted read and one
+add.  A rotation scales ``rho_ij`` by a value set by the class
+``c_ij = 1 + (s_i - s_j)/2`` of its axis's Z signs s, so A and B are
+3-entry tables looked up by c: its ideal phase D and error branches W give
+``A = D`` and ``B = D W / keep`` (at keep = 0 the scale restarts at 1,
+with ``A = 0`` and ``B = scale D W``).  A Z flip scales ``rho_ij`` by
+``(1 - p) + p s(i ^ j)``, so Z flips commute with each other, with X
+flips and with rotations, and :meth:`apply_z_flips` applies a whole list
+of them in one pass, from tables over ``i ^ j``.  Real factors
+(probabilities, +-1 signs) and permutations are exact in any order, so X
+flips, and a lone Z flip, give bit-identical stored grades from one
 engine version to the next; a pass of several Z flips multiplies their
 probabilities, so regrouping them moves grades in the last bits.
 Products of complex phases are not exact either: NumPy's SIMD loops round
@@ -275,11 +282,13 @@ class GradedDensityMatrix:
     """State split by exact error count, with a pure zero-error branch.
 
     ``pure`` is the subnormalized statevector of the no-error branch;
-    ``grades[k - 1]`` (k = 1..kmax) is the subnormalized density matrix of
-    the exactly-k-error mass.  Branches with more than ``kmax`` errors are
-    dropped.  ``1 - trace_total()`` does not measure them: it is round-off
-    (between -1.6e-15 and 1.3e-14 on the paper's tables).  A schedule run
-    bounds their share from its events instead (``factory._run_schedule``).
+    ``scale * grades[k - 1]`` (k = 1..kmax) is the subnormalized density
+    matrix of the exactly-k-error mass: the stack is stored divided by
+    ``scale``, like the branch store (see the module docstring).  Branches
+    with more than ``kmax`` errors are dropped.  ``1 - trace_total()``
+    does not measure them: it is round-off (between -1.6e-15 and 1.3e-14
+    on the paper's tables).  A schedule run bounds their share from its
+    events instead (``factory._run_schedule``).
 
     ``births`` holds grade 1 once more, as ``(weight, row)`` pairs, one per
     single error event, to be read through ``pullback`` (the conjugated
@@ -374,7 +383,7 @@ class GradedDensityMatrix:
     def trace_total(self) -> float:
         t = float(np.vdot(self.pure, self.pure).real)
         for g in self.grades:
-            t += float(np.trace(g).real)
+            t += float(self.scale * np.trace(g).real)
         return t
 
     # -- internal channel machinery ---------------------------------------
@@ -386,19 +395,23 @@ class GradedDensityMatrix:
         return x.take(_z_classes(mask, self.n), out=out, mode="clip")
 
     def _channel(self, a, b, out, v, qubit=None, mask=0) -> np.ndarray:
-        """Grades of a one-event channel: out_k = A o g_k + B o P(g_{k-1}).
+        """Stored grades of a one-event channel:
+        out_k = A o H_k + B o P(H_{k-1}), with H_0 = pure pure^dagger / scale.
 
         P is X rho X on ``qubit``, or the identity for None, and v is
-        P pure (for g_0 = pure pure^dagger).  a and b are scalars or 3-entry
-        tables, which the classes of Z_mask turn into A and B.  ``out`` is
-        a fresh stack or, if the caller created it, ``self.grades``: blocks
-        run from the top grade down, each reading the grades below it
-        before it overwrites itself.
+        P pure.  a and b are scalars or 3-entry tables, which the classes
+        of Z_mask turn into A and B; an A of 1 takes no multiply.  ``out``
+        is a fresh stack or, if the caller created it, ``self.grades``:
+        blocks run from the top grade down, each reading the grades below
+        it before it overwrites itself.
         """
         grades, dim = self.grades, len(self.pure)
         work = self._scratch_space()
         a = self._table(a, work[0], mask)
         b = self._table(b, work[1], mask)
+        identity = not isinstance(a, np.ndarray) and a == 1.0
+        table = isinstance(b, np.ndarray)
+        lead = v * ((1.0 if table else b) / self.scale)
         terms = work[2:]
         for src, term, below, block, lo in _blocks(self.kmax, dim):
             term = terms[term]
@@ -409,11 +422,14 @@ class GradedDensityMatrix:
                 below = below.reshape(src.shape)
             np.multiply(src, b, out=below)
             if lo == 0:
-                first = term[:1]
-                np.multiply(v[:, None], v.conj()[None, :], out=first)
-                first *= b
-            block = np.multiply(grades[block], a, out=out[block])
-            block += term
+                np.multiply(lead[:, None], v.conj(), out=term[:1])
+                if table:
+                    term[0] *= b
+            if identity:
+                np.add(grades[block], term, out=out[block])
+            else:
+                block = np.multiply(grades[block], a, out=out[block])
+                block += term
         return out
 
     def _scratch_space(self) -> np.ndarray:
@@ -468,9 +484,10 @@ class GradedDensityMatrix:
                   (profile.p_mquarter, -np.pi / 4)]
         keep = 1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter
         ideal = _phase_table(theta)
-        errs = sum(p * _phase_table(extra) for p, extra in errors)
-        grades = self._channel(keep * ideal, ideal * errs, self._out(),
-                               self.pure, mask=mask)
+        errs = ideal * sum(p * _phase_table(extra) for p, extra in errors)
+        # stored grades: keep divides out, or restarts the scale at 1
+        a, b = (ideal, errs / keep) if keep else (0.0, self.scale * errs)
+        grades = self._channel(a, b, self._out(), self.pure, mask=mask)
         d = _diagonal(mask, self.n, theta)
         pure = d * self.pure
         born = [(p, _diagonal(mask, self.n, extra) * pure)
@@ -484,7 +501,7 @@ class GradedDensityMatrix:
             return self
         v = _vec_xflip(self.pure, qubit)
         keep = 1.0 - p
-        grades = self._channel(keep, p, self._out(), v, qubit)
+        grades = self._channel(1.0, p / keep, self._out(), v, qubit)
         return self._event(keep, [(p, v)], grades, self.pure, self.pullback)
 
     def apply_z_flips(self, flips) -> GradedDensityMatrix:
@@ -495,9 +512,10 @@ class GradedDensityMatrix:
         flips commute and together give
         ``out_k = K g_k + sum_{j=1..k} E_j o g_{k-j}``, with K = prod(1 - p)
         and E_j the degree-j coefficient of prod_e((1 - p_e) + p_e s_e t),
-        a table over i ^ j (:func:`_z_flip_tables`).  Each flipped qubit
-        adds one branch to the store, Z_q pure, weighted by K times the
-        summed odds p/(1 - p) of its flips.
+        a table over i ^ j (:func:`_z_flip_tables`).  The scale takes K,
+        so the stored grades take ``H_k + sum_j (E_j / K) o H_{k-j}``.
+        Each flipped qubit adds one branch to the store, Z_q pure, weighted
+        by K times the summed odds p/(1 - p) of its flips.
         """
         n, dim, kmax = self.n, len(self.pure), self.kmax
         counts = Counter()
@@ -509,22 +527,24 @@ class GradedDensityMatrix:
             return self
         table = _z_flip_tables(counts, n, kmax)
         keep, depth = table[0, 0].real, len(table) - 1
+        table = table[1:] / keep
         # the E_j of a slab of rows, its g_0 and a term fill the scratch
         work = self._scratch_space().reshape(-1, dim)
         rows = min(dim, len(work) // (depth + 2))
-        grades, out, xor = self.grades, self._out(), _xor_index(n)
-        conj = self.pure.conj()
+        grades, xor = self.grades, _xor_index(n)
+        out = grades if self._in_place else grades.copy()
+        lead, conj = self.pure / self.scale, self.pure.conj()
         for r in (slice(lo, lo + rows) for lo in range(0, dim, rows)):
             h = len(xor[r])
             e = work[:depth * h].reshape(depth, h, dim)
             for j in range(depth):
-                np.take(table[j + 1], xor[r], out=e[j], mode="clip")
+                np.take(table[j], xor[r], out=e[j], mode="clip")
             g0 = work[depth * h:(depth + 1) * h]
-            np.multiply(self.pure[r, None], conj, out=g0)
+            np.multiply(lead[r, None], conj, out=g0)
             term = work[(depth + 1) * h:(depth + 2) * h]
             # from the top grade down: each reads only grades below it
             for k in range(kmax, 0, -1):
-                block = np.multiply(grades[k - 1, r], keep, out=out[k - 1, r])
+                block = out[k - 1, r]
                 for j in range(1, min(k, depth) + 1):
                     below = grades[k - j - 1, r] if k > j else g0
                     block += np.multiply(e[j - 1], below, out=term)
@@ -549,11 +569,13 @@ class GradedDensityMatrix:
         for *_, block, _ in _blocks(self.kmax, len(pure)):
             _mat_project_checks(self.grades[block], checks, self.n,
                                 grades[block])
-        p_success = GradedDensityMatrix(self.n, pure, grades).trace_total()
+        p_success = GradedDensityMatrix(self.n, pure, grades,
+                                        scale=self.scale).trace_total()
         if p_success <= 1e-300:
             raise ValueError("success probability is numerically zero")
+        # the projected grades, stored over the new scale 1/p_success
+        grades *= self.scale
         scale = 1.0 / p_success
-        grades *= scale
         # projection is linear: project the rows, keep their weights; a
         # chunk of rows at a time, whose temporaries take about four times
         # its bytes, and an owned state, which is not read again, lets go
@@ -592,7 +614,8 @@ class GradedDensityMatrix:
         rows -= np.outer(rows @ psi.conj(), psi)
         dev += float(weights @ (rows.real**2 + rows.imag**2).sum(1))
         for g in self.grades[1:]:
-            dev += float(np.trace(g).real - np.real(psi.conj() @ g @ psi))
+            dev += float(self.scale * (np.trace(g).real
+                                       - np.real(psi.conj() @ g @ psi)))
         return dev / self.trace_total()
 
     def infidelity_floor(self) -> float:
@@ -603,9 +626,9 @@ class GradedDensityMatrix:
         above (read as differences), over the trace.
         """
         eps = np.finfo(float).eps
-        low = float(np.vdot(self.pure, self.pure).real)
-        low += float(np.trace(self.grades[0]).real)
-        high = sum(float(np.trace(g).real) for g in self.grades[1:])
+        traces = [self.scale * np.trace(g).real for g in self.grades]
+        low = float(np.vdot(self.pure, self.pure).real) + traces[0]
+        high = sum(traces[1:])
         return float((eps**2 * low + eps * high) / self.trace_total())
 
 

@@ -29,7 +29,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -675,11 +675,13 @@ def _level1_inputs(config: FactoryConfig, schedule: Schedule):
     """(profiles, storage rates, storage cycles, consumption) of level 1."""
     d, noise, c = config.distances, config.noise, schedule.circuit
     l_anc = d.dX + 4 * d.dZ
+
+    # one profile object per distinct kind of rotation
+    single = cache(lambda: single_qubit_rotation_profile(noise, d.dZ, d.dm))
+    multi = cache(lambda outputs: multiqubit_rotation_profile(
+        noise, l_anc, d.dX, d.dm, outputs))
     profiles = [
-        single_qubit_rotation_profile(noise, d.dZ, d.dm)
-        if len(r.axis.support) == 1
-        else multiqubit_rotation_profile(noise, l_anc, d.dX, d.dm,
-                                         bool(outputs))
+        single() if len(r.axis.support) == 1 else multi(bool(outputs))
         for r, outputs in zip(c.rotations, schedule.rotation_outputs)
     ]
     rates = {
@@ -721,11 +723,11 @@ def _level2_inputs(config: FactoryConfig, schedule: Schedule, kmax: int):
         l_move = 10.0 * d.dm2
     else:
         l_move = d.nL1 / 4 * (d.dX + 4 * d.dZ) + 10.0 * d.dm2
-    profiles = [
-        level2_rotation_profile(noise, level1.p_out, l_anc, d.dX2, d.dm2,
-                                l_move, bool(outputs))
-        for outputs in schedule.rotation_outputs
-    ]
+    # one profile object per distinct kind of rotation
+    profile = cache(lambda outputs: level2_rotation_profile(
+        noise, level1.p_out, l_anc, d.dX2, d.dm2, l_move, outputs))
+    profiles = [profile(bool(outputs))
+                for outputs in schedule.rotation_outputs]
     rates = {
         q: patch_storage_rates(noise, d.dX2,
                                d.dX2 if q in c.output_qubits else d.dZ2)

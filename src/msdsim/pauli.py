@@ -123,8 +123,12 @@ def z_signs(mask: int, n: int) -> np.ndarray:
     return signs
 
 
-def parity_lookup(mask: int, n: int) -> np.ndarray:
-    """parity(popcount(x & mask)) for every basis index x in [0, 2^n)."""
+def parity_lookup(mask, n: int) -> np.ndarray:
+    """parity(popcount(x & mask)) for every basis index x in [0, 2^n).
+
+    ``mask`` may be an integer array, which broadcasts against the indices
+    (a column of masks gives one row per mask).
+    """
     x = np.arange(1 << n, dtype=np.uint32) & np.uint32(mask)
     # O(N log N) parity fold
     for shift in (16, 8, 4, 2, 1):

@@ -139,8 +139,9 @@ class DensityMatrix:
 
 
 def materialize(state) -> DensityMatrix:
-    """Dense form of a graded state: pure pure^dagger plus every grade."""
+    """Dense form of a graded state: pure pure^dagger plus every grade,
+    which the state stores divided by its ``scale``."""
     total = np.outer(state.pure, state.pure.conj())
     for g in state.grades:
-        total = total + g
+        total = total + state.scale * g
     return DensityMatrix(state.n, total)

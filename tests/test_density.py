@@ -313,26 +313,38 @@ class TestGradedAgainstDense:
             weights, rows = state.grade1_branches()
             assert len(weights) == len(rows) > 0
             rebuilt = np.einsum("i,ij,ik->jk", weights, rows, rows.conj())
-            np.testing.assert_allclose(rebuilt, state.grades[0], rtol=0,
-                                       atol=1e-12)
+            np.testing.assert_allclose(rebuilt, state.scale * state.grades[0],
+                                       rtol=0, atol=1e-12)
 
     def test_z_flip_is_exact(self):
-        # +-p factors are exact in any operand order, so a lone Z flip's
-        # grades equal the textbook (1 - p) g_k + p (s s^T) o g_{k-1} bit
-        # for bit
+        # the stack is stored divided by the scale, which a flip multiplies
+        # by 1 - p; +-p/(1 - p) factors are exact in any operand order, so
+        # a lone Z flip's stored grades equal
+        # H_k + (p/(1 - p)) (s s^T) o H_{k-1}, with H_0 = pure pure^dagger
+        # / scale, and a lone X flip's grades k >= 2 equal
+        # H_k + (p/(1 - p)) X H_{k-1} X, bit for bit
         rng = np.random.default_rng(8)
         for n in (2, 5, 7):
             state = GradedDensityMatrix.init_plus(n, kmax=3)
             for op in _random_ops(rng, n, 6):
                 state = _apply(state, op)
             for q, p in ((0, 0.02), (n - 1, 0.45)):
+                odds = p / (1.0 - p)
                 s = z_signs(1 << q, n)
                 below = np.concatenate(
-                    [np.outer(state.pure, state.pure.conj())[None],
+                    [np.outer(state.pure / state.scale,
+                              state.pure.conj())[None],
                      state.grades[:-1]])
-                want = (1.0 - p) * state.grades + (p * np.outer(s, s)) * below
+                want = state.grades + (odds * np.outer(s, s)) * below
                 got = state.apply_z_flips([(q, p)])
                 assert got.grades.tobytes() == want.tobytes()
+                assert got.scale == state.scale * (1.0 - p)
+                flip = np.arange(1 << n) ^ (1 << q)
+                want = (state.grades[1:]
+                        + state.grades[:-1][:, flip][:, :, flip] * odds)
+                got = state.apply_x_flip(q, p)
+                assert got.grades[1:].tobytes() == want.tobytes()
+                assert got.scale == state.scale * (1.0 - p)
 
     def test_z_classes_are_memoized_and_read_only(self):
         classes = _z_classes(0b101, 3)
@@ -481,7 +493,8 @@ class TestZFlips:
         apart = states[1]
         for flip in flips:
             apart = apart.apply_z_flips([flip])
-        np.testing.assert_allclose(cut.grades, apart.grades, rtol=0,
+        np.testing.assert_allclose(cut.scale * cut.grades,
+                                   apart.scale * apart.grades, rtol=0,
                                    atol=1e-12)
         np.testing.assert_allclose(cut.pure, apart.pure, rtol=1e-13)
         if all(kind != "project" for kind, _ in ops):
@@ -492,8 +505,8 @@ class TestZFlips:
         for state in (graded, cut):
             weights, rows = state.grade1_branches()
             rebuilt = np.einsum("i,ij,ik->jk", weights, rows, rows.conj())
-            np.testing.assert_allclose(rebuilt, state.grades[0], rtol=0,
-                                       atol=1e-12)
+            np.testing.assert_allclose(rebuilt, state.scale * state.grades[0],
+                                       rtol=0, atol=1e-12)
 
     def test_no_flip_leaves_the_state(self):
         state = GradedDensityMatrix.init_plus(3, kmax=2)

@@ -275,7 +275,7 @@ class TestSimulatedErrors:
         # norms of deviation vectors, so it stays positive and exact.
         report = simulate_factory(_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4,
                                       1e-4))
-        np.testing.assert_allclose(report.p_out, 8.192464090973123e-25,
+        np.testing.assert_allclose(report.p_out, 8.192463721198888e-25,
                                    rtol=1e-9)
         assert report.p_out > 0.0
 
@@ -356,7 +356,9 @@ RECORDED_P_OUT = [
     (2.3544300216223393e-08, 2.2e-13),  # table2 row 1
     (1.314879594345384e-12, 5.2e-15),
     (6.868651363766698e-15, 3.4e-16),
-    (5.557665822624527e-22, 1.6e-10),
+    # table2 row 4, recorded again once the grade stack was stored over
+    # the branch store's scale: its grade-2 term is cancellation round-off
+    (5.557665799573985e-22, 1.6e-10),
     (6.835733362553666e-09, 2.3e-16),
     (2.086431976644897e-10, 5.0e-14),
     (2.5217318133505404e-11, 7.8e-14),
