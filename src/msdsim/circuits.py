@@ -188,8 +188,9 @@ def catalog(kind: str) -> Circuit:
 
 
 # The fewest P_{pi/2} errors that pass every check and spoil the output:
-# the smallest order with undetected_error_sets > 0.  Recorded, since
-# enumerating 15-to-1 takes about 55 ms.
+# the smallest order with undetected_error_sets > 0, and with such a set
+# among the screen's event sets (eventsets.kept_sets).  Recorded; the tests
+# derive it both ways.
 LEADING_ORDER = {"fifteen_to_one": 3, "twenty_to_four": 2, "eight_to_ccz": 2}
 
 CATALOG_KINDS = (

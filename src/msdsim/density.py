@@ -618,19 +618,6 @@ class GradedDensityMatrix:
                                        - np.real(psi.conj() @ g @ psi)))
         return dev / self.trace_total()
 
-    def infidelity_floor(self) -> float:
-        """Round-off floor of :meth:`infidelity_with_pure`.
-
-        eps^2 times the mass of the zero-error branch and grade 1 (read as
-        squared deviation norms) plus eps times the mass of grades 2 and
-        above (read as differences), over the trace.
-        """
-        eps = np.finfo(float).eps
-        traces = [self.scale * np.trace(g).real for g in self.grades]
-        low = float(np.vdot(self.pure, self.pure).real) + traces[0]
-        high = sum(traces[1:])
-        return float((eps**2 * low + eps * high) / self.trace_total())
-
 
 def pure_state_infidelity(phi: np.ndarray, psi: np.ndarray) -> float:
     """1 - |<psi|phi/|phi|>|^2 via the deviation vector (cancellation-free)."""

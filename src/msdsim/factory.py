@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Iterable, NamedTuple
@@ -35,7 +34,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .circuits import LEADING_ORDER, Circuit, catalog
-from .density import _BLOCK_BYTES, GradedDensityMatrix, StorageRates
+from .density import GradedDensityMatrix, StorageRates
+from .eventsets import _EPS, EventSets, classes, read_p_out, signature_sums
 from .noise import (
     DistanceSet,
     PhysicalNoise,
@@ -45,7 +45,6 @@ from .noise import (
     patch_storage_rates,
     single_qubit_rotation_profile,
 )
-from .pauli import z_signs
 
 FAMILIES = (
     "L1_15to1",
@@ -66,8 +65,6 @@ _LEVEL2_CIRCUIT = {
 _LEVEL2_MULTIPLIER = {"L2_15x15": 7.5, "L2_15x20": 10.0, "L2_15xCCZ": 4.0}
 
 FULL_DISTANCE_PATCHES = {"qubits100": 231, "qubits10k": 20284}
-
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -108,21 +105,11 @@ class NoiseDomainError(ValueError):
     """p_phys lies outside the noise model's range for a configuration."""
 
 
-class Level1Result(NamedTuple):
-    p_out: float
-    p_fail: float
-
-
 class ScheduleRun(NamedTuple):
-    """One schedule run at error order kmax.
-
-    ``p_out_lower`` bounds from below the p_out of the same run at any
-    higher kmax (see :func:`_run_schedule`).
-    """
+    """One schedule run's output error and failure rate."""
 
     p_out: float
     p_fail: float
-    p_out_lower: float
 
 
 @dataclass(frozen=True)
@@ -325,41 +312,19 @@ def _events(schedule: Schedule, inputs: tuple) -> list[float]:
     return events
 
 
-def _readout_slack(p_out: float, floor: float, outputs: int) -> float:
-    """What a p_out of this floor may differ by from another order's."""
-    # this readout and a higher order's each round by about the floor plus
-    # a few eps of p_out (table1 row 5's two differ by 0.1 floor; other
-    # float orders of its readout moved it by up to 2.6 floors)
-    return 16 * (floor / outputs + _EPS * p_out)
-
-
-def _run_schedule(
-    schedule: Schedule,
-    inputs: tuple,
-    kmax: int,
-    stack: np.ndarray | None = None,
-) -> ScheduleRun:
+def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int,
+                  stack: np.ndarray | None = None) -> ScheduleRun:
     """Run one factory schedule in one owned stack.
 
     ``inputs`` is the (profiles, storage rates, storage cycles,
     consumption) of one configuration; the run takes place in ``stack``
     when given (see ``GradedDensityMatrix.init_plus``).
-
-    Besides p_out and p_fail, bound the p_out of the same run at any
-    higher kmax from below.  Every grade's infidelity term is >= 0.
-    Before normalization, the mass of more than kmax error events is at
-    most S^(kmax+1)/(kmax+1)!, with S the sum of the probabilities of the
-    events applied (:func:`_events`), and the zero-event mass is
-    Z = prod(1 - p_e), which the checks of an ideal run keep whole.  More
-    grades thus add at most a fraction tail = S^(kmax+1)/((kmax+1)! Z) to
-    the trace, and p_out(higher) >= (p_out - slack) / (1 + tail), where
-    the slack covers the round-off of both readouts.
     """
     c = schedule.circuit
     profiles, rates, cycles, consumption = inputs
-    events = _events(schedule, inputs)
-    if not any(events):  # noiseless: the engine would read its round-off
-        return ScheduleRun(0.0, 0.0, 0.0)
+    if not any(_events(schedule, inputs)):
+        # noiseless: the engine would read its round-off
+        return ScheduleRun(0.0, 0.0)
     rho = GradedDensityMatrix.init_plus(c.n, kmax, stack)._owned()
     initialized: set[int] = set()
     p_fail = 0.0
@@ -385,283 +350,58 @@ def _run_schedule(
         rho = rho.apply_x_flip(q, consumption.pX)
         z_flips.append((q, consumption.pZ))
     rho = rho.apply_z_flips(z_flips)
-    p_out = rho.infidelity_with_pure(c.ideal_output) / c.outputs
-    slack = _readout_slack(p_out, rho.infidelity_floor(), c.outputs)
-    # the zero-event mass is 0 where a rotation's substitution
-    # probabilities sum to 1
-    zero_mass = math.prod(1.0 - e for e in events)
-    if zero_mass == 0.0:
-        return ScheduleRun(p_out, p_fail, 0.0)
-    # S^(kmax+1)/(kmax+1)! as one product, which underflows to 0 at a
-    # large kmax where the factorial alone would overflow a float
-    total = sum(events)
-    tail = math.prod(total / j for j in range(1, kmax + 2))
-    lower = (p_out - slack) / (1.0 + tail / zero_mass)
-    return ScheduleRun(p_out, p_fail, lower)
-
-
-# every phase of a storage-free run is a power of exp(i pi/8); _PAIRS
-# holds the sum of powers a and b at 16 a + b
-_ROOTS = np.exp(1j * np.pi / 8 * np.arange(16))
-_PAIRS = (_ROOTS[:, None] + _ROOTS[None, :]).ravel()
-
-
-class _EventSets(NamedTuple):
-    """A schedule's storage-free runs, summed by signature.
-
-    A set of error events weighs the product of its events' odds, and
-    rotations of equal profiles have equal odds, so every set of one
-    signature, the sorted multiset of its events' (profile class, branch),
-    weighs the same.  The branches 0 to 3 are p_half, p_quarter,
-    p_mquarter and p_z_output.  ``terms`` is a (signatures, order) array
-    of each signature's events as indices into a row-major (classes, 4)
-    table of odds, padded with 4 * classes, which the read points at odds
-    1.  ``sums`` is a (2, signatures) array of the deviation from the
-    ideal output and the success mass of its sets, each summed with
-    ``math.fsum``.  The first ``low`` signatures are those of at most one
-    event.
-    """
-
-    terms: np.ndarray
-    sums: np.ndarray
-    low: int
-
-
-def _kept_sets(family: str, order: int):
-    """Yield the storage-free runs of a family's schedule, one per set of
-    up to ``order`` error events that the checks let through, in chunks.
-
-    The events are each rotation's three substitution branches, then an
-    output Z flip per output qubit of its axis; a set holds at most one
-    branch per rotation.  A chunk is ``(sources, norms)``, both with one
-    column per set and the sets of one chunk of one size: ``sources``
-    holds each event's 4 * rotation + branch, and ``norms`` each set's
-    deviation from the ideal output and success mass.  The sizes come in
-    increasing order.
-
-    Every event and every ideal rotation is a diagonal phase, a power of
-    exp(i pi/8), so the pre-measurement state a set leaves has amplitudes
-    exp(i pi/8 a) / sqrt(2^n), where the integer a (mod 16) sums the
-    exponents of the ideal rotations and of the set's events.  The
-    checks' projection averages over the check qubits, and the ideal
-    output is a vector phi of the other qubits times |+> on the checks,
-    so a branch reads through its sums r over the check bits: mass |r|^2
-    and deviation |r - <phi|r> phi|^2, scaled so that the zero-event
-    branch has mass 1.  Sets are read in chunks of at most
-    ``_BLOCK_BYTES``, their phases looked up two check bits at a time.
-
-    A set the checks reject (most 15-to-1 triples) has r = 0 exactly, so
-    its dev and mass are 0, and it is left out; its growths are still
-    read.
-    """
-    schedule = build_schedule(family)
-    c = schedule.circuit
-    checks = sorted(c.check_qubits)
-    rest = [q for q in range(c.n) if q not in c.check_qubits]
-    index = np.arange(1 << c.n)
-    # the basis index of each position, with the check bits fastest
-    basis = sum(((index >> pos) & 1) << q
-                for pos, q in enumerate(checks + rest))
-    pre = np.zeros(1 << c.n, dtype=np.int64)
-    # each event's exponents, the event that starts the next channel (a
-    # rotation's branches are adjacent), and its source
-    steps, ends, source = [], [], []
-    for ri, r in enumerate(c.rotations):
-        mask = sum(1 << q for q in r.axis.support)
-        z = z_signs(mask, c.n)[basis].astype(np.int64)
-        pre -= r.angle.k * z
-        for col, k in enumerate((4, 2, -2)):  # P_{pi/2}, P_{pi/4}, P_{-pi/4}
-            steps.append(-k * z)
-            source.append(4 * ri + col)
-        ends += [len(steps)] * 3
-        for q in schedule.rotation_outputs[ri]:
-            steps.append(8 * ((basis >> q) & 1))
-            ends.append(len(steps))
-            source.append(4 * ri + 3)
-    pre = (pre % 16).astype(np.uint8)
-    steps = (np.array(steps) % 16).astype(np.uint8)
-    ends = np.array(ends, dtype=np.int32)
-    source = np.array(source, dtype=np.uint8)
-    shape = (1 << len(rest), 1 << len(checks))
-    phi = c.ideal_output[basis].reshape(shape).sum(axis=1)
-    phi /= np.linalg.norm(phi)
-    unit = 2.0 ** -(c.n + len(checks))  # |r|^2 of a pure |+>^n start is 1
-    # each entry of r is a sum of 2^nc unit roots, an algebraic integer:
-    # 0, or of norm (the product of its 8 conjugates, each at most 2^nc in
-    # modulus) a nonzero integer and so at least 2^(-7 nc) in modulus.  A
-    # 0 reads within about 4^nc eps, so a branch the checks reject reads
-    # |r|^2 below this, and any other above it
-    rejected = 2.0 ** (-14 * len(checks) - 2)
-
-    ones = np.ones(shape[1] // 2, dtype=complex)
-
-    def read(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (dev, mass) rows of the branches of these exponents, and
-        whether the checks let each through."""
-        # positions 2j and 2j + 1 differ in the first check bit only
-        pairs = expo[:, ::2] << 4
-        pairs |= expo[:, 1::2]
-        r = (_PAIRS.take(pairs).reshape((-1, len(ones))) @ ones).reshape(
-            (len(expo), shape[0]))
-        norms = np.empty((2, len(expo)))
-        squares = r.view(np.float64)
-        np.einsum("ij,ij->i", squares, squares, out=norms[1])
-        r -= np.multiply.outer(r @ phi.conj(), phi)
-        np.einsum("ij,ij->i", squares, squares, out=norms[0])
-        return norms * unit, norms[1] > rejected
-
-    # every set of the last size and their exponents
-    every, expo = np.zeros((0, 1), dtype=np.uint8), pre[None]
-    yield source.take(every), read(expo)[0]
-    start = np.zeros(1, dtype=np.int32)  # each set's first event to add
-    per = max(1, _BLOCK_BYTES // (16 << c.n))
-    for k in range(1, order + 1):
-        # each set grows by each event from its start on, in order: the
-        # sets grown from set i take the positions from cum[i] - counts[i]
-        # on, and a position's new event is the position less first[i]
-        counts = len(steps) - start
-        cum = np.cumsum(counts)
-        first = cum - counts - start
-        grown = []
-        for lo in range(0, int(cum[-1]), per):
-            at = np.arange(lo, min(lo + per, int(cum[-1])))
-            rows = np.searchsorted(cum, at, side="right")
-            sets = np.empty((k, len(at)), dtype=np.uint8)
-            sets[:-1], sets[-1] = every.take(rows, axis=1), at - first[rows]
-            chunk = expo.take(rows, axis=0) + steps.take(sets[-1], axis=0)
-            chunk &= 15
-            norms, through = read(chunk)
-            yield source.take(sets[:, through]), norms[:, through]
-            if k < order:
-                grown.append((sets, chunk))
-        if k < order:
-            every = np.concatenate([sets for sets, _ in grown], axis=1)
-            expo = np.concatenate([chunk for _, chunk in grown])
-            start = ends[every[-1]]
+    return ScheduleRun(rho.infidelity_with_pure(c.ideal_output) / c.outputs,
+                       p_fail)
 
 
 @lru_cache(maxsize=None)
 def _event_sets(family: str, order: int,
-                partition: tuple[int, ...]) -> _EventSets:
-    """The storage-free runs of a family's schedule up to ``order`` events
-    (:func:`_kept_sets`), summed by signature, rotation i being of
-    profile class ``partition[i]``.
-
-    Built once per (family, order, partition); the memoized arrays are
-    read-only.  Each signature's dev and mass are correctly rounded sums
-    (``math.fsum``) of its sets'.
-    """
-    classes = max(partition) + 1
-    # 4 * rotation + branch -> 4 * class + branch
-    relabel = (4 * np.array(partition, dtype=np.uint8)[:, None]
-               + np.arange(4, dtype=np.uint8)).ravel()
-    terms, sums, low = [], [], 0
-    for k, chunks in itertools.groupby(_kept_sets(family, order),
-                                       key=lambda chunk: len(chunk[0])):
-        sources, norms = zip(*chunks)
-        labels = np.sort(relabel.take(np.concatenate(sources, axis=1)),
-                         axis=0)
-        # each set's signature as one integer, its labels the digits
-        key = np.zeros(labels.shape[1], dtype=np.int64)
-        for row in labels:
-            key = key * (4 * classes) + row
-        by_key = np.argsort(key, kind="stable")
-        starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
-        grouped = np.concatenate(norms, axis=1)[:, by_key]
-        bounds = starts.tolist() + [len(key)]
-        sums += [[math.fsum(row.tolist()) for row in grouped[:, lo:hi]]
-                 for lo, hi in zip(bounds, bounds[1:])]
-        padded = np.full((len(starts), order), 4 * classes, dtype=np.uint8)
-        padded[:, :k] = labels[:, by_key[starts]].T
-        terms.append(padded)
-        if k <= 1:
-            low += len(starts)
-    table = _EventSets(np.concatenate(terms), np.array(sums).T.copy(), low)
-    table.terms.flags.writeable = table.sums.flags.writeable = False
-    return table
+                partition: tuple[int, ...]) -> EventSets:
+    """Memoized :func:`eventsets.signature_sums` of a family's schedule."""
+    return signature_sums(build_schedule(family), order, partition)
 
 
-def _storage_free_p_out(family: str, profiles, order: int
-                        ) -> tuple[float, float]:
-    """(p_out, its floor) of the family's schedule run at ``order`` with
-    every storage and consumption channel left out, from its event sets.
-
-    The rotations are grouped by equal profiles, in order of first
-    appearance, and the run is read from the signature sums of that
-    partition (:func:`_event_sets`, :func:`_read_sums`).  A partition not
-    seen before, such as the single class of every rotation at p_phys = 0,
-    enumerates the sets again.
-    """
-    classes: dict = {}
-    partition = tuple(classes.setdefault(f, len(classes)) for f in profiles)
-    return _read_sums(_event_sets(family, order, partition), list(classes),
-                      family_outputs(family))
-
-
-def _read_sums(table: _EventSets, classes: list, outputs: int
-               ) -> tuple[float, float]:
-    """(p_out, its floor) of a storage-free run from its signature sums,
-    each class of rotations having the profile ``classes[i]``.
-
-    A set E weighs prod over E of p_e / keep_e relative to the zero-event
-    run, keep_e being 1 minus the probabilities of its channel's events,
-    and every set of one signature weighs the same; p_out is
-    sum(weight * dev) / (outputs * sum(weight * mass)), both sums over
-    the signatures and each a correctly rounded one (``math.fsum``).  The
-    floor is the one the engine would state for that run: eps^2 of the
-    mass of zero and one event plus eps of the rest, over the total.
-    Every class must have keep > 0.
-    """
-    p = np.array([(f.p_half, f.p_quarter, f.p_mquarter, f.p_z_output)
-                  for f in classes])
-    keep = 1.0 - p[:, :3].sum(axis=1)
-    odds = np.append(p / np.column_stack((keep, keep, keep, 1.0 - p[:, 3])),
-                     1.0)
-    dev, mass = (table.sums * odds.take(table.terms).prod(axis=1)).tolist()
-    total = math.fsum(mass)
-    floor = (_EPS**2 * math.fsum(mass[:table.low])
-             + _EPS * math.fsum(mass[table.low:])) / total
-    return math.fsum(dev) / total / outputs, floor
-
-
-def _storage_free_bound(family: str, inputs: tuple, order: int) -> float:
+def _table_bound(family: str, inputs: tuple, order: int) -> float:
     """A lower bound on the p_out of the family's schedule run with the
     noise ``inputs`` at any kmax >= ``order``, with no engine run.
 
-    Leave out storage and consumption, and every event of a run (a
-    rotation's substitution branch, an output Z flip) is a diagonal
-    unitary that commutes with the others and with the ideal rotations,
-    and the run projects once, at its end.  So each set of events leaves
-    one pure branch whose deviation and success mass depend on the
-    schedule alone (:func:`_event_sets`), and the run's order-``order``
-    p_out is read from them (:func:`_storage_free_p_out`).
-
-    That read rounds by a few eps of p_out: a signature's weight is a
-    product of at most ``order`` odds, and both the sums within a
-    signature and those over signatures are correctly rounded
+    The bound reads the run's order-``order`` p_out without its X flips
+    from the family's event sets (:mod:`eventsets`) of its partition into
+    classes of equal odds.  A partition not seen before, such as that of
+    p_phys = 0, where every rotation has the same odds, enumerates the
+    sets again.  That read rounds by a few eps of p_out: a signature's
+    weight is a product of at most ``order`` odds, and both the sums
+    within a signature and those over signatures are correctly rounded
     (``math.fsum``), so p_out lands within 4 eps of the correctly rounded
     sum over the sets, and the floor likewise.  The slack's eps term, 16
     eps of p_out, covers it.
 
-    That p_out bounds the run with storage.  A run at any kmax reads
+    That p_out bounds the run with the X flips.  A run at any kmax reads
     p_out = N/T, with T <= 1 its success mass and N the sum over its kept
-    event sets s of w_s dev_s, every dev_s >= 0.  Keeping only the sets
-    without storage events, each weighing prod over storage events of
-    (1 - p_e) times its weight in the storage-free run, and taking that
-    run's success mass as at least its zero-event mass, gives
-    p_out(with storage) >= Z * (p_out - slack), where Z is prod(1 - p_e)
-    over every event of the run with storage (:func:`_events`).  No tail
-    is needed.  The run with storage holds up to (S^2/2)/Z in grades 2 and
-    up, with S the sum of those probabilities, so its floor may exceed
-    this one's by eps times that; the slack includes it.
+    event sets s of w_s dev_s, every dev_s >= 0.  Every set the table
+    holds is a set of at most ``order`` events of that run with no X flip
+    in it, and weighs there prod over the X flips of (1 - p_e) times its
+    weight in the run without them.  Keeping only those sets, and taking
+    that run's success mass as at least its zero-event mass, gives
+    p_out(with X flips) >= Z * (p_out - slack), where Z is prod(1 - p_e)
+    over every event of the run (:func:`_events`).  No tail is needed.
+    The run holds up to (S^2/2)/Z in grades 2 and up, with S the sum of
+    those probabilities, so its floor may exceed this one's by eps times
+    that; the slack includes it.
     """
-    events = _events(build_schedule(family), inputs)
+    schedule = build_schedule(family)
+    events = _events(schedule, inputs)
     zero_mass = math.prod(1.0 - e for e in events)
     if zero_mass == 0.0:  # a rotation's substitution probabilities sum to 1
         return 0.0
-    p_out, floor = _storage_free_p_out(family, inputs[0], order)
-    outputs = family_outputs(family)
-    slack = (_readout_slack(p_out, floor, outputs)
+    partition, odds = classes(schedule, inputs)
+    outputs = schedule.circuit.outputs
+    p_out, floor = read_p_out(_event_sets(family, order, partition), odds,
+                              outputs)
+    # this read and an engine run's each round by about the floor plus a
+    # few eps of p_out (table1 row 5's engine readouts at two orders
+    # differed by 0.1 floor; other float orders moved it by up to 2.6)
+    slack = (16 * (floor / outputs + _EPS * p_out)
              + 8 * _EPS * sum(events)**2 / zero_mass / outputs)
     return zero_mass * (p_out - slack)
 
@@ -696,13 +436,13 @@ def _level1_inputs(config: FactoryConfig, schedule: Schedule):
 
 @lru_cache(maxsize=None)
 def _level1_cached(dX: int, dZ: int, dm: int, p_phys: float, c_T: float,
-                   kmax: int) -> Level1Result:
+                   kmax: int) -> ScheduleRun:
     cfg = FactoryConfig("L1_15to1", DistanceSet(dX, dZ, dm),
                         PhysicalNoise(p_phys, c_T))
-    return Level1Result(*_run_level1(cfg, kmax)[:2])
+    return _run_level1(cfg, kmax)
 
 
-def level1_output_error(config: FactoryConfig, kmax: int = 6) -> Level1Result:
+def level1_output_error(config: FactoryConfig, kmax: int = 6) -> ScheduleRun:
     """Output error and failure rate of the embedded one-level block."""
     d, noise = config.distances, config.noise
     return _level1_cached(d.dX, d.dZ, d.dm, noise.p_phys, noise.c_T, kmax)
@@ -870,39 +610,28 @@ def simulate_factory(config: FactoryConfig, kmax: int = 6,
     )
 
 
-def p_out_lower_bound(config: FactoryConfig, kmax: int = 6,
-                      stack: np.ndarray | None = None,
-                      storage: bool = True) -> float:
-    """A lower bound on ``simulate_factory(config, kmax).p_out``, cheaply.
+def p_out_lower_bound(config: FactoryConfig, kmax: int = 6) -> float:
+    """A lower bound on ``simulate_factory(config, kmax).p_out``, with no
+    engine run.
 
-    The family's top-level schedule runs at order K, its circuit's leading
-    undetected order (3 for 15-to-1, 2 for 20-to-4 and 8-to-CCZ), where
-    the p_out of the kmax run already has its leading term; a level-2
-    family's level-1 input is the kmax one, from the cache.  Grades up to
-    K do not depend on kmax, so the run's own bound on higher orders
-    holds.  At kmax <= K that run would cost as much as the simulation,
-    and the bound is 0.  ``stack``, if given, is a workspace the run
-    reuses, as for :func:`simulate_factory`.
-
-    With ``storage`` False the bound is :func:`_storage_free_bound`: the
-    order-K run without storage and consumption, read from the family's
-    sums over event sets rather than run on the engine.  It misses what
-    storage adds to p_out (from 6% to over 99% of it, and about half for
-    the median candidate, on a 192-point 20-to-4 grid at p_phys = 1e-4),
-    so it rules out only candidates that miss the target by more than
-    that.
+    The bound is :func:`_table_bound`: the family's top-level schedule run
+    at order K, its circuit's leading undetected order (3 for 15-to-1, 2
+    for 20-to-4 and 8-to-CCZ), without its storage and consumption X
+    flips, read from the family's sums over event sets; a level-2
+    family's level-1 input is the kmax one, from the cache.  It misses
+    what the X flips and the orders above K add: on the paper's 24 table
+    rows it is 0.916 to 1.000 of p_out.  At kmax < K the run holds no set
+    of K events, and the bound is 0.
     """
     order = LEADING_ORDER[build_schedule(config.family).circuit.name]
-    if kmax <= order:
+    if kmax < order:
         return 0.0
     if config.family in _LEVEL2_CIRCUIT:
         inputs, args = _level2_inputs, (kmax,)
     else:
         inputs, args = _level1_inputs, ()
-    if not storage:
-        return _storage_free_bound(
-            config.family, _noise_inputs(config, inputs, *args), order)
-    return _run_factory(config, order, inputs, *args, stack=stack).p_out_lower
+    return _table_bound(config.family, _noise_inputs(config, inputs, *args),
+                        order)
 
 
 def sweep(
@@ -938,11 +667,10 @@ def sweep(
     :func:`p_out_lower_bound` (at the top circuit's leading order)
     exceeds the target cannot meet it and is not simulated.  Skipping it
     changes neither the feasible set nor any pruning decision.  The
-    screen has two tiers.  The first, on every candidate screened, is the
-    storage-free bound (``storage=False``), read from sums over event
-    sets built once per family; a candidate it does not rule out gets the
-    second, the full bound, a schedule run.  Every schedule run reuses one
-    workspace stack.  A value repeated in a range counts once.
+    screen runs no engine: it reads sums over event sets built once per
+    family and partition of the events into classes of equal odds.  Every
+    simulation reuses one workspace stack.  A value repeated in a range
+    counts once.
     """
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(
@@ -977,18 +705,12 @@ def sweep(
                                           kmax)
     feasible = []
     ran = False
-
-    def ruled_out(config: FactoryConfig) -> bool:
-        return (p_out_lower_bound(config, kmax, stack,
-                                  storage=False) > target_p_out
-                or p_out_lower_bound(config, kmax, stack) > target_p_out)
-
     for per_state, qubits, combo, config in candidates:
         if any(_dominates(r.qubits, r.qubitcycles_per_state, qubits,
                           per_state) for r, _ in feasible):
             continue
         try:
-            if not ruled_out(config):
+            if p_out_lower_bound(config, kmax) <= target_p_out:
                 report = simulate_factory(config, kmax, stack)
                 if report.p_out <= target_p_out:
                     feasible.append((report, combo))

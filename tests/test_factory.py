@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import msdsim.factory as factory
+from msdsim import eventsets
 from msdsim.cli import TABLE1, TABLE2, row_config
 from msdsim.density import (
     GradedDensityMatrix,
@@ -336,7 +337,8 @@ class TestSimulatedErrors:
 
 
 # Every table row's p_out as recorded at f061273, and its stated floor
-# (the top-level run's infidelity_floor per output) relative to it
+# (the top-level run's round-off floor per output, as the engine stated it
+# then) relative to it
 RECORDED_P_OUT = [
     (4.331820452625028e-08, 8.7e-15),  # table1 row 1
     (1.0946318974287547e-09, 5.6e-13),
@@ -446,9 +448,8 @@ class TestNoiseModelDomain:
             raise AssertionError("engine ran")
 
         monkeypatch.setattr(factory, "_run_schedule", engine)
-        # the storage-free screen reads no engine run, and checks the same
-        for run in (simulate_factory,
-                    lambda c: p_out_lower_bound(c, storage=False)):
+        # the screen reads no engine run, and checks the same
+        for run in (simulate_factory, p_out_lower_bound):
             with pytest.raises(factory.NoiseDomainError) as info:
                 run(config)
             assert str(info.value).startswith(
@@ -550,9 +551,9 @@ class TestSweep:
         # equal configurations tie in both costs, so none dominates another
         screened, simulated = [], []
 
-        def bound(config, kmax=6, stack=None, storage=True):
-            screened.append((config, storage))
-            return p_out_lower_bound(config, kmax, stack, storage)
+        def bound(config, kmax=6):
+            screened.append(config)
+            return p_out_lower_bound(config, kmax)
 
         def simulate(config, kmax=6, stack=None):
             simulated.append(config)
@@ -565,7 +566,7 @@ class TestSweep:
                       noise, target_p_out=1e-3)
         config = _l1(7, 3, 3, 1e-4)
         assert [r.protocol for r in front] == ["(15-to-1)_{7,3,3}"]
-        assert screened == [(config, False), (config, True)]
+        assert screened == [config]
         assert simulated == [config]
 
     @pytest.mark.parametrize("family, p, ranges, target, front", [
@@ -588,6 +589,29 @@ class TestSweep:
         assert [r.protocol for r in got] == [name for name, _ in front]
         assert [r.p_out for r in got] == pytest.approx(
             [p_out for _, p_out in front], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("family, p, ranges, target, simulated", [
+        ("L1_15to1", 1e-3, {"dX": range(5, 22, 2), "dZ": range(3, 12, 2),
+                            "dm": range(3, 12, 2)}, 1e-7,
+         [_l1(17, 7, 7, 1e-3)]),
+        ("L2_15x20", 1e-4, {"dX": (7, 9), "dZ": (3, 5), "dm": (3, 5),
+                            "dX2": (13, 15, 17), "dZ2": (5, 7),
+                            "dm2": (7, 9), "nL1": (4, 6)}, 1e-14,
+         [_l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)]),
+    ], ids=["sweep_l1_15to1", "sweep_l2_15x20"])
+    def test_benchmark_grids_simulate_these_candidates(
+            self, family, p, ranges, target, simulated, monkeypatch):
+        # the candidates the screen lets through on perfbench's two sweep
+        # grids: a weaker bound would cost simulations here
+        calls = []
+
+        def simulate(config, kmax=6, stack=None):
+            calls.append(config)
+            return _simulate_once(config, kmax)
+
+        monkeypatch.setattr(factory, "simulate_factory", simulate)
+        sweep(family, ranges, PhysicalNoise(p), target)
+        assert calls == simulated
 
 
 _REPORTS: dict[tuple[FactoryConfig, int], FactoryReport] = {}
@@ -728,10 +752,8 @@ class TestSweepPruning:
             calls.append(config)
             return _simulate_once(config, kmax)
 
-        def screened(config, kmax=6, stack=None, storage=True):
-            if not storage:  # a storage-free tier that rules nothing out
-                return 0.0
-            bounds.append((config, p_out_lower_bound(config, kmax, stack)))
+        def screened(config, kmax=6):
+            bounds.append((config, p_out_lower_bound(config, kmax)))
             return bounds[-1][1]
 
         monkeypatch.setattr(factory, "simulate_factory", counted)
@@ -798,20 +820,18 @@ class TestSweepPruning:
             for key, values in (("dX", [7, 9, 11]), ("dZ", [3, 5]),
                                 ("dm", [3, 5]))
         }
-        # each drawn screen bound, of either tier, is at most the drawn
-        # p_out, 0 and equality included, so the screen runs together with
-        # pruning
+        # each drawn screen bound is at most the drawn p_out, 0 and
+        # equality included, so the screen runs together with pruning
         outcomes = {}
         for config in _valid_configs(family, ranges, noise):
             p_out = data.draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
             bounds = [b for b in (0.0, 1e-9, 1e-8, 1e-7) if b <= p_out]
             outcomes[config] = (
                 p_out, data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])),
-                data.draw(st.sampled_from(bounds)),
                 data.draw(st.sampled_from(bounds)))
 
-        def drawn_bound(config, kmax=6, stack=None, storage=True):
-            return outcomes[config][2 if storage else 3]
+        def drawn_bound(config, kmax=6):
+            return outcomes[config][2]
 
         def drawn(config, kmax=6, stack=None):
             p_out, p_fail, *_ = outcomes[config]
@@ -866,27 +886,29 @@ def _noise_inputs(config: FactoryConfig, kmax: int):
 
 
 @st.composite
-def _edge_inputs(draw):
-    """(config, noise inputs, whether a rotation's error is certain).
+def _edge_inputs(draw, family):
+    """(config, noise inputs, whether a rotation's error is certain) of a
+    configuration of ``family``.
 
     The inputs of a drawn configuration, p_phys = 0 included, where some
-    storage (consumption included) does not decay, where some flips half
-    the time, so that grades above kmax hold much of the run's mass, and
-    where a rotation's substitution probabilities may sum to 1, so that no
-    error event is certain not to happen.
+    storage (consumption included) does not decay, where some flips X, or
+    X and Z, half the time, so that grades above kmax hold much of the
+    run's mass, and where a rotation's substitution probabilities may sum
+    to 1, so that no error event is certain not to happen.
     """
-    config = draw(_configs())
+    config = draw(_configs(family))
     if draw(st.booleans()):
         config = dataclasses.replace(
             config, noise=PhysicalNoise(0.0, config.noise.c_T))
     inputs = _noise_inputs(config, 6)
     assume(inputs is not None)
     profiles, rates, cycles, consumption = inputs
-    loud = StorageRates(0.5 / cycles, 0.0)
-    rates = {q: draw(st.sampled_from([r, StorageRates(0.0, 0.0), loud]))
+    quiet, half = StorageRates(0.0, 0.0), 0.5 / cycles
+    rates = {q: draw(st.sampled_from([r, quiet, StorageRates(half, 0.0),
+                                      StorageRates(half, half)]))
              for q, r in rates.items()}
-    if draw(st.booleans()):
-        consumption = StorageRates(0.0, 0.0)
+    consumption = draw(st.sampled_from([consumption, quiet,
+                                        StorageRates(0.5, 0.5)]))
     certain = draw(st.booleans())
     if certain:
         profiles = list(profiles)
@@ -895,27 +917,76 @@ def _edge_inputs(draw):
     return config, (profiles, rates, cycles, consumption), certain
 
 
-def _set_by_set(family: str, profiles, order: int) -> tuple[float, float]:
-    """The storage-free (p_out, floor) summed over the kept event sets one
-    by one, each set weighing the product of its events' odds, with
+def _leading_order(family: str) -> int:
+    return factory.LEADING_ORDER[build_schedule(family).circuit.name]
+
+
+def _table_p_out(family: str, inputs, order: int) -> tuple[float, float]:
+    """The table's (p_out, floor) of the family's run without X flips, as
+    the screen reads it."""
+    schedule = build_schedule(family)
+    partition, odds = eventsets.classes(schedule, inputs)
+    return eventsets.read_p_out(factory._event_sets(family, order, partition),
+                                odds, schedule.circuit.outputs)
+
+
+def _set_by_set(family: str, inputs, order: int) -> tuple[float, float]:
+    """The (p_out, floor) of the run without X flips summed over the kept
+    event sets one by one, each set weighing the product of its events'
+    odds and counted as often as the sets of the run it stands for, with
     math.fsum."""
-    odds = []
-    for f in profiles:
-        keep = 1.0 - (f.p_half + f.p_quarter + f.p_mquarter)
-        odds += [f.p_half / keep, f.p_quarter / keep, f.p_mquarter / keep,
-                 f.p_z_output / (1.0 - f.p_z_output)]
+    schedule = build_schedule(family)
+    partition, odds = eventsets.classes(schedule, inputs)
     dev, low, high = [], [], []
-    for sources, norms in factory._kept_sets(family, order):
-        weights = [math.prod(odds[e] for e in events)
-                   for events in sources.T.tolist()]
-        devs, masses = norms.tolist()
-        dev += [w * d for w, d in zip(weights, devs)]
-        (low if len(sources) <= 1 else high).extend(
-            w * m for w, m in zip(weights, masses))
+    for labels, norms, ways in eventsets.kept_sets(schedule, order,
+                                                   partition):
+        for events, d, m, w in zip(labels.T.tolist(), *norms.tolist(),
+                                   ways.tolist()):
+            weight = math.prod(odds[e] for e in events)
+            dev += [weight * d] * w
+            (low if len(events) <= 1 else high).extend([weight * m] * w)
     total = math.fsum(low + high)
     eps = factory._EPS
     return (math.fsum(dev) / total / family_outputs(family),
             (eps**2 * math.fsum(low) + eps * math.fsum(high)) / total)
+
+
+def _assert_table_matches_the_engine(family: str, inputs) -> None:
+    """The table's order-K p_out is the engine's at order K with every
+    storage and consumption X flip at rate 0, within the slack the bound
+    takes for that run, and the bound is Z times p_out less the slack, Z
+    and the slack taken over the run with the X flips.
+
+    The engine reads grades 2 and up to about eps of their mass before the
+    checks (1.2e-12 of p_out on an L2_15x15 case, where the table is
+    within 1e-16 of an extended-precision sum).  Its zero-error branch
+    also deviates by its rounding, about eps per channel in norm, which
+    its floor does not state (23 eps^2 of infidelity on a noiseless
+    20-to-4 run, where the table reads 1.2 eps^2), so the engine may read
+    higher by that much more.
+    """
+    profiles, rates, cycles, consumption = inputs
+    schedule = build_schedule(family)
+    c = schedule.circuit
+    order = _leading_order(family)
+    p_out, floor = _table_p_out(family, inputs, order)
+
+    def slack(inputs):
+        events = factory._events(schedule, inputs)
+        z = math.prod(1.0 - e for e in events)
+        return z, (16 * (floor / c.outputs + factory._EPS * p_out)
+                   + 8 * factory._EPS * sum(events)**2 / z / c.outputs)
+
+    no_x = (profiles, {q: StorageRates(0.0, r.pZ) for q, r in rates.items()},
+            cycles, StorageRates(0.0, consumption.pZ))
+    run = factory._run_schedule(schedule, no_x, order)
+    channels = 1 + sum(1 + len(c.output_qubits & set(r.axis.support))
+                       for r in c.rotations)
+    pure = (channels * factory._EPS)**2 / c.outputs
+    assert -slack(no_x)[1] <= run.p_out - p_out <= slack(no_x)[1] + pure
+    z, full = slack(inputs)
+    assert factory._table_bound(family, inputs, order) == pytest.approx(
+        z * (p_out - full), rel=1e-12, abs=1e-300)
 
 
 class TestScreen:
@@ -929,98 +1000,69 @@ class TestScreen:
         except factory.NoiseDomainError:
             assume(False)
         assert p_out_lower_bound(config) <= p_out
-        assert p_out_lower_bound(config, storage=False) <= p_out
 
-    @settings(max_examples=40, deadline=None)
-    @given(case=_edge_inputs())
-    def test_storage_free_bound_is_below_p_out(self, case):
-        config, inputs, certain = case
-        schedule = build_schedule(config.family)
-        order = factory.LEADING_ORDER[schedule.circuit.name]
-        run = factory._run_schedule(schedule, inputs, 6)
-        free = factory._storage_free_bound(config.family, inputs, order)
-        assert free <= run.p_out
-        if certain:
-            assert free == 0.0
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_table_bound_is_below_p_out(self, data):
+        for family in FAMILIES:
+            config, inputs, certain = data.draw(_edge_inputs(family))
+            run = factory._run_schedule(build_schedule(family), inputs, 6)
+            bound = factory._table_bound(family, inputs,
+                                         _leading_order(family))
+            assert bound <= run.p_out
+            if certain:
+                assert bound == 0.0
 
-    @settings(max_examples=40, deadline=None)
-    @given(case=_edge_inputs())
-    def test_storage_free_table_matches_the_engine(self, case):
-        # the table's order-K p_out is the engine's at order K with every
-        # storage and consumption channel at rate 0, within the slack the
-        # bound takes for that run, and the bound is Z times p_out less
-        # the slack, Z and the slack taken over the run with storage.  The
-        # engine reads grades 2 and up to about eps of their mass before
-        # the checks (1.2e-12 of p_out on an L2_15x15 case, where the
-        # table is within 1e-16 of an extended-precision sum).  Its
-        # zero-error branch also deviates by its rounding, about eps per
-        # channel in norm, which its floor does not state (23 eps^2 of
-        # infidelity on a noiseless 20-to-4 run, where the table reads
-        # 1.2 eps^2), so the engine may read higher by that much more.
-        config, inputs, certain = case
-        assume(not certain)  # no odds exist, and the bound is 0 (above)
-        profiles, rates, cycles, consumption = inputs
-        schedule = build_schedule(config.family)
-        c = schedule.circuit
-        order = factory.LEADING_ORDER[c.name]
-        p_out, floor = factory._storage_free_p_out(config.family, profiles,
-                                                   order)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_table_matches_the_engine(self, data):
+        for family in FAMILIES:
+            config, inputs, certain = data.draw(_edge_inputs(family))
+            if not certain:  # no odds exist, and the bound is 0 (above)
+                _assert_table_matches_the_engine(family, inputs)
 
-        def slack(inputs):
-            events = factory._events(schedule, inputs)
-            z = math.prod(1.0 - e for e in events)
-            return z, (factory._readout_slack(p_out, floor, c.outputs)
-                       + 8 * factory._EPS * sum(events)**2 / z / c.outputs)
-
-        quiet = StorageRates(0.0, 0.0)
-        free = (profiles, {q: quiet for q in rates}, cycles, quiet)
-        run = factory._run_schedule(schedule, free, order)
-        channels = 1 + sum(1 + len(c.output_qubits & set(r.axis.support))
-                           for r in c.rotations)
-        pure = (channels * factory._EPS)**2 / c.outputs
-        assert -slack(free)[1] <= run.p_out - p_out <= slack(free)[1] + pure
-        z, full = slack(inputs)
-        assert factory._storage_free_bound(config.family, inputs, order) == (
-            pytest.approx(z * (p_out - full), rel=1e-12, abs=1e-300))
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=_edge_inputs())
-    def test_storage_free_read_is_within_4_eps_of_a_sum_over_sets(self,
-                                                                 case):
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_table_read_is_within_4_eps_of_a_sum_over_sets(self, data):
         # the signature sums are read within 4 eps of each set's weighted
         # dev and mass summed with math.fsum; at p_phys = 0 every rotation
-        # is of one profile class
-        config, inputs, certain = case
-        assume(not certain)  # no odds exist
-        order = factory.LEADING_ORDER[build_schedule(config.family)
-                                      .circuit.name]
-        got = factory._storage_free_p_out(config.family, inputs[0], order)
-        want = _set_by_set(config.family, inputs[0], order)
-        for value, exact in zip(got, want):
-            assert abs(value - exact) <= 4 * factory._EPS * exact
+        # has the same odds
+        for family in FAMILIES:
+            config, inputs, certain = data.draw(_edge_inputs(family))
+            if certain:  # no odds exist
+                continue
+            order = _leading_order(family)
+            got = _table_p_out(family, inputs, order)
+            want = _set_by_set(family, inputs, order)
+            for value, exact in zip(got, want):
+                assert abs(value - exact) <= 4 * factory._EPS * exact
 
     @pytest.mark.parametrize("config", [
         _l1(13, 3, 5, 5e-4),
         _l2("L2_15x20", 7, 3, 3, 13, 5, 7, 4, 1e-4),
     ], ids=["L1_15to1", "L2_15x20"])
     def test_signature_sums_are_correctly_rounded(self, config):
-        # each signature's dev and mass are the math.fsum of its sets', and
-        # the signatures of at most one event come first
-        profiles = _noise_inputs(config, 6)[0]
-        classes = list(dict.fromkeys(profiles))
-        partition = tuple(classes.index(f) for f in profiles)
-        pad = 4 * len(classes)
-        order = factory.LEADING_ORDER[build_schedule(config.family)
-                                      .circuit.name]
-        groups = {}
-        for sources, norms in factory._kept_sets(config.family, order):
-            for events, dev, mass in zip(sources.T.tolist(), *norms.tolist()):
-                labels = sorted(4 * partition[e // 4] + e % 4 for e in events)
-                key = tuple(labels) + (pad,) * (order - len(labels))
-                groups.setdefault(key, ([], []))
-                groups[key][0].append(dev)
-                groups[key][1].append(mass)
-        table = factory._event_sets(config.family, order, partition)
+        # each signature's dev and mass are the math.fsum of its sets',
+        # each set counted as often as the sets of the run it stands for,
+        # and the signatures of at most one event come first
+        family = config.family
+        schedule = build_schedule(family)
+        partition, odds = eventsets.classes(schedule,
+                                            _noise_inputs(config, 6))
+        pad = len(odds)
+        order = _leading_order(family)
+        groups, most = {}, 1
+        for labels, norms, ways in eventsets.kept_sets(schedule, order,
+                                                       partition):
+            for events, dev, mass, w in zip(labels.T.tolist(),
+                                            *norms.tolist(), ways.tolist()):
+                key = tuple(sorted(events)) + (pad,) * (order - len(events))
+                devs, masses = groups.setdefault(key, ([], []))
+                devs += [dev] * w
+                masses += [mass] * w
+                most = max(most, w)
+        assert most > 1  # some set stands for several of the run
+        table = factory._event_sets(family, order, partition)
         got = {tuple(terms): (dev, mass) for terms, dev, mass in zip(
             table.terms.tolist(), *table.sums.tolist())}
         assert got == {key: (math.fsum(devs), math.fsum(masses))
@@ -1035,20 +1077,27 @@ class TestScreen:
         # multi-qubit ones without and with the output qubit.  Give the
         # first class the second's profile and the partition collapses
         family, order = "L1_15to1", 3
-        profiles = _noise_inputs(_l1(13, 3, 5, 5e-4), 6)[0]
+        schedule = build_schedule(family)
+        inputs = _noise_inputs(_l1(13, 3, 5, 5e-4), 6)
+        profiles = inputs[0]
         classes = list(dict.fromkeys(profiles))
-        finer = tuple(classes.index(f) for f in profiles)
-        assert sorted(set(finer)) == [0, 1, 2]
-        coinciding = [classes[1] if f == classes[0] else f for f in profiles]
+        assert len(classes) == 3
+        coinciding = ([classes[1] if f == classes[0] else f
+                       for f in profiles], *inputs[1:])
         factory._event_sets.cache_clear()
-        p_out, floor = factory._storage_free_p_out(family, coinciding, order)
-        coarse = tuple(max(0, i - 1) for i in finer)
+        p_out, floor = _table_p_out(family, coinciding, order)
+        coarse, odds = eventsets.classes(schedule, coinciding)
         assert factory._event_sets.cache_info().currsize == 1
         table = factory._event_sets(family, order, coarse)
         assert factory._event_sets.cache_info().hits == 1
+        finer, finer_odds = eventsets.classes(schedule, inputs)
         finer_table = factory._event_sets(family, order, finer)
         assert len(table.terms) < len(finer_table.terms)
-        same = factory._read_sums(finer_table, [classes[1], *classes[1:]], 1)
+        # the finer table read with each of its classes at its odds in the
+        # coinciding run
+        same = eventsets.read_p_out(
+            finer_table, [odds[coarse[finer.index(i)]]
+                          for i in range(len(finer_odds))], 1)
         assert same == pytest.approx((p_out, floor), rel=4 * factory._EPS,
                                      abs=0)
         want = _set_by_set(family, coinciding, order)
@@ -1065,11 +1114,11 @@ class TestScreen:
                       PhysicalNoise(1e-3)),
     ], ids=FAMILIES)
     def test_storage_free_bound_is_z_times_p_out(self, config):
-        # Z = prod(1 - p_e) over every event of the run with storage,
-        # recomputed here from the schedule and the noise inputs.  On these
-        # configurations the slack is below 1e-9 of p_out, while the
-        # storage and consumption events alone take over 4e-6 off Z, so a
-        # bound without Z, or with Z over the rotations' events only, fails.
+        # Z = prod(1 - p_e) over every event of the run, recomputed here
+        # from the schedule and the noise inputs.  On these configurations
+        # the slack is below 1e-9 of p_out, while the storage and
+        # consumption events alone take over 4e-6 off Z, so a bound
+        # without Z, or with Z over the rotations' events only, fails.
         profiles, rates, cycles, consumption = inputs = _noise_inputs(
             config, 6)
         schedule = build_schedule(config.family)
@@ -1090,23 +1139,23 @@ class TestScreen:
         z_storage = math.prod(stored)
         z = math.prod(applied) * z_storage
         order = factory.LEADING_ORDER[c.name]
-        p_out, _ = factory._storage_free_p_out(config.family, profiles, order)
-        free = factory._storage_free_bound(config.family, inputs, order)
+        p_out, _ = _table_p_out(config.family, inputs, order)
+        bound = factory._table_bound(config.family, inputs, order)
         assert 1.0 - z_storage > 4e-6
-        assert free <= z * p_out
-        assert free == pytest.approx(z * p_out, rel=1e-9)
+        assert bound <= z * p_out
+        assert bound == pytest.approx(z * p_out, rel=1e-9)
 
     @pytest.mark.parametrize("row", TABLE1 + TABLE2,
                              ids=[f"table1-{i}" for i in range(1, 16)]
                              + [f"table2-{i}" for i in range(1, 10)])
     def test_table_rows_are_not_screened(self, row, monkeypatch):
-        # table1 row 5 (p_out 8.2e-25) has its bound within 8e-9 of its
-        # p_out before the readout floor is subtracted
+        # the bound reads the row's order-K run without its X flips, which
+        # the engine confirms; it is 0.916 to 1.000 of the rows' p_out
         config = row_config(row)
         report = _simulate_once(config)
         bound = p_out_lower_bound(config)
-        assert 0.99 * report.p_out < bound <= report.p_out
-        assert p_out_lower_bound(config, storage=False) <= report.p_out
+        assert bound <= report.p_out
+        _assert_table_matches_the_engine(row.family, _noise_inputs(config, 6))
         d = config.distances
         ranges = {key: [getattr(d, key)] for key in distance_keys(row.family)}
         monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
@@ -1118,7 +1167,7 @@ class TestScreen:
         # it out saves a simulation in every family
         screened = []
 
-        def bound(config, kmax=6, stack=None, storage=True):
+        def bound(config, kmax=6):
             screened.append(config.family)
             return 0.0
 
@@ -1129,41 +1178,41 @@ class TestScreen:
         assert set(screened) == set(FAMILIES)
 
     def test_no_bound_below_the_leading_order(self):
-        config = _l1(7, 3, 3, 1e-4)
-        top = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
-        for storage in (True, False):
-            assert p_out_lower_bound(config, kmax=3, storage=storage) == 0.0
-            assert 0.0 < p_out_lower_bound(config, kmax=4,
-                                           storage=storage) <= (
-                simulate_factory(config, kmax=4).p_out)
-            assert p_out_lower_bound(top, kmax=2, storage=storage) == 0.0
+        # at kmax >= K the run holds every set of the table
+        for config, order in ((_l1(7, 3, 3, 1e-4), 3),
+                              (_l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4),
+                               2)):
+            assert p_out_lower_bound(config, kmax=order - 1) == 0.0
+            assert 0.0 < p_out_lower_bound(config, kmax=order) <= (
+                simulate_factory(config, kmax=order).p_out)
 
     @pytest.mark.parametrize("rules_out", [False, True])
-    def test_storage_free_tier_screens_every_candidate(self, rules_out,
-                                                       monkeypatch):
-        # the first tier runs on every candidate screened, which with
-        # nothing feasible is every valid candidate, and the second only
-        # on those the first lets through
+    def test_one_screen_per_screened_candidate(self, rules_out,
+                                               monkeypatch):
+        # with nothing feasible, every valid candidate is screened, once,
+        # and simulated right after its screen if the screen lets it through
         family, p, ranges, _ = _PRUNING_CASES[3]
         noise = PhysicalNoise(p)
-        tiers = []
+        calls = []
 
-        def bound(config, kmax=6, stack=None, storage=True):
-            tiers.append((config, storage))
-            return 1.0 if rules_out or storage else 0.0
+        def bound(config, kmax=6):
+            calls.append(("screen", config))
+            return 1.0 if rules_out else 0.0
+
+        def simulate(config, kmax=6, stack=None):
+            calls.append(("simulate", config))
+            return _simulate_once(config, kmax)
 
         monkeypatch.setattr(factory, "p_out_lower_bound", bound)
-        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
+        monkeypatch.setattr(factory, "simulate_factory", simulate)
         assert sweep(family, ranges, noise, 1e-30) == []
         valid = _valid_configs(family, ranges, noise)
-        first = [config for config, storage in tiers if not storage]
-        assert len(first) == len(set(first)) == len(valid)
-        assert set(first) == set(valid)
-        if rules_out:
-            assert len(tiers) == len(valid)
-        else:
-            assert tiers == [(config, storage) for config in first
-                             for storage in (False, True)]
+        screened = [config for what, config in calls if what == "screen"]
+        assert len(screened) == len(set(screened)) == len(valid)
+        assert set(screened) == set(valid)
+        assert calls == [(what, config) for config in screened
+                         for what in ("screen",) + ("simulate",) * (
+                             not rules_out)]
 
     def test_out_of_range_candidates_of_a_screened_sweep_are_skipped(
             self, monkeypatch):
@@ -1172,21 +1221,45 @@ class TestScreen:
         noise = PhysicalNoise(3e-3)
         ranges = {"dX": [9], "dZ": [3], "dm": [3], "dX2": [25],
                   "dZ2": [5, 7], "dm2": [9], "nL1": [2]}
-        tiers = []
+        screened = []
 
-        def bound(config, kmax=6, stack=None, storage=True):
-            tiers.append((config.distances.dZ2, storage))
-            return p_out_lower_bound(config, kmax, stack, storage)
+        def bound(config, kmax=6):
+            screened.append(config.distances.dZ2)
+            return p_out_lower_bound(config, kmax)
 
         monkeypatch.setattr(factory, "p_out_lower_bound", bound)
         front = sweep("L2_15x20", ranges, noise, 1.0)
         assert [r.protocol for r in front] == [
             "(15-to-1)^2_{9,3,3} x (20-to-4)_{25,7,9}"]
         # the first screen raised, and the next candidate was screened
-        assert tiers[:2] == [(5, False), (7, False)]
+        assert screened[:2] == [5, 7]
         with pytest.raises(factory.NoiseDomainError,
                            match=r"\(20-to-4\)_\{25,5,9\}"):
             sweep("L2_15x20", {**ranges, "dZ2": [5]}, noise, 1.0)
+
+
+@pytest.mark.parametrize("family, counts", [
+    ("L1_15to1", [0, 0, 35]),
+    ("L2_15x20", [0, 22]),
+    ("L2_15xCCZ", [0, 28]),
+], ids=["fifteen_to_one", "twenty_to_four", "eight_to_ccz"])
+def test_event_sets_hold_the_undetected_error_sets(family, counts):
+    # verify's counts (undetected_error_sets) from the screen's enumerator:
+    # the kept sets of P_{pi/2} branches alone that spoil the output.  The
+    # recorded LEADING_ORDER is the first order with such a set
+    schedule = build_schedule(family)
+    rotations = 4 * len(schedule.circuit.rotations)
+    # class 0 holds the P_{pi/2} branches, class 1 every other kind
+    partition = tuple(int(kind >= rotations or kind % 4 != 0)
+                      for kind in range(rotations + schedule.circuit.n + 1))
+    got = [0] * len(counts)
+    for labels, norms, _ in eventsets.kept_sets(schedule, len(counts),
+                                                partition):
+        if len(labels):
+            dev, mass = norms[:, ~labels.any(axis=0)]
+            got[len(labels) - 1] += int(np.count_nonzero(dev > 1e-9 * mass))
+    assert got == counts
+    assert got.index(next(filter(None, got))) + 1 == _leading_order(family)
 
 
 class TestWorkspace:
@@ -1197,6 +1270,4 @@ class TestWorkspace:
         stack = GradedDensityMatrix.workspace(5, 6)
         want = [simulate_factory(c) for c in configs]
         assert [simulate_factory(c, 6, stack) for c in configs] == want
-        assert p_out_lower_bound(configs[0], 6, stack) == p_out_lower_bound(
-            configs[0])
         assert simulate_factory(configs[0], 6, stack) == want[0]
