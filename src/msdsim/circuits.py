@@ -21,7 +21,7 @@ Usage::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -30,7 +30,7 @@ from .density import (
     GradedDensityMatrix,
     RotationErrorProfile,
     _mask_of,
-    _vec_project_checks,
+    _sum_checks,
     pure_state_infidelity,
 )
 from .pauli import (
@@ -66,7 +66,9 @@ def ccz_plus_state() -> np.ndarray:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A post-selected Z-type rotation circuit with designated outputs."""
+    """A post-selected Z-type rotation circuit with designated outputs;
+    ``ideal_kept`` is the ideal output on the qubits other than the checks.
+    """
 
     name: str
     n: int
@@ -75,6 +77,7 @@ class Circuit:
     output_qubits: frozenset[int]
     outputs: int
     ideal_output: np.ndarray
+    ideal_kept: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         touched: set[int] = set()
@@ -94,8 +97,11 @@ class Circuit:
         # Circuits are shared (factory schedules are cached), so the
         # reference state must not be writable through any of them.
         ideal = self.ideal_output.copy()
-        ideal.setflags(write=False)
-        object.__setattr__(self, "ideal_output", ideal)
+        kept = _sum_checks(ideal, tuple(sorted(self.check_qubits)), self.n)
+        kept /= np.linalg.norm(kept)
+        for name, state in (("ideal_output", ideal), ("ideal_kept", kept)):
+            state.setflags(write=False)
+            object.__setattr__(self, name, state)
 
 
 def _zrot(n: int, qubits: tuple[int, ...], sign: int) -> Rotation:
@@ -246,7 +252,6 @@ def undetected_error_sets(c: Circuit, order: int) -> int:
     if order > len(c.rotations):
         raise ValueError("order exceeds the rotation count")
     checks = tuple(sorted(c.check_qubits))
-    ideal = c.ideal_output
     masks = np.array([_mask_of(r.axis) for r in c.rotations])
     subsets = itertools.combinations(range(len(masks)), order)
     count = 0
@@ -255,12 +260,12 @@ def undetected_error_sets(c: Circuit, order: int) -> int:
         em = np.bitwise_xor.reduce(masks[np.array(chunk, dtype=int)], axis=1)
         # the Z-product error commutes with every rotation, so the final
         # state is the error applied to the noiseless output
-        states = (1.0 - 2.0 * parity_lookup(em[:, None], c.n)) * ideal
-        if checks:
-            states = _vec_project_checks(states, checks, c.n)
-            # a row that lost norm had some check flipped: detected
-            states = states[(abs(states) ** 2).sum(axis=1) >= 1.0 - 1e-9]
-        overlaps = abs(states @ ideal.conj()) ** 2
+        states = (1.0 - 2.0 * parity_lookup(em[:, None], c.n)) * c.ideal_output
+        # <+| on the checks, which leaves the kept qubits; a row that lost
+        # norm had some check flipped: detected
+        states = _sum_checks(states, checks, c.n) * 0.5 ** (len(checks) / 2)
+        states = states[(abs(states) ** 2).sum(axis=1) >= 1.0 - 1e-9]
+        overlaps = abs(states @ c.ideal_kept.conj()) ** 2
         count += int(np.count_nonzero(overlaps < 1.0 - 1e-9))
     return count
 
@@ -309,17 +314,16 @@ def simulate_circuit(
     """
     if noise.kind == "coherent":
         psi = product_state([PLUS] * c.n)
-        dim = 1 << c.n
         for r in c.rotations:
             psi = rotation_phases(
                 _mask_of(r.axis), c.n,
                 r.angle.radians + noise.value * np.sign(r.angle.k)) * psi
         p_fail = 0.0
-        if c.check_qubits:
-            psi = _vec_project_checks(psi, tuple(sorted(c.check_qubits)), c.n)
-            p_fail = 1.0 - float(np.vdot(psi, psi).real)
-        assert psi.shape == (dim,)
-        return pure_state_infidelity(psi, c.ideal_output) / c.outputs, p_fail
+        if c.check_qubits:  # <+| on the checks, times 2**(c/2)
+            psi = _sum_checks(psi, tuple(sorted(c.check_qubits)), c.n)
+            p_fail = 1.0 - (0.5 ** len(c.check_qubits)
+                            * float(np.vdot(psi, psi).real))
+        return pure_state_infidelity(psi, c.ideal_kept) / c.outputs, p_fail
 
     if noise.kind == "z_only":
         profile = RotationErrorProfile(noise.value, 0.0, 0.0, 0.0)
@@ -334,7 +338,7 @@ def simulate_circuit(
     p_fail = 0.0
     if c.check_qubits:
         rho, p_fail = rho.project_plus(c.check_qubits)
-    p_out = rho.infidelity_with_pure(c.ideal_output) / c.outputs
+    p_out = rho.infidelity_with_pure(c.ideal_kept) / c.outputs
     return p_out, p_fail
 
 

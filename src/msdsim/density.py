@@ -54,7 +54,8 @@ Usage::
     prof = RotationErrorProfile(1e-4, 0.0, 0.0, 0.0)
     rho = rho.apply_faulty_rotation(PauliProduct("ZIIII"), prof)
     rho = rho.apply_x_flip(1, 1e-4).apply_z_flips([(0, 1e-4), (1, 2e-4)])
-    rho, p_fail = rho.project_plus(frozenset({1, 2, 3, 4}))
+    rho, p_fail = rho.project_plus(frozenset({1, 2, 3, 4}))  # rho.n == 1
+    rho = rho.apply_absorbed_flips([1e-4])  # an X flip that waited on a check
 """
 from __future__ import annotations
 
@@ -139,28 +140,17 @@ def _stack_xflip(stack: np.ndarray, qubit: int) -> np.ndarray:
     return t[..., ::-1, :, :, ::-1, :]
 
 
-def _vec_project_checks(vec: np.ndarray, checks: tuple[int, ...], n: int) -> np.ndarray:
-    """prod_q (I + X_q)/2 over the check qubits, on a statevector or on rows."""
-    shape = vec.shape[:-1] + (2,) * n
-    t = vec.reshape(shape)
-    for q in checks:
-        t = t.mean(axis=-1 - q, keepdims=True)
-    return np.broadcast_to(t, shape).reshape(vec.shape).copy()
-
-
-def _mat_project_checks(mat: np.ndarray, checks: tuple[int, ...], n: int,
-                        out: np.ndarray) -> np.ndarray:
-    """prod_q (I + X_q)/2 rho prod_q (I + X_q)/2 on a stack, into ``out``.
-
-    ``out`` may be ``mat``: the averages are taken before it is written.
-    """
-    shape = mat.shape[:-2] + (2,) * (2 * n)
-    t = mat.reshape(shape)
-    for q in checks:
-        t = t.mean(axis=-1 - q - n, keepdims=True)  # row axis of qubit q
-        t = t.mean(axis=-1 - q, keepdims=True)
-    out.reshape(shape)[...] = t
-    return out
+def _sum_checks(t: np.ndarray, checks: tuple[int, ...], n: int,
+                sides: int = 1) -> np.ndarray:
+    """Sums over the check qubits' bits of the last ``sides`` axes, each of
+    length 2**n: 2**(len(checks)/2) times what <+| on every check leaves of
+    a statevector or of rows (sides 1), or of a matrix stack (sides 2), on
+    the other qubits in order."""
+    lead = t.shape[:t.ndim - sides]
+    axes = tuple(len(lead) + side * n + n - 1 - q
+                 for side in range(sides) for q in checks)
+    t = t.reshape(lead + (2,) * (sides * n)).sum(axis=axes)
+    return t.reshape(lead + (1 << (n - len(checks)),) * sides)
 
 
 # s_i - s_j for the entries of each class c_ij under Z signs s
@@ -188,8 +178,8 @@ def _xor_index(n: int) -> np.ndarray:
 
 def _z_flip_tables(counts: Counter, n: int, kmax: int) -> np.ndarray:
     """(depth + 1, 2**n) complex, depth <= kmax: at x, the coefficients of
-    t^0..t^depth of prod_(q, p) ((1 - p) + p s_q(x) t)^m over the m flips
-    of each (q, p) in ``counts``, with s_q(x) the sign of Z on q at basis
+    t^0..t^depth of prod_(mask, p) ((1 - p) + p s(x) t)^m over the m flips
+    of each (mask, p) in ``counts``, with s(x) the sign of Z_mask at basis
     index x.
 
     Complex, since a real operand makes NumPy's complex loops cast in
@@ -198,8 +188,8 @@ def _z_flip_tables(counts: Counter, n: int, kmax: int) -> np.ndarray:
     depth = min(kmax, sum(counts.values()))
     table = np.zeros((depth + 1, 1 << n), dtype=np.complex128)
     table[0] = 1.0
-    for (q, p), m in counts.items():
-        s = z_signs(1 << q, n)
+    for (mask, p), m in counts.items():
+        s = z_signs(mask, n)
         grown = np.zeros_like(table)
         for j in range(min(m, depth) + 1):
             c = math.comb(m, j) * (1.0 - p)**(m - j) * p**j
@@ -287,8 +277,8 @@ class GradedDensityMatrix:
     ``scale``, like the branch store (see the module docstring).  Branches
     with more than ``kmax`` errors are dropped.  ``1 - trace_total()``
     does not measure them: it is round-off (between -1.6e-15 and 1.3e-14
-    on the paper's tables).  A schedule run bounds their share from its
-    events instead (``factory._run_schedule``).
+    on the paper's tables).  Nothing bounds their share yet (ROADMAP.md,
+    item 3).
 
     ``births`` holds grade 1 once more, as ``(weight, row)`` pairs, one per
     single error event, to be read through ``pullback`` (the conjugated
@@ -459,10 +449,12 @@ class GradedDensityMatrix:
     def _successor(self, pure, grades, births, pullback,
                    scale) -> GradedDensityMatrix:
         """A new state with these fields, owned if this one is."""
-        state = GradedDensityMatrix(self.n, pure, grades, births, pullback,
-                                    scale)
-        if self._in_place:
-            state._in_place, state._work = True, self._work
+        state = GradedDensityMatrix(len(pure).bit_length() - 1, pure, grades,
+                                    births, pullback, scale)
+        if self._in_place:  # a projection's successor takes a new scratch
+            if state.n == self.n:
+                state._work = self._work
+            state._owned()
         return state
 
     # -- channels ----------------------------------------------------------
@@ -517,12 +509,18 @@ class GradedDensityMatrix:
         Each flipped qubit adds one branch to the store, Z_q pure, weighted
         by K times the summed odds p/(1 - p) of its flips.
         """
+        return self._flips([(_flip_p(q, p, self.n), 1 << q) for q, p in flips])
+
+    def apply_absorbed_flips(self, probs) -> GradedDensityMatrix:
+        """X flips on checks that a projection measured: each is the
+        identity's flip, (1 - p) rho + p rho with p of it a grade up, so
+        all take one pass of :meth:`apply_z_flips`'s, with signs of 1."""
+        return self._flips([(_flip_p(0, p, self.n), 0) for p in probs])
+
+    def _flips(self, flips) -> GradedDensityMatrix:
+        """(p, mask) flips of Z_mask in one pass (:meth:`apply_z_flips`)."""
         n, dim, kmax = self.n, len(self.pure), self.kmax
-        counts = Counter()
-        for q, p in flips:
-            p = _flip_p(q, p, n)
-            if p:
-                counts[q, p] += 1
+        counts = Counter((mask, p) for p, mask in flips if p)
         if not counts:
             return self
         table = _z_flip_tables(counts, n, kmax)
@@ -549,37 +547,39 @@ class GradedDensityMatrix:
                     below = grades[k - j - 1, r] if k > j else g0
                     block += np.multiply(e[j - 1], below, out=term)
         odds = Counter()
-        for (q, p), m in counts.items():
-            odds[q] += m * p / (1.0 - p)
-        born = [(keep * o, z_signs(1 << q, n) * self.pure)
-                for q, o in odds.items()]
+        for (mask, p), m in counts.items():
+            odds[mask] += m * p / (1.0 - p)
+        born = [(keep * o, z_signs(mask, n) * self.pure)
+                for mask, o in odds.items()]
         return self._event(keep, born, out, self.pure, self.pullback)
 
     def project_plus(
         self, check_qubits: frozenset[int]
     ) -> tuple[GradedDensityMatrix, float]:
-        """The checks' |+> outcome, and its failure probability."""
+        """The checks' |+> outcome, and its failure probability.
+
+        The outcome is the state of the other qubits, numbered in order:
+        each side of each branch is summed over the check bits, which is
+        <+| on the checks times 2**(c/2) for c checks, and the factor
+        2**-c of a density matrix joins the scale.
+        """
         checks = tuple(sorted(check_qubits))
         if not checks:
             raise ValueError("check set is empty")
-        before = self.trace_total()
-        pure = _vec_project_checks(self.pure, checks, self.n)
-        grades = self._out()
-        # a block at a time, as the channels go, for small temporaries
-        for *_, block, _ in _blocks(self.kmax, len(pure)):
-            _mat_project_checks(self.grades[block], checks, self.n,
-                                grades[block])
-        p_success = GradedDensityMatrix(self.n, pure, grades,
-                                        scale=self.scale).trace_total()
+        before, unit = self.trace_total(), 0.5 ** len(checks)
+        pure = _sum_checks(self.pure, checks, self.n)
+        grades = _sum_checks(self.grades, checks, self.n, 2)
+        p_success = unit * GradedDensityMatrix(
+            self.n - len(checks), pure, grades, scale=self.scale).trace_total()
         if p_success <= 1e-300:
             raise ValueError("success probability is numerically zero")
         # the projected grades, stored over the new scale 1/p_success
-        grades *= self.scale
+        grades *= unit * self.scale
         scale = 1.0 / p_success
-        # projection is linear: project the rows, keep their weights; a
-        # chunk of rows at a time, whose temporaries take about four times
-        # its bytes, and an owned state, which is not read again, lets go
-        # of each chunk's old rows
+        # projection is linear: sum the rows, and their weights take 2**-c;
+        # a chunk of rows at a time, whose temporaries take about four
+        # times its bytes, and an owned state, which is not read again,
+        # lets go of each chunk's old rows
         births, old = [], list(self.births)
         if self._in_place:
             self.births = ()
@@ -587,9 +587,9 @@ class GradedDensityMatrix:
         while old:
             chunk, old[:per] = old[:per], []
             weights, rows = self.grade1_branches(chunk)
-            births += zip(weights.tolist(),
-                          _vec_project_checks(rows, checks, self.n))
-        state = self._successor(math.sqrt(scale) * pure, grades,
+            births += zip((unit * weights).tolist(),
+                          _sum_checks(rows, checks, self.n))
+        state = self._successor(math.sqrt(unit * scale) * pure, grades,
                                 tuple(births), 1.0, scale)
         return state, 1.0 - p_success / before
 

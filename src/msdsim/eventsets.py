@@ -101,12 +101,13 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     exp(i pi/8 a) / sqrt(2^n), where the integer a (mod 16) sums the
     exponents of the ideal rotations and of the set's events.  The
     checks' projection averages over the check qubits, and the ideal
-    output is a vector phi of the other qubits times |+> on the checks,
-    so a branch reads through its sums r over the check bits: mass |r|^2
-    and deviation |r - <phi|r> phi|^2, scaled so that the zero-event
-    branch has mass 1.  The consumption flips, on the outputs, commute
-    with the projection.  Sets are read in chunks of at most
-    ``_BLOCK_BYTES``, their phases looked up two check bits at a time.
+    output is a vector phi of the other qubits (``Circuit.ideal_kept``)
+    times |+> on the checks, so a branch reads through its sums r over
+    the check bits: mass |r|^2 and deviation |r - <phi|r> phi|^2, scaled
+    so that the zero-event branch has mass 1.  The consumption flips, on
+    the outputs, commute with the projection.  Sets are read in chunks of
+    at most ``_BLOCK_BYTES``, their phases looked up two check bits at a
+    time.
 
     A set the checks reject (most 15-to-1 triples) has r = 0 exactly, so
     its dev and mass are 0, and it is left out; its growths are still
@@ -155,8 +156,7 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     labels = np.array(labels, dtype=np.uint8)
     mults = np.array(mults, dtype=np.int64)
     shape = (1 << len(rest), 1 << len(checks))
-    phi = c.ideal_output[basis].reshape(shape).sum(axis=1)
-    phi /= np.linalg.norm(phi)
+    phi = c.ideal_kept
     unit = 2.0 ** -(c.n + len(checks))  # |r|^2 of a pure |+>^n start is 1
     # each entry of r is a sum of 2^nc unit roots, an algebraic integer:
     # 0, or of norm (the product of its 8 conjugates, each at most 2^nc in

@@ -143,7 +143,9 @@ class ScheduleStep:
 @dataclass(frozen=True)
 class Schedule:
     """A circuit's steps.  ``rotation_outputs`` holds each rotation's
-    output qubits (those of its axis), sorted, computed once."""
+    output qubits (those of its axis), sorted, computed once.  It measures
+    the checks in its last step alone, so no step sees the renumbered
+    qubits that the projection keeps: the outputs."""
 
     circuit: Circuit
     steps: tuple[ScheduleStep, ...]
@@ -163,6 +165,11 @@ class Schedule:
         if sorted(seen) != list(range(len(self.circuit.rotations))):
             raise ValueError("schedule must apply every rotation exactly once")
         c = self.circuit
+        if (any(step.measure for step in self.steps[:-1])
+                or self.steps[-1].measure != c.check_qubits
+                or len(c.check_qubits | c.output_qubits) != c.n):
+            raise ValueError("schedule must measure the checks in its last "
+                             "step alone, and keep only outputs")
         object.__setattr__(self, "rotation_outputs", tuple(
             tuple(sorted(c.output_qubits.intersection(r.axis.support)))
             for r in c.rotations))
@@ -288,7 +295,7 @@ def cycle_cost(config: FactoryConfig, p_fail_L1: float) -> float:
 
 def _events(schedule: Schedule, inputs: tuple) -> list[float]:
     """Each error event's probability in a run of ``schedule``, in the
-    order the run applies them.
+    order of its steps.
 
     A rotation's substitution branches count as one event, each output Z
     flip as one, and each storage or consumption channel as two (its X and
@@ -319,6 +326,12 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int,
     ``inputs`` is the (profiles, storage rates, storage cycles,
     consumption) of one configuration; the run takes place in ``stack``
     when given (see ``GradedDensityMatrix.init_plus``).
+
+    A flip waits while it commutes, grade counts included.  Z flips wait
+    for one pass before the checks.  An X flip on q waits for the next
+    rotation on q, or past the projection, which keeps the outputs alone:
+    there it runs at their dimension, as do the consumption flips and the
+    readout, or on a check it is absorbed (Pi X_c = Pi), a grade shift.
     """
     c = schedule.circuit
     profiles, rates, cycles, consumption = inputs
@@ -327,30 +340,33 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int,
         return ScheduleRun(0.0, 0.0)
     rho = GradedDensityMatrix.init_plus(c.n, kmax, stack)._owned()
     initialized: set[int] = set()
-    p_fail = 0.0
-    # Z flips commute with every Z flip, X flip and Z-type rotation, but
-    # not with the checks: each waits for one pass before the projection
-    z_flips = []
+    z_flips, x_flips = [], {q: [] for q in range(c.n)}
     for step in schedule.steps:
         initialized |= step.initialize
         for ri in step.rotations:
             r = c.rotations[ri]
+            for q in r.axis.support:
+                for p in x_flips[q]:
+                    rho = rho.apply_x_flip(q, p)
+                x_flips[q] = []
             rho = rho.apply_faulty_rotation(r.axis, profiles[ri],
                                             sign=1 if r.angle.k > 0 else -1)
             z_flips += [(q, profiles[ri].p_z_output)
                         for q in schedule.rotation_outputs[ri]]
         if step.storage:
             for q in sorted(initialized):
-                rho = rho.apply_x_flip(q, cycles * rates[q].pX)
+                x_flips[q].append(cycles * rates[q].pX)
                 z_flips.append((q, cycles * rates[q].pZ))
-        if step.measure:
-            rho, z_flips = rho.apply_z_flips(z_flips), []
-            rho, p_fail = rho.project_plus(step.measure)
-    for q in sorted(c.output_qubits):
-        rho = rho.apply_x_flip(q, consumption.pX)
-        z_flips.append((q, consumption.pZ))
     rho = rho.apply_z_flips(z_flips)
-    return ScheduleRun(rho.infidelity_with_pure(c.ideal_output) / c.outputs,
+    rho, p_fail = rho.project_plus(c.check_qubits)
+    rho = rho.apply_absorbed_flips(
+        [p for q in sorted(c.check_qubits) for p in x_flips.pop(q)])
+    # the projection kept the outputs, numbered in order
+    for i, flips in enumerate(x_flips.values()):
+        for p in flips + [consumption.pX]:
+            rho = rho.apply_x_flip(i, p)
+    rho = rho.apply_z_flips([(i, consumption.pZ) for i in range(rho.n)])
+    return ScheduleRun(rho.infidelity_with_pure(c.ideal_kept) / c.outputs,
                        p_fail)
 
 

@@ -13,7 +13,7 @@ Usage::
 
     rho = DensityMatrix.init_plus(3)
     rho = rho.apply_storage(0, StorageRates(0.01, 0.01), 2.0)
-    rho, p_fail = rho.project_plus(frozenset({1, 2}))
+    rho, p_fail = rho.project_plus(frozenset({1, 2}))  # qubit 0 alone
 """
 from __future__ import annotations
 
@@ -118,7 +118,8 @@ class DensityMatrix:
     def project_plus(
         self, check_qubits: frozenset[int]
     ) -> tuple[DensityMatrix, float]:
-        """Post-select |+> on the check qubits: prod_q (I + X_q)/2."""
+        """Post-select |+> on the check qubits, prod_q (I + X_q)/2, and
+        trace them out: the state of the other qubits, numbered in order."""
         if not check_qubits:
             raise ValueError("check set is empty")
         eye = np.eye(1 << self.n, dtype=np.complex128)
@@ -129,7 +130,13 @@ class DensityMatrix:
         p_success = np.trace(projected).real
         if p_success <= 1e-300:
             raise ValueError("success probability is numerically zero")
-        return DensityMatrix(self.n, projected / p_success), 1.0 - p_success
+        # the highest check first, so the lower ones keep their axes
+        n, t = self.n, projected.reshape((2,) * (2 * self.n))
+        for q in sorted(check_qubits, reverse=True):
+            t = np.trace(t, axis1=n - 1 - q, axis2=2 * n - 1 - q)
+            n -= 1
+        kept = t.reshape(1 << n, 1 << n)
+        return DensityMatrix(n, kept / p_success), 1.0 - p_success
 
     def fidelity_with_pure(self, psi: np.ndarray) -> float:
         psi = np.asarray(psi, dtype=np.complex128).reshape(-1)

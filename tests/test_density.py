@@ -277,20 +277,23 @@ class TestGradedAgainstDense:
 
     def test_owned_state_matches_the_functional_one(self):
         # an owned state's channels update its stack in place and give the
-        # same state bit for bit, projection included
+        # same state bit for bit, projection included; the projection
+        # keeps the n - 1 unmeasured qubits, whose channels stay owned
         rng = np.random.default_rng(13)
         for n, kmax in ((2, 1), (5, 3), (7, 2)):
             functional = GradedDensityMatrix.init_plus(n, kmax=kmax)
             owned = GradedDensityMatrix.init_plus(n, kmax=kmax)._owned()
             stack = owned.grades
-            ops = _random_ops(rng, n, 8)
-            for i, op in enumerate(ops):
+            for op in _random_ops(rng, n, 4):
                 functional, owned = _apply(functional, op), _apply(owned, op)
-                if i == len(ops) // 2:
-                    functional, fail = functional.project_plus(
-                        frozenset({n - 1}))
-                    owned, owned_fail = owned.project_plus(frozenset({n - 1}))
-                    assert owned_fail == fail
+                assert _state_bytes(owned) == _state_bytes(functional)
+            assert owned.grades is stack
+            functional, fail = functional.project_plus(frozenset({n - 1}))
+            owned, owned_fail = owned.project_plus(frozenset({n - 1}))
+            assert owned_fail == fail
+            stack = owned.grades
+            for op in _random_ops(rng, n - 1, 4):
+                functional, owned = _apply(functional, op), _apply(owned, op)
                 assert _state_bytes(owned) == _state_bytes(functional)
             assert owned.grades is stack
 
@@ -306,9 +309,9 @@ class TestGradedAgainstDense:
             state, _ = state.project_plus(frozenset({n - 1}))
             if n == 5:  # keep probability 0: every earlier branch is gone
                 state = state.apply_faulty_rotation(
-                    PauliProduct("ZZIII"),
+                    PauliProduct("ZZII"),
                     RotationErrorProfile(0.5, 0.25, 0.25))
-            for op in _random_ops(rng, n, 4):
+            for op in _random_ops(rng, n - 1, 4):
                 state = _apply(state, op)
             weights, rows = state.grade1_branches()
             assert len(weights) == len(rows) > 0
@@ -365,20 +368,24 @@ class TestGradedAgainstDense:
             state.pure)) == pytest.approx(0.0, abs=1e-30)
 
     def test_projection_agrees(self):
+        # the graded projection keeps the unmeasured qubits: the oracle's
+        # projection traced down to them
         rng = np.random.default_rng(99)
-        n = 3
-        ops = _random_ops(rng, n, 8)
-        dense = DensityMatrix.init_plus(n)
-        graded = GradedDensityMatrix.init_plus(n, kmax=2 * len(ops))
-        for op in ops:
-            dense = _apply(dense, op)
-            graded = _apply(graded, op)
-        dense_p, dense_fail = dense.project_plus(frozenset({0, 2}))
-        graded_p, graded_fail = graded.project_plus(frozenset({0, 2}))
-        np.testing.assert_allclose(graded_fail, dense_fail, rtol=1e-10)
-        np.testing.assert_allclose(
-            materialize(graded_p).data, dense_p.data, atol=1e-11
-        )
+        for n, checks in ((3, {0, 2}), (3, {1}), (5, {1, 2, 3, 4}),
+                          (7, {4, 5, 6})):
+            ops = _random_ops(rng, n, 8)
+            dense = DensityMatrix.init_plus(n)
+            graded = GradedDensityMatrix.init_plus(n, kmax=2 * len(ops))
+            for op in ops:
+                dense = _apply(dense, op)
+                graded = _apply(graded, op)
+            dense_p, dense_fail = dense.project_plus(frozenset(checks))
+            graded_p, graded_fail = graded.project_plus(frozenset(checks))
+            assert graded_p.n == dense_p.n == n - len(checks)
+            np.testing.assert_allclose(graded_fail, dense_fail, rtol=1e-10)
+            np.testing.assert_allclose(
+                materialize(graded_p).data, dense_p.data, atol=1e-11
+            )
 
     def test_infidelity_agrees_with_materialized(self):
         rng = np.random.default_rng(31)
@@ -420,10 +427,97 @@ class TestGradedAgainstDense:
             )
 
 
+def _masses(state) -> list[float]:
+    """The trace of each grade of a graded state, the zero-error branch
+    as grade 0."""
+    return [np.vdot(state.pure, state.pure).real] + [
+        state.scale * np.trace(g).real for g in state.grades]
+
+
+def _assert_same_state(a, b, masses=None):
+    """Two graded states agree within 4 eps of ``masses[k]`` in each grade
+    k, which are a's own by default: the zero-error branch as grade 0,
+    each stored grade, and grade 1 as the branch store rebuilds it."""
+    eps = np.finfo(float).eps
+    masses = _masses(a) if masses is None else masses
+
+    def grades(state):
+        w, rows = state.grade1_branches()
+        return [np.outer(state.pure, state.pure.conj()),
+                *(state.scale * state.grades),
+                np.einsum("i,ij,ik->jk", w, rows, rows.conj())]
+
+    for mass, ga, gb in zip(masses + masses[1:2], grades(a), grades(b)):
+        assert np.max(np.abs(ga - gb)) <= 4 * eps * mass
+
+
+class TestWaitingFlips:
+    """The identities that let a schedule run hold its X flips back."""
+
+    def test_an_x_flip_commutes_with_what_lacks_its_qubit(self):
+        # with a rotation whose axis lacks its qubit and with Z flips on
+        # any qubit, its own included
+        rng = np.random.default_rng(23)
+        for n in (2, 5, 7):
+            state = GradedDensityMatrix.init_plus(n, kmax=3)
+            for op in _random_ops(rng, n, 6):
+                state = _apply(state, op)
+            for q in range(n):
+                mask = int(rng.integers(1, 1 << (n - 1)))
+                mask = (mask >> q << (q + 1)) | (mask & ((1 << q) - 1))
+                axis = PauliProduct("".join("Z" if mask >> i & 1 else "I"
+                                            for i in range(n)))
+                others = [
+                    lambda s: s.apply_faulty_rotation(
+                        axis, RotationErrorProfile(0.01, 0.02, 0.03),
+                        sign=-1),
+                    lambda s: s.apply_z_flips([(q, 0.03),
+                                               ((q + 1) % n, 0.01)]),
+                ]
+                for other in others:
+                    _assert_same_state(other(state.apply_x_flip(q, 0.02)),
+                                       other(state).apply_x_flip(q, 0.02))
+
+    @pytest.mark.parametrize("n, checks", [
+        (2, {1}), (4, {0, 2}), (5, {1, 2, 3, 4}), (7, {4, 5, 6})])
+    def test_an_x_flip_passes_the_projection(self, n, checks):
+        # on a kept qubit it runs on the projected state, on that qubit's
+        # number among the kept ones; on a check, (I + X)/2 X = (I + X)/2:
+        # the flip leaves the projected state as it is and moves p of it
+        # up a grade, an absorbed flip.  No grade is dropped here,
+        # which would change the trace that p_fail divides by.  After two
+        # flips, grade k agrees within 4 eps of the mass that grades k - 2
+        # to k held before the projection: the checks reject most of it
+        rng = np.random.default_rng(29)
+        ops = _random_ops(rng, n, 6)
+        state = GradedDensityMatrix.init_plus(n, kmax=2 * len(ops) + 2)
+        for op in ops:
+            state = _apply(state, op)
+        checks = frozenset(checks)
+        kept, kept_fail = state.project_plus(checks)
+        before = [0.0, 0.0] + _masses(state)
+        masses = [sum(before[k:k + 3]) / (1.0 - kept_fail)
+                  for k in range(state.kmax + 1)]
+        for q in checks:
+            flipped, fail = (state.apply_x_flip(q, 0.03)
+                             .apply_x_flip(max(checks), 0.01)
+                             .project_plus(checks))
+            assert fail == pytest.approx(kept_fail, rel=1e-13)
+            _assert_same_state(flipped,
+                               kept.apply_absorbed_flips([0.03, 0.01]),
+                               masses)
+        outputs = [q for q in range(n) if q not in checks]
+        for i, q in enumerate(outputs):
+            flipped, fail = state.apply_x_flip(q, 0.03).project_plus(checks)
+            assert fail == pytest.approx(kept_fail, rel=1e-13)
+            _assert_same_state(flipped, kept.apply_x_flip(i, 0.03), masses)
+
+
 @st.composite
 def _z_flip_cases(draw):
     """(n, kmax, prefix ops, flips): a state made by rotations, X flips and
-    maybe a projection, then a list of Z flips on it.
+    maybe a projection last, which keeps n - 1 qubits, then a list of Z
+    flips on it.
 
     Flips repeat qubits and whole (qubit, p) pairs, and their
     probabilities include 0 and values close to 1, where most of the mass
@@ -434,7 +528,7 @@ def _z_flip_cases(draw):
     qubit = st.integers(0, n - 1)
     prob = st.floats(0.0, 0.03)
     ops = []
-    for kind in draw(st.lists(st.sampled_from("rxp"), max_size=5)):
+    for kind in draw(st.lists(st.sampled_from("rx"), max_size=5)):
         if kind == "r":
             mask = draw(st.integers(1, (1 << n) - 1))
             axis = PauliProduct("".join("Z" if mask >> i & 1 else "I"
@@ -442,10 +536,11 @@ def _z_flip_cases(draw):
             profile = st.builds(RotationErrorProfile, prob, prob, prob)
             ops.append(("rotation", (axis, draw(profile),
                                      draw(st.sampled_from([1, -1])))))
-        elif kind == "x":
-            ops.append(("x", (draw(qubit), draw(st.floats(0.0, 0.5)))))
         else:
-            ops.append(("project", frozenset({draw(qubit)})))
+            ops.append(("x", (draw(qubit), draw(st.floats(0.0, 0.5)))))
+    if n > 1 and draw(st.booleans()):
+        ops.append(("project", frozenset({draw(qubit)})))
+        qubit = st.integers(0, n - 2)
     p = st.one_of(st.just(0.0), prob, st.floats(0.0, 0.999),
                   st.floats(0.999, 1.0, exclude_max=True))
     flips = draw(st.lists(st.tuples(qubit, p), max_size=4))
