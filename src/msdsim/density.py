@@ -198,9 +198,10 @@ def _z_flip_tables(counts: Counter, n: int, kmax: int) -> np.ndarray:
     return table
 
 
-def _flip_p(qubit: int, p: float, n: int) -> float:
-    """A flip's probability as a float, once it and its qubit are valid."""
-    if not 0 <= qubit < n:
+def _flip_p(p: float, qubit: int | None = None, n: int = 0) -> float:
+    """A flip's probability as a float, once it and its qubit, if it has
+    one, are valid."""
+    if qubit is not None and not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} out of range")
     p = float(p)
     if not 0.0 <= p < 1.0:
@@ -488,7 +489,7 @@ class GradedDensityMatrix:
 
     def apply_x_flip(self, qubit: int, p: float) -> GradedDensityMatrix:
         """(1 - p) rho + p X rho X on ``qubit``."""
-        p = _flip_p(qubit, p, self.n)
+        p = _flip_p(p, qubit, self.n)
         if not p:
             return self
         v = _vec_xflip(self.pure, qubit)
@@ -509,13 +510,13 @@ class GradedDensityMatrix:
         Each flipped qubit adds one branch to the store, Z_q pure, weighted
         by K times the summed odds p/(1 - p) of its flips.
         """
-        return self._flips([(_flip_p(q, p, self.n), 1 << q) for q, p in flips])
+        return self._flips([(_flip_p(p, q, self.n), 1 << q) for q, p in flips])
 
     def apply_absorbed_flips(self, probs) -> GradedDensityMatrix:
         """X flips on checks that a projection measured: each is the
         identity's flip, (1 - p) rho + p rho with p of it a grade up, so
         all take one pass of :meth:`apply_z_flips`'s, with signs of 1."""
-        return self._flips([(_flip_p(0, p, self.n), 0) for p in probs])
+        return self._flips([(_flip_p(p), 0) for p in probs])
 
     def _flips(self, flips) -> GradedDensityMatrix:
         """(p, mask) flips of Z_mask in one pass (:meth:`apply_z_flips`)."""

@@ -512,38 +512,51 @@ class TestWaitingFlips:
             assert fail == pytest.approx(kept_fail, rel=1e-13)
             _assert_same_state(flipped, kept.apply_x_flip(i, 0.03), masses)
 
+    def test_an_absorbed_flip_needs_no_qubit(self):
+        # with every qubit measured, the kept state has none, and a flip
+        # that waited on a check is still only a grade shift
+        state = GradedDensityMatrix.init_plus(2, kmax=2).apply_x_flip(0, 0.02)
+        kept, _ = state.project_plus(frozenset({0, 1}))
+        assert kept.n == 0
+        shifted = kept.apply_absorbed_flips([0.03])
+        np.testing.assert_allclose(shifted.trace_total(), kept.trace_total(),
+                                   rtol=1e-13)
+        with pytest.raises(ValueError, match="probability"):
+            kept.apply_absorbed_flips([1.0])
+
 
 @st.composite
 def _z_flip_cases(draw):
     """(n, kmax, prefix ops, flips): a state made by rotations, X flips and
-    maybe a projection last, which keeps n - 1 qubits, then a list of Z
-    flips on it.
+    projections, then a list of Z flips on it.
 
+    Each projection measures one qubit and leaves the state on the others,
+    so the ops and flips after it draw their qubits from the lower count.
     Flips repeat qubits and whole (qubit, p) pairs, and their
     probabilities include 0 and values close to 1, where most of the mass
     leaves the kept branch.
     """
-    n = draw(st.integers(1, 5))
+    n = m = draw(st.integers(1, 5))
     kmax = draw(st.integers(1, 4))
-    qubit = st.integers(0, n - 1)
     prob = st.floats(0.0, 0.03)
     ops = []
-    for kind in draw(st.lists(st.sampled_from("rx"), max_size=5)):
+    for kind in draw(st.lists(st.sampled_from("rxp"), max_size=5)):
         if kind == "r":
-            mask = draw(st.integers(1, (1 << n) - 1))
+            mask = draw(st.integers(1, (1 << m) - 1))
             axis = PauliProduct("".join("Z" if mask >> i & 1 else "I"
-                                        for i in range(n)))
+                                        for i in range(m)))
             profile = st.builds(RotationErrorProfile, prob, prob, prob)
             ops.append(("rotation", (axis, draw(profile),
                                      draw(st.sampled_from([1, -1])))))
-        else:
-            ops.append(("x", (draw(qubit), draw(st.floats(0.0, 0.5)))))
-    if n > 1 and draw(st.booleans()):
-        ops.append(("project", frozenset({draw(qubit)})))
-        qubit = st.integers(0, n - 2)
+        elif kind == "x":
+            ops.append(("x", (draw(st.integers(0, m - 1)),
+                              draw(st.floats(0.0, 0.5)))))
+        elif m > 1:
+            ops.append(("project", frozenset({draw(st.integers(0, m - 1))})))
+            m -= 1
     p = st.one_of(st.just(0.0), prob, st.floats(0.0, 0.999),
                   st.floats(0.999, 1.0, exclude_max=True))
-    flips = draw(st.lists(st.tuples(qubit, p), max_size=4))
+    flips = draw(st.lists(st.tuples(st.integers(0, m - 1), p), max_size=4))
     flips += flips[:draw(st.integers(0, len(flips)))]
     return n, kmax, ops, draw(st.permutations(flips))
 
