@@ -8,9 +8,9 @@ output qubit indices are 0-based.
 
 Also here: unitary equivalence checks, brute-force undetected-error-set
 counting, full density-matrix circuit simulations under three noise models,
-and branch-wise verification of the four lattice-surgery gadgets
+and an exact check of each branch of the four lattice-surgery gadgets
 (state consumption, faulty T measurement, delayed-choice rotation, and the
-auto-corrected rotation).
+auto-corrected rotation) on the branch's linear map.
 
 Usage::
 
@@ -346,244 +346,125 @@ def simulate_circuit(
 # gadget verification
 # ---------------------------------------------------------------------------
 #
-# All four gadgets perform P_{pi/8} on a data register via one or more Pauli
-# product measurements and destructive ancilla readouts, with Pauli(-only or
-# Pauli+Clifford) corrections.  Branch rules implemented here:
-#
-# consumption   data (x) |m>; measure P(x)Z -> s; measure ancilla X -> t;
-#               corrections: Pauli P iff t=-1, P_{pi/4} iff s=-1.
-# t_measurement data (x) |+>; measure P(x)Z -> s; apply T (s=+1) or
-#               T-dagger (s=-1) to the ancilla, measure it in X -> t;
-#               correction: Pauli P iff t=-1 (never a Clifford).
-#               An ancilla X error before the T step turns every branch
-#               into P_{-pi/8} (an S-dagger error); a Z error gives a
-#               Pauli P error.
-# delayed_choice data (x) |m> (x) |+>; measure P(x)Z(x)Z -> s; measure the
-#               magic ancilla in X -> t; afterwards EITHER read the extra
-#               qubit in Z (outcome e=+-1): rotation performed, corrections
-#               Pauli P iff t=-1 and P_{pi/4} iff s*e=-1; OR read it in X
-#               (outcome x): no operation, correction Pauli P iff x=-1.
-# auto_corrected data (x) |m> (x) |0>; measure P(x)Z (data,magic) -> a and
-#               Z(x)Y (magic,zero) -> b simultaneously; measure magic in X
-#               -> c; read the zero qubit in Z if a=+1 (outcome z in {0,1}),
-#               in X if a=-1 (outcome x); correction: Pauli P iff
-#               (a=+1 and (c=-1) xor (z=1)) or (a=-1 and (c=-1) xor (x=-1)
-#               xor (b=-1)).  Never a Clifford correction.
+# All four gadgets perform P_{pi/8} on a data register via Pauli product
+# measurements and destructive ancilla read-outs, with Pauli (and for two
+# of them Clifford) corrections.  P is Z on every data qubit.  A branch's
+# linear map of the data register is <read-outs| projectors |preparation>
+# over the ancillas, built on the identity of the data qubits: after the
+# branch's corrections it must be c * U for one constant c != 0, where U
+# is the rotation the branch performs.  That is exact, and it holds on
+# every input state at once.
+
+# corrections, in units of pi/8 on P: the Pauli P and the Clifford P_{pi/4}
+PAULI_FIX, CLIFFORD_FIX = 4, 2
+MINUS = np.array([SQ2, -SQ2], dtype=np.complex128)
+ONE = np.array([0.0, 1.0], dtype=np.complex128)
+# an ancilla read in X, by outcome
+X_OUT = {1: PLUS, -1: MINUS}
+SIGNS = (1, -1)
 
 
-def _op_on(register_n: int, factors: dict[int, str]) -> np.ndarray:
-    letters = "".join(factors.get(i, "I") for i in range(register_n))
-    return matrix_of(PauliProduct(letters))
-
-
-def _project_outcome(state: np.ndarray, qubit: int, n: int,
-                       outcome: np.ndarray) -> np.ndarray:
-    """Project one qubit onto the given (normalized) 1-qubit outcome state."""
-    proj = np.outer(outcome, outcome.conj())
-    return _apply_single(state, proj, qubit, n)
-
-
-def _apply_single(state: np.ndarray, op2: np.ndarray, qubit: int,
-                  n: int) -> np.ndarray:
-    t = state.reshape((2,) * n)
-    ax = n - 1 - qubit
-    t = np.moveaxis(t, ax, 0)
-    t = np.tensordot(op2, t, axes=(1, 0))
-    return np.moveaxis(t, 0, ax).reshape(-1)
-
-
-def _test_states(data_n: int, rng: np.random.Generator, count: int = 4):
-    states = [product_state([PLUS] * data_n)]
-    for _ in range(count):
-        v = rng.normal(size=1 << data_n) + 1j * rng.normal(size=1 << data_n)
-        states.append(v / np.linalg.norm(v))
-    return states
+def verify_gadget(kind: str, tol: float = 1e-9) -> bool:
+    """Check a gadget's branch rules on its branch maps, for 1 and 2 data
+    qubits."""
+    gadgets = {
+        "consumption": _consumption,
+        "t_measurement": _t_measurement,
+        "delayed_choice": _delayed_choice,
+        "auto_corrected": _auto_corrected,
+    }
+    if kind not in gadgets:
+        raise ValueError(f"unknown gadget kind: {kind}")
+    for data_n in (1, 2):
+        mask = (1 << data_n) - 1
+        for prep, middle, bra, fix, k8 in gadgets[kind](data_n):
+            # <bra| middle |prep> on the ancillas, the high qubits
+            m = middle.reshape(len(prep), 1 << data_n, len(prep), -1)
+            branch = np.einsum("a,adbe,b->de", bra, m, prep)
+            branch *= rotation_phases(mask, data_n, fix * np.pi / 8)[:, None]
+            want = np.diag(rotation_phases(mask, data_n, k8 * np.pi / 8))
+            if not _proportional(branch, want, tol):
+                return False
+    return True
 
 
 def _proportional(actual: np.ndarray, expected: np.ndarray,
-                  tol: float = 1e-9) -> bool:
+                  tol: float) -> bool:
     na, ne = np.linalg.norm(actual), np.linalg.norm(expected)
     if na < 1e-8 or ne < 1e-8:
         return False
     return equal_up_to_phase(actual / na, expected / ne, tol)
 
 
-def _xstate(t: int) -> np.ndarray:
-    return np.array([SQ2, t * SQ2], dtype=np.complex128)
+def _projectors(letters: str) -> dict[int, np.ndarray]:
+    """The projectors onto the +1 and -1 outcomes of a Pauli product."""
+    meas = matrix_of(PauliProduct(letters))
+    eye = np.eye(len(meas))
+    return {s: 0.5 * (eye + s * meas) for s in SIGNS}
 
 
-def verify_gadget(kind: str, seed: int = 7, tol: float = 1e-9) -> bool:
-    """Check a gadget's branch rules on fixed plus random data states."""
-    rng = np.random.default_rng(seed)
-    checkers = {
-        "consumption": _check_consumption,
-        "t_measurement": _check_t_measurement,
-        "delayed_choice": _check_delayed_choice,
-        "auto_corrected": _check_auto_corrected,
-    }
-    if kind not in checkers:
-        raise ValueError(f"unknown gadget kind: {kind}")
-    for data_n, support in ((1, (0,)), (2, (0, 1))):
-        for psi in _test_states(data_n, rng):
-            if not checkers[kind](psi, data_n, support, tol):
-                return False
-    return True
+# Each gadget yields its branches for data_n data qubits, as (ancilla
+# preparation, projectors, ancilla read-out bra, correction, U) with the
+# correction and U = P_{k pi/8} given by k.
 
 
-def _check_consumption(psi, data_n, support, tol) -> bool:
-    n = data_n + 1
-    anc = data_n
-    start = np.kron(MAGIC, psi)  # little-endian: ancilla is the high qubit
-    ideal = _apply_register_rot(psi, support, 1.0, data_n)
-    meas = _op_on(n, {**{i: "Z" for i in support}, anc: "Z"})
-    dim = 1 << n
-    for s in (1, -1):
-        proj = 0.5 * (np.eye(dim) + s * meas)
-        mid = proj @ start
-        for t in (1, -1):
-            branch = _project_outcome(mid, anc, n, _xstate(t))
-            data = _extract_many(branch, [(anc, _xstate(t))], n)
-            if data is None:
-                return False
-            if t == -1:
-                data = _apply_register_rot(data, support, 4.0, data_n)
-            if s == -1:
-                data = _apply_register_rot(data, support, 2.0, data_n)
-            if not _proportional(data, ideal, tol):
-                return False
-    return True
+def _consumption(data_n: int):
+    """data (x) |m>; measure P(x)Z -> s; measure the ancilla in X -> t;
+    corrections: Pauli P iff t = -1, P_{pi/4} iff s = -1."""
+    proj = _projectors("Z" * (data_n + 1))
+    for s, t in itertools.product(SIGNS, SIGNS):
+        fix = PAULI_FIX * (t == -1) + CLIFFORD_FIX * (s == -1)
+        yield MAGIC, proj[s], X_OUT[t].conj(), fix, 1
 
 
-def _check_t_measurement(psi, data_n, support, tol) -> bool:
-    n = data_n + 1
-    anc = data_n
-    ideal = _apply_register_rot(psi, support, 1.0, data_n)
-    sdag_ideal = _apply_register_rot(psi, support, -1.0, data_n)
-    meas = _op_on(n, {**{i: "Z" for i in support}, anc: "Z"})
-    dim = 1 << n
-    start = np.kron(PLUS, psi)
-    for injected, expected in ((None, ideal), ("X", sdag_ideal),
-                               ("Z", None)):
-        for s in (1, -1):
-            mid = (0.5 * (np.eye(dim) + s * meas)) @ start
-            if injected is not None:
-                mid = _apply_single(mid, matrix_of(PauliProduct(injected)),
-                                    anc, n)
-            tgate = np.array([[1.0, 0.0], [0.0, np.exp(1j * s * np.pi / 4)]])
-            mid = _apply_single(mid, tgate, anc, n)
-            for t in (1, -1):
-                data = _extract_many(
-                    _project_outcome(mid, anc, n, _xstate(t)),
-                    [(anc, _xstate(t))], n)
-                if data is None:
-                    return False
-                if t == -1:
-                    data = _apply_register_rot(data, support, 4.0, data_n)
-                want = expected
-                if want is None:  # Z injection: a Pauli P error on the data
-                    want = _apply_register_rot(ideal, support, 4.0, data_n)
-                if not _proportional(data, want, tol):
-                    return False
-    return True
+def _t_measurement(data_n: int):
+    """data (x) |+>; measure P(x)Z -> s; apply T (s = +1) or T-dagger
+    (s = -1) to the ancilla, measure it in X -> t; correction: Pauli P iff
+    t = -1 (never a Clifford).  An ancilla X error before the T step turns
+    every branch into P_{-pi/8} (an S-dagger error); a Z error gives a
+    Pauli P error."""
+    proj = _projectors("Z" * (data_n + 1))
+    errors = ((matrix_of(PauliProduct(e)), k8)
+              for e, k8 in (("I", 1), ("X", -1), ("Z", 1 + PAULI_FIX)))
+    for (error, k8), s, t in itertools.product(errors, SIGNS, SIGNS):
+        tgate = np.diag([1.0, np.exp(1j * s * np.pi / 4)])
+        yield (PLUS, proj[s], X_OUT[t].conj() @ tgate @ error,
+               PAULI_FIX * (t == -1), k8)
 
 
-def _check_delayed_choice(psi, data_n, support, tol) -> bool:
-    n = data_n + 2
-    anc, extra = data_n, data_n + 1
-    ideal = _apply_register_rot(psi, support, 1.0, data_n)
-    meas = _op_on(n, {**{i: "Z" for i in support}, anc: "Z", extra: "Z"})
-    dim = 1 << n
-    start = np.kron(PLUS, np.kron(MAGIC, psi))
-    for s in (1, -1):
-        mid0 = (0.5 * (np.eye(dim) + s * meas)) @ start
-        for t in (1, -1):
-            mid = _project_outcome(mid0, anc, n, _xstate(t))
-            # later choice 1: Z readout of the extra qubit -> rotation
-            for e, ket in ((1, ZERO), (-1, np.array([0.0, 1.0]))):
-                data = _extract_many(mid, [(anc, _xstate(t)), (extra, ket)],
-                                     n)
-                if data is None:
-                    return False
-                if t == -1:
-                    data = _apply_register_rot(data, support, 4.0, data_n)
-                if s * e == -1:
-                    data = _apply_register_rot(data, support, 2.0, data_n)
-                if not _proportional(data, ideal, tol):
-                    return False
-            # later choice 2: X readout -> no operation
-            for x in (1, -1):
-                data = _extract_many(
-                    mid, [(anc, _xstate(t)), (extra, _xstate(x))], n)
-                if data is None:
-                    return False
-                if x == -1:
-                    data = _apply_register_rot(data, support, 4.0, data_n)
-                if not _proportional(data, psi, tol):
-                    return False
-    return True
+def _delayed_choice(data_n: int):
+    """data (x) |m> (x) |+>; measure P(x)Z(x)Z -> s; measure the magic
+    ancilla in X -> t; afterwards EITHER read the extra qubit in Z (outcome
+    e = +-1): rotation performed, corrections Pauli P iff t = -1 and
+    P_{pi/4} iff s*e = -1; OR read it in X (outcome x): no operation,
+    correction Pauli P iff x = -1."""
+    proj = _projectors("Z" * (data_n + 2))
+    prep = product_state([MAGIC, PLUS])
+    for s, t in itertools.product(SIGNS, SIGNS):
+        for e, ket in zip(SIGNS, (ZERO, ONE)):
+            fix = PAULI_FIX * (t == -1) + CLIFFORD_FIX * (s * e == -1)
+            yield prep, proj[s], product_state([X_OUT[t], ket]).conj(), fix, 1
+        for x in SIGNS:
+            yield (prep, proj[s], product_state([X_OUT[t], X_OUT[x]]).conj(),
+                   PAULI_FIX * (x == -1), 0)
 
 
-def _check_auto_corrected(psi, data_n, support, tol) -> bool:
-    n = data_n + 2
-    anc, zero = data_n, data_n + 1
-    ideal = _apply_register_rot(psi, support, 1.0, data_n)
-    meas_a = _op_on(n, {**{i: "Z" for i in support}, anc: "Z"})
-    meas_b = _op_on(n, {anc: "Z", zero: "Y"})
-    dim = 1 << n
-    start = np.kron(ZERO, np.kron(MAGIC, psi))
-    for a in (1, -1):
-        for b in (1, -1):
-            mid0 = (0.5 * (np.eye(dim) + a * meas_a)) @ start
-            mid0 = (0.5 * (np.eye(dim) + b * meas_b)) @ mid0
-            for c in (1, -1):
-                mid = _project_outcome(mid0, anc, n, _xstate(c))
-                if a == 1:
-                    readouts = [(ZERO, 0), (np.array([0.0, 1.0]), 1)]
-                    for ket, z in readouts:
-                        data = _extract_many(
-                            mid, [(anc, _xstate(c)), (zero, ket)], n)
-                        if data is None:
-                            return False
-                        if (c == -1) ^ (z == 1):
-                            data = _apply_register_rot(data, support, 4.0,
-                                                       data_n)
-                        if not _proportional(data, ideal, tol):
-                            return False
-                else:
-                    for x in (1, -1):
-                        data = _extract_many(
-                            mid, [(anc, _xstate(c)), (zero, _xstate(x))],
-                            n)
-                        if data is None:
-                            return False
-                        if (c == -1) ^ (x == -1) ^ (b == -1):
-                            data = _apply_register_rot(data, support, 4.0,
-                                                       data_n)
-                        if not _proportional(data, ideal, tol):
-                            return False
-    return True
-
-
-def _apply_register_rot(state: np.ndarray, support: tuple[int, ...],
-                        k8: float, n: int) -> np.ndarray:
-    mask = sum(1 << i for i in support)
-    return rotation_phases(mask, n, k8 * np.pi / 8) * state
-
-
-def _extract_many(state: np.ndarray, ancs: list[tuple[int, np.ndarray]],
-                  n: int) -> np.ndarray | None:
-    """Contract known ancilla states out of the register (highest qubit first).
-
-    Returns the remaining data state, or None when the branch has
-    (numerically) zero probability.
-    """
-    t = state.reshape((2,) * n)
-    cur_n = n
-    for qubit, anc_state in sorted(ancs, key=lambda kv: -kv[0]):
-        ax = cur_n - 1 - qubit
-        t = np.tensordot(anc_state.conj(), np.moveaxis(t, ax, 0), axes=(0, 0))
-        cur_n -= 1
-    vec = t.reshape(-1)
-    if np.linalg.norm(vec) < 1e-8:
-        return None
-    return vec
+def _auto_corrected(data_n: int):
+    """data (x) |m> (x) |0>; measure P(x)Z (data, magic) -> a and Z(x)Y
+    (magic, zero) -> b simultaneously; measure magic in X -> c; read the
+    zero qubit in Z if a = +1 (outcome z in {0, 1}), in X if a = -1
+    (outcome x); correction: Pauli P iff (a = +1 and (c = -1) xor (z = 1))
+    or (a = -1 and (c = -1) xor (x = -1) xor (b = -1)).  Never a Clifford
+    correction."""
+    proj_a = _projectors("Z" * (data_n + 1) + "I")
+    proj_b = _projectors("I" * data_n + "ZY")
+    prep = product_state([MAGIC, ZERO])
+    for a, b, c in itertools.product(SIGNS, SIGNS, SIGNS):
+        middle = proj_b[b] @ proj_a[a]
+        if a == 1:
+            reads = ((ZERO, False), (ONE, True))
+        else:
+            reads = ((X_OUT[x], (x == -1) ^ (b == -1)) for x in SIGNS)
+        for ket, flip in reads:
+            yield (prep, middle, product_state([X_OUT[c], ket]).conj(),
+                   PAULI_FIX * ((c == -1) ^ flip), 1)

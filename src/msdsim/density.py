@@ -574,6 +574,16 @@ class GradedDensityMatrix:
             self.n - len(checks), pure, grades, scale=self.scale).trace_total()
         if p_success <= 1e-300:
             raise ValueError("success probability is numerically zero")
+        # the rejected mass, summed rather than read as 1 - p_success/before
+        # (which cancels): the pure branch's residual off the |+> outcome,
+        # whose mean over the check bits it keeps, and each grade's trace
+        # less what the outcome keeps of it
+        t = self.pure.reshape((2,) * self.n)
+        t = t - t.mean(axis=tuple(self.n - 1 - q for q in checks),
+                       keepdims=True)
+        rejected = float(np.vdot(t, t).real + self.scale * (
+            np.trace(self.grades, axis1=1, axis2=2).real
+            - unit * np.trace(grades, axis1=1, axis2=2).real).sum())
         # the projected grades, stored over the new scale 1/p_success
         grades *= unit * self.scale
         scale = 1.0 / p_success
@@ -592,7 +602,7 @@ class GradedDensityMatrix:
                           _sum_checks(rows, checks, self.n))
         state = self._successor(math.sqrt(unit * scale) * pure, grades,
                                 tuple(births), 1.0, scale)
-        return state, 1.0 - p_success / before
+        return state, rejected / before
 
     def infidelity_with_pure(self, psi: np.ndarray) -> float:
         """1 - <psi|rho|psi>, accumulated branch-wise to avoid cancellation.

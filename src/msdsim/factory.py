@@ -450,18 +450,22 @@ def _level1_inputs(config: FactoryConfig, schedule: Schedule):
     return profiles, rates, storage_cycles, consumption
 
 
-@lru_cache(maxsize=None)
-def _level1_cached(dX: int, dZ: int, dm: int, p_phys: float, c_T: float,
-                   kmax: int) -> ScheduleRun:
-    cfg = FactoryConfig("L1_15to1", DistanceSet(dX, dZ, dm),
-                        PhysicalNoise(p_phys, c_T))
-    return _run_level1(cfg, kmax)
+# level-1 runs by (dX, dZ, dm, p_phys, c_T, kmax), shared by the L1_15to1
+# rows and every level-2 family's block
+_LEVEL1_RUNS: dict[tuple, ScheduleRun] = {}
 
 
-def level1_output_error(config: FactoryConfig, kmax: int = 6) -> ScheduleRun:
-    """Output error and failure rate of the embedded one-level block."""
+def level1_output_error(config: FactoryConfig, kmax: int = 6,
+                        stack: np.ndarray | None = None) -> ScheduleRun:
+    """Output error and failure rate of the (embedded) one-level 15-to-1
+    block, memoized; a miss runs in ``stack`` if one is given."""
     d, noise = config.distances, config.noise
-    return _level1_cached(d.dX, d.dZ, d.dm, noise.p_phys, noise.c_T, kmax)
+    key = (d.dX, d.dZ, d.dm, noise.p_phys, noise.c_T, kmax)
+    if key not in _LEVEL1_RUNS:
+        block = FactoryConfig("L1_15to1", DistanceSet(d.dX, d.dZ, d.dm),
+                              noise)
+        _LEVEL1_RUNS[key] = _run_level1(block, kmax, stack)
+    return _LEVEL1_RUNS[key]
 
 
 def _level2_inputs(config: FactoryConfig, schedule: Schedule, kmax: int):
@@ -593,7 +597,10 @@ def simulate_factory(config: FactoryConfig, kmax: int = 6,
         p_fail_l1 = level1_output_error(config, kmax).p_fail
         p_fail_l2 = run.p_fail
     else:
-        run = _run_level1(config, kmax, stack)
+        if config.family == "L1_15to1":
+            run = level1_output_error(config, kmax, stack)
+        else:
+            run = _run_level1(config, kmax, stack)
         p_fail_l1, p_fail_l2 = run.p_fail, 0.0
     p_out = run.p_out
     qubits, cycles, per_state = _costs(config, p_fail_l1)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import msdsim.circuits as circuits
 from msdsim.circuits import (
     LEADING_ORDER,
     CATALOG_KINDS,
@@ -103,11 +104,26 @@ class TestUndetectedErrorSets:
             assert counts[-1] > 0 and not any(counts[:-1]), kind
 
 
+GADGETS = ("consumption", "t_measurement", "delayed_choice",
+           "auto_corrected")
+
+
 class TestGadgets:
     def test_branch_rules(self):
-        for kind in ("consumption", "t_measurement", "delayed_choice",
-                     "auto_corrected"):
+        for kind in GADGETS:
             assert verify_gadget(kind, tol=1e-9)
+
+    @pytest.mark.parametrize("correction, failing", [
+        ("PAULI_FIX", GADGETS),
+        ("CLIFFORD_FIX", ("consumption", "delayed_choice")),
+    ], ids=["pauli", "clifford"])
+    def test_a_dropped_correction_fails(self, correction, failing,
+                                        monkeypatch):
+        # negative controls: every gadget has a branch that needs the Pauli
+        # P correction, and two of them a branch that needs P_{pi/4}
+        monkeypatch.setattr(circuits, correction, 0)
+        for kind in GADGETS:
+            assert verify_gadget(kind) == (kind not in failing), kind
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

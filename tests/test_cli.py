@@ -34,6 +34,26 @@ from msdsim.factory import FactoryConfig, simulate_factory
 from msdsim.noise import DistanceSet, PhysicalNoise
 
 
+VERIFY_LABELS = [
+    "identity16 composes to the identity",
+    "15-to-1 composes to a -pi/8 Z-rotation on its output",
+    "20-to-4 noiseless output fidelity >= 1 - 1e-10",
+    "8-to-CCZ composes to the 7-rotation CCZ decomposition",
+    "15-rotation 4-qubit identity composes to the identity",
+    "consumption gadget branch rules",
+    "t_measurement gadget branch rules",
+    "delayed_choice gadget branch rules",
+    "auto_corrected gadget branch rules",
+    "15-to-1 undetected single errors = 0",
+    "15-to-1 undetected error pairs = 0",
+    "15-to-1 undetected error triples = 35",
+    "20-to-4 undetected single errors = 0",
+    "20-to-4 undetected error pairs = 22",
+    "8-to-CCZ undetected single errors = 0",
+    "8-to-CCZ undetected error pairs = 28",
+]
+
+
 class TestDisplayRounding:
     def test_round_sig(self):
         assert round_sig(14628.585, 3) == 14600
@@ -455,6 +475,12 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
+    def test_verify_prints_its_sixteen_labels(self, capsys):
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"PASS  {label}" for label in VERIFY_LABELS] + [
+            "", "16/16 checks pass"]
+
     def test_sweep_command(self, capsys):
         assert main(["sweep", "--family", "l1_15to1", "--pphys", "1e-4",
                      "--target", "1e-7", "--dx", "7,9", "--dz", "3",
@@ -597,3 +623,19 @@ class TestConsoleScript:
         assert result.returncode == 0
         for command in ("circuit", "factory", "table", "sweep", "verify"):
             assert command in result.stdout
+
+    def test_verify_leaves_numpy_random_unloaded(self):
+        # the checks draw no random states, so a verify run need not pay
+        # for importing numpy.random
+        code = ("import contextlib, io, sys, numpy\n"
+                "before = 'numpy.random' in sys.modules\n"
+                "from msdsim.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    status = main(['verify'])\n"
+                "print(before, status, 'numpy.random' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True)
+        before, status, after = result.stdout.split()
+        if before == "True":
+            pytest.skip("importing numpy loads numpy.random here")
+        assert (status, after) == ("0", "False")

@@ -573,6 +573,17 @@ def _run_prefix(state, ops):
     return state
 
 
+@pytest.mark.parametrize("p", [1e-3, 1e-12, 3e-14])
+def test_p_fail_is_the_rejected_mass(p):
+    # a Z flip on a check is rejected whole and one on the kept qubit never,
+    # so p_fail is p or 0, to a few eps of p; 1 - p_success would cancel,
+    # 2.2e-5 of p off at p = 1e-12
+    for qubit, want in ((1, p), (2, p), (0, 0.0)):
+        state = GradedDensityMatrix.init_plus(3).apply_z_flips([(qubit, p)])
+        _, p_fail = state.project_plus(frozenset({1, 2}))
+        assert abs(p_fail - want) <= 4 * np.finfo(float).eps * p, qubit
+
+
 class TestZFlips:
     """One pass of Z flips against the oracle's channel-by-channel ones."""
 

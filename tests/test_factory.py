@@ -317,11 +317,11 @@ class TestSimulatedErrors:
         monkeypatch.setattr(factory, "sorted",
                             lambda qubits: sorted(qubits, reverse=True),
                             raising=False)
-        factory._level1_cached.cache_clear()
+        factory._LEVEL1_RUNS.clear()
         try:
             backward = [simulate_factory(c).p_out for c in configs]
         finally:
-            factory._level1_cached.cache_clear()
+            factory._LEVEL1_RUNS.clear()
         np.testing.assert_allclose(backward[:3], forward[:3], rtol=1e-10)
         np.testing.assert_allclose(backward[3], forward[3], rtol=1e-6)
 
@@ -400,11 +400,11 @@ def test_a_20_to_4_run_applies_its_z_flips_in_two_passes(monkeypatch):
 
     monkeypatch.setattr(GradedDensityMatrix, "apply_z_flips", counted)
     config = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
-    factory._level1_cached.cache_clear()
+    factory._LEVEL1_RUNS.clear()
     try:
         run = factory._run_factory(config, 6, factory._level2_inputs, 6)
     finally:
-        factory._level1_cached.cache_clear()
+        factory._LEVEL1_RUNS.clear()
     assert run.p_out > 0.0
     assert passes == [34, 1, 97, 4]
 
@@ -436,6 +436,8 @@ def test_x_flips_wait_for_the_next_rotation_on_their_qubit(config, flips,
 
     if config.family in factory._LEVEL2_CIRCUIT:  # level 1 runs uncounted
         factory.level1_output_error(config)
+    else:  # a level-1 row is read from the memo of level-1 runs
+        factory._LEVEL1_RUNS.clear()
     monkeypatch.setattr(GradedDensityMatrix, "apply_x_flip", count_x)
     monkeypatch.setattr(GradedDensityMatrix, "apply_absorbed_flips",
                         count_absorbed)
@@ -492,12 +494,12 @@ class TestNoiseless:
                       PhysicalNoise(0.0)),
     ], ids=FAMILIES)
     def test_p_out_is_zero(self, config, monkeypatch):
-        factory._level1_cached.cache_clear()
+        factory._LEVEL1_RUNS.clear()
         monkeypatch.setattr(GradedDensityMatrix, "init_plus", None)
         try:
             report = simulate_factory(config)
         finally:
-            factory._level1_cached.cache_clear()
+            factory._LEVEL1_RUNS.clear()
         assert report.p_out == 0.0
         assert report.p_fail_L1 == report.p_fail_L2 == 0.0
         assert report.d_full_100 is None and report.d_full_10k is None
