@@ -27,9 +27,11 @@ from functools import reduce
 import numpy as np
 
 from .density import (
+    DEFAULT_MAX_GRADE,
     GradedDensityMatrix,
     RotationErrorProfile,
     _mask_of,
+    _rejected,
     _sum_checks,
     pure_state_infidelity,
 )
@@ -229,8 +231,9 @@ def compose_unitary(item, n: int | None = None) -> np.ndarray:
     return u
 
 
-def verify_equivalence(a, b, tol: float = 1e-9) -> bool:
-    """True iff the composed unitaries agree up to global phase within tol."""
+def verify_equivalence(a, b) -> bool:
+    """True iff the composed unitaries agree up to global phase
+    (:func:`equal_up_to_phase`)."""
     na = a.n if isinstance(a, Circuit) else (a[0].axis.n if a else None)
     nb = b.n if isinstance(b, Circuit) else (b[0].axis.n if b else None)
     n = na if na is not None else nb
@@ -238,7 +241,7 @@ def verify_equivalence(a, b, tol: float = 1e-9) -> bool:
         return True
     if na is not None and nb is not None and na != nb:
         raise ValueError("qubit counts differ")
-    return equal_up_to_phase(compose_unitary(a, n), compose_unitary(b, n), tol)
+    return equal_up_to_phase(compose_unitary(a, n), compose_unitary(b, n))
 
 
 def undetected_error_sets(c: Circuit, order: int) -> int:
@@ -302,7 +305,7 @@ def coherent(phi: float) -> NoiseSpec:
 
 
 def simulate_circuit(
-    c: Circuit, noise: NoiseSpec, kmax: int = 6
+    c: Circuit, noise: NoiseSpec, kmax: int = DEFAULT_MAX_GRADE
 ) -> tuple[float, float]:
     """Run the circuit under the given noise; return (p_out per state, p_fail).
 
@@ -320,9 +323,9 @@ def simulate_circuit(
                 r.angle.radians + noise.value * np.sign(r.angle.k)) * psi
         p_fail = 0.0
         if c.check_qubits:  # <+| on the checks, times 2**(c/2)
-            psi = _sum_checks(psi, tuple(sorted(c.check_qubits)), c.n)
-            p_fail = 1.0 - (0.5 ** len(c.check_qubits)
-                            * float(np.vdot(psi, psi).real))
+            checks = tuple(sorted(c.check_qubits))
+            p_fail = _rejected(psi, checks, c.n)  # psi has norm 1
+            psi = _sum_checks(psi, checks, c.n)
         return pure_state_infidelity(psi, c.ideal_kept) / c.outputs, p_fail
 
     if noise.kind == "z_only":
@@ -364,7 +367,7 @@ X_OUT = {1: PLUS, -1: MINUS}
 SIGNS = (1, -1)
 
 
-def verify_gadget(kind: str, tol: float = 1e-9) -> bool:
+def verify_gadget(kind: str) -> bool:
     """Check a gadget's branch rules on its branch maps, for 1 and 2 data
     qubits."""
     gadgets = {
@@ -383,17 +386,16 @@ def verify_gadget(kind: str, tol: float = 1e-9) -> bool:
             branch = np.einsum("a,adbe,b->de", bra, m, prep)
             branch *= rotation_phases(mask, data_n, fix * np.pi / 8)[:, None]
             want = np.diag(rotation_phases(mask, data_n, k8 * np.pi / 8))
-            if not _proportional(branch, want, tol):
+            if not _proportional(branch, want):
                 return False
     return True
 
 
-def _proportional(actual: np.ndarray, expected: np.ndarray,
-                  tol: float) -> bool:
+def _proportional(actual: np.ndarray, expected: np.ndarray) -> bool:
     na, ne = np.linalg.norm(actual), np.linalg.norm(expected)
     if na < 1e-8 or ne < 1e-8:
         return False
-    return equal_up_to_phase(actual / na, expected / ne, tol)
+    return equal_up_to_phase(actual / na, expected / ne)
 
 
 def _projectors(letters: str) -> dict[int, np.ndarray]:

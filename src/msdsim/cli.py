@@ -65,6 +65,7 @@ from .circuits import (
     verify_gadget,
     z_only,
 )
+from .density import DEFAULT_MAX_GRADE
 from .factory import (
     FactoryConfig,
     FactoryReport,
@@ -129,9 +130,10 @@ def round_sig(x: float, digits: int) -> float:
     return round(x, digits - 1 - exponent)
 
 
-def fmt_sig(x: float, digits: int = 3) -> str:
-    """Display form with significant-digit rounding, commas above 1000."""
-    r = round_sig(x, digits)
+def fmt_sig(x: float) -> str:
+    """Display form rounded to three significant digits, commas above
+    1000."""
+    r = round_sig(x, 3)
     if abs(r) >= 1000.0:
         return f"{r:,.0f}"
     return f"{r:g}"
@@ -690,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=sorted(CIRCUIT_KINDS))
     p.add_argument("--noise", required=True,
                    help="z:<p>, pauli:<p>, or coherent:<angle>")
-    p.add_argument("--kmax", type=int, default=6,
+    p.add_argument("--kmax", type=int, default=DEFAULT_MAX_GRADE,
                    help="highest error order kept by the engine")
     p.set_defaults(func=cmd_circuit)
 
@@ -709,14 +711,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file with protocol entries")
     p.add_argument("--format", choices=("plain", "csv", "json"),
                    default="plain")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=int, default=DEFAULT_MAX_GRADE)
     p.set_defaults(func=cmd_factory)
 
     p = sub.add_parser("table", help="re-derive a built-in reference table")
     p.add_argument("--name", required=True, choices=sorted(TABLES))
     p.add_argument("--verbose", action="store_true",
                    help="print every sub-check, not only mismatches")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=int, default=DEFAULT_MAX_GRADE)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("sweep", help="Pareto sweep over code distances")
@@ -735,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--consumption-full", action="store_true")
     p.add_argument("--format", choices=("plain", "csv", "json"),
                    default="plain")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=int, default=DEFAULT_MAX_GRADE)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run circuit and gadget self-checks")

@@ -8,12 +8,13 @@ of the trace (1e-15 and smaller) are read as squared norms of deviation
 vectors, without catastrophic cancellation.  Restricted to Z-type axes
 (all catalog circuits are Z-type).
 
-All operations are functional: they return a new state and leave the input
-untouched, except on a state a caller took as its own (``_owned``, for a
-schedule run that keeps no earlier state): its channels update its stack
-in place.  The grades are one ``(kmax, dim, dim)`` stack, updated in
-cache-sized blocks.  ``workspace`` allocates that stack and a channel's
-scratch once, for successive runs to reuse.
+A state owns its grades, one ``(kmax, dim, dim)`` stack, and its
+channels' scratch, in one allocation.  Every channel updates the state in
+place, the stack in cache-sized blocks, and returns it, so ``rho =
+rho.apply_...(...)`` reads as a step; a caller that wants an earlier state
+too copies it first.  A projection returns a new state of the kept qubits,
+with its own stack and scratch, and leaves the old one's branch store
+empty.
 
 The stack is held divided by ``scale``, as the branch store is: grade k
 is ``scale * H_k`` for the stored ``H_k``, and ``scale`` is 1/p_success
@@ -153,6 +154,15 @@ def _sum_checks(t: np.ndarray, checks: tuple[int, ...], n: int,
     return t.reshape(lead + (1 << (n - len(checks)),) * sides)
 
 
+def _rejected(psi: np.ndarray, checks: tuple[int, ...], n: int) -> float:
+    """The squared norm of what <+| on the check qubits rejects of the
+    statevector psi: psi less its mean over the check bits.  A sum, where
+    |psi|^2 less the kept norm would cancel."""
+    t = psi.reshape((2,) * n)
+    t = t - t.mean(axis=tuple(n - 1 - q for q in checks), keepdims=True)
+    return float(np.vdot(t, t).real)
+
+
 # s_i - s_j for the entries of each class c_ij under Z signs s
 _CLASS_STEP = np.array([-2.0, 0.0, 2.0])
 
@@ -286,78 +296,31 @@ class GradedDensityMatrix:
     ideal diagonals) and ``scale`` (see the module docstring).
     """
 
-    # an owned state's channels write its grade stack in place, and use
-    # one scratch (``_owned``)
-    _in_place = False
-    _work = None
-
-    def __init__(self, n: int, pure: np.ndarray, grades: np.ndarray,
-                 births: tuple = (), pullback=1.0, scale: float = 1.0):
-        self.n = n
+    def __init__(self, pure: np.ndarray, kmax: int):
+        """The error-free state ``pure`` with kmax empty grades, which it
+        holds with its channels' scratch in one allocation."""
+        dim = len(pure)
+        self.n = dim.bit_length() - 1
         self.pure = pure
-        self.grades = grades
-        self.births = births
-        self.pullback = pullback
-        self.scale = scale
+        stack = np.zeros((kmax + _scratch(kmax, dim), dim, dim),
+                         dtype=np.complex128)
+        self.grades, self._work = stack[:kmax], stack[kmax:]
+        self.births, self.pullback, self.scale = (), 1.0, 1.0
 
     @property
     def kmax(self) -> int:
         return len(self.grades)
 
     @classmethod
-    def init_plus(cls, n: int, kmax: int = DEFAULT_MAX_GRADE,
-                  stack: np.ndarray | None = None) -> GradedDensityMatrix:
-        """|+>^n.
-
-        ``stack``, from :meth:`workspace`, holds the grades (zeroed here)
-        and the channels' scratch of an owned state, so that successive
-        runs reuse one allocation.
-        """
+    def init_plus(cls, n: int,
+                  kmax: int = DEFAULT_MAX_GRADE) -> GradedDensityMatrix:
+        """|+>^n."""
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
         if kmax < 1:
             raise ValueError(f"kmax must be at least 1, got {kmax}")
         dim = 1 << n
-        pure = np.full(dim, dim ** -0.5, dtype=np.complex128)
-        if stack is None:
-            return cls(n, pure, np.zeros((kmax, dim, dim),
-                                         dtype=np.complex128))
-        need = kmax + _scratch(kmax, dim)
-        if stack.shape[1:] != (dim, dim) or len(stack) < need:
-            raise ValueError(f"stack of shape {stack.shape} cannot hold "
-                             f"{kmax} grades of {n} qubits and their scratch")
-        grades = stack[:kmax]
-        grades.fill(0.0)
-        state = cls(n, pure, grades)
-        state._work = stack[kmax:need]
-        return state
-
-    @staticmethod
-    def workspace(n: int, kmax: int) -> np.ndarray:
-        """A stack for :meth:`init_plus`: kmax grades of n qubits and their
-        channels' scratch, in one allocation."""
-        dim = 1 << n
-        return np.empty((kmax + _scratch(kmax, dim), dim, dim),
-                        dtype=np.complex128)
-
-    def _owned(self) -> GradedDensityMatrix:
-        """This state, whose channels from now on write its stack in place.
-
-        For a caller that keeps no earlier state, such as a schedule run:
-        the run allocates one stack and one channel scratch instead of one
-        of each per channel, and each state it returns shares them, so the
-        next channel changes them.
-        """
-        self._in_place = True
-        if self._work is None:
-            dim = len(self.pure)
-            self._work = np.empty((_scratch(self.kmax, dim), dim, dim),
-                                  dtype=np.complex128)
-        return self
-
-    def _out(self) -> np.ndarray:
-        """The stack a channel writes: this one if owned, else a new one."""
-        return self.grades if self._in_place else np.empty_like(self.grades)
+        return cls(np.full(dim, dim ** -0.5, dtype=np.complex128), kmax)
 
     def grade1_branches(self, births=None) -> tuple[np.ndarray, np.ndarray]:
         """(w, b) with grades[0] = sum_i w_i b_i b_i^dagger; b is (m, dim).
@@ -385,19 +348,17 @@ class GradedDensityMatrix:
             return x
         return x.take(_z_classes(mask, self.n), out=out, mode="clip")
 
-    def _channel(self, a, b, out, v, qubit=None, mask=0) -> np.ndarray:
-        """Stored grades of a one-event channel:
-        out_k = A o H_k + B o P(H_{k-1}), with H_0 = pure pure^dagger / scale.
+    def _channel(self, a, b, v, qubit=None, mask=0) -> None:
+        """Update the stored grades by a one-event channel:
+        H_k <- A o H_k + B o P(H_{k-1}), with H_0 = pure pure^dagger / scale.
 
         P is X rho X on ``qubit``, or the identity for None, and v is
         P pure.  a and b are scalars or 3-entry tables, which the classes
-        of Z_mask turn into A and B; an A of 1 takes no multiply.  ``out``
-        is a fresh stack or, if the caller created it, ``self.grades``:
-        blocks run from the top grade down, each reading the grades below
-        it before it overwrites itself.
+        of Z_mask turn into A and B; an A of 1 takes no multiply.  Blocks
+        run from the top grade down, each reading the grades below it
+        before it overwrites itself.
         """
-        grades, dim = self.grades, len(self.pure)
-        work = self._scratch_space()
+        grades, dim, work = self.grades, len(self.pure), self._work
         a = self._table(a, work[0], mask)
         b = self._table(b, work[1], mask)
         identity = not isinstance(a, np.ndarray) and a == 1.0
@@ -416,25 +377,15 @@ class GradedDensityMatrix:
                 np.multiply(lead[:, None], v.conj(), out=term[:1])
                 if table:
                     term[0] *= b
-            if identity:
-                np.add(grades[block], term, out=out[block])
-            else:
-                block = np.multiply(grades[block], a, out=out[block])
-                block += term
-        return out
+            block = grades[block]
+            if not identity:
+                block *= a
+            block += term
 
-    def _scratch_space(self) -> np.ndarray:
-        """A channel's scratch (:func:`_scratch`), the run's own if owned:
-        freeing several of this size per call makes malloc return and
-        refault pages."""
-        if self._in_place:
-            return self._work
-        dim = len(self.pure)
-        return np.empty((_scratch(self.kmax, dim), dim, dim), np.complex128)
-
-    def _event(self, keep: float, branches: list, grades: np.ndarray,
-               pure: np.ndarray, pullback) -> GradedDensityMatrix:
-        """The state with new grades after one event of probability 1 - keep.
+    def _event(self, keep: float, branches: list, pure: np.ndarray,
+               pullback) -> GradedDensityMatrix:
+        """This state, once its grades hold one event of probability
+        1 - keep.
 
         Each branch (prob, v) turns ``pure`` into v and joins the store.  At
         keep = 0 every earlier branch is gone: the store and its scale
@@ -444,19 +395,9 @@ class GradedDensityMatrix:
         if keep == 0.0:
             scale, births = 1.0, ()
         births += tuple([(p / scale, pullback * v) for p, v in branches if p])
-        return self._successor(math.sqrt(keep) * pure, grades, births,
-                               pullback, scale)
-
-    def _successor(self, pure, grades, births, pullback,
-                   scale) -> GradedDensityMatrix:
-        """A new state with these fields, owned if this one is."""
-        state = GradedDensityMatrix(len(pure).bit_length() - 1, pure, grades,
-                                    births, pullback, scale)
-        if self._in_place:  # a projection's successor takes a new scratch
-            if state.n == self.n:
-                state._work = self._work
-            state._owned()
-        return state
+        self.pure, self.births = math.sqrt(keep) * pure, births
+        self.pullback, self.scale = pullback, scale
+        return self
 
     # -- channels ----------------------------------------------------------
     def apply_faulty_rotation(
@@ -480,12 +421,12 @@ class GradedDensityMatrix:
         errs = ideal * sum(p * _phase_table(extra) for p, extra in errors)
         # stored grades: keep divides out, or restarts the scale at 1
         a, b = (ideal, errs / keep) if keep else (0.0, self.scale * errs)
-        grades = self._channel(a, b, self._out(), self.pure, mask=mask)
+        self._channel(a, b, self.pure, mask=mask)
         d = _diagonal(mask, self.n, theta)
         pure = d * self.pure
         born = [(p, _diagonal(mask, self.n, extra) * pure)
                 for p, extra in errors]
-        return self._event(keep, born, grades, pure, d.conj() * self.pullback)
+        return self._event(keep, born, pure, d.conj() * self.pullback)
 
     def apply_x_flip(self, qubit: int, p: float) -> GradedDensityMatrix:
         """(1 - p) rho + p X rho X on ``qubit``."""
@@ -494,8 +435,8 @@ class GradedDensityMatrix:
             return self
         v = _vec_xflip(self.pure, qubit)
         keep = 1.0 - p
-        grades = self._channel(1.0, p / keep, self._out(), v, qubit)
-        return self._event(keep, [(p, v)], grades, self.pure, self.pullback)
+        self._channel(1.0, p / keep, v, qubit)
+        return self._event(keep, [(p, v)], self.pure, self.pullback)
 
     def apply_z_flips(self, flips) -> GradedDensityMatrix:
         """Every Z flip of ``flips``, (qubit, p) pairs, in one pass.
@@ -528,10 +469,9 @@ class GradedDensityMatrix:
         keep, depth = table[0, 0].real, len(table) - 1
         table = table[1:] / keep
         # the E_j of a slab of rows, its g_0 and a term fill the scratch
-        work = self._scratch_space().reshape(-1, dim)
+        work = self._work.reshape(-1, dim)
         rows = min(dim, len(work) // (depth + 2))
         grades, xor = self.grades, _xor_index(n)
-        out = grades if self._in_place else grades.copy()
         lead, conj = self.pure / self.scale, self.pure.conj()
         for r in (slice(lo, lo + rows) for lo in range(0, dim, rows)):
             h = len(xor[r])
@@ -543,7 +483,7 @@ class GradedDensityMatrix:
             term = work[(depth + 1) * h:(depth + 2) * h]
             # from the top grade down: each reads only grades below it
             for k in range(kmax, 0, -1):
-                block = out[k - 1, r]
+                block = grades[k - 1, r]
                 for j in range(1, min(k, depth) + 1):
                     below = grades[k - j - 1, r] if k > j else g0
                     block += np.multiply(e[j - 1], below, out=term)
@@ -552,7 +492,7 @@ class GradedDensityMatrix:
             odds[mask] += m * p / (1.0 - p)
         born = [(keep * o, z_signs(mask, n) * self.pure)
                 for mask, o in odds.items()]
-        return self._event(keep, born, out, self.pure, self.pullback)
+        return self._event(keep, born, self.pure, self.pullback)
 
     def project_plus(
         self, check_qubits: frozenset[int]
@@ -562,46 +502,42 @@ class GradedDensityMatrix:
         The outcome is the state of the other qubits, numbered in order:
         each side of each branch is summed over the check bits, which is
         <+| on the checks times 2**(c/2) for c checks, and the factor
-        2**-c of a density matrix joins the scale.
+        2**-c of a density matrix joins the scale.  The outcome is a new
+        state; this one gives its branch store up to it.
         """
         checks = tuple(sorted(check_qubits))
         if not checks:
             raise ValueError("check set is empty")
         before, unit = self.trace_total(), 0.5 ** len(checks)
-        pure = _sum_checks(self.pure, checks, self.n)
-        grades = _sum_checks(self.grades, checks, self.n, 2)
-        p_success = unit * GradedDensityMatrix(
-            self.n - len(checks), pure, grades, scale=self.scale).trace_total()
+        state = GradedDensityMatrix(_sum_checks(self.pure, checks, self.n),
+                                    self.kmax)
+        grades, state.scale = state.grades, self.scale
+        grades[...] = _sum_checks(self.grades, checks, self.n, 2)
+        p_success = unit * state.trace_total()
         if p_success <= 1e-300:
             raise ValueError("success probability is numerically zero")
         # the rejected mass, summed rather than read as 1 - p_success/before
-        # (which cancels): the pure branch's residual off the |+> outcome,
-        # whose mean over the check bits it keeps, and each grade's trace
-        # less what the outcome keeps of it
-        t = self.pure.reshape((2,) * self.n)
-        t = t - t.mean(axis=tuple(self.n - 1 - q for q in checks),
-                       keepdims=True)
-        rejected = float(np.vdot(t, t).real + self.scale * (
+        # (which cancels): the pure branch's, and each grade's trace less
+        # what the outcome keeps of it
+        rejected = _rejected(self.pure, checks, self.n) + float(self.scale * (
             np.trace(self.grades, axis1=1, axis2=2).real
             - unit * np.trace(grades, axis1=1, axis2=2).real).sum())
         # the projected grades, stored over the new scale 1/p_success
         grades *= unit * self.scale
-        scale = 1.0 / p_success
+        state.scale = 1.0 / p_success
+        state.pure = math.sqrt(unit * state.scale) * state.pure
         # projection is linear: sum the rows, and their weights take 2**-c;
         # a chunk of rows at a time, whose temporaries take about four
-        # times its bytes, and an owned state, which is not read again,
-        # lets go of each chunk's old rows
+        # times its bytes, and this state lets go of each chunk's old rows
         births, old = [], list(self.births)
-        if self._in_place:
-            self.births = ()
+        self.births = ()
         per = max(1, _BLOCK_BYTES // (4 * self.pure.nbytes))
         while old:
             chunk, old[:per] = old[:per], []
             weights, rows = self.grade1_branches(chunk)
             births += zip((unit * weights).tolist(),
                           _sum_checks(rows, checks, self.n))
-        state = self._successor(math.sqrt(unit * scale) * pure, grades,
-                                tuple(births), 1.0, scale)
+        state.births = tuple(births)
         return state, rejected / before
 
     def infidelity_with_pure(self, psi: np.ndarray) -> float:

@@ -31,10 +31,8 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .circuits import LEADING_ORDER, Circuit, catalog
-from .density import GradedDensityMatrix, StorageRates
+from .density import DEFAULT_MAX_GRADE, GradedDensityMatrix, StorageRates
 from .eventsets import _EPS, EventSets, classes, read_p_out, signature_sums
 from .noise import (
     DistanceSet,
@@ -319,13 +317,12 @@ def _events(schedule: Schedule, inputs: tuple) -> list[float]:
     return events
 
 
-def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int,
-                  stack: np.ndarray | None = None) -> ScheduleRun:
-    """Run one factory schedule in one owned stack.
+def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
+    """Run one factory schedule on one graded state, whose channels update
+    it in place.
 
     ``inputs`` is the (profiles, storage rates, storage cycles,
-    consumption) of one configuration; the run takes place in ``stack``
-    when given (see ``GradedDensityMatrix.init_plus``).
+    consumption) of one configuration.
 
     A flip waits while it commutes, grade counts included.  Z flips wait
     for one pass before the checks.  An X flip on q waits for the next
@@ -338,7 +335,7 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int,
     if not any(_events(schedule, inputs)):
         # noiseless: the engine would read its round-off
         return ScheduleRun(0.0, 0.0)
-    rho = GradedDensityMatrix.init_plus(c.n, kmax, stack)._owned()
+    rho = GradedDensityMatrix.init_plus(c.n, kmax)
     initialized: set[int] = set()
     z_flips, x_flips = [], {q: [] for q in range(c.n)}
     for step in schedule.steps:
@@ -422,9 +419,8 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
     return zero_mass * (p_out - slack)
 
 
-def _run_level1(config: FactoryConfig, kmax: int,
-                stack: np.ndarray | None = None) -> ScheduleRun:
-    return _run_factory(config, kmax, _level1_inputs, stack=stack)
+def _run_level1(config: FactoryConfig, kmax: int) -> ScheduleRun:
+    return _run_factory(config, kmax, _level1_inputs)
 
 
 def _level1_inputs(config: FactoryConfig, schedule: Schedule):
@@ -455,16 +451,16 @@ def _level1_inputs(config: FactoryConfig, schedule: Schedule):
 _LEVEL1_RUNS: dict[tuple, ScheduleRun] = {}
 
 
-def level1_output_error(config: FactoryConfig, kmax: int = 6,
-                        stack: np.ndarray | None = None) -> ScheduleRun:
+def level1_output_error(config: FactoryConfig,
+                        kmax: int = DEFAULT_MAX_GRADE) -> ScheduleRun:
     """Output error and failure rate of the (embedded) one-level 15-to-1
-    block, memoized; a miss runs in ``stack`` if one is given."""
+    block, memoized."""
     d, noise = config.distances, config.noise
     key = (d.dX, d.dZ, d.dm, noise.p_phys, noise.c_T, kmax)
     if key not in _LEVEL1_RUNS:
         block = FactoryConfig("L1_15to1", DistanceSet(d.dX, d.dZ, d.dm),
                               noise)
-        _LEVEL1_RUNS[key] = _run_level1(block, kmax, stack)
+        _LEVEL1_RUNS[key] = _run_level1(block, kmax)
     return _LEVEL1_RUNS[key]
 
 
@@ -521,15 +517,15 @@ def _noise_inputs(config: FactoryConfig, inputs, *args) -> tuple:
     return noise_inputs
 
 
-def _run_factory(config: FactoryConfig, kmax: int, inputs, *args,
-                 stack: np.ndarray | None = None) -> ScheduleRun:
+def _run_factory(config: FactoryConfig, kmax: int, inputs,
+                 *args) -> ScheduleRun:
     """Run a family's schedule on the noise inputs ``inputs`` builds.
 
     Shared by both levels; a range error raises as in
     :func:`_noise_inputs`, before the engine runs.
     """
     return _run_schedule(build_schedule(config.family),
-                         _noise_inputs(config, inputs, *args), kmax, stack)
+                         _noise_inputs(config, inputs, *args), kmax)
 
 
 def protocol_name(config: FactoryConfig) -> str:
@@ -585,22 +581,22 @@ def _costs(config: FactoryConfig,
     return qubits, cycles, qubits * cycles / family_outputs(config.family)
 
 
-def simulate_factory(config: FactoryConfig, kmax: int = 6,
-                     stack: np.ndarray | None = None) -> FactoryReport:
+def simulate_factory(config: FactoryConfig,
+                     kmax: int = DEFAULT_MAX_GRADE) -> FactoryReport:
     """Full factory run: error simulation plus closed-form cost metrics.
 
-    ``stack``, if given, is a ``GradedDensityMatrix.workspace`` of the top
-    circuit at kmax grades or more, which the run reuses.
+    Each schedule run allocates its graded state's stack (see
+    :func:`_run_schedule`); a level-1 run is memoized.
     """
     if config.family in _LEVEL2_CIRCUIT:
-        run = _run_factory(config, kmax, _level2_inputs, kmax, stack=stack)
+        run = _run_factory(config, kmax, _level2_inputs, kmax)
         p_fail_l1 = level1_output_error(config, kmax).p_fail
         p_fail_l2 = run.p_fail
     else:
         if config.family == "L1_15to1":
-            run = level1_output_error(config, kmax, stack)
+            run = level1_output_error(config, kmax)
         else:
-            run = _run_level1(config, kmax, stack)
+            run = _run_level1(config, kmax)
         p_fail_l1, p_fail_l2 = run.p_fail, 0.0
     p_out = run.p_out
     qubits, cycles, per_state = _costs(config, p_fail_l1)
@@ -633,7 +629,8 @@ def simulate_factory(config: FactoryConfig, kmax: int = 6,
     )
 
 
-def p_out_lower_bound(config: FactoryConfig, kmax: int = 6) -> float:
+def p_out_lower_bound(config: FactoryConfig,
+                      kmax: int = DEFAULT_MAX_GRADE) -> float:
     """A lower bound on ``simulate_factory(config, kmax).p_out``, with no
     engine run.
 
@@ -663,7 +660,7 @@ def sweep(
     noise: PhysicalNoise,
     target_p_out: float,
     consumption_prefactor_toggle: bool = False,
-    kmax: int = 6,
+    kmax: int = DEFAULT_MAX_GRADE,
 ) -> list[FactoryReport]:
     """Pareto-minimal configurations meeting the output-error target.
 
@@ -691,9 +688,8 @@ def sweep(
     exceeds the target cannot meet it and is not simulated.  Skipping it
     changes neither the feasible set nor any pruning decision.  The
     screen runs no engine: it reads sums over event sets built once per
-    family and partition of the events into classes of equal odds.  Every
-    simulation reuses one workspace stack.  A value repeated in a range
-    counts once.
+    family and partition of the events into classes of equal odds.  A
+    value repeated in a range counts once.
     """
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(
@@ -724,8 +720,6 @@ def sweep(
         qubits, _, per_state = _costs(config, p_fail)
         candidates.append((per_state, qubits, combo, config))
     candidates.sort(key=lambda c: c[:3])
-    stack = GradedDensityMatrix.workspace(build_schedule(family).circuit.n,
-                                          kmax)
     feasible = []
     ran = False
     for per_state, qubits, combo, config in candidates:
@@ -734,7 +728,7 @@ def sweep(
             continue
         try:
             if p_out_lower_bound(config, kmax) <= target_p_out:
-                report = simulate_factory(config, kmax, stack)
+                report = simulate_factory(config, kmax)
                 if report.p_out <= target_p_out:
                     feasible.append((report, combo))
             ran = True

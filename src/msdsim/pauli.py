@@ -136,17 +136,22 @@ def parity_lookup(mask, n: int) -> np.ndarray:
     return (x & 1).astype(np.int8)
 
 
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff matrices (or vectors) agree up to a single global phase."""
+# how far apart equal_up_to_phase lets two entries be
+_PHASE_TOL = 1e-9
+
+
+def equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff matrices (or vectors) agree up to a single global phase,
+    within _PHASE_TOL in every entry."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         return False
     ia = np.argmax(np.abs(a))
-    if abs(a.flat[ia]) < tol or abs(b.flat[ia]) < tol:
+    if abs(a.flat[ia]) < _PHASE_TOL or abs(b.flat[ia]) < _PHASE_TOL:
         # fall back: both (near) zero at the reference entry
-        return bool(np.allclose(a, b, atol=tol))
+        return bool(np.allclose(a, b, atol=_PHASE_TOL))
     phase = b.flat[ia] / a.flat[ia]
-    if abs(abs(phase) - 1.0) > tol:
+    if abs(abs(phase) - 1.0) > _PHASE_TOL:
         return False
-    return bool(np.max(np.abs(a * phase - b)) <= tol)
+    return bool(np.max(np.abs(a * phase - b)) <= _PHASE_TOL)

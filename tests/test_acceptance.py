@@ -93,7 +93,7 @@ class TestAcceptance:
         assert verify_equivalence(catalog("eight_to_ccz"), catalog("ccz7"))
         for kind in ("consumption", "t_measurement", "delayed_choice",
                      "auto_corrected"):
-            assert verify_gadget(kind, tol=1e-9)
+            assert verify_gadget(kind)
         print("PASS criterion 3: distillation identities and "
               "four consumption gadgets verified")
 

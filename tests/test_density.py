@@ -7,6 +7,7 @@ state exactly.
 """
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -105,13 +106,6 @@ def _draw_ops(draw, n: int):
         else:
             ops.append(storage(draw(st.integers(0, n - 1))))
     return draw(st.permutations(ops))
-
-
-def _state_bytes(state) -> tuple:
-    """Raw bytes of every array a graded state holds, branch store included."""
-    return (state.pure.tobytes(), state.grades.tobytes(),
-            np.asarray(state.pullback).tobytes(), state.scale,
-            tuple((w, row.tobytes()) for w, row in state.births))
 
 
 def _apply(state, op):
@@ -251,52 +245,6 @@ class TestGradedAgainstDense:
             gap = np.max(np.abs(materialize(cut).data - dense.data))
             assert gap <= dropped + 1e-12
 
-    def test_channels_leave_their_input_unchanged(self):
-        rng = np.random.default_rng(11)
-        for n in (2, 5, 7):
-            state = GradedDensityMatrix.init_plus(n, kmax=3)
-            for op in _random_ops(rng, n, 6):
-                state = _apply(state, op)
-            axis = PauliProduct("Z" * n)
-            channels = [
-                lambda s: s.apply_faulty_rotation(
-                    axis, RotationErrorProfile(0.01, 0.02, 0.03, 0.01)),
-                lambda s: s.apply_z_flips([(0, 0.01), (n - 1, 0.02),
-                                           (0, 0.03)]),
-            ] + [
-                lambda s, q=q, p=p: s.apply_x_flip(q, p)
-                for q in range(n) for p in (0.01, 0.0)
-            ] + [
-                lambda s, q=q, p=p: s.apply_z_flips([(q, p)])
-                for q in range(n) for p in (0.01, 0.0)
-            ] + [lambda s: s.project_plus(frozenset({n - 1}))]
-            for channel in channels:
-                before = _state_bytes(state)
-                channel(state)
-                assert _state_bytes(state) == before
-
-    def test_owned_state_matches_the_functional_one(self):
-        # an owned state's channels update its stack in place and give the
-        # same state bit for bit, projection included; the projection
-        # keeps the n - 1 unmeasured qubits, whose channels stay owned
-        rng = np.random.default_rng(13)
-        for n, kmax in ((2, 1), (5, 3), (7, 2)):
-            functional = GradedDensityMatrix.init_plus(n, kmax=kmax)
-            owned = GradedDensityMatrix.init_plus(n, kmax=kmax)._owned()
-            stack = owned.grades
-            for op in _random_ops(rng, n, 4):
-                functional, owned = _apply(functional, op), _apply(owned, op)
-                assert _state_bytes(owned) == _state_bytes(functional)
-            assert owned.grades is stack
-            functional, fail = functional.project_plus(frozenset({n - 1}))
-            owned, owned_fail = owned.project_plus(frozenset({n - 1}))
-            assert owned_fail == fail
-            stack = owned.grades
-            for op in _random_ops(rng, n - 1, 4):
-                functional, owned = _apply(functional, op), _apply(owned, op)
-                assert _state_bytes(owned) == _state_bytes(functional)
-            assert owned.grades is stack
-
     def test_branch_store_rebuilds_grade_one(self):
         rng = np.random.default_rng(5)
         for n in (2, 5, 7):
@@ -339,13 +287,13 @@ class TestGradedAgainstDense:
                               state.pure.conj())[None],
                      state.grades[:-1]])
                 want = state.grades + (odds * np.outer(s, s)) * below
-                got = state.apply_z_flips([(q, p)])
+                got = copy.deepcopy(state).apply_z_flips([(q, p)])
                 assert got.grades.tobytes() == want.tobytes()
                 assert got.scale == state.scale * (1.0 - p)
                 flip = np.arange(1 << n) ^ (1 << q)
                 want = (state.grades[1:]
                         + state.grades[:-1][:, flip][:, :, flip] * odds)
-                got = state.apply_x_flip(q, p)
+                got = copy.deepcopy(state).apply_x_flip(q, p)
                 assert got.grades[1:].tobytes() == want.tobytes()
                 assert got.scale == state.scale * (1.0 - p)
 
@@ -438,6 +386,7 @@ def _assert_same_state(a, b, masses=None):
     """Two graded states agree within 4 eps of ``masses[k]`` in each grade
     k, which are a's own by default: the zero-error branch as grade 0,
     each stored grade, and grade 1 as the branch store rebuilds it."""
+    assert a is not b
     eps = np.finfo(float).eps
     masses = _masses(a) if masses is None else masses
 
@@ -475,8 +424,9 @@ class TestWaitingFlips:
                                                ((q + 1) % n, 0.01)]),
                 ]
                 for other in others:
-                    _assert_same_state(other(state.apply_x_flip(q, 0.02)),
-                                       other(state).apply_x_flip(q, 0.02))
+                    _assert_same_state(
+                        other(copy.deepcopy(state).apply_x_flip(q, 0.02)),
+                        other(copy.deepcopy(state)).apply_x_flip(q, 0.02))
 
     @pytest.mark.parametrize("n, checks", [
         (2, {1}), (4, {0, 2}), (5, {1, 2, 3, 4}), (7, {4, 5, 6})])
@@ -494,23 +444,27 @@ class TestWaitingFlips:
         for op in ops:
             state = _apply(state, op)
         checks = frozenset(checks)
-        kept, kept_fail = state.project_plus(checks)
+        kept, kept_fail = copy.deepcopy(state).project_plus(checks)
         before = [0.0, 0.0] + _masses(state)
         masses = [sum(before[k:k + 3]) / (1.0 - kept_fail)
                   for k in range(state.kmax + 1)]
         for q in checks:
-            flipped, fail = (state.apply_x_flip(q, 0.03)
+            flipped, fail = (copy.deepcopy(state).apply_x_flip(q, 0.03)
                              .apply_x_flip(max(checks), 0.01)
                              .project_plus(checks))
             assert fail == pytest.approx(kept_fail, rel=1e-13)
-            _assert_same_state(flipped,
-                               kept.apply_absorbed_flips([0.03, 0.01]),
-                               masses)
+            _assert_same_state(
+                flipped,
+                copy.deepcopy(kept).apply_absorbed_flips([0.03, 0.01]),
+                masses)
         outputs = [q for q in range(n) if q not in checks]
         for i, q in enumerate(outputs):
-            flipped, fail = state.apply_x_flip(q, 0.03).project_plus(checks)
+            flipped, fail = (copy.deepcopy(state).apply_x_flip(q, 0.03)
+                             .project_plus(checks))
             assert fail == pytest.approx(kept_fail, rel=1e-13)
-            _assert_same_state(flipped, kept.apply_x_flip(i, 0.03), masses)
+            _assert_same_state(flipped,
+                               copy.deepcopy(kept).apply_x_flip(i, 0.03),
+                               masses)
 
     def test_an_absorbed_flip_needs_no_qubit(self):
         # with every qubit measured, the kept state has none, and a flip
@@ -518,7 +472,7 @@ class TestWaitingFlips:
         state = GradedDensityMatrix.init_plus(2, kmax=2).apply_x_flip(0, 0.02)
         kept, _ = state.project_plus(frozenset({0, 1}))
         assert kept.n == 0
-        shifted = kept.apply_absorbed_flips([0.03])
+        shifted = copy.deepcopy(kept).apply_absorbed_flips([0.03])
         np.testing.assert_allclose(shifted.trace_total(), kept.trace_total(),
                                    rtol=1e-13)
         with pytest.raises(ValueError, match="probability"):
@@ -597,11 +551,8 @@ class TestZFlips:
         dense = _run_prefix(DensityMatrix.init_plus(n), ops)
         states = [_run_prefix(GradedDensityMatrix.init_plus(n, k), ops)
                   for k in (full, kmax)]
-        owned = _run_prefix(GradedDensityMatrix.init_plus(n, kmax)._owned(),
-                            ops)
-        before = [_state_bytes(state) for state in states]
+        apart = copy.deepcopy(states[1])
         graded, cut = [state.apply_z_flips(flips) for state in states]
-        assert [_state_bytes(state) for state in states] == before
         dense = dense.apply_z_flips(flips)
 
         np.testing.assert_allclose(graded.trace_total(), 1.0, rtol=1e-12)
@@ -609,7 +560,6 @@ class TestZFlips:
         # at kmax, the pass is the flips one at a time, and without a
         # projection (which scales by the kept trace) it is the full
         # state's prefix, bit for bit
-        apart = states[1]
         for flip in flips:
             apart = apart.apply_z_flips([flip])
         np.testing.assert_allclose(cut.scale * cut.grades,
@@ -620,7 +570,6 @@ class TestZFlips:
             assert cut.pure.tobytes() == graded.pure.tobytes()
             assert cut.grades.tobytes() == graded.grades[:kmax].tobytes()
         assert 1.0 - cut.trace_total() >= -1e-12
-        assert _state_bytes(owned.apply_z_flips(flips)) == _state_bytes(cut)
         for state in (graded, cut):
             weights, rows = state.grade1_branches()
             rebuilt = np.einsum("i,ij,ik->jk", weights, rows, rows.conj())
@@ -651,11 +600,11 @@ class TestZFlips:
             for n in (1, 5, 7, 10):
                 assert _scratch(kmax, 1 << n) << n >= kmax + 2
         n = 7
-        state = GradedDensityMatrix.init_plus(n, kmax=6)._owned()
-        work = state._work
+        state = GradedDensityMatrix.init_plus(n, kmax=6)
+        grades, work = state.grades, state._work
         flips = [(q, 0.01 * (q + 1)) for q in range(6)]
         got = state.apply_z_flips(flips)
-        assert got.grades is state.grades and got._work is work
+        assert got.grades is grades and got._work is work
         assert _xor_index(n).dtype == np.uint8
         assert not _xor_index(n).flags.writeable
 
@@ -683,9 +632,9 @@ class TestWorkspace:
         # NumPy scalars, 0-d arrays and Fractions count cycles as an int
         # does, and are flip probabilities as their floats are
         rates = StorageRates(1e-3, 2e-3)
-        state = GradedDensityMatrix.init_plus(2, kmax=2)
 
         def store(cycles, to=lambda p: p):
+            state = GradedDensityMatrix.init_plus(2, kmax=2)
             flipped = state.apply_x_flip(1, to(cycles * rates.pX))
             return flipped.apply_z_flips([(1, to(cycles * rates.pZ))])
 
@@ -696,13 +645,3 @@ class TestWorkspace:
                         store(cycles, Fraction)):
                 assert np.array_equal(got.grades, want.grades)
                 assert got.scale == want.scale
-
-    def test_stack_must_hold_the_grades(self):
-        stack = GradedDensityMatrix.workspace(3, 4)
-        for kmax in (2, 4):
-            state = GradedDensityMatrix.init_plus(3, kmax, stack=stack)
-            assert np.shares_memory(state.grades, stack)
-            assert not state.grades.any()
-        for n, kmax in ((3, 5), (4, 2)):
-            with pytest.raises(ValueError, match="cannot hold"):
-                GradedDensityMatrix.init_plus(n, kmax, stack)

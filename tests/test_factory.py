@@ -606,7 +606,7 @@ class TestSweep:
             "(15-to-1)^4_{13,3,9} x (15-to-1)_{25,25,25}"]
 
     def test_other_simulation_errors_still_raise(self, monkeypatch):
-        def broken(config, kmax, stack):
+        def broken(config, kmax):
             raise ValueError("not a range error")
 
         monkeypatch.setattr(factory, "simulate_factory", broken)
@@ -629,7 +629,7 @@ class TestSweep:
             screened.append(config)
             return p_out_lower_bound(config, kmax)
 
-        def simulate(config, kmax=6, stack=None):
+        def simulate(config, kmax=6):
             simulated.append(config)
             return _simulate_once(config, kmax)
 
@@ -679,7 +679,7 @@ class TestSweep:
         # grids: a weaker bound would cost simulations here
         calls = []
 
-        def simulate(config, kmax=6, stack=None):
+        def simulate(config, kmax=6):
             calls.append(config)
             return _simulate_once(config, kmax)
 
@@ -693,8 +693,7 @@ _REPORTS: dict[tuple[FactoryConfig, int], FactoryReport] = {}
 _SIMULATE_FACTORY = factory.simulate_factory
 
 
-def _simulate_once(config: FactoryConfig, kmax: int = 6,
-                   stack=None) -> FactoryReport:
+def _simulate_once(config: FactoryConfig, kmax: int = 6) -> FactoryReport:
     """simulate_factory memoized across tests; the engine is deterministic.
 
     It runs the unpatched engine, so a test that patches
@@ -822,7 +821,7 @@ class TestSweepPruning:
         valid = _valid_configs(family, ranges, noise)
         calls, bounds = [], []
 
-        def counted(config, kmax=6, stack=None):
+        def counted(config, kmax=6):
             calls.append(config)
             return _simulate_once(config, kmax)
 
@@ -907,7 +906,7 @@ class TestSweepPruning:
         def drawn_bound(config, kmax=6):
             return outcomes[config][2]
 
-        def drawn(config, kmax=6, stack=None):
+        def drawn(config, kmax=6):
             p_out, p_fail, *_ = outcomes[config]
             qubits, cycles = qubit_cost(config), cycle_cost(config, p_fail)
             return FactoryReport(
@@ -1273,7 +1272,7 @@ class TestScreen:
             calls.append(("screen", config))
             return 1.0 if rules_out else 0.0
 
-        def simulate(config, kmax=6, stack=None):
+        def simulate(config, kmax=6):
             calls.append(("simulate", config))
             return _simulate_once(config, kmax)
 
@@ -1334,14 +1333,3 @@ def test_event_sets_hold_the_undetected_error_sets(family, counts):
             got[len(labels) - 1] += int(np.count_nonzero(dev > 1e-9 * mass))
     assert got == counts
     assert got.index(next(filter(None, got))) + 1 == _leading_order(family)
-
-
-class TestWorkspace:
-    """Runs that reuse one workspace stack give the runs of a fresh one."""
-
-    def test_a_reused_stack_gives_the_same_reports(self):
-        configs = [_l1(dx, 3, 5, 1e-4) for dx in (7, 9, 11)]
-        stack = GradedDensityMatrix.workspace(5, 6)
-        want = [simulate_factory(c) for c in configs]
-        assert [simulate_factory(c, 6, stack) for c in configs] == want
-        assert simulate_factory(configs[0], 6, stack) == want[0]
