@@ -67,6 +67,7 @@ from .circuits import (
 )
 from .density import DEFAULT_MAX_GRADE
 from .factory import (
+    FAMILIES,
     FactoryConfig,
     FactoryReport,
     d3_cost,
@@ -79,14 +80,7 @@ from .factory import (
 from .noise import DistanceSet, PhysicalNoise
 from .pauli import PauliProduct, Rotation, RotationAngle, equal_up_to_phase
 
-FAMILY_NAMES = {
-    "l1_15to1": "L1_15to1",
-    "l1_15to1_small": "L1_15to1_small",
-    "l2_15x15": "L2_15x15",
-    "l2_15x20": "L2_15x20",
-    "l2_15xccz": "L2_15xCCZ",
-    "l2_15x15_small": "L2_15x15_small",
-}
+FAMILY_NAMES = {f.lower(): f for f in FAMILIES}
 
 CIRCUIT_KINDS = {
     "15to1": "fifteen_to_one",
@@ -480,8 +474,8 @@ TABLES = {"table1": TABLE1, "table2": TABLE2}
 
 def row_config(row: TableRow) -> FactoryConfig:
     return _build_config(
-        {v: k for k, v in FAMILY_NAMES.items()}[row.family],
-        row.d, row.d2, row.n_l1, row.p_phys, row.c_t, False,
+        row.family.lower(), row.d, row.d2, row.n_l1, row.p_phys, row.c_t,
+        False,
     )
 
 
@@ -547,7 +541,14 @@ def cmd_circuit(args: argparse.Namespace) -> int:
 
 
 def cmd_factory(args: argparse.Namespace) -> int:
+    given = [flag for flag in ("--family", "--d", "--d2", "--n-l1", "--pphys",
+                               "--ct", "--consumption-full")
+             if (v := getattr(args, flag[2:].replace("-", "_"))) is not None
+             and v is not False]
     if args.config:
+        if given:
+            raise ValueError(f"--config takes no {', '.join(given)}: the "
+                             "file sets every protocol")
         configs = load_config(args.config)
     else:
         if args.family is None or args.d is None or args.pphys is None:
@@ -558,7 +559,8 @@ def cmd_factory(args: argparse.Namespace) -> int:
         d2 = parse_int_triple(args.d2, "--d2") if args.d2 else None
         configs = [
             _build_config(args.family, d, d2, args.n_l1, args.pphys,
-                          args.ct, args.consumption_full)
+                          1.0 if args.ct is None else args.ct,
+                          args.consumption_full)
         ]
     reports = [simulate_factory(c, kmax=args.kmax) for c in configs]
     print(emit_reports(reports, args.format), end="")
@@ -703,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-l1", type=int, default=None,
                    help="number of level-1 blocks feeding level 2")
     p.add_argument("--pphys", type=float, help="physical error rate")
-    p.add_argument("--ct", type=float, default=1.0,
+    p.add_argument("--ct", type=float,
                    help="faulty-T-measurement cost factor (default 1)")
     p.add_argument("--consumption-full", action="store_true",
                    help="use the full consumption-storage prefactor "

@@ -135,13 +135,10 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
         ends += [len(steps)] * 3
         for q in schedule.rotation_outputs[ri]:
             flips[q, partition[4 * ri + 3]] += 1
-    stored = 4 * len(c.rotations)
-    initialized: set[int] = set()
-    for step in schedule.steps:
-        initialized |= step.initialize
-        if step.storage:
-            for q in initialized:
-                flips[q, partition[stored + q]] += 1
+    storage = 4 * len(c.rotations)
+    for stored in schedule.stored:
+        for q in stored:
+            flips[q, partition[storage + q]] += 1
     for q in c.output_qubits:
         flips[q, partition[-1]] += 1
     mults = [1] * len(steps)

@@ -130,51 +130,65 @@ class FactoryReport:
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    """One factory step: rotations applied, qubits entering, then storage."""
+    """One factory step: qubits entering, then rotations applied, then
+    every initialized qubit stored."""
 
     rotations: tuple[int, ...]
     initialize: frozenset[int] = frozenset()
-    measure: frozenset[int] = frozenset()
-    storage: bool = True
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """A circuit's steps.  ``rotation_outputs`` holds each rotation's
-    output qubits (those of its axis), sorted, computed once.  It measures
-    the checks in its last step alone, so no step sees the renumbered
-    qubits that the projection keeps: the outputs."""
+    """A circuit's steps, after which its checks are measured: every qubit
+    is a check or an output, and no step sees the outputs that the
+    projection keeps, renumbered.  Computed once: ``stored`` holds each
+    step's stored qubits, those initialized by its end, sorted, and
+    ``rotation_outputs`` each rotation's output qubits (of its axis)."""
 
     circuit: Circuit
     steps: tuple[ScheduleStep, ...]
+    stored: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
     rotation_outputs: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        c = self.circuit
         seen: list[int] = []
+        stored = []
         initialized: set[int] = set()
         for step in self.steps:
             initialized |= step.initialize
             seen.extend(step.rotations)
             for ri in step.rotations:
-                if not set(self.circuit.rotations[ri].axis.support) <= initialized:
+                if not set(c.rotations[ri].axis.support) <= initialized:
                     raise ValueError(
                         f"rotation {ri} touches an uninitialized qubit")
-        if sorted(seen) != list(range(len(self.circuit.rotations))):
+            stored.append(tuple(sorted(initialized)))
+        if sorted(seen) != list(range(len(c.rotations))):
             raise ValueError("schedule must apply every rotation exactly once")
-        c = self.circuit
-        if (any(step.measure for step in self.steps[:-1])
-                or self.steps[-1].measure != c.check_qubits
-                or len(c.check_qubits | c.output_qubits) != c.n):
-            raise ValueError("schedule must measure the checks in its last "
-                             "step alone, and keep only outputs")
+        if len(c.check_qubits | c.output_qubits) != c.n:
+            raise ValueError("every qubit of a scheduled circuit must be a "
+                             "check or an output")
+        object.__setattr__(self, "stored", tuple(stored))
         object.__setattr__(self, "rotation_outputs", tuple(
             tuple(sorted(c.output_qubits.intersection(r.axis.support)))
             for r in c.rotations))
 
 
-def _fs(*qubits: int) -> frozenset[int]:
-    return frozenset(qubits)
+# each family's rotations by step, and the qubits initialized in a step
+_STEPS = {
+    "L1_15to1": ([(0, 1, 2, 4), (5, 6), (3, 7, 8), (9, 10), (11, 12),
+                  (13, 14)], {0: (1, 2, 3), 1: (0,), 2: (4,)}),
+    "L2_15x15": ([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13),
+                  (14,)], {0: (0, 1, 2, 3, 4)}),
+    "L2_15x20": ([(0, 1), (3, 4), (2, 5), (6, 7), (8, 9), (10, 11), (12, 13),
+                  (14, 15), (16, 17), (18, 19)],
+                 {0: (1, 2, 3, 4, 5, 6), 1: (0,)}),
+    "L2_15xCCZ": ([(0, 1), (2, 3), (4, 5), (6, 7)], {0: (0, 1, 2, 3)}),
+    "L2_15x15_small": ([(i,) for i in range(15)], {0: (0, 1, 2, 3, 4)}),
+}
+_STEPS["L1_15to1_small"] = _STEPS["L1_15to1"]
 
 
 @lru_cache(maxsize=None)
@@ -184,55 +198,13 @@ def build_schedule(family: str) -> Schedule:
     Built once per family; the cached schedule is shared, and its circuit's
     ideal output is read-only.
     """
-    if family in ("L1_15to1", "L1_15to1_small"):
-        c = catalog("fifteen_to_one")
-        steps = (
-            ScheduleStep((0, 1, 2, 4), initialize=_fs(1, 2, 3)),
-            ScheduleStep((5, 6), initialize=_fs(0)),
-            ScheduleStep((3, 7, 8), initialize=_fs(4)),
-            ScheduleStep((9, 10)),
-            ScheduleStep((11, 12)),
-            ScheduleStep((13, 14)),
-            ScheduleStep((), measure=_fs(1, 2, 3, 4), storage=False),
-        )
-        return Schedule(c, steps)
-    if family in ("L2_15x15", "L2_15x15_small"):
-        c = catalog("fifteen_to_one")
-        everyone = _fs(0, 1, 2, 3, 4)
-        if family == "L2_15x15":
-            groups = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11),
-                      (12, 13), (14,)]
-        else:
-            groups = [(i,) for i in range(15)]
-        steps = tuple(
-            ScheduleStep(g, initialize=everyone if i == 0 else frozenset(),
-                         measure=_fs(1, 2, 3, 4) if i == len(groups) - 1
-                         else frozenset())
-            for i, g in enumerate(groups)
-        )
-        return Schedule(c, steps)
-    if family == "L2_15x20":
-        c = catalog("twenty_to_four")
-        groups = [(0, 1), (3, 4), (2, 5), (6, 7), (8, 9), (10, 11),
-                  (12, 13), (14, 15), (16, 17), (18, 19)]
-        inits = [_fs(1, 2, 3, 4, 5, 6), _fs(0)] + [frozenset()] * 8
-        steps = tuple(
-            ScheduleStep(g, initialize=init,
-                         measure=_fs(4, 5, 6) if i == len(groups) - 1
-                         else frozenset())
-            for i, (g, init) in enumerate(zip(groups, inits))
-        )
-        return Schedule(c, steps)
-    if family == "L2_15xCCZ":
-        c = catalog("eight_to_ccz")
-        groups = [(0, 1), (2, 3), (4, 5), (6, 7)]
-        steps = tuple(
-            ScheduleStep(g, initialize=_fs(0, 1, 2, 3) if i == 0 else frozenset(),
-                         measure=_fs(3) if i == len(groups) - 1 else frozenset())
-            for i, g in enumerate(groups)
-        )
-        return Schedule(c, steps)
-    raise ValueError(f"unknown family: {family}")
+    if family not in _STEPS:
+        raise ValueError(f"unknown family: {family}")
+    groups, inits = _STEPS[family]
+    return Schedule(
+        catalog(_LEVEL2_CIRCUIT.get(family, "fifteen_to_one")),
+        tuple(ScheduleStep(g, frozenset(inits.get(i, ())))
+              for i, g in enumerate(groups)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +272,15 @@ def _events(schedule: Schedule, inputs: tuple) -> list[float]:
     its Z flip).  ``inputs`` is as for :func:`_run_schedule`.
     """
     profiles, rates, cycles, consumption = inputs
-    initialized: set[int] = set()
     events: list[float] = []
-    for step in schedule.steps:
-        initialized |= step.initialize
+    for step, stored in zip(schedule.steps, schedule.stored):
         for ri in step.rotations:
             profile = profiles[ri]
             events.append(profile.p_half + profile.p_quarter
                           + profile.p_mquarter)
             events += [profile.p_z_output] * len(schedule.rotation_outputs[ri])
-        if step.storage:
-            for q in sorted(initialized):
-                events += [cycles * rates[q].pX, cycles * rates[q].pZ]
+        for q in stored:
+            events += [cycles * rates[q].pX, cycles * rates[q].pZ]
     for q in sorted(schedule.circuit.output_qubits):
         events += [consumption.pX, consumption.pZ]
     return events
@@ -322,7 +291,9 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     it in place.
 
     ``inputs`` is the (profiles, storage rates, storage cycles,
-    consumption) of one configuration.
+    consumption) of one configuration (:func:`_noise_inputs`).  Each step
+    applies its rotations, then stores the qubits of its entry of
+    ``schedule.stored`` for the storage cycles: an X and a Z flip each.
 
     A flip waits while it commutes, grade counts included.  Z flips wait
     for one pass before the checks.  An X flip on q waits for the next
@@ -336,10 +307,8 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
         # noiseless: the engine would read its round-off
         return ScheduleRun(0.0, 0.0)
     rho = GradedDensityMatrix.init_plus(c.n, kmax)
-    initialized: set[int] = set()
     z_flips, x_flips = [], {q: [] for q in range(c.n)}
-    for step in schedule.steps:
-        initialized |= step.initialize
+    for step, stored in zip(schedule.steps, schedule.stored):
         for ri in step.rotations:
             r = c.rotations[ri]
             for q in r.axis.support:
@@ -350,10 +319,9 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
                                             sign=1 if r.angle.k > 0 else -1)
             z_flips += [(q, profiles[ri].p_z_output)
                         for q in schedule.rotation_outputs[ri]]
-        if step.storage:
-            for q in sorted(initialized):
-                x_flips[q].append(cycles * rates[q].pX)
-                z_flips.append((q, cycles * rates[q].pZ))
+        for q in stored:
+            x_flips[q].append(cycles * rates[q].pX)
+            z_flips.append((q, cycles * rates[q].pZ))
     rho = rho.apply_z_flips(z_flips)
     rho, p_fail = rho.project_plus(c.check_qubits)
     rho = rho.apply_absorbed_flips(
@@ -420,7 +388,9 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
 
 
 def _run_level1(config: FactoryConfig, kmax: int) -> ScheduleRun:
-    return _run_factory(config, kmax, _level1_inputs)
+    """Run a level-1 family's schedule (not memoized)."""
+    return _run_schedule(build_schedule(config.family),
+                         _noise_inputs(config, kmax), kmax)
 
 
 def _level1_inputs(config: FactoryConfig, schedule: Schedule):
@@ -496,15 +466,22 @@ def _level2_inputs(config: FactoryConfig, schedule: Schedule, kmax: int):
     return profiles, rates, t_l1, consumption
 
 
-def _noise_inputs(config: FactoryConfig, inputs, *args) -> tuple:
-    """The noise inputs ``inputs`` builds for ``config``'s schedule.
+def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
+    """(profiles, storage rates, storage cycles, consumption) of
+    ``config``'s schedule, from :func:`_level1_inputs` or, with a level-1
+    input of this ``kmax``, :func:`_level2_inputs`.
 
     For some distances the closed-form noise model leaves its domain (a
     probability reaches 1) below p_phys = 0.01; there it raises a
-    NoiseDomainError naming its inputs.
+    NoiseDomainError naming its inputs, and the run they would feed does
+    not start.
     """
+    schedule = build_schedule(config.family)
     try:
-        noise_inputs = inputs(config, build_schedule(config.family), *args)
+        if config.family in _LEVEL2_CIRCUIT:
+            noise_inputs = _level2_inputs(config, schedule, kmax)
+        else:
+            noise_inputs = _level1_inputs(config, schedule)
         _, rates, cycles, _ = noise_inputs
         if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
             raise ValueError("accumulated storage probability reaches 1")
@@ -515,17 +492,6 @@ def _noise_inputs(config: FactoryConfig, inputs, *args) -> tuple:
             f"p_phys={config.noise.p_phys} is outside the noise model's "
             f"range for {protocol_name(config)} ({e})") from None
     return noise_inputs
-
-
-def _run_factory(config: FactoryConfig, kmax: int, inputs,
-                 *args) -> ScheduleRun:
-    """Run a family's schedule on the noise inputs ``inputs`` builds.
-
-    Shared by both levels; a range error raises as in
-    :func:`_noise_inputs`, before the engine runs.
-    """
-    return _run_schedule(build_schedule(config.family),
-                         _noise_inputs(config, inputs, *args), kmax)
 
 
 def protocol_name(config: FactoryConfig) -> str:
@@ -549,7 +515,7 @@ def protocol_name(config: FactoryConfig) -> str:
 
 def family_outputs(family: str) -> int:
     """Magic states produced per round (the 20-to-4 family produces four)."""
-    return 4 if family == "L2_15x20" else 1
+    return build_schedule(family).circuit.outputs
 
 
 def full_distance(p_out: float, scale: str, p_phys: float) -> int | None:
@@ -589,7 +555,8 @@ def simulate_factory(config: FactoryConfig,
     :func:`_run_schedule`); a level-1 run is memoized.
     """
     if config.family in _LEVEL2_CIRCUIT:
-        run = _run_factory(config, kmax, _level2_inputs, kmax)
+        run = _run_schedule(build_schedule(config.family),
+                            _noise_inputs(config, kmax), kmax)
         p_fail_l1 = level1_output_error(config, kmax).p_fail
         p_fail_l2 = run.p_fail
     else:
@@ -646,12 +613,7 @@ def p_out_lower_bound(config: FactoryConfig,
     order = LEADING_ORDER[build_schedule(config.family).circuit.name]
     if kmax < order:
         return 0.0
-    if config.family in _LEVEL2_CIRCUIT:
-        inputs, args = _level2_inputs, (kmax,)
-    else:
-        inputs, args = _level1_inputs, ()
-    return _table_bound(config.family, _noise_inputs(config, inputs, *args),
-                        order)
+    return _table_bound(config.family, _noise_inputs(config, kmax), order)
 
 
 def sweep(

@@ -561,6 +561,30 @@ class TestMainExitCodes:
             assert captured.out == ""
             assert captured.err == f"error: l2_15x15 requires {missing}\n"
 
+    def test_config_with_protocol_flags_exits_2(self, tmp_path, capsys):
+        # the file sets every protocol, so a protocol flag beside it would
+        # be dropped without a word
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"protocols": [
+            {"family": "l1_15to1", "d": [7, 3, 3], "p_phys": 1e-4}]}),
+            encoding="utf-8")
+        config = ["factory", "--config", str(path)]
+        for extra, named in (
+            (["--family", "l2_15x15", "--d", "9,9,9", "--pphys", "5e-3",
+              "--ct", "10"], "--family, --d, --pphys, --ct"),
+            (["--d2", "15,7,9", "--n-l1", "4"], "--d2, --n-l1"),
+            (["--pphys", "0"], "--pphys"),
+            (["--ct", "1"], "--ct"),
+            (["--consumption-full"], "--consumption-full"),
+        ):
+            assert main(config + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: --config takes no {named}: "
+                                    "the file sets every protocol\n")
+        assert main(config + ["--format", "csv", "--kmax", "6"]) == 0
+        assert "(15-to-1)_{7,3,3}" in capsys.readouterr().out
+
     def test_config_names_its_own_keys(self, tmp_path, capsys):
         path = tmp_path / "extra.json"
         for entry, message in (

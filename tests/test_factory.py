@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import msdsim.factory as factory
 from msdsim import eventsets
+from msdsim.circuits import catalog
 from msdsim.cli import TABLE1, TABLE2, row_config
 from msdsim.density import (
     GradedDensityMatrix,
@@ -23,6 +24,8 @@ from msdsim.factory import (
     FAMILIES,
     FactoryConfig,
     FactoryReport,
+    Schedule,
+    ScheduleStep,
     build_schedule,
     cycle_cost,
     d3_cost,
@@ -80,12 +83,11 @@ class TestConfigValidation:
 
 class TestSchedules:
     def test_level1_shape(self):
+        # six steps, one per dm of the block's 6 dm cycles
         s = build_schedule("L1_15to1")
-        assert len(s.steps) == 7
+        assert len(s.steps) == 6
         covered = sorted(r for step in s.steps for r in step.rotations)
         assert covered == list(range(15))
-        assert s.steps[-1].measure == frozenset({1, 2, 3, 4})
-        assert not s.steps[-1].storage
 
     def test_level2_shapes(self):
         assert len(build_schedule("L2_15x15").steps) == 8
@@ -104,6 +106,42 @@ class TestSchedules:
                 init |= step.initialize
             assert init == set(range(s.circuit.n))
 
+    @pytest.mark.parametrize("family, steps_stored", [
+        ("L1_15to1", [5, 6, 6, 6, 4]),
+        ("L1_15to1_small", [5, 6, 6, 6, 4]),
+        ("L2_15x15", [8] * 5),
+        ("L2_15x20", [9] + [10] * 6),
+        ("L2_15xCCZ", [4] * 4),
+        ("L2_15x15_small", [15] * 5),
+    ])
+    def test_every_initialized_qubit_is_stored_each_step(self, family,
+                                                         steps_stored):
+        # qubit q is stored in steps_stored[q] steps, those from the one
+        # that initializes it on, that one included
+        s = build_schedule(family)
+        assert all(list(qubits) == sorted(qubits) for qubits in s.stored)
+        counts = collections.Counter(q for qubits in s.stored for q in qubits)
+        assert [counts[q] for q in range(s.circuit.n)] == steps_stored
+
+    @pytest.mark.parametrize("step, replacement, message", [
+        (2, ScheduleStep((3, 7, 8)), "rotation 3 touches an uninitialized"),
+        (3, ScheduleStep((9, 10, 11)), "exactly once"),
+        (5, ScheduleStep((13,)), "exactly once"),
+    ], ids=["uninitialized", "twice", "never"])
+    def test_schedule_rejects_a_bad_step(self, step, replacement, message):
+        # the level-1 schedule with one step replaced: qubit 4 never
+        # initialized, rotation 11 applied twice, or rotation 14 never
+        steps = list(build_schedule("L1_15to1").steps)
+        steps[step] = replacement
+        with pytest.raises(ValueError, match=message):
+            Schedule(catalog("fifteen_to_one"), tuple(steps))
+
+    def test_schedule_rejects_a_circuit_without_checks(self):
+        c = catalog("identity16")
+        step = ScheduleStep(tuple(range(len(c.rotations))),
+                            frozenset(range(c.n)))
+        with pytest.raises(ValueError, match="check or an output"):
+            Schedule(c, (step,))
 
     def test_schedules_are_built_once_and_shared_read_only(self):
         s = build_schedule("L2_15x20")
@@ -402,7 +440,8 @@ def test_a_20_to_4_run_applies_its_z_flips_in_two_passes(monkeypatch):
     config = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
     factory._LEVEL1_RUNS.clear()
     try:
-        run = factory._run_factory(config, 6, factory._level2_inputs, 6)
+        run = factory._run_schedule(build_schedule(config.family),
+                                    factory._noise_inputs(config, 6), 6)
     finally:
         factory._LEVEL1_RUNS.clear()
     assert run.p_out > 0.0
@@ -469,9 +508,8 @@ def test_a_schedule_run_matches_the_dense_oracle(family):
             outputs = schedule.rotation_outputs[ri]
             dense = dense.apply_z_flips([(q, profile.p_z_output)
                                          for q in outputs])
-        if step.storage:
-            for q in sorted(initialized):
-                dense = dense.apply_storage(q, rates[q], 1.5)
+        for q in sorted(initialized):
+            dense = dense.apply_storage(q, rates[q], 1.5)
     dense, p_fail = dense.project_plus(c.check_qubits)
     for q in range(dense.n):
         dense = dense.apply_storage(q, consumption, 1.0)
@@ -945,19 +983,6 @@ def _configs(draw, family=None) -> FactoryConfig:
     return FactoryConfig(family, DistanceSet(*values), noise)
 
 
-def _noise_inputs(config: FactoryConfig, kmax: int):
-    """A configuration's (profiles, storage rates, cycles, consumption), or
-    None outside the noise model's range."""
-    if "dX2" in distance_keys(config.family):
-        inputs, args = factory._level2_inputs, (kmax,)
-    else:
-        inputs, args = factory._level1_inputs, ()
-    try:
-        return factory._noise_inputs(config, inputs, *args)
-    except factory.NoiseDomainError:
-        return None
-
-
 @st.composite
 def _edge_inputs(draw, family):
     """(config, noise inputs, whether a rotation's error is certain) of a
@@ -973,8 +998,10 @@ def _edge_inputs(draw, family):
     if draw(st.booleans()):
         config = dataclasses.replace(
             config, noise=PhysicalNoise(0.0, config.noise.c_T))
-    inputs = _noise_inputs(config, 6)
-    assume(inputs is not None)
+    try:
+        inputs = factory._noise_inputs(config, 6)
+    except factory.NoiseDomainError:
+        assume(False)
     profiles, rates, cycles, consumption = inputs
     quiet, half = StorageRates(0.0, 0.0), 0.5 / cycles
     rates = {q: draw(st.sampled_from([r, quiet, StorageRates(half, 0.0),
@@ -1121,7 +1148,7 @@ class TestScreen:
         family = config.family
         schedule = build_schedule(family)
         partition, odds = eventsets.classes(schedule,
-                                            _noise_inputs(config, 6))
+                                            factory._noise_inputs(config, 6))
         pad = len(odds)
         order = _leading_order(family)
         groups, most = {}, 1
@@ -1151,7 +1178,7 @@ class TestScreen:
         # first class the second's profile and the partition collapses
         family, order = "L1_15to1", 3
         schedule = build_schedule(family)
-        inputs = _noise_inputs(_l1(13, 3, 5, 5e-4), 6)
+        inputs = factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6)
         profiles = inputs[0]
         classes = list(dict.fromkeys(profiles))
         assert len(classes) == 3
@@ -1192,8 +1219,8 @@ class TestScreen:
         # the slack is below 1e-9 of p_out, while the storage and
         # consumption events alone take over 4e-6 off Z, so a bound
         # without Z, or with Z over the rotations' events only, fails.
-        profiles, rates, cycles, consumption = inputs = _noise_inputs(
-            config, 6)
+        profiles, rates, cycles, consumption = inputs = (
+            factory._noise_inputs(config, 6))
         schedule = build_schedule(config.family)
         c = schedule.circuit
         applied, stored, initialized = [], [], set()
@@ -1204,9 +1231,8 @@ class TestScreen:
                 applied.append(1.0 - p.p_half - p.p_quarter - p.p_mquarter)
                 outputs = c.output_qubits & set(c.rotations[ri].axis.support)
                 applied += [1.0 - p.p_z_output] * len(outputs)
-            if step.storage:
-                stored += [1.0 - cycles * r for q in initialized
-                           for r in (rates[q].pX, rates[q].pZ)]
+            stored += [1.0 - cycles * r for q in initialized
+                       for r in (rates[q].pX, rates[q].pZ)]
         stored += [1.0 - consumption.pX,
                    1.0 - consumption.pZ] * len(c.output_qubits)
         z_storage = math.prod(stored)
@@ -1228,7 +1254,8 @@ class TestScreen:
         report = _simulate_once(config)
         bound = p_out_lower_bound(config)
         assert bound <= report.p_out
-        _assert_table_matches_the_engine(row.family, _noise_inputs(config, 6))
+        _assert_table_matches_the_engine(row.family,
+                                         factory._noise_inputs(config, 6))
         d = config.distances
         ranges = {key: [getattr(d, key)] for key in distance_keys(row.family)}
         monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
