@@ -68,6 +68,7 @@ from .circuits import (
 from .density import DEFAULT_MAX_GRADE
 from .factory import (
     FAMILIES,
+    LAYOUTS,
     FactoryConfig,
     FactoryReport,
     d3_cost,
@@ -169,20 +170,9 @@ def reports_to_csv(reports: list[FactoryReport]) -> str:
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     for r in reports:
-        writer.writerow(
-            [
-                r.protocol,
-                repr(r.p_phys),
-                repr(r.p_out),
-                repr(r.qubits),
-                repr(r.cycles),
-                repr(r.qubitcycles_per_state),
-                "" if r.d_full_100 is None else str(r.d_full_100),
-                "" if r.cost_d3_100 is None else repr(r.cost_d3_100),
-                "" if r.d_full_10k is None else str(r.d_full_10k),
-                "" if r.cost_d3_10k is None else repr(r.cost_d3_10k),
-            ]
-        )
+        values = [getattr(r, column) for column in CSV_COLUMNS[1:]]
+        writer.writerow([r.protocol] + ["" if v is None else repr(v)
+                                        for v in values])
     return out.getvalue()
 
 
@@ -259,12 +249,7 @@ def _build_config(
         if (value is not None) != (key in keys):
             verb = "requires" if key in keys else "takes no"
             raise ValueError(f"{family_cli} {verb} {name}")
-    kwargs = {}
-    if d2 is not None:
-        kwargs.update(dX2=d2[0], dZ2=d2[1], dm2=d2[2])
-    if n_l1 is not None:
-        kwargs.update(nL1=n_l1)
-    distances = DistanceSet(d[0], d[1], d[2], **kwargs)
+    distances = DistanceSet(*d, *(d2 or (None, None, None)), n_l1)
     noise = PhysicalNoise(p_phys, c_t)
     return FactoryConfig(family, distances, noise, consumption_full)
 
@@ -504,9 +489,9 @@ def check_row(row: TableRow, report: FactoryReport) -> list[tuple[str, bool, str
             abs(dev) <= band,
             f"{fmt_sig(got)} vs {fmt_sig(float(want))} ({dev:+.2%})",
         ))
-    # Full-distance columns are validated at the quoted output error (one
-    # CCZ state counts as four T-equivalents, hence the /4).
-    quoted_equiv = row.p_out / 4 if row.family == "L2_15xCCZ" else row.p_out
+    # Full-distance columns are validated at the quoted output error per
+    # T-equivalent (one CCZ state counts as four).
+    quoted_equiv = row.p_out / LAYOUTS[row.family].t_states
     outputs = family_outputs(row.family)
     for label, scale, d_want, cost_want in (
         ("d_full_100", "qubits100", row.d_100, row.cost_100),

@@ -162,16 +162,15 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     # |r|^2 below this, and any other above it
     rejected = 2.0 ** (-14 * len(checks) - 2)
 
-    ones = np.ones(shape[1] // 2, dtype=complex)
-
     def read(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (dev, mass) rows of the branches of these exponents, and
         whether the checks let each through."""
         # positions 2j and 2j + 1 differ in the first check bit only
         pairs = expo[:, ::2] << 4
         pairs |= expo[:, 1::2]
-        r = (_PAIRS.take(pairs).reshape((-1, len(ones))) @ ones).reshape(
-            (len(expo), shape[0]))
+        # einsum's own loop: no BLAS call, and 6x .sum's speed on these rows
+        r = np.einsum("ijk->ij", _PAIRS.take(pairs).reshape(
+            (len(expo), shape[0], -1)))
         norms = np.empty((2, len(expo)))
         squares = r.view(np.float64)
         np.einsum("ij,ij->i", squares, squares, out=norms[1])

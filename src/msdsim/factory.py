@@ -9,12 +9,14 @@ Six protocol families are supported:
 - ``L2_15xCCZ``       two-level (15-to-1)^nL1 x (8-to-CCZ)
 - ``L2_15x15_small``  footprint-optimized two-level 15-to-1 x 15-to-1
 
-Each family maps a cataloged circuit onto a step schedule (which rotations
-run together, when qubits enter, how long everything is stored), attaches
-surface-code error profiles to every rotation, and runs the graded
-density-matrix engine to get the output infidelity and failure rates.
-Closed-form qubit/cycle costs and full-distance metrics complete the
-report.
+A family's layout (Litinski, arXiv:1905.06903) lives in one record of
+``LAYOUTS`` and nowhere else: its circuit and step schedule (which
+rotations run together, when qubits enter), the distances it takes, and
+its qubit, cycle, storage, ancilla and transport formulas.  The
+simulation attaches surface-code error profiles to every rotation and
+runs the graded density-matrix engine to get the output infidelity and
+failure rates.  Closed-form qubit/cycle costs and full-distance metrics
+complete the report.
 
 Usage::
 
@@ -29,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .circuits import LEADING_ORDER, Circuit, catalog
 from .density import DEFAULT_MAX_GRADE, GradedDensityMatrix, StorageRates
@@ -44,23 +46,117 @@ from .noise import (
     single_qubit_rotation_profile,
 )
 
-FAMILIES = (
-    "L1_15to1",
-    "L1_15to1_small",
-    "L2_15x15",
-    "L2_15x20",
-    "L2_15xCCZ",
-    "L2_15x15_small",
-)
+_LEVEL1_KEYS = ("dX", "dZ", "dm")
+_LEVEL2_KEYS = _LEVEL1_KEYS + ("dX2", "dZ2", "dm2")
 
-_LEVEL2_CIRCUIT = {
-    "L2_15x15": "fifteen_to_one",
-    "L2_15x20": "twenty_to_four",
-    "L2_15xCCZ": "eight_to_ccz",
-    "L2_15x15_small": "fifteen_to_one",
+
+@dataclass(frozen=True)
+class Layout:
+    """One family's layout: its schedule, and its closed forms, each one
+    expression of its DistanceSet ``d`` and the level-1 p_fail ``p``.
+
+    ``steps`` are the rotations of ``circuit`` by step, ``initialize`` the
+    qubits entering at a step, and ``keys`` the DistanceSet fields set (it
+    is level 2 if they hold dX2).  Each step stores its qubits for
+    ``storage`` cycles, which at level 2 is the cadence of level-1 states,
+    and a round takes ``periods`` of them (retried at level 1).  ``l_anc``
+    is a rotation's ancilla length and ``l_move`` a level-1 state's route.
+    A protocol is named by ``top``, the level-2 circuit, and ``suffix``;
+    an output substitutes ``t_states`` T states.
+    """
+
+    circuit: str
+    steps: tuple[tuple[int, ...], ...]
+    initialize: dict[int, tuple[int, ...]]
+    keys: tuple[str, ...]
+    qubits: Callable[[DistanceSet], float]
+    storage: Callable[[DistanceSet, float], float]
+    periods: float
+    l_anc: Callable[[DistanceSet], float]
+    l_move: Callable[[DistanceSet], float] | None = None
+    top: str = ""
+    suffix: str = ""
+    t_states: int = 1
+
+    @property
+    def level(self) -> int:
+        return 2 if "dX2" in self.keys else 1
+
+
+_LEVEL1_STEPS = ((0, 1, 2, 4), (5, 6), (3, 7, 8), (9, 10), (11, 12),
+                 (13, 14))
+_LEVEL1_INIT = {0: (1, 2, 3), 1: (0,), 2: (4,)}
+
+
+def _fed(circuit: str, steps, initialize, *, top: str, periods: float,
+         block, l_anc, t_states: int = 1) -> Layout:
+    """A level-2 ``block`` of qubits, and routing, fed by nL1 level-1
+    blocks: a state every max(dm2, 6 dm / (1 - p) / (nL1 / 2)) cycles."""
+    return Layout(
+        circuit, steps, initialize, _LEVEL2_KEYS + ("nL1",),
+        qubits=lambda d: (
+            block(d)
+            + 2 * d.nL1 * ((d.dX + 4 * d.dZ) * (3 * d.dX + d.dm2 / 2)
+                           + 2 * d.dm)
+            + 2 * (20 * d.dm2**2 + 2 * d.dX2 * d.dm2)),
+        storage=lambda d, p: max(d.dm2, 6 * d.dm / (1.0 - p) / (d.nL1 / 2)),
+        periods=periods, l_anc=l_anc,
+        l_move=lambda d: d.nL1 / 4 * (d.dX + 4 * d.dZ) + 10.0 * d.dm2,
+        top=top, t_states=t_states)
+
+
+# every family's layout, and the one place that tells the families apart
+LAYOUTS = {
+    "L1_15to1": Layout(
+        "fifteen_to_one", _LEVEL1_STEPS, _LEVEL1_INIT, _LEVEL1_KEYS,
+        qubits=lambda d: 2 * (d.dX + 4 * d.dZ) * 3 * d.dX + 4 * d.dm,
+        storage=lambda d, p: d.dm, periods=6,
+        l_anc=lambda d: d.dX + 4 * d.dZ),
+    "L1_15to1_small": Layout(
+        "fifteen_to_one", _LEVEL1_STEPS, _LEVEL1_INIT, _LEVEL1_KEYS,
+        qubits=lambda d: 4 * (d.dX + 4 * d.dZ) * d.dX + 2 * d.dm,
+        storage=lambda d, p: 2 * d.dm, periods=6,
+        l_anc=lambda d: d.dX + 4 * d.dZ, suffix=" small footprint"),
+    "L2_15x15": _fed(
+        "fifteen_to_one",
+        ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14,)),
+        {0: (0, 1, 2, 3, 4)}, top="(15-to-1)", periods=7.5,
+        block=lambda d: 2 * (d.dX2 + 4 * d.dZ2) * 3 * d.dX2,
+        l_anc=lambda d: d.dX2 + 4 * d.dZ2 + d.dm2),
+    "L2_15x20": _fed(
+        "twenty_to_four",
+        ((0, 1), (3, 4), (2, 5), (6, 7), (8, 9), (10, 11), (12, 13),
+         (14, 15), (16, 17), (18, 19)),
+        {0: (1, 2, 3, 4, 5, 6), 1: (0,)}, top="(20-to-4)", periods=10.0,
+        block=lambda d: 2 * (4 * d.dX2 + 3 * d.dZ2) * 3 * d.dX2,
+        l_anc=lambda d: d.dX2 + 4 * d.dZ2 + d.dm2),
+    "L2_15xCCZ": _fed(
+        "eight_to_ccz", ((0, 1), (2, 3), (4, 5), (6, 7)), {0: (0, 1, 2, 3)},
+        top="(8-to-CCZ)", periods=4.0, t_states=4,
+        block=lambda d: 2 * (3 * d.dX2 + d.dZ2) * 3 * d.dX2,
+        l_anc=lambda d: 3 * d.dX2 + d.dZ2 + d.dm2),
+    # one level-1 block feeding a level-2 block that applies one rotation
+    # per step, a level-1 state every max(2 dm2, 6 dm / (1 - p)) cycles
+    "L2_15x15_small": Layout(
+        "fifteen_to_one", tuple((i,) for i in range(15)),
+        {0: (0, 1, 2, 3, 4)}, _LEVEL2_KEYS,
+        qubits=lambda d: (2 * (d.dX2 + 4 * d.dZ2) * 2 * d.dX2
+                          + 2 * (d.dX + 4 * d.dZ) * 3 * d.dX + 4 * d.dm
+                          + 2 * (4 * d.dm2**2 + d.dm2 * d.dX2)),
+        storage=lambda d, p: max(2 * d.dm2, 6 * d.dm / (1.0 - p)),
+        periods=15, l_anc=lambda d: d.dX2 + 4 * d.dZ2 + d.dm2,
+        l_move=lambda d: 10.0 * d.dm2, top="(15-to-1)",
+        suffix=" small footprint"),
 }
 
-_LEVEL2_MULTIPLIER = {"L2_15x15": 7.5, "L2_15x20": 10.0, "L2_15xCCZ": 4.0}
+FAMILIES = tuple(LAYOUTS)
+
+
+def _layout(family: str) -> Layout:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family: {family}")
+    return LAYOUTS[family]
+
 
 FULL_DISTANCE_PATCHES = {"qubits100": 231, "qubits10k": 20284}
 
@@ -71,7 +167,8 @@ class FactoryConfig:
 
     consumption_prefactor_toggle selects how much storage error the level-2
     output picks up while being consumed: False (default) uses half of
-    dX2 * p_L(p, dX2) per axis, True uses the full amount.
+    dX2 * p_L(p, dX2) per axis, True uses the full amount.  A level-1
+    output is always charged half, and takes no toggle.
     """
 
     family: str
@@ -80,23 +177,19 @@ class FactoryConfig:
     consumption_prefactor_toggle: bool = False
 
     def __post_init__(self) -> None:
-        keys = distance_keys(self.family)
+        layout = _layout(self.family)
         for key, what in (("dX2", "level-2 distances"), ("nL1", "nL1")):
-            if (key in keys) != (getattr(self.distances, key) is not None):
-                verb = "requires" if key in keys else "takes no"
+            wanted = key in layout.keys
+            if wanted != (getattr(self.distances, key) is not None):
+                verb = "requires" if wanted else "takes no"
                 raise ValueError(f"{self.family} {verb} {what}")
+        if self.consumption_prefactor_toggle and layout.level == 1:
+            raise ValueError(f"{self.family} takes no consumption prefactor")
 
 
 def distance_keys(family: str) -> tuple[str, ...]:
     """The DistanceSet fields a family's configurations set."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family: {family}")
-    keys = ("dX", "dZ", "dm")
-    if family in _LEVEL2_CIRCUIT:
-        keys += ("dX2", "dZ2", "dm2")
-        if family != "L2_15x15_small":
-            keys += ("nL1",)
-    return keys
+    return _layout(family).keys
 
 
 class NoiseDomainError(ValueError):
@@ -176,21 +269,6 @@ class Schedule:
             for r in c.rotations))
 
 
-# each family's rotations by step, and the qubits initialized in a step
-_STEPS = {
-    "L1_15to1": ([(0, 1, 2, 4), (5, 6), (3, 7, 8), (9, 10), (11, 12),
-                  (13, 14)], {0: (1, 2, 3), 1: (0,), 2: (4,)}),
-    "L2_15x15": ([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13),
-                  (14,)], {0: (0, 1, 2, 3, 4)}),
-    "L2_15x20": ([(0, 1), (3, 4), (2, 5), (6, 7), (8, 9), (10, 11), (12, 13),
-                  (14, 15), (16, 17), (18, 19)],
-                 {0: (1, 2, 3, 4, 5, 6), 1: (0,)}),
-    "L2_15xCCZ": ([(0, 1), (2, 3), (4, 5), (6, 7)], {0: (0, 1, 2, 3)}),
-    "L2_15x15_small": ([(i,) for i in range(15)], {0: (0, 1, 2, 3, 4)}),
-}
-_STEPS["L1_15to1_small"] = _STEPS["L1_15to1"]
-
-
 @lru_cache(maxsize=None)
 def build_schedule(family: str) -> Schedule:
     """The step-to-rotation mapping of each family (part of the contract).
@@ -198,13 +276,11 @@ def build_schedule(family: str) -> Schedule:
     Built once per family; the cached schedule is shared, and its circuit's
     ideal output is read-only.
     """
-    if family not in _STEPS:
-        raise ValueError(f"unknown family: {family}")
-    groups, inits = _STEPS[family]
+    layout = _layout(family)
     return Schedule(
-        catalog(_LEVEL2_CIRCUIT.get(family, "fifteen_to_one")),
-        tuple(ScheduleStep(g, frozenset(inits.get(i, ())))
-              for i, g in enumerate(groups)))
+        catalog(layout.circuit),
+        tuple(ScheduleStep(g, frozenset(layout.initialize.get(i, ())))
+              for i, g in enumerate(layout.steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,48 +290,17 @@ def build_schedule(family: str) -> Schedule:
 
 def qubit_cost(config: FactoryConfig) -> float:
     """Physical qubit count (including measurement ancillas)."""
-    d = config.distances
-    fam = config.family
-    if fam == "L1_15to1":
-        return 2 * (d.dX + 4 * d.dZ) * 3 * d.dX + 4 * d.dm
-    if fam == "L1_15to1_small":
-        return 4 * (d.dX + 4 * d.dZ) * d.dX + 2 * d.dm
-    l1_blocks = (d.dX + 4 * d.dZ) * (3 * d.dX + d.dm2 / 2) + 2 * d.dm
-    if fam == "L2_15x15":
-        block = 2 * (d.dX2 + 4 * d.dZ2) * 3 * d.dX2
-    elif fam == "L2_15x20":
-        block = 2 * (4 * d.dX2 + 3 * d.dZ2) * 3 * d.dX2
-    elif fam == "L2_15xCCZ":
-        block = 2 * (3 * d.dX2 + d.dZ2) * 3 * d.dX2
-    else:  # L2_15x15_small
-        return (2 * (d.dX2 + 4 * d.dZ2) * 2 * d.dX2
-                + 2 * (d.dX + 4 * d.dZ) * 3 * d.dX + 4 * d.dm
-                + 2 * (4 * d.dm2**2 + d.dm2 * d.dX2))
-    return (block + 2 * d.nL1 * l1_blocks
-            + 2 * (20 * d.dm2**2 + 2 * d.dX2 * d.dm2))
-
-
-def _t_level1(config: FactoryConfig, p_fail_L1: float) -> float:
-    """Cadence at which the level-2 block can consume level-1 states."""
-    d = config.distances
-    if config.family == "L2_15x15_small":
-        return max(2 * d.dm2, 6 * d.dm / (1.0 - p_fail_L1))
-    return max(d.dm2, 6 * d.dm / (1.0 - p_fail_L1) / (d.nL1 / 2))
+    return LAYOUTS[config.family].qubits(config.distances)
 
 
 def cycle_cost(config: FactoryConfig, p_fail_L1: float) -> float:
-    """Code cycles per protocol round (level-2 time is not retry-adjusted)."""
+    """Code cycles per protocol round, a level-1 round retried until its
+    checks pass (level-2 time is not retry-adjusted)."""
     if p_fail_L1 >= 1.0:
         raise ValueError("p_fail_L1 must be below 1")
-    d = config.distances
-    fam = config.family
-    if fam == "L1_15to1":
-        return 6 * d.dm / (1.0 - p_fail_L1)
-    if fam == "L1_15to1_small":
-        return 12 * d.dm / (1.0 - p_fail_L1)
-    if fam == "L2_15x15_small":
-        return 15 * _t_level1(config, p_fail_L1)
-    return _LEVEL2_MULTIPLIER[fam] * _t_level1(config, p_fail_L1)
+    layout = LAYOUTS[config.family]
+    cycles = layout.periods * layout.storage(config.distances, p_fail_L1)
+    return cycles / (1.0 - p_fail_L1) if layout.level == 1 else cycles
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +438,6 @@ def _run_level1(config: FactoryConfig, kmax: int) -> ScheduleRun:
                          _noise_inputs(config, kmax), kmax)
 
 
-def _level1_inputs(config: FactoryConfig, schedule: Schedule):
-    """(profiles, storage rates, storage cycles, consumption) of level 1."""
-    d, noise, c = config.distances, config.noise, schedule.circuit
-    l_anc = d.dX + 4 * d.dZ
-
-    # one profile object per distinct kind of rotation
-    single = cache(lambda: single_qubit_rotation_profile(noise, d.dZ, d.dm))
-    multi = cache(lambda outputs: multiqubit_rotation_profile(
-        noise, l_anc, d.dX, d.dm, outputs))
-    profiles = [
-        single() if len(r.axis.support) == 1 else multi(bool(outputs))
-        for r, outputs in zip(c.rotations, schedule.rotation_outputs)
-    ]
-    rates = {
-        q: patch_storage_rates(noise, d.dX, d.dX if q in c.output_qubits else d.dZ)
-        for q in range(c.n)
-    }
-    half_consume = 0.5 * logical_error_rate(noise.p_phys, d.dX) * d.dX
-    consumption = StorageRates(half_consume, half_consume)
-    storage_cycles = 2 * d.dm if config.family == "L1_15to1_small" else d.dm
-    return profiles, rates, storage_cycles, consumption
-
-
 # level-1 runs by (dX, dZ, dm, p_phys, c_T, kmax), shared by the L1_15to1
 # rows and every level-2 family's block
 _LEVEL1_RUNS: dict[tuple, ScheduleRun] = {}
@@ -428,48 +450,25 @@ def level1_output_error(config: FactoryConfig,
     d, noise = config.distances, config.noise
     key = (d.dX, d.dZ, d.dm, noise.p_phys, noise.c_T, kmax)
     if key not in _LEVEL1_RUNS:
-        block = FactoryConfig("L1_15to1", DistanceSet(d.dX, d.dZ, d.dm),
-                              noise)
-        _LEVEL1_RUNS[key] = _run_level1(block, kmax)
+        _LEVEL1_RUNS[key] = _run_level1(_level1_block(config), kmax)
     return _LEVEL1_RUNS[key]
 
 
-def _level2_inputs(config: FactoryConfig, schedule: Schedule, kmax: int):
-    """(profiles, storage rates, storage cycles, consumption) of level 2.
-
-    The level-1 input is the block's kmax run, from the cache.
-    """
-    d, noise, c = config.distances, config.noise, schedule.circuit
-    level1 = level1_output_error(config, kmax)
-    if config.family == "L2_15xCCZ":
-        l_anc = 3 * d.dX2 + d.dZ2 + d.dm2
-    else:
-        l_anc = d.dX2 + 4 * d.dZ2 + d.dm2
-    if config.family == "L2_15x15_small":
-        l_move = 10.0 * d.dm2
-    else:
-        l_move = d.nL1 / 4 * (d.dX + 4 * d.dZ) + 10.0 * d.dm2
-    # one profile object per distinct kind of rotation
-    profile = cache(lambda outputs: level2_rotation_profile(
-        noise, level1.p_out, l_anc, d.dX2, d.dm2, l_move, outputs))
-    profiles = [profile(bool(outputs))
-                for outputs in schedule.rotation_outputs]
-    rates = {
-        q: patch_storage_rates(noise, d.dX2,
-                               d.dX2 if q in c.output_qubits else d.dZ2)
-        for q in range(c.n)
-    }
-    prefactor = 1.0 if config.consumption_prefactor_toggle else 0.5
-    consume = prefactor * d.dX2 * logical_error_rate(noise.p_phys, d.dX2)
-    consumption = StorageRates(consume, consume)
-    t_l1 = _t_level1(config, level1.p_fail)
-    return profiles, rates, t_l1, consumption
+def _level1_block(config: FactoryConfig) -> FactoryConfig:
+    """The one-level 15-to-1 block of ``config``'s level-1 distances."""
+    d = config.distances
+    return FactoryConfig("L1_15to1", DistanceSet(d.dX, d.dZ, d.dm),
+                         config.noise)
 
 
 def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
     """(profiles, storage rates, storage cycles, consumption) of
-    ``config``'s schedule, from :func:`_level1_inputs` or, with a level-1
-    input of this ``kmax``, :func:`_level2_inputs`.
+    ``config``'s schedule.
+
+    A level-1 rotation is lattice surgery with a faulty T measurement, or
+    a single-qubit rotation on a check; a level-2 one consumes a state of
+    the level-1 block's ``kmax`` run, from the cache.  Storage and
+    consumption are charged at the top level's distances.
 
     For some distances the closed-form noise model leaves its domain (a
     probability reaches 1) below p_phys = 0.01; there it raises a
@@ -477,12 +476,34 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
     not start.
     """
     schedule = build_schedule(config.family)
+    layout = LAYOUTS[config.family]
+    d, noise, c = config.distances, config.noise, schedule.circuit
     try:
-        if config.family in _LEVEL2_CIRCUIT:
-            noise_inputs = _level2_inputs(config, schedule, kmax)
+        # one profile object per distinct kind of rotation
+        if layout.level == 2:
+            level1 = level1_output_error(config, kmax)
+            profile = cache(lambda outputs: level2_rotation_profile(
+                noise, level1.p_out, layout.l_anc(d), d.dX2, d.dm2,
+                layout.l_move(d), outputs))
+            profiles = [profile(bool(outputs))
+                        for outputs in schedule.rotation_outputs]
+            dx, dz, p_fail = d.dX2, d.dZ2, level1.p_fail
         else:
-            noise_inputs = _level1_inputs(config, schedule)
-        _, rates, cycles, _ = noise_inputs
+            single = cache(lambda: single_qubit_rotation_profile(
+                noise, d.dZ, d.dm))
+            multi = cache(lambda outputs: multiqubit_rotation_profile(
+                noise, layout.l_anc(d), d.dX, d.dm, outputs))
+            profiles = [
+                single() if len(r.axis.support) == 1 else multi(bool(outputs))
+                for r, outputs in zip(c.rotations, schedule.rotation_outputs)
+            ]
+            dx, dz, p_fail = d.dX, d.dZ, 0.0
+        rates = {q: patch_storage_rates(
+                     noise, dx, dx if q in c.output_qubits else dz)
+                 for q in range(c.n)}
+        prefactor = 1.0 if config.consumption_prefactor_toggle else 0.5
+        consume = prefactor * dx * logical_error_rate(noise.p_phys, dx)
+        cycles = layout.storage(d, p_fail)
         if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
             raise ValueError("accumulated storage probability reaches 1")
     except NoiseDomainError:  # from a level-2 family's level 1
@@ -491,26 +512,16 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
         raise NoiseDomainError(
             f"p_phys={config.noise.p_phys} is outside the noise model's "
             f"range for {protocol_name(config)} ({e})") from None
-    return noise_inputs
+    return profiles, rates, cycles, StorageRates(consume, consume)
 
 
 def protocol_name(config: FactoryConfig) -> str:
-    d = config.distances
-    base = f"(15-to-1)_{{{d.dX},{d.dZ},{d.dm}}}"
-    if config.family == "L1_15to1":
-        return base
-    if config.family == "L1_15to1_small":
-        return base + " small footprint"
-    top = {
-        "L2_15x15": "(15-to-1)",
-        "L2_15x20": "(20-to-4)",
-        "L2_15xCCZ": "(8-to-CCZ)",
-        "L2_15x15_small": "(15-to-1)",
-    }[config.family]
-    top = f"{top}_{{{d.dX2},{d.dZ2},{d.dm2}}}"
-    if config.family == "L2_15x15_small":
-        return f"{base} x {top} small footprint"
-    return f"(15-to-1)^{d.nL1}_{{{d.dX},{d.dZ},{d.dm}}} x {top}"
+    layout, d = LAYOUTS[config.family], config.distances
+    blocks = "" if d.nL1 is None else f"^{d.nL1}"
+    name = f"(15-to-1){blocks}_{{{d.dX},{d.dZ},{d.dm}}}"
+    if layout.level == 2:
+        name += f" x {layout.top}_{{{d.dX2},{d.dZ2},{d.dm2}}}"
+    return name + layout.suffix
 
 
 def family_outputs(family: str) -> int:
@@ -554,25 +565,24 @@ def simulate_factory(config: FactoryConfig,
     Each schedule run allocates its graded state's stack (see
     :func:`_run_schedule`); a level-1 run is memoized.
     """
-    if config.family in _LEVEL2_CIRCUIT:
+    layout = LAYOUTS[config.family]
+    if layout.level == 2:
         run = _run_schedule(build_schedule(config.family),
                             _noise_inputs(config, kmax), kmax)
         p_fail_l1 = level1_output_error(config, kmax).p_fail
         p_fail_l2 = run.p_fail
-    else:
-        if config.family == "L1_15to1":
-            run = level1_output_error(config, kmax)
-        else:
-            run = _run_level1(config, kmax)
+    else:  # a configuration that is the block itself reads its memo
+        run = (level1_output_error(config, kmax)
+               if config == _level1_block(config)
+               else _run_level1(config, kmax))
         p_fail_l1, p_fail_l2 = run.p_fail, 0.0
     p_out = run.p_out
     qubits, cycles, per_state = _costs(config, p_fail_l1)
     outputs = family_outputs(config.family)
-    # One CCZ resource state substitutes four T-gate magic states, so the
-    # full-distance normalization uses the per-T-equivalent error p_out/4.
-    p_equiv = p_out / 4 if config.family == "L2_15xCCZ" else p_out
-    d100 = d10k = None
-    cost100 = cost10k = None
+    # the full-distance normalization uses the per-T-equivalent error (one
+    # CCZ resource state substitutes four T states)
+    p_equiv = p_out / layout.t_states
+    d100 = d10k = cost100 = cost10k = None
     if p_out > 0.0:
         d100 = full_distance(p_equiv, "qubits100", config.noise.p_phys)
         d10k = full_distance(p_equiv, "qubits10k", config.noise.p_phys)
@@ -628,12 +638,13 @@ def sweep(
 
     ranges maps DistanceSet field names (dX, dZ, dm, and for level-2
     families dX2, dZ2, dm2, nL1) to iterables of values.  Combinations
-    without a valid DistanceSet, or outside the noise model's range
-    (:class:`NoiseDomainError`), are skipped; if no combination can be
-    run, the first range error is raised.  The result is the Pareto
-    front in (qubits, qubitcycles_per_state) of the configurations with
-    p_out <= target_p_out, sorted by qubitcycles_per_state, ties broken by
-    qubits then distances.
+    that make no valid FactoryConfig, or lie outside the noise model's
+    range (:class:`NoiseDomainError`), are skipped.  If no combination
+    makes a configuration, the first configuration's ValueError is
+    raised; if none can be run, the first NoiseDomainError.  The result
+    is the Pareto front in (qubits, qubitcycles_per_state) of the
+    configurations with p_out <= target_p_out, sorted by
+    qubitcycles_per_state, ties broken by qubits then distances.
 
     Candidates are costed before they are simulated, and simulated
     cheapest first.  Qubits are closed-form; qubitcycles/state are exact
@@ -657,7 +668,7 @@ def sweep(
         raise ValueError(
             f"target p_out must be finite and positive, got {target_p_out}")
     keys = distance_keys(family)
-    level2 = family in _LEVEL2_CIRCUIT
+    level2 = LAYOUTS[family].level == 2
     unknown = set(ranges) - set(keys)
     if unknown:
         raise ValueError(f"unexpected range keys: {sorted(unknown)}")
@@ -665,14 +676,15 @@ def sweep(
     if missing:
         raise ValueError(f"missing range keys: {sorted(missing)}")
     candidates = []
-    out_of_range = []
+    invalid, out_of_range = [], []
     for combo in itertools.product(*(dict.fromkeys(ranges[k]) for k in keys)):
         kwargs = dict(zip(keys, combo))
         try:
             distances = DistanceSet(**kwargs)
             config = FactoryConfig(family, distances, noise,
                                    consumption_prefactor_toggle)
-        except ValueError:
+        except ValueError as e:
+            invalid.append(e)
             continue
         try:
             p_fail = level1_output_error(config, kmax).p_fail if level2 else 0.0
@@ -681,6 +693,8 @@ def sweep(
             continue
         qubits, _, per_state = _costs(config, p_fail)
         candidates.append((per_state, qubits, combo, config))
+    if invalid and not candidates and not out_of_range:
+        raise invalid[0]
     candidates.sort(key=lambda c: c[:3])
     feasible = []
     ran = False

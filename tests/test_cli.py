@@ -601,6 +601,47 @@ class TestMainExitCodes:
             assert captured.out == ""
             assert captured.err == f"error: protocols[0]: {message}\n"
 
+    def test_sweep_of_no_configuration_exits_2(self, capsys):
+        # the distances that factory rejects reject the sweep too, not a
+        # front that nothing could have met
+        for extra, message in (
+            (["--family", "l1_15to1", "--dx", "3", "--dz", "5", "--dm", "3"],
+             "level-1 requires dZ <= dX"),
+            (["--family", "l2_15x15", "--dx", "9", "--dz", "3", "--dm", "3",
+              "--dx2", "25", "--dz2", "9", "--dm2", "9", "--n-l1", "3"],
+             "nL1 must be a positive even integer"),
+            (["--family", "l1_15to1", "--dx", "7", "--dz", "3", "--dm", "3",
+              "--consumption-full"],
+             "L1_15to1 takes no consumption prefactor"),
+        ):
+            for fmt in ("plain", "json"):
+                assert main(["sweep", "--pphys", "1e-3", "--target", "1e-7",
+                             "--format", fmt] + extra) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: {message}\n"
+
+    def test_level1_consumption_full_exits_2(self, tmp_path, capsys):
+        # a level-1 output is always charged half, so asking for the full
+        # charge is an input error
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({"protocols": [
+            {"family": "l1_15to1_small", "d": [9, 3, 3], "p_phys": 1e-4,
+             "consumption_prefactor": "full"}]}), encoding="utf-8")
+        for argv, message in (
+            (["factory", "--family", "l1_15to1", "--d", "7,3,3",
+              "--pphys", "1e-4", "--consumption-full"],
+             "L1_15to1 takes no consumption prefactor"),
+            (["factory", "--config", str(path)],
+             "protocols[0]: L1_15to1_small takes no consumption prefactor"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        with pytest.raises(ConfigError, match=r"^protocols\[0\]: "):
+            load_config(str(path))
+
     def test_huge_distance_exits_2(self, tmp_path, capsys):
         # 401 digits: the rate formulas used to overflow a float
         huge = 10 ** 400 + 1

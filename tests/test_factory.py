@@ -81,6 +81,15 @@ class TestConfigValidation:
                           PhysicalNoise(1e-3))
 
 
+    def test_level1_takes_no_consumption_prefactor(self):
+        # a level-1 output is always charged half of dX p_L(p, dX)
+        for family in ("L1_15to1", "L1_15to1_small"):
+            with pytest.raises(ValueError,
+                               match=f"{family} takes no consumption"):
+                FactoryConfig(family, DistanceSet(7, 3, 3),
+                              PhysicalNoise(1e-4), True)
+
+
 class TestSchedules:
     def test_level1_shape(self):
         # six steps, one per dm of the block's 6 dm cycles
@@ -203,6 +212,13 @@ class TestCycleCost:
         np.testing.assert_allclose(cycle_cost(cfg, 0.0), 10 * 9)
         cfg = _l2("L2_15xCCZ", 9, 3, 3, 15, 7, 9, 4, 1e-4)
         np.testing.assert_allclose(cycle_cost(cfg, 0.0), 4 * 9)
+        # the small footprint consumes one level-1 state per 2 dm2 cycles
+        # over its 15 steps: 15 * 2 * 11
+        small = FactoryConfig("L2_15x15_small",
+                              DistanceSet(9, 3, 3, 21, 9, 11),
+                              PhysicalNoise(1e-3))
+        assert cycle_cost(small, 0.0) == 330.0
+        assert cycle_cost(small, 0.125) == 330.0
 
     def test_level2_limited_by_level1_supply(self):
         # when level-1 rounds are the bottleneck the turnaround time is
@@ -211,6 +227,17 @@ class TestCycleCost:
         p_fail = 0.0041119
         t_l1 = 6 * 3 / (1 - p_fail) / (4 / 2)
         np.testing.assert_allclose(cycle_cost(cfg, p_fail), 7.5 * t_l1)
+        # 20-to-4: 10 * 6 dm / (1 - p_fail) / (nL1 / 2), above 10 dm2 = 70
+        cfg = _l2("L2_15x20", 9, 5, 5, 15, 7, 7, 4, 1e-4)
+        assert cycle_cost(cfg, 0.0) == 150.0
+        assert cycle_cost(cfg, 0.25) == 200.0
+        # the small footprint's own block: 15 * 6 dm / (1 - p_fail), above
+        # 15 * 2 dm2 = 330
+        small = FactoryConfig("L2_15x15_small",
+                              DistanceSet(9, 5, 5, 21, 9, 11),
+                              PhysicalNoise(1e-3))
+        assert cycle_cost(small, 0.0) == 450.0
+        assert cycle_cost(small, 0.25) == 600.0
 
 
 class TestFullDistance:
@@ -267,6 +294,30 @@ class TestNames:
         assert protocol_name(
             _l2("L2_15x20", 13, 5, 5, 23, 11, 13, 6, 1e-3)
         ) == "(15-to-1)^6_{13,5,5} x (20-to-4)_{23,11,13}"
+        assert protocol_name(
+            _l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4, 1e-4)
+        ) == "(15-to-1)^4_{9,3,3} x (15-to-1)_{25,9,9}"
+        assert protocol_name(
+            _l2("L2_15xCCZ", 7, 3, 3, 15, 7, 9, 4, 1e-4)
+        ) == "(15-to-1)^4_{7,3,3} x (8-to-CCZ)_{15,7,9}"
+        assert protocol_name(FactoryConfig(
+            "L2_15x15_small", DistanceSet(9, 5, 5, 21, 9, 11),
+            PhysicalNoise(1e-3))
+        ) == "(15-to-1)_{9,5,5} x (15-to-1)_{21,9,11} small footprint"
+
+    def test_distance_keys(self):
+        level1 = ("dX", "dZ", "dm")
+        level2 = level1 + ("dX2", "dZ2", "dm2")
+        assert {f: distance_keys(f) for f in FAMILIES} == {
+            "L1_15to1": level1,
+            "L1_15to1_small": level1,
+            "L2_15x15": level2 + ("nL1",),
+            "L2_15x20": level2 + ("nL1",),
+            "L2_15xCCZ": level2 + ("nL1",),
+            "L2_15x15_small": level2,
+        }
+        with pytest.raises(ValueError, match="unknown family"):
+            distance_keys("L3_bogus")
 
     def test_family_outputs(self):
         assert family_outputs("L2_15x20") == 4
@@ -473,7 +524,7 @@ def test_x_flips_wait_for_the_next_rotation_on_their_qubit(config, flips,
         counted["absorbed", state.n] += len(probs)
         return absorbed(state, probs)
 
-    if config.family in factory._LEVEL2_CIRCUIT:  # level 1 runs uncounted
+    if factory.LAYOUTS[config.family].level == 2:  # level 1 runs uncounted
         factory.level1_output_error(config)
     else:  # a level-1 row is read from the memo of level-1 runs
         factory._LEVEL1_RUNS.clear()
@@ -615,6 +666,21 @@ class TestSweep:
         ranges = {"dX": [7, 9], "dZ": [3, 9], "dm": [3]}  # dZ=9 > dX=7
         front = sweep("L1_15to1", ranges, noise, target_p_out=1.0)
         assert len(front) >= 1
+
+    def test_a_grid_of_no_configuration_raises_its_first_error(self):
+        # every combination fails to make a configuration: the first
+        # combination's error, not an empty front
+        noise = PhysicalNoise(1e-3)
+        with pytest.raises(ValueError, match=r"requires dZ <= dX"):
+            sweep("L1_15to1", {"dX": [3], "dZ": [5], "dm": [3, 1]},
+                  noise, 1e-7)
+        with pytest.raises(ValueError, match="nL1 must be a positive even"):
+            sweep("L2_15x15", {"dX": [9], "dZ": [3], "dm": [3],
+                               "dX2": [25], "dZ2": [9], "dm2": [9],
+                               "nL1": [3, 5]}, noise, 1e-7)
+        with pytest.raises(ValueError, match="takes no consumption"):
+            sweep("L1_15to1", {"dX": [7], "dZ": [3], "dm": [3]}, noise,
+                  1e-7, consumption_prefactor_toggle=True)
 
     def test_range_key_validation(self):
         noise = PhysicalNoise(1e-4)
@@ -912,6 +978,10 @@ class TestSweepPruning:
         p_outs = [_simulate_once(c).p_out
                   for c in _valid_configs("L1_15to1", ranges, noise)]
         target = data.draw(st.sampled_from(p_outs + [1e-12, 1.0]))
+        if not p_outs:  # a grid of no configuration is an input error
+            with pytest.raises(ValueError, match="level-1 requires"):
+                sweep("L1_15to1", ranges, noise, target)
+            return
         with mock.patch.object(factory, "simulate_factory", _simulate_once):
             front = sweep("L1_15to1", ranges, noise, target)
         assert front == _brute_force_front("L1_15to1", ranges, noise, target)
@@ -953,6 +1023,10 @@ class TestSweepPruning:
                 None, None, None, None)
 
         target = data.draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
+        if not outcomes:  # a grid of no configuration is an input error
+            with pytest.raises(ValueError, match="level-1 requires"):
+                sweep(family, ranges, noise, target)
+            return
         with mock.patch.object(factory, "simulate_factory", drawn), \
                 mock.patch.object(factory, "p_out_lower_bound", drawn_bound):
             front = sweep(family, ranges, noise, target)
