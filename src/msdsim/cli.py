@@ -236,12 +236,13 @@ def _build_config(
     p_phys: float,
     c_t: float,
     consumption_full: bool,
-    names: tuple[str, str] = ("--d2", "--n-l1"),
+    names: tuple[str, str, str] = ("--d2", "--n-l1", "--consumption-full"),
 ) -> FactoryConfig:
     """The configuration of these inputs.
 
-    ``names`` are how the user wrote d2 and n_l1 (flags or config keys),
-    for the error when the family needs one of them or takes none.
+    ``names`` spell d2, n_l1 and the full prefactor as the user wrote them
+    (flags or config keys), for the error when the family needs one that
+    is missing or takes none.
     """
     family = FAMILY_NAMES[family_cli]
     keys = distance_keys(family)
@@ -249,6 +250,8 @@ def _build_config(
         if (value is not None) != (key in keys):
             verb = "requires" if key in keys else "takes no"
             raise ValueError(f"{family_cli} {verb} {name}")
+    if consumption_full and "dX2" not in keys:
+        raise ValueError(f"{family_cli} takes no {names[2]}")
     distances = DistanceSet(*d, *(d2 or (None, None, None)), n_l1)
     noise = PhysicalNoise(p_phys, c_t)
     return FactoryConfig(family, distances, noise, consumption_full)
@@ -359,7 +362,7 @@ def load_config(path: str) -> list[FactoryConfig]:
         try:
             configs.append(
                 _build_config(family_cli, d, d2, n_l1, p_phys, c_t, toggle,
-                              ("d2", "n_l1"))
+                              ("d2", "n_l1", 'consumption_prefactor "full"'))
             )
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from None
@@ -585,11 +588,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ranges = {key: parse_int_list(text, flags[key])
               for key, text in given.items() if text is not None}
     keys = distance_keys(family)
-    for verb, wrong in (("requires", [k for k in keys if k not in ranges]),
-                        ("takes no", [k for k in ranges if k not in keys])):
+    extra = [flags[k] for k in ranges if k not in keys]
+    if args.consumption_full and "dX2" not in keys:
+        extra.append("--consumption-full")
+    for verb, wrong in (("requires", [flags[k] for k in keys
+                                      if k not in ranges]),
+                        ("takes no", extra)):
         if wrong:
-            raise ValueError(f"{args.family} {verb} "
-                             f"{', '.join(flags[k] for k in wrong)}")
+            raise ValueError(f"{args.family} {verb} {', '.join(wrong)}")
     noise = PhysicalNoise(args.pphys, args.ct)
     reports = sweep(family, ranges, noise, args.target,
                     args.consumption_full, kmax=args.kmax)

@@ -6,7 +6,8 @@ event of a run (a rotation's substitution branch, an output, storage or
 consumption Z flip) is a diagonal phase that commutes with the others and
 with the ideal rotations, and the run projects once, at its end.  So each
 set of events leaves one pure branch whose deviation from the ideal output
-and success mass depend on the schedule alone (:func:`kept_sets`).
+and success mass depend on the schedule alone (:func:`kept_sets`).  The
+events and their kinds are the entries of ``Schedule.events``.
 """
 from __future__ import annotations
 
@@ -48,53 +49,57 @@ class EventSets(NamedTuple):
     low: int
 
 
-def classes(schedule, inputs: tuple) -> tuple[tuple[int, ...], list[float]]:
+def classes(schedule, profiles, probabilities: tuple[float, ...]
+            ) -> tuple[tuple[int, ...], list[float]]:
     """The class of each kind of error event the event sets hold, in a run
-    of ``schedule`` on the noise ``inputs``, and each class's odds.
+    of ``schedule`` whose rotations have the error ``profiles`` and whose
+    channels (``schedule.events``) the ``probabilities``, and each class's
+    odds.
 
-    The kinds are rotation i's three substitution branches and its output
-    Z flip at 4 i to 4 i + 3, then each qubit's storage Z flip, then the
-    consumption Z flip; an event's odds are p / keep, keep being 1 less
-    the probabilities of its channel (a rotation's three branches, or one
-    flip), which must be above 0.  The kinds of one branch of the
-    rotations are grouped by equal odds, in order of first appearance, and
-    each storage and consumption kind is a class of its own, so that
-    distances at which two qubits' storage odds coincide read the same
-    table.
+    An event's odds are p / keep, keep being 1 less the probability of its
+    channel (a rotation's three branches, or one flip), which must be
+    above 0.  The kinds of one branch of the rotations are grouped by
+    equal odds, in order of first appearance, and each storage and
+    consumption kind is a class of its own, so that distances at which two
+    qubits' storage odds coincide read the same table.
     """
-    profiles, rates, cycles, consumption = inputs
-    odds = []
-    for f in profiles:
-        keep = 1.0 - (f.p_half + f.p_quarter + f.p_mquarter)
-        odds += [f.p_half / keep, f.p_quarter / keep, f.p_mquarter / keep,
-                 f.p_z_output / (1.0 - f.p_z_output)]
-    flips = [cycles * rates[q].pZ for q in range(schedule.circuit.n)]
-    odds += [p / (1.0 - p) for p in flips + [consumption.pZ]]
-    rotations = 4 * len(profiles)
-    seen: dict = {}
-    partition = tuple(
-        seen.setdefault((kind % 4 if kind < rotations else kind, o),
-                        len(seen))
-        for kind, o in enumerate(odds))
-    return partition, [o for _, o in seen]
+    # each kind's class key; a kind no entry has is the output flip of a
+    # rotation without outputs, and the last entry's is the last kind
+    none = (3, 0.0)
+    keys = [none] * (schedule.events[-1][-1] + 1)
+    for (_, source, _, target, kind), p in zip(schedule.events,
+                                               probabilities):
+        if kind is None or keys[kind] is not none:  # an X flip, or seen
+            continue
+        if source == "rotation":
+            f, keep = profiles[target], 1.0 - p
+            keys[kind:kind + 3] = ((0, f.p_half / keep),
+                                   (1, f.p_quarter / keep),
+                                   (2, f.p_mquarter / keep))
+        else:  # a Z flip
+            keys[kind] = (3 if source == "output" else kind, p / (1.0 - p))
+    # the classes in order of first appearance
+    number = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    return tuple(map(number.__getitem__, keys)), [o for _, o in number]
 
 
 def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     """Yield the runs of ``schedule`` without X flips, one per set of up to
     ``order`` error events that the checks let through, in chunks.
 
-    The events are each rotation's three substitution branches, a set
-    holding at most one per rotation, and the Z flips: a rotation's output
-    flips and every storage and consumption flip.  Each kind of event of
-    :func:`classes` is of class ``partition[kind]``.  All Z flips on one
-    qubit are the same operator, so the m flips of one class on qubit q
-    enter as one event of multiplicity m: a set that holds it j <= m times
-    stands for C(m, j) sets of the run, each with the same branch.  A
-    chunk is ``(labels, norms, ways)``, each with one column per set and
-    the sets of one chunk of one size: ``labels`` holds each event's
-    class, ``norms`` each set's deviation from the ideal output and
-    success mass, and ``ways`` how many sets of the run it stands for, the
-    product of its flips' C(m, j).  The sizes come in increasing order.
+    The events are the Z-type entries of ``schedule.events``: each
+    rotation's three substitution branches, a set holding at most one per
+    rotation, and the Z flips, a rotation's output flips and every storage
+    and consumption flip.  Each kind of event of :func:`classes` is of
+    class ``partition[kind]``.  All Z flips on one qubit are the same
+    operator, so the m flips of one class on qubit q enter as one event of
+    multiplicity m: a set that holds it j <= m times stands for C(m, j)
+    sets of the run, each with the same branch.  A chunk is ``(labels,
+    norms, ways)``, each with one column per set and the sets of one chunk
+    of one size: ``labels`` holds each event's class, ``norms`` each set's
+    deviation from the ideal output and success mass, and ``ways`` how
+    many sets of the run it stands for, the product of its flips' C(m, j).
+    The sizes come in increasing order.
 
     Every event and every ideal rotation is a diagonal phase, a power of
     exp(i pi/8), so the pre-measurement state a set leaves has amplitudes
@@ -125,22 +130,18 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     # channel (a rotation's branches are adjacent)
     steps, labels, ends = [], [], []
     flips = Counter()  # the multiplicity of each (qubit, class) of Z flips
-    for ri, r in enumerate(c.rotations):
-        mask = sum(1 << q for q in r.axis.support)
-        z = z_signs(mask, c.n)[basis].astype(np.int64)
-        pre -= r.angle.k * z
-        for col, k in enumerate((4, 2, -2)):  # P_{pi/2}, P_{pi/4}, P_{-pi/4}
-            steps.append(-k * z)
-            labels.append(partition[4 * ri + col])
-        ends += [len(steps)] * 3
-        for q in schedule.rotation_outputs[ri]:
-            flips[q, partition[4 * ri + 3]] += 1
-    storage = 4 * len(c.rotations)
-    for stored in schedule.stored:
-        for q in stored:
-            flips[q, partition[storage + q]] += 1
-    for q in c.output_qubits:
-        flips[q, partition[-1]] += 1
+    for _, source, operator, target, kind in schedule.events:
+        if source == "rotation":
+            mask = sum(1 << q for q in operator.axis.support)
+            z = z_signs(mask, c.n)[basis].astype(np.int64)
+            pre -= operator.angle.k * z
+            # P_{pi/2}, P_{pi/4}, P_{-pi/4}
+            for col, k in enumerate((4, 2, -2)):
+                steps.append(-k * z)
+                labels.append(partition[kind + col])
+            ends += [len(steps)] * 3
+        elif kind is not None:  # a Z flip; the X flips are left out
+            flips[target, partition[kind]] += 1
     mults = [1] * len(steps)
     for (q, label), m in flips.items():
         steps.append(8 * ((basis >> q) & 1))

@@ -234,39 +234,52 @@ class ScheduleStep:
 class Schedule:
     """A circuit's steps, after which its checks are measured: every qubit
     is a check or an output, and no step sees the outputs that the
-    projection keeps, renumbered.  Computed once: ``stored`` holds each
-    step's stored qubits, those initialized by its end, sorted, and
-    ``rotation_outputs`` each rotation's output qubits (of its axis)."""
+    projection keeps, renumbered.
+
+    ``events`` lists the run's error channels once, in time order: each
+    rotation, then a Z flip on each output of its axis; after a step's
+    rotations, an X and a Z flip on each qubit initialized by then; last,
+    an X and a Z flip on each output, consumed at step ``len(steps)``.  An
+    entry is (step, source, operator, target, kind): source "rotation",
+    "output", "storage" or "consumption"; operator the ``Rotation``, "X"
+    or "Z"; target the rotation's index or the qubit; kind, with R
+    rotations, 4i for rotation i (its branches 4i to 4i+2), 4i+3 for its
+    output flips, 4R+q for q's storage Z flips, 4R+n for the consumption
+    Z flips, and None for the X flips, which the event sets leave out.
+    """
 
     circuit: Circuit
     steps: tuple[ScheduleStep, ...]
-    stored: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False)
-    rotation_outputs: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False)
+    events: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = self.circuit
-        seen: list[int] = []
-        stored = []
+        storage = 4 * len(c.rotations)
+        events = []
         initialized: set[int] = set()
-        for step in self.steps:
-            initialized |= step.initialize
-            seen.extend(step.rotations)
-            for ri in step.rotations:
-                if not set(c.rotations[ri].axis.support) <= initialized:
+        for step, s in enumerate(self.steps):
+            initialized |= s.initialize
+            for ri in s.rotations:
+                r = c.rotations[ri]
+                if not set(r.axis.support) <= initialized:
                     raise ValueError(
                         f"rotation {ri} touches an uninitialized qubit")
-            stored.append(tuple(sorted(initialized)))
-        if sorted(seen) != list(range(len(c.rotations))):
+                events.append((step, "rotation", r, ri, 4 * ri))
+                events += [(step, "output", "Z", q, 4 * ri + 3) for q in
+                           sorted(c.output_qubits & set(r.axis.support))]
+            for q in sorted(initialized):
+                events += [(step, "storage", "X", q, None),
+                           (step, "storage", "Z", q, storage + q)]
+        if sorted(ri for _, source, _, ri, _ in events
+                  if source == "rotation") != list(range(len(c.rotations))):
             raise ValueError("schedule must apply every rotation exactly once")
         if len(c.check_qubits | c.output_qubits) != c.n:
             raise ValueError("every qubit of a scheduled circuit must be a "
                              "check or an output")
-        object.__setattr__(self, "stored", tuple(stored))
-        object.__setattr__(self, "rotation_outputs", tuple(
-            tuple(sorted(c.output_qubits.intersection(r.axis.support)))
-            for r in c.rotations))
+        for q in sorted(c.output_qubits):
+            events += [(len(self.steps), "consumption", "X", q, None),
+                       (len(self.steps), "consumption", "Z", q, storage + c.n)]
+        object.__setattr__(self, "events", tuple(events))
 
 
 @lru_cache(maxsize=None)
@@ -308,37 +321,29 @@ def cycle_cost(config: FactoryConfig, p_fail_L1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _events(schedule: Schedule, inputs: tuple) -> list[float]:
-    """Each error event's probability in a run of ``schedule``, in the
-    order of its steps.
-
-    A rotation's substitution branches count as one event, each output Z
-    flip as one, and each storage or consumption channel as two (its X and
-    its Z flip).  ``inputs`` is as for :func:`_run_schedule`.
-    """
+def _probabilities(schedule: Schedule, inputs: tuple) -> tuple[float, ...]:
+    """The probability of each entry of ``schedule.events`` under the
+    noise ``inputs`` (:func:`_noise_inputs`), a rotation's being that of
+    its three substitution branches together."""
     profiles, rates, cycles, consumption = inputs
-    events: list[float] = []
-    for step, stored in zip(schedule.steps, schedule.stored):
-        for ri in step.rotations:
-            profile = profiles[ri]
-            events.append(profile.p_half + profile.p_quarter
-                          + profile.p_mquarter)
-            events += [profile.p_z_output] * len(schedule.rotation_outputs[ri])
-        for q in stored:
-            events += [cycles * rates[q].pX, cycles * rates[q].pZ]
-    for q in sorted(schedule.circuit.output_qubits):
-        events += [consumption.pX, consumption.pZ]
-    return events
+    stored = {"X": {q: cycles * r.pX for q, r in rates.items()},
+              "Z": {q: cycles * r.pZ for q, r in rates.items()}}
+    consumed = {"X": consumption.pX, "Z": consumption.pZ}
+    return tuple([
+        profiles[target].p_half + profiles[target].p_quarter
+        + profiles[target].p_mquarter if source == "rotation"
+        else profiles[kind // 4].p_z_output if source == "output"
+        else stored[operator][target] if source == "storage"
+        else consumed[operator]
+        for _, source, operator, target, kind in schedule.events])
 
 
 def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     """Run one factory schedule on one graded state, whose channels update
     it in place.
 
-    ``inputs`` is the (profiles, storage rates, storage cycles,
-    consumption) of one configuration (:func:`_noise_inputs`).  Each step
-    applies its rotations, then stores the qubits of its entry of
-    ``schedule.stored`` for the storage cycles: an X and a Z flip each.
+    The run applies the channels of ``schedule.events`` in order, at their
+    :func:`_probabilities` under the noise ``inputs`` (:func:`_noise_inputs`).
 
     A flip waits while it commutes, grade counts included.  Z flips wait
     for one pass before the checks.  An X flip on q waits for the next
@@ -347,35 +352,38 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     readout, or on a check it is absorbed (Pi X_c = Pi), a grade shift.
     """
     c = schedule.circuit
-    profiles, rates, cycles, consumption = inputs
-    if not any(_events(schedule, inputs)):
+    probabilities = _probabilities(schedule, inputs)
+    if not any(probabilities):
         # noiseless: the engine would read its round-off
         return ScheduleRun(0.0, 0.0)
+    profiles = inputs[0]
     rho = GradedDensityMatrix.init_plus(c.n, kmax)
-    z_flips, x_flips = [], {q: [] for q in range(c.n)}
-    for step, stored in zip(schedule.steps, schedule.stored):
-        for ri in step.rotations:
-            r = c.rotations[ri]
-            for q in r.axis.support:
-                for p in x_flips[q]:
-                    rho = rho.apply_x_flip(q, p)
+    z_flips, x_flips, consumed = [], {q: [] for q in range(c.n)}, []
+    for (_, source, operator, target, _), p in zip(schedule.events,
+                                                   probabilities):
+        if source == "rotation":
+            for q in operator.axis.support:
+                for x in x_flips[q]:
+                    rho = rho.apply_x_flip(q, x)
                 x_flips[q] = []
-            rho = rho.apply_faulty_rotation(r.axis, profiles[ri],
-                                            sign=1 if r.angle.k > 0 else -1)
-            z_flips += [(q, profiles[ri].p_z_output)
-                        for q in schedule.rotation_outputs[ri]]
-        for q in stored:
-            x_flips[q].append(cycles * rates[q].pX)
-            z_flips.append((q, cycles * rates[q].pZ))
+            rho = rho.apply_faulty_rotation(
+                operator.axis, profiles[target],
+                sign=1 if operator.angle.k > 0 else -1)
+        elif operator == "X":
+            x_flips[target].append(p)
+        else:
+            (consumed if source == "consumption" else z_flips).append(
+                (target, p))
     rho = rho.apply_z_flips(z_flips)
     rho, p_fail = rho.project_plus(c.check_qubits)
     rho = rho.apply_absorbed_flips(
         [p for q in sorted(c.check_qubits) for p in x_flips.pop(q)])
     # the projection kept the outputs, numbered in order
-    for i, flips in enumerate(x_flips.values()):
-        for p in flips + [consumption.pX]:
-            rho = rho.apply_x_flip(i, p)
-    rho = rho.apply_z_flips([(i, consumption.pZ) for i in range(rho.n)])
+    kept = {q: i for i, q in enumerate(x_flips)}
+    for q, flips in x_flips.items():
+        for p in flips:
+            rho = rho.apply_x_flip(kept[q], p)
+    rho = rho.apply_z_flips([(kept[q], p) for q, p in consumed])
     return ScheduleRun(rho.infidelity_with_pure(c.ideal_kept) / c.outputs,
                        p_fail)
 
@@ -393,14 +401,12 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
 
     The bound reads the run's order-``order`` p_out without its X flips
     from the family's event sets (:mod:`eventsets`) of its partition into
-    classes of equal odds.  A partition not seen before, such as that of
-    p_phys = 0, where every rotation has the same odds, enumerates the
-    sets again.  That read rounds by a few eps of p_out: a signature's
-    weight is a product of at most ``order`` odds, and both the sums
-    within a signature and those over signatures are correctly rounded
-    (``math.fsum``), so p_out lands within 4 eps of the correctly rounded
-    sum over the sets, and the floor likewise.  The slack's eps term, 16
-    eps of p_out, covers it.
+    classes of equal odds; a partition not seen before (as at p_phys = 0,
+    where every rotation has the same odds) enumerates them again.  A
+    signature weighs a product of at most ``order`` odds, and the sums in
+    and over signatures are correctly rounded (``math.fsum``), so p_out
+    lands within 4 eps of the correctly rounded sum over the sets, and the
+    floor likewise; the slack's 16 eps of p_out covers it.
 
     That p_out bounds the run with the X flips.  A run at any kmax reads
     p_out = N/T, with T <= 1 its success mass and N the sum over its kept
@@ -410,17 +416,17 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
     weight in the run without them.  Keeping only those sets, and taking
     that run's success mass as at least its zero-event mass, gives
     p_out(with X flips) >= Z * (p_out - slack), where Z is prod(1 - p_e)
-    over every event of the run (:func:`_events`).  No tail is needed.
-    The run holds up to (S^2/2)/Z in grades 2 and up, with S the sum of
-    those probabilities, so its floor may exceed this one's by eps times
-    that; the slack includes it.
+    over every error channel of the run (:func:`_probabilities`).  No tail
+    is needed.  The run holds up to (S^2/2)/Z in grades 2 and up, with S
+    the sum of those probabilities, so its floor may exceed this one's by
+    eps times that; the slack includes it.
     """
     schedule = build_schedule(family)
-    events = _events(schedule, inputs)
-    zero_mass = math.prod(1.0 - e for e in events)
+    probabilities = _probabilities(schedule, inputs)
+    zero_mass = math.prod([1.0 - p for p in probabilities])
     if zero_mass == 0.0:  # a rotation's substitution probabilities sum to 1
         return 0.0
-    partition, odds = classes(schedule, inputs)
+    partition, odds = classes(schedule, inputs[0], probabilities)
     outputs = schedule.circuit.outputs
     p_out, floor = read_p_out(_event_sets(family, order, partition), odds,
                               outputs)
@@ -428,7 +434,7 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
     # few eps of p_out (table1 row 5's engine readouts at two orders
     # differed by 0.1 floor; other float orders moved it by up to 2.6)
     slack = (16 * (floor / outputs + _EPS * p_out)
-             + 8 * _EPS * sum(events)**2 / zero_mass / outputs)
+             + 8 * _EPS * sum(probabilities)**2 / zero_mass / outputs)
     return zero_mass * (p_out - slack)
 
 
@@ -485,8 +491,9 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
             profile = cache(lambda outputs: level2_rotation_profile(
                 noise, level1.p_out, layout.l_anc(d), d.dX2, d.dm2,
                 layout.l_move(d), outputs))
-            profiles = [profile(bool(outputs))
-                        for outputs in schedule.rotation_outputs]
+            profiles = [
+                profile(not c.output_qubits.isdisjoint(r.axis.support))
+                for r in c.rotations]
             dx, dz, p_fail = d.dX2, d.dZ2, level1.p_fail
         else:
             single = cache(lambda: single_qubit_rotation_profile(
@@ -494,12 +501,12 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
             multi = cache(lambda outputs: multiqubit_rotation_profile(
                 noise, layout.l_anc(d), d.dX, d.dm, outputs))
             profiles = [
-                single() if len(r.axis.support) == 1 else multi(bool(outputs))
-                for r, outputs in zip(c.rotations, schedule.rotation_outputs)
-            ]
+                single() if len(r.axis.support) == 1
+                else multi(not c.output_qubits.isdisjoint(r.axis.support))
+                for r in c.rotations]
             dx, dz, p_fail = d.dX, d.dZ, 0.0
-        rates = {q: patch_storage_rates(
-                     noise, dx, dx if q in c.output_qubits else dz)
+        rate = {dh: patch_storage_rates(noise, dx, dh) for dh in (dx, dz)}
+        rates = {q: rate[dx if q in c.output_qubits else dz]
                  for q in range(c.n)}
         prefactor = 1.0 if config.consumption_prefactor_toggle else 0.5
         consume = prefactor * dx * logical_error_rate(noise.p_phys, dx)
@@ -576,34 +583,18 @@ def simulate_factory(config: FactoryConfig,
                if config == _level1_block(config)
                else _run_level1(config, kmax))
         p_fail_l1, p_fail_l2 = run.p_fail, 0.0
-    p_out = run.p_out
+    p_out, p_phys = run.p_out, config.noise.p_phys
     qubits, cycles, per_state = _costs(config, p_fail_l1)
     outputs = family_outputs(config.family)
     # the full-distance normalization uses the per-T-equivalent error (one
-    # CCZ resource state substitutes four T states)
-    p_equiv = p_out / layout.t_states
-    d100 = d10k = cost100 = cost10k = None
-    if p_out > 0.0:
-        d100 = full_distance(p_equiv, "qubits100", config.noise.p_phys)
-        d10k = full_distance(p_equiv, "qubits10k", config.noise.p_phys)
-        if d100 is not None:
-            cost100 = d3_cost(qubits, cycles, outputs, d100)
-        if d10k is not None:
-            cost10k = d3_cost(qubits, cycles, outputs, d10k)
-    return FactoryReport(
-        protocol=protocol_name(config),
-        p_phys=config.noise.p_phys,
-        p_out=p_out,
-        p_fail_L1=p_fail_l1,
-        p_fail_L2=p_fail_l2,
-        qubits=qubits,
-        cycles=cycles,
-        qubitcycles_per_state=per_state,
-        d_full_100=d100,
-        cost_d3_100=cost100,
-        d_full_10k=d10k,
-        cost_d3_10k=cost10k,
-    )
+    # CCZ resource state substitutes four T states); (d, cost) per scale
+    full = []
+    for scale in ("qubits100", "qubits10k"):
+        d = (full_distance(p_out / layout.t_states, scale, p_phys)
+             if p_out > 0.0 else None)
+        full += [d, None if d is None else d3_cost(qubits, cycles, outputs, d)]
+    return FactoryReport(protocol_name(config), p_phys, p_out, p_fail_l1,
+                         p_fail_l2, qubits, cycles, per_state, *full)
 
 
 def p_out_lower_bound(config: FactoryConfig,

@@ -612,7 +612,7 @@ class TestMainExitCodes:
              "nL1 must be a positive even integer"),
             (["--family", "l1_15to1", "--dx", "7", "--dz", "3", "--dm", "3",
               "--consumption-full"],
-             "L1_15to1 takes no consumption prefactor"),
+             "l1_15to1 takes no --consumption-full"),
         ):
             for fmt in ("plain", "json"):
                 assert main(["sweep", "--pphys", "1e-3", "--target", "1e-7",
@@ -631,9 +631,10 @@ class TestMainExitCodes:
         for argv, message in (
             (["factory", "--family", "l1_15to1", "--d", "7,3,3",
               "--pphys", "1e-4", "--consumption-full"],
-             "L1_15to1 takes no consumption prefactor"),
+             "l1_15to1 takes no --consumption-full"),
             (["factory", "--config", str(path)],
-             "protocols[0]: L1_15to1_small takes no consumption prefactor"),
+             'protocols[0]: l1_15to1_small takes no consumption_prefactor '
+             '"full"'),
         ):
             assert main(argv) == 2
             captured = capsys.readouterr()

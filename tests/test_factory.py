@@ -128,9 +128,73 @@ class TestSchedules:
         # qubit q is stored in steps_stored[q] steps, those from the one
         # that initializes it on, that one included
         s = build_schedule(family)
-        assert all(list(qubits) == sorted(qubits) for qubits in s.stored)
-        counts = collections.Counter(q for qubits in s.stored for q in qubits)
+        stored = [[q for step, source, operator, q, _ in s.events
+                   if (step, source, operator) == (i, "storage", "Z")]
+                  for i in range(len(s.steps))]
+        assert all(qubits == sorted(qubits) for qubits in stored)
+        counts = collections.Counter(q for qubits in stored for q in qubits)
         assert [counts[q] for q in range(s.circuit.n)] == steps_stored
+
+    @pytest.mark.parametrize("family, counts", [
+        ("L1_15to1", (15, 7, 27, 1, 78)),
+        ("L1_15to1_small", (15, 7, 27, 1, 78)),
+        ("L2_15x15", (15, 7, 40, 1, 104)),
+        ("L2_15x20", (20, 28, 69, 4, 194)),
+        ("L2_15xCCZ", (8, 12, 16, 3, 58)),
+        ("L2_15x15_small", (15, 7, 75, 1, 174)),
+    ])
+    def test_a_run_lists_its_error_channels_in_time_order(self, family,
+                                                          counts):
+        # counts: the rotations, output Z flips, stored qubit-steps and
+        # consumed outputs, a storage or consumption channel being an X
+        # and a Z entry, and all the entries
+        s = build_schedule(family)
+        c = s.circuit
+        rotations, outputs, stored, consumed, channels = counts
+        assert len(s.events) == channels
+        assert collections.Counter(
+            (source, operator if source != "rotation" else None)
+            for _, source, operator, _, _ in s.events) == {
+            ("rotation", None): rotations, ("output", "Z"): outputs,
+            ("storage", "X"): stored, ("storage", "Z"): stored,
+            ("consumption", "X"): consumed, ("consumption", "Z"): consumed}
+        steps = [step for step, *_ in s.events]
+        assert steps == sorted(steps)
+        assert {source for _, source, *_ in s.events[-2 * consumed:]} == {
+            "consumption"}
+        storage = 4 * len(c.rotations)
+        for before, (step, source, operator, target, kind) in zip(
+                [None, *s.events], s.events):
+            if source == "rotation":
+                assert operator is c.rotations[target]
+                assert target in s.steps[step].rotations
+                assert kind == 4 * target
+                # after the last step's storage, or this step's rotations
+                assert (before is None or before[1] == "storage"
+                        or before[0] == step)
+            elif source == "output":
+                # right after its rotation, or that rotation's other flips
+                assert operator == "Z" and kind % 4 == 3
+                assert before[1] in ("rotation", "output")
+                assert before[4] // 4 == kind // 4 and before[0] == step
+                axis = c.rotations[kind // 4].axis.support
+                assert target in c.output_qubits and target in axis
+                assert before[1] == "rotation" or before[3] < target
+            elif operator == "X":
+                assert kind is None
+                if before[1] == source:  # the previous qubit's channel
+                    assert before[0] == step
+                    assert before[2] == "Z" and before[3] < target
+                elif source == "storage":  # a step's follows its rotations
+                    assert before[1] in ("rotation", "output")
+                    assert before[0] == step
+                else:  # the consumption follows the last step's storage
+                    assert before[1] == "storage"
+                    assert before[0] + 1 == step == len(s.steps)
+            else:  # the Z flip right after the channel's X flip
+                assert before[:4] == (step, source, "X", target)
+                assert kind == storage + (
+                    target if source == "storage" else c.n)
 
     @pytest.mark.parametrize("step, replacement, message", [
         (2, ScheduleStep((3, 7, 8)), "rotation 3 touches an uninitialized"),
@@ -556,7 +620,7 @@ def test_a_schedule_run_matches_the_dense_oracle(family):
             r, profile = c.rotations[ri], profiles[ri]
             dense = dense.apply_faulty_rotation(
                 r.axis, profile, sign=1 if r.angle.k > 0 else -1)
-            outputs = schedule.rotation_outputs[ri]
+            outputs = sorted(c.output_qubits & set(r.axis.support))
             dense = dense.apply_z_flips([(q, profile.p_z_output)
                                          for q in outputs])
         for q in sorted(initialized):
@@ -1095,11 +1159,17 @@ def _leading_order(family: str) -> int:
     return factory.LEADING_ORDER[build_schedule(family).circuit.name]
 
 
+def _classes(schedule, inputs):
+    """The screen's partition of the run's kinds of events, and its odds."""
+    return eventsets.classes(schedule, inputs[0],
+                             factory._probabilities(schedule, inputs))
+
+
 def _table_p_out(family: str, inputs, order: int) -> tuple[float, float]:
     """The table's (p_out, floor) of the family's run without X flips, as
     the screen reads it."""
     schedule = build_schedule(family)
-    partition, odds = eventsets.classes(schedule, inputs)
+    partition, odds = _classes(schedule, inputs)
     return eventsets.read_p_out(factory._event_sets(family, order, partition),
                                 odds, schedule.circuit.outputs)
 
@@ -1110,7 +1180,7 @@ def _set_by_set(family: str, inputs, order: int) -> tuple[float, float]:
     odds and counted as often as the sets of the run it stands for, with
     math.fsum."""
     schedule = build_schedule(family)
-    partition, odds = eventsets.classes(schedule, inputs)
+    partition, odds = _classes(schedule, inputs)
     dev, low, high = [], [], []
     for labels, norms, ways in eventsets.kept_sets(schedule, order,
                                                    partition):
@@ -1146,16 +1216,20 @@ def _assert_table_matches_the_engine(family: str, inputs) -> None:
     p_out, floor = _table_p_out(family, inputs, order)
 
     def slack(inputs):
-        events = factory._events(schedule, inputs)
-        z = math.prod(1.0 - e for e in events)
+        probabilities = factory._probabilities(schedule, inputs)
+        z = math.prod(1.0 - p for p in probabilities)
         return z, (16 * (floor / c.outputs + factory._EPS * p_out)
-                   + 8 * factory._EPS * sum(events)**2 / z / c.outputs)
+                   + 8 * factory._EPS * sum(probabilities)**2 / z / c.outputs)
 
     no_x = (profiles, {q: StorageRates(0.0, r.pZ) for q, r in rates.items()},
             cycles, StorageRates(0.0, consumption.pZ))
+    # the run's channels at their probabilities, every X flip's at 0
+    assert factory._probabilities(schedule, no_x) == tuple(
+        0.0 if operator == "X" else p for (_, _, operator, _, _), p in zip(
+            schedule.events, factory._probabilities(schedule, inputs)))
     run = factory._run_schedule(schedule, no_x, order)
-    channels = 1 + sum(1 + len(c.output_qubits & set(r.axis.support))
-                       for r in c.rotations)
+    channels = 1 + sum(source in ("rotation", "output")
+                       for _, source, *_ in schedule.events)
     pure = (channels * factory._EPS)**2 / c.outputs
     assert -slack(no_x)[1] <= run.p_out - p_out <= slack(no_x)[1] + pure
     z, full = slack(inputs)
@@ -1221,8 +1295,7 @@ class TestScreen:
         # and the signatures of at most one event come first
         family = config.family
         schedule = build_schedule(family)
-        partition, odds = eventsets.classes(schedule,
-                                            factory._noise_inputs(config, 6))
+        partition, odds = _classes(schedule, factory._noise_inputs(config, 6))
         pad = len(odds)
         order = _leading_order(family)
         groups, most = {}, 1
@@ -1260,11 +1333,11 @@ class TestScreen:
                        for f in profiles], *inputs[1:])
         factory._event_sets.cache_clear()
         p_out, floor = _table_p_out(family, coinciding, order)
-        coarse, odds = eventsets.classes(schedule, coinciding)
+        coarse, odds = _classes(schedule, coinciding)
         assert factory._event_sets.cache_info().currsize == 1
         table = factory._event_sets(family, order, coarse)
         assert factory._event_sets.cache_info().hits == 1
-        finer, finer_odds = eventsets.classes(schedule, inputs)
+        finer, finer_odds = _classes(schedule, inputs)
         finer_table = factory._event_sets(family, order, finer)
         assert len(table.terms) < len(finer_table.terms)
         # the finer table read with each of its classes at its odds in the
