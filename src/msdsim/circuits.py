@@ -6,10 +6,11 @@ the 8-to-CCZ circuit, and the 7-rotation CCZ decomposition.  All angles are
 +-pi/8.  Qubit order inside each axis string: letter i is qubit i; check and
 output qubit indices are 0-based.
 
-Also here: unitary equivalence checks, brute-force undetected-error-set
-counting, full density-matrix circuit simulations under three noise models,
-and an exact check of each branch of the four lattice-surgery gadgets
-(state consumption, faulty T measurement, delayed-choice rotation, and the
+Also here: exact equivalence checks of Z-type circuits as phase
+polynomials, brute-force undetected-error-set counting, full
+density-matrix circuit simulations under three noise models, and an exact
+check of each branch of the four lattice-surgery gadgets (state
+consumption, faulty T measurement, delayed-choice rotation, and the
 auto-corrected rotation) on the branch's linear map.
 
 Usage::
@@ -21,6 +22,7 @@ Usage::
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -30,7 +32,6 @@ from .density import (
     DEFAULT_MAX_GRADE,
     GradedDensityMatrix,
     RotationErrorProfile,
-    _mask_of,
     _rejected,
     _sum_checks,
     pure_state_infidelity,
@@ -42,8 +43,9 @@ from .pauli import (
     equal_up_to_phase,
     matrix_of,
     parity_lookup,
+    phase_exponents,
     rotation_phases,
-    rotation_unitary,
+    z_mask,
 )
 
 SQ2 = np.sqrt(0.5)
@@ -84,10 +86,7 @@ class Circuit:
     def __post_init__(self) -> None:
         touched: set[int] = set()
         for r in self.rotations:
-            if r.axis.n != self.n:
-                raise ValueError("rotation width differs from circuit width")
-            if set(r.axis.letters) - {"I", "Z"}:
-                raise ValueError("catalog circuits are Z-type only")
+            z_mask(r.axis, self.n)  # Z-type, of the circuit's width
             touched.update(r.axis.support)
         if self.check_qubits & self.output_qubits:
             raise ValueError("check and output sets overlap")
@@ -216,32 +215,18 @@ CATALOG_KINDS = (
 # ---------------------------------------------------------------------------
 
 
-def compose_unitary(item, n: int | None = None) -> np.ndarray:
-    """Product unitary of a Circuit or rotation list (first rotation acts first)."""
-    rotations = item.rotations if isinstance(item, Circuit) else tuple(item)
-    if isinstance(item, Circuit):
-        n = item.n
-    elif n is None:
-        if not rotations:
-            raise ValueError("cannot infer width of an empty rotation list")
-        n = rotations[0].axis.n
-    u = np.eye(1 << n, dtype=np.complex128)
-    for r in rotations:
-        u = rotation_unitary(r) @ u
-    return u
-
-
 def verify_equivalence(a, b) -> bool:
-    """True iff the composed unitaries agree up to global phase
-    (:func:`equal_up_to_phase`)."""
-    na = a.n if isinstance(a, Circuit) else (a[0].axis.n if a else None)
-    nb = b.n if isinstance(b, Circuit) else (b[0].axis.n if b else None)
-    n = na if na is not None else nb
-    if n is None:
+    """True iff two Z-type circuits (a Circuit or a rotation list) on one
+    width agree up to global phase: their :func:`pauli.phase_exponents`
+    differ by one constant mod 16.  The check is exact integer arithmetic."""
+    a, b = (x.rotations if isinstance(x, Circuit) else tuple(x)
+            for x in (a, b))
+    if not a + b:
         return True
-    if na is not None and nb is not None and na != nb:
-        raise ValueError("qubit counts differ")
-    return equal_up_to_phase(compose_unitary(a, n), compose_unitary(b, n))
+    n = (a + b)[0].axis.n
+    # uint8 differences wrap mod 256, a multiple of 16
+    d = (phase_exponents(a, n) - phase_exponents(b, n)) % 16
+    return bool(np.all(d == d[0]))
 
 
 def undetected_error_sets(c: Circuit, order: int) -> int:
@@ -255,7 +240,7 @@ def undetected_error_sets(c: Circuit, order: int) -> int:
     if order > len(c.rotations):
         raise ValueError("order exceeds the rotation count")
     checks = tuple(sorted(c.check_qubits))
-    masks = np.array([_mask_of(r.axis) for r in c.rotations])
+    masks = np.array([r.axis.mask for r in c.rotations])
     subsets = itertools.combinations(range(len(masks)), order)
     count = 0
     # a chunk of subsets at a time, one state row each
@@ -288,6 +273,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("z_only", "random_pauli", "coherent"):
             raise ValueError(f"unknown noise kind: {self.kind}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"noise value must be finite, got {self.value!r}")
         if self.kind != "coherent" and not 0.0 <= self.value <= 0.1:
             raise ValueError("probability outside [0, 0.1]")
 
@@ -319,7 +306,7 @@ def simulate_circuit(
         psi = product_state([PLUS] * c.n)
         for r in c.rotations:
             psi = rotation_phases(
-                _mask_of(r.axis), c.n,
+                r.axis.mask, c.n,
                 r.angle.radians + noise.value * np.sign(r.angle.k)) * psi
         p_fail = 0.0
         if c.check_qubits:  # <+| on the checks, times 2**(c/2)

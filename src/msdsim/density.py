@@ -67,7 +67,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import MAX_QUBITS, PauliProduct, rotation_phases, z_signs
+from .pauli import MAX_QUBITS, PauliProduct, rotation_phases, z_mask, z_signs
 
 DEFAULT_MAX_GRADE = 6
 
@@ -120,10 +120,6 @@ class StorageRates:
 # array helpers (little-endian: basis-index bit i is qubit i, so once a
 # length-2**n axis is reshaped to (2,)*n, qubit i is axis -1 - i)
 # ---------------------------------------------------------------------------
-
-
-def _mask_of(p: PauliProduct) -> int:
-    return sum(1 << i for i in p.support)
 
 
 def _vec_xflip(vec: np.ndarray, qubit: int) -> np.ndarray:
@@ -264,17 +260,6 @@ def _scratch(kmax: int, dim: int) -> int:
     return max(2 + _per_block(kmax, dim), -(-(kmax + 2) // dim))
 
 
-def _z_mask(axis: PauliProduct, n: int, sign: int) -> int:
-    """Bitmask of a rotation's Z-type axis on n qubits, once both are valid."""
-    if axis.n != n:
-        raise ValueError("axis length differs from qubit count")
-    if set(axis.letters) - {"I", "Z"}:
-        raise ValueError("graded engine supports Z-type axes only")
-    if sign not in (1, -1):
-        raise ValueError(f"rotation sign must be +1 or -1, got {sign}")
-    return _mask_of(axis)
-
-
 # ---------------------------------------------------------------------------
 # graded engine
 # ---------------------------------------------------------------------------
@@ -412,7 +397,9 @@ class GradedDensityMatrix:
         :meth:`apply_z_flips`: they commute with every later Z-type
         operation, so a schedule applies them all in one pass.
         """
-        mask = _z_mask(axis, self.n, sign)
+        if sign not in (1, -1):
+            raise ValueError(f"rotation sign must be +1 or -1, got {sign}")
+        mask = z_mask(axis, self.n)
         theta = sign * np.pi / 8
         errors = [(profile.p_half, np.pi / 2), (profile.p_quarter, np.pi / 4),
                   (profile.p_mquarter, -np.pi / 4)]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import _BLOCK_BYTES
-from .pauli import z_signs
+from .pauli import phase_exponents, z_signs
 
 _EPS = sys.float_info.epsilon
 
@@ -104,7 +104,8 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     Every event and every ideal rotation is a diagonal phase, a power of
     exp(i pi/8), so the pre-measurement state a set leaves has amplitudes
     exp(i pi/8 a) / sqrt(2^n), where the integer a (mod 16) sums the
-    exponents of the ideal rotations and of the set's events.  The
+    exponents of the ideal rotations (:func:`pauli.phase_exponents`) and
+    of the set's events.  The
     checks' projection averages over the check qubits, and the ideal
     output is a vector phi of the other qubits (``Circuit.ideal_kept``)
     times |+> on the checks, so a branch reads through its sums r over
@@ -125,16 +126,15 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     # the basis index of each position, with the check bits fastest
     basis = sum(((index >> pos) & 1) << q
                 for pos, q in enumerate(checks + rest))
-    pre = np.zeros(1 << c.n, dtype=np.int64)
+    # the ideal rotations' exponents at each position
+    pre = phase_exponents(c.rotations, c.n)[basis]
     # each event's exponents and class, and the event that starts the next
     # channel (a rotation's branches are adjacent)
     steps, labels, ends = [], [], []
     flips = Counter()  # the multiplicity of each (qubit, class) of Z flips
     for _, source, operator, target, kind in schedule.events:
         if source == "rotation":
-            mask = sum(1 << q for q in operator.axis.support)
-            z = z_signs(mask, c.n)[basis].astype(np.int64)
-            pre -= operator.angle.k * z
+            z = z_signs(operator.axis.mask, c.n)[basis].astype(np.int64)
             # P_{pi/2}, P_{pi/4}, P_{-pi/4}
             for col, k in enumerate((4, 2, -2)):
                 steps.append(-k * z)
@@ -148,7 +148,6 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
         labels.append(label)
         mults.append(m)
         ends.append(len(steps))
-    pre = (pre % 16).astype(np.uint8)
     steps = (np.array(steps) % 16).astype(np.uint8)
     ends = np.array(ends, dtype=np.int32)
     labels = np.array(labels, dtype=np.uint8)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .circuits import LEADING_ORDER, Circuit, catalog
@@ -485,26 +485,31 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
     layout = LAYOUTS[config.family]
     d, noise, c = config.distances, config.noise, schedule.circuit
     try:
-        # one profile object per distinct kind of rotation
-        if layout.level == 2:
+        level2 = layout.level == 2
+        if level2:
             level1 = level1_output_error(config, kmax)
-            profile = cache(lambda outputs: level2_rotation_profile(
-                noise, level1.p_out, layout.l_anc(d), d.dX2, d.dm2,
-                layout.l_move(d), outputs))
-            profiles = [
-                profile(not c.output_qubits.isdisjoint(r.axis.support))
-                for r in c.rotations]
             dx, dz, p_fail = d.dX2, d.dZ2, level1.p_fail
         else:
-            single = cache(lambda: single_qubit_rotation_profile(
-                noise, d.dZ, d.dm))
-            multi = cache(lambda outputs: multiqubit_rotation_profile(
-                noise, layout.l_anc(d), d.dX, d.dm, outputs))
-            profiles = [
-                single() if len(r.axis.support) == 1
-                else multi(not c.output_qubits.isdisjoint(r.axis.support))
-                for r in c.rotations]
             dx, dz, p_fail = d.dX, d.dZ, 0.0
+        # one profile object per distinct kind of rotation, built in order
+        # of first appearance: keyed by whether its axis holds an output,
+        # or None for a level-1 single-qubit rotation
+        made, profiles = {}, []
+        for r in c.rotations:
+            outputs = not c.output_qubits.isdisjoint(r.axis.support)
+            key = outputs if level2 or len(r.axis.support) > 1 else None
+            if key not in made:
+                if level2:
+                    made[key] = level2_rotation_profile(
+                        noise, level1.p_out, layout.l_anc(d), d.dX2, d.dm2,
+                        layout.l_move(d), outputs)
+                elif key is None:
+                    made[key] = single_qubit_rotation_profile(
+                        noise, d.dZ, d.dm)
+                else:
+                    made[key] = multiqubit_rotation_profile(
+                        noise, layout.l_anc(d), d.dX, d.dm, outputs)
+            profiles.append(made[key])
         rate = {dh: patch_storage_rates(noise, dx, dh) for dh in (dx, dz)}
         rates = {q: rate[dx if q in c.output_qubits else dz]
                  for q in range(c.n)}

@@ -2,15 +2,17 @@
 
 A :class:`PauliProduct` is a string over ``{I, X, Y, Z}``; a
 :class:`Rotation` pairs a Pauli axis with an angle ``k*pi/8`` and has the
-unitary ``exp(-i * axis * k*pi/8)``.  Everything is small and dense (at most
-10 qubits), intended for exact verification of distillation circuits and
-lattice-surgery gadgets.
+unitary ``exp(-i * axis * k*pi/8)``.  A product of Z-type rotations is
+diagonal, a phase polynomial: :func:`phase_exponents` gives its diagonal
+exactly, as integer powers of exp(i pi/8).  Dense matrices (at most 10
+qubits) serve the lattice-surgery gadget checks.
 
 Usage::
 
-    from msdsim.pauli import PauliProduct, Rotation, RotationAngle, rotation_unitary
+    from msdsim.pauli import PauliProduct, Rotation, RotationAngle
+    from msdsim.pauli import phase_exponents
     zz = PauliProduct("ZZ")
-    u = rotation_unitary(Rotation(zz, RotationAngle(1)))   # exp(-i ZZ pi/8)
+    a = phase_exponents([Rotation(zz, RotationAngle(1))], 2)  # [15, 1, 1, 15]
 """
 from __future__ import annotations
 
@@ -53,6 +55,11 @@ class PauliProduct:
         """Indices (0-based) with a non-identity letter, computed once."""
         return tuple(i for i, c in enumerate(self.letters) if c != "I")
 
+    @cached_property
+    def mask(self) -> int:
+        """The support as a bitmask: bit i marks qubit i."""
+        return sum(1 << i for i in self.support)
+
 
 def matrix_of(p: PauliProduct) -> np.ndarray:
     """Dense matrix of a Pauli product.
@@ -93,12 +100,27 @@ class Rotation:
     angle: RotationAngle
 
 
-def rotation_unitary(r: Rotation) -> np.ndarray:
-    """exp(-i * axis * k*pi/8) via the cos/sin closed form."""
-    phi = r.angle.radians
-    m = matrix_of(r.axis)
-    dim = m.shape[0]
-    return np.cos(phi) * np.eye(dim, dtype=np.complex128) - 1j * np.sin(phi) * m
+def z_mask(axis: PauliProduct, n: int) -> int:
+    """The bitmask of a Z-type axis on n qubits; a ValueError otherwise."""
+    if axis.n != n:
+        raise ValueError(f"axis {axis.letters} is not on {n} qubits")
+    if set(axis.letters) - {"I", "Z"}:
+        raise ValueError(f"axis {axis.letters} is not Z-type")
+    return axis.mask
+
+
+def phase_exponents(rotations, n: int) -> np.ndarray:
+    """Diagonal of a product of Z-type rotations on n qubits, as exponents
+    a(x) of exp(i pi/8), mod 16, for every basis index x (uint8).
+
+    A rotation with axis Z_mask and angle k*pi/8 multiplies basis state x
+    by exp(-i k pi/8 z(x)), z(x) = (-1)^parity(x & mask) (:func:`z_signs`),
+    so it adds -k z(x).
+    """
+    a = np.zeros(1 << n, dtype=np.int64)
+    for r in rotations:
+        a -= r.angle.k * z_signs(z_mask(r.axis, n), n).astype(np.int64)
+    return (a % 16).astype(np.uint8)
 
 
 def rotation_phases(mask: int, n: int, phi: float) -> np.ndarray:

@@ -13,7 +13,6 @@ import numpy as np
 from msdsim.circuits import (
     catalog,
     coherent,
-    compose_unitary,
     random_pauli,
     simulate_circuit,
     undetected_error_sets,
@@ -35,7 +34,7 @@ from msdsim.factory import (
     simulate_factory,
 )
 from msdsim.noise import DistanceSet, PhysicalNoise
-from msdsim.pauli import PauliProduct, Rotation, RotationAngle, equal_up_to_phase
+from msdsim.pauli import PauliProduct, Rotation, RotationAngle
 from oracle import materialize
 
 
@@ -80,9 +79,8 @@ class TestAcceptance:
               f"in {elapsed:.2f} s, subset budget within 2^20")
 
     def test_criterion_3_circuit_identities(self):
-        ident = catalog("identity16")
-        assert equal_up_to_phase(compose_unitary(ident),
-                                 np.eye(1 << ident.n))
+        assert verify_equivalence(catalog("identity16"), [])
+        assert verify_equivalence(catalog("identity15_4q"), [])
         assert verify_equivalence(
             catalog("fifteen_to_one"),
             [Rotation(PauliProduct("ZIIII"), RotationAngle(-1))],

@@ -1,6 +1,7 @@
 """Tests for the distillation-circuit catalog and circuit-level noise."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -14,7 +15,6 @@ from msdsim.circuits import (
     NoiseSpec,
     catalog,
     coherent,
-    compose_unitary,
     random_pauli,
     simulate_circuit,
     undetected_error_sets,
@@ -22,7 +22,11 @@ from msdsim.circuits import (
     verify_gadget,
     z_only,
 )
-from msdsim.pauli import PauliProduct, Rotation, RotationAngle, equal_up_to_phase
+from msdsim.pauli import PauliProduct, Rotation, RotationAngle
+
+
+# the rotation the 15-to-1 circuit composes to: P_{-pi/8} on its output
+FIFTEEN_TARGET = [Rotation(PauliProduct("ZIIII"), RotationAngle(-1))]
 
 
 class TestCatalog:
@@ -41,21 +45,65 @@ class TestCatalog:
         assert len(catalog("ccz7").rotations) == 7
 
     def test_identity16_composes_to_identity(self):
-        u = compose_unitary(catalog("identity16"))
-        assert equal_up_to_phase(u, np.eye(32, dtype=complex))
+        assert verify_equivalence(catalog("identity16"), [])
 
     def test_identity15_4q_composes_to_identity(self):
-        u = compose_unitary(catalog("identity15_4q"))
-        assert equal_up_to_phase(u, np.eye(16, dtype=complex))
+        assert verify_equivalence(catalog("identity15_4q"), [])
 
     def test_fifteen_to_one_is_single_rotation(self):
-        target = [Rotation(PauliProduct("ZIIII"), RotationAngle(-1))]
-        assert verify_equivalence(catalog("fifteen_to_one"), target)
+        assert verify_equivalence(catalog("fifteen_to_one"), FIFTEEN_TARGET)
 
     def test_eight_to_ccz_matches_ccz_decomposition(self):
         assert verify_equivalence(
             catalog("eight_to_ccz"), catalog("ccz7")
         )
+
+    @pytest.mark.parametrize("kind, target", [
+        ("fifteen_to_one", FIFTEEN_TARGET),
+        ("eight_to_ccz", catalog("ccz7")),
+        ("identity16", []),
+        ("identity15_4q", []),
+    ], ids=["15to1", "8toccz", "identity16", "identity15_4q"])
+    def test_a_dropped_or_negated_rotation_fails(self, kind, target):
+        # negative controls: no single rotation of a checked circuit is
+        # redundant, and none may change sign
+        rotations = catalog(kind).rotations
+        for i, r in enumerate(rotations):
+            flipped = Rotation(r.axis, RotationAngle(-r.angle.k))
+            dropped = rotations[:i] + rotations[i + 1:]
+            negated = rotations[:i] + (flipped,) + rotations[i + 1:]
+            assert not verify_equivalence(dropped, target), (kind, i)
+            assert not verify_equivalence(negated, target), (kind, i)
+
+    def test_equivalence_is_up_to_a_global_phase_only(self):
+        z = PauliProduct("ZIIII")
+        c15 = catalog("fifteen_to_one")
+        # a Pauli Z, four pi/8 steps, is no global phase
+        pauli = [Rotation(z, RotationAngle(-1)), Rotation(z, RotationAngle(4))]
+        assert not verify_equivalence(c15, pauli)
+        # two circuits with one rotation in common differ
+        assert not verify_equivalence(c15.rotations[:1], c15.rotations[1:2])
+        # an empty list on each side is the identity
+        assert verify_equivalence([], [])
+
+    @pytest.mark.parametrize("letters, match", [
+        ("XIIZ", "Z-type"), ("ZIIZI", "qubits")])
+    def test_circuit_rejects_a_bad_axis(self, letters, match):
+        c = catalog("eight_to_ccz")
+        bad = (Rotation(PauliProduct(letters), RotationAngle(1)),)
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(c, rotations=c.rotations + bad)
+
+    def test_equivalence_rejects_bad_axes_and_widths(self):
+        x = [Rotation(PauliProduct("XIIII"), RotationAngle(1))]
+        with pytest.raises(ValueError, match="Z-type"):
+            verify_equivalence(catalog("fifteen_to_one"), x)
+        with pytest.raises(ValueError, match="qubits"):
+            verify_equivalence(catalog("fifteen_to_one"), catalog("ccz7"))
+        mixed = [Rotation(PauliProduct("ZIII"), RotationAngle(1)),
+                 Rotation(PauliProduct("ZIIII"), RotationAngle(1))]
+        with pytest.raises(ValueError, match="qubits"):
+            verify_equivalence(mixed, [])
 
     def test_twenty_to_four_noiseless_fidelity(self):
         c = catalog("twenty_to_four")
@@ -138,6 +186,14 @@ class TestNoiseSpec:
             NoiseSpec("z_only", 0.5)
         # the coherent kind carries an angle, not a probability
         NoiseSpec("coherent", 0.3)
+
+    @pytest.mark.parametrize("make", [z_only, random_pauli, coherent])
+    def test_non_finite_values_are_rejected(self, make):
+        # a nan or infinite excess angle used to run, to a nan p_out (or a
+        # RuntimeWarning from NumPy); every kind now rejects it up front
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                make(value)
 
 
 class TestSimulateCircuit:
