@@ -234,30 +234,57 @@ def _diagonal(mask: int, n: int, theta: float) -> np.ndarray:
     return d
 
 
-def _per_block(kmax: int, dim: int) -> int:
-    """Grades in one block: at most _BLOCK_BYTES of them, or one grade."""
-    return min(kmax, max(1, _BLOCK_BYTES // (16 * dim * dim)))
+def _per_block(kmax: int, entries: int) -> int:
+    """Grades in one block of grades of ``entries`` entries each: at most
+    _BLOCK_BYTES of them, or one grade."""
+    return min(kmax, max(1, _BLOCK_BYTES // (16 * entries)))
 
 
 @lru_cache(maxsize=None)
-def _blocks(kmax: int, dim: int):
-    """How a channel walks the stack, as precomputed slices, top block first.
+def _blocks(kmax: int, entries: int):
+    """How a channel walks a stack of grades of ``entries`` entries each:
+    the grades per block, and each block as precomputed slices, top block
+    first.
 
     A block of grades [lo, hi) is (src, term, below, block, lo): the grades
     it reads, its terms within the scratch, those that P(g_{k-1}) fills,
     and the grades it writes.
     """
-    per = _per_block(kmax, dim)
-    return [(slice(max(lo - 1, 0), hi - 1), slice(0, hi - lo),
-             slice(1 if lo == 0 else 0, hi - lo), slice(lo, hi), lo)
-            for lo, hi in ((lo, min(lo + per, kmax))
-                           for lo in reversed(range(0, kmax, per)))]
+    per = _per_block(kmax, entries)
+    return per, [(slice(max(lo - 1, 0), hi - 1), slice(0, hi - lo),
+                  slice(1 if lo == 0 else 0, hi - lo), slice(lo, hi), lo)
+                 for lo, hi in ((lo, min(lo + per, kmax))
+                                for lo in reversed(range(0, kmax, per)))]
 
 
 def _scratch(kmax: int, dim: int) -> int:
-    """Matrices of scratch a channel takes: A, B and a block of terms, and
-    at least the kmax + 2 rows of a Z-flip pass (see ``apply_z_flips``)."""
-    return max(2 + _per_block(kmax, dim), -(-(kmax + 2) // dim))
+    """Matrices of scratch a channel takes at full width: A, B and a block
+    of terms, and at least the kmax + 2 rows of a Z-flip pass (see
+    ``apply_z_flips``).  A narrower stack, or a pair of stacks half as
+    wide, takes no more."""
+    return max(2 + _per_block(kmax, dim * dim), -(-(kmax + 2) // dim))
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The qubits of a bitmask."""
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
+@lru_cache(maxsize=None)
+def _embedding(live: tuple[int, ...],
+               released: tuple[int, ...]) -> np.ndarray:
+    """(2**r, 2**len(live)) full-width basis indices: row b, column i holds
+    the index whose released qubits carry the bits of b, whose live qubits
+    carry the bits of i, and whose other qubits are 0.  Memoized and
+    read-only."""
+    def spread(qubits):
+        i = np.arange(1 << len(qubits))
+        return sum(((i >> j) & 1) << q for j, q in enumerate(qubits))
+    index = np.zeros((1 << len(released), 1 << len(live)), dtype=np.intp)
+    index += spread(released)[:, None] if released else 0
+    index += spread(live) if live else 0
+    index.flags.writeable = False
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +294,17 @@ def _scratch(kmax: int, dim: int) -> int:
 class GradedDensityMatrix:
     """State split by exact error count, with a pure zero-error branch.
 
-    ``pure`` is the subnormalized statevector of the no-error branch;
-    ``scale * grades[k - 1]`` (k = 1..kmax) is the subnormalized density
-    matrix of the exactly-k-error mass: the stack is stored divided by
-    ``scale``, like the branch store (see the module docstring).  Branches
-    with more than ``kmax`` errors are dropped.  ``1 - trace_total()``
-    does not measure them: it is round-off (between -1.6e-15 and 1.3e-14
-    on the paper's tables).  Nothing bounds their share yet (ROADMAP.md,
-    item 3).
+    ``pure`` is the subnormalized statevector of the no-error branch, on
+    all ``n`` qubits.  ``scale * grades[k - 1]`` (k = 1..kmax) is the
+    subnormalized density matrix of the exactly-k-error mass on the
+    ``live`` qubits, the qubits that a channel has acted on: every other
+    qubit is still |+> in every grade, and the stack holds the full
+    matrix's entries, which do not depend on those qubits' bits (see the
+    module docstring).  The stack is stored divided by ``scale``, like
+    the branch store.  Branches with more than ``kmax`` errors are
+    dropped.  ``1 - trace_total()`` does not measure them: it is
+    round-off (between -1.6e-15 and 1.3e-14 on the paper's tables).
+    Nothing bounds their share yet (ROADMAP.md, item 3).
 
     ``births`` holds grade 1 once more, as ``(weight, row)`` pairs, one per
     single error event, to be read through ``pullback`` (the conjugated
@@ -282,19 +312,46 @@ class GradedDensityMatrix:
     """
 
     def __init__(self, pure: np.ndarray, kmax: int):
-        """The error-free state ``pure`` with kmax empty grades, which it
-        holds with its channels' scratch in one allocation."""
+        """The error-free state ``pure`` with kmax empty grades on no live
+        qubit, in one allocation that holds them at full width with their
+        channels' scratch."""
         dim = len(pure)
         self.n = dim.bit_length() - 1
         self.pure = pure
-        stack = np.zeros((kmax + _scratch(kmax, dim), dim, dim),
-                         dtype=np.complex128)
-        self.grades, self._work = stack[:kmax], stack[kmax:]
+        self._buffer = np.zeros((kmax + _scratch(kmax, dim)) * dim * dim,
+                                dtype=np.complex128)
+        self._kmax, self._shape = kmax, (1, 1)
+        self.live, self.released = (), {}
         self.births, self.pullback, self.scale = (), 1.0, 1.0
 
     @property
     def kmax(self) -> int:
-        return len(self.grades)
+        return self._kmax
+
+    @property
+    def _stacks(self) -> np.ndarray:
+        """The (kmax, s, d, d) grade stacks at the start of the allocation:
+        one stack (s = 1) on the d = 2**len(live) entries of the live
+        qubits."""
+        s, d = self._shape
+        return self._buffer[:self._kmax * s * d * d].reshape(
+            self._kmax, s, d, d)
+
+    @property
+    def grades(self) -> np.ndarray:
+        """The (kmax, d, d) grade stack on the live qubits."""
+        return self._stacks[:, 0]
+
+    @property
+    def _work(self) -> np.ndarray:
+        """The channels' scratch, flat, after the full-width stack."""
+        return self._buffer[self._kmax * len(self.pure)**2:]
+
+    @property
+    def _spread(self) -> int:
+        """2**m for the m qubits outside the stack: each entry of the
+        stack stands for 2**m diagonal entries of the full matrix."""
+        return 1 << (self.n - len(self.live) - len(self.released))
 
     @classmethod
     def init_plus(cls, n: int,
@@ -308,7 +365,7 @@ class GradedDensityMatrix:
         return cls(np.full(dim, dim ** -0.5, dtype=np.complex128), kmax)
 
     def grade1_branches(self, births=None) -> tuple[np.ndarray, np.ndarray]:
-        """(w, b) with grades[0] = sum_i w_i b_i b_i^dagger; b is (m, dim).
+        """(w, b) with grade 1 = sum_i w_i b_i b_i^dagger; b is (m, 2**n).
 
         ``births`` reads only those of the store's branches.
         """
@@ -322,47 +379,98 @@ class GradedDensityMatrix:
     def trace_total(self) -> float:
         t = float(np.vdot(self.pure, self.pure).real)
         for g in self.grades:
-            t += float(self.scale * np.trace(g).real)
+            t += float(self.scale * np.trace(g).real) * self._spread
         return t
+
+    # -- the live qubits --------------------------------------------------
+    def _enter(self, qubits) -> None:
+        """Widen the stack to hold ``qubits`` too, each at its index
+        position among the live qubits.
+
+        A qubit outside the stack is |+> in every grade, so its entries
+        are copies: the matrices are broadcast over the new qubits' bits in
+        place, from the top down, each chunk of them landing above every
+        matrix not yet moved, and the lowest through the scratch.
+        """
+        new = [q for q in qubits if q not in self.live]
+        if not new:
+            return
+        for q in new:
+            if q in self.released:
+                raise ValueError(f"qubit {q} was released")
+        live = tuple(sorted(self.live + tuple(new)))
+        shape = tuple(1 if q in new else 2 for q in reversed(live)) * 2
+        wide = (2,) * (2 * len(live))
+        (s, d), d2 = self._shape, 1 << len(live)
+        buf, hi = self._buffer, self._kmax * s
+        while hi:
+            # matrices [lo, hi) land at or above lo * d2**2 >= hi * d**2
+            lo = max(1, -(-hi * d * d // (d2 * d2))) if hi > 1 else 0
+            src = buf[lo * d * d:hi * d * d]
+            if not lo:
+                src = self._work[:d * d]
+                src[...] = buf[:d * d]
+            np.copyto(buf[lo * d2 * d2:hi * d2 * d2].reshape((-1,) + wide),
+                      src.reshape((-1,) + shape))
+            hi = lo
+        self.live, self._shape = live, (s, d2)
+
+    def _live_mask(self, mask: int) -> int:
+        """A full-width bitmask of live qubits, on the live qubits."""
+        if len(self.live) == self.n:
+            return mask
+        return sum(1 << i for i, q in enumerate(self.live) if mask >> q & 1)
+
+    def _outer(self, lead: np.ndarray, v: np.ndarray, out: np.ndarray,
+               rows: slice = slice(None)) -> None:
+        """The live entries of the full-width lead v^dagger, the rows
+        ``rows`` of each stack's, into ``out``."""
+        if len(self.live) == self.n:
+            np.multiply(lead[rows, None], v.conj(), out=out[0])
+            return
+        index = _embedding(self.live, ())[0]
+        np.multiply(lead[index][rows, None], v[index].conj(), out=out[0])
 
     # -- internal channel machinery ---------------------------------------
     def _table(self, x, out: np.ndarray, mask: int):
         """x if a scalar, else the matrix that the classes of Z_mask make of
-        the 3-entry table x, held in ``out``."""
+        the 3-entry table x, held in ``out``; mask is on the live qubits."""
         if not isinstance(x, np.ndarray):
             return x
-        return x.take(_z_classes(mask, self.n), out=out, mode="clip")
+        return x.take(_z_classes(mask, len(self.live)), out=out, mode="clip")
 
     def _channel(self, a, b, v, qubit=None, mask=0) -> None:
         """Update the stored grades by a one-event channel:
         H_k <- A o H_k + B o P(H_{k-1}), with H_0 = pure pure^dagger / scale.
 
-        P is X rho X on ``qubit``, or the identity for None, and v is
-        P pure.  a and b are scalars or 3-entry tables, which the classes
-        of Z_mask turn into A and B; an A of 1 takes no multiply.  Blocks
-        run from the top grade down, each reading the grades below it
-        before it overwrites itself.
+        P is X rho X on the live qubit at position ``qubit``, or the
+        identity for None, and v is P pure.  a and b are scalars or 3-entry
+        tables, which the classes of Z_mask on the live qubits turn into A
+        and B; an A of 1 takes no multiply.  Blocks run from the top grade
+        down, each reading the grades below it before it overwrites itself.
         """
-        grades, dim, work = self.grades, len(self.pure), self._work
-        a = self._table(a, work[0], mask)
-        b = self._table(b, work[1], mask)
+        stacks, work = self._stacks, self._work
+        kmax, s, d = stacks.shape[:3]
+        a = self._table(a, work[:d * d].reshape(d, d), mask)
+        b = self._table(b, work[d * d:2 * d * d].reshape(d, d), mask)
         identity = not isinstance(a, np.ndarray) and a == 1.0
         table = isinstance(b, np.ndarray)
         lead = v * ((1.0 if table else b) / self.scale)
-        terms = work[2:]
-        for src, term, below, block, lo in _blocks(self.kmax, dim):
+        per, blocks = _blocks(kmax, s * d * d)
+        terms = work[2 * d * d:(2 + per * s) * d * d].reshape(per, s, d, d)
+        for src, term, below, block, lo in blocks:
             term = terms[term]
             below = term[below]
-            src = grades[src]
+            src = stacks[src]
             if qubit is not None:
                 src = _stack_xflip(src, qubit)
                 below = below.reshape(src.shape)
             np.multiply(src, b, out=below)
             if lo == 0:
-                np.multiply(lead[:, None], v.conj(), out=term[:1])
+                self._outer(lead, v, term[0])
                 if table:
                     term[0] *= b
-            block = grades[block]
+            block = stacks[block]
             if not identity:
                 block *= a
             block += term
@@ -408,7 +516,8 @@ class GradedDensityMatrix:
         errs = ideal * sum(p * _phase_table(extra) for p, extra in errors)
         # stored grades: keep divides out, or restarts the scale at 1
         a, b = (ideal, errs / keep) if keep else (0.0, self.scale * errs)
-        self._channel(a, b, self.pure, mask=mask)
+        self._enter(axis.support)
+        self._channel(a, b, self.pure, mask=self._live_mask(mask))
         d = _diagonal(mask, self.n, theta)
         pure = d * self.pure
         born = [(p, _diagonal(mask, self.n, extra) * pure)
@@ -420,9 +529,10 @@ class GradedDensityMatrix:
         p = _flip_p(p, qubit, self.n)
         if not p:
             return self
+        self._enter((qubit,))
         v = _vec_xflip(self.pure, qubit)
         keep = 1.0 - p
-        self._channel(1.0, p / keep, v, qubit)
+        self._channel(1.0, p / keep, v, self.live.index(qubit))
         return self._event(keep, [(p, v)], self.pure, self.pullback)
 
     def apply_z_flips(self, flips) -> GradedDensityMatrix:
@@ -448,36 +558,44 @@ class GradedDensityMatrix:
 
     def _flips(self, flips) -> GradedDensityMatrix:
         """(p, mask) flips of Z_mask in one pass (:meth:`apply_z_flips`)."""
-        n, dim, kmax = self.n, len(self.pure), self.kmax
+        kmax = self.kmax
         counts = Counter((mask, p) for p, mask in flips if p)
         if not counts:
             return self
+        self._enter(sorted({q for mask, _ in counts for q in _bits(mask)}))
+        counts = Counter({(self._live_mask(mask), p): m
+                          for (mask, p), m in counts.items()})
+        n = len(self.live)
         table = _z_flip_tables(counts, n, kmax)
         keep, depth = table[0, 0].real, len(table) - 1
         table = table[1:] / keep
-        # the E_j of a slab of rows, its g_0 and a term fill the scratch
-        work = self._work.reshape(-1, dim)
-        rows = min(dim, len(work) // (depth + 2))
-        grades, xor = self.grades, _xor_index(n)
-        lead, conj = self.pure / self.scale, self.pure.conj()
-        for r in (slice(lo, lo + rows) for lo in range(0, dim, rows)):
+        # the E_j of a slab of rows, each stack's g_0 and a term fill the
+        # scratch
+        stacks, xor = self._stacks, _xor_index(n)
+        s, d = self._shape
+        work = self._work
+        rows = min(d, len(work) // ((depth + 2 * s) * d))
+        lead = self.pure / self.scale
+        for r in (slice(lo, lo + rows) for lo in range(0, d, rows)):
             h = len(xor[r])
-            e = work[:depth * h].reshape(depth, h, dim)
+            e = work[:depth * h * d].reshape(depth, h, d)
             for j in range(depth):
                 np.take(table[j], xor[r], out=e[j], mode="clip")
-            g0 = work[depth * h:(depth + 1) * h]
-            np.multiply(lead[r, None], conj, out=g0)
-            term = work[(depth + 1) * h:(depth + 2) * h]
+            g0 = work[depth * h * d:(depth + s) * h * d].reshape(s, h, d)
+            self._outer(lead, self.pure, g0, r)
+            term = work[(depth + s) * h * d:(depth + 2 * s) * h * d]
+            term = term.reshape(s, h, d)
             # from the top grade down: each reads only grades below it
             for k in range(kmax, 0, -1):
-                block = grades[k - 1, r]
+                block = stacks[k - 1, :, r]
                 for j in range(1, min(k, depth) + 1):
-                    below = grades[k - j - 1, r] if k > j else g0
+                    below = stacks[k - j - 1, :, r] if k > j else g0
                     block += np.multiply(e[j - 1], below, out=term)
         odds = Counter()
-        for (mask, p), m in counts.items():
+        for (mask, p), m in Counter((mask, p) for p, mask in flips
+                                    if p).items():
             odds[mask] += m * p / (1.0 - p)
-        born = [(keep * o, z_signs(mask, n) * self.pure)
+        born = [(keep * o, z_signs(mask, self.n) * self.pure)
                 for mask, o in odds.items()]
         return self._event(keep, born, self.pure, self.pullback)
 
@@ -489,17 +607,26 @@ class GradedDensityMatrix:
         The outcome is the state of the other qubits, numbered in order:
         each side of each branch is summed over the check bits, which is
         <+| on the checks times 2**(c/2) for c checks, and the factor
-        2**-c of a density matrix joins the scale.  The outcome is a new
-        state; this one gives its branch store up to it.
+        2**-c of a density matrix joins the scale.  The checks enter the
+        stack first.  The outcome is a new state; this one gives its branch
+        store up to it.
         """
         checks = tuple(sorted(check_qubits))
         if not checks:
             raise ValueError("check set is empty")
+        for q in checks:
+            _flip_p(0.0, q, self.n)
+        self._enter(checks)
         before, unit = self.trace_total(), 0.5 ** len(checks)
         state = GradedDensityMatrix(_sum_checks(self.pure, checks, self.n),
                                     self.kmax)
-        grades, state.scale = state.grades, self.scale
-        grades[...] = _sum_checks(self.grades, checks, self.n, 2)
+        kept = [q for q in range(self.n) if q not in checks]
+        state.live = tuple(kept.index(q) for q in self.live if q in kept)
+        state._shape = (self._shape[0], 1 << len(state.live))
+        stacks, state.scale = state._stacks, self.scale
+        stacks[...] = _sum_checks(self._stacks, tuple(
+            self.live.index(q) for q in checks), len(self.live), 2)
+        grades = state.grades
         p_success = unit * state.trace_total()
         if p_success <= 1e-300:
             raise ValueError("success probability is numerically zero")
@@ -508,9 +635,10 @@ class GradedDensityMatrix:
         # what the outcome keeps of it
         rejected = _rejected(self.pure, checks, self.n) + float(self.scale * (
             np.trace(self.grades, axis1=1, axis2=2).real
-            - unit * np.trace(grades, axis1=1, axis2=2).real).sum())
+            - unit * np.trace(grades, axis1=1, axis2=2).real).sum()
+        ) * self._spread
         # the projected grades, stored over the new scale 1/p_success
-        grades *= unit * self.scale
+        stacks *= unit * self.scale
         state.scale = 1.0 / p_success
         state.pure = math.sqrt(unit * state.scale) * state.pure
         # projection is linear: sum the rows, and their weights take 2**-c;
@@ -534,7 +662,9 @@ class GradedDensityMatrix:
         norm of their deviation from psi (exactly zero for a branch
         proportional to psi), so their error is about eps^2 of their mass.
         Grade k >= 2 contributes tr(rho_k) - <psi|rho_k|psi>, a difference of
-        already-small numbers with an error of about eps of its mass.
+        already-small numbers with an error of about eps of its mass; psi
+        is summed over the bits of the qubits outside the stack, whose
+        entries the stack holds once.
         """
         psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
         if psi.shape[0] != 1 << self.n:
@@ -547,9 +677,13 @@ class GradedDensityMatrix:
         weights, rows = self.grade1_branches()
         rows -= np.outer(rows @ psi.conj(), psi)
         dev += float(weights @ (rows.real**2 + rows.imag**2).sum(1))
+        chi = psi
+        if len(self.live) < self.n:
+            outside = tuple(q for q in range(self.n) if q not in self.live)
+            chi = _sum_checks(psi, outside, self.n)
         for g in self.grades[1:]:
-            dev += float(self.scale * (np.trace(g).real
-                                       - np.real(psi.conj() @ g @ psi)))
+            dev += float(self.scale * (np.trace(g).real * self._spread
+                                       - np.real(chi.conj() @ g @ chi)))
         return dev / self.trace_total()
 
 

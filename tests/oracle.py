@@ -4,7 +4,8 @@
 every channel as its textbook sum of Kraus terms, built from
 :func:`msdsim.pauli.matrix_of`, so it shares no kernel with
 :class:`msdsim.density.GradedDensityMatrix`.  Any Pauli axis is accepted.
-:func:`materialize` sums a graded state back into one dense matrix.
+:func:`materialize` sums a graded state back into one dense matrix, and
+:func:`full_grades` widens its grade stack to all of its qubits.
 
 Usage::
 
@@ -145,10 +146,25 @@ class DensityMatrix:
         return float(np.real(psi.conj() @ self.data @ psi))
 
 
+def full_grades(state) -> np.ndarray:
+    """A graded state's (kmax, 2^n, 2^n) stored grades at full width: a
+    qubit that has not entered the stack is |+> in every grade, and the
+    stack holds the entries, which do not depend on its bits, once."""
+    if state.released:
+        raise ValueError("a released qubit's grades are contracted away")
+    n, live = state.n, state.live
+    grades = state.grades.reshape(
+        (state.kmax,) + tuple(2 if q in live else 1
+                              for q in reversed(range(n))) * 2)
+    return np.broadcast_to(grades, (state.kmax,) + (2,) * (2 * n)).reshape(
+        state.kmax, 1 << n, 1 << n)
+
+
 def materialize(state) -> DensityMatrix:
     """Dense form of a graded state: pure pure^dagger plus every grade,
-    which the state stores divided by its ``scale``."""
+    which the state stores divided by its ``scale``, on all its qubits.
+    A state with a released qubit has no dense form."""
     total = np.outer(state.pure, state.pure.conj())
-    for g in state.grades:
+    for g in full_grades(state):
         total = total + state.scale * g
     return DensityMatrix(state.n, total)

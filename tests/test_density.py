@@ -24,7 +24,7 @@ from msdsim.density import (
     pure_state_infidelity,
 )
 from msdsim.pauli import PauliProduct, z_signs
-from oracle import DensityMatrix, materialize
+from oracle import DensityMatrix, full_grades, materialize
 
 
 def _random_z_axis(rng: np.random.Generator, n: int) -> PauliProduct:
@@ -279,6 +279,9 @@ class TestGradedAgainstDense:
             state = GradedDensityMatrix.init_plus(n, kmax=3)
             for op in _random_ops(rng, n, 6):
                 state = _apply(state, op)
+            # every qubit in the stack, so that it is the full matrix
+            for q in range(n):
+                state = state.apply_x_flip(q, 1e-3)
             for q, p in ((0, 0.02), (n - 1, 0.45)):
                 odds = p / (1.0 - p)
                 s = z_signs(1 << q, n)
@@ -573,7 +576,8 @@ class TestZFlips:
         for state in (graded, cut):
             weights, rows = state.grade1_branches()
             rebuilt = np.einsum("i,ij,ik->jk", weights, rows, rows.conj())
-            np.testing.assert_allclose(rebuilt, state.scale * state.grades[0],
+            np.testing.assert_allclose(rebuilt,
+                                       state.scale * full_grades(state)[0],
                                        rtol=0, atol=1e-12)
 
     def test_no_flip_leaves_the_state(self):
@@ -601,10 +605,11 @@ class TestZFlips:
                 assert _scratch(kmax, 1 << n) << n >= kmax + 2
         n = 7
         state = GradedDensityMatrix.init_plus(n, kmax=6)
-        grades, work = state.grades, state._work
+        allocation = state._buffer
         flips = [(q, 0.01 * (q + 1)) for q in range(6)]
         got = state.apply_z_flips(flips)
-        assert got.grades is grades and got._work is work
+        assert got is state and got._buffer is allocation
+        assert np.shares_memory(got.grades, allocation)
         assert _xor_index(n).dtype == np.uint8
         assert not _xor_index(n).flags.writeable
 
@@ -645,3 +650,82 @@ class TestWorkspace:
                         store(cycles, Fraction)):
                 assert np.array_equal(got.grades, want.grades)
                 assert got.scale == want.scale
+
+
+@st.composite
+def _sparse_cases(draw):
+    """(n, kmax, ops, checks): channels on a drawn subset of n qubits, so
+    that some qubits may never enter the stack, and checks to project on,
+    drawn from all n qubits."""
+    n = draw(st.integers(1, 6))
+    used = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    prob = st.floats(0.0, 0.05)
+    ops = []
+    for kind in draw(st.lists(st.sampled_from("rxz"), max_size=6)):
+        if kind == "r":
+            axis = draw(st.lists(st.sampled_from(used), min_size=1,
+                                 unique=True))
+            letters = "".join("Z" if q in axis else "I" for q in range(n))
+            profile = draw(st.builds(RotationErrorProfile, prob, prob, prob))
+            ops.append(("rotation", (PauliProduct(letters), profile,
+                                     draw(st.sampled_from([1, -1])))))
+        elif kind == "x":
+            ops.append(("x", (draw(st.sampled_from(used)), draw(prob))))
+        else:
+            ops.append(("z", draw(st.lists(st.tuples(st.sampled_from(used),
+                                                     prob), max_size=3))))
+    checks = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return n, draw(st.integers(1, 4)), ops, frozenset(checks)
+
+
+def _run_ops(state, ops):
+    for kind, args in ops:
+        if kind == "rotation":
+            state = state.apply_faulty_rotation(args[0], args[1], sign=args[2])
+        elif kind == "x":
+            state = state.apply_x_flip(*args)
+        else:
+            state = state.apply_z_flips(args)
+    return state
+
+
+class TestLiveQubits:
+    """The stack holds the qubits that a channel has acted on; every other
+    qubit is |+> in every grade."""
+
+    @settings(max_examples=40)
+    @given(case=_sparse_cases())
+    def test_entry_leaves_every_entry_as_it_was(self, case):
+        # the same channels on a state whose qubits all entered first (the
+        # full-width engine) give the same bytes, and a qubit outside the
+        # stack is one that no channel touched
+        n, kmax, ops, checks = case
+        live = _run_ops(GradedDensityMatrix.init_plus(n, kmax), ops)
+        wide = GradedDensityMatrix.init_plus(n, kmax)
+        wide._enter(range(n))
+        wide = _run_ops(wide, ops)
+        touched = {q for kind, args in ops for q in (
+            args[0].support if kind == "rotation" else [args[0]] if
+            kind == "x" else [q for q, p in args if p])
+            if kind != "x" or args[1]}
+        assert set(live.live) == touched
+        assert full_grades(live).tobytes() == full_grades(wide).tobytes()
+        assert live.pure.tobytes() == wide.pure.tobytes()
+        assert live.scale == wide.scale
+        for state in (live, wide):
+            _, rows = state.grade1_branches()
+            assert rows.tobytes() == wide.grade1_branches()[1].tobytes()
+        np.testing.assert_allclose(live.trace_total(), wide.trace_total(),
+                                   rtol=1e-14)
+        # a projection sums the same entries, in an order that follows the
+        # stack's shape: equal bytes when every qubit has entered (as in a
+        # schedule run), to round-off otherwise
+        (live, live_fail), (wide, wide_fail) = (
+            s.project_plus(checks) for s in (live, wide))
+        np.testing.assert_allclose(full_grades(live), full_grades(wide),
+                                   rtol=1e-14, atol=1e-17)
+        assert live_fail == pytest.approx(wide_fail, rel=1e-12, abs=1e-16)
+        if live.n:
+            psi = np.exp(1j * np.arange(1 << live.n)) * 2.0 ** (-live.n / 2)
+            assert live.infidelity_with_pure(psi) == pytest.approx(
+                wide.infidelity_with_pure(psi), rel=1e-12, abs=1e-16)
