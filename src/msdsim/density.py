@@ -204,6 +204,47 @@ def _z_flip_tables(counts: Counter, n: int, kmax: int) -> np.ndarray:
     return table
 
 
+def _fold_tables(flips, kmax: int) -> tuple[float, np.ndarray]:
+    """(keep, lam) of (letter, p) X and Z flips on one qubit: keep =
+    prod(1 - p), and lam[j - 1] (j = 1..depth, depth <= kmax) the
+    coefficients of t^j in prod((1 - p) + p c t) / keep for the Pauli
+    components (I, Z, X, Y) of the qubit, c = +1 where the flip commutes
+    with the component and -1 where it anticommutes.  With
+    P_X(t) = prod over X flips of (1 + t p/(1 - p)), and P_Z likewise,
+    they are P_X(t) P_Z(t), P_X(-t) P_Z(t), P_X(t) P_Z(-t) and
+    P_X(-t) P_Z(-t).  Complex, since a real operand makes NumPy's complex
+    loops cast in buffers."""
+    depth = min(kmax, len(flips))
+    keep, poly = 1.0, {"X": np.ones(1), "Z": np.ones(1)}
+    for (letter, p), m in Counter(flips).items():
+        if letter not in poly:
+            raise ValueError(f"flip {letter!r} is not X or Z")
+        odds = p / (1.0 - p)
+        poly[letter] = np.convolve(poly[letter], [
+            math.comb(m, j) * odds**j
+            for j in range(min(m, depth) + 1)])[:depth + 1]
+        keep *= (1.0 - p)**m
+    x, z = poly["X"], poly["Z"]
+    mx, mz = (c * (-1.0)**np.arange(len(c)) for c in (x, z))
+    lam = np.zeros((4, depth + 1), dtype=np.complex128)
+    for row, (a, b) in zip(lam, ((x, z), (mx, z), (x, mz), (mx, mz))):
+        product = np.convolve(a, b)[:depth + 1]
+        row[:len(product)] = product
+    return keep, lam.T[1:]
+
+
+def _split(t: np.ndarray, out: np.ndarray, parts: int) -> None:
+    """Write the parts of each (hi, 2, lo, hi, 2, lo) matrix of t that a
+    release folds, for the blocks H_ab of its qubit's bits, into the
+    quarters of (4, hi, lo, hi, lo) ``out``: c_I = H00 + H11, u = H01 and,
+    for ``parts`` = 3, c_Z = H00 - H11."""
+    h00, h11 = t[:, :, 0, :, :, 0, :], t[:, :, 1, :, :, 1, :]
+    np.add(h00, h11, out=out[:, 0])
+    np.copyto(out[:, 1], t[:, :, 0, :, :, 1, :])
+    if parts == 3:
+        np.subtract(h00, h11, out=out[:, 2])
+
+
 def _flip_p(p: float, qubit: int | None = None, n: int = 0) -> float:
     """A flip's probability as a float, once it and its qubit, if it has
     one, are valid."""
@@ -321,7 +362,7 @@ class GradedDensityMatrix:
         self._buffer = np.zeros((kmax + _scratch(kmax, dim)) * dim * dim,
                                 dtype=np.complex128)
         self._kmax, self._shape = kmax, (1, 1)
-        self.live, self.released = (), {}
+        self.live, self.released, self._phi = (), {}, np.ones(1)
         self.births, self.pullback, self.scale = (), 1.0, 1.0
 
     @property
@@ -423,13 +464,22 @@ class GradedDensityMatrix:
 
     def _outer(self, lead: np.ndarray, v: np.ndarray, out: np.ndarray,
                rows: slice = slice(None)) -> None:
-        """The live entries of the full-width lead v^dagger, the rows
-        ``rows`` of each stack's, into ``out``."""
+        """What each stack holds of the full-width lead v^dagger, its rows
+        ``rows``, into ``out``: its live entries, and after a release their
+        trace over the released qubits (a sum of one outer product per
+        pattern of their bits) and their fidelity with the released
+        factors (one outer product of the contracted vectors)."""
         if len(self.live) == self.n:
             np.multiply(lead[rows, None], v.conj(), out=out[0])
             return
-        index = _embedding(self.live, ())[0]
-        np.multiply(lead[index][rows, None], v[index].conj(), out=out[0])
+        index = _embedding(self.live, tuple(self.released))
+        lead, v = lead[index], v[index].conj()
+        if not self.released:
+            np.multiply(lead[0, rows, None], v[0], out=out[0])
+            return
+        np.einsum("bi,bj->ij", lead[:, rows], v, out=out[0])
+        np.multiply(np.einsum("b,bi->i", self._phi, lead[:, rows])[:, None],
+                    np.einsum("b,bj->j", self._phi.conj(), v), out=out[1])
 
     # -- internal channel machinery ---------------------------------------
     def _table(self, x, out: np.ndarray, mask: int):
@@ -599,6 +649,111 @@ class GradedDensityMatrix:
                 for mask, o in odds.items()]
         return self._event(keep, born, self.pure, self.pullback)
 
+    def release(self, qubit: int, factor,
+                flips=()) -> GradedDensityMatrix:
+        """Contract ``qubit`` out of the stack, once no channel but X and Z
+        flips acts on it any more.
+
+        The stack becomes a pair of stacks on the other live qubits: its
+        trace over the qubit, which :meth:`trace_total` and
+        :meth:`project_plus` read, and its fidelity with the single-qubit
+        state ``factor``, which :meth:`infidelity_with_pure` reads; every
+        later channel updates both.  ``pure`` and the branch store keep
+        the qubit.
+
+        ``flips`` are (letter, p) X and Z flips on the qubit that have not
+        run: they commute with every channel left, and fold into the
+        contraction as one Pauli channel.  Each Pauli component sigma of
+        the qubit (I, Z, X, Y, kept at the blocks 00, 11, 01, 10 of each
+        matrix as H00 + H11, H00 - H11, H01 + H10 and H01 - H10) takes the
+        grade polynomial prod((1 - p) + p c t), c = +-1 as the flip
+        commutes with sigma or not (:func:`_fold_tables`).  A trace over
+        the qubit is the I component, whatever the flips; the fidelity is
+        (I + r_Z Z + r_X X + i r_Y Y)/2 for the factor's Bloch vector r.
+        The pair takes the stack's place in its allocation.
+        """
+        if not 0 <= qubit < self.n:
+            raise ValueError(f"qubit index {qubit} out of range")
+        if qubit in self.released:
+            raise ValueError(f"qubit {qubit} was released")
+        factor = np.asarray(factor, dtype=np.complex128).reshape(-1)
+        if factor.shape != (2,) or abs(np.vdot(factor, factor).real
+                                       - 1.0) > 1e-9:
+            raise ValueError("factor is not a normalized one-qubit state")
+        flips = [(letter, _flip_p(p)) for letter, p in flips]
+        keep, lam = _fold_tables([f for f in flips if f[1]], self._kmax)
+        self._enter((qubit,))
+        (s, d), kmax, work = self._shape, self._kmax, self._work
+        lo = 1 << self.live.index(qubit)
+        hi, h = d // (2 * lo), d // 2
+        buf = self._buffer
+        r_z = float(abs(factor[0])**2 - abs(factor[1])**2)
+        mu0 = 2.0 * np.conj(factor[0]) * factor[1]  # r_X + i r_Y
+        parts = 3 if r_z else 2
+        # the grade-0 source, then every matrix, in its quarters: c_I, u
+        # and, for a factor off the equator, c_Z; as many matrices at a
+        # time as the scratch holds
+        source = work[:s * d * d]
+        self._outer(self.pure / self.scale, self.pure,
+                    source.reshape(s, d, d))
+        spare = work[s * d * d:]
+        per = max(1, min(s * kmax, len(spare) // (d * d)))
+        for chunk in [source] + [buf[g * d * d:min(g + per, s * kmax) * d * d]
+                                 for g in range(0, s * kmax, per)]:
+            t = spare[:len(chunk)]
+            t[...] = chunk
+            _split(t.reshape(-1, hi, 2, lo, hi, 2, lo),
+                   chunk.reshape(-1, 4, hi, lo, hi, lo), parts)
+        # the fold, from the top grade down: grade k reads grades below it
+        c = buf[:kmax * s * d * d].reshape(kmax, s, 4, h * h)
+        below0 = source.reshape(s, 4, h * h)[:, :parts]
+        term = spare[:s * parts * h * h].reshape(s, parts, h * h)
+        # u's polynomial is r_X lam_X + i r_Y lam_Y
+        coef = np.stack([lam[:, 0], mu0.real * lam[:, 2]
+                         + 1j * mu0.imag * lam[:, 3], lam[:, 1]], axis=1)
+        coef = coef[:, :parts]
+        for k in range(kmax, 0, -1):
+            c[k - 1, :, 1] *= mu0
+            for j in range(1, min(k, len(coef)) + 1):
+                below = c[k - j - 1, :, :parts] if k > j else below0
+                c[k - 1, :, :parts] += np.multiply(coef[j - 1, :, None],
+                                                   below, out=term)
+        # the fidelity (c_I + r_Z c_Z + G + G^dagger)/2, G the folded u,
+        # in the first stack's fourth quarter, beside the trace c_I
+        f, fid = c[:, -1], c[:, 0, 3]
+        np.conj(f[:, 1].reshape(kmax, h, h).swapaxes(1, 2),
+                out=fid.reshape(kmax, h, h))
+        fid += f[:, 1]
+        fid += f[:, 0]
+        if r_z:
+            f[:, 2] *= r_z
+            fid += f[:, 2]
+        fid *= 0.5
+        # the pairs down to the start of the allocation: grades [a, b)
+        # land below grade a's old place, at 2 a h**2 <= a s d**2
+        c[0, 0, 1] = fid[0]
+        a = 1
+        while a < kmax:
+            b = min(kmax, 2 * s * a)
+            pairs = buf[2 * a * h * h:2 * b * h * h].reshape(b - a, 2, -1)
+            np.copyto(pairs[:, 0], c[a:b, 0, 0])
+            np.copyto(pairs[:, 1], c[a:b, 0, 3])
+            a = b
+        self.live = tuple(q for q in self.live if q != qubit)
+        self.released = {**self.released, qubit: factor}
+        # the conjugated product of the factors at each pattern of the
+        # released qubits' bits, the newest the highest bit
+        self._phi = np.outer(factor.conj(), self._phi).ravel()
+        self._shape = (2, h)
+        odds = Counter()
+        for letter, p in flips:
+            odds[letter] += p / (1.0 - p)
+        v = {"X": _vec_xflip(self.pure, qubit),
+             "Z": z_signs(1 << qubit, self.n) * self.pure}
+        return self._event(keep, [(keep * o, v[letter])
+                                  for letter, o in odds.items()],
+                           self.pure, self.pullback)
+
     def project_plus(
         self, check_qubits: frozenset[int]
     ) -> tuple[GradedDensityMatrix, float]:
@@ -622,6 +777,8 @@ class GradedDensityMatrix:
                                     self.kmax)
         kept = [q for q in range(self.n) if q not in checks]
         state.live = tuple(kept.index(q) for q in self.live if q in kept)
+        state.released = {kept.index(q): f for q, f in self.released.items()}
+        state._phi = self._phi
         state._shape = (self._shape[0], 1 << len(state.live))
         stacks, state.scale = state._stacks, self.scale
         stacks[...] = _sum_checks(self._stacks, tuple(
@@ -655,6 +812,28 @@ class GradedDensityMatrix:
         state.births = tuple(births)
         return state, rejected / before
 
+    def _reference(self, psi: np.ndarray) -> np.ndarray:
+        """psi as the fidelity stack reads it: contracted with the released
+        factors, of which it must be the product with a state of the other
+        qubits, and summed over the bits of the qubits outside the
+        stack."""
+        if len(self.live) == self.n:
+            return psi
+        t = psi.reshape((2,) * self.n)
+        # the lowest qubit first: the higher ones keep their axes
+        for q in sorted(self.released):
+            axis = self.n - 1 - q
+            f = self.released[q].conj().reshape((2,) + (1,) * (t.ndim - 1
+                                                                - axis))
+            t = (t * f).sum(axis=axis)
+        others = [q for q in range(self.n) if q not in self.released]
+        chi = t.reshape(-1)
+        if abs(np.vdot(chi, chi).real - 1.0) > 1e-9:
+            raise ValueError(
+                "reference state does not factor over the released qubits")
+        return _sum_checks(chi, tuple(i for i, q in enumerate(others)
+                                      if q not in self.live), len(others))
+
     def infidelity_with_pure(self, psi: np.ndarray) -> float:
         """1 - <psi|rho|psi>, accumulated branch-wise to avoid cancellation.
 
@@ -677,13 +856,11 @@ class GradedDensityMatrix:
         weights, rows = self.grade1_branches()
         rows -= np.outer(rows @ psi.conj(), psi)
         dev += float(weights @ (rows.real**2 + rows.imag**2).sum(1))
-        chi = psi
-        if len(self.live) < self.n:
-            outside = tuple(q for q in range(self.n) if q not in self.live)
-            chi = _sum_checks(psi, outside, self.n)
-        for g in self.grades[1:]:
-            dev += float(self.scale * (np.trace(g).real * self._spread
-                                       - np.real(chi.conj() @ g @ chi)))
+        chi = self._reference(psi)
+        stacks = self._stacks
+        for t, f in zip(stacks[1:, 0], stacks[1:, -1]):
+            dev += float(self.scale * (np.trace(t).real * self._spread
+                                       - np.real(chi.conj() @ f @ chi)))
         return dev / self.trace_total()
 
 

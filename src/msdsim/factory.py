@@ -350,17 +350,32 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     rotation on q, or past the projection, which keeps the outputs alone:
     there it runs at their dimension, as do the consumption flips and the
     readout, or on a check it is absorbed (Pi X_c = Pi), a grade shift.
+
+    An output whose ideal state is a single-qubit factor
+    (``Circuit.output_factors``) leaves the grade stack after its last
+    rotation (:meth:`GradedDensityMatrix.release`), with every Z flip on
+    it and every X flip after that rotation folded in; the rotations after
+    it run on the other qubits.
     """
     c = schedule.circuit
     probabilities = _probabilities(schedule, inputs)
     if not any(probabilities):
         # noiseless: the engine would read its round-off
         return ScheduleRun(0.0, 0.0)
+    events = list(zip(schedule.events, probabilities))
+    last = {}
+    for i, ((_, source, operator, _, _), _) in enumerate(events):
+        if source == "rotation":
+            last.update(dict.fromkeys(operator.axis.support, i))
+    folded = {q: [] for q in c.output_factors}
+    for i, ((_, source, operator, target, _), p) in enumerate(events):
+        if (source != "rotation" and target in folded
+                and (operator == "Z" or i > last[target])):
+            folded[target].append((operator, p))
     profiles = inputs[0]
     rho = GradedDensityMatrix.init_plus(c.n, kmax)
     z_flips, x_flips, consumed = [], {q: [] for q in range(c.n)}, []
-    for (_, source, operator, target, _), p in zip(schedule.events,
-                                                   probabilities):
+    for i, ((_, source, operator, target, _), p) in enumerate(events):
         if source == "rotation":
             for q in operator.axis.support:
                 for x in x_flips[q]:
@@ -369,6 +384,11 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
             rho = rho.apply_faulty_rotation(
                 operator.axis, profiles[target],
                 sign=1 if operator.angle.k > 0 else -1)
+            for q in operator.axis.support:
+                if q in folded and last[q] == i:
+                    rho = rho.release(q, c.output_factors[q], folded[q])
+        elif target in folded and (operator == "Z" or i > last[target]):
+            continue
         elif operator == "X":
             x_flips[target].append(p)
         else:

@@ -689,6 +689,61 @@ def _run_ops(state, ops):
     return state
 
 
+@st.composite
+def _release_cases(draw):
+    """(n, before, releases, after, checks, psi): channels on n qubits,
+    then releases of one or more of them, each with a one-qubit factor (the
+    magic state or a drawn one) and the X and Z flips folded into it, then
+    channels on the qubits left, at least one of which the projection
+    measures; psi is a readout reference that holds each released
+    factor."""
+    n = draw(st.integers(2, 5))
+    prob = st.floats(0.0, 0.05)
+    magic = np.array([1.0, np.exp(-0.25j * np.pi)]) / np.sqrt(2)
+
+    def ops(qubits):
+        drawn = []
+        for kind in draw(st.lists(st.sampled_from("rxz"), max_size=4)):
+            if kind == "r":
+                axis = draw(st.lists(st.sampled_from(qubits), min_size=1,
+                                     unique=True))
+                letters = "".join("Z" if q in axis else "I"
+                                  for q in range(n))
+                drawn.append(("rotation", (
+                    PauliProduct(letters),
+                    draw(st.builds(RotationErrorProfile, prob, prob, prob)),
+                    draw(st.sampled_from([1, -1])))))
+            elif kind == "x":
+                drawn.append(("x", (draw(st.sampled_from(qubits)),
+                                    draw(prob))))
+            else:
+                drawn.append(("z", draw(st.lists(st.tuples(
+                    st.sampled_from(qubits), prob), max_size=3))))
+        return drawn
+
+    def state():
+        theta, phase = draw(st.floats(0.0, np.pi)), draw(st.floats(-3, 3))
+        return np.array([np.cos(theta / 2),
+                         np.exp(1j * phase) * np.sin(theta / 2)])
+
+    before = ops(list(range(n)))
+    leaving = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1,
+                            max_size=n - 1))
+    releases = [(q, draw(st.just(magic) | st.builds(state)), draw(st.lists(
+        st.tuples(st.sampled_from("XZ"), prob), max_size=6)))
+        for q in leaving]
+    rest = [q for q in range(n) if q not in leaving]
+    checks = frozenset(draw(st.lists(st.sampled_from(rest), min_size=1,
+                                     max_size=len(rest) - (not leaving),
+                                     unique=True)))
+    kept = [q for q in range(n) if q not in checks]
+    factors = dict((q, f) for q, f, _ in releases)
+    psi = np.ones(1)
+    for q in kept:  # the highest kept qubit is the leftmost factor
+        psi = np.kron(factors[q] if q in factors else state(), psi)
+    return n, before, releases, ops(rest), checks, psi
+
+
 class TestLiveQubits:
     """The stack holds the qubits that a channel has acted on; every other
     qubit is |+> in every grade."""
@@ -729,3 +784,86 @@ class TestLiveQubits:
             psi = np.exp(1j * np.arange(1 << live.n)) * 2.0 ** (-live.n / 2)
             assert live.infidelity_with_pure(psi) == pytest.approx(
                 wide.infidelity_with_pure(psi), rel=1e-12, abs=1e-16)
+
+    @settings(max_examples=30)
+    @given(case=_release_cases())
+    def test_releases_agree_with_the_oracle(self, case):
+        # channels, releases with their flips folded, channels on the
+        # qubits left, the projection and the readout; the oracle runs each
+        # folded flip as a channel at its release.  Nothing is truncated
+        n, before, releases, after, checks, psi = case
+        events = sum(len(args) if kind == "z" else 1
+                     for kind, args in before + after) + sum(
+            len(flips) for _, _, flips in releases)
+        graded = _run_ops(GradedDensityMatrix.init_plus(n, events + 1),
+                          before)
+        dense = _run_ops(DensityMatrix.init_plus(n), before)
+        for qubit, factor, flips in releases:
+            graded = graded.release(qubit, factor, flips)
+            dense = _run_ops(dense, [("x", (qubit, p)) if letter == "X"
+                                     else ("z", [(qubit, p)])
+                                     for letter, p in flips])
+        graded, dense = _run_ops(graded, after), _run_ops(dense, after)
+        np.testing.assert_allclose(graded.trace_total(), 1.0, rtol=1e-12)
+        (graded, graded_fail), (dense, dense_fail) = (
+            s.project_plus(checks) for s in (graded, dense))
+        assert graded_fail == pytest.approx(dense_fail, rel=1e-12, abs=1e-15)
+        assert graded.infidelity_with_pure(psi) == pytest.approx(
+            1.0 - dense.fidelity_with_pure(psi), rel=1e-12, abs=1e-15)
+        if releases:
+            with pytest.raises(ValueError, match="contracted"):
+                materialize(graded)
+
+    @settings(max_examples=30)
+    @given(case=_release_cases(), kmax=st.integers(1, 3))
+    def test_a_release_moves_p_fail_by_the_dropped_mass_at_most(self, case,
+                                                                kmax):
+        # folded, an output's X flips act before the projection; run as
+        # channels they wait past it.  With grades dropped above kmax,
+        # p_fail divides by the trace that the projection sees, so the
+        # two differ by no more than the mass dropped
+        n, before, releases, after, checks, psi = case
+        folded = _run_ops(GradedDensityMatrix.init_plus(n, kmax), before)
+        apart = copy.deepcopy(folded)
+        waiting = []
+        for qubit, factor, flips in releases:
+            folded = folded.release(qubit, factor, flips)
+            apart = apart.apply_z_flips([(qubit, p) for letter, p in flips
+                                         if letter == "Z"])
+            waiting += [(qubit, p) for letter, p in flips if letter == "X"]
+        folded, apart = _run_ops(folded, after), _run_ops(apart, after)
+        dropped = max(1.0 - folded.trace_total(), 0.0)
+        folded, folded_fail = folded.project_plus(checks)
+        apart, apart_fail = apart.project_plus(checks)
+        kept = [q for q in range(n) if q not in checks]
+        for qubit, p in waiting:
+            apart = apart.apply_x_flip(kept.index(qubit), p)
+        eps = 1e-14
+        assert abs(folded_fail - apart_fail) <= dropped + eps
+        assert abs(folded.infidelity_with_pure(psi)
+                   - apart.infidelity_with_pure(psi)) <= 2 * dropped + eps
+
+    def test_a_released_qubit_takes_no_channel(self):
+        state = GradedDensityMatrix.init_plus(3, kmax=2).apply_x_flip(0, 0.1)
+        magic = np.array([1.0, np.exp(-0.25j * np.pi)]) / np.sqrt(2)
+        state = state.release(0, magic, [("Z", 0.01), ("X", 0.02)])
+        assert state.released.keys() == {0} and state.live == ()
+        for channel in (lambda s: s.apply_x_flip(0, 0.1),
+                        lambda s: s.apply_z_flips([(0, 0.1)]),
+                        lambda s: s.apply_faulty_rotation(
+                            PauliProduct("ZZI"), RotationErrorProfile(
+                                0.01, 0.0, 0.0)),
+                        lambda s: s.release(0, magic),
+                        lambda s: s.project_plus(frozenset({0, 1}))):
+            with pytest.raises(ValueError, match="released"):
+                channel(copy.deepcopy(state))
+        for factor, flips in (([1.0, 1.0], ()), ([1.0], ()),
+                              (magic, [("Y", 0.1)]), (magic, [("X", 1.0)])):
+            with pytest.raises(ValueError):
+                copy.deepcopy(state).release(1, factor, flips)
+        # the readout's reference must hold the released factor
+        kept, _ = state.project_plus(frozenset({2}))
+        with pytest.raises(ValueError, match="factor"):
+            kept.infidelity_with_pure(np.array([1.0, 0.0, 0.0, 0.0]))
+        assert kept.infidelity_with_pure(
+            np.kron(np.full(2, 0.5 ** 0.5), magic)) >= 0.0

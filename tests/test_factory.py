@@ -431,7 +431,7 @@ class TestSimulatedErrors:
         # norms of deviation vectors, so it stays positive and exact.
         report = simulate_factory(_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4,
                                       1e-4))
-        np.testing.assert_allclose(report.p_out, 8.192461995565319e-25,
+        np.testing.assert_allclose(report.p_out, 8.192461625797232e-25,
                                    rtol=1e-9)
         assert report.p_out > 0.0
 
@@ -540,63 +540,105 @@ class TestRecordedTables:
             rtol=max(16 * floor, 1e-12))
 
 
-def test_a_20_to_4_run_applies_its_z_flips_in_two_passes(monkeypatch):
-    # storage, output and consumption Z flips, one pass at the checks and
-    # one before the readout: the 15-to-1 level-1 run's 35 flips, then the
-    # 20-to-4's 101
-    passes = []
-    apply = GradedDensityMatrix.apply_z_flips
+def _counted(monkeypatch, config):
+    """Run the top-level schedule of ``config`` at kmax 6 and count its
+    engine calls, and those of a level-1 block not yet in the memo: X
+    flips, absorbed X flips and rotations by (kind, live qubits, stacks) of
+    the state they ran on; the flips of each Z pass; and each release's
+    (qubit, folded Z flips, folded X flips)."""
+    counted = collections.Counter()
+    passes, releases = [], []
+    engine = GradedDensityMatrix
 
-    def counted(state, flips):
+    def count(name, kind, size=lambda *args: 1):
+        method = getattr(engine, name)
+
+        def counting(state, *args, **kwargs):
+            state = method(state, *args, **kwargs)
+            counted[kind, len(state.live), state._shape[0]] += size(*args)
+            return state
+        monkeypatch.setattr(engine, name, counting)
+
+    count("apply_x_flip", "x")
+    count("apply_absorbed_flips", "absorbed", lambda probs: len(probs))
+    count("apply_faulty_rotation", "rotation")
+    z_pass, release = engine.apply_z_flips, engine.release
+
+    def counted_z(state, flips):
         passes.append(len(flips))
-        return apply(state, flips)
+        return z_pass(state, flips)
 
-    monkeypatch.setattr(GradedDensityMatrix, "apply_z_flips", counted)
-    config = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
+    def counted_release(state, qubit, factor, flips):
+        releases.append((qubit, sum(letter == "Z" for letter, _ in flips),
+                         sum(letter == "X" for letter, _ in flips)))
+        return release(state, qubit, factor, flips)
+
+    monkeypatch.setattr(engine, "apply_z_flips", counted_z)
+    monkeypatch.setattr(engine, "release", counted_release)
+    run = factory._run_schedule(build_schedule(config.family),
+                                factory._noise_inputs(config, 6), 6)
+    assert run.p_out > 0.0
+    return counted, passes, releases
+
+
+def test_a_20_to_4_run_applies_its_z_flips_in_two_passes(monkeypatch):
+    # storage, output and consumption Z flips: one pass at the checks and
+    # one before the readout, and each released output's own folded into
+    # its release; the 15-to-1 level-1 run's 35 flips (22 + 13), then the
+    # 20-to-4's 101 (30 + 17 + 18 + 18 + 18).  Every output leaves, so
+    # the pass before the readout is empty
     factory._LEVEL1_RUNS.clear()
     try:
-        run = factory._run_schedule(build_schedule(config.family),
-                                    factory._noise_inputs(config, 6), 6)
+        _, passes, releases = _counted(
+            monkeypatch, _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4))
     finally:
         factory._LEVEL1_RUNS.clear()
-    assert run.p_out > 0.0
-    assert passes == [34, 1, 97, 4]
+    assert passes == [22, 0, 30, 0]
+    assert releases == [(0, 13, 3),
+                        (0, 17, 7), (1, 18, 5), (2, 18, 3), (3, 18, 2)]
 
 
 @pytest.mark.parametrize("config, flips", [
-    (_l1(17, 7, 7, 1e-3), {("x", 5): 21, ("x", 1): 3, ("absorbed", 1): 4}),
+    (_l1(17, 7, 7, 1e-3), {("x", 5, 1): 14, ("x", 4, 1): 1, ("x", 3, 1): 2,
+                           ("x", 4, 2): 4, ("absorbed", 0, 2): 4,
+                           ("folded", 0): 3}),
     (_l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4),
-     {("x", 7): 53, ("x", 4): 17, ("absorbed", 4): 3}),
+     {("x", 7, 1): 17, ("x", 6, 1): 2, ("x", 5, 1): 2, ("x", 4, 1): 4,
+      ("x", 3, 1): 1, ("x", 2, 1): 1, ("x", 6, 2): 8, ("x", 5, 2): 9,
+      ("x", 4, 2): 9, ("absorbed", 0, 2): 3, ("folded", 0): 7,
+      ("folded", 1): 5, ("folded", 2): 3, ("folded", 3): 2}),
     (_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4, 1e-4),
-     {("x", 5): 33, ("x", 1): 3, ("absorbed", 1): 5}),
+     {("x", 5, 1): 23, ("x", 4, 1): 6, ("x", 3, 1): 1, ("x", 4, 2): 3,
+      ("absorbed", 0, 2): 5, ("folded", 0): 3}),
 ], ids=["L1_15to1", "L2_15x20", "L2_15x15"])
 def test_x_flips_wait_for_the_next_rotation_on_their_qubit(config, flips,
                                                            monkeypatch):
     # table1 rows 6, 4 and 5: of the 28, 73 and 41 storage and consumption
-    # X flips of a run, those after the last rotation on their qubit wait
-    # for the projection, then run on the outputs alone or, on a check,
-    # are absorbed; counted by the qubits of the state they act on
-    counted = collections.Counter()
-    x_flip = GradedDensityMatrix.apply_x_flip
-    absorbed = GradedDensityMatrix.apply_absorbed_flips
-
-    def count_x(state, qubit, p):
-        counted["x", state.n] += 1
-        return x_flip(state, qubit, p)
-
-    def count_absorbed(state, probs):
-        counted["absorbed", state.n] += len(probs)
-        return absorbed(state, probs)
-
-    if factory.LAYOUTS[config.family].level == 2:  # level 1 runs uncounted
-        factory.level1_output_error(config)
-    else:  # a level-1 row is read from the memo of level-1 runs
-        factory._LEVEL1_RUNS.clear()
-    monkeypatch.setattr(GradedDensityMatrix, "apply_x_flip", count_x)
-    monkeypatch.setattr(GradedDensityMatrix, "apply_absorbed_flips",
-                        count_absorbed)
-    assert simulate_factory(config).p_out > 0.0
+    # X flips of a run, those after the last rotation on their qubit wait:
+    # an output's fold into its release, a check's past the projection,
+    # where they are absorbed; counted by the live qubits and stacks of
+    # the state they run on.  A qubit enters the stack at its first
+    # channel, and an output leaves it after its last rotation, so most
+    # flips run on fewer than all of the block's qubits
+    factory.level1_output_error(config)  # level 1 runs uncounted
+    counted, _, releases = _counted(monkeypatch, config)
+    counted = {key: m for key, m in counted.items() if key[0] != "rotation"}
+    counted.update({("folded", q): x for q, _, x in releases})
     assert counted == flips
+
+
+def test_a_20_to_4_run_applies_most_rotations_below_seven_qubits(
+        monkeypatch):
+    # table1 row 4's 20-to-4 run by (live qubits, stacks): four of its 20
+    # rotations see all seven qubits; the rest run on the qubits entered so
+    # far, or on the trace and fidelity stacks of those not yet released
+    config = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
+    factory.level1_output_error(config)  # level 1 runs uncounted
+    counted, _, _ = _counted(monkeypatch, config)
+    assert {key[1:]: m for key, m in counted.items()
+            if key[0] == "rotation"} == {
+        (1, 1): 1, (2, 1): 1, (4, 1): 3, (7, 1): 4, (6, 2): 5, (5, 2): 3,
+        (4, 2): 3}
 
 
 @pytest.mark.parametrize("family", ["L2_15xCCZ", "L1_15to1", "L2_15x20"])
