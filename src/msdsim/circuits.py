@@ -7,7 +7,8 @@ the 8-to-CCZ circuit, and the 7-rotation CCZ decomposition.  All angles are
 output qubit indices are 0-based.
 
 Also here: exact equivalence checks of Z-type circuits as phase
-polynomials, brute-force undetected-error-set counting, full
+polynomials, an exact check of a circuit's noiseless output in
+Z[e^{i pi/8}], brute-force undetected-error-set counting, full
 density-matrix circuit simulations under three noise models, and an exact
 check of each branch of the four lattice-surgery gadgets (state
 consumption, faulty T measurement, delayed-choice rotation, and the
@@ -255,6 +256,38 @@ def verify_equivalence(a, b) -> bool:
     # uint8 differences wrap mod 256, a multiple of 16
     d = (phase_exponents(a, n) - phase_exponents(b, n)) % 16
     return bool(np.all(d == d[0]))
+
+
+def verify_noiseless_output(c: Circuit, ideal) -> bool:
+    """True iff the noiseless circuit passes its checks with certainty and
+    leaves its other qubits exactly in the state that the Z-type
+    rotations ``ideal`` make of |+> on them, up to global phase.
+
+    Exact arithmetic in Z[w], w = e^{i pi/8}: the circuit leaves
+    w^a(x) / 2^(n/2) at basis state x (:func:`pauli.phase_exponents`), so
+    the kept amplitude at y, <+| on the checks times 2^(c/2), is
+    r_y / 2^(n/2), with r_y the sum of w^a(x) over the check bits: eight
+    integers, once w^8 = -1 folds the sixteen powers.  The output is the
+    ideal state iff r_y times the conjugate ideal phase is one nonzero
+    element r for every y, and no run fails the checks iff also
+    |r|^2 = 2^(n + c - k) for the k kept qubits.
+    """
+    kept = [q for q in range(c.n) if q not in c.check_qubits]
+    x = np.arange(1 << c.n)
+    y = sum(((x >> q) & 1) << i for i, q in enumerate(kept))
+    e = (phase_exponents(c.rotations, c.n).astype(np.int64)
+         - phase_exponents(tuple(ideal), len(kept))[y]) % 16
+    counts = np.zeros((1 << len(kept), 16), dtype=np.int64)
+    np.add.at(counts, (y, e), 1)
+    r = counts[:, :8] - counts[:, 8:]
+    if not (r == r[0]).all() or not r[0].any():
+        return False
+    square = np.zeros(16, dtype=np.int64)
+    powers = np.arange(8)
+    np.add.at(square, (powers[:, None] - powers) % 16, np.outer(r[0], r[0]))
+    norm = square[:8] - square[8:]
+    return (norm[0] == 1 << (c.n + len(c.check_qubits) - len(kept))
+            and not norm[1:].any())
 
 
 def undetected_error_sets(c: Circuit, order: int) -> int:

@@ -60,6 +60,7 @@ from .circuits import (
     undetected_error_sets,
     verify_equivalence,
     verify_gadget,
+    verify_noiseless_output,
     z_only,
 )
 from .density import DEFAULT_MAX_GRADE
@@ -627,10 +628,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "15-to-1 composes to a -pi/8 Z-rotation on its output",
         verify_equivalence(c15, target),
     ))
-    p_out20, p_fail20 = simulate_circuit(c20, z_only(0.0), kmax=1)
+    # the ideal outputs, |m~> = P_{-pi/8}|+> on each of the four kept qubits
+    magic4 = [Rotation(PauliProduct("".join("Z" if i == q else "I"
+                                            for i in range(4))),
+                       RotationAngle(-1)) for q in range(4)]
     checks.append((
         "20-to-4 noiseless output fidelity >= 1 - 1e-10",
-        c20.outputs * p_out20 <= 1e-10 and p_fail20 <= 1e-10,
+        verify_noiseless_output(c20, magic4),
     ))
     checks.append((
         "8-to-CCZ composes to the 7-rotation CCZ decomposition",

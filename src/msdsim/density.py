@@ -8,13 +8,25 @@ of the trace (1e-15 and smaller) are read as squared norms of deviation
 vectors, without catastrophic cancellation.  Restricted to Z-type axes
 (all catalog circuits are Z-type).
 
-A state owns its grades, one ``(kmax, dim, dim)`` stack, and its
-channels' scratch, in one allocation.  Every channel updates the state in
-place, the stack in cache-sized blocks, and returns it, so ``rho =
-rho.apply_...(...)`` reads as a step; a caller that wants an earlier state
-too copies it first.  A projection returns a new state of the kept qubits,
-with its own stack and scratch, and leaves the old one's branch store
-empty.
+The dense grade stack holds only the live qubits, those that a channel
+has acted on; ``pure`` and the branch store keep all ``n``.  A qubit that
+no channel has touched is |+> in every grade, so the full matrix's
+entries do not depend on its bits: it enters the stack, at its index
+position, when a channel first acts on it, as copies of the entries
+already stored, and an entry leaves every later grade and output
+byte-identical.  :meth:`GradedDensityMatrix.release` takes a qubit out of
+the stack for good once only flips will act on it: the stack becomes a
+pair, its trace over the qubit and its fidelity with the qubit's ideal
+single-qubit state, with the qubit's remaining flips folded in; every
+later channel updates both.
+
+A state holds its stacks and its channels' scratch in one allocation,
+sized for the full-width stack: live-qubit stacks, and the pair, fit in
+it.  Every channel updates the state in place, the stack in cache-sized
+blocks, and returns it, so ``rho = rho.apply_...(...)`` reads as a step;
+a caller that wants an earlier state too copies it first.  A projection
+returns a new state of the kept qubits, with its own allocation, and
+leaves the old one's branch store empty.
 
 The stack is held divided by ``scale``, as the branch store is: grade k
 is ``scale * H_k`` for the stored ``H_k``, and ``scale`` is 1/p_success
@@ -55,11 +67,14 @@ Usage::
     prof = RotationErrorProfile(1e-4, 0.0, 0.0, 0.0)
     rho = rho.apply_faulty_rotation(PauliProduct("ZIIII"), prof)
     rho = rho.apply_x_flip(1, 1e-4).apply_z_flips([(0, 1e-4), (1, 2e-4)])
+    rho = rho.release(0, [2**-0.5, 0.5 - 0.5j], [("Z", 1e-4)])
     rho, p_fail = rho.project_plus(frozenset({1, 2, 3, 4}))  # rho.n == 1
     rho = rho.apply_absorbed_flips([1e-4])  # an X flip that waited on a check
+    p_out = rho.infidelity_with_pure([2**-0.5, 0.5 - 0.5j])
 """
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -204,6 +219,16 @@ def _z_flip_tables(counts: Counter, n: int, kmax: int) -> np.ndarray:
     return table
 
 
+def _times(a: list, b: list, depth: int) -> list:
+    """The product of two polynomials' coefficient lists, to degree
+    ``depth``."""
+    out = [0.0] * min(depth + 1, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:len(out) - i]):
+            out[i + j] += x * y
+    return out
+
+
 def _fold_tables(flips, kmax: int) -> tuple[float, np.ndarray]:
     """(keep, lam) of (letter, p) X and Z flips on one qubit: keep =
     prod(1 - p), and lam[j - 1] (j = 1..depth, depth <= kmax) the
@@ -215,34 +240,22 @@ def _fold_tables(flips, kmax: int) -> tuple[float, np.ndarray]:
     P_X(-t) P_Z(-t).  Complex, since a real operand makes NumPy's complex
     loops cast in buffers."""
     depth = min(kmax, len(flips))
-    keep, poly = 1.0, {"X": np.ones(1), "Z": np.ones(1)}
+    keep, poly = 1.0, {"X": [1.0], "Z": [1.0]}
     for (letter, p), m in Counter(flips).items():
         if letter not in poly:
             raise ValueError(f"flip {letter!r} is not X or Z")
         odds = p / (1.0 - p)
-        poly[letter] = np.convolve(poly[letter], [
-            math.comb(m, j) * odds**j
-            for j in range(min(m, depth) + 1)])[:depth + 1]
+        poly[letter] = _times(poly[letter], [
+            math.comb(m, j) * odds**j for j in range(min(m, depth) + 1)],
+            depth)
         keep *= (1.0 - p)**m
     x, z = poly["X"], poly["Z"]
-    mx, mz = (c * (-1.0)**np.arange(len(c)) for c in (x, z))
-    lam = np.zeros((4, depth + 1), dtype=np.complex128)
-    for row, (a, b) in zip(lam, ((x, z), (mx, z), (x, mz), (mx, mz))):
-        product = np.convolve(a, b)[:depth + 1]
-        row[:len(product)] = product
-    return keep, lam.T[1:]
-
-
-def _split(t: np.ndarray, out: np.ndarray, parts: int) -> None:
-    """Write the parts of each (hi, 2, lo, hi, 2, lo) matrix of t that a
-    release folds, for the blocks H_ab of its qubit's bits, into the
-    quarters of (4, hi, lo, hi, lo) ``out``: c_I = H00 + H11, u = H01 and,
-    for ``parts`` = 3, c_Z = H00 - H11."""
-    h00, h11 = t[:, :, 0, :, :, 0, :], t[:, :, 1, :, :, 1, :]
-    np.add(h00, h11, out=out[:, 0])
-    np.copyto(out[:, 1], t[:, :, 0, :, :, 1, :])
-    if parts == 3:
-        np.subtract(h00, h11, out=out[:, 2])
+    mx, mz = ([-v if j % 2 else v for j, v in enumerate(c)] for c in (x, z))
+    lam = np.zeros((depth + 1, 4), dtype=np.complex128)
+    for i, (a, b) in enumerate(((x, z), (mx, z), (x, mz), (mx, mz))):
+        product = _times(a, b, depth)
+        lam[:len(product), i] = product
+    return keep, lam[1:]
 
 
 def _flip_p(p: float, qubit: int | None = None, n: int = 0) -> float:
@@ -312,6 +325,18 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _mask_of(qubits: tuple[int, ...]) -> int:
+    """The bitmask of some qubits."""
+    return sum(1 << q for q in qubits)
+
+
+@lru_cache(maxsize=None)
+def _compress(mask: int, live: tuple[int, ...]) -> int:
+    """A bitmask of live qubits as bits of their positions in ``live``."""
+    return sum(1 << i for i, q in enumerate(live) if mask >> q & 1)
+
+
+@lru_cache(maxsize=None)
 def _embedding(live: tuple[int, ...],
                released: tuple[int, ...]) -> np.ndarray:
     """(2**r, 2**len(live)) full-width basis indices: row b, column i holds
@@ -331,6 +356,10 @@ def _embedding(live: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # graded engine
 # ---------------------------------------------------------------------------
+
+# what a state holds; the rest are views and tables that its layout sets
+_STATE = ("n", "pure", "_buffer", "_kmax", "live", "released", "births",
+          "pullback", "scale")
 
 class GradedDensityMatrix:
     """State split by exact error count, with a pure zero-error branch.
@@ -361,38 +390,57 @@ class GradedDensityMatrix:
         self.pure = pure
         self._buffer = np.zeros((kmax + _scratch(kmax, dim)) * dim * dim,
                                 dtype=np.complex128)
-        self._kmax, self._shape = kmax, (1, 1)
-        self.live, self.released, self._phi = (), {}, np.ones(1)
+        self._kmax = kmax
+        self._layout((), {}, 1)
         self.births, self.pullback, self.scale = (), 1.0, 1.0
+
+    def _layout(self, live: tuple[int, ...], released: dict,
+                stacks: int) -> None:
+        """Hold ``stacks`` stacks on the ``live`` qubits, after the
+        ``released`` ones left with their factors: the (kmax, stacks, d, d)
+        view ``_stacks`` at the start of the allocation, d = 2**len(live),
+        the scratch after the full-width stack, and what ``_outer`` reads
+        full-width vectors through (None while every qubit is live)."""
+        self.live, self.released = live, released
+        d, kmax = 1 << len(live), self._kmax
+        self._stacks = self._buffer[:kmax * stacks * d * d].reshape(
+            kmax, stacks, d, d)
+        work = self._work = self._buffer[kmax * len(self.pure)**2:]
+        # a channel's A and B tables, its walk and its block of terms
+        per, self._walk = _blocks(kmax, stacks * d * d)
+        self._tables = (work[:d * d].reshape(d, d),
+                        work[d * d:2 * d * d].reshape(d, d))
+        self._terms = work[2 * d * d:(2 + per * stacks) * d * d].reshape(
+            per, stacks, d, d)
+        self._live_bits = _mask_of(live)
+        self._released_bits = _mask_of(tuple(released))
+        # each entry of the stack stands for 2**m diagonal entries of the
+        # full matrix, for the m qubits outside it
+        self._spread = 1 << (self.n - len(live) - len(released))
+        self._gather = None
+        if len(live) < self.n:
+            phi = np.ones(1)
+            for f in released.values():  # the newest the highest bit
+                phi = np.outer(f.conj(), phi).ravel()
+            self._gather = _embedding(live, tuple(released)), phi, phi.conj()
+
+    def __deepcopy__(self, memo) -> GradedDensityMatrix:
+        """A copy with an allocation of its own, and its views into it."""
+        state = object.__new__(type(self))
+        state.__dict__.update(copy.deepcopy(
+            {k: v for k, v in vars(self).items() if k in _STATE}, memo))
+        state._layout(self.live, state.released, self._stacks.shape[1])
+        return state
 
     @property
     def kmax(self) -> int:
         return self._kmax
 
     @property
-    def _stacks(self) -> np.ndarray:
-        """The (kmax, s, d, d) grade stacks at the start of the allocation:
-        one stack (s = 1) on the d = 2**len(live) entries of the live
-        qubits."""
-        s, d = self._shape
-        return self._buffer[:self._kmax * s * d * d].reshape(
-            self._kmax, s, d, d)
-
-    @property
     def grades(self) -> np.ndarray:
-        """The (kmax, d, d) grade stack on the live qubits."""
+        """The (kmax, d, d) grade stack on the live qubits; after a release,
+        their trace over the released qubits."""
         return self._stacks[:, 0]
-
-    @property
-    def _work(self) -> np.ndarray:
-        """The channels' scratch, flat, after the full-width stack."""
-        return self._buffer[self._kmax * len(self.pure)**2:]
-
-    @property
-    def _spread(self) -> int:
-        """2**m for the m qubits outside the stack: each entry of the
-        stack stands for 2**m diagonal entries of the full matrix."""
-        return 1 << (self.n - len(self.live) - len(self.released))
 
     @classmethod
     def init_plus(cls, n: int,
@@ -424,25 +472,26 @@ class GradedDensityMatrix:
         return t
 
     # -- the live qubits --------------------------------------------------
-    def _enter(self, qubits) -> None:
-        """Widen the stack to hold ``qubits`` too, each at its index
-        position among the live qubits.
+    def _enter(self, mask: int) -> None:
+        """Widen the stack to hold the qubits of ``mask`` too, each at its
+        index position among the live qubits.
 
         A qubit outside the stack is |+> in every grade, so its entries
         are copies: the matrices are broadcast over the new qubits' bits in
         place, from the top down, each chunk of them landing above every
         matrix not yet moved, and the lowest through the scratch.
         """
-        new = [q for q in qubits if q not in self.live]
+        new = mask & ~self._live_bits
         if not new:
             return
-        for q in new:
-            if q in self.released:
-                raise ValueError(f"qubit {q} was released")
-        live = tuple(sorted(self.live + tuple(new)))
-        shape = tuple(1 if q in new else 2 for q in reversed(live)) * 2
+        if new & self._released_bits:
+            q = (new & self._released_bits).bit_length() - 1
+            raise ValueError(f"qubit {q} was released")
+        live = _bits(self._live_bits | new)
+        shape = tuple(1 if new >> q & 1 else 2 for q in reversed(live)) * 2
         wide = (2,) * (2 * len(live))
-        (s, d), d2 = self._shape, 1 << len(live)
+        s, d = self._stacks.shape[1:3]
+        d2 = 1 << len(live)
         buf, hi = self._buffer, self._kmax * s
         while hi:
             # matrices [lo, hi) land at or above lo * d2**2 >= hi * d**2
@@ -454,13 +503,14 @@ class GradedDensityMatrix:
             np.copyto(buf[lo * d2 * d2:hi * d2 * d2].reshape((-1,) + wide),
                       src.reshape((-1,) + shape))
             hi = lo
-        self.live, self._shape = live, (s, d2)
+        self._layout(live, self.released, s)
 
-    def _live_mask(self, mask: int) -> int:
-        """A full-width bitmask of live qubits, on the live qubits."""
-        if len(self.live) == self.n:
+    def _live(self, mask: int) -> int:
+        """A full-width bitmask, its qubits entered, on the live qubits."""
+        if self._gather is None:  # every qubit is live
             return mask
-        return sum(1 << i for i, q in enumerate(self.live) if mask >> q & 1)
+        self._enter(mask)
+        return _compress(mask, self.live)
 
     def _outer(self, lead: np.ndarray, v: np.ndarray, out: np.ndarray,
                rows: slice = slice(None)) -> None:
@@ -469,17 +519,17 @@ class GradedDensityMatrix:
         trace over the released qubits (a sum of one outer product per
         pattern of their bits) and their fidelity with the released
         factors (one outer product of the contracted vectors)."""
-        if len(self.live) == self.n:
+        if self._gather is None:
             np.multiply(lead[rows, None], v.conj(), out=out[0])
             return
-        index = _embedding(self.live, tuple(self.released))
+        index, phi, phi_conj = self._gather
         lead, v = lead[index], v[index].conj()
         if not self.released:
             np.multiply(lead[0, rows, None], v[0], out=out[0])
             return
         np.einsum("bi,bj->ij", lead[:, rows], v, out=out[0])
-        np.multiply(np.einsum("b,bi->i", self._phi, lead[:, rows])[:, None],
-                    np.einsum("b,bj->j", self._phi.conj(), v), out=out[1])
+        np.multiply(np.einsum("b,bi->i", phi, lead[:, rows])[:, None],
+                    np.einsum("b,bj->j", phi_conj, v), out=out[1])
 
     # -- internal channel machinery ---------------------------------------
     def _table(self, x, out: np.ndarray, mask: int):
@@ -499,16 +549,13 @@ class GradedDensityMatrix:
         and B; an A of 1 takes no multiply.  Blocks run from the top grade
         down, each reading the grades below it before it overwrites itself.
         """
-        stacks, work = self._stacks, self._work
-        kmax, s, d = stacks.shape[:3]
-        a = self._table(a, work[:d * d].reshape(d, d), mask)
-        b = self._table(b, work[d * d:2 * d * d].reshape(d, d), mask)
+        stacks, terms = self._stacks, self._terms
+        a = self._table(a, self._tables[0], mask)
+        b = self._table(b, self._tables[1], mask)
         identity = not isinstance(a, np.ndarray) and a == 1.0
         table = isinstance(b, np.ndarray)
         lead = v * ((1.0 if table else b) / self.scale)
-        per, blocks = _blocks(kmax, s * d * d)
-        terms = work[2 * d * d:(2 + per * s) * d * d].reshape(per, s, d, d)
-        for src, term, below, block, lo in blocks:
+        for src, term, below, block, lo in self._walk:
             term = terms[term]
             below = term[below]
             src = stacks[src]
@@ -517,7 +564,10 @@ class GradedDensityMatrix:
                 below = below.reshape(src.shape)
             np.multiply(src, b, out=below)
             if lo == 0:
-                self._outer(lead, v, term[0])
+                if self._gather is None:  # _outer, without the call
+                    np.multiply(lead[:, None], v.conj(), out=term[0, 0])
+                else:
+                    self._outer(lead, v, term[0])
                 if table:
                     term[0] *= b
             block = stacks[block]
@@ -566,8 +616,7 @@ class GradedDensityMatrix:
         errs = ideal * sum(p * _phase_table(extra) for p, extra in errors)
         # stored grades: keep divides out, or restarts the scale at 1
         a, b = (ideal, errs / keep) if keep else (0.0, self.scale * errs)
-        self._enter(axis.support)
-        self._channel(a, b, self.pure, mask=self._live_mask(mask))
+        self._channel(a, b, self.pure, mask=self._live(mask))
         d = _diagonal(mask, self.n, theta)
         pure = d * self.pure
         born = [(p, _diagonal(mask, self.n, extra) * pure)
@@ -579,10 +628,10 @@ class GradedDensityMatrix:
         p = _flip_p(p, qubit, self.n)
         if not p:
             return self
-        self._enter((qubit,))
+        position = self._live(1 << qubit).bit_length() - 1
         v = _vec_xflip(self.pure, qubit)
         keep = 1.0 - p
-        self._channel(1.0, p / keep, v, self.live.index(qubit))
+        self._channel(1.0, p / keep, v, position)
         return self._event(keep, [(p, v)], self.pure, self.pullback)
 
     def apply_z_flips(self, flips) -> GradedDensityMatrix:
@@ -612,18 +661,20 @@ class GradedDensityMatrix:
         counts = Counter((mask, p) for p, mask in flips if p)
         if not counts:
             return self
-        self._enter(sorted({q for mask, _ in counts for q in _bits(mask)}))
-        counts = Counter({(self._live_mask(mask), p): m
-                          for (mask, p), m in counts.items()})
+        odds, union = Counter(), 0
+        for (mask, p), m in counts.items():
+            odds[mask] += m * p / (1.0 - p)
+            union |= mask
+        self._live(union)
         n = len(self.live)
-        table = _z_flip_tables(counts, n, kmax)
+        table = _z_flip_tables({(self._live(mask), p): m
+                                for (mask, p), m in counts.items()}, n, kmax)
         keep, depth = table[0, 0].real, len(table) - 1
         table = table[1:] / keep
         # the E_j of a slab of rows, each stack's g_0 and a term fill the
         # scratch
-        stacks, xor = self._stacks, _xor_index(n)
-        s, d = self._shape
-        work = self._work
+        stacks, work, xor = self._stacks, self._work, _xor_index(n)
+        s, d = stacks.shape[1:3]
         rows = min(d, len(work) // ((depth + 2 * s) * d))
         lead = self.pure / self.scale
         for r in (slice(lo, lo + rows) for lo in range(0, d, rows)):
@@ -641,36 +692,31 @@ class GradedDensityMatrix:
                 for j in range(1, min(k, depth) + 1):
                     below = stacks[k - j - 1, :, r] if k > j else g0
                     block += np.multiply(e[j - 1], below, out=term)
-        odds = Counter()
-        for (mask, p), m in Counter((mask, p) for p, mask in flips
-                                    if p).items():
-            odds[mask] += m * p / (1.0 - p)
         born = [(keep * o, z_signs(mask, self.n) * self.pure)
                 for mask, o in odds.items()]
         return self._event(keep, born, self.pure, self.pullback)
 
     def release(self, qubit: int, factor,
                 flips=()) -> GradedDensityMatrix:
-        """Contract ``qubit`` out of the stack, once no channel but X and Z
-        flips acts on it any more.
+        """Contract ``qubit`` out of the stack, once only X and Z flips act
+        on it any more.
 
         The stack becomes a pair of stacks on the other live qubits: its
         trace over the qubit, which :meth:`trace_total` and
         :meth:`project_plus` read, and its fidelity with the single-qubit
-        state ``factor``, which :meth:`infidelity_with_pure` reads; every
-        later channel updates both.  ``pure`` and the branch store keep
-        the qubit.
+        state ``factor``, which :meth:`infidelity_with_pure` reads.  Every
+        later channel updates both; ``pure`` and the branch store keep the
+        qubit.
 
-        ``flips`` are (letter, p) X and Z flips on the qubit that have not
-        run: they commute with every channel left, and fold into the
-        contraction as one Pauli channel.  Each Pauli component sigma of
-        the qubit (I, Z, X, Y, kept at the blocks 00, 11, 01, 10 of each
-        matrix as H00 + H11, H00 - H11, H01 + H10 and H01 - H10) takes the
-        grade polynomial prod((1 - p) + p c t), c = +-1 as the flip
-        commutes with sigma or not (:func:`_fold_tables`).  A trace over
-        the qubit is the I component, whatever the flips; the fidelity is
-        (I + r_Z Z + r_X X + i r_Y Y)/2 for the factor's Bloch vector r.
-        The pair takes the stack's place in its allocation.
+        ``flips`` are the (letter, p) X and Z flips on the qubit that have
+        not run.  They commute with every channel left and fold into the
+        contraction as one Pauli channel, which takes each Pauli component
+        of the qubit's blocks H_ab, c_I = H00 + H11, c_Z = H00 - H11,
+        c_X = H01 + H10 and c_Y = H01 - H10, times its own grade polynomial
+        (:func:`_fold_tables`).  The trace is c_I; the fidelity is
+        (c_I + r_Z c_Z + r_X c_X + i r_Y c_Y)/2 for the factor's Bloch
+        vector r, or (c_I + r_Z c_Z + G + G^dagger)/2, with G the folded
+        (r_X + i r_Y) H01, since every grade is Hermitian.
         """
         if not 0 <= qubit < self.n:
             raise ValueError(f"qubit index {qubit} out of range")
@@ -682,17 +728,16 @@ class GradedDensityMatrix:
             raise ValueError("factor is not a normalized one-qubit state")
         flips = [(letter, _flip_p(p)) for letter, p in flips]
         keep, lam = _fold_tables([f for f in flips if f[1]], self._kmax)
-        self._enter((qubit,))
-        (s, d), kmax, work = self._shape, self._kmax, self._work
-        lo = 1 << self.live.index(qubit)
+        lo = self._live(1 << qubit)
+        kmax, work, buf = self._kmax, self._work, self._buffer
+        s, d = self._stacks.shape[1:3]
         hi, h = d // (2 * lo), d // 2
-        buf = self._buffer
         r_z = float(abs(factor[0])**2 - abs(factor[1])**2)
         mu0 = 2.0 * np.conj(factor[0]) * factor[1]  # r_X + i r_Y
         parts = 3 if r_z else 2
-        # the grade-0 source, then every matrix, in its quarters: c_I, u
-        # and, for a factor off the equator, c_Z; as many matrices at a
-        # time as the scratch holds
+        # the grade-0 source, then every matrix, in place: its quarters
+        # take c_I, mu0 H01 and, for a factor off the equator, c_Z; as many
+        # matrices at a time as the scratch holds
         source = work[:s * d * d]
         self._outer(self.pure / self.scale, self.pure,
                     source.reshape(s, d, d))
@@ -700,26 +745,29 @@ class GradedDensityMatrix:
         per = max(1, min(s * kmax, len(spare) // (d * d)))
         for chunk in [source] + [buf[g * d * d:min(g + per, s * kmax) * d * d]
                                  for g in range(0, s * kmax, per)]:
-            t = spare[:len(chunk)]
-            t[...] = chunk
-            _split(t.reshape(-1, hi, 2, lo, hi, 2, lo),
-                   chunk.reshape(-1, 4, hi, lo, hi, lo), parts)
-        # the fold, from the top grade down: grade k reads grades below it
+            t = spare[:len(chunk)].reshape(-1, hi, 2, lo, hi, 2, lo)
+            t.reshape(-1)[...] = chunk
+            out = chunk.reshape(-1, 4, hi, lo, hi, lo)
+            np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out[:, 0])
+            np.multiply(t[:, :, 0, :, :, 1], mu0, out=out[:, 1])
+            if r_z:
+                np.subtract(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1],
+                            out=out[:, 2])
+        # the fold, from the top grade down: each reads grades below it;
+        # mu0 H01 takes (r_X lam_X + i r_Y lam_Y)/mu0, or nothing at mu0 = 0
+        coef = np.stack([lam[:, 0], mu0.real * lam[:, 2]
+                         + 1j * mu0.imag * lam[:, 3], lam[:, 1]], axis=1)
+        coef[:, 1] = coef[:, 1] / mu0 if mu0 else 0.0
+        coef = coef[:, :parts]
         c = buf[:kmax * s * d * d].reshape(kmax, s, 4, h * h)
         below0 = source.reshape(s, 4, h * h)[:, :parts]
         term = spare[:s * parts * h * h].reshape(s, parts, h * h)
-        # u's polynomial is r_X lam_X + i r_Y lam_Y
-        coef = np.stack([lam[:, 0], mu0.real * lam[:, 2]
-                         + 1j * mu0.imag * lam[:, 3], lam[:, 1]], axis=1)
-        coef = coef[:, :parts]
         for k in range(kmax, 0, -1):
-            c[k - 1, :, 1] *= mu0
             for j in range(1, min(k, len(coef)) + 1):
                 below = c[k - j - 1, :, :parts] if k > j else below0
                 c[k - 1, :, :parts] += np.multiply(coef[j - 1, :, None],
                                                    below, out=term)
-        # the fidelity (c_I + r_Z c_Z + G + G^dagger)/2, G the folded u,
-        # in the first stack's fourth quarter, beside the trace c_I
+        # the fidelity, from the last stack, beside the trace in the first
         f, fid = c[:, -1], c[:, 0, 3]
         np.conj(f[:, 1].reshape(kmax, h, h).swapaxes(1, 2),
                 out=fid.reshape(kmax, h, h))
@@ -739,12 +787,8 @@ class GradedDensityMatrix:
             np.copyto(pairs[:, 0], c[a:b, 0, 0])
             np.copyto(pairs[:, 1], c[a:b, 0, 3])
             a = b
-        self.live = tuple(q for q in self.live if q != qubit)
-        self.released = {**self.released, qubit: factor}
-        # the conjugated product of the factors at each pattern of the
-        # released qubits' bits, the newest the highest bit
-        self._phi = np.outer(factor.conj(), self._phi).ravel()
-        self._shape = (2, h)
+        self._layout(tuple(q for q in self.live if q != qubit),
+                     {**self.released, qubit: factor}, 2)
         odds = Counter()
         for letter, p in flips:
             odds[letter] += p / (1.0 - p)
@@ -771,15 +815,14 @@ class GradedDensityMatrix:
             raise ValueError("check set is empty")
         for q in checks:
             _flip_p(0.0, q, self.n)
-        self._enter(checks)
+        self._live(_mask_of(checks))
         before, unit = self.trace_total(), 0.5 ** len(checks)
         state = GradedDensityMatrix(_sum_checks(self.pure, checks, self.n),
                                     self.kmax)
         kept = [q for q in range(self.n) if q not in checks]
-        state.live = tuple(kept.index(q) for q in self.live if q in kept)
-        state.released = {kept.index(q): f for q, f in self.released.items()}
-        state._phi = self._phi
-        state._shape = (self._shape[0], 1 << len(state.live))
+        state._layout(tuple(kept.index(q) for q in self.live if q in kept),
+                      {kept.index(q): f for q, f in self.released.items()},
+                      self._stacks.shape[1])
         stacks, state.scale = state._stacks, self.scale
         stacks[...] = _sum_checks(self._stacks, tuple(
             self.live.index(q) for q in checks), len(self.live), 2)

@@ -246,11 +246,19 @@ class Schedule:
     rotations, 4i for rotation i (its branches 4i to 4i+2), 4i+3 for its
     output flips, 4R+q for q's storage Z flips, 4R+n for the consumption
     Z flips, and None for the X flips, which the event sets leave out.
+
+    ``leaving`` maps an output whose ideal state is a single-qubit factor
+    (``Circuit.output_factors``) to the index in ``events`` of its last
+    rotation, after which a run releases it, and the indices of the flips
+    folded into its release: every Z flip on it, and every X flip on it
+    after that rotation.
     """
 
     circuit: Circuit
     steps: tuple[ScheduleStep, ...]
     events: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    leaving: dict[int, tuple[int, tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = self.circuit
@@ -280,6 +288,15 @@ class Schedule:
             events += [(len(self.steps), "consumption", "X", q, None),
                        (len(self.steps), "consumption", "Z", q, storage + c.n)]
         object.__setattr__(self, "events", tuple(events))
+        last = {}
+        for i, (_, source, r, _, _) in enumerate(events):
+            if source == "rotation":
+                last.update(dict.fromkeys(r.axis.support, i))
+        object.__setattr__(self, "leaving", {q: (last[q], tuple(
+            i for i, (_, source, operator, target, _) in enumerate(events)
+            if source != "rotation" and target == q
+            and (operator == "Z" or i > last[q])))
+            for q in c.output_factors})
 
 
 @lru_cache(maxsize=None)
@@ -362,20 +379,13 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     if not any(probabilities):
         # noiseless: the engine would read its round-off
         return ScheduleRun(0.0, 0.0)
-    events = list(zip(schedule.events, probabilities))
-    last = {}
-    for i, ((_, source, operator, _, _), _) in enumerate(events):
-        if source == "rotation":
-            last.update(dict.fromkeys(operator.axis.support, i))
-    folded = {q: [] for q in c.output_factors}
-    for i, ((_, source, operator, target, _), p) in enumerate(events):
-        if (source != "rotation" and target in folded
-                and (operator == "Z" or i > last[target])):
-            folded[target].append((operator, p))
+    leaving = schedule.leaving
+    folded = {i for _, flips in leaving.values() for i in flips}
     profiles = inputs[0]
     rho = GradedDensityMatrix.init_plus(c.n, kmax)
     z_flips, x_flips, consumed = [], {q: [] for q in range(c.n)}, []
-    for i, ((_, source, operator, target, _), p) in enumerate(events):
+    for i, ((_, source, operator, target, _), p) in enumerate(
+            zip(schedule.events, probabilities)):
         if source == "rotation":
             for q in operator.axis.support:
                 for x in x_flips[q]:
@@ -385,9 +395,11 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
                 operator.axis, profiles[target],
                 sign=1 if operator.angle.k > 0 else -1)
             for q in operator.axis.support:
-                if q in folded and last[q] == i:
-                    rho = rho.release(q, c.output_factors[q], folded[q])
-        elif target in folded and (operator == "Z" or i > last[target]):
+                if q in leaving and leaving[q][0] == i:
+                    rho = rho.release(q, c.output_factors[q], [
+                        (schedule.events[j][2], probabilities[j])
+                        for j in leaving[q][1]])
+        elif i in folded:
             continue
         elif operator == "X":
             x_flips[target].append(p)

@@ -20,6 +20,7 @@ from msdsim.circuits import (
     undetected_error_sets,
     verify_equivalence,
     verify_gadget,
+    verify_noiseless_output,
     z_only,
 )
 from msdsim.pauli import PauliProduct, Rotation, RotationAngle
@@ -110,6 +111,38 @@ class TestCatalog:
         p_out, p_fail = simulate_circuit(c, z_only(0.0), kmax=1)
         assert c.outputs * p_out <= 1e-10
         assert p_fail <= 1e-10
+
+    def test_noiseless_outputs_are_exact(self):
+        # |m~> = P_{-pi/8}|+> on every kept qubit, in Z[e^{i pi/8}]; a
+        # dropped or negated rotation, or a wrong ideal, fails
+        def magic(k, angle=-1):
+            return [Rotation(PauliProduct("".join(
+                "Z" if i == q else "I" for i in range(k))),
+                RotationAngle(angle)) for q in range(k)]
+
+        for kind, k in (("twenty_to_four", 4), ("fifteen_to_one", 1)):
+            c = catalog(kind)
+            assert verify_noiseless_output(c, magic(k))
+            assert not verify_noiseless_output(c, magic(k, angle=1))
+            assert not verify_noiseless_output(c, magic(k)[1:])
+            for i, r in enumerate(c.rotations):
+                negated = Rotation(r.axis, RotationAngle(-r.angle.k))
+                for rotations in (c.rotations[:i] + c.rotations[i + 1:],
+                                  c.rotations[:i] + (negated,)
+                                  + c.rotations[i + 1:]):
+                    changed = dataclasses.replace(c, rotations=rotations)
+                    assert not verify_noiseless_output(changed, magic(k)), (
+                        kind, i)
+
+    def test_output_factors_are_checked(self):
+        c = catalog("twenty_to_four")
+        assert sorted(c.output_factors) == [0, 1, 2, 3]
+        assert not c.output_factors[0].flags.writeable
+        assert catalog("eight_to_ccz").output_factors == {}
+        with pytest.raises(ValueError, match="no factor"):
+            dataclasses.replace(c, output_factors={0: np.array([1.0, 0.0])})
+        with pytest.raises(ValueError, match="not an output"):
+            dataclasses.replace(c, output_factors={4: circuits.PLUS})
 
     def test_noiseless_runs_reproduce_ideal_outputs(self):
         for kind in CATALOG_KINDS:

@@ -757,7 +757,7 @@ class TestLiveQubits:
         n, kmax, ops, checks = case
         live = _run_ops(GradedDensityMatrix.init_plus(n, kmax), ops)
         wide = GradedDensityMatrix.init_plus(n, kmax)
-        wide._enter(range(n))
+        wide._enter((1 << n) - 1)
         wide = _run_ops(wide, ops)
         touched = {q for kind, args in ops for q in (
             args[0].support if kind == "rotation" else [args[0]] if

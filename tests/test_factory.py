@@ -555,7 +555,7 @@ def _counted(monkeypatch, config):
 
         def counting(state, *args, **kwargs):
             state = method(state, *args, **kwargs)
-            counted[kind, len(state.live), state._shape[0]] += size(*args)
+            counted[kind, len(state.live), state._stacks.shape[1]] += size(*args)
             return state
         monkeypatch.setattr(engine, name, counting)
 
