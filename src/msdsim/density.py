@@ -319,17 +319,6 @@ def _scratch(kmax: int, dim: int) -> int:
     return max(2 + _per_block(kmax, dim * dim), -(-(kmax + 2) // dim))
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """The qubits of a bitmask."""
-    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
-
-
-@lru_cache(maxsize=None)
-def _mask_of(qubits: tuple[int, ...]) -> int:
-    """The bitmask of some qubits."""
-    return sum(1 << q for q in qubits)
-
-
 @lru_cache(maxsize=None)
 def _compress(mask: int, live: tuple[int, ...]) -> int:
     """A bitmask of live qubits as bits of their positions in ``live``."""
@@ -412,8 +401,8 @@ class GradedDensityMatrix:
                         work[d * d:2 * d * d].reshape(d, d))
         self._terms = work[2 * d * d:(2 + per * stacks) * d * d].reshape(
             per, stacks, d, d)
-        self._live_bits = _mask_of(live)
-        self._released_bits = _mask_of(tuple(released))
+        self._live_bits = sum(1 << q for q in live)
+        self._released_bits = sum(1 << q for q in released)
         # each entry of the stack stands for 2**m diagonal entries of the
         # full matrix, for the m qubits outside it
         self._spread = 1 << (self.n - len(live) - len(released))
@@ -487,7 +476,8 @@ class GradedDensityMatrix:
         if new & self._released_bits:
             q = (new & self._released_bits).bit_length() - 1
             raise ValueError(f"qubit {q} was released")
-        live = _bits(self._live_bits | new)
+        live = tuple(q for q in range(self.n)
+                     if (self._live_bits | new) >> q & 1)
         shape = tuple(1 if new >> q & 1 else 2 for q in reversed(live)) * 2
         wide = (2,) * (2 * len(live))
         s, d = self._stacks.shape[1:3]
@@ -564,10 +554,7 @@ class GradedDensityMatrix:
                 below = below.reshape(src.shape)
             np.multiply(src, b, out=below)
             if lo == 0:
-                if self._gather is None:  # _outer, without the call
-                    np.multiply(lead[:, None], v.conj(), out=term[0, 0])
-                else:
-                    self._outer(lead, v, term[0])
+                self._outer(lead, v, term[0])
                 if table:
                     term[0] *= b
             block = stacks[block]
@@ -813,9 +800,9 @@ class GradedDensityMatrix:
         checks = tuple(sorted(check_qubits))
         if not checks:
             raise ValueError("check set is empty")
-        for q in checks:
-            _flip_p(0.0, q, self.n)
-        self._live(_mask_of(checks))
+        if not 0 <= checks[0] <= checks[-1] < self.n:
+            raise ValueError(f"check qubits {checks} out of range")
+        self._live(sum(1 << q for q in checks))
         before, unit = self.trace_total(), 0.5 ** len(checks)
         state = GradedDensityMatrix(_sum_checks(self.pure, checks, self.n),
                                     self.kmax)
