@@ -408,7 +408,7 @@ class GradedDensityMatrix:
         self._spread = 1 << (self.n - len(live) - len(released))
         self._gather = None
         if len(live) < self.n:
-            phi = np.ones(1)
+            phi = np.ones(1, dtype=np.complex128)
             for f in released.values():  # the newest the highest bit
                 phi = np.outer(f.conj(), phi).ravel()
             self._gather = _embedding(live, tuple(released)), phi, phi.conj()
@@ -666,9 +666,10 @@ class GradedDensityMatrix:
         lead = self.pure / self.scale
         for r in (slice(lo, lo + rows) for lo in range(0, d, rows)):
             h = len(xor[r])
-            e = work[:depth * h * d].reshape(depth, h, d)
+            # with the stacks' axis, which NumPy then need not broadcast
+            e = work[:depth * h * d].reshape(depth, 1, h, d)
             for j in range(depth):
-                np.take(table[j], xor[r], out=e[j], mode="clip")
+                np.take(table[j], xor[r], out=e[j, 0], mode="clip")
             g0 = work[depth * h * d:(depth + s) * h * d].reshape(s, h, d)
             self._outer(lead, self.pure, g0, r)
             term = work[(depth + s) * h * d:(depth + 2 * s) * h * d]

@@ -230,6 +230,15 @@ class ScheduleStep:
     initialize: frozenset[int] = frozenset()
 
 
+# A run releases an output from the grade stack only from this many live
+# qubits on.  Below it a channel costs about the same at any width (NumPy's
+# per-call cost dominates), so a release, about 0.5 ms at 5 qubits on a
+# 2-vCPU host, costs more than it saves: a level-1 15-to-1 run took 4.8 ms
+# with its release against 4.1 ms without, and a 20-to-4 run 24.8 ms
+# releasing all four outputs against 24.0 ms releasing the first two.
+RELEASE_MIN_QUBITS = 6
+
+
 @dataclass(frozen=True)
 class Schedule:
     """A circuit's steps, after which its checks are measured: every qubit
@@ -247,11 +256,14 @@ class Schedule:
     output flips, 4R+q for q's storage Z flips, 4R+n for the consumption
     Z flips, and None for the X flips, which the event sets leave out.
 
-    ``leaving`` maps an output whose ideal state is a single-qubit factor
-    (``Circuit.output_factors``) to the index in ``events`` of its last
-    rotation, after which a run releases it, and the indices of the flips
-    folded into its release: every Z flip on it, and every X flip on it
-    after that rotation.
+    ``leaving`` maps each output that a run releases from the grade
+    stack to the index in ``events`` of its last rotation, after which it
+    leaves, and the indices of the flips folded into its release: every Z
+    flip on it, and every X flip on it after that rotation.  An output
+    leaves if its ideal state is a single-qubit factor
+    (``Circuit.output_factors``) and the stack then holds at least
+    ``RELEASE_MIN_QUBITS`` qubits, those that a rotation has touched and
+    no release has taken.
     """
 
     circuit: Circuit
@@ -292,11 +304,18 @@ class Schedule:
         for i, (_, source, r, _, _) in enumerate(events):
             if source == "rotation":
                 last.update(dict.fromkeys(r.axis.support, i))
+        live, leaving = set(), []
+        for i, (_, source, r, _, _) in enumerate(events):
+            if source == "rotation":
+                live |= set(r.axis.support) - set(leaving)
+                for q in sorted(c.output_factors):
+                    if last[q] == i and len(live) >= RELEASE_MIN_QUBITS:
+                        live.discard(q)
+                        leaving.append(q)
         object.__setattr__(self, "leaving", {q: (last[q], tuple(
             i for i, (_, source, operator, target, _) in enumerate(events)
             if source != "rotation" and target == q
-            and (operator == "Z" or i > last[q])))
-            for q in c.output_factors})
+            and (operator == "Z" or i > last[q]))) for q in leaving})
 
 
 @lru_cache(maxsize=None)
@@ -368,11 +387,10 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     there it runs at their dimension, as do the consumption flips and the
     readout, or on a check it is absorbed (Pi X_c = Pi), a grade shift.
 
-    An output whose ideal state is a single-qubit factor
-    (``Circuit.output_factors``) leaves the grade stack after its last
-    rotation (:meth:`GradedDensityMatrix.release`), with every Z flip on
-    it and every X flip after that rotation folded in; the rotations after
-    it run on the other qubits.
+    An output in ``Schedule.leaving`` leaves the grade stack after its
+    last rotation (:meth:`GradedDensityMatrix.release`), with every Z flip
+    on it and every X flip after that rotation folded in; the rotations
+    after it run on the other qubits.
     """
     c = schedule.circuit
     probabilities = _probabilities(schedule, inputs)

@@ -431,7 +431,7 @@ class TestSimulatedErrors:
         # norms of deviation vectors, so it stays positive and exact.
         report = simulate_factory(_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4,
                                       1e-4))
-        np.testing.assert_allclose(report.p_out, 8.192461625797232e-25,
+        np.testing.assert_allclose(report.p_out, 8.192461995565319e-25,
                                    rtol=1e-9)
         assert report.p_out > 0.0
 
@@ -583,43 +583,43 @@ def _counted(monkeypatch, config):
 
 def test_a_20_to_4_run_applies_its_z_flips_in_two_passes(monkeypatch):
     # storage, output and consumption Z flips: one pass at the checks and
-    # one before the readout, and each released output's own folded into
-    # its release; the 15-to-1 level-1 run's 35 flips (22 + 13), then the
-    # 20-to-4's 101 (30 + 17 + 18 + 18 + 18).  Every output leaves, so
-    # the pass before the readout is empty
+    # one before the readout, except a released output's, which fold into
+    # its release; the 15-to-1 level-1 run's 35 flips (34 + 1), then the
+    # 20-to-4's 101 (64 + 2, and 17 + 18 for outputs 0 and 1).  The
+    # level-1 run releases nothing: it has 5 qubits, below
+    # RELEASE_MIN_QUBITS, and outputs 2 and 3 of the 20-to-4 would leave 5
     factory._LEVEL1_RUNS.clear()
     try:
         _, passes, releases = _counted(
             monkeypatch, _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4))
     finally:
         factory._LEVEL1_RUNS.clear()
-    assert passes == [22, 0, 30, 0]
-    assert releases == [(0, 13, 3),
-                        (0, 17, 7), (1, 18, 5), (2, 18, 3), (3, 18, 2)]
+    assert passes == [34, 1, 64, 2]
+    assert releases == [(0, 17, 7), (1, 18, 5)]
 
 
 @pytest.mark.parametrize("config, flips", [
-    (_l1(17, 7, 7, 1e-3), {("x", 5, 1): 14, ("x", 4, 1): 1, ("x", 3, 1): 2,
-                           ("x", 4, 2): 4, ("absorbed", 0, 2): 4,
-                           ("folded", 0): 3}),
+    (_l1(17, 7, 7, 1e-3), {("x", 5, 1): 18, ("x", 4, 1): 1, ("x", 3, 1): 2,
+                           ("x", 1, 1): 3, ("absorbed", 1, 1): 4}),
     (_l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4),
      {("x", 7, 1): 17, ("x", 6, 1): 2, ("x", 5, 1): 2, ("x", 4, 1): 4,
-      ("x", 3, 1): 1, ("x", 2, 1): 1, ("x", 6, 2): 8, ("x", 5, 2): 9,
-      ("x", 4, 2): 9, ("absorbed", 0, 2): 3, ("folded", 0): 7,
-      ("folded", 1): 5, ("folded", 2): 3, ("folded", 3): 2}),
+      ("x", 3, 1): 1, ("x", 2, 1): 1, ("x", 6, 2): 8, ("x", 5, 2): 18,
+      ("x", 2, 2): 5, ("absorbed", 2, 2): 3, ("folded", 0): 7,
+      ("folded", 1): 5}),
     (_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4, 1e-4),
-     {("x", 5, 1): 23, ("x", 4, 1): 6, ("x", 3, 1): 1, ("x", 4, 2): 3,
-      ("absorbed", 0, 2): 5, ("folded", 0): 3}),
+     {("x", 5, 1): 26, ("x", 4, 1): 6, ("x", 3, 1): 1, ("x", 1, 1): 3,
+      ("absorbed", 1, 1): 5}),
 ], ids=["L1_15to1", "L2_15x20", "L2_15x15"])
 def test_x_flips_wait_for_the_next_rotation_on_their_qubit(config, flips,
                                                            monkeypatch):
     # table1 rows 6, 4 and 5: of the 28, 73 and 41 storage and consumption
     # X flips of a run, those after the last rotation on their qubit wait:
-    # an output's fold into its release, a check's past the projection,
-    # where they are absorbed; counted by the live qubits and stacks of
-    # the state they run on.  A qubit enters the stack at its first
-    # channel, and an output leaves it after its last rotation, so most
-    # flips run on fewer than all of the block's qubits
+    # a released output's fold into its release, the rest past the
+    # projection, where a check's are absorbed; counted by the live
+    # qubits and stacks of the state they run on.  A qubit enters the
+    # stack at its first channel, and the 20-to-4's outputs 0 and 1 leave
+    # it after their last rotations, so most flips run on fewer qubits
+    # than the block has
     factory.level1_output_error(config)  # level 1 runs uncounted
     counted, _, releases = _counted(monkeypatch, config)
     counted = {key: m for key, m in counted.items() if key[0] != "rotation"}
@@ -631,14 +631,24 @@ def test_a_20_to_4_run_applies_most_rotations_below_seven_qubits(
         monkeypatch):
     # table1 row 4's 20-to-4 run by (live qubits, stacks): four of its 20
     # rotations see all seven qubits; the rest run on the qubits entered so
-    # far, or on the trace and fidelity stacks of those not yet released
+    # far, or, once outputs 0 and 1 have left, on the trace and fidelity
+    # stacks of the others
     config = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
     factory.level1_output_error(config)  # level 1 runs uncounted
     counted, _, _ = _counted(monkeypatch, config)
     assert {key[1:]: m for key, m in counted.items()
             if key[0] == "rotation"} == {
-        (1, 1): 1, (2, 1): 1, (4, 1): 3, (7, 1): 4, (6, 2): 5, (5, 2): 3,
-        (4, 2): 3}
+        (1, 1): 1, (2, 1): 1, (4, 1): 3, (7, 1): 4, (6, 2): 5, (5, 2): 6}
+
+
+def test_outputs_leave_from_six_live_qubits_on():
+    # a release pays only on a wide stack: the 20-to-4 releases outputs 0
+    # and 1 (at 7 and 6 live qubits), not 2 and 3 (5 live), and no
+    # 15-to-1 or CCZ block releases
+    assert sorted(build_schedule("L2_15x20").leaving) == [0, 1]
+    for family in ("L1_15to1", "L2_15x15", "L2_15xCCZ", "L1_15to1_small",
+                   "L2_15x15_small"):
+        assert build_schedule(family).leaving == {}
 
 
 @pytest.mark.parametrize("family", ["L2_15xCCZ", "L1_15to1", "L2_15x20"])
