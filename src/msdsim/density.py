@@ -350,6 +350,7 @@ def _embedding(live: tuple[int, ...],
 _STATE = ("n", "pure", "_buffer", "_kmax", "live", "released", "births",
           "pullback", "scale")
 
+
 class GradedDensityMatrix:
     """State split by exact error count, with a pure zero-error branch.
 

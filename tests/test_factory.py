@@ -555,7 +555,8 @@ def _counted(monkeypatch, config):
 
         def counting(state, *args, **kwargs):
             state = method(state, *args, **kwargs)
-            counted[kind, len(state.live), state._stacks.shape[1]] += size(*args)
+            stacks = state._stacks.shape[1]
+            counted[kind, len(state.live), stacks] += size(*args)
             return state
         monkeypatch.setattr(engine, name, counting)
 
