@@ -34,7 +34,12 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .circuits import LEADING_ORDER, Circuit, catalog
-from .density import DEFAULT_MAX_GRADE, GradedDensityMatrix, StorageRates
+from .density import (
+    DEFAULT_MAX_GRADE,
+    LIVE_MIN_QUBITS,
+    GradedDensityMatrix,
+    StorageRates,
+)
 from .eventsets import _EPS, EventSets, classes, read_p_out, signature_sums
 from .noise import (
     DistanceSet,
@@ -230,15 +235,6 @@ class ScheduleStep:
     initialize: frozenset[int] = frozenset()
 
 
-# A run releases an output from the grade stack only from this many live
-# qubits on.  Below it a channel costs about the same at any width (NumPy's
-# per-call cost dominates), so a release, about 0.5 ms at 5 qubits on a
-# 2-vCPU host, costs more than it saves: a level-1 15-to-1 run took 4.8 ms
-# with its release against 4.1 ms without, and a 20-to-4 run 24.8 ms
-# releasing all four outputs against 24.0 ms releasing the first two.
-RELEASE_MIN_QUBITS = 6
-
-
 @dataclass(frozen=True)
 class Schedule:
     """A circuit's steps, after which its checks are measured: every qubit
@@ -262,8 +258,8 @@ class Schedule:
     flip on it, and every X flip on it after that rotation.  An output
     leaves if its ideal state is a single-qubit factor
     (``Circuit.output_factors``) and the stack then holds at least
-    ``RELEASE_MIN_QUBITS`` qubits, those that a rotation has touched and
-    no release has taken.
+    ``density.LIVE_MIN_QUBITS`` qubits, those that a rotation has touched
+    and no release has taken.
     """
 
     circuit: Circuit
@@ -300,18 +296,16 @@ class Schedule:
             events += [(len(self.steps), "consumption", "X", q, None),
                        (len(self.steps), "consumption", "Z", q, storage + c.n)]
         object.__setattr__(self, "events", tuple(events))
-        last = {}
-        for i, (_, source, r, _, _) in enumerate(events):
-            if source == "rotation":
-                last.update(dict.fromkeys(r.axis.support, i))
+        rotations = [(i, r) for i, (_, source, r, _, _) in enumerate(events)
+                     if source == "rotation" and c.n >= LIVE_MIN_QUBITS]
+        last = {q: i for i, r in rotations for q in r.axis.support}
         live, leaving = set(), []
-        for i, (_, source, r, _, _) in enumerate(events):
-            if source == "rotation":
-                live |= set(r.axis.support) - set(leaving)
-                for q in sorted(c.output_factors):
-                    if last[q] == i and len(live) >= RELEASE_MIN_QUBITS:
-                        live.discard(q)
-                        leaving.append(q)
+        for i, r in rotations:
+            live |= set(r.axis.support) - set(leaving)
+            for q in sorted(c.output_factors):
+                if last[q] == i and len(live) >= LIVE_MIN_QUBITS:
+                    live.discard(q)
+                    leaving.append(q)
         object.__setattr__(self, "leaving", {q: (last[q], tuple(
             i for i, (_, source, operator, target, _) in enumerate(events)
             if source != "rotation" and target == q
