@@ -738,7 +738,7 @@ class GradedDensityMatrix:
         mu0 = 2.0 * np.conj(factor[0]) * factor[1]  # r_X + i r_Y
         parts = 3 if r_z else 2
         # the grade-0 source, then every matrix, in place: its quarters
-        # take c_I, mu0 H01 and, for a factor off the equator, c_Z; as many
+        # take c_I, H01 and, for a factor off the equator, c_Z; as many
         # matrices at a time as the scratch holds
         source = work[:s * d * d]
         self._outer(self.pure / self.scale, self.pure,
@@ -751,20 +751,20 @@ class GradedDensityMatrix:
             t.reshape(-1)[...] = chunk
             out = chunk.reshape(-1, 4, hi, lo, hi, lo)
             np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out[:, 0])
-            np.multiply(t[:, :, 0, :, :, 1], mu0, out=out[:, 1])
+            np.copyto(out[:, 1], t[:, :, 0, :, :, 1])
             if r_z:
                 np.subtract(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1],
                             out=out[:, 2])
-        # the fold, from the top grade down: each reads grades below it;
-        # mu0 H01 takes (r_X lam_X + i r_Y lam_Y)/mu0, or nothing at mu0 = 0
+        # the fold, from the top grade down: each reads grades below it
+        # before it takes its own term; H01 takes r_X lam_X + i r_Y lam_Y
         coef = np.stack([lam[:, 0], mu0.real * lam[:, 2]
                          + 1j * mu0.imag * lam[:, 3], lam[:, 1]], axis=1)
-        coef[:, 1] = coef[:, 1] / mu0 if mu0 else 0.0
         coef = coef[:, :parts]
         c = buf[:kmax * s * d * d].reshape(kmax, s, 4, h * h)
         below0 = source.reshape(s, 4, h * h)[:, :parts]
         term = spare[:s * parts * h * h].reshape(s, parts, h * h)
         for k in range(kmax, 0, -1):
+            c[k - 1, :, 1] *= mu0
             for j in range(1, min(k, len(coef)) + 1):
                 below = c[k - j - 1, :, :parts] if k > j else below0
                 c[k - 1, :, :parts] += np.multiply(coef[j - 1, :, None],

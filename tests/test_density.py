@@ -693,13 +693,15 @@ def _run_ops(state, ops):
 
 @st.composite
 def _release_cases(draw):
-    """(n, before, releases, after, checks, psi): channels on n qubits,
-    then releases of one or more of them, each with a one-qubit factor (the
-    magic state or a drawn one) and the X and Z flips folded into it, then
-    channels on the qubits left, at least one of which the projection
-    measures; psi is a readout reference that holds each released
-    factor."""
-    n = draw(st.integers(2, 5))
+    """(n, before, releases, after, checks, psi): channels on some of n
+    qubits, then releases of one or more qubits, each with a one-qubit
+    factor (the magic state or a drawn one) and the X and Z flips folded
+    into it, then channels on the qubits left, at least one of which the
+    projection measures; psi is a readout reference that holds each
+    released factor.  On LIVE_MIN_QUBITS qubits, a qubit that the first
+    channels leave alone enters the stack after the releases, or at its
+    own release."""
+    n = draw(st.integers(2, LIVE_MIN_QUBITS))
     prob = st.floats(0.0, 0.05)
     magic = np.array([1.0, np.exp(-0.25j * np.pi)]) / np.sqrt(2)
 
@@ -728,7 +730,8 @@ def _release_cases(draw):
         return np.array([np.cos(theta / 2),
                          np.exp(1j * phase) * np.sin(theta / 2)])
 
-    before = ops(list(range(n)))
+    before = ops(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               unique=True)))
     leaving = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1,
                             max_size=n - 1))
     releases = [(q, draw(st.just(magic) | st.builds(state)), draw(st.lists(
@@ -848,6 +851,28 @@ class TestLiveQubits:
         assert abs(folded_fail - apart_fail) <= dropped + eps
         assert abs(folded.infidelity_with_pure(psi)
                    - apart.infidelity_with_pure(psi)) <= 2 * dropped + eps
+
+    @pytest.mark.parametrize("factor", [[1.0, 0.0], [1.0, 5e-324j],
+                                        [np.cos(1e-9), 1j * np.sin(1e-9)]])
+    def test_a_factor_next_to_a_pole_is_exact(self, factor):
+        # r_X + i r_Y of a factor at or next to |0> is 0 or tiny, and its
+        # fold must neither divide by it nor lose the grades it weighs
+        ops = [("rotation", (PauliProduct("ZZI"),
+                             RotationErrorProfile(0.02, 0.01, 0.03), 1)),
+               ("x", (0, 0.04)), ("rotation", (PauliProduct("ZIZ"),
+                RotationErrorProfile(0.01, 0.02, 0.01), -1))]
+        flips = [("X", 0.05), ("Z", 0.03), ("X", 0.02)]
+        graded = _run_ops(GradedDensityMatrix.init_plus(3, 12), ops)
+        dense = _run_ops(DensityMatrix.init_plus(3), ops)
+        graded = graded.release(0, factor, flips)
+        dense = _run_ops(dense, [("x", (0, 0.05)), ("z", [(0, 0.03)]),
+                                 ("x", (0, 0.02))])
+        (graded, graded_fail), (dense, dense_fail) = (
+            s.project_plus(frozenset({2})) for s in (graded, dense))
+        psi = np.kron(np.array([1.0, 1j]) / np.sqrt(2), factor)
+        assert graded_fail == pytest.approx(dense_fail, rel=1e-12)
+        assert graded.infidelity_with_pure(psi) == pytest.approx(
+            1.0 - dense.fidelity_with_pure(psi), rel=1e-12)
 
     def test_a_released_qubit_takes_no_channel(self):
         state = GradedDensityMatrix.init_plus(3, kmax=2).apply_x_flip(0, 0.1)
