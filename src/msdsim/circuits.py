@@ -75,8 +75,8 @@ def ccz_plus_state() -> np.ndarray:
 class Circuit:
     """A post-selected Z-type rotation circuit with designated outputs;
     ``ideal_kept`` is the ideal output on the qubits other than the checks.
-    ``output_factors`` holds, for an output whose ideal state is a
-    single-qubit factor of ``ideal_output``, that factor.
+    ``output_factors`` holds, for each output whose qubit is a factor of
+    ``ideal_output``, that qubit's normalized state (up to global phase).
     """
 
     name: str
@@ -87,7 +87,7 @@ class Circuit:
     outputs: int
     ideal_output: np.ndarray
     output_factors: Mapping[int, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False)
+        init=False, repr=False, compare=False)
     ideal_kept: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -107,24 +107,23 @@ class Circuit:
         ideal = self.ideal_output.copy()
         kept = _sum_checks(ideal, tuple(sorted(self.check_qubits)), self.n)
         kept /= np.linalg.norm(kept)
+        # q is a factor iff the (2, rest) matrix of its bit against the
+        # others' has rank 1: then its first column of at least half the
+        # largest norm, normalized, is q's state and takes all of the norm
         factors = {}
-        for q, f in self.output_factors.items():
-            if q not in self.output_qubits:
-                raise ValueError(f"factor on qubit {q}, not an output")
-            f = np.array(f, dtype=np.complex128)
-            rest = ideal.reshape((2,) * self.n)
-            rest = np.moveaxis(rest, self.n - 1 - q, 0).reshape(2, -1)
-            if f.shape != (2,) or abs(np.linalg.norm(
-                    (f.conj()[:, None] * rest).sum(0)) - 1.0) > 1e-9:
-                raise ValueError(f"ideal output has no factor {f} on "
-                                 f"qubit {q}")
-            factors[q] = f
+        for q in sorted(self.output_qubits):
+            rest = np.moveaxis(ideal.reshape((2,) * self.n), self.n - 1 - q,
+                               0).reshape(2, -1)
+            norms = np.linalg.norm(rest, axis=0)
+            f = rest[:, np.argmax(norms >= norms.max() / 2)]
+            f = f / np.linalg.norm(f)
+            if abs(np.linalg.norm(f.conj() @ rest) - 1.0) <= 1e-9:
+                factors[q] = f
         for state in (ideal, kept, *factors.values()):
             state.setflags(write=False)
         object.__setattr__(self, "ideal_output", ideal)
         object.__setattr__(self, "ideal_kept", kept)
-        object.__setattr__(self, "output_factors",
-                           MappingProxyType(dict(sorted(factors.items()))))
+        object.__setattr__(self, "output_factors", MappingProxyType(factors))
 
 
 def _zrot(n: int, qubits: tuple[int, ...], sign: int) -> Rotation:
@@ -181,12 +180,6 @@ _IDENTITY15_4Q = (
 
 
 def _build(name, n, spec, checks, outs, outputs, ideal) -> Circuit:
-    """A cataloged circuit; ``ideal`` is its ideal output, or the list of
-    its qubits' states, whose outputs' states become its factors."""
-    factors = {}
-    if isinstance(ideal, list):
-        factors = {q: ideal[q] for q in outs}
-        ideal = product_state(ideal)
     return Circuit(
         name=name,
         n=n,
@@ -195,7 +188,6 @@ def _build(name, n, spec, checks, outs, outputs, ideal) -> Circuit:
         output_qubits=frozenset(outs),
         outputs=outputs,
         ideal_output=ideal,
-        output_factors=factors,
     )
 
 
@@ -203,13 +195,13 @@ def catalog(kind: str) -> Circuit:
     """Return one of the six cataloged circuits by name."""
     plus5 = product_state([PLUS] * 5)
     if kind == "fifteen_to_one":
-        ideal = [MAGIC_CONJ] + [PLUS] * 4
+        ideal = product_state([MAGIC_CONJ] + [PLUS] * 4)
         return _build(kind, 5, _FIFTEEN, {1, 2, 3, 4}, {0}, 1, ideal)
     if kind == "identity16":
         spec = [((0,), 1)] + _FIFTEEN
         return _build(kind, 5, spec, set(), set(), 1, plus5)
     if kind == "twenty_to_four":
-        ideal = [MAGIC_CONJ] * 4 + [PLUS] * 3
+        ideal = product_state([MAGIC_CONJ] * 4 + [PLUS] * 3)
         return _build(kind, 7, _TWENTY, {4, 5, 6}, {0, 1, 2, 3}, 4, ideal)
     if kind == "eight_to_ccz":
         ideal = product_state([ccz_plus_state(), PLUS])

@@ -134,15 +134,25 @@ class TestCatalog:
                     assert not verify_noiseless_output(changed, magic(k)), (
                         kind, i)
 
-    def test_output_factors_are_checked(self):
+    def test_output_factors_are_read_from_the_ideal_output(self):
+        def same_state(f, g):
+            return abs(abs(np.vdot(f, g)) - 1.0) < 1e-12
+
         c = catalog("twenty_to_four")
         assert sorted(c.output_factors) == [0, 1, 2, 3]
+        assert all(same_state(f, circuits.MAGIC_CONJ)
+                   for f in c.output_factors.values())
         assert not c.output_factors[0].flags.writeable
+        assert list(catalog("fifteen_to_one").output_factors) == [0]
         assert catalog("eight_to_ccz").output_factors == {}
-        with pytest.raises(ValueError, match="no factor"):
-            dataclasses.replace(c, output_factors={0: np.array([1.0, 0.0])})
-        with pytest.raises(ValueError, match="not an output"):
-            dataclasses.replace(c, output_factors={4: circuits.PLUS})
+        # outputs 0 and 1 entangled, output 2 in |1>: its first column of
+        # amplitudes is zero
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+        one = np.array([0.0, 1.0])
+        changed = dataclasses.replace(c, ideal_output=circuits.product_state(
+            [bell, one, circuits.MAGIC_CONJ] + [circuits.PLUS] * 3))
+        assert sorted(changed.output_factors) == [2, 3]
+        assert same_state(changed.output_factors[2], one)
 
     def test_noiseless_runs_reproduce_ideal_outputs(self):
         for kind in CATALOG_KINDS:
