@@ -252,20 +252,18 @@ class Schedule:
     output flips, 4R+q for q's storage Z flips, 4R+n for the consumption
     Z flips, and None for the X flips, which the event sets leave out.
 
-    ``leaving`` maps each output that a run releases from the grade
-    stack to the index in ``events`` of its last rotation, after which it
-    leaves, and the indices of the flips folded into its release: every Z
-    flip on it, and every X flip on it after that rotation.  An output
-    leaves if its ideal state is a single-qubit factor
-    (``Circuit.output_factors``) and the stack then holds at least
-    ``density.LIVE_MIN_QUBITS`` qubits, those that a rotation has touched
-    and no release has taken.
+    ``leaving`` maps the index in ``events`` of each rotation that is the
+    last on an output whose ideal state is a single-qubit factor
+    (``Circuit.output_factors``) to those outputs, each with the indices
+    of the flips that its release would fold in: every Z flip on it, and
+    every X flip on it after that rotation.  Whether it leaves is the
+    run's to decide (:func:`_run_schedule`).
     """
 
     circuit: Circuit
     steps: tuple[ScheduleStep, ...]
     events: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
-    leaving: dict[int, tuple[int, tuple[int, ...]]] = field(
+    leaving: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -296,20 +294,16 @@ class Schedule:
             events += [(len(self.steps), "consumption", "X", q, None),
                        (len(self.steps), "consumption", "Z", q, storage + c.n)]
         object.__setattr__(self, "events", tuple(events))
-        rotations = [(i, r) for i, (_, source, r, _, _) in enumerate(events)
-                     if source == "rotation" and c.n >= LIVE_MIN_QUBITS]
-        last = {q: i for i, r in rotations for q in r.axis.support}
-        live, leaving = set(), []
-        for i, r in rotations:
-            live |= set(r.axis.support) - set(leaving)
-            for q in sorted(c.output_factors):
-                if last[q] == i and len(live) >= LIVE_MIN_QUBITS:
-                    live.discard(q)
-                    leaving.append(q)
-        object.__setattr__(self, "leaving", {q: (last[q], tuple(
-            i for i, (_, source, operator, target, _) in enumerate(events)
-            if source != "rotation" and target == q
-            and (operator == "Z" or i > last[q]))) for q in leaving})
+        last = {q: i for i, (_, source, r, _, _) in enumerate(events)
+                if source == "rotation" for q in r.axis.support}
+        leaving = {}
+        for q in c.output_factors:
+            leaving.setdefault(last[q], []).append((q, tuple(
+                i for i, (_, source, operator, target, _) in enumerate(events)
+                if source != "rotation" and target == q
+                and (operator == "Z" or i > last[q]))))
+        object.__setattr__(self, "leaving", {
+            i: tuple(outputs) for i, outputs in leaving.items()})
 
 
 @lru_cache(maxsize=None)
@@ -382,17 +376,19 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     readout, or on a check it is absorbed (Pi X_c = Pi), a grade shift.
 
     An output in ``Schedule.leaving`` leaves the grade stack after its
-    last rotation (:meth:`GradedDensityMatrix.release`), with every Z flip
+    last rotation (:meth:`GradedDensityMatrix.release`) if the stack then
+    holds at least ``density.LIVE_MIN_QUBITS`` qubits, with every Z flip
     on it and every X flip after that rotation folded in; the rotations
-    after it run on the other qubits.
+    after it run on the other qubits.  A narrower stack keeps it: there a
+    channel costs about the same at any width, and the release would not
+    pay for itself.
     """
     c = schedule.circuit
     probabilities = _probabilities(schedule, inputs)
     if not any(probabilities):
         # noiseless: the engine would read its round-off
         return ScheduleRun(0.0, 0.0)
-    leaving = schedule.leaving
-    folded = {i for _, flips in leaving.values() for i in flips}
+    leaving, folded = schedule.leaving, set()
     profiles = inputs[0]
     rho = GradedDensityMatrix.init_plus(c.n, kmax)
     z_flips, x_flips, consumed = [], {q: [] for q in range(c.n)}, []
@@ -406,11 +402,13 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
             rho = rho.apply_faulty_rotation(
                 operator.axis, profiles[target],
                 sign=1 if operator.angle.k > 0 else -1)
-            for q in operator.axis.support:
-                if q in leaving and leaving[q][0] == i:
+            for q, flips in leaving.get(i, ()):
+                if len(rho.live) >= LIVE_MIN_QUBITS:
+                    z_flips = [f for f in z_flips if f[0] != q]
                     rho = rho.release(q, c.output_factors[q], [
                         (schedule.events[j][2], probabilities[j])
-                        for j in leaving[q][1]])
+                        for j in flips])
+                    folded.update(flips)
         elif i in folded:
             continue
         elif operator == "X":

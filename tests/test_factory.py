@@ -642,14 +642,24 @@ def test_a_20_to_4_run_applies_most_rotations_below_seven_qubits(
         (1, 1): 1, (2, 1): 1, (4, 1): 3, (7, 1): 4, (6, 2): 5, (5, 2): 6}
 
 
-def test_outputs_leave_from_six_live_qubits_on():
-    # a release pays only on a wide stack: the 20-to-4 releases outputs 0
-    # and 1 (at 7 and 6 live qubits), not 2 and 3 (5 live), and no
-    # 15-to-1 or CCZ block releases
-    assert sorted(build_schedule("L2_15x20").leaving) == [0, 1]
-    for family in ("L1_15to1", "L2_15x15", "L2_15xCCZ", "L1_15to1_small",
-                   "L2_15x15_small"):
-        assert build_schedule(family).leaving == {}
+@pytest.mark.parametrize("config, releases", [
+    (_l1(17, 7, 7, 1e-3), []),
+    (_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4, 1e-4), []),
+    (_l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4), [0, 1]),
+], ids=["L1_15to1", "L2_15x15", "L2_15x20"])
+def test_outputs_leave_from_six_live_qubits_on(config, releases,
+                                               monkeypatch):
+    # every output with a single-qubit ideal state may leave after its
+    # last rotation, but a release pays only on a wide stack: the 20-to-4
+    # releases outputs 0 and 1 (at 7 and 6 live qubits), not 2 and 3 (5
+    # live), and a 15-to-1 run (5 qubits) releases nothing
+    leaving = build_schedule(config.family).leaving
+    assert sorted(q for outputs in leaving.values() for q, _ in outputs) == (
+        [0, 1, 2, 3] if config.family == "L2_15x20" else [0])
+    assert build_schedule("L2_15xCCZ").leaving == {}
+    factory.level1_output_error(config)  # level 1 runs uncounted
+    _, _, released = _counted(monkeypatch, config)
+    assert [q for q, _, _ in released] == releases
 
 
 @pytest.mark.parametrize("family", ["L2_15xCCZ", "L1_15to1", "L2_15x20"])
