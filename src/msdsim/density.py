@@ -15,11 +15,11 @@ entries do not depend on its bits: it enters the stack, at its index
 position, when a channel first acts on it, as copies of the entries
 already stored, and an entry leaves every later grade and output
 byte-identical.  A state of fewer than ``LIVE_MIN_QUBITS`` qubits starts
-with all of them live.  :meth:`GradedDensityMatrix.release` takes a qubit out of
-the stack for good once only flips will act on it: the stack becomes a
-pair, its trace over the qubit and its fidelity with the qubit's ideal
-single-qubit state, with the qubit's remaining flips folded in; every
-later channel updates both.
+with all of them live.  :meth:`GradedDensityMatrix.release` takes a qubit
+out of the stack for good once only flips will act on it: the stack
+becomes a pair, its trace over the qubit and its fidelity with the
+qubit's ideal single-qubit state, with the qubit's remaining flips folded
+in; every later channel updates both.
 
 A state holds its stacks and its channels' scratch in one allocation,
 sized for the full-width stack: live-qubit stacks, and the pair, fit in
@@ -229,45 +229,6 @@ def _z_flip_tables(counts: Counter, n: int, kmax: int) -> np.ndarray:
     return table
 
 
-def _times(a: list, b: list, depth: int) -> list:
-    """The product of two polynomials' coefficient lists, to degree
-    ``depth``."""
-    out = [0.0] * min(depth + 1, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b[:len(out) - i]):
-            out[i + j] += x * y
-    return out
-
-
-def _fold_tables(flips, kmax: int) -> tuple[float, np.ndarray]:
-    """(keep, lam) of (letter, p) X and Z flips on one qubit: keep =
-    prod(1 - p), and lam[j - 1] (j = 1..depth, depth <= kmax) the
-    coefficients of t^j in prod((1 - p) + p c t) / keep for the Pauli
-    components (I, Z, X, Y) of the qubit, c = +1 where the flip commutes
-    with the component and -1 where it anticommutes.  With
-    P_X(t) = prod over X flips of (1 + t p/(1 - p)), and P_Z likewise,
-    they are P_X(t) P_Z(t), P_X(-t) P_Z(t), P_X(t) P_Z(-t) and
-    P_X(-t) P_Z(-t).  Complex, since a real operand makes NumPy's complex
-    loops cast in buffers."""
-    depth = min(kmax, len(flips))
-    keep, poly = 1.0, {"X": [1.0], "Z": [1.0]}
-    for (letter, p), m in Counter(flips).items():
-        if letter not in poly:
-            raise ValueError(f"flip {letter!r} is not X or Z")
-        odds = p / (1.0 - p)
-        poly[letter] = _times(poly[letter], [
-            math.comb(m, j) * odds**j for j in range(min(m, depth) + 1)],
-            depth)
-        keep *= (1.0 - p)**m
-    x, z = poly["X"], poly["Z"]
-    mx, mz = ([-v if j % 2 else v for j, v in enumerate(c)] for c in (x, z))
-    lam = np.zeros((depth + 1, 4), dtype=np.complex128)
-    for i, (a, b) in enumerate(((x, z), (mx, z), (x, mz), (mx, mz))):
-        product = _times(a, b, depth)
-        lam[:len(product), i] = product
-    return keep, lam[1:]
-
-
 def _flip_p(p: float, qubit: int | None = None, n: int = 0) -> float:
     """A flip's probability as a float, once it and its qubit, if it has
     one, are valid."""
@@ -356,9 +317,9 @@ def _embedding(live: tuple[int, ...],
 # graded engine
 # ---------------------------------------------------------------------------
 
-# what a state holds; the rest are views and tables that its layout sets
-_STATE = ("n", "pure", "_buffer", "_kmax", "live", "released", "births",
-          "pullback", "scale")
+# the views and tables that a state's layout sets from the rest of it
+_LAYOUT = ("_stacks", "_work", "_walk", "_tables", "_terms", "_live_bits",
+           "_released_bits", "_spread", "_gather")
 
 
 class GradedDensityMatrix:
@@ -381,17 +342,20 @@ class GradedDensityMatrix:
     ideal diagonals) and ``scale`` (see the module docstring).
     """
 
-    def __init__(self, pure: np.ndarray, kmax: int):
-        """The error-free state ``pure`` with kmax empty grades on no live
-        qubit, in one allocation that holds them at full width with their
-        channels' scratch."""
+    def __init__(self, pure: np.ndarray, kmax: int,
+                 live: tuple[int, ...] = (), released: dict | None = None,
+                 stacks: int = 1):
+        """The error-free state ``pure`` with kmax empty grades, ``stacks``
+        stacks of them on the ``live`` qubits (see :meth:`_layout`), in one
+        allocation that holds them at full width with their channels'
+        scratch."""
         dim = len(pure)
         self.n = dim.bit_length() - 1
         self.pure = pure
         self._buffer = np.zeros((kmax + _scratch(kmax, dim)) * dim * dim,
                                 dtype=np.complex128)
         self._kmax = kmax
-        self._layout((), {}, 1)
+        self._layout(live, {} if released is None else released, stacks)
         self.births, self.pullback, self.scale = (), 1.0, 1.0
 
     def _layout(self, live: tuple[int, ...], released: dict,
@@ -428,8 +392,8 @@ class GradedDensityMatrix:
         """A copy with an allocation of its own, and its views into it."""
         state = object.__new__(type(self))
         state.__dict__.update(copy.deepcopy(
-            {k: v for k, v in vars(self).items() if k in _STATE}, memo))
-        state._layout(self.live, state.released, self._stacks.shape[1])
+            {k: v for k, v in vars(self).items() if k not in _LAYOUT}, memo))
+        state._layout(state.live, state.released, self._stacks.shape[1])
         return state
 
     @property
@@ -451,10 +415,9 @@ class GradedDensityMatrix:
         if kmax < 1:
             raise ValueError(f"kmax must be at least 1, got {kmax}")
         dim = 1 << n
-        state = cls(np.full(dim, dim ** -0.5, dtype=np.complex128), kmax)
-        if n < LIVE_MIN_QUBITS:  # its empty stack needs no widening
-            state._layout(tuple(range(n)), {}, 1)
-        return state
+        # an empty stack needs no widening
+        return cls(np.full(dim, dim ** -0.5, dtype=np.complex128), kmax,
+                   tuple(range(n)) if n < LIVE_MIN_QUBITS else ())
 
     def grade1_branches(self, births=None) -> tuple[np.ndarray, np.ndarray]:
         """(w, b) with grade 1 = sum_i w_i b_i b_i^dagger; b is (m, 2**n).
@@ -470,8 +433,9 @@ class GradedDensityMatrix:
 
     def trace_total(self) -> float:
         t = float(np.vdot(self.pure, self.pure).real)
-        for g in self.grades:
-            t += float(self.scale * np.trace(g).real) * self._spread
+        traces = np.trace(self.grades, axis1=1, axis2=2).real
+        for g in (self.scale * traces).tolist():
+            t += g * self._spread
         return t
 
     # -- the live qubits --------------------------------------------------
@@ -543,16 +507,21 @@ class GradedDensityMatrix:
             return x
         return x.take(_z_classes(mask, len(self.live)), out=out, mode="clip")
 
-    def _channel(self, a, b, v, qubit=None, mask=0) -> None:
-        """Update the stored grades by a one-event channel:
+    def _channel(self, a, b, v, mask: int, flip: bool = False) -> None:
+        """Update the stored grades by a one-event channel on the qubits of
+        the full-width ``mask``, which enter first:
         H_k <- A o H_k + B o P(H_{k-1}), with H_0 = pure pure^dagger / scale.
 
-        P is X rho X on the live qubit at position ``qubit``, or the
-        identity for None, and v is P pure.  a and b are scalars or 3-entry
-        tables, which the classes of Z_mask on the live qubits turn into A
-        and B; an A of 1 takes no multiply.  Blocks run from the top grade
-        down, each reading the grades below it before it overwrites itself.
+        P is X rho X on the one qubit of ``mask`` for ``flip``, else the
+        identity, and v is P pure.  a and b are scalars or 3-entry tables,
+        which the classes of Z_mask turn into A and B; an A of 1 takes no
+        multiply.  Blocks run from the top grade down, each reading the
+        grades below it before it overwrites itself.
         """
+        gather = self._gather
+        if gather is not None:
+            mask = self._live(mask)
+            gather = self._gather
         stacks, terms = self._stacks, self._terms
         a = self._table(a, self._tables[0], mask)
         b = self._table(b, self._tables[1], mask)
@@ -563,12 +532,15 @@ class GradedDensityMatrix:
             term = terms[term]
             below = term[below]
             src = stacks[src]
-            if qubit is not None:
-                src = _stack_xflip(src, qubit)
+            if flip:
+                src = _stack_xflip(src, mask.bit_length() - 1)
                 below = below.reshape(src.shape)
             np.multiply(src, b, out=below)
             if lo == 0:
-                self._outer(lead, v, term[0])
+                if gather is None:  # every qubit is live
+                    np.multiply(lead[:, None], v.conj(), out=term[0, 0])
+                else:
+                    self._outer(lead, v, term[0])
                 if table:
                     term[0] *= b
             block = stacks[block]
@@ -617,7 +589,7 @@ class GradedDensityMatrix:
         errs = ideal * sum(p * _phase_table(extra) for p, extra in errors)
         # stored grades: keep divides out, or restarts the scale at 1
         a, b = (ideal, errs / keep) if keep else (0.0, self.scale * errs)
-        self._channel(a, b, self.pure, mask=self._live(mask))
+        self._channel(a, b, self.pure, mask)
         d = _diagonal(mask, self.n, theta)
         pure = d * self.pure
         born = [(p, _diagonal(mask, self.n, extra) * pure)
@@ -629,10 +601,9 @@ class GradedDensityMatrix:
         p = _flip_p(p, qubit, self.n)
         if not p:
             return self
-        position = self._live(1 << qubit).bit_length() - 1
         v = _vec_xflip(self.pure, qubit)
         keep = 1.0 - p
-        self._channel(1.0, p / keep, v, position)
+        self._channel(1.0, p / keep, v, 1 << qubit, flip=True)
         return self._event(keep, [(p, v)], self.pure, self.pullback)
 
     def apply_z_flips(self, flips) -> GradedDensityMatrix:
@@ -666,10 +637,12 @@ class GradedDensityMatrix:
         for (mask, p), m in counts.items():
             odds[mask] += m * p / (1.0 - p)
             union |= mask
-        self._live(union)
+        if self._gather is not None:
+            self._enter(union)
+            counts = {(_compress(mask, self.live), p): m
+                      for (mask, p), m in counts.items()}
         n = len(self.live)
-        table = _z_flip_tables({(self._live(mask), p): m
-                                for (mask, p), m in counts.items()}, n, kmax)
+        table = _z_flip_tables(counts, n, kmax)
         keep, depth = table[0, 0].real, len(table) - 1
         table = table[1:] / keep
         # the E_j of a slab of rows, each stack's g_0 and a term fill the
@@ -715,10 +688,10 @@ class GradedDensityMatrix:
         contraction as one Pauli channel, which takes each Pauli component
         of the qubit's blocks H_ab, c_I = H00 + H11, c_Z = H00 - H11,
         c_X = H01 + H10 and c_Y = H01 - H10, times its own grade polynomial
-        (:func:`_fold_tables`).  The trace is c_I; the fidelity is
-        (c_I + r_Z c_Z + r_X c_X + i r_Y c_Y)/2 for the factor's Bloch
-        vector r, or (c_I + r_Z c_Z + G + G^dagger)/2, with G the folded
-        (r_X + i r_Y) H01, since every grade is Hermitian.
+        (:func:`_z_flip_tables` on two bits).  The trace is c_I; the
+        fidelity is (c_I + r_Z c_Z + r_X c_X + i r_Y c_Y)/2 for the factor's
+        Bloch vector r, or (c_I + r_Z c_Z + G + G^dagger)/2, with G the
+        folded (r_X + i r_Y) H01, since every grade is Hermitian.
         """
         if not 0 <= qubit < self.n:
             raise ValueError(f"qubit index {qubit} out of range")
@@ -729,7 +702,15 @@ class GradedDensityMatrix:
                                        - 1.0) > 1e-9:
             raise ValueError("factor is not a normalized one-qubit state")
         flips = [(letter, _flip_p(p)) for letter, p in flips]
-        keep, lam = _fold_tables([f for f in flips if f[1]], self._kmax)
+        if any(letter not in ("X", "Z") for letter, _ in flips):
+            raise ValueError(f"flips {flips} are not all X or Z")
+        # the Pauli components (I, Z, X, Y) are the sign patterns 0..3 of
+        # two bits that an X flip (bit 0) and a Z flip (bit 1) each flip
+        table = _z_flip_tables(Counter(({"X": 1, "Z": 2}[letter], p)
+                                       for letter, p in flips if p),
+                               2, self._kmax)
+        keep = table[0, 0].real
+        lam = table[1:] / keep
         lo = self._live(1 << qubit)
         kmax, work, buf = self._kmax, self._work, self._buffer
         s, d = self._stacks.shape[1:3]
@@ -819,12 +800,12 @@ class GradedDensityMatrix:
             raise ValueError(f"check qubits {checks} out of range")
         self._live(sum(1 << q for q in checks))
         before, unit = self.trace_total(), 0.5 ** len(checks)
-        state = GradedDensityMatrix(_sum_checks(self.pure, checks, self.n),
-                                    self.kmax)
         kept = [q for q in range(self.n) if q not in checks]
-        state._layout(tuple(kept.index(q) for q in self.live if q in kept),
-                      {kept.index(q): f for q, f in self.released.items()},
-                      self._stacks.shape[1])
+        state = GradedDensityMatrix(
+            _sum_checks(self.pure, checks, self.n), self.kmax,
+            tuple(kept.index(q) for q in self.live if q in kept),
+            {kept.index(q): f for q, f in self.released.items()},
+            self._stacks.shape[1])
         stacks, state.scale = state._stacks, self.scale
         stacks[...] = _sum_checks(self._stacks, tuple(
             self.live.index(q) for q in checks), len(self.live), 2)

@@ -898,3 +898,23 @@ class TestLiveQubits:
             kept.infidelity_with_pure(np.array([1.0, 0.0, 0.0, 0.0]))
         assert kept.infidelity_with_pure(
             np.kron(np.full(2, 0.5 ** 0.5), magic)) >= 0.0
+
+    def test_a_copy_owns_its_allocation_and_keeps_the_rest(self):
+        # a copy lays its views out over an allocation of its own, and
+        # deep-copies every other attribute, including one that the
+        # engine does not know of
+        state = GradedDensityMatrix.init_plus(6, kmax=2)
+        state = state.apply_faulty_rotation(
+            PauliProduct("ZZZIII"), RotationErrorProfile(0.01, 0.02, 0.0))
+        magic = np.array([1.0, np.exp(-0.25j * np.pi)]) / np.sqrt(2)
+        state = state.release(0, magic, [("X", 0.03)])
+        state.note = [1]
+        got = copy.deepcopy(state)
+        assert got.note == [1] and got.note is not state.note
+        assert got.live == state.live and got.released.keys() == {0}
+        assert not np.shares_memory(got._buffer, state._buffer)
+        assert np.shares_memory(got.grades, got._buffer)
+        for s in (state, got):
+            s.apply_x_flip(2, 0.05)
+        np.testing.assert_array_equal(got._stacks, state._stacks)
+        assert got.births is not state.births
