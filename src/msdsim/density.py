@@ -1,12 +1,13 @@
 """Graded density-matrix engine for noisy Pauli-rotation circuits.
 
-:class:`GradedDensityMatrix` splits the state by exact error count: the
-zero-error branch is kept as a pure statevector and each grade k holds the
-exactly-k-error mass.  Grade 1 is also kept as a store of pure branches,
-one per single error event.  Output infidelities far below float epsilon
-of the trace (1e-15 and smaller) are read as squared norms of deviation
-vectors, without catastrophic cancellation.  Restricted to Z-type axes
-(all catalog circuits are Z-type).
+:class:`GradedDensityMatrix` splits the state by exact error count: grade
+k of one dense stack holds the exactly-k-error mass, grade 0 the
+zero-error branch.  That branch is also kept as a pure statevector, and
+grade 1 as a store of pure branches, one per single error event: output
+infidelities far below float epsilon of the trace (1e-15 and smaller) are
+read from them as squared norms of deviation vectors, without
+catastrophic cancellation.  Restricted to Z-type axes (all catalog
+circuits are Z-type).
 
 The dense grade stack holds only the live qubits, those that a channel
 has acted on; ``pure`` and the branch store keep all ``n``.  A qubit that
@@ -14,8 +15,7 @@ no channel has touched is |+> in every grade, so the full matrix's
 entries do not depend on its bits: it enters the stack, at its index
 position, when a channel first acts on it, as copies of the entries
 already stored, and an entry leaves every later grade and output
-byte-identical.  A state of fewer than ``LIVE_MIN_QUBITS`` qubits starts
-with all of them live.  :meth:`GradedDensityMatrix.release` takes a qubit
+byte-identical.  :meth:`GradedDensityMatrix.release` takes a qubit
 out of the stack for good once only flips will act on it: the stack
 becomes a pair, its trace over the qubit and its fidelity with the
 qubit's ideal single-qubit state, with the qubit's remaining flips folded
@@ -34,8 +34,8 @@ is ``scale * H_k`` for the stored ``H_k``, and ``scale`` is 1/p_success
 of the last projection times the keep factors (1 minus the channel's
 error probability) of every channel since, so no channel spends a pass
 on its keep term.  A rotation or an X flip is one elementwise kernel on
-the stored grades, ``out_k = A o H_k + B o P(H_{k-1})`` with
-``H_0 = pure pure^dagger / scale``.  P permutes for an X flip, whose A is
+the stored grades, ``out_k = A o H_k + B o P(H_{k-1})`` for k >= 1, then
+``out_0 = A o H_0``.  P permutes for an X flip, whose A is
 1 and B its odds p/(1 - p): an X flip is one scaled permuted read and one
 add.  A rotation scales ``rho_ij`` by a value set by the class
 ``c_ij = 1 + (s_i - s_j)/2`` of its axis's Z signs s, so A and B are
@@ -267,26 +267,24 @@ def _per_block(kmax: int, entries: int) -> int:
 
 @lru_cache(maxsize=None)
 def _blocks(kmax: int, entries: int):
-    """How a channel walks a stack of grades of ``entries`` entries each:
-    the grades per block, and each block as precomputed slices, top block
-    first.
+    """How a channel walks grades 1..kmax of a stack of grades of
+    ``entries`` entries each: the grades per block, and each block as
+    precomputed slices, top block first.
 
-    A block of grades [lo, hi) is (src, term, below, block, lo): the grades
-    it reads, its terms within the scratch, those that P(g_{k-1}) fills,
-    and the grades it writes.
+    A block of grades [lo, hi) is (src, term, block): the grades below it
+    that it reads, its terms within the scratch, and the grades it writes.
     """
     per = _per_block(kmax, entries)
-    return per, [(slice(max(lo - 1, 0), hi - 1), slice(0, hi - lo),
-                  slice(1 if lo == 0 else 0, hi - lo), slice(lo, hi), lo)
-                 for lo, hi in ((lo, min(lo + per, kmax))
-                                for lo in reversed(range(0, kmax, per)))]
+    return per, [(slice(lo - 1, hi - 1), slice(0, hi - lo), slice(lo, hi))
+                 for lo, hi in ((lo, min(lo + per, kmax + 1))
+                                for lo in reversed(range(1, kmax + 1, per)))]
 
 
 def _scratch(kmax: int, dim: int) -> int:
     """Matrices of scratch a channel takes at full width: A, B and a block
-    of terms, and at least the kmax + 2 rows of a Z-flip pass (see
-    ``apply_z_flips``).  A narrower stack, or a pair of stacks half as
-    wide, takes no more."""
+    of terms, and at least kmax + 2 rows, more than a Z-flip pass takes
+    (see ``apply_z_flips``).  A narrower stack, or a pair of stacks half
+    as wide, takes no more."""
     return max(2 + _per_block(kmax, dim * dim), -(-(kmax + 2) // dim))
 
 
@@ -296,63 +294,48 @@ def _compress(mask: int, live: tuple[int, ...]) -> int:
     return sum(1 << i for i, q in enumerate(live) if mask >> q & 1)
 
 
-@lru_cache(maxsize=None)
-def _embedding(live: tuple[int, ...],
-               released: tuple[int, ...]) -> np.ndarray:
-    """(2**r, 2**len(live)) full-width basis indices: row b, column i holds
-    the index whose released qubits carry the bits of b, whose live qubits
-    carry the bits of i, and whose other qubits are 0.  Memoized and
-    read-only."""
-    def spread(qubits):
-        i = np.arange(1 << len(qubits))
-        return sum(((i >> j) & 1) << q for j, q in enumerate(qubits))
-    index = np.zeros((1 << len(released), 1 << len(live)), dtype=np.intp)
-    index += spread(released)[:, None] if released else 0
-    index += spread(live) if live else 0
-    index.flags.writeable = False
-    return index
-
-
 # ---------------------------------------------------------------------------
 # graded engine
 # ---------------------------------------------------------------------------
 
 # the views and tables that a state's layout sets from the rest of it
 _LAYOUT = ("_stacks", "_work", "_walk", "_tables", "_terms", "_live_bits",
-           "_released_bits", "_spread", "_gather")
+           "_released_bits", "_spread")
 
 
 class GradedDensityMatrix:
-    """State split by exact error count, with a pure zero-error branch.
+    """State split by exact error count, grade 0 the zero-error branch.
 
-    ``pure`` is the subnormalized statevector of the no-error branch, on
-    all ``n`` qubits.  ``scale * grades[k - 1]`` (k = 1..kmax) is the
-    subnormalized density matrix of the exactly-k-error mass on the
-    ``live`` qubits, the qubits that a channel has acted on: every other
-    qubit is still |+> in every grade, and the stack holds the full
-    matrix's entries, which do not depend on those qubits' bits (see the
-    module docstring).  The stack is stored divided by ``scale``, like
-    the branch store.  Branches with more than ``kmax`` errors are
-    dropped.  ``1 - trace_total()`` does not measure them: it is
-    round-off (between -1.6e-15 and 1.3e-14 on the paper's tables).
-    Nothing bounds their share yet (ROADMAP.md, item 3).
+    ``scale * _stacks[k]`` (k = 0..kmax) is the subnormalized density
+    matrix of the exactly-k-error mass on the ``live`` qubits, the qubits
+    that a channel has acted on: every other qubit is still |+> in every
+    grade, and the stack holds the full matrix's entries, which do not
+    depend on those qubits' bits (see the module docstring).  ``grades``
+    is grades 1..kmax.  The stack is stored divided by ``scale``, like the
+    branch store.  Branches with more than ``kmax`` errors are dropped.
+    ``1 - trace_total()`` does not measure them: it is round-off (between
+    -1.6e-15 and 1.3e-14 on the paper's tables).  Nothing bounds their
+    share yet (ROADMAP.md, item 3).
 
-    ``births`` holds grade 1 once more, as ``(weight, row)`` pairs, one per
-    single error event, to be read through ``pullback`` (the conjugated
-    ideal diagonals) and ``scale`` (see the module docstring).
+    ``pure`` holds grade 0 once more, as the subnormalized statevector of
+    the no-error branch on all ``n`` qubits, and ``births`` grade 1, as
+    ``(weight, row)`` pairs, one per single error event, to be read
+    through ``pullback`` (the conjugated ideal diagonals) and ``scale``
+    (see the module docstring).  The readout and a projection's rejected
+    mass read these two grades from them.
     """
 
     def __init__(self, pure: np.ndarray, kmax: int,
                  live: tuple[int, ...] = (), released: dict | None = None,
                  stacks: int = 1):
-        """The error-free state ``pure`` with kmax empty grades, ``stacks``
-        stacks of them on the ``live`` qubits (see :meth:`_layout`), in one
-        allocation that holds them at full width with their channels'
-        scratch."""
+        """The error-free state ``pure`` with kmax + 1 empty grades,
+        ``stacks`` stacks of them on the ``live`` qubits (see
+        :meth:`_layout`), in one allocation that holds them at full width
+        with their channels' scratch; the caller fills grade 0."""
         dim = len(pure)
         self.n = dim.bit_length() - 1
         self.pure = pure
-        self._buffer = np.zeros((kmax + _scratch(kmax, dim)) * dim * dim,
+        self._buffer = np.zeros((kmax + 1 + _scratch(kmax, dim)) * dim * dim,
                                 dtype=np.complex128)
         self._kmax = kmax
         self._layout(live, {} if released is None else released, stacks)
@@ -361,17 +344,17 @@ class GradedDensityMatrix:
     def _layout(self, live: tuple[int, ...], released: dict,
                 stacks: int) -> None:
         """Hold ``stacks`` stacks on the ``live`` qubits, after the
-        ``released`` ones left with their factors: the (kmax, stacks, d, d)
-        view ``_stacks`` at the start of the allocation, d = 2**len(live),
-        the scratch after the full-width stack, and what ``_outer`` reads
-        full-width vectors through (None while every qubit is live)."""
+        ``released`` ones left with their factors: the
+        (kmax + 1, stacks, d, d) view ``_stacks`` at the start of the
+        allocation, d = 2**len(live), and the scratch after the
+        full-width stack."""
         self.live, self.released = live, released
-        d, kmax = 1 << len(live), self._kmax
-        self._stacks = self._buffer[:kmax * stacks * d * d].reshape(
-            kmax, stacks, d, d)
-        work = self._work = self._buffer[kmax * len(self.pure)**2:]
+        d, grades = 1 << len(live), self._kmax + 1
+        self._stacks = self._buffer[:grades * stacks * d * d].reshape(
+            grades, stacks, d, d)
+        work = self._work = self._buffer[grades * len(self.pure)**2:]
         # a channel's A and B tables, its walk and its block of terms
-        per, self._walk = _blocks(kmax, stacks * d * d)
+        per, self._walk = _blocks(self._kmax, stacks * d * d)
         self._tables = (work[:d * d].reshape(d, d),
                         work[d * d:2 * d * d].reshape(d, d))
         self._terms = work[2 * d * d:(2 + per * stacks) * d * d].reshape(
@@ -381,12 +364,6 @@ class GradedDensityMatrix:
         # each entry of the stack stands for 2**m diagonal entries of the
         # full matrix, for the m qubits outside it
         self._spread = 1 << (self.n - len(live) - len(released))
-        self._gather = None
-        if len(live) < self.n:
-            phi = np.ones(1, dtype=np.complex128)
-            for f in released.values():  # the newest the highest bit
-                phi = np.outer(f.conj(), phi).ravel()
-            self._gather = _embedding(live, tuple(released)), phi, phi.conj()
 
     def __deepcopy__(self, memo) -> GradedDensityMatrix:
         """A copy with an allocation of its own, and its views into it."""
@@ -402,9 +379,9 @@ class GradedDensityMatrix:
 
     @property
     def grades(self) -> np.ndarray:
-        """The (kmax, d, d) grade stack on the live qubits; after a release,
-        their trace over the released qubits."""
-        return self._stacks[:, 0]
+        """The (kmax, d, d) stack of grades 1..kmax on the live qubits; after
+        a release, their trace over the released qubits."""
+        return self._stacks[1:, 0]
 
     @classmethod
     def init_plus(cls, n: int,
@@ -416,8 +393,10 @@ class GradedDensityMatrix:
             raise ValueError(f"kmax must be at least 1, got {kmax}")
         dim = 1 << n
         # an empty stack needs no widening
-        return cls(np.full(dim, dim ** -0.5, dtype=np.complex128), kmax,
-                   tuple(range(n)) if n < LIVE_MIN_QUBITS else ())
+        pure = np.full(dim, dim ** -0.5, dtype=np.complex128)
+        state = cls(pure, kmax, tuple(range(n)) if n < LIVE_MIN_QUBITS else ())
+        state._stacks[0] = pure[0] * pure[0].conj()
+        return state
 
     def grade1_branches(self, births=None) -> tuple[np.ndarray, np.ndarray]:
         """(w, b) with grade 1 = sum_i w_i b_i b_i^dagger; b is (m, 2**n).
@@ -460,7 +439,7 @@ class GradedDensityMatrix:
         wide = (2,) * (2 * len(live))
         s, d = self._stacks.shape[1:3]
         d2 = 1 << len(live)
-        buf, hi = self._buffer, self._kmax * s
+        buf, hi = self._buffer, (self._kmax + 1) * s
         while hi:
             # matrices [lo, hi) land at or above lo * d2**2 >= hi * d**2
             lo = max(1, -(-hi * d * d // (d2 * d2))) if hi > 1 else 0
@@ -475,29 +454,10 @@ class GradedDensityMatrix:
 
     def _live(self, mask: int) -> int:
         """A full-width bitmask, its qubits entered, on the live qubits."""
-        if self._gather is None:  # every qubit is live
+        if len(self.live) == self.n:
             return mask
         self._enter(mask)
         return _compress(mask, self.live)
-
-    def _outer(self, lead: np.ndarray, v: np.ndarray, out: np.ndarray,
-               rows: slice = slice(None)) -> None:
-        """What each stack holds of the full-width lead v^dagger, its rows
-        ``rows``, into ``out``: its live entries, and after a release their
-        trace over the released qubits (a sum of one outer product per
-        pattern of their bits) and their fidelity with the released
-        factors (one outer product of the contracted vectors)."""
-        if self._gather is None:
-            np.multiply(lead[rows, None], v.conj(), out=out[0])
-            return
-        index, phi, phi_conj = self._gather
-        lead, v = lead[index], v[index].conj()
-        if not self.released:
-            np.multiply(lead[0, rows, None], v[0], out=out[0])
-            return
-        np.einsum("bi,bj->ij", lead[:, rows], v, out=out[0])
-        np.multiply(np.einsum("b,bi->i", phi, lead[:, rows])[:, None],
-                    np.einsum("b,bj->j", phi_conj, v), out=out[1])
 
     # -- internal channel machinery ---------------------------------------
     def _table(self, x, out: np.ndarray, mask: int):
@@ -507,46 +467,35 @@ class GradedDensityMatrix:
             return x
         return x.take(_z_classes(mask, len(self.live)), out=out, mode="clip")
 
-    def _channel(self, a, b, v, mask: int, flip: bool = False) -> None:
+    def _channel(self, a, b, mask: int, flip: bool = False) -> None:
         """Update the stored grades by a one-event channel on the qubits of
         the full-width ``mask``, which enter first:
-        H_k <- A o H_k + B o P(H_{k-1}), with H_0 = pure pure^dagger / scale.
+        H_k <- A o H_k + B o P(H_{k-1}) for k >= 1, then H_0 <- A o H_0.
 
         P is X rho X on the one qubit of ``mask`` for ``flip``, else the
-        identity, and v is P pure.  a and b are scalars or 3-entry tables,
-        which the classes of Z_mask turn into A and B; an A of 1 takes no
-        multiply.  Blocks run from the top grade down, each reading the
-        grades below it before it overwrites itself.
+        identity.  a and b are scalars or 3-entry tables, which the classes
+        of Z_mask turn into A and B; an A of 1 takes no multiply.  Blocks
+        run from the top grade down, each reading the grades below it
+        before it overwrites itself.
         """
-        gather = self._gather
-        if gather is not None:
-            mask = self._live(mask)
-            gather = self._gather
+        mask = self._live(mask)
         stacks, terms = self._stacks, self._terms
         a = self._table(a, self._tables[0], mask)
         b = self._table(b, self._tables[1], mask)
         identity = not isinstance(a, np.ndarray) and a == 1.0
-        table = isinstance(b, np.ndarray)
-        lead = v * ((1.0 if table else b) / self.scale)
-        for src, term, below, block, lo in self._walk:
+        for src, term, block in self._walk:
             term = terms[term]
-            below = term[below]
-            src = stacks[src]
+            src, below = stacks[src], term
             if flip:
                 src = _stack_xflip(src, mask.bit_length() - 1)
-                below = below.reshape(src.shape)
+                below = term.reshape(src.shape)
             np.multiply(src, b, out=below)
-            if lo == 0:
-                if gather is None:  # every qubit is live
-                    np.multiply(lead[:, None], v.conj(), out=term[0, 0])
-                else:
-                    self._outer(lead, v, term[0])
-                if table:
-                    term[0] *= b
             block = stacks[block]
             if not identity:
                 block *= a
             block += term
+        if not identity:
+            stacks[0] *= a
 
     def _event(self, keep: float, branches: list, pure: np.ndarray,
                pullback) -> GradedDensityMatrix:
@@ -589,7 +538,7 @@ class GradedDensityMatrix:
         errs = ideal * sum(p * _phase_table(extra) for p, extra in errors)
         # stored grades: keep divides out, or restarts the scale at 1
         a, b = (ideal, errs / keep) if keep else (0.0, self.scale * errs)
-        self._channel(a, b, self.pure, mask)
+        self._channel(a, b, mask)
         d = _diagonal(mask, self.n, theta)
         pure = d * self.pure
         born = [(p, _diagonal(mask, self.n, extra) * pure)
@@ -603,7 +552,7 @@ class GradedDensityMatrix:
             return self
         v = _vec_xflip(self.pure, qubit)
         keep = 1.0 - p
-        self._channel(1.0, p / keep, v, 1 << qubit, flip=True)
+        self._channel(1.0, p / keep, 1 << qubit, flip=True)
         return self._event(keep, [(p, v)], self.pure, self.pullback)
 
     def apply_z_flips(self, flips) -> GradedDensityMatrix:
@@ -637,7 +586,7 @@ class GradedDensityMatrix:
         for (mask, p), m in counts.items():
             odds[mask] += m * p / (1.0 - p)
             union |= mask
-        if self._gather is not None:
+        if len(self.live) < self.n:
             self._enter(union)
             counts = {(_compress(mask, self.live), p): m
                       for (mask, p), m in counts.items()}
@@ -645,28 +594,23 @@ class GradedDensityMatrix:
         table = _z_flip_tables(counts, n, kmax)
         keep, depth = table[0, 0].real, len(table) - 1
         table = table[1:] / keep
-        # the E_j of a slab of rows, each stack's g_0 and a term fill the
-        # scratch
+        # the E_j of a slab of rows and a term fill the scratch
         stacks, work, xor = self._stacks, self._work, _xor_index(n)
         s, d = stacks.shape[1:3]
-        rows = min(d, len(work) // ((depth + 2 * s) * d))
-        lead = self.pure / self.scale
+        rows = min(d, len(work) // ((depth + s) * d))
         for r in (slice(lo, lo + rows) for lo in range(0, d, rows)):
             h = len(xor[r])
             # with the stacks' axis, which NumPy then need not broadcast
             e = work[:depth * h * d].reshape(depth, 1, h, d)
             for j in range(depth):
                 np.take(table[j], xor[r], out=e[j, 0], mode="clip")
-            g0 = work[depth * h * d:(depth + s) * h * d].reshape(s, h, d)
-            self._outer(lead, self.pure, g0, r)
-            term = work[(depth + s) * h * d:(depth + 2 * s) * h * d]
-            term = term.reshape(s, h, d)
+            term = work[depth * h * d:(depth + s) * h * d].reshape(s, h, d)
             # from the top grade down: each reads only grades below it
             for k in range(kmax, 0, -1):
-                block = stacks[k - 1, :, r]
+                block = stacks[k, :, r]
                 for j in range(1, min(k, depth) + 1):
-                    below = stacks[k - j - 1, :, r] if k > j else g0
-                    block += np.multiply(e[j - 1], below, out=term)
+                    block += np.multiply(e[j - 1], stacks[k - j, :, r],
+                                         out=term)
         born = [(keep * o, z_signs(mask, self.n) * self.pure)
                 for mask, o in odds.items()]
         return self._event(keep, born, self.pure, self.pullback)
@@ -712,23 +656,20 @@ class GradedDensityMatrix:
         keep = table[0, 0].real
         lam = table[1:] / keep
         lo = self._live(1 << qubit)
-        kmax, work, buf = self._kmax, self._work, self._buffer
+        work, buf = self._work, self._buffer
+        grades = self._kmax + 1
         s, d = self._stacks.shape[1:3]
         hi, h = d // (2 * lo), d // 2
         r_z = float(abs(factor[0])**2 - abs(factor[1])**2)
         mu0 = 2.0 * np.conj(factor[0]) * factor[1]  # r_X + i r_Y
         parts = 3 if r_z else 2
-        # the grade-0 source, then every matrix, in place: its quarters
-        # take c_I, H01 and, for a factor off the equator, c_Z; as many
-        # matrices at a time as the scratch holds
-        source = work[:s * d * d]
-        self._outer(self.pure / self.scale, self.pure,
-                    source.reshape(s, d, d))
-        spare = work[s * d * d:]
-        per = max(1, min(s * kmax, len(spare) // (d * d)))
-        for chunk in [source] + [buf[g * d * d:min(g + per, s * kmax) * d * d]
-                                 for g in range(0, s * kmax, per)]:
-            t = spare[:len(chunk)].reshape(-1, hi, 2, lo, hi, 2, lo)
+        # every matrix, in place: its quarters take c_I, H01 and, for a
+        # factor off the equator, c_Z; as many matrices at a time as the
+        # scratch holds
+        per = max(1, min(s * grades, len(work) // (d * d)))
+        for g in range(0, s * grades, per):
+            chunk = buf[g * d * d:min(g + per, s * grades) * d * d]
+            t = work[:len(chunk)].reshape(-1, hi, 2, lo, hi, 2, lo)
             t.reshape(-1)[...] = chunk
             out = chunk.reshape(-1, 4, hi, lo, hi, lo)
             np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out[:, 0])
@@ -741,19 +682,17 @@ class GradedDensityMatrix:
         coef = np.stack([lam[:, 0], mu0.real * lam[:, 2]
                          + 1j * mu0.imag * lam[:, 3], lam[:, 1]], axis=1)
         coef = coef[:, :parts]
-        c = buf[:kmax * s * d * d].reshape(kmax, s, 4, h * h)
-        below0 = source.reshape(s, 4, h * h)[:, :parts]
-        term = spare[:s * parts * h * h].reshape(s, parts, h * h)
-        for k in range(kmax, 0, -1):
-            c[k - 1, :, 1] *= mu0
+        c = buf[:grades * s * d * d].reshape(grades, s, 4, h * h)
+        term = work[:s * parts * h * h].reshape(s, parts, h * h)
+        for k in reversed(range(grades)):
+            c[k, :, 1] *= mu0
             for j in range(1, min(k, len(coef)) + 1):
-                below = c[k - j - 1, :, :parts] if k > j else below0
-                c[k - 1, :, :parts] += np.multiply(coef[j - 1, :, None],
-                                                   below, out=term)
+                c[k, :, :parts] += np.multiply(coef[j - 1, :, None],
+                                               c[k - j, :, :parts], out=term)
         # the fidelity, from the last stack, beside the trace in the first
         f, fid = c[:, -1], c[:, 0, 3]
-        np.conj(f[:, 1].reshape(kmax, h, h).swapaxes(1, 2),
-                out=fid.reshape(kmax, h, h))
+        np.conj(f[:, 1].reshape(grades, h, h).swapaxes(1, 2),
+                out=fid.reshape(grades, h, h))
         fid += f[:, 1]
         fid += f[:, 0]
         if r_z:
@@ -764,8 +703,8 @@ class GradedDensityMatrix:
         # land below grade a's old place, at 2 a h**2 <= a s d**2
         c[0, 0, 1] = fid[0]
         a = 1
-        while a < kmax:
-            b = min(kmax, 2 * s * a)
+        while a < grades:
+            b = min(grades, 2 * s * a)
             pairs = buf[2 * a * h * h:2 * b * h * h].reshape(b - a, 2, -1)
             np.copyto(pairs[:, 0], c[a:b, 0, 0])
             np.copyto(pairs[:, 1], c[a:b, 0, 3])
@@ -884,7 +823,7 @@ class GradedDensityMatrix:
         dev += float(weights @ (rows.real**2 + rows.imag**2).sum(1))
         chi = self._reference(psi)
         stacks = self._stacks
-        for t, f in zip(stacks[1:, 0], stacks[1:, -1]):
+        for t, f in zip(stacks[2:, 0], stacks[2:, -1]):
             dev += float(self.scale * (np.trace(t).real * self._spread
                                        - np.real(chi.conj() @ f @ chi)))
         return dev / self.trace_total()

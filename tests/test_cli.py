@@ -386,7 +386,7 @@ class TestMainExitCodes:
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err.splitlines() == [
-                    f"error: noise value must be finite, got {value!r}"]
+                    f"error: noise value must be finite, got {value}"]
 
     def test_pphys_outside_model_range_exit_2(self, capsys):
         assert main(["factory", "--family", "l1_15to1", "--d", "7,3,3",

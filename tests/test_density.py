@@ -272,8 +272,8 @@ class TestGradedAgainstDense:
         # the stack is stored divided by the scale, which a flip multiplies
         # by 1 - p; +-p/(1 - p) factors are exact in any operand order, so
         # a lone Z flip's stored grades equal
-        # H_k + (p/(1 - p)) (s s^T) o H_{k-1}, with H_0 = pure pure^dagger
-        # / scale, and a lone X flip's grades k >= 2 equal
+        # H_k + (p/(1 - p)) (s s^T) o H_{k-1}, with H_0 the stored grade 0,
+        # and a lone X flip's grades k >= 2 equal
         # H_k + (p/(1 - p)) X H_{k-1} X, bit for bit
         rng = np.random.default_rng(8)
         for n in (2, 5, 7):
@@ -286,10 +286,7 @@ class TestGradedAgainstDense:
             for q, p in ((0, 0.02), (n - 1, 0.45)):
                 odds = p / (1.0 - p)
                 s = z_signs(1 << q, n)
-                below = np.concatenate(
-                    [np.outer(state.pure / state.scale,
-                              state.pure.conj())[None],
-                     state.grades[:-1]])
+                below = state._stacks[:-1, 0]
                 want = state.grades + (odds * np.outer(s, s)) * below
                 got = copy.deepcopy(state).apply_z_flips([(q, p)])
                 assert got.grades.tobytes() == want.tobytes()
@@ -691,6 +688,28 @@ def _run_ops(state, ops):
     return state
 
 
+def _grade_zero(state) -> np.ndarray:
+    """What each stack of a graded state holds of pure pure^dagger / scale:
+    its entries on the live qubits, read at bit 0 of every qubit outside
+    the stack, and after a release their trace over the released qubits
+    (one outer product per pattern of their bits) and their fidelity with
+    the released factors (the outer product of the contracted rows)."""
+    def spread(qubits):
+        i = np.arange(1 << len(qubits))
+        return sum((((i >> j) & 1) << q for j, q in enumerate(qubits)),
+                   np.zeros_like(i))
+    # row b holds the released qubits' bits b, the newest the highest
+    rows = state.pure[spread(list(state.released))[:, None]
+                      + spread(state.live)] / np.sqrt(state.scale)
+    trace = np.einsum("bi,bj->ij", rows, rows.conj())
+    if not state.released:
+        return trace[None]
+    phi = np.ones(1)
+    for f in state.released.values():
+        phi = np.outer(f.conj(), phi).ravel()
+    return np.stack([trace, np.outer(phi @ rows, (phi @ rows).conj())])
+
+
 @st.composite
 def _release_cases(draw):
     """(n, before, releases, after, checks, psi): channels on some of n
@@ -820,6 +839,10 @@ class TestLiveQubits:
         assert graded_fail == pytest.approx(dense_fail, rel=1e-12, abs=1e-15)
         assert graded.infidelity_with_pure(psi) == pytest.approx(
             1.0 - dense.fidelity_with_pure(psi), rel=1e-12, abs=1e-15)
+        # the stored grade 0 is the pure branch, as each stack holds it
+        want = _grade_zero(graded)
+        assert np.max(np.abs(graded._stacks[0] - want)) <= (
+            64 * np.finfo(float).eps * np.max(np.abs(want)))
         if releases:
             with pytest.raises(ValueError, match="contracted"):
                 materialize(graded)
