@@ -87,15 +87,6 @@ from .pauli import MAX_QUBITS, PauliProduct, rotation_phases, z_mask, z_signs
 
 DEFAULT_MAX_GRADE = 6
 
-# The live-qubit register pays from this many qubits on.  Below it a channel
-# costs about the same at any width (NumPy's per-call cost dominates), so a
-# state of fewer qubits starts with every qubit live, and a schedule run
-# releases no output from a narrower stack: on a 2-vCPU host a level-1
-# 15-to-1 run took 4.8 ms with its output released against 4.1 ms without,
-# and a 20-to-4 run 24.8 ms releasing all four outputs against 24.0 ms
-# releasing the two that leave 7 and 6 live qubits.
-LIVE_MIN_QUBITS = 6
-
 # Graded channels walk the grade stack in blocks of at most this many bytes
 # (one grade at n=7, all six at n=5): passes over the whole 1.5 MB stack at
 # n=7 fall out of a core's cache and are slower.
@@ -321,8 +312,8 @@ class GradedDensityMatrix:
     the no-error branch on all ``n`` qubits, and ``births`` grade 1, as
     ``(weight, row)`` pairs, one per single error event, to be read
     through ``pullback`` (the conjugated ideal diagonals) and ``scale``
-    (see the module docstring).  The readout and a projection's rejected
-    mass read these two grades from them.
+    (see the module docstring).  The readout reads grades 0 and 1 from
+    them, and a projection's rejected mass grade 0.
     """
 
     def __init__(self, pure: np.ndarray, kmax: int,
@@ -386,15 +377,14 @@ class GradedDensityMatrix:
     @classmethod
     def init_plus(cls, n: int,
                   kmax: int = DEFAULT_MAX_GRADE) -> GradedDensityMatrix:
-        """|+>^n, with every qubit live below ``LIVE_MIN_QUBITS``."""
+        """|+>^n, with no qubit live yet: grade 0 is one entry, 2**-n."""
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
         if kmax < 1:
             raise ValueError(f"kmax must be at least 1, got {kmax}")
         dim = 1 << n
-        # an empty stack needs no widening
         pure = np.full(dim, dim ** -0.5, dtype=np.complex128)
-        state = cls(pure, kmax, tuple(range(n)) if n < LIVE_MIN_QUBITS else ())
+        state = cls(pure, kmax)
         state._stacks[0] = pure[0] * pure[0].conj()
         return state
 

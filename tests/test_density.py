@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msdsim.density import (
-    LIVE_MIN_QUBITS,
     GradedDensityMatrix,
     RotationErrorProfile,
     StorageRates,
@@ -654,9 +653,8 @@ class TestWorkspace:
 def _sparse_cases(draw):
     """(n, kmax, ops, checks): channels on a drawn subset of n qubits, so
     that some qubits may never enter the stack, and checks to project on,
-    drawn from all n qubits; a state of fewer than LIVE_MIN_QUBITS starts
-    with every qubit live, so n is at least that."""
-    n = draw(st.integers(LIVE_MIN_QUBITS, LIVE_MIN_QUBITS + 1))
+    drawn from all n qubits."""
+    n = draw(st.integers(2, 7))
     used = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
     prob = st.floats(0.0, 0.05)
     ops = []
@@ -717,10 +715,9 @@ def _release_cases(draw):
     factor (the magic state or a drawn one) and the X and Z flips folded
     into it, then channels on the qubits left, at least one of which the
     projection measures; psi is a readout reference that holds each
-    released factor.  On LIVE_MIN_QUBITS qubits, a qubit that the first
-    channels leave alone enters the stack after the releases, or at its
-    own release."""
-    n = draw(st.integers(2, LIVE_MIN_QUBITS))
+    released factor.  A qubit that the first channels leave alone enters
+    the stack after the releases, or at its own release."""
+    n = draw(st.integers(2, 6))
     prob = st.floats(0.0, 0.05)
     magic = np.array([1.0, np.exp(-0.25j * np.pi)]) / np.sqrt(2)
 
@@ -777,12 +774,8 @@ class TestLiveQubits:
     def test_entry_leaves_every_entry_as_it_was(self, case):
         # the same channels on a state whose qubits all entered first (the
         # full-width engine) give the same bytes, and a qubit outside the
-        # stack is one that no channel touched; a narrower state starts
-        # with every qubit live
+        # stack is one that no channel touched
         n, kmax, ops, checks = case
-        narrow = LIVE_MIN_QUBITS - 1
-        assert GradedDensityMatrix.init_plus(narrow).live == tuple(
-            range(narrow))
         live = _run_ops(GradedDensityMatrix.init_plus(n, kmax), ops)
         wide = GradedDensityMatrix.init_plus(n, kmax)
         wide._enter((1 << n) - 1)
@@ -902,7 +895,7 @@ class TestLiveQubits:
         state = GradedDensityMatrix.init_plus(3, kmax=2).apply_x_flip(0, 0.1)
         magic = np.array([1.0, np.exp(-0.25j * np.pi)]) / np.sqrt(2)
         state = state.release(0, magic, [("Z", 0.01), ("X", 0.02)])
-        assert state.released.keys() == {0} and state.live == (1, 2)
+        assert state.released.keys() == {0} and state.live == ()
         for channel in (lambda s: s.apply_x_flip(0, 0.1),
                         lambda s: s.apply_z_flips([(0, 0.1)]),
                         lambda s: s.apply_faulty_rotation(

@@ -600,15 +600,16 @@ def test_a_20_to_4_run_applies_its_z_flips_in_two_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("config, flips", [
-    (_l1(17, 7, 7, 1e-3), {("x", 5, 1): 21, ("x", 1, 1): 3,
-                           ("absorbed", 1, 1): 4}),
+    (_l1(17, 7, 7, 1e-3), {("x", 3, 1): 2, ("x", 4, 1): 1, ("x", 5, 1): 18,
+                           ("x", 1, 1): 3, ("absorbed", 1, 1): 4}),
     (_l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4),
      {("x", 7, 1): 17, ("x", 6, 1): 2, ("x", 5, 1): 2, ("x", 4, 1): 4,
       ("x", 3, 1): 1, ("x", 2, 1): 1, ("x", 6, 2): 8, ("x", 5, 2): 18,
       ("x", 2, 2): 5, ("absorbed", 2, 2): 3, ("folded", 0): 7,
       ("folded", 1): 5}),
     (_l2("L2_15x15", 9, 3, 3, 25, 9, 9, 4, 1e-4),
-     {("x", 5, 1): 33, ("x", 1, 1): 3, ("absorbed", 1, 1): 5}),
+     {("x", 3, 1): 1, ("x", 4, 1): 6, ("x", 5, 1): 26, ("x", 1, 1): 3,
+      ("absorbed", 1, 1): 5}),
 ], ids=["L1_15to1", "L2_15x20", "L2_15x15"])
 def test_x_flips_wait_for_the_next_rotation_on_their_qubit(config, flips,
                                                            monkeypatch):
@@ -616,11 +617,10 @@ def test_x_flips_wait_for_the_next_rotation_on_their_qubit(config, flips,
     # X flips of a run, those after the last rotation on their qubit wait:
     # a released output's fold into its release, the rest past the
     # projection, where a check's are absorbed; counted by the live
-    # qubits and stacks of the state they run on.  In the 20-to-4 a qubit
-    # enters the stack at its first channel, and outputs 0 and 1 leave it
-    # after their last rotations, so most flips run on fewer qubits than
-    # the block has; a 15-to-1 state, below LIVE_MIN_QUBITS, keeps all
-    # five qubits live
+    # qubits and stacks of the state they run on.  A qubit enters the
+    # stack at its first channel, and the 20-to-4's outputs 0 and 1 leave
+    # it after their last rotations, so some flips run on fewer qubits
+    # than the block has
     factory.level1_output_error(config)  # level 1 runs uncounted
     counted, _, releases = _counted(monkeypatch, config)
     counted = {key: m for key, m in counted.items() if key[0] != "rotation"}
