@@ -8,17 +8,18 @@ output qubit indices are 0-based.
 
 Also here: exact equivalence checks of Z-type circuits as phase
 polynomials, an exact check of a circuit's noiseless output in
-Z[e^{i pi/8}], brute-force undetected-error-set counting, full
-density-matrix circuit simulations under three noise models, and an exact
-check of each branch of the four lattice-surgery gadgets (state
-consumption, faulty T measurement, delayed-choice rotation, and the
-auto-corrected rotation) on the branch's linear map.
+Z[e^{i pi/8}], brute-force undetected-error-set counting, the three
+circuit-level noise models (``NoiseSpec``; ``factory.simulate_circuit``
+runs a circuit under one), and an exact check of each branch of the four
+lattice-surgery gadgets (state consumption, faulty T measurement,
+delayed-choice rotation, and the auto-corrected rotation) on the
+branch's linear map.
 
 Usage::
 
-    from msdsim.circuits import catalog, simulate_circuit, z_only
-    c = catalog("fifteen_to_one")
-    p_out, p_fail = simulate_circuit(c, z_only(1e-4))
+    from msdsim.circuits import catalog, verify_equivalence
+    c = catalog("identity16")
+    assert verify_equivalence(c, [])
 """
 from __future__ import annotations
 
@@ -31,14 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import (
-    DEFAULT_MAX_GRADE,
-    GradedDensityMatrix,
-    RotationErrorProfile,
-    _rejected,
-    _sum_checks,
-    pure_state_infidelity,
-)
+from .density import _sum_checks
 from .pauli import (
     PauliProduct,
     Rotation,
@@ -312,7 +306,7 @@ def undetected_error_sets(c: Circuit, order: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# circuit-level noise simulation
+# circuit-level noise models
 # ---------------------------------------------------------------------------
 
 
@@ -342,47 +336,6 @@ def random_pauli(p: float) -> NoiseSpec:
 
 def coherent(phi: float) -> NoiseSpec:
     return NoiseSpec("coherent", phi)
-
-
-def simulate_circuit(
-    c: Circuit, noise: NoiseSpec, kmax: int = DEFAULT_MAX_GRADE
-) -> tuple[float, float]:
-    """Run the circuit under the given noise; return (p_out per state, p_fail).
-
-    z_only applies a P_{pi/2} error with probability p after each rotation;
-    random_pauli applies each of P_{pi/2}, P_{pi/4}, P_{-pi/4} with
-    probability p/3; coherent over-rotates every gate by a fixed excess
-    angle.  p_out is the infidelity of the projected state with the ideal
-    output, divided by the number of output states.
-    """
-    if noise.kind == "coherent":
-        psi = product_state([PLUS] * c.n)
-        for r in c.rotations:
-            psi = rotation_phases(
-                r.axis.mask, c.n,
-                r.angle.radians + noise.value * np.sign(r.angle.k)) * psi
-        p_fail = 0.0
-        if c.check_qubits:  # <+| on the checks, times 2**(c/2)
-            checks = tuple(sorted(c.check_qubits))
-            p_fail = _rejected(psi, checks, c.n)  # psi has norm 1
-            psi = _sum_checks(psi, checks, c.n)
-        return pure_state_infidelity(psi, c.ideal_kept) / c.outputs, p_fail
-
-    if noise.kind == "z_only":
-        profile = RotationErrorProfile(noise.value, 0.0, 0.0, 0.0)
-    else:
-        third = noise.value / 3.0
-        profile = RotationErrorProfile(third, third, third, 0.0)
-
-    rho = GradedDensityMatrix.init_plus(c.n, kmax=kmax)
-    for r in c.rotations:
-        rho = rho.apply_faulty_rotation(r.axis, profile,
-                                        sign=int(np.sign(r.angle.k)))
-    p_fail = 0.0
-    if c.check_qubits:
-        rho, p_fail = rho.project_plus(c.check_qubits)
-    p_out = rho.infidelity_with_pure(c.ideal_kept) / c.outputs
-    return p_out, p_fail
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .circuits import (
     catalog,
     coherent,
     random_pauli,
-    simulate_circuit,
     undetected_error_sets,
     verify_equivalence,
     verify_gadget,
@@ -73,6 +72,7 @@ from .factory import (
     distance_keys,
     family_outputs,
     full_distance,
+    simulate_circuit,
     simulate_factory,
     sweep,
 )
@@ -515,8 +515,7 @@ def check_row(row: TableRow, report: FactoryReport) -> list[tuple[str, bool, str
 def cmd_circuit(args: argparse.Namespace) -> int:
     kind = CIRCUIT_KINDS[args.kind]
     noise = parse_noise_spec(args.noise)
-    circuit = catalog(kind)
-    p_out, p_fail = simulate_circuit(circuit, noise, kmax=args.kmax)
+    p_out, p_fail = simulate_circuit(catalog(kind), noise, kmax=args.kmax)
     print(f"circuit:                {kind}")
     print(f"noise:                  {noise.kind} {noise.value:g}")
     print(f"p_out per output state: {p_out:.6e}")

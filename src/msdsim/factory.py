@@ -16,7 +16,8 @@ its qubit, cycle, storage, ancilla and transport formulas.  The
 simulation attaches surface-code error profiles to every rotation and
 runs the graded density-matrix engine to get the output infidelity and
 failure rates.  Closed-form qubit/cycle costs and full-distance metrics
-complete the report.
+complete the report.  A bare catalog circuit under circuit-level noise
+(:func:`simulate_circuit`) runs as a one-step schedule on the same driver.
 
 Usage::
 
@@ -33,8 +34,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .circuits import LEADING_ORDER, Circuit, catalog
-from .density import DEFAULT_MAX_GRADE, GradedDensityMatrix, StorageRates
+from .circuits import (LEADING_ORDER, PLUS, Circuit, NoiseSpec, catalog,
+                       product_state)
+from .density import (DEFAULT_MAX_GRADE, GradedDensityMatrix,
+                      RotationErrorProfile, StorageRates, _rejected,
+                      _sum_checks, pure_state_infidelity)
 from .eventsets import _EPS, EventSets, classes, read_p_out, signature_sums
 from .noise import (
     DistanceSet,
@@ -45,6 +49,7 @@ from .noise import (
     patch_storage_rates,
     single_qubit_rotation_profile,
 )
+from .pauli import rotation_phases
 
 _LEVEL1_KEYS = ("dX", "dZ", "dm")
 _LEVEL2_KEYS = _LEVEL1_KEYS + ("dX2", "dZ2", "dm2")
@@ -223,7 +228,7 @@ class FactoryReport:
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    """One factory step: qubits entering, then rotations applied, then
+    """One schedule step: qubits entering, then rotations applied, then
     every initialized qubit stored."""
 
     rotations: tuple[int, ...]
@@ -232,9 +237,9 @@ class ScheduleStep:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A circuit's steps, after which its checks are measured: every qubit
-    is a check or an output, and no step sees the outputs that the
-    projection keeps, renumbered.
+    """A circuit's steps, after which its checks, if any, are measured: no
+    step sees the qubits that the projection keeps, renumbered.  A qubit
+    that is neither a check nor an output (ccz7's padding) is not consumed.
 
     ``events`` lists the run's error channels once, in time order: each
     rotation, then a Z flip on each output of its axis; after a step's
@@ -282,9 +287,6 @@ class Schedule:
         if sorted(ri for _, source, _, ri, _ in events
                   if source == "rotation") != list(range(len(c.rotations))):
             raise ValueError("schedule must apply every rotation exactly once")
-        if len(c.check_qubits | c.output_qubits) != c.n:
-            raise ValueError("every qubit of a scheduled circuit must be a "
-                             "check or an output")
         for q in sorted(c.output_qubits):
             events += [(len(self.steps), "consumption", "X", q, None),
                        (len(self.steps), "consumption", "Z", q, storage + c.n)]
@@ -366,17 +368,21 @@ def _probabilities(schedule: Schedule, inputs: tuple) -> tuple[float, ...]:
 
 
 def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
-    """Run one factory schedule on one graded state, whose channels update
-    it in place.
+    """Run one schedule, of a factory or of a bare circuit
+    (:func:`simulate_circuit`), on one graded state, whose channels update
+    it in place: the one driver of the graded engine.
 
     The run applies the channels of ``schedule.events`` in order, at their
     :func:`_probabilities` under the noise ``inputs`` (:func:`_noise_inputs`).
+    Its E events of nonzero probability hold at most E errors, so it keeps
+    min(kmax, E) grades; with none it reads 0 and builds no state.
 
     A flip waits while it commutes, grade counts included.  Z flips wait
     for one pass before the checks.  An X flip on q waits for the next
     rotation on q, or past the projection, which keeps the outputs alone:
     there it runs at their dimension, as do the consumption flips and the
     readout, or on a check it is absorbed (Pi X_c = Pi), a grade shift.
+    A circuit without checks skips the projection and keeps every qubit.
 
     An output in ``Schedule.leaving`` leaves the grade stack after its
     last rotation (:meth:`GradedDensityMatrix.release`) if the stack then
@@ -388,12 +394,13 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     """
     c = schedule.circuit
     probabilities = _probabilities(schedule, inputs)
-    if not any(probabilities):
+    events = sum(p > 0.0 for p in probabilities)
+    if not events:
         # noiseless: the engine would read its round-off
         return ScheduleRun(0.0, 0.0)
     leaving, folded = schedule.leaving, set()
     profiles = inputs[0]
-    rho = GradedDensityMatrix.init_plus(c.n, kmax)
+    rho = GradedDensityMatrix.init_plus(c.n, min(kmax, events))
     z_flips, x_flips, consumed = [], {q: [] for q in range(c.n)}, []
     for i, ((_, source, operator, target, _), p) in enumerate(
             zip(schedule.events, probabilities)):
@@ -419,11 +426,12 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
         else:
             (consumed if source == "consumption" else z_flips).append(
                 (target, p))
-    rho = rho.apply_z_flips(z_flips)
-    rho, p_fail = rho.project_plus(c.check_qubits)
+    rho, p_fail = rho.apply_z_flips(z_flips), 0.0
+    if c.check_qubits:  # project_plus takes a nonempty check set
+        rho, p_fail = rho.project_plus(c.check_qubits)
     rho = rho.apply_absorbed_flips(
         [p for q in sorted(c.check_qubits) for p in x_flips.pop(q)])
-    # the projection kept the outputs, numbered in order
+    # the projection kept the other qubits, numbered in order
     kept = {q: i for i, q in enumerate(x_flips)}
     for q, flips in x_flips.items():
         for p in flips:
@@ -431,6 +439,41 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     rho = rho.apply_z_flips([(kept[q], p) for q, p in consumed])
     return ScheduleRun(rho.infidelity_with_pure(c.ideal_kept) / c.outputs,
                        p_fail)
+
+
+def simulate_circuit(c: Circuit, noise: NoiseSpec,
+                     kmax: int = DEFAULT_MAX_GRADE) -> ScheduleRun:
+    """Run a catalog circuit under circuit-level noise: (p_out per output
+    state, the infidelity of the projected state with the ideal output
+    over the number of output states; p_fail).
+
+    z_only applies a P_{pi/2} error with probability p after each rotation;
+    random_pauli applies each of P_{pi/2}, P_{pi/4}, P_{-pi/4} with
+    probability p/3: the circuit's one step (every qubit initialized, then
+    every rotation) run by :func:`_run_schedule`, with no storage or
+    consumption noise.  coherent over-rotates every gate by a fixed excess
+    angle, on a statevector; an angle of 0 is the noiseless schedule run.
+    """
+    if noise.kind == "coherent" and noise.value:
+        psi = product_state([PLUS] * c.n)
+        for r in c.rotations:
+            psi = rotation_phases(r.axis.mask, c.n, r.angle.radians + (
+                noise.value if r.angle.k > 0 else -noise.value)) * psi
+        # <+| on the checks, times 2**(c/2); with none, psi is kept whole
+        checks = tuple(sorted(c.check_qubits))
+        p_fail = _rejected(psi, checks, c.n)  # psi has norm 1
+        psi = _sum_checks(psi, checks, c.n)
+        return ScheduleRun(
+            pure_state_infidelity(psi, c.ideal_kept) / c.outputs, p_fail)
+    third = noise.value / 3.0
+    profile = (RotationErrorProfile(third, third, third)
+               if noise.kind == "random_pauli"
+               else RotationErrorProfile(noise.value, 0.0, 0.0))
+    zero = StorageRates(0.0, 0.0)
+    step = ScheduleStep(tuple(range(len(c.rotations))), frozenset(range(c.n)))
+    return _run_schedule(Schedule(c, (step,)), (
+        [profile] * len(c.rotations), dict.fromkeys(range(c.n), zero), 0.0,
+        zero), kmax)
 
 
 @lru_cache(maxsize=None)

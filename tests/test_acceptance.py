@@ -14,7 +14,6 @@ from msdsim.circuits import (
     catalog,
     coherent,
     random_pauli,
-    simulate_circuit,
     undetected_error_sets,
     verify_equivalence,
     verify_gadget,
@@ -31,6 +30,7 @@ from msdsim.factory import (
     d3_cost,
     full_distance,
     qubit_cost,
+    simulate_circuit,
     simulate_factory,
 )
 from msdsim.noise import DistanceSet, PhysicalNoise

@@ -359,6 +359,27 @@ class TestMainExitCodes:
         assert "p_out per state:      0.0e+00" in out
         assert out.count("none <= 99") == 2
 
+    def test_zero_noise_reads_exactly_zero_everywhere(self, capsys):
+        # one driver runs circuits and factories, and a noiseless run of
+        # it reads 0, not the engine's round-off
+        for kind in cli.CIRCUIT_KINDS:
+            for noise in ("z:0", "pauli:0", "coherent:0"):
+                assert main(["circuit", "--kind", kind, "--noise",
+                             noise]) == 0
+                out = capsys.readouterr().out
+                assert "p_out per output state: 0.000000e+00\n" in out, (
+                    kind, noise)
+                assert "p_fail:                 0.000000e+00\n" in out, (
+                    kind, noise)
+        for family in ("l1_15to1", "l2_15x20"):
+            assert main(["factory", "--family", family, "--d", "9,3,3",
+                         *(["--d2", "15,7,9", "--n-l1", "4"]
+                           if family.startswith("l2") else []),
+                         "--pphys", "0"]) == 0
+            out = capsys.readouterr().out
+            assert "p_out per state:      0.0e+00\n" in out, family
+            assert out.count("e+00\n") == 3, family  # p_out and p_fails
+
     def test_factory_json_mirrors_report(self, capsys):
         assert main(["factory", "--family", "l1_15to1", "--d", "7,3,3",
                      "--pphys", "1e-4", "--format", "json"]) == 0

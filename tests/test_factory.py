@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import msdsim.factory as factory
 from msdsim import eventsets
-from msdsim.circuits import catalog
+from msdsim.circuits import catalog, random_pauli
 from msdsim.cli import TABLE1, TABLE2, row_config
 from msdsim.density import (
     GradedDensityMatrix,
@@ -208,13 +208,6 @@ class TestSchedules:
         steps[step] = replacement
         with pytest.raises(ValueError, match=message):
             Schedule(catalog("fifteen_to_one"), tuple(steps))
-
-    def test_schedule_rejects_a_circuit_without_checks(self):
-        c = catalog("identity16")
-        step = ScheduleStep(tuple(range(len(c.rotations))),
-                            frozenset(range(c.n)))
-        with pytest.raises(ValueError, match="check or an output"):
-            Schedule(c, (step,))
 
     def test_schedules_are_built_once_and_shared_read_only(self):
         s = build_schedule("L2_15x20")
@@ -662,12 +655,23 @@ def test_outputs_leave_from_six_live_qubits_on(config, releases,
     assert [q for q, _, _ in released] == releases
 
 
-@pytest.mark.parametrize("family", ["L2_15xCCZ", "L1_15to1", "L2_15x20"])
+def _one_step(kind: str) -> Schedule:
+    """A catalog circuit's schedule as ``simulate_circuit`` runs it."""
+    c = catalog(kind)
+    return Schedule(c, (ScheduleStep(tuple(range(len(c.rotations))),
+                                     frozenset(range(c.n))),))
+
+
+@pytest.mark.parametrize("family", ["L2_15xCCZ", "L1_15to1", "L2_15x20",
+                                    "identity16", "ccz7"])
 def test_a_schedule_run_matches_the_dense_oracle(family):
     # the oracle applies every channel when the schedule lists it, at full
     # dimension, then traces the checks out; every qubit stores at its own
-    # rates, so a waiting flip run on the wrong qubit shows
-    schedule = build_schedule(family)
+    # rates, so a waiting flip run on the wrong qubit shows.  The two
+    # circuits without checks run as one step and skip the projection;
+    # identity16 has no outputs, and ccz7's padding qubit 3 is neither
+    schedule = (build_schedule(family) if family in FAMILIES
+                else _one_step(family))
     c = schedule.circuit
     profiles = [RotationErrorProfile(1e-3 * (1 + i % 3), 2e-3, 1e-3, 3e-3)
                 for i in range(len(c.rotations))]
@@ -688,13 +692,44 @@ def test_a_schedule_run_matches_the_dense_oracle(family):
                                          for q in outputs])
         for q in sorted(initialized):
             dense = dense.apply_storage(q, rates[q], 1.5)
-    dense, p_fail = dense.project_plus(c.check_qubits)
-    for q in range(dense.n):
-        dense = dense.apply_storage(q, consumption, 1.0)
+    p_fail = 0.0
+    if c.check_qubits:
+        dense, p_fail = dense.project_plus(c.check_qubits)
+    kept = [q for q in range(c.n) if q not in c.check_qubits]
+    for i, q in enumerate(kept):
+        if q in c.output_qubits:
+            dense = dense.apply_storage(i, consumption, 1.0)
     p_out = (1.0 - dense.fidelity_with_pure(c.ideal_kept)) / c.outputs
     # the 20-to-4 run drops about 2e-12 of its mass above kmax = 12
     assert run.p_fail == pytest.approx(p_fail, rel=1e-11, abs=0)
     assert run.p_out == pytest.approx(p_out, rel=1e-9, abs=0)
+
+
+def test_kmax_is_clamped_to_the_event_count(monkeypatch):
+    # a run of E events of nonzero probability holds at most E errors, so
+    # it builds E grades at any larger kmax, and reads the same; a request
+    # for more than 100 grades fails here before it allocates
+    seen, init_plus = [], GradedDensityMatrix.init_plus
+
+    def spy(n, kmax):
+        seen.append(kmax)
+        assert kmax <= 100, f"a stack of {kmax} grades"
+        return init_plus(n, kmax)
+
+    monkeypatch.setattr(GradedDensityMatrix, "init_plus", spy)
+    schedule = build_schedule("L1_15to1")
+    inputs = factory._noise_inputs(_l1(7, 3, 3, 1e-4), 6)
+    events = sum(p > 0.0 for p in factory._probabilities(schedule, inputs))
+    assert events == 78
+    c = catalog("fifteen_to_one")  # one event per rotation
+    for kmax in (events + 1, 10**12):
+        assert factory._run_schedule(schedule, inputs, kmax) == (
+            factory._run_schedule(schedule, inputs, events))
+        assert factory.simulate_circuit(c, random_pauli(1e-3), kmax) == (
+            factory.simulate_circuit(c, random_pauli(1e-3), 15))
+    assert seen == [events, events, 15, 15] * 2
+    assert factory._run_schedule(schedule, inputs, 3) != (
+        factory._run_schedule(schedule, inputs, events))
 
 
 class TestNoiseless:
