@@ -118,20 +118,6 @@ class RotationErrorProfile:
             raise ValueError("substitution probabilities sum above 1")
 
 
-@dataclass(frozen=True)
-class StorageRates:
-    """Per-code-cycle X and Z flip probabilities of an idle patch."""
-
-    pX: float
-    pZ: float
-
-    def __post_init__(self) -> None:
-        for name in ("pX", "pZ"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1)")
-
-
 # ---------------------------------------------------------------------------
 # array helpers (little-endian: basis-index bit i is qubit i, so once a
 # length-2**n axis is reshaped to (2,)*n, qubit i is axis -1 - i)

@@ -32,17 +32,18 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .circuits import (LEADING_ORDER, PLUS, Circuit, NoiseSpec, catalog,
                        product_state)
 from .density import (DEFAULT_MAX_GRADE, GradedDensityMatrix,
-                      RotationErrorProfile, StorageRates, _rejected,
-                      _sum_checks, pure_state_infidelity)
+                      RotationErrorProfile, _rejected, _sum_checks,
+                      pure_state_infidelity)
 from .eventsets import _EPS, EventSets, classes, read_p_out, signature_sums
 from .noise import (
     DistanceSet,
     PhysicalNoise,
+    StorageRates,
     level2_rotation_profile,
     logical_error_rate,
     multiqubit_rotation_profile,
@@ -163,6 +164,27 @@ def _layout(family: str) -> Layout:
     return LAYOUTS[family]
 
 
+def check_family_inputs(family: str, given: Mapping[str, object],
+                        names: Mapping[str, str],
+                        shown: str | None = None) -> None:
+    """Raise ValueError unless ``given`` holds the inputs ``family`` takes:
+    its layout's ``keys``, and at level 2 "full", the full consumption
+    prefactor.  ``given`` maps an input to its value, None or False if not
+    given; ``names`` (several inputs may share one) and ``shown`` spell an
+    input and the family as the caller's user wrote them.  Missing inputs
+    are named first, in the layout's order, then extra ones, as given.
+    """
+    layout = _layout(family)
+    present = [k for k, v in given.items() if v is not None and v is not False]
+    takes = layout.keys + (("full",) if layout.level == 2 else ())
+    for verb, wrong in (("requires", [k for k in layout.keys
+                                      if k not in present]),
+                        ("takes no", [k for k in present if k not in takes])):
+        if wrong:
+            spelled = dict.fromkeys(names.get(k, k) for k in wrong)
+            raise ValueError(f"{shown or family} {verb} {', '.join(spelled)}")
+
+
 FULL_DISTANCE_PATCHES = {"qubits100": 231, "qubits10k": 20284}
 
 
@@ -182,23 +204,16 @@ class FactoryConfig:
     consumption_prefactor_toggle: bool = False
 
     def __post_init__(self) -> None:
-        layout = _layout(self.family)
-        for key, what in (("dX2", "level-2 distances"), ("nL1", "nL1")):
-            wanted = key in layout.keys
-            if wanted != (getattr(self.distances, key) is not None):
-                verb = "requires" if wanted else "takes no"
-                raise ValueError(f"{self.family} {verb} {what}")
-        if self.consumption_prefactor_toggle and layout.level == 1:
-            raise ValueError(f"{self.family} takes no consumption prefactor")
-
-
-def distance_keys(family: str) -> tuple[str, ...]:
-    """The DistanceSet fields a family's configurations set."""
-    return _layout(family).keys
+        check_family_inputs(
+            self.family,
+            {**vars(self.distances), "full": self.consumption_prefactor_toggle},
+            {**dict.fromkeys(_LEVEL2_KEYS[3:], "level-2 distances"),
+             "full": "consumption prefactor"})
 
 
 class NoiseDomainError(ValueError):
-    """p_phys lies outside the noise model's range for a configuration."""
+    """p_phys, at its c_T, lies outside the noise model's range for a
+    configuration."""
 
 
 class ScheduleRun(NamedTuple):
@@ -609,8 +624,10 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
     except NoiseDomainError:  # from a level-2 family's level 1
         raise
     except ValueError as e:
+        # c_T scales the T-measurement rates, so it is named when it is set
+        at = "" if noise.c_T == 1.0 else f" with c_T={noise.c_T}"
         raise NoiseDomainError(
-            f"p_phys={config.noise.p_phys} is outside the noise model's "
+            f"p_phys={noise.p_phys}{at} is outside the noise model's "
             f"range for {protocol_name(config)} ({e})") from None
     return profiles, rates, cycles, StorageRates(consume, consume)
 
@@ -720,8 +737,9 @@ def sweep(
 ) -> list[FactoryReport]:
     """Pareto-minimal configurations meeting the output-error target.
 
-    ranges maps DistanceSet field names (dX, dZ, dm, and for level-2
-    families dX2, dZ2, dm2, nL1) to iterables of values.  Combinations
+    ranges maps DistanceSet field names (the family's layout ``keys``) to
+    iterables of values; a missing or extra key, or the toggle at level 1,
+    is a ValueError (:func:`check_family_inputs`).  Combinations
     that make no valid FactoryConfig, or lie outside the noise model's
     range (:class:`NoiseDomainError`), are skipped.  If no combination
     makes a configuration, the first configuration's ValueError is
@@ -751,14 +769,10 @@ def sweep(
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(
             f"target p_out must be finite and positive, got {target_p_out}")
-    keys = distance_keys(family)
-    level2 = LAYOUTS[family].level == 2
-    unknown = set(ranges) - set(keys)
-    if unknown:
-        raise ValueError(f"unexpected range keys: {sorted(unknown)}")
-    missing = set(keys) - set(ranges)
-    if missing:
-        raise ValueError(f"missing range keys: {sorted(missing)}")
+    check_family_inputs(family,
+                        {**ranges, "full": consumption_prefactor_toggle},
+                        {"full": "consumption prefactor"})
+    keys, level2 = LAYOUTS[family].keys, LAYOUTS[family].level == 2
     candidates = []
     invalid, out_of_range = [], []
     for combo in itertools.product(*(dict.fromkeys(ranges[k]) for k in keys)):

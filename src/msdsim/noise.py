@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .density import RotationErrorProfile, StorageRates
+from .density import RotationErrorProfile
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,20 @@ class PhysicalNoise:
             raise ValueError("p_phys must lie in [0, 0.01]")
         if not 0.0 < self.c_T < float("inf"):
             raise ValueError(f"c_T must be finite and positive, got {self.c_T}")
+
+
+@dataclass(frozen=True)
+class StorageRates:
+    """Per-code-cycle X and Z flip probabilities of an idle patch."""
+
+    pX: float
+    pZ: float
+
+    def __post_init__(self) -> None:
+        for name in ("pX", "pZ"):
+            v = getattr(self, name)
+            if not 0.0 <= v < 1.0:
+                raise ValueError(f"{name}={v} outside [0, 1)")
 
 
 # Distances and nL1 stay below this, so that the rate and cost formulas,

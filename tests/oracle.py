@@ -9,7 +9,7 @@ every channel as its textbook sum of Kraus terms, built from
 
 Usage::
 
-    from msdsim.density import StorageRates
+    from msdsim.noise import StorageRates
     from oracle import DensityMatrix, materialize
 
     rho = DensityMatrix.init_plus(3)
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from msdsim.density import RotationErrorProfile, StorageRates
+from msdsim.density import RotationErrorProfile
+from msdsim.noise import StorageRates
 from msdsim.pauli import MAX_QUBITS, PauliProduct, matrix_of
 
 

@@ -19,11 +19,7 @@ from msdsim.circuits import (
     verify_gadget,
     z_only,
 )
-from msdsim.density import (
-    GradedDensityMatrix,
-    RotationErrorProfile,
-    StorageRates,
-)
+from msdsim.density import GradedDensityMatrix, RotationErrorProfile
 from msdsim.factory import (
     FactoryConfig,
     cycle_cost,
@@ -33,7 +29,7 @@ from msdsim.factory import (
     simulate_circuit,
     simulate_factory,
 )
-from msdsim.noise import DistanceSet, PhysicalNoise
+from msdsim.noise import DistanceSet, PhysicalNoise, StorageRates
 from msdsim.pauli import PauliProduct, Rotation, RotationAngle
 from oracle import materialize
 

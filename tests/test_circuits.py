@@ -12,6 +12,7 @@ import msdsim.circuits as circuits
 from msdsim.circuits import (
     LEADING_ORDER,
     CATALOG_KINDS,
+    UNDETECTED,
     NoiseSpec,
     catalog,
     coherent,
@@ -32,10 +33,13 @@ FIFTEEN_TARGET = [Rotation(PauliProduct("ZIIII"), RotationAngle(-1))]
 
 class TestCatalog:
     def test_all_kinds_build(self):
+        assert CATALOG_KINDS == ("identity16", "fifteen_to_one",
+                                 "twenty_to_four", "identity15_4q",
+                                 "eight_to_ccz", "ccz7")
         for kind in CATALOG_KINDS:
             c = catalog(kind)
             assert c.name == kind
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown circuit kind: nonsense$"):
             catalog("nonsense")
 
     def test_rotation_counts(self):
@@ -189,11 +193,14 @@ class TestUndetectedErrorSets:
             undetected_error_sets(catalog("eight_to_ccz"), 9)
 
     def test_leading_orders(self):
-        # each recorded order is the first with an undetected error set
+        # each recorded order is the first with an undetected error set,
+        # and the recorded count is that order's
+        assert LEADING_ORDER.keys() == UNDETECTED.keys()
         for kind, order in LEADING_ORDER.items():
             counts = [undetected_error_sets(catalog(kind), k)
                       for k in range(1, order + 1)]
             assert counts[-1] > 0 and not any(counts[:-1]), kind
+            assert UNDETECTED[kind] == (order, counts[-1])
 
 
 GADGETS = ("consumption", "t_measurement", "delayed_choice",

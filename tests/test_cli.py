@@ -12,26 +12,29 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import msdsim.cli as cli
+import msdsim.reference as reference
 from msdsim.cli import (
     CSV_COLUMNS,
     ConfigError,
-    check_row,
     FAMILY_NAMES,
-    fmt_pout,
-    fmt_sig,
     load_config,
     main,
     parse_int_list,
     parse_int_triple,
     parse_noise_spec,
     reports_to_csv,
-    round_sig,
-    row_config,
-    TABLE1,
-    TABLE2,
 )
 from msdsim.factory import FactoryConfig, simulate_factory
 from msdsim.noise import DistanceSet, PhysicalNoise
+from msdsim.reference import (
+    TABLE1,
+    TABLE2,
+    check_row,
+    fmt_pout,
+    fmt_sig,
+    round_sig,
+    row_config,
+)
 
 
 VERIFY_LABELS = [
@@ -418,6 +421,25 @@ class TestMainExitCodes:
             "error: p_phys=0.009 is outside the noise model's range for "
             "(15-to-1)_{7,3,3} (")
 
+    def test_ct_outside_model_range_names_ct(self, capsys):
+        # p_phys = 1e-4 is in range; c_T = 1e308 takes the T-measurement
+        # rate out of it
+        assert main(["factory", "--family", "l1_15to1", "--d", "7,3,3",
+                     "--pphys", "1e-4", "--ct", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: p_phys=0.0001 with c_T=1e+308 is outside the noise "
+            "model's range for (15-to-1)_{7,3,3} (p_half=")
+        assert captured.err.count("\n") == 1
+        # a level-2 family's level-1 block names it too
+        assert main(["factory", "--family", "l2_15x15", "--d", "9,3,3",
+                     "--d2", "25,9,9", "--n-l1", "4", "--pphys", "1e-4",
+                     "--ct", "1e300"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: p_phys=0.0001 with c_T=1e+300 is outside the noise "
+            "model's range for (15-to-1)_{9,3,3} (")
+
     def test_non_finite_ct_exit_2(self, capsys):
         for value in ("nan", "inf"):
             assert main(["factory", "--family", "l1_15to1", "--d", "7,3,3",
@@ -693,12 +715,27 @@ class TestTableCommand:
         assert "FAIL" not in first
         assert first.count("PASS") == len(TABLE2)
 
+    def test_cli_reads_the_reference_objects(self):
+        # the benchmark harness reads the tables and row checks through cli
+        for name in ("TABLE1", "TABLE2", "TABLES", "check_row", "row_config"):
+            assert getattr(cli, name) is getattr(reference, name), name
+
     def test_every_row_check_passes(self):
         for row in TABLE1 + TABLE2:
             report = simulate_factory(row_config(row))
             assert report.p_out > 0.0, report.protocol
             for label, ok, detail in check_row(row, report):
                 assert ok, f"{report.protocol}: {label}: {detail}"
+
+
+class TestHelp:
+    def test_every_kmax_has_the_same_help(self, capsys):
+        for command in ("circuit", "factory", "table", "sweep"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            out = " ".join(capsys.readouterr().out.split())
+            assert ("--kmax KMAX highest error order kept by the engine"
+                    in out), command
 
 
 class TestConsoleScript:

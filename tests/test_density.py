@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 from msdsim.density import (
     GradedDensityMatrix,
     RotationErrorProfile,
-    StorageRates,
     _scratch,
     _xor_index,
     _z_classes,
     pure_state_infidelity,
 )
+from msdsim.noise import StorageRates
 from msdsim.pauli import PauliProduct, z_signs
 from oracle import DensityMatrix, full_grades, materialize
 

@@ -14,22 +14,18 @@ from hypothesis import assume, given, settings, strategies as st
 import msdsim.factory as factory
 from msdsim import eventsets
 from msdsim.circuits import catalog, random_pauli
-from msdsim.cli import TABLE1, TABLE2, row_config
-from msdsim.density import (
-    GradedDensityMatrix,
-    RotationErrorProfile,
-    StorageRates,
-)
+from msdsim.density import GradedDensityMatrix, RotationErrorProfile
 from msdsim.factory import (
     FAMILIES,
+    LAYOUTS,
     FactoryConfig,
     FactoryReport,
     Schedule,
     ScheduleStep,
     build_schedule,
     cycle_cost,
+    check_family_inputs,
     d3_cost,
-    distance_keys,
     family_outputs,
     full_distance,
     p_out_lower_bound,
@@ -38,7 +34,8 @@ from msdsim.factory import (
     simulate_factory,
     sweep,
 )
-from msdsim.noise import DistanceSet, PhysicalNoise
+from msdsim.noise import DistanceSet, PhysicalNoise, StorageRates
+from msdsim.reference import TABLE1, TABLE2, row_config
 from oracle import DensityMatrix
 
 
@@ -80,6 +77,36 @@ class TestConfigValidation:
                           DistanceSet(9, 5, 5, 21, 9, 11, 4),
                           PhysicalNoise(1e-3))
 
+
+    def test_family_inputs_are_named_as_the_caller_spells_them(self):
+        level1 = {"dX": 7, "dZ": 3, "dm": 3}
+        d2 = {"dX2": "--d2", "dZ2": "--d2", "dm2": "--d2", "nL1": "--n-l1",
+              "full": "--consumption-full"}
+        for family, given, message in (
+            # the missing inputs first, in the layout's order, each once
+            ("L2_15x15", {**level1, "full": True},
+             "l2_15x15 requires --d2, --n-l1"),
+            ("L2_15x15_small", {**level1, "nL1": 4},
+             "l2_15x15_small requires --d2"),
+            # then the extra ones, as given; None and False are not given
+            ("L1_15to1", {**level1, "full": True, "dX2": 15, "dZ2": 7,
+                          "dm2": 9, "nL1": None},
+             "l1_15to1 takes no --consumption-full, --d2"),
+            ("L1_15to1", {**level1, "dX2": None, "nL1": 0, "full": False},
+             "l1_15to1 takes no --n-l1"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check_family_inputs(family, given, d2, family.lower())
+        check_family_inputs("L2_15x15_small", {**level1, "dX2": 21, "dZ2": 9,
+                                               "dm2": 11, "full": True}, {})
+        # unspelled inputs, and the family, read as given
+        with pytest.raises(ValueError, match="^L1_15to1 takes no bogus$"):
+            check_family_inputs("L1_15to1", {**level1, "bogus": 1}, {})
+        with pytest.raises(
+                ValueError,
+                match="^L2_15x20 requires level-2 distances, nL1$"):
+            FactoryConfig("L2_15x20", DistanceSet(9, 3, 3),
+                          PhysicalNoise(1e-4))
 
     def test_level1_takes_no_consumption_prefactor(self):
         # a level-1 output is always charged half of dX p_L(p, dX)
@@ -365,7 +392,7 @@ class TestNames:
     def test_distance_keys(self):
         level1 = ("dX", "dZ", "dm")
         level2 = level1 + ("dX2", "dZ2", "dm2")
-        assert {f: distance_keys(f) for f in FAMILIES} == {
+        assert {f: LAYOUTS[f].keys for f in FAMILIES} == {
             "L1_15to1": level1,
             "L1_15to1_small": level1,
             "L2_15x15": level2 + ("nL1",),
@@ -374,7 +401,7 @@ class TestNames:
             "L2_15x15_small": level2,
         }
         with pytest.raises(ValueError, match="unknown family"):
-            distance_keys("L3_bogus")
+            check_family_inputs("L3_bogus", {}, {})
 
     def test_family_outputs(self):
         assert family_outputs("L2_15x20") == 4
@@ -846,9 +873,9 @@ class TestSweep:
 
     def test_range_key_validation(self):
         noise = PhysicalNoise(1e-4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^L1_15to1 requires dZ, dm$"):
             sweep("L1_15to1", {"dX": [7]}, noise, 1e-7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^L1_15to1 takes no dX2$"):
             sweep("L1_15to1", {"dX": [7], "dZ": [3], "dm": [3],
                                "dX2": [15]}, noise, 1e-7)
 
@@ -1210,9 +1237,9 @@ def _configs(draw, family=None) -> FactoryConfig:
                 draw(st.sampled_from([v for v in dms if 3 * v >= dx])))
 
     values = triple([5, 7, 9, 11, 13], [3, 5, 7], [3, 5, 7])
-    if "dX2" in distance_keys(family):
+    if "dX2" in LAYOUTS[family].keys:
         values += triple([9, 13, 17, 21, 25], [5, 7, 9, 11], [5, 7, 9, 11])
-    if "nL1" in distance_keys(family):
+    if "nL1" in LAYOUTS[family].keys:
         values += (draw(st.sampled_from([2, 4, 6])),)
     noise = PhysicalNoise(draw(st.sampled_from([1e-4, 5e-4, 1e-3])),
                           draw(st.sampled_from([1.0, 10.0])))
@@ -1502,7 +1529,7 @@ class TestScreen:
         _assert_table_matches_the_engine(row.family,
                                          factory._noise_inputs(config, 6))
         d = config.distances
-        ranges = {key: [getattr(d, key)] for key in distance_keys(row.family)}
+        ranges = {key: [getattr(d, key)] for key in LAYOUTS[row.family].keys}
         monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
         assert sweep(row.family, ranges, config.noise, report.p_out) == [
             report]

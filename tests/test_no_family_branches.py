@@ -4,7 +4,7 @@ except the family table, ``factory.LAYOUTS``.
 A family-name string (as ``FAMILIES`` spells it, or lower-cased as the
 CLI does) may not be an operand of a comparison, nor sit in a tuple, list
 or set that is one, nor key a dict literal other than ``LAYOUTS``.  Names
-passed as data, such as the family of a ``cli.TABLE1`` row or the block
+passed as data, such as the family of a ``reference.TABLE1`` row or the block
 that ``level1_output_error`` builds, are allowed.
 """
 from __future__ import annotations

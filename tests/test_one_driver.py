@@ -77,7 +77,8 @@ def test_the_guard_sees_a_build():
                    "    rho = GradedDensityMatrix.init_plus(3, kmax)",
                    "def f(rho):\n"
                    "    return isinstance(rho, GradedDensityMatrix)",
-                   "from .density import GradedDensityMatrix, StorageRates\n"
+                   "from .density import GradedDensityMatrix\n"
+                   "from .noise import StorageRates\n"
                    "zero = StorageRates(0.0, 0.0)"):
         assert not _builds(source, "factory.py"), source
     assert not _builds("def init_plus(n):\n"
