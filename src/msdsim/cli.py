@@ -75,6 +75,13 @@ CIRCUIT_KINDS = {
 NOISE_KINDS = {"z": z_only, "pauli": random_pauli, "coherent": coherent}
 
 KMAX_HELP = "highest error order kept by the engine"
+# the noise flags that factory and sweep share
+NOISE_HELP = {
+    "--pphys": "physical error rate",
+    "--ct": "faulty-T-measurement cost factor (default 1)",
+    "--consumption-full": "use the full consumption-storage prefactor "
+                          "(default: half)",
+}
 
 # every report field but the failure rates
 CSV_COLUMNS = tuple(f.name for f in fields(FactoryReport)
@@ -448,12 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2", help="level-2 distances dX2,dZ2,dm2")
     p.add_argument("--n-l1", type=int, default=None,
                    help="number of level-1 blocks feeding level 2")
-    p.add_argument("--pphys", type=float, help="physical error rate")
-    p.add_argument("--ct", type=float,
-                   help="faulty-T-measurement cost factor (default 1)")
+    p.add_argument("--pphys", type=float, help=NOISE_HELP["--pphys"])
+    p.add_argument("--ct", type=float, help=NOISE_HELP["--ct"])
     p.add_argument("--consumption-full", action="store_true",
-                   help="use the full consumption-storage prefactor "
-                        "(default: half)")
+                   help=NOISE_HELP["--consumption-full"])
     p.add_argument("--config", help="JSON config file with protocol entries")
     p.add_argument("--format", choices=("plain", "csv", "json"),
                    default="plain")
@@ -471,8 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Pareto sweep over code distances")
     p.add_argument("--family", required=True, choices=sorted(FAMILY_NAMES))
-    p.add_argument("--pphys", type=float, required=True)
-    p.add_argument("--ct", type=float, default=1.0)
+    p.add_argument("--pphys", type=float, required=True,
+                   help=NOISE_HELP["--pphys"])
+    p.add_argument("--ct", type=float, default=1.0, help=NOISE_HELP["--ct"])
     p.add_argument("--target", type=float, required=True,
                    help="largest acceptable p_out per state")
     p.add_argument("--dx", required=True, help="comma list of dX values")
@@ -482,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dz2", help="comma list of dZ2 values")
     p.add_argument("--dm2", help="comma list of dm2 values")
     p.add_argument("--n-l1", help="comma list of level-1 block counts")
-    p.add_argument("--consumption-full", action="store_true")
+    p.add_argument("--consumption-full", action="store_true",
+                   help=NOISE_HELP["--consumption-full"])
     p.add_argument("--format", choices=("plain", "csv", "json"),
                    default="plain")
     p.add_argument("--kmax", type=int, default=DEFAULT_MAX_GRADE,

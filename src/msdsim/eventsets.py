@@ -36,8 +36,9 @@ class EventSets(NamedTuple):
     A set of error events weighs the product of its events' odds, and
     events of one class have equal odds, so every set of one signature,
     the sorted multiset of its events' classes, weighs the same.
-    ``terms`` is a (signatures, order) array of each signature's classes,
-    padded with the number of classes, which the read points at odds 1.
+    ``terms`` is an (order, signatures) array of each signature's classes,
+    padded with the number of classes, which the read points at odds 1:
+    a signature's classes are a column, so the read takes a row at a time.
     ``sums`` is a (2, signatures) array of the deviation from the ideal
     output and the success mass of its sets, each set counted as often as
     the sets of the run it stands for and each sum a ``math.fsum``.  The
@@ -62,25 +63,35 @@ def classes(schedule, profiles, probabilities: tuple[float, ...]
     equal odds, in order of first appearance, and each storage and
     consumption kind is a class of its own, so that distances at which two
     qubits' storage odds coincide read the same table.
+
+    A rotation's kinds depend only on its profile and its shape
+    (``Schedule.shapes``), so their keys are built once per distinct pair,
+    at its first rotation, and each flip kind's at its first entry
+    (``Schedule.first``).
     """
-    # each kind's class key; a kind no entry has is the output flip of a
-    # rotation without outputs, and the last entry's is the last kind
+    first, rotations = schedule.first, len(profiles)
+    # each class's key and number, in order of first appearance; a kind no
+    # entry has, as a rotation's output flips if its axis holds no output,
+    # reads as an output flip of odds 0
     none = (3, 0.0)
-    keys = [none] * (schedule.events[-1][-1] + 1)
-    for (_, source, _, target, kind), p in zip(schedule.events,
-                                               probabilities):
-        if kind is None or keys[kind] is not none:  # an X flip, or seen
-            continue
-        if source == "rotation":
-            f, keep = profiles[target], 1.0 - p
-            keys[kind:kind + 3] = ((0, f.p_half / keep),
-                                   (1, f.p_quarter / keep),
-                                   (2, f.p_mquarter / keep))
-        else:  # a Z flip
-            keys[kind] = (3 if source == "output" else kind, p / (1.0 - p))
-    # the classes in order of first appearance
-    number = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    return tuple(map(number.__getitem__, keys)), [o for _, o in number]
+    number = {}
+    pairs = list(zip(map(id, profiles), schedule.shapes))
+    groups = {}
+    for pair in dict.fromkeys(pairs):
+        ri = pairs.index(pair)
+        f, keep = profiles[ri], 1.0 - probabilities[first[4 * ri]]
+        z = 0.0 if first[4 * ri + 3] is None else probabilities[
+            first[4 * ri + 3]]
+        groups[pair] = [number.setdefault(key, len(number)) for key in (
+            (0, f.p_half / keep), (1, f.p_quarter / keep),
+            (2, f.p_mquarter / keep), (3, z / (1.0 - z)))]
+    partition = list(itertools.chain.from_iterable(map(groups.__getitem__,
+                                                       pairs)))
+    for kind, i in enumerate(first[4 * rotations:], 4 * rotations):
+        key = none if i is None else (kind, probabilities[i]
+                                      / (1.0 - probabilities[i]))
+        partition.append(number.setdefault(key, len(number)))
+    return tuple(partition), [o for _, o in number]
 
 
 def kept_sets(schedule, order: int, partition: tuple[int, ...]):
@@ -250,15 +261,20 @@ def signature_sums(schedule, order: int,
         upper *= ways
         lower *= ways
         bounds = starts.tolist() + [len(key)]
-        sums += [[math.fsum(u[lo:hi].tolist() + v[lo:hi].tolist())
-                  for u, v in zip(upper, lower)]
+        # each signature's slices of a row, read in place: no list of the
+        # whole row (a 15-to-1's would add 0.8 MB to a sweep's peak) and no
+        # list per slice
+        rows = list(zip(map(memoryview, upper), map(memoryview, lower)))
+        sums += [[math.fsum(itertools.chain(u[lo:hi], v[lo:hi]))
+                  for u, v in rows]
                  for lo, hi in zip(bounds, bounds[1:])]
-        padded = np.full((len(starts), order), width, dtype=np.uint8)
-        padded[:, :k] = labels[:, by_key[starts]].T
+        padded = np.full((order, len(starts)), width, dtype=np.intp)
+        padded[:k] = labels[:, by_key[starts]]
         terms.append(padded)
         if k <= 1:
             low += len(starts)
-    table = EventSets(np.concatenate(terms), np.array(sums).T.copy(), low)
+    table = EventSets(np.concatenate(terms, axis=1), np.array(sums).T.copy(),
+                      low)
     table.terms.flags.writeable = table.sums.flags.writeable = False
     return table
 
@@ -275,9 +291,14 @@ def read_p_out(table: EventSets, odds: list[float], outputs: int
     floor is that of an engine readout of the run, which reads grades 0
     and 1 as squared deviation norms and the rest as differences: eps^2 of
     the mass of zero and one event plus eps of the rest, over the total.
+    The weights multiply one row of ``terms`` at a time, in order, as a
+    product along each signature would.
     """
-    weights = np.append(odds, 1.0).take(table.terms).prod(axis=1)
-    dev, mass = (table.sums * weights).tolist()
+    odds = np.array([*odds, 1.0])
+    weights = odds[table.terms[0]]
+    for row in table.terms[1:]:
+        weights *= odds[row]
+    dev, mass = map(memoryview, table.sums * weights)
     total = math.fsum(mass)
     floor = (_EPS**2 * math.fsum(mass[:table.low])
              + _EPS * math.fsum(mass[table.low:])) / total

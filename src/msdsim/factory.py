@@ -32,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .circuits import (LEADING_ORDER, PLUS, Circuit, NoiseSpec, catalog,
@@ -273,6 +274,16 @@ class Schedule:
     of the flips that its release would fold in: every Z flip on it, and
     every X flip on it after that rotation.  Whether it leaves is the
     run's to decide (:func:`_run_schedule`).
+
+    The per-configuration readers take what they need of ``events`` from
+    maps made here, with no walk of their own.  ``take`` reads each
+    entry's probability, in order, from a list of the R rotations' summed
+    substitution probabilities, their ``p_z_output``, each of the n
+    qubits' X then Z storage rate times the cycles, and the consumption X
+    and Z rates (:func:`_probabilities`).  ``first`` holds each kind's
+    first entry (None if it has none), and ``shapes`` each rotation's
+    (whether its axis holds an output, whether it holds more than one
+    qubit), on which its error profile and its output flips depend.
     """
 
     circuit: Circuit
@@ -280,6 +291,12 @@ class Schedule:
     events: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     leaving: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = field(
         init=False, repr=False, compare=False)
+    take: Callable[[list[float]], tuple[float, ...]] = field(
+        init=False, repr=False, compare=False)
+    first: tuple[int | None, ...] = field(init=False, repr=False,
+                                          compare=False)
+    shapes: tuple[tuple[bool, bool], ...] = field(init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self) -> None:
         c = self.circuit
@@ -306,6 +323,25 @@ class Schedule:
             events += [(len(self.steps), "consumption", "X", q, None),
                        (len(self.steps), "consumption", "Z", q, storage + c.n)]
         object.__setattr__(self, "events", tuple(events))
+        # each entry's slot in _probabilities' list of values
+        rotations, n = len(c.rotations), c.n
+        slots = []
+        for _, source, operator, target, kind in events:
+            z = operator == "Z"
+            slots.append(
+                target if source == "rotation"
+                else rotations + kind // 4 if source == "output"
+                else 2 * rotations + z * n + target if source == "storage"
+                else 2 * rotations + 2 * n + z)
+        object.__setattr__(self, "take", itemgetter(*slots))
+        first = [None] * (events[-1][-1] + 1)
+        for i, (*_, kind) in reversed(list(enumerate(events))):
+            if kind is not None:
+                first[kind] = i
+        object.__setattr__(self, "first", tuple(first))
+        object.__setattr__(self, "shapes", tuple(
+            (not c.output_qubits.isdisjoint(r.axis.support),
+             len(r.axis.support) > 1) for r in c.rotations))
         last = {q: i for i, (_, source, r, _, _) in enumerate(events)
                 if source == "rotation" for q in r.axis.support}
         leaving = {}
@@ -368,18 +404,16 @@ LIVE_MIN_QUBITS = 6
 def _probabilities(schedule: Schedule, inputs: tuple) -> tuple[float, ...]:
     """The probability of each entry of ``schedule.events`` under the
     noise ``inputs`` (:func:`_noise_inputs`), a rotation's being that of
-    its three substitution branches together."""
+    its three substitution branches together: one read, through
+    ``Schedule.take``, of a list of one value per rotation, qubit and
+    kind of flip."""
     profiles, rates, cycles, consumption = inputs
-    stored = {"X": {q: cycles * r.pX for q, r in rates.items()},
-              "Z": {q: cycles * r.pZ for q, r in rates.items()}}
-    consumed = {"X": consumption.pX, "Z": consumption.pZ}
-    return tuple([
-        profiles[target].p_half + profiles[target].p_quarter
-        + profiles[target].p_mquarter if source == "rotation"
-        else profiles[kind // 4].p_z_output if source == "output"
-        else stored[operator][target] if source == "storage"
-        else consumed[operator]
-        for _, source, operator, target, kind in schedule.events])
+    stored = list(map(rates.__getitem__, range(schedule.circuit.n)))
+    return schedule.take(
+        [f.p_half + f.p_quarter + f.p_mquarter for f in profiles]
+        + [f.p_z_output for f in profiles]
+        + [cycles * r.pX for r in stored] + [cycles * r.pZ for r in stored]
+        + [consumption.pX, consumption.pZ])
 
 
 def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
@@ -587,42 +621,37 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
     schedule = build_schedule(config.family)
     layout = LAYOUTS[config.family]
     d, noise, c = config.distances, config.noise, schedule.circuit
+    level2 = layout.level == 2
+    if level2:
+        level1 = _level1_input(config, kmax)
+        dx, dz, p_fail = d.dX2, d.dZ2, level1.p_fail
+    else:
+        dx, dz, p_fail = d.dX, d.dZ, 0.0
     try:
-        level2 = layout.level == 2
-        if level2:
-            level1 = level1_output_error(config, kmax)
-            dx, dz, p_fail = d.dX2, d.dZ2, level1.p_fail
-        else:
-            dx, dz, p_fail = d.dX, d.dZ, 0.0
-        # one profile object per distinct kind of rotation, built in order
-        # of first appearance: keyed by whether its axis holds an output,
-        # or None for a level-1 single-qubit rotation
-        made, profiles = {}, []
-        for r in c.rotations:
-            outputs = not c.output_qubits.isdisjoint(r.axis.support)
-            key = outputs if level2 or len(r.axis.support) > 1 else None
-            if key not in made:
-                if level2:
-                    made[key] = level2_rotation_profile(
-                        noise, level1.p_out, layout.l_anc(d), d.dX2, d.dm2,
-                        layout.l_move(d), outputs)
-                elif key is None:
-                    made[key] = single_qubit_rotation_profile(
-                        noise, d.dZ, d.dm)
-                else:
-                    made[key] = multiqubit_rotation_profile(
-                        noise, layout.l_anc(d), d.dX, d.dm, outputs)
-            profiles.append(made[key])
+        # one profile per shape of rotation (Schedule.shapes), built in
+        # order of first appearance; at level 1 a single-qubit rotation is
+        # on a check
+        shapes = schedule.shapes
+        l_anc, made = layout.l_anc(d), {}
+        for outputs, multi in dict.fromkeys(shapes):
+            made[outputs, multi] = (
+                level2_rotation_profile(noise, level1.p_out, l_anc, d.dX2,
+                                        d.dm2, layout.l_move(d), outputs)
+                if level2
+                else multiqubit_rotation_profile(noise, l_anc, d.dX, d.dm,
+                                                 outputs)
+                if multi else single_qubit_rotation_profile(noise, d.dZ, d.dm))
+        profiles = list(map(made.__getitem__, shapes))
         rate = {dh: patch_storage_rates(noise, dx, dh) for dh in (dx, dz)}
         rates = {q: rate[dx if q in c.output_qubits else dz]
                  for q in range(c.n)}
         prefactor = 1.0 if config.consumption_prefactor_toggle else 0.5
         consume = prefactor * dx * logical_error_rate(noise.p_phys, dx)
         cycles = layout.storage(d, p_fail)
-        if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rates.values()):
+        # every family stores outputs (at dx) and checks (at dz), so both
+        # rates are in use
+        if any(cycles * max(r.pX, r.pZ) >= 1.0 for r in rate.values()):
             raise ValueError("accumulated storage probability reaches 1")
-    except NoiseDomainError:  # from a level-2 family's level 1
-        raise
     except ValueError as e:
         # c_T scales the T-measurement rates, so it is named when it is set
         at = "" if noise.c_T == 1.0 else f" with c_T={noise.c_T}"
@@ -630,6 +659,17 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
             f"p_phys={noise.p_phys}{at} is outside the noise model's "
             f"range for {protocol_name(config)} ({e})") from None
     return profiles, rates, cycles, StorageRates(consume, consume)
+
+
+def _level1_input(config: FactoryConfig, kmax: int) -> ScheduleRun:
+    """The run of a level-2 ``config``'s level-1 block
+    (:func:`level1_output_error`); if it is outside the noise model's
+    range, the NoiseDomainError names the requested protocol too."""
+    try:
+        return level1_output_error(config, kmax)
+    except NoiseDomainError as e:
+        raise NoiseDomainError(
+            f"{e}, the level-1 block of {protocol_name(config)}") from None
 
 
 def protocol_name(config: FactoryConfig) -> str:
@@ -785,7 +825,7 @@ def sweep(
             invalid.append(e)
             continue
         try:
-            p_fail = level1_output_error(config, kmax).p_fail if level2 else 0.0
+            p_fail = _level1_input(config, kmax).p_fail if level2 else 0.0
         except NoiseDomainError as e:
             out_of_range.append(e)
             continue

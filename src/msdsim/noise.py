@@ -6,6 +6,11 @@ executed: lattice surgery on multiple qubits with a faulty T measurement,
 a single-qubit rotation on a check qubit, and a level-2 rotation consuming
 a level-1 distilled state.
 
+The four builders (``patch_storage_rates`` and the three profiles) are
+memoized by their arguments, since a sweep's candidates share most of
+them; each returns a frozen record, so every caller may share the one
+object a cache hands out.
+
 Usage::
 
     from msdsim.noise import PhysicalNoise, logical_error_rate
@@ -15,6 +20,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .density import RotationErrorProfile
 
@@ -113,6 +119,7 @@ def logical_error_rate(p_phys: float, d: int) -> float:
     return 0.1 * (100.0 * p_phys) ** ((d + 1) // 2)
 
 
+@lru_cache(maxsize=None)
 def patch_storage_rates(noise: PhysicalNoise, dX: int, dH: int) -> StorageRates:
     """Per-cycle X/Z storage error rates of a dX-by-dH patch (dH <= dX).
 
@@ -128,6 +135,7 @@ def patch_storage_rates(noise: PhysicalNoise, dX: int, dH: int) -> StorageRates:
     )
 
 
+@lru_cache(maxsize=None)
 def multiqubit_rotation_profile(
     noise: PhysicalNoise, l: int, dX: int, dm: int, involves_output: bool
 ) -> RotationErrorProfile:
@@ -152,6 +160,7 @@ def multiqubit_rotation_profile(
     )
 
 
+@lru_cache(maxsize=None)
 def single_qubit_rotation_profile(
     noise: PhysicalNoise, dZ: int, dm: int
 ) -> RotationErrorProfile:
@@ -165,6 +174,7 @@ def single_qubit_rotation_profile(
     )
 
 
+@lru_cache(maxsize=None)
 def level2_rotation_profile(
     noise: PhysicalNoise,
     p_L1: float,

@@ -436,9 +436,15 @@ class TestMainExitCodes:
         assert main(["factory", "--family", "l2_15x15", "--d", "9,3,3",
                      "--d2", "25,9,9", "--n-l1", "4", "--pphys", "1e-4",
                      "--ct", "1e300"]) == 2
-        assert capsys.readouterr().err.startswith(
+        err = capsys.readouterr().err
+        assert err.startswith(
             "error: p_phys=0.0001 with c_T=1e+300 is outside the noise "
             "model's range for (15-to-1)_{9,3,3} (")
+        # and the protocol requested
+        assert err.endswith(
+            "), the level-1 block of (15-to-1)^4_{9,3,3} x "
+            "(15-to-1)_{25,9,9}\n")
+        assert err.count("\n") == 1
 
     def test_non_finite_ct_exit_2(self, capsys):
         for value in ("nan", "inf"):
@@ -736,6 +742,20 @@ class TestHelp:
             out = " ".join(capsys.readouterr().out.split())
             assert ("--kmax KMAX highest error order kept by the engine"
                     in out), command
+
+    def test_factory_and_sweep_document_the_noise_flags_alike(self, capsys):
+        shown = {}
+        for command in ("factory", "sweep"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            shown[command] = " ".join(capsys.readouterr().out.split())
+        for flag, words in (
+                ("--pphys PPHYS", "physical error rate"),
+                ("--ct CT", "faulty-T-measurement cost factor (default 1)"),
+                ("--consumption-full", "use the full consumption-storage "
+                                       "prefactor (default: half)")):
+            for command, out in shown.items():
+                assert f"{flag} {words}" in out, (command, flag)
 
 
 class TestConsoleScript:

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import msdsim.factory as factory
-from msdsim import eventsets
-from msdsim.circuits import catalog, random_pauli
+from msdsim import eventsets, noise as noise_model
+from msdsim.circuits import CATALOG_KINDS, catalog, random_pauli
 from msdsim.density import GradedDensityMatrix, RotationErrorProfile
 from msdsim.factory import (
     FAMILIES,
@@ -1362,6 +1362,138 @@ def _assert_table_matches_the_engine(family: str, inputs) -> None:
         z * (p_out - full), rel=1e-12, abs=1e-300)
 
 
+def _walked_probabilities(schedule, inputs) -> tuple[float, ...]:
+    """The probability of each entry of ``schedule.events``, entry by
+    entry: the reference for the map that ``factory._probabilities``
+    reads."""
+    profiles, rates, cycles, consumption = inputs
+    stored = {"X": {q: cycles * r.pX for q, r in rates.items()},
+              "Z": {q: cycles * r.pZ for q, r in rates.items()}}
+    consumed = {"X": consumption.pX, "Z": consumption.pZ}
+    return tuple([
+        profiles[target].p_half + profiles[target].p_quarter
+        + profiles[target].p_mquarter if source == "rotation"
+        else profiles[kind // 4].p_z_output if source == "output"
+        else stored[operator][target] if source == "storage"
+        else consumed[operator]
+        for _, source, operator, target, kind in schedule.events])
+
+
+def _walked_classes(schedule, profiles, probabilities):
+    """``eventsets.classes``, entry by entry: each kind's class key at its
+    first entry, numbered in order of first appearance."""
+    none = (3, 0.0)
+    keys = [none] * (schedule.events[-1][-1] + 1)
+    for (_, source, _, target, kind), p in zip(schedule.events,
+                                               probabilities):
+        if kind is None or keys[kind] is not none:
+            continue
+        if source == "rotation":
+            f, keep = profiles[target], 1.0 - p
+            keys[kind:kind + 3] = ((0, f.p_half / keep),
+                                   (1, f.p_quarter / keep),
+                                   (2, f.p_mquarter / keep))
+        else:
+            keys[kind] = (3 if source == "output" else kind, p / (1.0 - p))
+    number = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    return tuple(map(number.__getitem__, keys)), [o for _, o in number]
+
+
+def _walked_profiles(config: FactoryConfig) -> list[RotationErrorProfile]:
+    """Each rotation's error profile, its axis tested rotation by rotation:
+    the reference for ``factory._noise_inputs``' use of
+    ``Schedule.shapes``."""
+    layout, d, noise = LAYOUTS[config.family], config.distances, config.noise
+    c = build_schedule(config.family).circuit
+    profiles = []
+    for r in c.rotations:
+        outputs = not c.output_qubits.isdisjoint(r.axis.support)
+        if layout.level == 2:
+            profiles.append(noise_model.level2_rotation_profile(
+                noise, factory.level1_output_error(config, 6).p_out,
+                layout.l_anc(d), d.dX2, d.dm2, layout.l_move(d), outputs))
+        elif len(r.axis.support) > 1:
+            profiles.append(noise_model.multiqubit_rotation_profile(
+                noise, layout.l_anc(d), d.dX, d.dm, outputs))
+        else:
+            profiles.append(noise_model.single_qubit_rotation_profile(
+                noise, d.dZ, d.dm))
+    return profiles
+
+
+def _assert_maps_match_a_walk(schedule, inputs) -> None:
+    """The schedule's maps give the walks' probabilities, value for value,
+    and, where no channel is certain to happen, the same classes and
+    odds."""
+    probabilities = factory._probabilities(schedule, inputs)
+    assert probabilities == _walked_probabilities(schedule, inputs)
+    if min(probabilities) >= 0.0 and max(probabilities) < 1.0:
+        assert eventsets.classes(schedule, inputs[0], probabilities) == (
+            _walked_classes(schedule, inputs[0], probabilities))
+
+
+class TestEventMaps:
+    """``Schedule.take``, ``first`` and ``shapes`` stand for walks of
+    ``Schedule.events`` and of the rotations."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_maps_match_a_walk_of_the_events(self, data):
+        # at p_phys = 0 or not, c_T 1 or 10, with edge storage rates and
+        # certain rotations, and with the rotations sharing profile
+        # objects, or equal copies of them, in any pattern
+        for family in FAMILIES:
+            _, inputs, _ = data.draw(_edge_inputs(family))
+            profiles = inputs[0]
+            if data.draw(st.booleans()):
+                pool = list(profiles) + [dataclasses.replace(f)
+                                         for f in profiles]
+                profiles = [data.draw(st.sampled_from(pool))
+                            for _ in profiles]
+            _assert_maps_match_a_walk(build_schedule(family),
+                                      (profiles, *inputs[1:]))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p, ct", [(0.0, 1.0), (1e-4, 10.0),
+                                       (1e-3, 1.0)])
+    def test_maps_match_at_zero_noise_and_high_ct(self, family, p, ct):
+        values = {"dX": 13, "dZ": 5, "dm": 5, "dX2": 25, "dZ2": 9, "dm2": 9,
+                  "nL1": 4}
+        config = FactoryConfig(family, DistanceSet(
+            **{k: values[k] for k in LAYOUTS[family].keys}),
+            PhysicalNoise(p, ct))
+        inputs = factory._noise_inputs(config, 6)
+        assert inputs[0] == _walked_profiles(config)
+        _assert_maps_match_a_walk(build_schedule(family), inputs)
+
+    def test_maps_match_with_coinciding_profiles(self):
+        # test_coinciding_profiles_get_their_own_table's run
+        inputs = factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6)
+        classes = list(dict.fromkeys(inputs[0]))
+        coinciding = ([classes[1] if f == classes[0] else f
+                       for f in inputs[0]], *inputs[1:])
+        schedule = build_schedule("L1_15to1")
+        _assert_maps_match_a_walk(schedule, coinciding)
+        probabilities = factory._probabilities(schedule, coinciding)
+        assert len(eventsets.classes(schedule, coinciding[0],
+                                     probabilities)[1]) < len(
+            eventsets.classes(schedule, inputs[0],
+                              factory._probabilities(schedule, inputs))[1])
+
+    @pytest.mark.parametrize("kind", CATALOG_KINDS)
+    def test_maps_match_on_a_bare_circuit(self, kind):
+        # simulate_circuit's one-step schedules, some without outputs
+        c = catalog(kind)
+        schedule = Schedule(c, (ScheduleStep(tuple(range(len(c.rotations))),
+                                             frozenset(range(c.n))),))
+        profiles = [RotationErrorProfile(1e-3 * (i % 3), 2e-4, 3e-4,
+                                         1e-4 * (i % 2))
+                    for i in range(len(c.rotations))]
+        rates = {q: StorageRates(1e-5 * q, 2e-5) for q in range(c.n)}
+        _assert_maps_match_a_walk(schedule, (profiles, rates, 3.0,
+                                             StorageRates(1e-4, 2e-4)))
+
+
 class TestScreen:
     """The sweep's screen bound never exceeds the simulated p_out."""
 
@@ -1436,11 +1568,11 @@ class TestScreen:
         assert most > 1  # some set stands for several of the run
         table = factory._event_sets(family, order, partition)
         got = {tuple(terms): (dev, mass) for terms, dev, mass in zip(
-            table.terms.tolist(), *table.sums.tolist())}
+            table.terms.T.tolist(), *table.sums.tolist())}
         assert got == {key: (math.fsum(devs), math.fsum(masses))
                        for key, (devs, masses) in groups.items()}
         sizes = [sum(label < pad for label in terms)
-                 for terms in table.terms.tolist()]
+                 for terms in table.terms.T.tolist()]
         assert sizes[:table.low] == sorted(sizes[:table.low])
         assert max(sizes[:table.low]) == 1 < min(sizes[table.low:])
 
@@ -1464,7 +1596,7 @@ class TestScreen:
         assert factory._event_sets.cache_info().hits == 1
         finer, finer_odds = _classes(schedule, inputs)
         finer_table = factory._event_sets(family, order, finer)
-        assert len(table.terms) < len(finer_table.terms)
+        assert table.terms.shape[1] < finer_table.terms.shape[1]
         # the finer table read with each of its classes at its odds in the
         # coinciding run
         same = eventsets.read_p_out(
