@@ -49,6 +49,7 @@ import io
 import json
 import sys
 from dataclasses import asdict, fields
+from functools import lru_cache
 
 from .circuits import NoiseSpec, catalog, coherent, random_pauli, z_only
 from .density import DEFAULT_MAX_GRADE
@@ -433,7 +434,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: the cached parser is
+    shared, and each command's ``func`` is the command function as it was
+    when the parser was built."""
     parser = argparse.ArgumentParser(
         prog="msdsim",
         description="Simulate magic-state distillation circuits and "

@@ -10,10 +10,10 @@ catastrophic cancellation.  Restricted to Z-type axes (all catalog
 circuits are Z-type).
 
 The dense grade stack holds only the live qubits, those that a channel
-has acted on; ``pure`` and the branch store keep all ``n``.  A qubit that
-no channel has touched is |+> in every grade, so the full matrix's
-entries do not depend on its bits: it enters the stack, at its index
-position, when a channel first acts on it, as copies of the entries
+other than an X flip has acted on; ``pure`` and the branch store keep all
+``n``.  A qubit that none has touched is |+> in every grade, so the full
+matrix's entries do not depend on its bits: it enters the stack, at its
+index position, when one first acts on it, as copies of the entries
 already stored, and an entry leaves every later grade and output
 byte-identical.  :meth:`GradedDensityMatrix.release` takes a qubit
 out of the stack for good once only flips will act on it: the stack
@@ -36,12 +36,15 @@ error probability) of every channel since, so no channel spends a pass
 on its keep term.  A rotation or an X flip is one elementwise kernel on
 the stored grades, ``out_k = A o H_k + B o P(H_{k-1})`` for k >= 1, then
 ``out_0 = A o H_0``.  P permutes for an X flip, whose A is
-1 and B its odds p/(1 - p): an X flip is one scaled permuted read and one
-add.  A rotation scales ``rho_ij`` by a value set by the class
-``c_ij = 1 + (s_i - s_j)/2`` of its axis's Z signs s, so A and B are
-3-entry tables looked up by c: its ideal phase D and error branches W give
-``A = D`` and ``B = D W / keep`` (at keep = 0 the scale restarts at 1,
-with ``A = 0`` and ``B = scale D W``).  A Z flip scales ``rho_ij`` by
+1 and B its odds p/(1 - p): an X flip is one gather of the grades below
+through a memoized flat index, one scale and one add.  On a qubit outside
+the stack X is the identity, so there the flip is a grade shift (P the
+identity) and the qubit stays out.  A rotation scales ``rho_ij`` by a
+value set by the class ``c_ij = 1 + (s_i - s_j)/2`` of its axis's Z signs
+s, so A and B are 3-entry tables looked up by c, memoized per profile and
+sign: its ideal phase D and error branches W give ``A = D`` and
+``B = D W / keep`` (at keep = 0 the scale restarts at 1, with ``A = 0``
+and ``B = scale D W``).  A Z flip scales ``rho_ij`` by
 ``(1 - p) + p s(i ^ j)``, so Z flips commute with each other, with X
 flips and with rotations, and :meth:`apply_z_flips` applies a whole list
 of them in one pass, from tables over ``i ^ j``.  Real factors
@@ -131,14 +134,6 @@ def _vec_xflip(vec: np.ndarray, qubit: int) -> np.ndarray:
     return t[..., ::-1, :].reshape(vec.shape)
 
 
-def _stack_xflip(stack: np.ndarray, qubit: int) -> np.ndarray:
-    """View of X rho X for every matrix of a (..., dim, dim) stack."""
-    dim = stack.shape[-1]
-    hi, lo = dim >> (qubit + 1), 1 << qubit
-    t = stack.reshape(stack.shape[:-2] + (hi, 2, lo, hi, 2, lo))
-    return t[..., ::-1, :, :, ::-1, :]
-
-
 def _sum_checks(t: np.ndarray, checks: tuple[int, ...], n: int,
                 sides: int = 1) -> np.ndarray:
     """Sums over the check qubits' bits of the last ``sides`` axes, each of
@@ -180,6 +175,18 @@ def _xor_index(n: int) -> np.ndarray:
     unsigned type that holds it."""
     i = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
     x = i[:, None] ^ i[None, :]
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=None)
+def _xflip_index(qubit: int, d: int) -> np.ndarray:
+    """Where X rho X reads each entry of a d x d matrix, as flat indices:
+    entry k = i d + j reads entry k ^ ((1 << qubit) (d + 1)), row and
+    column bit ``qubit`` flipped; memoized, read-only, in the smallest
+    unsigned type that holds it, as :func:`_xor_index` is."""
+    k = np.arange(d * d, dtype=np.min_scalar_type(d * d - 1))
+    x = k ^ k.dtype.type((1 << qubit) * (d + 1))
     x.flags.writeable = False
     return x
 
@@ -236,6 +243,28 @@ def _diagonal(mask: int, n: int, theta: float) -> np.ndarray:
     return d
 
 
+def _errors(profile: RotationErrorProfile) -> list[tuple[float, float]]:
+    """A rotation's error branches: (probability, extra angle) pairs."""
+    return [(profile.p_half, np.pi / 2), (profile.p_quarter, np.pi / 4),
+            (profile.p_mquarter, -np.pi / 4)]
+
+
+@lru_cache(maxsize=None)
+def _rotation_tables(profile: RotationErrorProfile, sign: int):
+    """(keep, ideal, errs, errs / keep) of a rotation by class: its keep
+    probability, its ideal phase D, its summed error branches D W and, at
+    keep > 0, those over keep (None at keep 0).  Memoized and read-only."""
+    keep = 1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter
+    ideal = _phase_table(sign * np.pi / 8)
+    errs = ideal * sum(p * _phase_table(extra)
+                       for p, extra in _errors(profile))
+    odds = errs / keep if keep else None
+    for table in (errs, odds):
+        if table is not None:
+            table.flags.writeable = False
+    return keep, ideal, errs, odds
+
+
 def _per_block(kmax: int, entries: int) -> int:
     """Grades in one block of grades of ``entries`` entries each: at most
     _BLOCK_BYTES of them, or one grade."""
@@ -285,11 +314,12 @@ class GradedDensityMatrix:
 
     ``scale * _stacks[k]`` (k = 0..kmax) is the subnormalized density
     matrix of the exactly-k-error mass on the ``live`` qubits, the qubits
-    that a channel has acted on: every other qubit is still |+> in every
-    grade, and the stack holds the full matrix's entries, which do not
-    depend on those qubits' bits (see the module docstring).  ``grades``
-    is grades 1..kmax.  The stack is stored divided by ``scale``, like the
-    branch store.  Branches with more than ``kmax`` errors are dropped.
+    that a channel other than an X flip has acted on: every other qubit
+    is still |+> in every grade, and the stack holds the full matrix's
+    entries, which do not depend on those qubits' bits (see the module
+    docstring).  ``grades`` is grades 1..kmax.  The stack is stored divided
+    by ``scale``, like the branch store.  Branches with more than ``kmax``
+    errors are dropped.
     ``1 - trace_total()`` does not measure them: it is round-off (between
     -1.6e-15 and 1.3e-14 on the paper's tables).  Nothing bounds their
     share yet (ROADMAP.md, item 3).
@@ -448,24 +478,34 @@ class GradedDensityMatrix:
         the full-width ``mask``, which enter first:
         H_k <- A o H_k + B o P(H_{k-1}) for k >= 1, then H_0 <- A o H_0.
 
-        P is X rho X on the one qubit of ``mask`` for ``flip``, else the
-        identity.  a and b are scalars or 3-entry tables, which the classes
-        of Z_mask turn into A and B; an A of 1 takes no multiply.  Blocks
-        run from the top grade down, each reading the grades below it
-        before it overwrites itself.
+        P is X rho X on the one qubit of ``mask`` for ``flip``, one gather
+        through :func:`_xflip_index` into the terms, else the identity.  a
+        and b are scalars or 3-entry tables, which the classes of Z_mask
+        turn into A and B; an A of 1 takes no multiply.  Blocks run from
+        the top grade down, each reading the grades below it before it
+        overwrites itself.
         """
         mask = self._live(mask)
         stacks, terms = self._stacks, self._terms
         a = self._table(a, self._tables[0], mask)
         b = self._table(b, self._tables[1], mask)
         identity = not isinstance(a, np.ndarray) and a == 1.0
+        if flip:
+            # a flip's a and b are scalars, so its index takes the tables'
+            # scratch, cast once to intp (which np.take would allocate and
+            # fill on every call)
+            d = stacks.shape[-1]
+            index = self._tables[0].reshape(-1).view(np.intp)[:d * d]
+            index[...] = _xflip_index(mask.bit_length() - 1, d)
         for src, term, block in self._walk:
             term = terms[term]
-            src, below = stacks[src], term
+            src = stacks[src]
             if flip:
-                src = _stack_xflip(src, mask.bit_length() - 1)
-                below = term.reshape(src.shape)
-            np.multiply(src, b, out=below)
+                flat = term.reshape(term.shape[:2] + (-1,))
+                np.take(src.reshape(flat.shape), index, axis=-1, out=flat,
+                        mode="clip")
+                src = term
+            np.multiply(src, b, out=term)
             block = stacks[block]
             if not identity:
                 block *= a
@@ -506,19 +546,14 @@ class GradedDensityMatrix:
         if sign not in (1, -1):
             raise ValueError(f"rotation sign must be +1 or -1, got {sign}")
         mask = z_mask(axis, self.n)
-        theta = sign * np.pi / 8
-        errors = [(profile.p_half, np.pi / 2), (profile.p_quarter, np.pi / 4),
-                  (profile.p_mquarter, -np.pi / 4)]
-        keep = 1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter
-        ideal = _phase_table(theta)
-        errs = ideal * sum(p * _phase_table(extra) for p, extra in errors)
+        keep, ideal, errs, odds = _rotation_tables(profile, sign)
         # stored grades: keep divides out, or restarts the scale at 1
-        a, b = (ideal, errs / keep) if keep else (0.0, self.scale * errs)
+        a, b = (ideal, odds) if keep else (0.0, self.scale * errs)
         self._channel(a, b, mask)
-        d = _diagonal(mask, self.n, theta)
+        d = _diagonal(mask, self.n, sign * np.pi / 8)
         pure = d * self.pure
         born = [(p, _diagonal(mask, self.n, extra) * pure)
-                for p, extra in errors]
+                for p, extra in _errors(profile)]
         return self._event(keep, born, pure, d.conj() * self.pullback)
 
     def apply_x_flip(self, qubit: int, p: float) -> GradedDensityMatrix:
@@ -528,7 +563,13 @@ class GradedDensityMatrix:
             return self
         v = _vec_xflip(self.pure, qubit)
         keep = 1.0 - p
-        self._channel(1.0, p / keep, 1 << qubit, flip=True)
+        # a qubit outside the stack is |+> in every grade, where X is the
+        # identity: the flip is a grade shift, and the qubit stays out (a
+        # released one is not outside, and raises)
+        if (self._live_bits | self._released_bits) >> qubit & 1:
+            self._channel(1.0, p / keep, 1 << qubit, flip=True)
+        else:
+            self._channel(1.0, p / keep, 0)
         return self._event(keep, [(p, v)], self.pure, self.pullback)
 
     def apply_z_flips(self, flips) -> GradedDensityMatrix:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -783,3 +784,47 @@ class TestConsoleScript:
         if before == "True":
             pytest.skip("importing numpy loads numpy.random here")
         assert (status, after) == ("0", "False")
+
+
+class TestOneParser:
+    """``main`` parses with one parser per process (``build_parser`` is
+    memoized): what it prints must not depend on the calls before it."""
+
+    # two table runs, help and usage texts, an argparse error, and errors
+    # pinned by the tests above
+    COMMANDS = (
+        ["table", "--name", "table1", "--verbose"],
+        ["table", "--name", "table2"],
+        ["--help"],
+        ["sweep", "--help"],
+        ["factory", "--family", "l1_15to1", "--d", "7,3,3", "--pphys",
+         "1e-4", "--format", "json"],
+        ["factory", "--family", "l1_15to9"],
+        ["sweep", "--family", "l1_15to1"],
+        ["circuit", "--kind", "15to1", "--noise", "zz:1"],
+        ["factory", "--family", "l1_15to1", "--d", "7,3,3", "--pphys",
+         "1e-4", "--ct", "1e308"],
+        ["circuit", "--kind", "15to1", "--noise", "z:1e-3", "--kmax", "0"],
+        ["table", "--name", "table1"],
+    )
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_print_what_fresh_processes_print(
+            self, capsys, monkeypatch):
+        # help wraps at the terminal's width: the same in both
+        monkeypatch.setenv("COLUMNS", "80")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in self.COMMANDS:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "msdsim.cli", *argv],
+                capture_output=True, text=True, env=env)
+            try:
+                status = main(argv)
+            except SystemExit as e:
+                status = e.code
+            captured = capsys.readouterr()
+            assert (status, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv

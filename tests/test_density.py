@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from msdsim.density import (
     GradedDensityMatrix,
     RotationErrorProfile,
+    _rotation_tables,
     _scratch,
+    _xflip_index,
     _xor_index,
     _z_classes,
     pure_state_infidelity,
@@ -279,9 +281,9 @@ class TestGradedAgainstDense:
             state = GradedDensityMatrix.init_plus(n, kmax=3)
             for op in _random_ops(rng, n, 6):
                 state = _apply(state, op)
-            # every qubit in the stack, so that it is the full matrix
-            for q in range(n):
-                state = state.apply_x_flip(q, 1e-3)
+            # every qubit in the stack, so that it is the full matrix (an X
+            # flip on a qubit outside the stack leaves it out)
+            state._enter((1 << n) - 1)
             for q, p in ((0, 0.02), (n - 1, 0.45)):
                 odds = p / (1.0 - p)
                 s = z_signs(1 << q, n)
@@ -305,6 +307,19 @@ class TestGradedAgainstDense:
         np.testing.assert_array_equal(classes, 1 + (s[:, None] - s) / 2)
         with pytest.raises(ValueError):
             classes[0, 0] = 1
+
+    def test_rotation_tables_are_memoized_and_read_only(self):
+        # by (profile, sign): an equal profile reads the same tables
+        tables = _rotation_tables(RotationErrorProfile(0.01, 0.02, 0.03), -1)
+        assert _rotation_tables(RotationErrorProfile(0.01, 0.02, 0.03),
+                                -1) is tables
+        keep, ideal, errs, odds = tables
+        assert keep == 1.0 - 0.01 - 0.02 - 0.03
+        assert not any(t.flags.writeable for t in (ideal, errs, odds))
+        assert odds.tobytes() == (errs / keep).tobytes()
+        # at keep 0 the rotation scales errs by the state's scale itself
+        assert _rotation_tables(RotationErrorProfile(0.5, 0.25, 0.25),
+                                1)[::3] == (0.0, None)
 
     def test_noiseless_state_has_an_empty_branch_store(self):
         state = GradedDensityMatrix.init_plus(3, kmax=1)
@@ -774,16 +789,16 @@ class TestLiveQubits:
     def test_entry_leaves_every_entry_as_it_was(self, case):
         # the same channels on a state whose qubits all entered first (the
         # full-width engine) give the same bytes, and a qubit outside the
-        # stack is one that no channel touched
+        # stack is one that no rotation and no Z flip touched: an X flip
+        # on it is a grade shift, which leaves it out
         n, kmax, ops, checks = case
         live = _run_ops(GradedDensityMatrix.init_plus(n, kmax), ops)
         wide = GradedDensityMatrix.init_plus(n, kmax)
         wide._enter((1 << n) - 1)
         wide = _run_ops(wide, ops)
-        touched = {q for kind, args in ops for q in (
-            args[0].support if kind == "rotation" else [args[0]] if
-            kind == "x" else [q for q, p in args if p])
-            if kind != "x" or args[1]}
+        touched = {q for kind, args in ops if kind != "x" for q in (
+            args[0].support if kind == "rotation"
+            else [q for q, p in args if p])}
         assert set(live.live) == touched
         assert full_grades(live).tobytes() == full_grades(wide).tobytes()
         assert live.pure.tobytes() == wide.pure.tobytes()
@@ -935,3 +950,103 @@ class TestLiveQubits:
             s.apply_x_flip(2, 0.05)
         np.testing.assert_array_equal(got._stacks, state._stacks)
         assert got.births is not state.births
+
+
+def _stack_xflip(stack: np.ndarray, qubit: int) -> np.ndarray:
+    """View of X rho X for every matrix of a (..., dim, dim) stack: the
+    reversed view that the engine's X flip read before it gathered."""
+    dim = stack.shape[-1]
+    hi, lo = dim >> (qubit + 1), 1 << qubit
+    t = stack.reshape(stack.shape[:-2] + (hi, 2, lo, hi, 2, lo))
+    return t[..., ::-1, :, :, ::-1, :]
+
+
+def _reference_x_flip(state, position: int, p: float) -> None:
+    """The stored grades' update of an X flip on the live qubit at
+    ``position``, as the kernel ran it with the reversed view: the same
+    blocks, one scaled read of the view and one add each."""
+    stacks, terms = state._stacks, state._terms
+    for src, term, block in state._walk:
+        term = terms[term]
+        src = _stack_xflip(stacks[src], position)
+        np.multiply(src, p / (1.0 - p), out=term.reshape(src.shape))
+        stacks[block] += term
+
+
+class TestXFlips:
+    """An X flip on a live qubit gathers X H X through a flat index; on a
+    qubit outside the stack it is a grade shift, and the qubit stays out."""
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 7), kmax=st.sampled_from([1, 2, 6]),
+           pair=st.booleans(), data=st.data())
+    def test_the_gather_is_the_reversed_view_bit_for_bit(self, n, kmax,
+                                                         pair, data):
+        # one stack, or the pair a release leaves (which needs a second
+        # qubit); grades of random entries, so that every entry differs
+        pair = pair and n > 1
+        state = GradedDensityMatrix.init_plus(n, kmax)
+        state._enter((1 << n) - 1)
+        if pair:
+            magic = np.array([1.0, np.exp(-0.25j * np.pi)]) / np.sqrt(2)
+            state = state.release(data.draw(st.integers(0, n - 1)), magic)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = state._stacks.shape
+        state._stacks[...] = (rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape))
+        qubit = data.draw(st.sampled_from(state.live))
+        p = data.draw(st.floats(1e-6, 0.5))
+        want = copy.deepcopy(state)
+        _reference_x_flip(want, want.live.index(qubit), p)
+        got = state.apply_x_flip(qubit, p)
+        assert got._stacks.shape == want._stacks.shape
+        assert got._stacks.tobytes() == want._stacks.tobytes()
+
+    def test_the_flip_index_is_memoized_uint16_at_seven_qubits(self):
+        index = _xflip_index(3, 1 << 7)
+        assert _xflip_index(3, 1 << 7) is index
+        assert index.dtype == np.uint16 and not index.flags.writeable
+        k = np.arange(1 << 14)
+        np.testing.assert_array_equal(
+            index, ((k >> 7) ^ 8) << 7 | (k & 127) ^ 8)
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_a_flip_outside_the_stack_is_a_grade_shift(self, n):
+        # the flip leaves the qubit out; once a rotation on it has entered
+        # it, every stored grade, the branch store and the readout are
+        # the bytes of a run that entered it before the flip
+        profile = RotationErrorProfile(0.01, 0.02, 0.03)
+        first = PauliProduct("Z" * (n - 1) + "I")
+        last = PauliProduct("I" * (n - 1) + "Z")
+        runs = []
+        for forced in (False, True):
+            state = GradedDensityMatrix.init_plus(n, kmax=3)
+            state = state.apply_faulty_rotation(first, profile)
+            if forced:
+                state._enter(1 << (n - 1))
+            live = state.live
+            state = state.apply_x_flip(n - 1, 0.04)
+            assert state.live == live
+            state = state.apply_faulty_rotation(last, profile, sign=-1)
+            assert state.live == tuple(range(n))
+            state, p_fail = state.project_plus(frozenset({0}))
+            psi = np.exp(1j * np.arange(1 << (n - 1))) * 2.0 ** (
+                (1 - n) / 2)
+            runs.append((state, p_fail, state.infidelity_with_pure(psi)))
+        (shifted, fail, p_out), (entered, want_fail, want_p_out) = runs
+        assert shifted._stacks.tobytes() == entered._stacks.tobytes()
+        assert shifted.pure.tobytes() == entered.pure.tobytes()
+        assert shifted.scale == entered.scale
+        assert len(shifted.births) == len(entered.births)
+        for (w, row), (v, want) in zip(shifted.births, entered.births):
+            assert w == v and row.tobytes() == want.tobytes()
+        assert (fail, p_out) == (want_fail, want_p_out)
+
+    def test_a_flip_on_a_released_qubit_raises(self):
+        state = GradedDensityMatrix.init_plus(3, kmax=2)
+        state = state.apply_faulty_rotation(
+            PauliProduct("ZZZ"), RotationErrorProfile(0.01, 0.0, 0.0))
+        state = state.release(1, np.array([1.0, 1.0]) / np.sqrt(2))
+        with pytest.raises(ValueError, match="^qubit 1 was released$"):
+            state.apply_x_flip(1, 0.1)
+
