@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import _sum_checks
+from .density import SUBSTITUTIONS, _sum_checks
 from .pauli import (
     PauliProduct,
     Rotation,
@@ -342,7 +342,7 @@ def coherent(phi: float) -> NoiseSpec:
 # every input state at once.
 
 # corrections, in units of pi/8 on P: the Pauli P and the Clifford P_{pi/4}
-PAULI_FIX, CLIFFORD_FIX = 4, 2
+PAULI_FIX, CLIFFORD_FIX = SUBSTITUTIONS[:2]
 MINUS = np.array([SQ2, -SQ2], dtype=np.complex128)
 ONE = np.array([0.0, 1.0], dtype=np.complex128)
 # an ancilla read in X, by outcome

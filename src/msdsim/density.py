@@ -42,9 +42,8 @@ the stack X is the identity, so there the flip is a grade shift (P the
 identity) and the qubit stays out.  A rotation scales ``rho_ij`` by a
 value set by the class ``c_ij = 1 + (s_i - s_j)/2`` of its axis's Z signs
 s, so A and B are 3-entry tables looked up by c, memoized per profile and
-sign: its ideal phase D and error branches W give ``A = D`` and
-``B = D W / keep`` (at keep = 0 the scale restarts at 1, with ``A = 0``
-and ``B = scale D W``).  A Z flip scales ``rho_ij`` by
+angle: its ideal phase D and error branches W give ``A = D`` and
+``B = D W / keep``.  A Z flip scales ``rho_ij`` by
 ``(1 - p) + p s(i ^ j)``, so Z flips commute with each other, with X
 flips and with rotations, and :meth:`apply_z_flips` applies a whole list
 of them in one pass, from tables over ``i ^ j``.  Real factors
@@ -65,11 +64,12 @@ projection and the readout materialize the rows.
 Usage::
 
     from msdsim.density import GradedDensityMatrix, RotationErrorProfile
-    from msdsim.pauli import PauliProduct
+    from msdsim.pauli import PauliProduct, Rotation, RotationAngle
 
     rho = GradedDensityMatrix.init_plus(5)
     prof = RotationErrorProfile(1e-4, 0.0, 0.0, 0.0)
-    rho = rho.apply_faulty_rotation(PauliProduct("ZIIII"), prof)
+    rotation = Rotation(PauliProduct("ZIIII"), RotationAngle(1))
+    rho = rho.apply_faulty_rotation(rotation, prof)
     rho = rho.apply_x_flip(1, 1e-4).apply_z_flips([(0, 1e-4), (1, 2e-4)])
     rho = rho.release(0, [2**-0.5, 0.5 - 0.5j], [("Z", 1e-4)])
     rho, p_fail = rho.project_plus(frozenset({1, 2, 3, 4}))  # rho.n == 1
@@ -81,12 +81,12 @@ from __future__ import annotations
 import copy
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .pauli import MAX_QUBITS, PauliProduct, rotation_phases, z_mask, z_signs
+from .pauli import MAX_QUBITS, Rotation, rotation_phases, z_mask, z_signs
 
 DEFAULT_MAX_GRADE = 6
 
@@ -94,6 +94,11 @@ DEFAULT_MAX_GRADE = 6
 # (one grade at n=7, all six at n=5): passes over the whole 1.5 MB stack at
 # n=7 fall out of a core's cache and are slower.
 _BLOCK_BYTES = 256 * 1024
+
+
+# the extra angles of a rotation's substitution errors, P_{pi/2}, P_{pi/4}
+# and P_{-pi/4}, in units of pi/8
+SUBSTITUTIONS = (4, 2, -2)
 
 
 @dataclass(frozen=True)
@@ -105,20 +110,32 @@ class RotationErrorProfile:
     p_z_output is the probability of an extra Pauli Z on each designated
     output qubit in the rotation's support, which the caller applies with
     ``GradedDensityMatrix.apply_z_flips``.
+
+    ``branches`` pairs each substitution probability with its extra angle
+    in units of pi/8 (``SUBSTITUTIONS``), and ``p_error`` is their sum.
+    The substitutions must leave a keep probability above 0.
     """
 
     p_half: float
     p_quarter: float
     p_mquarter: float
     p_z_output: float = 0.0
+    branches: tuple[tuple[float, int], ...] = field(
+        init=False, repr=False, compare=False)
+    p_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("p_half", "p_quarter", "p_mquarter", "p_z_output"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1)")
-        if self.p_half + self.p_quarter + self.p_mquarter > 1.0:
-            raise ValueError("substitution probabilities sum above 1")
+        # the engine's keep, in its order
+        if 1.0 - self.p_half - self.p_quarter - self.p_mquarter <= 0.0:
+            raise ValueError("substitution probabilities leave no keep "
+                             "probability")
+        probs = (self.p_half, self.p_quarter, self.p_mquarter)
+        object.__setattr__(self, "branches", tuple(zip(probs, SUBSTITUTIONS)))
+        object.__setattr__(self, "p_error", sum(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -243,26 +260,17 @@ def _diagonal(mask: int, n: int, theta: float) -> np.ndarray:
     return d
 
 
-def _errors(profile: RotationErrorProfile) -> list[tuple[float, float]]:
-    """A rotation's error branches: (probability, extra angle) pairs."""
-    return [(profile.p_half, np.pi / 2), (profile.p_quarter, np.pi / 4),
-            (profile.p_mquarter, -np.pi / 4)]
-
-
 @lru_cache(maxsize=None)
-def _rotation_tables(profile: RotationErrorProfile, sign: int):
-    """(keep, ideal, errs, errs / keep) of a rotation by class: its keep
-    probability, its ideal phase D, its summed error branches D W and, at
-    keep > 0, those over keep (None at keep 0).  Memoized and read-only."""
+def _rotation_tables(profile: RotationErrorProfile, k: int):
+    """(keep, ideal, odds) of a k pi/8 rotation by class: its keep
+    probability, its ideal phase D and its summed error branches D W over
+    keep.  Memoized and read-only."""
     keep = 1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter
-    ideal = _phase_table(sign * np.pi / 8)
-    errs = ideal * sum(p * _phase_table(extra)
-                       for p, extra in _errors(profile))
-    odds = errs / keep if keep else None
-    for table in (errs, odds):
-        if table is not None:
-            table.flags.writeable = False
-    return keep, ideal, errs, odds
+    ideal = _phase_table(k * np.pi / 8)
+    odds = ideal * sum(p * _phase_table(extra * np.pi / 8)
+                       for p, extra in profile.branches) / keep
+    odds.flags.writeable = False
+    return keep, ideal, odds
 
 
 def _per_block(kmax: int, entries: int) -> int:
@@ -518,42 +526,33 @@ class GradedDensityMatrix:
         """This state, once its grades hold one event of probability
         1 - keep.
 
-        Each branch (prob, v) turns ``pure`` into v and joins the store.  At
-        keep = 0 every earlier branch is gone: the store and its scale
-        restart.
+        Each branch (prob, v) turns ``pure`` into v and joins the store.
         """
-        scale, births = self.scale * keep, self.births
-        if keep == 0.0:
-            scale, births = 1.0, ()
-        births += tuple([(p / scale, pullback * v) for p, v in branches if p])
-        self.pure, self.births = math.sqrt(keep) * pure, births
-        self.pullback, self.scale = pullback, scale
+        self.scale = scale = self.scale * keep
+        self.births += tuple([(p / scale, pullback * v)
+                              for p, v in branches if p])
+        self.pure, self.pullback = math.sqrt(keep) * pure, pullback
         return self
 
     # -- channels ----------------------------------------------------------
-    def apply_faulty_rotation(
-        self,
-        axis: PauliProduct,
-        profile: RotationErrorProfile,
-        sign: int = 1,
-    ) -> GradedDensityMatrix:
-        """The pi/8 rotation on ``axis`` with its substitution errors.
+    def apply_faulty_rotation(self, rotation: Rotation,
+                              profile: RotationErrorProfile
+                              ) -> GradedDensityMatrix:
+        """The Z-type ``rotation`` with the substitution errors of
+        ``profile``.
 
         The profile's output Z flips are the caller's to apply, with
         :meth:`apply_z_flips`: they commute with every later Z-type
         operation, so a schedule applies them all in one pass.
         """
-        if sign not in (1, -1):
-            raise ValueError(f"rotation sign must be +1 or -1, got {sign}")
-        mask = z_mask(axis, self.n)
-        keep, ideal, errs, odds = _rotation_tables(profile, sign)
-        # stored grades: keep divides out, or restarts the scale at 1
-        a, b = (ideal, odds) if keep else (0.0, self.scale * errs)
-        self._channel(a, b, mask)
-        d = _diagonal(mask, self.n, sign * np.pi / 8)
+        mask = z_mask(rotation.axis, self.n)
+        keep, ideal, odds = _rotation_tables(profile, rotation.angle.k)
+        # stored grades: keep divides out
+        self._channel(ideal, odds, mask)
+        d = _diagonal(mask, self.n, rotation.angle.radians)
         pure = d * self.pure
-        born = [(p, _diagonal(mask, self.n, extra) * pure)
-                for p, extra in _errors(profile)]
+        born = [(p, _diagonal(mask, self.n, extra * np.pi / 8) * pure)
+                for p, extra in profile.branches]
         return self._event(keep, born, pure, d.conj() * self.pullback)
 
     def apply_x_flip(self, qubit: int, p: float) -> GradedDensityMatrix:

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import _BLOCK_BYTES
-from .pauli import phase_exponents, z_signs
+from .density import SUBSTITUTIONS, _BLOCK_BYTES
+from .pauli import Rotation, RotationAngle, phase_exponents
 
 _EPS = sys.float_info.epsilon
 
@@ -59,10 +59,11 @@ def classes(schedule, profiles, probabilities: tuple[float, ...]
 
     An event's odds are p / keep, keep being 1 less the probability of its
     channel (a rotation's three branches, or one flip), which must be
-    above 0.  The kinds of one branch of the rotations are grouped by
-    equal odds, in order of first appearance, and each storage and
-    consumption kind is a class of its own, so that distances at which two
-    qubits' storage odds coincide read the same table.
+    above 0.  The kinds of one branch of the rotations, keyed by its index
+    in the profile's ``branches``, are grouped by equal odds, in order of
+    first appearance, and each storage and consumption kind is a class of
+    its own, so that distances at which two qubits' storage odds coincide
+    read the same table.
 
     A rotation's kinds depend only on its profile and its shape
     (``Schedule.shapes``), so their keys are built once per distinct pair,
@@ -82,9 +83,9 @@ def classes(schedule, profiles, probabilities: tuple[float, ...]
         f, keep = profiles[ri], 1.0 - probabilities[first[4 * ri]]
         z = 0.0 if first[4 * ri + 3] is None else probabilities[
             first[4 * ri + 3]]
-        groups[pair] = [number.setdefault(key, len(number)) for key in (
-            (0, f.p_half / keep), (1, f.p_quarter / keep),
-            (2, f.p_mquarter / keep), (3, z / (1.0 - z)))]
+        keys = [(col, p / keep) for col, (p, _) in enumerate(f.branches)]
+        keys.append((3, z / (1.0 - z)))
+        groups[pair] = [number.setdefault(key, len(number)) for key in keys]
     partition = list(itertools.chain.from_iterable(map(groups.__getitem__,
                                                        pairs)))
     for kind, i in enumerate(first[4 * rotations:], 4 * rotations):
@@ -145,10 +146,9 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     flips = Counter()  # the multiplicity of each (qubit, class) of Z flips
     for _, source, operator, target, kind in schedule.events:
         if source == "rotation":
-            z = z_signs(operator.axis.mask, c.n)[basis].astype(np.int64)
-            # P_{pi/2}, P_{pi/4}, P_{-pi/4}
-            for col, k in enumerate((4, 2, -2)):
-                steps.append(-k * z)
+            for col, k in enumerate(SUBSTITUTIONS):
+                steps.append(phase_exponents(
+                    [Rotation(operator.axis, RotationAngle(k))], c.n)[basis])
                 labels.append(partition[kind + col])
             ends += [len(steps)] * 3
         elif kind is not None:  # a Z flip; the X flips are left out

@@ -243,19 +243,13 @@ class FactoryReport:
 
 
 @dataclass(frozen=True)
-class ScheduleStep:
-    """One schedule step: qubits entering, then rotations applied, then
-    every initialized qubit stored."""
-
-    rotations: tuple[int, ...]
-    initialize: frozenset[int] = frozenset()
-
-
-@dataclass(frozen=True)
 class Schedule:
     """A circuit's steps, after which its checks, if any, are measured: no
     step sees the qubits that the projection keeps, renumbered.  A qubit
     that is neither a check nor an output (ccz7's padding) is not consumed.
+    ``steps`` and ``initialize`` are as in :class:`Layout`: at step i the
+    qubits ``initialize.get(i, ())`` enter, then the rotations ``steps[i]``
+    run, then every qubit initialized by then is stored.
 
     ``events`` lists the run's error channels once, in time order: each
     rotation, then a Z flip on each output of its axis; after a step's
@@ -287,7 +281,8 @@ class Schedule:
     """
 
     circuit: Circuit
-    steps: tuple[ScheduleStep, ...]
+    steps: tuple[tuple[int, ...], ...]
+    initialize: dict[int, tuple[int, ...]]
     events: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     leaving: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = field(
         init=False, repr=False, compare=False)
@@ -303,9 +298,9 @@ class Schedule:
         storage = 4 * len(c.rotations)
         events = []
         initialized: set[int] = set()
-        for step, s in enumerate(self.steps):
-            initialized |= s.initialize
-            for ri in s.rotations:
+        for step, rotations in enumerate(self.steps):
+            initialized.update(self.initialize.get(step, ()))
+            for ri in rotations:
                 r = c.rotations[ri]
                 if not set(r.axis.support) <= initialized:
                     raise ValueError(
@@ -362,10 +357,7 @@ def build_schedule(family: str) -> Schedule:
     ideal output is read-only.
     """
     layout = _layout(family)
-    return Schedule(
-        catalog(layout.circuit),
-        tuple(ScheduleStep(g, frozenset(layout.initialize.get(i, ())))
-              for i, g in enumerate(layout.steps)))
+    return Schedule(catalog(layout.circuit), layout.steps, layout.initialize)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +402,7 @@ def _probabilities(schedule: Schedule, inputs: tuple) -> tuple[float, ...]:
     profiles, rates, cycles, consumption = inputs
     stored = list(map(rates.__getitem__, range(schedule.circuit.n)))
     return schedule.take(
-        [f.p_half + f.p_quarter + f.p_mquarter for f in profiles]
+        [f.p_error for f in profiles]
         + [f.p_z_output for f in profiles]
         + [cycles * r.pX for r in stored] + [cycles * r.pZ for r in stored]
         + [consumption.pX, consumption.pZ])
@@ -458,9 +450,7 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
                 for x in x_flips[q]:
                     rho = rho.apply_x_flip(q, x)
                 x_flips[q] = []
-            rho = rho.apply_faulty_rotation(
-                operator.axis, profiles[target],
-                sign=1 if operator.angle.k > 0 else -1)
+            rho = rho.apply_faulty_rotation(operator, profiles[target])
             for q, flips in leaving.get(i, ()):
                 if len(rho.live) >= LIVE_MIN_QUBITS:
                     z_flips = [f for f in z_flips if f[0] != q]
@@ -519,8 +509,9 @@ def simulate_circuit(c: Circuit, noise: NoiseSpec,
                if noise.kind == "random_pauli"
                else RotationErrorProfile(noise.value, 0.0, 0.0))
     zero = StorageRates(0.0, 0.0)
-    step = ScheduleStep(tuple(range(len(c.rotations))), frozenset(range(c.n)))
-    return _run_schedule(Schedule(c, (step,)), (
+    schedule = Schedule(c, (tuple(range(len(c.rotations))),),
+                        {0: tuple(range(c.n))})
+    return _run_schedule(schedule, (
         [profile] * len(c.rotations), dict.fromkeys(range(c.n), zero), 0.0,
         zero), kmax)
 
@@ -561,7 +552,9 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
     schedule = build_schedule(family)
     probabilities = _probabilities(schedule, inputs)
     zero_mass = math.prod([1.0 - p for p in probabilities])
-    if zero_mass == 0.0:  # a rotation's substitution probabilities sum to 1
+    # the keeps' product underflows, or a keep, summed in another order
+    # than the profile checks it in, rounds to 0
+    if zero_mass == 0.0:
         return 0.0
     partition, odds = classes(schedule, inputs[0], probabilities)
     outputs = schedule.circuit.outputs
@@ -863,16 +856,12 @@ def _dominates(qubits: float, per_state: float, other_qubits: float,
 def _pareto_front(
     reports: list[tuple[FactoryReport, tuple[int, ...]]],
 ) -> list[FactoryReport]:
-    """Undominated reports, by (qubitcycles/state, qubits, distances)."""
-    ordered = sorted(reports, key=lambda rk: (rk[0].qubitcycles_per_state,
-                                              rk[0].qubits, rk[1]))
-    front = []
-    fewest_cheaper = math.inf  # fewest qubits at lower qubitcycles/state
-    for _, tied in itertools.groupby(
-            ordered, key=lambda rk: rk[0].qubitcycles_per_state):
-        tied = [report for report, _ in tied]
-        fewest = tied[0].qubits
-        if fewest < fewest_cheaper:
-            front += [r for r in tied if r.qubits == fewest]
-            fewest_cheaper = fewest
-    return front
+    """The reports that no other report dominates, by (qubitcycles/state,
+    qubits, distances)."""
+    front = [(r, combo) for r, combo in reports
+             if not any(_dominates(o.qubits, o.qubitcycles_per_state,
+                                   r.qubits, r.qubitcycles_per_state)
+                        for o, _ in reports)]
+    front.sort(key=lambda rk: (rk[0].qubitcycles_per_state, rk[0].qubits,
+                               rk[1]))
+    return [r for r, _ in front]

@@ -22,7 +22,7 @@ import numpy as np
 
 from msdsim.density import RotationErrorProfile
 from msdsim.noise import StorageRates
-from msdsim.pauli import MAX_QUBITS, PauliProduct, matrix_of
+from msdsim.pauli import MAX_QUBITS, PauliProduct, Rotation, matrix_of
 
 
 def _single(letter: str, qubit: int, n: int) -> np.ndarray:
@@ -60,21 +60,19 @@ class DensityMatrix:
     # -- channels ----------------------------------------------------------
     def apply_faulty_rotation(
         self,
-        axis: PauliProduct,
+        rotation: Rotation,
         profile: RotationErrorProfile,
-        sign: int = 1,
     ) -> DensityMatrix:
+        axis = rotation.axis
         if axis.n != self.n:
             raise ValueError("axis length differs from qubit count")
-        if sign not in (1, -1):
-            raise ValueError(f"rotation sign must be +1 or -1, got {sign}")
         m = matrix_of(axis)
         eye = np.eye(1 << self.n, dtype=np.complex128)
 
         def unitary(theta: float) -> np.ndarray:
             return np.cos(theta) * eye - 1j * np.sin(theta) * m
 
-        base = sign * np.pi / 8
+        base = rotation.angle.radians
         branches = [
             (1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter, base),
             (profile.p_half, base + np.pi / 2),

@@ -199,8 +199,9 @@ class TestAcceptance:
                     profile = RotationErrorProfile(
                         probs[0], probs[1], probs[2],
                         p_z_output=float(rng.uniform(0.0, 0.02)))
-                    rho = rho.apply_faulty_rotation(
-                        axis, profile, sign=int(rng.choice([1, -1])))
+                    angle = RotationAngle(int(rng.choice([1, -1])))
+                    rho = rho.apply_faulty_rotation(Rotation(axis, angle),
+                                                    profile)
                     if mask & 1:  # qubit 0 is the output
                         rho = rho.apply_z_flips([(0, profile.p_z_output)])
                 else:

@@ -25,7 +25,7 @@ from msdsim.density import (
     pure_state_infidelity,
 )
 from msdsim.noise import StorageRates
-from msdsim.pauli import PauliProduct, z_signs
+from msdsim.pauli import PauliProduct, Rotation, RotationAngle, z_signs
 from oracle import DensityMatrix, full_grades, materialize
 
 
@@ -45,10 +45,11 @@ def _random_ops(rng: np.random.Generator, n: int, count: int):
                 probs[0], probs[1], probs[2],
                 p_z_output=float(rng.uniform(0.0, 0.02)),
             )
+            axis = _random_z_axis(rng, n)
             ops.append((
                 "rotation",
-                (_random_z_axis(rng, n), profile, frozenset({0}),
-                 int(rng.choice([1, -1]))),
+                (Rotation(axis, RotationAngle(int(rng.choice([1, -1])))),
+                 profile, frozenset({0})),
             ))
         else:
             rates = StorageRates(float(rng.uniform(0.0, 0.01)),
@@ -63,10 +64,10 @@ def _draw_ops(draw, n: int):
 
     Probabilities come from the small range the circuits use or, in about
     half the sequences, also from the whole allowed range, where the error
-    branches outweigh the kept branch (keep probability 0, a large output
-    Z, storage next to its bound).  Every op adds at most two error events
-    (a rotation has one output qubit), so kmax = 2 * len(ops) truncates
-    nothing.
+    branches outweigh the kept branch (keep probability at its float
+    floor, a large output Z, storage next to its bound).  Every op adds at
+    most two error events (a rotation has one output qubit), so
+    kmax = 2 * len(ops) truncates nothing.
     """
     prob = st.floats(0.0, 0.03)
     wide = draw(st.booleans())
@@ -86,11 +87,12 @@ def _draw_ops(draw, n: int):
                       p_z_output=st.floats(0.0, 0.02)),
             st.builds(RotationErrorProfile, big, big, big,
                       p_z_output=st.floats(0.0, 0.99))
-            | st.just(RotationErrorProfile(0.5, 0.25, 0.25, 0.9)),
+            | st.just(RotationErrorProfile(0.5, 0.25, 0.25 - 2**-54, 0.9)),
         ))
-        return ("rotation", (z_axis(), profile,
-                             frozenset({draw(st.integers(0, n - 1))}),
-                             draw(st.sampled_from([1, -1]))))
+        axis = z_axis()
+        outputs = frozenset({draw(st.integers(0, n - 1))})
+        angle = RotationAngle(draw(st.sampled_from([1, -1])))
+        return ("rotation", (Rotation(axis, angle), profile, outputs))
 
     def storage(qubit):
         cycles = draw(st.floats(0.5, 3.0))
@@ -119,10 +121,11 @@ def _apply(state, op):
     """
     kind, args = op
     if kind == "rotation":
-        axis, profile, outputs, sign = args
-        state = state.apply_faulty_rotation(axis, profile, sign=sign)
-        return state.apply_z_flips([(q, profile.p_z_output) for q in
-                                    sorted(outputs & set(axis.support))])
+        rotation, profile, outputs = args
+        state = state.apply_faulty_rotation(rotation, profile)
+        return state.apply_z_flips([
+            (q, profile.p_z_output)
+            for q in sorted(outputs & set(rotation.axis.support))])
     qubit, rates, cycles = args
     if isinstance(state, DensityMatrix):
         return state.apply_storage(qubit, rates, cycles)
@@ -187,12 +190,51 @@ class TestDensityMatrix:
             rho.apply_storage(1, StorageRates(0.1, 0.1), 1.0)
 
 
+def _reference_tables(profile, sign: int):
+    """(keep, ideal, odds) of a +-pi/8 rotation by class, from its error
+    branches written out as (probability, extra angle in radians) pairs:
+    the reference for the tables that the engine builds from
+    ``profile.branches``."""
+    step = np.array([-2.0, 0.0, 2.0])  # s_i - s_j of each class
+    keep = 1.0 - profile.p_half - profile.p_quarter - profile.p_mquarter
+    ideal = np.exp(-1j * (sign * np.pi / 8) * step)
+    errors = [(profile.p_half, np.pi / 2), (profile.p_quarter, np.pi / 4),
+              (profile.p_mquarter, -np.pi / 4)]
+    errs = ideal * sum(p * np.exp(-1j * extra * step) for p, extra in errors)
+    return keep, ideal, errs / keep
+
+
 class TestProfiles:
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             RotationErrorProfile(-0.1, 0.0, 0.0)
         with pytest.raises(ValueError):
             RotationErrorProfile(0.5, 0.4, 0.2)
+
+    def test_a_profile_must_leave_a_keep_probability(self):
+        # the keep, 1 - p_half - p_quarter - p_mquarter in that order, is
+        # the engine's; the profile rejects it at 0, and also where exact
+        # arithmetic leaves 2**-55 but the rounded subtractions leave 0
+        with pytest.raises(ValueError, match="keep"):
+            RotationErrorProfile(0.5, 0.25, 0.25)
+        probs = (3 * 2.0**-55, 0.5, 0.5 - 2.0**-53)
+        assert 1 - sum(map(Fraction, probs)) == Fraction(2)**-55
+        with pytest.raises(ValueError, match="keep"):
+            RotationErrorProfile(*probs)
+        # the smallest keep above 0 stands
+        RotationErrorProfile(0.5, 0.25, 0.25 - 2.0**-54)
+
+    def test_branches_pair_each_probability_with_its_angle(self):
+        f = RotationErrorProfile(0.01, 0.02, 0.03, 0.04)
+        assert f.branches == ((0.01, 4), (0.02, 2), (0.03, -2))
+        assert f.p_error == 0.01 + 0.02 + 0.03
+        # fields of their own, outside equality, hash and repr
+        assert f == RotationErrorProfile(0.01, 0.02, 0.03, 0.04)
+        assert hash(f) == hash(RotationErrorProfile(0.01, 0.02, 0.03, 0.04))
+        assert "branches" not in repr(f) and "p_error" not in repr(f)
+        # the extra angles in radians, exactly
+        assert [k * np.pi / 8 for _, k in f.branches] == [
+            np.pi / 2, np.pi / 4, -np.pi / 4]
 
     def test_storage_rates_validation(self):
         with pytest.raises(ValueError):
@@ -257,10 +299,10 @@ class TestGradedAgainstDense:
             for op in _random_ops(rng, n, 8):
                 state = _apply(state, op)
             state, _ = state.project_plus(frozenset({n - 1}))
-            if n == 5:  # keep probability 0: every earlier branch is gone
+            if n == 5:  # keep probability 1e-4: the new branches outweigh
                 state = state.apply_faulty_rotation(
-                    PauliProduct("ZZII"),
-                    RotationErrorProfile(0.5, 0.25, 0.25))
+                    Rotation(PauliProduct("ZZII"), RotationAngle(1)),
+                    RotationErrorProfile(0.5, 0.25, 0.2499))
             for op in _random_ops(rng, n - 1, 4):
                 state = _apply(state, op)
             weights, rows = state.grade1_branches()
@@ -309,22 +351,33 @@ class TestGradedAgainstDense:
             classes[0, 0] = 1
 
     def test_rotation_tables_are_memoized_and_read_only(self):
-        # by (profile, sign): an equal profile reads the same tables
+        # by (profile, k): an equal profile reads the same tables
         tables = _rotation_tables(RotationErrorProfile(0.01, 0.02, 0.03), -1)
         assert _rotation_tables(RotationErrorProfile(0.01, 0.02, 0.03),
                                 -1) is tables
-        keep, ideal, errs, odds = tables
+        keep, ideal, odds = tables
         assert keep == 1.0 - 0.01 - 0.02 - 0.03
-        assert not any(t.flags.writeable for t in (ideal, errs, odds))
-        assert odds.tobytes() == (errs / keep).tobytes()
-        # at keep 0 the rotation scales errs by the state's scale itself
-        assert _rotation_tables(RotationErrorProfile(0.5, 0.25, 0.25),
-                                1)[::3] == (0.0, None)
+        assert not any(t.flags.writeable for t in (ideal, odds))
+
+    @settings(max_examples=60)
+    @given(profile=st.builds(RotationErrorProfile, st.floats(0.0, 0.33),
+                             st.floats(0.0, 0.33), st.floats(0.0, 0.33)),
+           k=st.sampled_from([1, -1]))
+    def test_rotation_tables_are_the_bytes_of_a_list_of_branches(
+            self, profile, k):
+        # the tables from the profile's branches are those of its three
+        # branches written out in radians, byte for byte
+        keep, ideal, odds = _rotation_tables(profile, k)
+        want_keep, want_ideal, want_odds = _reference_tables(profile, k)
+        assert keep == want_keep
+        assert ideal.tobytes() == want_ideal.tobytes()
+        assert odds.tobytes() == want_odds.tobytes()
 
     def test_noiseless_state_has_an_empty_branch_store(self):
         state = GradedDensityMatrix.init_plus(3, kmax=1)
         state = state.apply_faulty_rotation(
-            PauliProduct("ZZI"), RotationErrorProfile(0.0, 0.0, 0.0))
+            Rotation(PauliProduct("ZZI"), RotationAngle(1)),
+            RotationErrorProfile(0.0, 0.0, 0.0))
         state, _ = state.project_plus(frozenset({2}))
         assert state.births == ()
         assert state.infidelity_with_pure(state.pure / np.linalg.norm(
@@ -386,8 +439,8 @@ class TestGradedAgainstDense:
         graded = GradedDensityMatrix.init_plus(2, kmax=2)
         with pytest.raises(ValueError):
             graded.apply_faulty_rotation(
-                PauliProduct("XI"), RotationErrorProfile(0.01, 0.0, 0.0)
-            )
+                Rotation(PauliProduct("XI"), RotationAngle(1)),
+                RotationErrorProfile(0.01, 0.0, 0.0))
 
 
 def _masses(state) -> list[float]:
@@ -433,8 +486,8 @@ class TestWaitingFlips:
                                             for i in range(n)))
                 others = [
                     lambda s: s.apply_faulty_rotation(
-                        axis, RotationErrorProfile(0.01, 0.02, 0.03),
-                        sign=-1),
+                        Rotation(axis, RotationAngle(-1)),
+                        RotationErrorProfile(0.01, 0.02, 0.03)),
                     lambda s: s.apply_z_flips([(q, 0.03),
                                                ((q + 1) % n, 0.01)]),
                 ]
@@ -514,9 +567,9 @@ def _z_flip_cases(draw):
             mask = draw(st.integers(1, (1 << m) - 1))
             axis = PauliProduct("".join("Z" if mask >> i & 1 else "I"
                                         for i in range(m)))
-            profile = st.builds(RotationErrorProfile, prob, prob, prob)
-            ops.append(("rotation", (axis, draw(profile),
-                                     draw(st.sampled_from([1, -1])))))
+            profile = draw(st.builds(RotationErrorProfile, prob, prob, prob))
+            angle = RotationAngle(draw(st.sampled_from([1, -1])))
+            ops.append(("rotation", (Rotation(axis, angle), profile)))
         elif kind == "x":
             ops.append(("x", (draw(st.integers(0, m - 1)),
                               draw(st.floats(0.0, 0.5)))))
@@ -533,8 +586,7 @@ def _z_flip_cases(draw):
 def _run_prefix(state, ops):
     for kind, args in ops:
         if kind == "rotation":
-            state = state.apply_faulty_rotation(args[0], args[1],
-                                                sign=args[2])
+            state = state.apply_faulty_rotation(*args)
         elif kind == "x":
             state = state.apply_x_flip(*args)
         else:
@@ -679,8 +731,9 @@ def _sparse_cases(draw):
                                  unique=True))
             letters = "".join("Z" if q in axis else "I" for q in range(n))
             profile = draw(st.builds(RotationErrorProfile, prob, prob, prob))
-            ops.append(("rotation", (PauliProduct(letters), profile,
-                                     draw(st.sampled_from([1, -1])))))
+            angle = RotationAngle(draw(st.sampled_from([1, -1])))
+            ops.append(("rotation", (Rotation(PauliProduct(letters), angle),
+                                     profile)))
         elif kind == "x":
             ops.append(("x", (draw(st.sampled_from(used)), draw(prob))))
         else:
@@ -693,7 +746,7 @@ def _sparse_cases(draw):
 def _run_ops(state, ops):
     for kind, args in ops:
         if kind == "rotation":
-            state = state.apply_faulty_rotation(args[0], args[1], sign=args[2])
+            state = state.apply_faulty_rotation(*args)
         elif kind == "x":
             state = state.apply_x_flip(*args)
         else:
@@ -744,10 +797,11 @@ def _release_cases(draw):
                                      unique=True))
                 letters = "".join("Z" if q in axis else "I"
                                   for q in range(n))
+                profile = draw(st.builds(RotationErrorProfile, prob, prob,
+                                         prob))
+                angle = RotationAngle(draw(st.sampled_from([1, -1])))
                 drawn.append(("rotation", (
-                    PauliProduct(letters),
-                    draw(st.builds(RotationErrorProfile, prob, prob, prob)),
-                    draw(st.sampled_from([1, -1])))))
+                    Rotation(PauliProduct(letters), angle), profile)))
             elif kind == "x":
                 drawn.append(("x", (draw(st.sampled_from(qubits)),
                                     draw(prob))))
@@ -797,7 +851,7 @@ class TestLiveQubits:
         wide._enter((1 << n) - 1)
         wide = _run_ops(wide, ops)
         touched = {q for kind, args in ops if kind != "x" for q in (
-            args[0].support if kind == "rotation"
+            args[0].axis.support if kind == "rotation"
             else [q for q, p in args if p])}
         assert set(live.live) == touched
         assert full_grades(live).tobytes() == full_grades(wide).tobytes()
@@ -889,10 +943,11 @@ class TestLiveQubits:
     def test_a_factor_next_to_a_pole_is_exact(self, factor):
         # r_X + i r_Y of a factor at or next to |0> is 0 or tiny, and its
         # fold must neither divide by it nor lose the grades it weighs
-        ops = [("rotation", (PauliProduct("ZZI"),
-                             RotationErrorProfile(0.02, 0.01, 0.03), 1)),
-               ("x", (0, 0.04)), ("rotation", (PauliProduct("ZIZ"),
-                RotationErrorProfile(0.01, 0.02, 0.01), -1))]
+        ops = [("rotation", (Rotation(PauliProduct("ZZI"), RotationAngle(1)),
+                             RotationErrorProfile(0.02, 0.01, 0.03))),
+               ("x", (0, 0.04)),
+               ("rotation", (Rotation(PauliProduct("ZIZ"), RotationAngle(-1)),
+                             RotationErrorProfile(0.01, 0.02, 0.01)))]
         flips = [("X", 0.05), ("Z", 0.03), ("X", 0.02)]
         graded = _run_ops(GradedDensityMatrix.init_plus(3, 12), ops)
         dense = _run_ops(DensityMatrix.init_plus(3), ops)
@@ -914,8 +969,8 @@ class TestLiveQubits:
         for channel in (lambda s: s.apply_x_flip(0, 0.1),
                         lambda s: s.apply_z_flips([(0, 0.1)]),
                         lambda s: s.apply_faulty_rotation(
-                            PauliProduct("ZZI"), RotationErrorProfile(
-                                0.01, 0.0, 0.0)),
+                            Rotation(PauliProduct("ZZI"), RotationAngle(1)),
+                            RotationErrorProfile(0.01, 0.0, 0.0)),
                         lambda s: s.release(0, magic),
                         lambda s: s.project_plus(frozenset({0, 1}))):
             with pytest.raises(ValueError, match="released"):
@@ -937,7 +992,8 @@ class TestLiveQubits:
         # engine does not know of
         state = GradedDensityMatrix.init_plus(6, kmax=2)
         state = state.apply_faulty_rotation(
-            PauliProduct("ZZZIII"), RotationErrorProfile(0.01, 0.02, 0.0))
+            Rotation(PauliProduct("ZZZIII"), RotationAngle(1)),
+            RotationErrorProfile(0.01, 0.02, 0.0))
         magic = np.array([1.0, np.exp(-0.25j * np.pi)]) / np.sqrt(2)
         state = state.release(0, magic, [("X", 0.03)])
         state.note = [1]
@@ -1016,8 +1072,8 @@ class TestXFlips:
         # it, every stored grade, the branch store and the readout are
         # the bytes of a run that entered it before the flip
         profile = RotationErrorProfile(0.01, 0.02, 0.03)
-        first = PauliProduct("Z" * (n - 1) + "I")
-        last = PauliProduct("I" * (n - 1) + "Z")
+        first = Rotation(PauliProduct("Z" * (n - 1) + "I"), RotationAngle(1))
+        last = Rotation(PauliProduct("I" * (n - 1) + "Z"), RotationAngle(-1))
         runs = []
         for forced in (False, True):
             state = GradedDensityMatrix.init_plus(n, kmax=3)
@@ -1027,7 +1083,7 @@ class TestXFlips:
             live = state.live
             state = state.apply_x_flip(n - 1, 0.04)
             assert state.live == live
-            state = state.apply_faulty_rotation(last, profile, sign=-1)
+            state = state.apply_faulty_rotation(last, profile)
             assert state.live == tuple(range(n))
             state, p_fail = state.project_plus(frozenset({0}))
             psi = np.exp(1j * np.arange(1 << (n - 1))) * 2.0 ** (
@@ -1045,7 +1101,8 @@ class TestXFlips:
     def test_a_flip_on_a_released_qubit_raises(self):
         state = GradedDensityMatrix.init_plus(3, kmax=2)
         state = state.apply_faulty_rotation(
-            PauliProduct("ZZZ"), RotationErrorProfile(0.01, 0.0, 0.0))
+            Rotation(PauliProduct("ZZZ"), RotationAngle(1)),
+            RotationErrorProfile(0.01, 0.0, 0.0))
         state = state.release(1, np.array([1.0, 1.0]) / np.sqrt(2))
         with pytest.raises(ValueError, match="^qubit 1 was released$"):
             state.apply_x_flip(1, 0.1)

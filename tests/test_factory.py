@@ -21,7 +21,6 @@ from msdsim.factory import (
     FactoryConfig,
     FactoryReport,
     Schedule,
-    ScheduleStep,
     build_schedule,
     cycle_cost,
     check_family_inputs,
@@ -122,7 +121,7 @@ class TestSchedules:
         # six steps, one per dm of the block's 6 dm cycles
         s = build_schedule("L1_15to1")
         assert len(s.steps) == 6
-        covered = sorted(r for step in s.steps for r in step.rotations)
+        covered = sorted(r for rotations in s.steps for r in rotations)
         assert covered == list(range(15))
 
     def test_level2_shapes(self):
@@ -135,11 +134,11 @@ class TestSchedules:
         for family in factory.FAMILIES:
             s = build_schedule(family)
             init = set()
-            for step in s.steps:
-                for r in step.rotations:
+            for step, rotations in enumerate(s.steps):
+                init.update(s.initialize.get(step, ()))
+                for r in rotations:
                     axis = s.circuit.rotations[r].axis
-                    assert set(axis.support) <= init | step.initialize
-                init |= step.initialize
+                    assert set(axis.support) <= init
             assert init == set(range(s.circuit.n))
 
     @pytest.mark.parametrize("family, steps_stored", [
@@ -194,7 +193,7 @@ class TestSchedules:
                 [None, *s.events], s.events):
             if source == "rotation":
                 assert operator is c.rotations[target]
-                assert target in s.steps[step].rotations
+                assert target in s.steps[step]
                 assert kind == 4 * target
                 # after the last step's storage, or this step's rotations
                 assert (before is None or before[1] == "storage"
@@ -224,17 +223,21 @@ class TestSchedules:
                     target if source == "storage" else c.n)
 
     @pytest.mark.parametrize("step, replacement, message", [
-        (2, ScheduleStep((3, 7, 8)), "rotation 3 touches an uninitialized"),
-        (3, ScheduleStep((9, 10, 11)), "exactly once"),
-        (5, ScheduleStep((13,)), "exactly once"),
+        (2, (3, 7, 8), "rotation 3 touches an uninitialized"),
+        (3, (9, 10, 11), "exactly once"),
+        (5, (13,), "exactly once"),
     ], ids=["uninitialized", "twice", "never"])
     def test_schedule_rejects_a_bad_step(self, step, replacement, message):
-        # the level-1 schedule with one step replaced: qubit 4 never
-        # initialized, rotation 11 applied twice, or rotation 14 never
-        steps = list(build_schedule("L1_15to1").steps)
+        # the level-1 schedule with one step replaced by rotations that
+        # initialize no qubit: qubit 4 never initialized, rotation 11
+        # applied twice, or rotation 14 never
+        s = build_schedule("L1_15to1")
+        steps = list(s.steps)
         steps[step] = replacement
+        initialize = {i: qubits for i, qubits in s.initialize.items()
+                      if i != step}
         with pytest.raises(ValueError, match=message):
-            Schedule(catalog("fifteen_to_one"), tuple(steps))
+            Schedule(catalog("fifteen_to_one"), tuple(steps), initialize)
 
     def test_schedules_are_built_once_and_shared_read_only(self):
         s = build_schedule("L2_15x20")
@@ -686,8 +689,8 @@ def test_outputs_leave_from_six_live_qubits_on(config, releases,
 def _one_step(kind: str) -> Schedule:
     """A catalog circuit's schedule as ``simulate_circuit`` runs it."""
     c = catalog(kind)
-    return Schedule(c, (ScheduleStep(tuple(range(len(c.rotations))),
-                                     frozenset(range(c.n))),))
+    return Schedule(c, (tuple(range(len(c.rotations))),),
+                    {0: tuple(range(c.n))})
 
 
 @pytest.mark.parametrize("family", ["L2_15xCCZ", "L1_15to1", "L2_15x20",
@@ -709,12 +712,11 @@ def test_a_schedule_run_matches_the_dense_oracle(family):
     run = factory._run_schedule(schedule, (profiles, rates, 1.5, consumption),
                                 kmax=16 if c.n < 7 else 12)
     dense, initialized = DensityMatrix.init_plus(c.n), set()
-    for step in schedule.steps:
-        initialized |= step.initialize
-        for ri in step.rotations:
+    for step, rotations in enumerate(schedule.steps):
+        initialized.update(schedule.initialize.get(step, ()))
+        for ri in rotations:
             r, profile = c.rotations[ri], profiles[ri]
-            dense = dense.apply_faulty_rotation(
-                r.axis, profile, sign=1 if r.angle.k > 0 else -1)
+            dense = dense.apply_faulty_rotation(r, profile)
             outputs = sorted(c.output_qubits & set(r.axis.support))
             dense = dense.apply_z_flips([(q, profile.p_z_output)
                                          for q in outputs])
@@ -1249,14 +1251,13 @@ def _configs(draw, family=None) -> FactoryConfig:
 
 @st.composite
 def _edge_inputs(draw, family):
-    """(config, noise inputs, whether a rotation's error is certain) of a
-    configuration of ``family``.
+    """(config, noise inputs) of a configuration of ``family``.
 
     The inputs of a drawn configuration, p_phys = 0 included, where some
-    storage (consumption included) does not decay, where some flips X, or
-    X and Z, half the time, so that grades above kmax hold much of the
-    run's mass, and where a rotation's substitution probabilities may sum
-    to 1, so that no error event is certain not to happen.
+    storage (consumption included) does not decay, and where some flips X,
+    or X and Z, half the time, so that grades above kmax hold much of the
+    run's mass.  A rotation always keeps some probability
+    (``RotationErrorProfile`` rejects a profile that leaves none).
     """
     config = draw(_configs(family))
     if draw(st.booleans()):
@@ -1273,12 +1274,7 @@ def _edge_inputs(draw, family):
              for q, r in rates.items()}
     consumption = draw(st.sampled_from([consumption, quiet,
                                         StorageRates(0.5, 0.5)]))
-    certain = draw(st.booleans())
-    if certain:
-        profiles = list(profiles)
-        profiles[draw(st.integers(0, len(profiles) - 1))] = (
-            RotationErrorProfile(0.5, 0.25, 0.25))
-    return config, (profiles, rates, cycles, consumption), certain
+    return config, (profiles, rates, cycles, consumption)
 
 
 def _leading_order(family: str) -> int:
@@ -1440,11 +1436,11 @@ class TestEventMaps:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_maps_match_a_walk_of_the_events(self, data):
-        # at p_phys = 0 or not, c_T 1 or 10, with edge storage rates and
-        # certain rotations, and with the rotations sharing profile
-        # objects, or equal copies of them, in any pattern
+        # at p_phys = 0 or not, c_T 1 or 10, with edge storage rates, and
+        # with the rotations sharing profile objects, or equal copies of
+        # them, in any pattern
         for family in FAMILIES:
-            _, inputs, _ = data.draw(_edge_inputs(family))
+            _, inputs = data.draw(_edge_inputs(family))
             profiles = inputs[0]
             if data.draw(st.booleans()):
                 pool = list(profiles) + [dataclasses.replace(f)
@@ -1484,9 +1480,8 @@ class TestEventMaps:
     @pytest.mark.parametrize("kind", CATALOG_KINDS)
     def test_maps_match_on_a_bare_circuit(self, kind):
         # simulate_circuit's one-step schedules, some without outputs
-        c = catalog(kind)
-        schedule = Schedule(c, (ScheduleStep(tuple(range(len(c.rotations))),
-                                             frozenset(range(c.n))),))
+        schedule = _one_step(kind)
+        c = schedule.circuit
         profiles = [RotationErrorProfile(1e-3 * (i % 3), 2e-4, 3e-4,
                                          1e-4 * (i % 2))
                     for i in range(len(c.rotations))]
@@ -1511,21 +1506,18 @@ class TestScreen:
     @given(data=st.data())
     def test_table_bound_is_below_p_out(self, data):
         for family in FAMILIES:
-            config, inputs, certain = data.draw(_edge_inputs(family))
+            config, inputs = data.draw(_edge_inputs(family))
             run = factory._run_schedule(build_schedule(family), inputs, 6)
             bound = factory._table_bound(family, inputs,
                                          _leading_order(family))
             assert bound <= run.p_out
-            if certain:
-                assert bound == 0.0
 
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
     def test_table_matches_the_engine(self, data):
         for family in FAMILIES:
-            config, inputs, certain = data.draw(_edge_inputs(family))
-            if not certain:  # no odds exist, and the bound is 0 (above)
-                _assert_table_matches_the_engine(family, inputs)
+            config, inputs = data.draw(_edge_inputs(family))
+            _assert_table_matches_the_engine(family, inputs)
 
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
@@ -1534,9 +1526,7 @@ class TestScreen:
         # dev and mass summed with math.fsum; at p_phys = 0 every rotation
         # has the same odds
         for family in FAMILIES:
-            config, inputs, certain = data.draw(_edge_inputs(family))
-            if certain:  # no odds exist
-                continue
+            config, inputs = data.draw(_edge_inputs(family))
             order = _leading_order(family)
             got = _table_p_out(family, inputs, order)
             want = _set_by_set(family, inputs, order)
@@ -1629,9 +1619,9 @@ class TestScreen:
         schedule = build_schedule(config.family)
         c = schedule.circuit
         applied, stored, initialized = [], [], set()
-        for step in schedule.steps:
-            initialized |= step.initialize
-            for ri in step.rotations:
+        for step, rotations in enumerate(schedule.steps):
+            initialized.update(schedule.initialize.get(step, ()))
+            for ri in rotations:
                 p = profiles[ri]
                 applied.append(1.0 - p.p_half - p.p_quarter - p.p_mquarter)
                 outputs = c.output_qubits & set(c.rotations[ri].axis.support)
