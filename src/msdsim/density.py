@@ -208,15 +208,14 @@ def _xflip_index(qubit: int, d: int) -> np.ndarray:
     return x
 
 
-def _z_flip_tables(counts: Counter, n: int, kmax: int) -> np.ndarray:
-    """(depth + 1, 2**n) complex, depth <= kmax: at x, the coefficients of
-    t^0..t^depth of prod_(mask, p) ((1 - p) + p s(x) t)^m over the m flips
-    of each (mask, p) in ``counts``, with s(x) the sign of Z_mask at basis
-    index x.
-
-    Complex, since a real operand makes NumPy's complex loops cast in
-    buffers.
-    """
+def _z_flip_tables(counts: Counter, n: int, kmax: int
+                   ) -> tuple[float, np.ndarray]:
+    """(K, E / K) of the m flips of each (mask, p) in ``counts``: E_j is at
+    x the coefficient of t^j of prod_(mask, p) ((1 - p) + p s(x) t)^m, with
+    s(x) the sign of Z_mask at basis index x, and E / K is E_1..E_depth,
+    depth <= kmax, over the keep K = E_0 = prod (1 - p)^m, which must not
+    underflow to 0.  Complex, since a real operand makes NumPy's complex
+    loops cast in buffers."""
     depth = min(kmax, sum(counts.values()))
     table = np.zeros((depth + 1, 1 << n), dtype=np.complex128)
     table[0] = 1.0
@@ -227,7 +226,16 @@ def _z_flip_tables(counts: Counter, n: int, kmax: int) -> np.ndarray:
             c = math.comb(m, j) * (1.0 - p)**(m - j) * p**j
             grown[j:] += (c * s if j % 2 else c) * table[:depth + 1 - j]
         table = grown
-    return table
+    keep = table[0, 0].real
+    if keep == 0.0:
+        raise ValueError("the flips' keep is numerically zero")
+    return keep, table[1:] / keep
+
+
+def check_kmax(kmax: int) -> None:
+    """Reject a top grade below 1, on every path of a run."""
+    if kmax < 1:
+        raise ValueError(f"kmax must be at least 1, got {kmax}")
 
 
 def _flip_p(p: float, qubit: int | None = None, n: int = 0) -> float:
@@ -404,8 +412,7 @@ class GradedDensityMatrix:
         """|+>^n, with no qubit live yet: grade 0 is one entry, 2**-n."""
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
-        if kmax < 1:
-            raise ValueError(f"kmax must be at least 1, got {kmax}")
+        check_kmax(kmax)
         dim = 1 << n
         pure = np.full(dim, dim ** -0.5, dtype=np.complex128)
         state = cls(pure, kmax)
@@ -607,9 +614,8 @@ class GradedDensityMatrix:
             counts = {(_compress(mask, self.live), p): m
                       for (mask, p), m in counts.items()}
         n = len(self.live)
-        table = _z_flip_tables(counts, n, kmax)
-        keep, depth = table[0, 0].real, len(table) - 1
-        table = table[1:] / keep
+        keep, table = _z_flip_tables(counts, n, kmax)
+        depth = len(table)
         # the E_j of a slab of rows and a term fill the scratch
         stacks, work, xor = self._stacks, self._work, _xor_index(n)
         s, d = stacks.shape[1:3]
@@ -666,11 +672,9 @@ class GradedDensityMatrix:
             raise ValueError(f"flips {flips} are not all X or Z")
         # the Pauli components (I, Z, X, Y) are the sign patterns 0..3 of
         # two bits that an X flip (bit 0) and a Z flip (bit 1) each flip
-        table = _z_flip_tables(Counter(({"X": 1, "Z": 2}[letter], p)
-                                       for letter, p in flips if p),
-                               2, self._kmax)
-        keep = table[0, 0].real
-        lam = table[1:] / keep
+        keep, lam = _z_flip_tables(Counter(({"X": 1, "Z": 2}[letter], p)
+                                            for letter, p in flips if p),
+                                   2, self._kmax)
         lo = self._live(1 << qubit)
         work, buf = self._work, self._buffer
         grades = self._kmax + 1

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import SUBSTITUTIONS, _BLOCK_BYTES
-from .pauli import Rotation, RotationAngle, phase_exponents
+from .pauli import Rotation, RotationAngle, phase_exponents, z_signs
 
 _EPS = sys.float_info.epsilon
 
@@ -61,9 +61,9 @@ def classes(schedule, profiles, probabilities: tuple[float, ...]
     channel (a rotation's three branches, or one flip), which must be
     above 0.  The kinds of one branch of the rotations, keyed by its index
     in the profile's ``branches``, are grouped by equal odds, in order of
-    first appearance, and each storage and consumption kind is a class of
-    its own, so that distances at which two qubits' storage odds coincide
-    read the same table.
+    first appearance, and each Z kind of storage or consumption, 4R to 4R+n
+    for R rotations and n qubits, is a class of its own, so that distances
+    at which two qubits' storage odds coincide read the same table.
 
     A rotation's kinds depend only on its profile and its shape
     (``Schedule.shapes``), so their keys are built once per distinct pair,
@@ -88,7 +88,8 @@ def classes(schedule, profiles, probabilities: tuple[float, ...]
         groups[pair] = [number.setdefault(key, len(number)) for key in keys]
     partition = list(itertools.chain.from_iterable(map(groups.__getitem__,
                                                        pairs)))
-    for kind, i in enumerate(first[4 * rotations:], 4 * rotations):
+    z_kinds = range(4 * rotations, 4 * rotations + schedule.circuit.n + 1)
+    for kind, i in zip(z_kinds, first[z_kinds.start:z_kinds.stop]):
         key = none if i is None else (kind, probabilities[i]
                                       / (1.0 - probabilities[i]))
         partition.append(number.setdefault(key, len(number)))
@@ -102,7 +103,7 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     The events are the Z-type entries of ``schedule.events``: each
     rotation's three substitution branches, a set holding at most one per
     rotation, and the Z flips, a rotation's output flips and every storage
-    and consumption flip.  Each kind of event of :func:`classes` is of
+    and consumption Z flip.  Each kind of event of :func:`classes` is of
     class ``partition[kind]``.  All Z flips on one qubit are the same
     operator, so the m flips of one class on qubit q enter as one event of
     multiplicity m: a set that holds it j <= m times stands for C(m, j)
@@ -151,11 +152,11 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
                     [Rotation(operator.axis, RotationAngle(k))], c.n)[basis])
                 labels.append(partition[kind + col])
             ends += [len(steps)] * 3
-        elif kind is not None:  # a Z flip; the X flips are left out
+        elif operator == "Z":  # the X flips are left out
             flips[target, partition[kind]] += 1
     mults = [1] * len(steps)
     for (q, label), m in flips.items():
-        steps.append(8 * ((basis >> q) & 1))
+        steps.append((4 * (1 - z_signs(1 << q, c.n)[basis])).astype(np.int64))
         labels.append(label)
         mults.append(m)
         ends.append(len(steps))

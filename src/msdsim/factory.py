@@ -39,7 +39,7 @@ from .circuits import (LEADING_ORDER, PLUS, Circuit, NoiseSpec, catalog,
                        product_state)
 from .density import (DEFAULT_MAX_GRADE, GradedDensityMatrix,
                       RotationErrorProfile, _rejected, _sum_checks,
-                      pure_state_infidelity)
+                      check_kmax, pure_state_infidelity)
 from .eventsets import _EPS, EventSets, classes, read_p_out, signature_sums
 from .noise import (
     DistanceSet,
@@ -258,9 +258,10 @@ class Schedule:
     entry is (step, source, operator, target, kind): source "rotation",
     "output", "storage" or "consumption"; operator the ``Rotation``, "X"
     or "Z"; target the rotation's index or the qubit; kind, with R
-    rotations, 4i for rotation i (its branches 4i to 4i+2), 4i+3 for its
-    output flips, 4R+q for q's storage Z flips, 4R+n for the consumption
-    Z flips, and None for the X flips, which the event sets leave out.
+    rotations and n qubits, 4i for rotation i (its branches 4i to 4i+2),
+    4i+3 for its output flips, 4R+q for q's storage Z flips, 4R+n for the
+    consumption Z flips, 4R+n+1+q for q's storage X flips and 4R+2n+1 for
+    the consumption X flips.  Entries of one kind have one probability.
 
     ``leaving`` maps the index in ``events`` of each rotation that is the
     last on an output whose ideal state is a single-qubit factor
@@ -271,11 +272,9 @@ class Schedule:
 
     The per-configuration readers take what they need of ``events`` from
     maps made here, with no walk of their own.  ``take`` reads each
-    entry's probability, in order, from a list of the R rotations' summed
-    substitution probabilities, their ``p_z_output``, each of the n
-    qubits' X then Z storage rate times the cycles, and the consumption X
-    and Z rates (:func:`_probabilities`).  ``first`` holds each kind's
-    first entry (None if it has none), and ``shapes`` each rotation's
+    entry's probability, in order, from a list of one value per kind
+    (:func:`_probabilities`).  ``first`` holds each kind's first entry
+    (None if it has none, as a branch kind), and ``shapes`` each rotation's
     (whether its axis holds an output, whether it holds more than one
     qubit), on which its error profile and its output flips depend.
     """
@@ -296,6 +295,7 @@ class Schedule:
     def __post_init__(self) -> None:
         c = self.circuit
         storage = 4 * len(c.rotations)
+        flips = storage + c.n + 1  # the X kinds follow the Z kinds
         events = []
         initialized: set[int] = set()
         for step, rotations in enumerate(self.steps):
@@ -309,31 +309,20 @@ class Schedule:
                 events += [(step, "output", "Z", q, 4 * ri + 3) for q in
                            sorted(c.output_qubits & set(r.axis.support))]
             for q in sorted(initialized):
-                events += [(step, "storage", "X", q, None),
+                events += [(step, "storage", "X", q, flips + q),
                            (step, "storage", "Z", q, storage + q)]
         if sorted(ri for _, source, _, ri, _ in events
                   if source == "rotation") != list(range(len(c.rotations))):
             raise ValueError("schedule must apply every rotation exactly once")
         for q in sorted(c.output_qubits):
-            events += [(len(self.steps), "consumption", "X", q, None),
+            events += [(len(self.steps), "consumption", "X", q, flips + c.n),
                        (len(self.steps), "consumption", "Z", q, storage + c.n)]
         object.__setattr__(self, "events", tuple(events))
-        # each entry's slot in _probabilities' list of values
-        rotations, n = len(c.rotations), c.n
-        slots = []
-        for _, source, operator, target, kind in events:
-            z = operator == "Z"
-            slots.append(
-                target if source == "rotation"
-                else rotations + kind // 4 if source == "output"
-                else 2 * rotations + z * n + target if source == "storage"
-                else 2 * rotations + 2 * n + z)
-        object.__setattr__(self, "take", itemgetter(*slots))
-        first = [None] * (events[-1][-1] + 1)
-        for i, (*_, kind) in reversed(list(enumerate(events))):
-            if kind is not None:
-                first[kind] = i
-        object.__setattr__(self, "first", tuple(first))
+        kinds = [kind for *_, kind in events]
+        object.__setattr__(self, "take", itemgetter(*kinds))
+        first = {kind: i for i, kind in reversed(list(enumerate(kinds)))}
+        object.__setattr__(self, "first", tuple(
+            map(first.get, range(flips + c.n + 1))))
         object.__setattr__(self, "shapes", tuple(
             (not c.output_qubits.isdisjoint(r.axis.support),
              len(r.axis.support) > 1) for r in c.rotations))
@@ -397,15 +386,16 @@ def _probabilities(schedule: Schedule, inputs: tuple) -> tuple[float, ...]:
     """The probability of each entry of ``schedule.events`` under the
     noise ``inputs`` (:func:`_noise_inputs`), a rotation's being that of
     its three substitution branches together: one read, through
-    ``Schedule.take``, of a list of one value per rotation, qubit and
-    kind of flip."""
+    ``Schedule.take``, of a list of one value per kind, 0 at the branch
+    kinds, which no entry has."""
     profiles, rates, cycles, consumption = inputs
     stored = list(map(rates.__getitem__, range(schedule.circuit.n)))
+    rotations = [0.0] * (4 * len(profiles))
+    rotations[::4] = [f.p_error for f in profiles]
+    rotations[3::4] = [f.p_z_output for f in profiles]
     return schedule.take(
-        [f.p_error for f in profiles]
-        + [f.p_z_output for f in profiles]
-        + [cycles * r.pX for r in stored] + [cycles * r.pZ for r in stored]
-        + [consumption.pX, consumption.pZ])
+        rotations + [cycles * r.pZ for r in stored] + [consumption.pZ]
+        + [cycles * r.pX for r in stored] + [consumption.pX])
 
 
 def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
@@ -433,6 +423,7 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     channel costs about the same at any width, and the release would not
     pay for itself.
     """
+    check_kmax(kmax)
     c = schedule.circuit
     probabilities = _probabilities(schedule, inputs)
     events = sum(p > 0.0 for p in probabilities)
@@ -493,6 +484,7 @@ def simulate_circuit(c: Circuit, noise: NoiseSpec,
     consumption noise.  coherent over-rotates every gate by a fixed excess
     angle, on a statevector; an angle of 0 is the noiseless schedule run.
     """
+    check_kmax(kmax)
     if noise.kind == "coherent" and noise.value:
         psi = product_state([PLUS] * c.n)
         for r in c.rotations:
@@ -754,6 +746,7 @@ def p_out_lower_bound(config: FactoryConfig,
     rows it is 0.916 to 1.000 of p_out.  At kmax < K the run holds no set
     of K events, and the bound is 0.
     """
+    check_kmax(kmax)
     order = LEADING_ORDER[build_schedule(config.family).circuit.name]
     if kmax < order:
         return 0.0
@@ -802,6 +795,7 @@ def sweep(
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(
             f"target p_out must be finite and positive, got {target_p_out}")
+    check_kmax(kmax)
     check_family_inputs(family,
                         {**ranges, "full": consumption_prefactor_toggle},
                         {"full": "consumption prefactor"})

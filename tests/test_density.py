@@ -8,6 +8,7 @@ state exactly.
 from __future__ import annotations
 
 import copy
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -434,6 +435,21 @@ class TestGradedAgainstDense:
         with pytest.raises(ValueError, match="kmax"):
             GradedDensityMatrix.init_plus(2, kmax=0)
         GradedDensityMatrix.init_plus(2, kmax=1)
+
+    @pytest.mark.parametrize("channel", [
+        lambda rho: rho.apply_z_flips([(0, 1 - 2**-52)] * 25),
+        lambda rho: rho.apply_absorbed_flips([1 - 2**-52] * 25),
+        lambda rho: rho.apply_z_flips([(0, 1e-3), (1, 1e-3)]).release(
+            0, np.array([1.0, 1.0]) / np.sqrt(2.0), [("Z", 1 - 2**-52)] * 25),
+    ], ids=["z_flips", "absorbed", "release"])
+    def test_a_flip_pass_whose_keep_underflows_raises(self, channel):
+        # prod (1 - p)^m = 2**-1300 rounds to 0, and the pass would divide
+        # by it; the release's state has both qubits in the stack
+        rho = GradedDensityMatrix.init_plus(2, kmax=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="keep is numerically zero"):
+                channel(rho)
 
     def test_graded_rejects_non_z_axes(self):
         graded = GradedDensityMatrix.init_plus(2, kmax=2)

@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import msdsim.factory as factory
 from msdsim import eventsets, noise as noise_model
-from msdsim.circuits import CATALOG_KINDS, catalog, random_pauli
+from msdsim.circuits import (CATALOG_KINDS, catalog, coherent,
+                             random_pauli, z_only)
 from msdsim.density import GradedDensityMatrix, RotationErrorProfile
 from msdsim.factory import (
     FAMILIES,
@@ -188,7 +189,9 @@ class TestSchedules:
         assert steps == sorted(steps)
         assert {source for _, source, *_ in s.events[-2 * consumed:]} == {
             "consumption"}
+        # the Z kinds of storage and consumption, then the X kinds
         storage = 4 * len(c.rotations)
+        flips = {"Z": storage, "X": storage + c.n + 1}
         for before, (step, source, operator, target, kind) in zip(
                 [None, *s.events], s.events):
             if source == "rotation":
@@ -207,7 +210,8 @@ class TestSchedules:
                 assert target in c.output_qubits and target in axis
                 assert before[1] == "rotation" or before[3] < target
             elif operator == "X":
-                assert kind is None
+                assert kind == flips["X"] + (
+                    target if source == "storage" else c.n)
                 if before[1] == source:  # the previous qubit's channel
                     assert before[0] == step
                     assert before[2] == "Z" and before[3] < target
@@ -219,7 +223,7 @@ class TestSchedules:
                     assert before[0] + 1 == step == len(s.steps)
             else:  # the Z flip right after the channel's X flip
                 assert before[:4] == (step, source, "X", target)
-                assert kind == storage + (
+                assert kind == flips["Z"] + (
                     target if source == "storage" else c.n)
 
     @pytest.mark.parametrize("step, replacement, message", [
@@ -760,6 +764,28 @@ def test_kmax_is_clamped_to_the_event_count(monkeypatch):
     assert seen == [events, events, 15, 15] * 2
     assert factory._run_schedule(schedule, inputs, 3) != (
         factory._run_schedule(schedule, inputs, events))
+
+
+@pytest.mark.parametrize("kmax", [0, -3])
+@pytest.mark.parametrize("call", [
+    lambda kmax: simulate_factory(_l1(7, 3, 3, 0.0), kmax),
+    lambda kmax: simulate_factory(
+        _l2("L2_15x20", 7, 3, 3, 13, 5, 7, 4, 0.0), kmax),
+    lambda kmax: factory.simulate_circuit(
+        catalog("fifteen_to_one"), coherent(0.01), kmax),
+    lambda kmax: factory.simulate_circuit(
+        catalog("fifteen_to_one"), z_only(0.0), kmax),
+    lambda kmax: p_out_lower_bound(_l1(7, 3, 3, 0.0), kmax),
+    lambda kmax: sweep("L1_15to1", {"dX": [7], "dZ": [3], "dm": [3]},
+                       PhysicalNoise(0.0), 1e-10, kmax=kmax),
+], ids=["factory_l1", "factory_l2", "circuit_coherent", "circuit_z0",
+        "bound", "sweep"])
+def test_kmax_below_one_is_rejected_on_every_path(call, kmax):
+    # at p_phys = 0 or under coherent noise no graded state is built, and
+    # the run still rejects the kmax
+    with pytest.raises(ValueError,
+                       match=f"^kmax must be at least 1, got {kmax}$"):
+        call(kmax)
 
 
 class TestNoiseless:
@@ -1377,13 +1403,14 @@ def _walked_probabilities(schedule, inputs) -> tuple[float, ...]:
 
 
 def _walked_classes(schedule, profiles, probabilities):
-    """``eventsets.classes``, entry by entry: each kind's class key at its
-    first entry, numbered in order of first appearance."""
+    """``eventsets.classes``, entry by entry: each Z kind's class key at
+    its first entry, numbered in order of first appearance."""
     none = (3, 0.0)
-    keys = [none] * (schedule.events[-1][-1] + 1)
-    for (_, source, _, target, kind), p in zip(schedule.events,
-                                               probabilities):
-        if kind is None or keys[kind] is not none:
+    c = schedule.circuit
+    keys = [none] * (4 * len(c.rotations) + c.n + 1)
+    for (_, source, operator, target, kind), p in zip(schedule.events,
+                                                      probabilities):
+        if operator == "X" or keys[kind] is not none:
             continue
         if source == "rotation":
             f, keep = profiles[target], 1.0 - p
@@ -1488,6 +1515,37 @@ class TestEventMaps:
         rates = {q: StorageRates(1e-5 * q, 2e-5) for q in range(c.n)}
         _assert_maps_match_a_walk(schedule, (profiles, rates, 3.0,
                                              StorageRates(1e-4, 2e-4)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_one_probability_per_kind(self, data):
+        # every entry has a kind, entries of one kind are one channel's
+        # (the walk reads them the same probability), and first[kind] is
+        # the kind's first entry, or None for a kind no entry has
+        rate = st.sampled_from([0.0, 1e-5, 2e-4, 0.1])
+        runs = [(build_schedule(family), data.draw(_edge_inputs(family))[1])
+                for family in FAMILIES]
+        for kind in CATALOG_KINDS:
+            schedule = _one_step(kind)
+            c = schedule.circuit
+            profiles = [RotationErrorProfile(1e-3 * (i % 3), 2e-4, 3e-4,
+                                             1e-4 * (i % 2))
+                        for i in range(len(c.rotations))]
+            runs.append((schedule, (
+                profiles, {q: StorageRates(data.draw(rate), data.draw(rate))
+                           for q in range(c.n)},
+                3.0, StorageRates(data.draw(rate), data.draw(rate)))))
+        for schedule, inputs in runs:
+            c = schedule.circuit
+            first = {}
+            for i, ((*_, kind), p) in enumerate(zip(
+                    schedule.events, _walked_probabilities(schedule,
+                                                           inputs))):
+                assert type(kind) is int
+                assert first.setdefault(kind, (i, p))[1] == p
+            assert schedule.first == tuple(
+                first[kind][0] if kind in first else None
+                for kind in range(4 * len(c.rotations) + 2 * c.n + 2))
 
 
 class TestScreen:
