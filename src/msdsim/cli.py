@@ -177,7 +177,7 @@ def parse_int_triple(text: str, label: str) -> tuple[int, int, int]:
 
 def parse_int_list(text: str, label: str) -> list[int]:
     try:
-        values = [int(p) for p in text.split(",") if p]
+        values = [int(p) for p in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"{label} must be comma-separated integers") from None
     if not values:

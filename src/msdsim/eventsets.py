@@ -28,6 +28,8 @@ _EPS = sys.float_info.epsilon
 # holds the sum of powers a and b at 16 a + b
 _ROOTS = np.exp(1j * np.pi / 8 * np.arange(16))
 _PAIRS = (_ROOTS[:, None] + _ROOTS[None, :]).ravel()
+# the (set, event) positions that kept_sets tests for passing at a time
+_POSITIONS = 4096
 
 
 class EventSets(NamedTuple):
@@ -118,19 +120,25 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     exp(i pi/8), so the pre-measurement state a set leaves has amplitudes
     exp(i pi/8 a) / sqrt(2^n), where the integer a (mod 16) sums the
     exponents of the ideal rotations (:func:`pauli.phase_exponents`) and
-    of the set's events.  The
-    checks' projection averages over the check qubits, and the ideal
-    output is a vector phi of the other qubits (``Circuit.ideal_kept``)
-    times |+> on the checks, so a branch reads through its sums r over
-    the check bits: mass |r|^2 and deviation |r - <phi|r> phi|^2, scaled
-    so that the zero-event branch has mass 1.  The consumption flips, on
-    the outputs, commute with the projection.  Sets are read in chunks of
-    at most ``_BLOCK_BYTES``, their phases looked up two check bits at a
-    time.
+    of the set's events.  The checks' projection averages over the check
+    qubits, and the ideal output is a vector phi of the other qubits
+    (``Circuit.ideal_kept``) times |+> on the checks, so a branch reads
+    through its sums r over the check bits: mass |r|^2 and deviation
+    |r - <phi|r> phi|^2, scaled so that the zero-event branch has mass 1.
+    The consumption flips, on the outputs, commute with the projection.
 
-    A set the checks reject (most 15-to-1 triples) has r = 0 exactly, so
-    its dev and mass are 0, and it is left out; its growths are still
-    read.
+    Only the sets the checks can let through are read.  An event is a
+    Pauli P of Z type (a P_{pi/2} branch, or a flip) or a mix of I and P
+    (a P_{+-pi/4} branch), and P flips the checks of its check pattern, the
+    checks in its support.  So a set's branch expands into Pauli terms,
+    each flipping the XOR of its Paulis' patterns, and a term that flips a
+    check projects to 0.  A set none of whose terms reaches pattern 0 has
+    r = 0 exactly (most 15-to-1 triples) and is skipped; every set below
+    ``order`` events carries the patterns its terms reach, from which its
+    growths' are read.  The sets that can pass are grown, in order, from
+    blocks of sets and events, and read in chunks of ``_BLOCK_BYTES``, one
+    chunk across sizes, their phases looked up two check bits at a time.
+    A set read with r = 0 all the same is left out.
     """
     c = schedule.circuit
     checks = sorted(c.check_qubits)
@@ -141,29 +149,46 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
                 for pos, q in enumerate(checks + rest))
     # the ideal rotations' exponents at each position
     pre = phase_exponents(c.rotations, c.n)[basis]
-    # each event's exponents and class, and the event that starts the next
-    # channel (a rotation's branches are adjacent)
-    steps, labels, ends = [], [], []
+    bits = {q: 1 << i for i, q in enumerate(checks)}
+    # each event's class and check pattern, and the event that starts the
+    # next channel (a rotation's branches are adjacent), with each
+    # rotation's exponents of a pi/8 turn about its axis
+    labels, patterns, ends, turns = [], [], [], []
     flips = Counter()  # the multiplicity of each (qubit, class) of Z flips
     for _, source, operator, target, kind in schedule.events:
         if source == "rotation":
-            for col, k in enumerate(SUBSTITUTIONS):
-                steps.append(phase_exponents(
-                    [Rotation(operator.axis, RotationAngle(k))], c.n)[basis])
-                labels.append(partition[kind + col])
-            ends += [len(steps)] * 3
+            turns.append(phase_exponents(
+                [Rotation(operator.axis, RotationAngle(1))], c.n))
+            labels += partition[kind:kind + 3]
+            patterns += [sum(bits.get(q, 0)
+                             for q in operator.axis.support)] * 3
+            ends += [len(labels)] * 3
         elif operator == "Z":  # the X flips are left out
             flips[target, partition[kind]] += 1
-    mults = [1] * len(steps)
-    for (q, label), m in flips.items():
-        steps.append((4 * (1 - z_signs(1 << q, c.n)[basis])).astype(np.int64))
+    mults = np.array([1] * len(labels) + list(flips.values()),
+                     dtype=np.int64)
+    for q, label in flips:
         labels.append(label)
-        mults.append(m)
-        ends.append(len(steps))
-    steps = (np.array(steps) % 16).astype(np.uint8)
+        patterns.append(bits.get(q, 0))
+        ends.append(len(labels))
+    # a substitution of k pi/8 adds k pi/8 turns; a flip adds 8 where its
+    # Z reads -1
+    dim = 1 << c.n
+    steps = np.concatenate([
+        np.multiply.outer(np.array(turns, dtype=np.int64), SUBSTITUTIONS
+                          ).transpose(0, 2, 1).reshape(-1, dim),
+        4 * (1 - np.array([z_signs(1 << q, c.n) for q, _ in flips],
+                          dtype=np.int64).reshape(-1, dim))])
+    steps = (steps[:, basis] % 16).astype(np.uint8)
+    # a P_{+-pi/4} branch mixes I and P; a P_{pi/2} branch and a flip are
+    # Paulis
+    quarters = np.array([k % 8 != 4 for k in SUBSTITUTIONS] * len(turns)
+                        + [False] * len(flips))
     ends = np.array(ends, dtype=np.int32)
     labels = np.array(labels, dtype=np.uint8)
-    mults = np.array(mults, dtype=np.int64)
+    patterns = np.array(patterns)
+    # the pattern a Pauli of each event's pattern turns each pattern into
+    moves = np.arange(1 << len(checks)) ^ patterns[:, None]
     shape = (1 << len(rest), 1 << len(checks))
     phi = c.ideal_kept
     unit = 2.0 ** -(c.n + len(checks))  # |r|^2 of a pure |+>^n start is 1
@@ -190,42 +215,80 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
         np.einsum("ij,ij->i", squares, squares, out=norms[0])
         return norms * unit, norms[1] > rejected
 
-    # every set of the last size, their exponents, and the sets of the run
-    # each stands for
+    def flush(pieces):
+        """Read the pieces' sets in one chunk, and yield each piece's kept
+        sets."""
+        expo = np.concatenate([piece[1] for piece in pieces])
+        # r @ phi rounds a lone row otherwise (BLAS's dot) than the rows of
+        # a matrix, so a lone set is read twice; only the empty set, of
+        # its own size, is read alone
+        norms, through = read(np.concatenate([expo, expo]) if len(expo) == 1
+                              else expo)
+        lo = 0
+        for sets, _, ways in pieces:
+            at = np.flatnonzero(through[lo:lo + len(ways)])
+            yield labels.take(sets[:, at]), norms[:, lo + at], ways[at]
+            lo += len(ways)
+
+    def grow(rows, new):
+        """The sets ``rows`` of the last size grown by the events ``new``,
+        their exponents, and the sets of the run each stands for."""
+        sets = np.empty((len(every) + 1, len(rows)), dtype=np.uint8)
+        sets[:-1], sets[-1] = every.take(rows, axis=1), new
+        # C(m, j) = C(m, j - 1) (m - j + 1) / j, j the new event's count
+        j = (sets == new).sum(axis=0)
+        grown_ways = ways.take(rows) * (mults.take(new) - j + 1) // j
+        grown = expo.take(rows, axis=0) + steps.take(new, axis=0)
+        grown &= 15
+        return sets, grown, grown_ways
+
+    # every set of the last size, their exponents, the sets of the run each
+    # stands for, its first event to add and the patterns its terms reach
     every, expo = np.zeros((0, 1), dtype=np.uint8), pre[None]
     ways = np.ones(1, dtype=np.int64)
+    start = np.zeros(1, dtype=np.int32)
+    reach = np.arange(1 << len(checks))[None] == 0
     yield labels.take(every), read(expo)[0], ways
-    start = np.zeros(1, dtype=np.int32)  # each set's first event to add
+    events = np.arange(len(labels))
     per = max(1, _BLOCK_BYTES // (16 << c.n))
+    block = max(1, _POSITIONS // len(labels))
+    pieces, held = [], 0
     for k in range(1, order + 1):
-        # each set grows by each event from its start on, in order: the
-        # sets grown from set i take the positions from cum[i] - counts[i]
-        # on, and a position's new event is the position less first[i]
-        counts = len(steps) - start
-        cum = np.cumsum(counts)
-        first = cum - counts - start
+        # each set grows by each event from its start on; a growth can pass
+        # if a term of the set reaches the new Pauli's pattern, or, for a
+        # mix, pattern 0
         grown = []
-        for lo in range(0, int(cum[-1]), per):
-            at = np.arange(lo, min(lo + per, int(cum[-1])))
-            rows = np.searchsorted(cum, at, side="right")
-            sets = np.empty((k, len(at)), dtype=np.uint8)
-            sets[:-1], sets[-1] = every.take(rows, axis=1), at - first[rows]
-            # C(m, j) = C(m, j - 1) (m - j + 1) / j, j the new event's count
-            j = (sets == sets[-1]).sum(axis=0)
-            grown_ways = ways.take(rows) * (mults.take(sets[-1]) - j + 1) // j
-            chunk = expo.take(rows, axis=0) + steps.take(sets[-1], axis=0)
-            chunk &= 15
-            norms, through = read(chunk)
-            yield (labels.take(sets[:, through]), norms[:, through],
-                   grown_ways[through])
+        for lo in range(0, len(start), block):
+            valid = events >= start[lo:lo + block, None]
+            can = reach[lo:lo + block].take(patterns, axis=1)
+            can |= reach[lo:lo + block, :1] & quarters
+            can &= valid
+            rows, new = np.nonzero(can)
+            rows += lo
+            at = 0
+            while at < len(rows):
+                end = at + per - held
+                pieces.append(grow(rows[at:end], new[at:end]))
+                held += len(pieces[-1][2])
+                at = end
+                if held == per:
+                    yield from flush(pieces)
+                    pieces, held = [], 0
             if k < order:
-                grown.append((sets, chunk, grown_ways))
+                rows, new = np.nonzero(valid)
+                grown.append((rows + lo, new))
         if k < order:
-            sets, chunks, ways = zip(*grown)
-            every, expo = np.concatenate(sets, axis=1), np.concatenate(chunks)
-            ways, last = np.concatenate(ways), every[-1]
-            held = (every == last).sum(axis=0)
-            start = np.where(held < mults.take(last), last, ends.take(last))
+            rows, new = map(np.concatenate, zip(*grown))
+            parents = reach.take(rows, axis=0)
+            reach = np.take_along_axis(parents, moves.take(new, axis=0),
+                                       axis=1)
+            reach |= parents & quarters.take(new)[:, None]
+            every, expo, ways = grow(rows, new)
+            last = every[-1]
+            count = (every == last).sum(axis=0)
+            start = np.where(count < mults.take(last), last, ends.take(last))
+    if pieces:
+        yield from flush(pieces)
 
 
 def signature_sums(schedule, order: int,
@@ -283,24 +346,26 @@ def signature_sums(schedule, order: int,
 def read_p_out(table: EventSets, odds: list[float], outputs: int
                ) -> tuple[float, float]:
     """(p_out, its floor) of a run without X flips from its signature
-    sums, each class of events having the odds ``odds[i]``.
+    sums, each times the run's success mass T relative to its zero-event
+    branch's, each class of events having the odds ``odds[i]``.
 
     A set E weighs prod over E of the odds p_e / keep_e relative to the
-    zero-event run, and every set of one signature weighs the same; p_out
-    is sum(weight * dev) / (outputs * sum(weight * mass)), both sums over
-    the signatures and each a correctly rounded one (``math.fsum``).  The
-    floor is that of an engine readout of the run, which reads grades 0
-    and 1 as squared deviation norms and the rest as differences: eps^2 of
-    the mass of zero and one event plus eps of the rest, over the total.
-    The weights multiply one row of ``terms`` at a time, in order, as a
-    product along each signature would.
+    zero-event run, and every set of one signature weighs the same.  The
+    read is N / outputs, N = sum(weight * dev), a correctly rounded sum
+    (``math.fsum``) over the signatures; the run's p_out is N / (outputs
+    * T), T = sum(weight * mass) >= 1, which the read does not sum, since a
+    bound from a run's zero-event mass up needs only N
+    (``factory._table_bound``).  The floor is that of an engine readout of
+    the run, which reads grades 0 and 1 as squared deviation norms and the
+    rest as differences, times T: eps^2 of the mass of zero and one event
+    plus eps of the rest.  The weights multiply one row of ``terms`` at a
+    time, in order, as a product along each signature would.
     """
     odds = np.array([*odds, 1.0])
     weights = odds[table.terms[0]]
     for row in table.terms[1:]:
         weights *= odds[row]
     dev, mass = map(memoryview, table.sums * weights)
-    total = math.fsum(mass)
     floor = (_EPS**2 * math.fsum(mass[:table.low])
-             + _EPS * math.fsum(mass[table.low:])) / total
-    return math.fsum(dev) / total / outputs, floor
+             + _EPS * math.fsum(mass[table.low:]))
+    return math.fsum(dev) / outputs, floor

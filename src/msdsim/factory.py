@@ -519,27 +519,26 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
     """A lower bound on the p_out of the family's schedule run with the
     noise ``inputs`` at any kmax >= ``order``, with no engine run.
 
-    The bound reads the run's order-``order`` p_out without its X flips
+    The bound reads the run's order-``order`` sums without its X flips
     from the family's event sets (:mod:`eventsets`) of its partition into
     classes of equal odds; a partition not seen before (as at p_phys = 0,
-    where every rotation has the same odds) enumerates them again.  A
-    signature weighs a product of at most ``order`` odds, and the sums in
-    and over signatures are correctly rounded (``math.fsum``), so p_out
-    lands within 4 eps of the correctly rounded sum over the sets, and the
-    floor likewise; the slack's 16 eps of p_out covers it.
+    where every rotation has the same odds) enumerates them again.  The
+    read is N / outputs, N the sum over the table's sets s of rho_s dev_s,
+    rho_s the product of their odds; the sums are correctly rounded
+    (``math.fsum``), so N lands within 4 eps of the exact sum over the
+    sets, and the floor likewise; the slack's 16 eps of N covers it.
 
-    That p_out bounds the run with the X flips.  A run at any kmax reads
-    p_out = N/T, with T <= 1 its success mass and N the sum over its kept
-    event sets s of w_s dev_s, every dev_s >= 0.  Every set the table
+    N bounds the run with the X flips.  A run at any kmax reads p_out =
+    N'/(outputs T), with T <= 1 its success mass and N' the sum over its
+    kept event sets s of w_s dev_s, every dev_s >= 0.  Every set the table
     holds is a set of at most ``order`` events of that run with no X flip
-    in it, and weighs there prod over the X flips of (1 - p_e) times its
-    weight in the run without them.  Keeping only those sets, and taking
-    that run's success mass as at least its zero-event mass, gives
-    p_out(with X flips) >= Z * (p_out - slack), where Z is prod(1 - p_e)
-    over every error channel of the run (:func:`_probabilities`).  No tail
-    is needed.  The run holds up to (S^2/2)/Z in grades 2 and up, with S
-    the sum of those probabilities, so its floor may exceed this one's by
-    eps times that; the slack includes it.
+    in it, and weighs there Z rho_s, Z being prod(1 - p_e) over every
+    error channel of the run (:func:`_probabilities`).  So p_out(with X
+    flips) >= Z * (N / outputs - slack), with no tail and no success mass
+    (the table's own, >= 1, would only lower it).  The run holds up to
+    (S^2/2)/Z in grades 2 and up, with S the sum of those probabilities,
+    so its floor may exceed this one's by eps times that; the slack
+    includes it.
     """
     schedule = build_schedule(family)
     probabilities = _probabilities(schedule, inputs)
@@ -550,14 +549,14 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
         return 0.0
     partition, odds = classes(schedule, inputs[0], probabilities)
     outputs = schedule.circuit.outputs
-    p_out, floor = read_p_out(_event_sets(family, order, partition), odds,
-                              outputs)
+    read, floor = read_p_out(_event_sets(family, order, partition), odds,
+                             outputs)
     # this read and an engine run's each round by about the floor plus a
     # few eps of p_out (table1 row 5's engine readouts at two orders
     # differed by 0.1 floor; other float orders moved it by up to 2.6)
-    slack = (16 * (floor / outputs + _EPS * p_out)
+    slack = (16 * (floor / outputs + _EPS * read)
              + 8 * _EPS * sum(probabilities)**2 / zero_mass / outputs)
-    return zero_mass * (p_out - slack)
+    return zero_mass * (read - slack)
 
 
 def _run_level1(config: FactoryConfig, kmax: int) -> ScheduleRun:
@@ -743,7 +742,7 @@ def p_out_lower_bound(config: FactoryConfig,
     flips, read from the family's sums over event sets; a level-2
     family's level-1 input is the kmax one, from the cache.  It misses
     what the X flips and the orders above K add: on the paper's 24 table
-    rows it is 0.916 to 1.000 of p_out.  At kmax < K the run holds no set
+    rows it is 0.918 to 1.000 of p_out.  At kmax < K the run holds no set
     of K events, and the bound is 0.
     """
     check_kmax(kmax)

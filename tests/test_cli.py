@@ -103,6 +103,15 @@ class TestArgumentParsing:
             with pytest.raises(ValueError):
                 parse_int_triple(bad, "--d")
 
+    def test_int_list(self):
+        assert parse_int_list("5,7", "--dx") == [5, 7]
+        for bad in ("5,,7", "5,", ",5", ",", "5,a"):
+            with pytest.raises(ValueError, match=(
+                    "^--dx must be comma-separated integers$")):
+                parse_int_list(bad, "--dx")
+        with pytest.raises(ValueError, match="at least one integer"):
+            parse_int_list("", "--dx")
+
 
 def reports_from_csv(text: str) -> list[dict]:
     """Parse reports_to_csv output back into typed dictionaries."""
@@ -569,6 +578,22 @@ class TestMainExitCodes:
             assert captured.out == ""
             assert captured.err.startswith("error: target p_out")
             assert captured.err.count("\n") == 1
+
+    def test_empty_list_items_exit_2(self, capsys):
+        # an empty item is no distance: neither is dropped
+        sweep = ["sweep", "--family", "l1_15to1", "--pphys", "1e-4",
+                 "--target", "1e-7", "--dz", "3", "--dm", "3"]
+        listed = "--dx must be comma-separated integers"
+        for argv, message in (
+            (sweep + ["--dx", "5,,7"], listed),
+            (sweep + ["--dx", "5,"], listed),
+            (["factory", "--family", "l1_15to1", "--d", "7,,3", "--pphys",
+              "1e-4"], "--d must be three comma-separated integers"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     def test_kmax_below_one_exits_2(self, capsys):
         for argv in (

@@ -36,6 +36,7 @@ from msdsim.factory import (
 )
 from msdsim.noise import DistanceSet, PhysicalNoise, StorageRates
 from msdsim.reference import TABLE1, TABLE2, row_config
+from eventsets_reference import kept_sets as chunked_kept_sets
 from oracle import DensityMatrix
 
 
@@ -1009,6 +1010,25 @@ class TestSweep:
         sweep(family, ranges, PhysicalNoise(p), target)
         assert calls == simulated
 
+    @pytest.mark.parametrize("family, p, ranges, valid", [
+        ("L1_15to1", 1e-3, {"dX": range(5, 22, 2), "dZ": range(3, 12, 2),
+                            "dm": range(3, 12, 2)}, 150),
+        ("L2_15x20", 1e-4, {"dX": (7, 9), "dZ": (3, 5), "dm": (3, 5),
+                            "dX2": (13, 15, 17), "dZ2": (5, 7),
+                            "dm2": (7, 9), "nL1": (4, 6)}, 192),
+    ], ids=["sweep_l1_15to1", "sweep_l2_15x20"])
+    def test_benchmark_grids_bound_no_lower_than_the_ratio_bound(
+            self, family, p, ranges, valid):
+        # at every valid point of perfbench's two sweep grids, the bound
+        # is at least the one that divided by the table's success mass
+        configs = _valid_configs(family, ranges, PhysicalNoise(p))
+        assert len(configs) == valid
+        order = _leading_order(family)
+        for config in configs:
+            inputs = factory._noise_inputs(config, 6)
+            assert p_out_lower_bound(config) >= _ratio_bound(family, inputs,
+                                                             order)
+
 
 _REPORTS: dict[tuple[FactoryConfig, int], FactoryReport] = {}
 # the entry point itself, which tests patch on the module
@@ -1313,20 +1333,50 @@ def _classes(schedule, inputs):
                              factory._probabilities(schedule, inputs))
 
 
+def _p_out_of(table: eventsets.EventSets, odds, outputs: int
+              ) -> tuple[float, float]:
+    """The order-K (p_out, floor) of a run without X flips from its
+    table's sums: N / (outputs T) and the engine's floor over T, with N
+    and T the sums of weight * dev and weight * mass over the signatures
+    (``eventsets.read_p_out`` reads N / outputs and the floor, each times
+    T)."""
+    odds = np.array([*odds, 1.0])
+    weights = odds[table.terms[0]]
+    for row in table.terms[1:]:
+        weights *= odds[row]
+    dev, mass = (table.sums * weights).tolist()
+    total = math.fsum(mass)
+    eps = factory._EPS
+    return (math.fsum(dev) / total / outputs,
+            (eps**2 * math.fsum(mass[:table.low])
+             + eps * math.fsum(mass[table.low:])) / total)
+
+
 def _table_p_out(family: str, inputs, order: int) -> tuple[float, float]:
-    """The table's (p_out, floor) of the family's run without X flips, as
-    the screen reads it."""
+    """The table's order-K (p_out, floor) of the family's run without X
+    flips."""
+    schedule = build_schedule(family)
+    partition, odds = _classes(schedule, inputs)
+    return _p_out_of(factory._event_sets(family, order, partition), odds,
+                     schedule.circuit.outputs)
+
+
+def _table_read(family: str, inputs, order: int) -> tuple[float, float]:
+    """The screen's read of the family's run without X flips: its p_out
+    and floor times its success mass T (``eventsets.read_p_out``)."""
     schedule = build_schedule(family)
     partition, odds = _classes(schedule, inputs)
     return eventsets.read_p_out(factory._event_sets(family, order, partition),
                                 odds, schedule.circuit.outputs)
 
 
-def _set_by_set(family: str, inputs, order: int) -> tuple[float, float]:
+def _set_by_set(family: str, inputs, order: int
+                ) -> tuple[tuple[float, float], tuple[float, float]]:
     """The (p_out, floor) of the run without X flips summed over the kept
     event sets one by one, each set weighing the product of its events'
     odds and counted as often as the sets of the run it stands for, with
-    math.fsum."""
+    math.fsum; and each of the two times the run's success mass T, as
+    ``eventsets.read_p_out`` reads them."""
     schedule = build_schedule(family)
     partition, odds = _classes(schedule, inputs)
     dev, low, high = [], [], []
@@ -1339,15 +1389,36 @@ def _set_by_set(family: str, inputs, order: int) -> tuple[float, float]:
             (low if len(events) <= 1 else high).extend([weight * m] * w)
     total = math.fsum(low + high)
     eps = factory._EPS
-    return (math.fsum(dev) / total / family_outputs(family),
-            (eps**2 * math.fsum(low) + eps * math.fsum(high)) / total)
+    read = (math.fsum(dev) / family_outputs(family),
+            eps**2 * math.fsum(low) + eps * math.fsum(high))
+    return (read[0] / total, read[1] / total), read
+
+
+def _ratio_bound(family: str, inputs, order: int) -> float:
+    """The bound the screen took before it dropped T: Z times the table's
+    order-K p_out, N / (outputs T), less a slack of the same form."""
+    schedule = build_schedule(family)
+    p_out, floor = _table_p_out(family, inputs, order)
+    z, slack = _slack(schedule, inputs, p_out, floor)
+    return z * (p_out - slack)
+
+
+def _slack(schedule, inputs, value: float, floor: float
+           ) -> tuple[float, float]:
+    """Z, the product of every channel's keep, and the slack the screen
+    takes for a read ``value`` of p_out with this ``floor``."""
+    outputs = schedule.circuit.outputs
+    probabilities = factory._probabilities(schedule, inputs)
+    z = math.prod(1.0 - p for p in probabilities)
+    return z, (16 * (floor / outputs + factory._EPS * value)
+               + 8 * factory._EPS * sum(probabilities)**2 / z / outputs)
 
 
 def _assert_table_matches_the_engine(family: str, inputs) -> None:
     """The table's order-K p_out is the engine's at order K with every
     storage and consumption X flip at rate 0, within the slack the bound
-    takes for that run, and the bound is Z times p_out less the slack, Z
-    and the slack taken over the run with the X flips.
+    takes for that run, and the bound is Z times the screen's read less
+    the slack, Z and the slack taken over the run with the X flips.
 
     The engine reads grades 2 and up to about eps of their mass before the
     checks (1.2e-12 of p_out on an L2_15x15 case, where the table is
@@ -1362,13 +1433,6 @@ def _assert_table_matches_the_engine(family: str, inputs) -> None:
     c = schedule.circuit
     order = _leading_order(family)
     p_out, floor = _table_p_out(family, inputs, order)
-
-    def slack(inputs):
-        probabilities = factory._probabilities(schedule, inputs)
-        z = math.prod(1.0 - p for p in probabilities)
-        return z, (16 * (floor / c.outputs + factory._EPS * p_out)
-                   + 8 * factory._EPS * sum(probabilities)**2 / z / c.outputs)
-
     no_x = (profiles, {q: StorageRates(0.0, r.pZ) for q, r in rates.items()},
             cycles, StorageRates(0.0, consumption.pZ))
     # the run's channels at their probabilities, every X flip's at 0
@@ -1379,10 +1443,12 @@ def _assert_table_matches_the_engine(family: str, inputs) -> None:
     channels = 1 + sum(source in ("rotation", "output")
                        for _, source, *_ in schedule.events)
     pure = (channels * factory._EPS)**2 / c.outputs
-    assert -slack(no_x)[1] <= run.p_out - p_out <= slack(no_x)[1] + pure
-    z, full = slack(inputs)
+    slack = _slack(schedule, no_x, p_out, floor)[1]
+    assert -slack <= run.p_out - p_out <= slack + pure
+    read, read_floor = _table_read(family, inputs, order)
+    z, full = _slack(schedule, inputs, read, read_floor)
     assert factory._table_bound(family, inputs, order) == pytest.approx(
-        z * (p_out - full), rel=1e-12, abs=1e-300)
+        z * (read - full), rel=1e-12, abs=1e-300)
 
 
 def _walked_probabilities(schedule, inputs) -> tuple[float, ...]:
@@ -1572,6 +1638,24 @@ class TestScreen:
 
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
+    def test_bound_lies_between_the_ratio_bound_and_the_engine(self, data):
+        # dropping the table's success mass T >= 1 only raises the bound:
+        # it screens out all the ratio N / T did (both may read below 0
+        # where the slack exceeds the read), and it stays at or below the
+        # engine's p_out at every kmax from K to K + 2
+        for family in FAMILIES:
+            config, inputs = data.draw(_edge_inputs(family))
+            order = _leading_order(family)
+            bound = factory._table_bound(family, inputs, order)
+            assert max(bound, 0.0) >= max(
+                _ratio_bound(family, inputs, order), 0.0)
+            for kmax in range(order, order + 3):
+                run = factory._run_schedule(build_schedule(family), inputs,
+                                            kmax)
+                assert bound <= run.p_out
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
     def test_table_matches_the_engine(self, data):
         for family in FAMILIES:
             config, inputs = data.draw(_edge_inputs(family))
@@ -1586,8 +1670,9 @@ class TestScreen:
         for family in FAMILIES:
             config, inputs = data.draw(_edge_inputs(family))
             order = _leading_order(family)
-            got = _table_p_out(family, inputs, order)
-            want = _set_by_set(family, inputs, order)
+            got = (_table_p_out(family, inputs, order)
+                   + _table_read(family, inputs, order))
+            want = sum(_set_by_set(family, inputs, order), ())
             for value, exact in zip(got, want):
                 assert abs(value - exact) <= 4 * factory._EPS * exact
 
@@ -1648,12 +1733,12 @@ class TestScreen:
         assert table.terms.shape[1] < finer_table.terms.shape[1]
         # the finer table read with each of its classes at its odds in the
         # coinciding run
-        same = eventsets.read_p_out(
+        same = _p_out_of(
             finer_table, [odds[coarse[finer.index(i)]]
                           for i in range(len(finer_odds))], 1)
         assert same == pytest.approx((p_out, floor), rel=4 * factory._EPS,
                                      abs=0)
-        want = _set_by_set(family, coinciding, order)
+        want = _set_by_set(family, coinciding, order)[0]
         assert (p_out, floor) == pytest.approx(want, rel=4 * factory._EPS,
                                                abs=0)
 
@@ -1668,10 +1753,11 @@ class TestScreen:
     ], ids=FAMILIES)
     def test_storage_free_bound_is_z_times_p_out(self, config):
         # Z = prod(1 - p_e) over every event of the run, recomputed here
-        # from the schedule and the noise inputs.  On these configurations
-        # the slack is below 1e-9 of p_out, while the storage and
-        # consumption events alone take over 4e-6 off Z, so a bound
-        # without Z, or with Z over the rotations' events only, fails.
+        # from the schedule and the noise inputs, times the screen's read.
+        # On these configurations the slack is below 1e-9 of the read,
+        # while the storage and consumption events alone take over 4e-6
+        # off Z, so a bound without Z, or with Z over the rotations'
+        # events only, fails.
         profiles, rates, cycles, consumption = inputs = (
             factory._noise_inputs(config, 6))
         schedule = build_schedule(config.family)
@@ -1691,21 +1777,25 @@ class TestScreen:
         z_storage = math.prod(stored)
         z = math.prod(applied) * z_storage
         order = factory.LEADING_ORDER[c.name]
-        p_out, _ = _table_p_out(config.family, inputs, order)
+        read, _ = _table_read(config.family, inputs, order)
         bound = factory._table_bound(config.family, inputs, order)
         assert 1.0 - z_storage > 4e-6
-        assert bound <= z * p_out
-        assert bound == pytest.approx(z * p_out, rel=1e-9)
+        assert bound <= z * read
+        assert bound == pytest.approx(z * read, rel=1e-9)
 
     @pytest.mark.parametrize("row", TABLE1 + TABLE2,
                              ids=[f"table1-{i}" for i in range(1, 16)]
                              + [f"table2-{i}" for i in range(1, 10)])
     def test_table_rows_are_not_screened(self, row, monkeypatch):
         # the bound reads the row's order-K run without its X flips, which
-        # the engine confirms; it is 0.916 to 1.000 of the rows' p_out
+        # the engine confirms; it is 0.918 to 1.000 of the rows' p_out
+        # (0.916 to 1.000 when it divided by the run's success mass, which
+        # it is never below)
         config = row_config(row)
         report = _simulate_once(config)
         bound = p_out_lower_bound(config)
+        assert _ratio_bound(row.family, factory._noise_inputs(config, 6),
+                            _leading_order(row.family)) <= bound
         assert bound <= report.p_out
         _assert_table_matches_the_engine(row.family,
                                          factory._noise_inputs(config, 6))
@@ -1813,3 +1903,84 @@ def test_event_sets_hold_the_undetected_error_sets(family, counts):
             got[len(labels) - 1] += int(np.count_nonzero(dev > 1e-9 * mass))
     assert got == counts
     assert got.index(next(filter(None, got))) + 1 == _leading_order(family)
+
+
+def _same_table(got: eventsets.EventSets, want: eventsets.EventSets) -> bool:
+    return (got.low == want.low
+            and all(a.dtype == b.dtype and a.shape == b.shape
+                    and a.tobytes() == b.tobytes()
+                    for a, b in ((got.terms, want.terms),
+                                 (got.sums, want.sums))))
+
+
+def _assert_tables_match_the_reference(family: str, partition) -> None:
+    """signature_sums at every order up to K, byte for byte as the chunked
+    enumeration that reads every set makes them."""
+    schedule = build_schedule(family)
+    for order in range(1, _leading_order(family) + 1):
+        got = eventsets.signature_sums(schedule, order, partition)
+        with mock.patch.object(eventsets, "kept_sets", chunked_kept_sets):
+            want = eventsets.signature_sums(schedule, order, partition)
+        assert _same_table(got, want), (family, order)
+
+
+class TestEventSets:
+    """The enumeration reads only the sets that the checks can pass, and
+    its tables are the chunked reference's, byte for byte."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_tables_match_the_reference(self, data):
+        for family in FAMILIES:
+            config, inputs = data.draw(_edge_inputs(family))
+            _assert_tables_match_the_reference(
+                family, _classes(build_schedule(family), inputs)[0])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_tables_match_the_reference_at_zero_noise(self, family):
+        # at p_phys = 0 every rotation has the same odds
+        row = next(r for r in TABLE1 + TABLE2 if r.family == family)
+        config = dataclasses.replace(row_config(row),
+                                     noise=PhysicalNoise(0.0))
+        _assert_tables_match_the_reference(family, _classes(
+            build_schedule(family), factory._noise_inputs(config, 6))[0])
+
+    def test_tables_match_the_reference_at_coinciding_profiles(self):
+        family = "L1_15to1"
+        inputs = factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6)
+        classes = list(dict.fromkeys(inputs[0]))
+        coinciding = ([classes[1] if f == classes[0] else f
+                       for f in inputs[0]], *inputs[1:])
+        _assert_tables_match_the_reference(
+            family, _classes(build_schedule(family), coinciding)[0])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_only_sets_that_pass_are_read(self, family, monkeypatch):
+        # the kept sets are the reference's, set by set, so every set the
+        # filter skips reads |r|^2 below ``rejected`` there; and each set
+        # read is kept (the last chunk reads a lone set twice)
+        row = next(r for r in TABLE1 + TABLE2 if r.family == family)
+        schedule = build_schedule(family)
+        partition = _classes(schedule,
+                             factory._noise_inputs(row_config(row), 6))[0]
+        order = _leading_order(family)
+
+        def sets(chunks):
+            return sorted((tuple(labels), dev, mass, w)
+                          for labels, norms, ways in chunks
+                          for labels, dev, mass, w in zip(
+                              labels.T.tolist(), *norms.tolist(),
+                              ways.tolist()))
+
+        read = []
+
+        class Counting:
+            def take(self, pairs):
+                read.append(len(pairs))
+                return table.take(pairs)
+
+        table = eventsets._PAIRS
+        monkeypatch.setattr(eventsets, "_PAIRS", Counting())
+        got = sets(eventsets.kept_sets(schedule, order, partition))
+        assert got == sets(chunked_kept_sets(schedule, order, partition))
+        assert len(got) <= sum(read) <= len(got) + 1
