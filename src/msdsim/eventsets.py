@@ -3,11 +3,13 @@ flips, from which ``factory.sweep``'s screen reads a run's order-K p_out.
 
 Leave out a schedule's storage and consumption X flips, and every error
 event of a run (a rotation's substitution branch, an output, storage or
-consumption Z flip) is a diagonal phase that commutes with the others and
-with the ideal rotations, and the run projects once, at its end.  So each
-set of events leaves one pure branch whose deviation from the ideal output
-and success mass depend on the schedule alone (:func:`kept_sets`).  The
-events and their kinds are the entries of ``Schedule.events``.
+consumption Z flip) is a sum of Z-type Paulis, which commute with each
+other and with the ideal rotations, and the run projects once, at its
+end.  So each set of events leaves one pure branch, a sum of Pauli terms
+on the ideal output, whose deviation from the ideal output and success
+mass depend on the schedule alone and are read exactly
+(:func:`kept_sets`).  The events and their kinds are the entries of
+``Schedule.events``.
 """
 from __future__ import annotations
 
@@ -20,16 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import SUBSTITUTIONS, _BLOCK_BYTES
-from .pauli import Rotation, RotationAngle, phase_exponents, z_signs
 
 _EPS = sys.float_info.epsilon
-
-# every phase of a run without X flips is a power of exp(i pi/8); _PAIRS
-# holds the sum of powers a and b at 16 a + b
-_ROOTS = np.exp(1j * np.pi / 8 * np.arange(16))
-_PAIRS = (_ROOTS[:, None] + _ROOTS[None, :]).ravel()
-# the (set, event) positions that kept_sets tests for passing at a time
-_POSITIONS = 4096
+# 2^-j, the scale of a set of j <= 6 mixes (kept_sets' int8 bound)
+_HALVES = np.array([0.5**j for j in range(7)])
 
 
 class EventSets(NamedTuple):
@@ -43,8 +39,8 @@ class EventSets(NamedTuple):
     a signature's classes are a column, so the read takes a row at a time.
     ``sums`` is a (2, signatures) array of the deviation from the ideal
     output and the success mass of its sets, each set counted as often as
-    the sets of the run it stands for and each sum a ``math.fsum``.  The
-    first ``low`` signatures are those of at most one event.
+    the sets of the run it stands for and each sum exact.  The first
+    ``low`` signatures are those of at most one event.
     """
 
     terms: np.ndarray
@@ -116,179 +112,156 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     many sets of the run it stands for, the product of its flips' C(m, j).
     The sizes come in increasing order.
 
-    Every event and every ideal rotation is a diagonal phase, a power of
-    exp(i pi/8), so the pre-measurement state a set leaves has amplitudes
-    exp(i pi/8 a) / sqrt(2^n), where the integer a (mod 16) sums the
-    exponents of the ideal rotations (:func:`pauli.phase_exponents`) and
-    of the set's events.  The checks' projection averages over the check
-    qubits, and the ideal output is a vector phi of the other qubits
-    (``Circuit.ideal_kept``) times |+> on the checks, so a branch reads
-    through its sums r over the check bits: mass |r|^2 and deviation
-    |r - <phi|r> phi|^2, scaled so that the zero-event branch has mass 1.
-    The consumption flips, on the outputs, commute with the projection.
+    The one assumption: the noiseless run leaves phi on the qubits other
+    than the checks (``Circuit.ideal_kept``) and |+> on the checks.
+    ``verify``'s checks that the 15-to-1 and the 8-to-CCZ compose to their
+    target rotations and that the 20-to-4's noiseless output is exact
+    (``reference.self_checks``) establish it, and ``tests/test_factory.py``
+    asserts it of each family's circuit.  Every event commutes with the
+    ideal rotations and multiplies the state by a I + b Z_m, m its Z
+    support: a P_{pi/2} branch by -i Z_m, a P_{+-pi/4} branch by
+    (I -+ i Z_m) / sqrt(2) and a flip by Z_m.  Up to a phase b, which no
+    read sees, that is Z_m + t i I with t = 0, or t = +-1 and a factor
+    1/sqrt(2) for a P_{+-pi/4} branch, a mix.  So a set of j mixes leaves
+    2^(-j/2) sum_a C_a Z_a (phi |+>), its Pauli-term coefficients C_a
+    Gaussian integers over the 2^n Z patterns a.  A term that flips a check
+    projects to 0, and the states Z_a phi of the others are orthonormal
+    (phi's amplitudes, phases of the |+> start, have one modulus), so over
+    the a that flip no check a set reads mass = 2^-j sum |C_a|^2 and
+    dev = mass - 2^-j |C_0|^2: multiples of 2^-order, read exactly.  The
+    consumption flips, on the outputs, commute with the projection.
 
-    Only the sets the checks can let through are read.  An event is a
-    Pauli P of Z type (a P_{pi/2} branch, or a flip) or a mix of I and P
-    (a P_{+-pi/4} branch), and P flips the checks of its check pattern, the
-    checks in its support.  So a set's branch expands into Pauli terms,
-    each flipping the XOR of its Paulis' patterns, and a term that flips a
-    check projects to 0.  A set none of whose terms reaches pattern 0 has
-    r = 0 exactly (most 15-to-1 triples) and is skipped; every set below
-    ``order`` events carries the patterns its terms reach, from which its
-    growths' are read.  The sets that can pass are grown, in order, from
-    blocks of sets and events, and read in chunks of ``_BLOCK_BYTES``, one
-    chunk across sizes, their phases looked up two check bits at a time.
-    A set read with r = 0 all the same is left out.
+    Only the sets the checks can let through are read.  Z_m moves a term
+    a to a ^ m, and t i I keeps it, so a growth by an event has a term
+    that flips no check only if its parent has a nonzero term at the
+    event's check pattern (the checks in m), or, for a mix, at pattern 0;
+    the other growths are neither read nor kept, and a set read with mass
+    0 all the same is left out.  The sets below ``order`` events are grown
+    whole, and the last size's growths only at the terms that flip no
+    check, in blocks of sets whose growths' index arrays take at most
+    ``_BLOCK_BYTES``.
+
+    The coefficients are int8: a Pauli moves them and a mix at most
+    doubles the largest real or imaginary part, so each part is at most
+    2^order in modulus, which int8 holds for every order up to 6.
     """
+    if order > 6:
+        raise ValueError(f"order must be at most 6, got {order}")
     c = schedule.circuit
     checks = sorted(c.check_qubits)
     rest = [q for q in range(c.n) if q not in c.check_qubits]
-    index = np.arange(1 << c.n)
-    # the basis index of each position, with the check bits fastest
-    basis = sum(((index >> pos) & 1) << q
-                for pos, q in enumerate(checks + rest))
-    # the ideal rotations' exponents at each position
-    pre = phase_exponents(c.rotations, c.n)[basis]
-    bits = {q: 1 << i for i, q in enumerate(checks)}
-    # each event's class and check pattern, and the event that starts the
-    # next channel (a rotation's branches are adjacent), with each
-    # rotation's exponents of a pi/8 turn about its axis
-    labels, patterns, ends, turns = [], [], [], []
+    # each qubit's bit in a term's Z pattern, the other qubits' first: the
+    # terms that flip no check are the first ``free``, and a pattern's
+    # checks are its bits from len(rest) on
+    bit = {q: 1 << i for i, q in enumerate(rest + checks)}
+    free, dim = 1 << len(rest), 1 << c.n
+    # each event's class, Z pattern and t, and the event that starts the
+    # next channel (a rotation's branches are adjacent)
+    labels, masks, turns, ends = [], [], [], []
     flips = Counter()  # the multiplicity of each (qubit, class) of Z flips
     for _, source, operator, target, kind in schedule.events:
         if source == "rotation":
-            turns.append(phase_exponents(
-                [Rotation(operator.axis, RotationAngle(1))], c.n))
             labels += partition[kind:kind + 3]
-            patterns += [sum(bits.get(q, 0)
-                             for q in operator.axis.support)] * 3
+            masks += [sum(map(bit.get, operator.axis.support))] * 3
+            # k pi/8 more about P: -i P at k = 4, (I -+ i P) / sqrt(2) at
+            # k = +-2
+            turns += [0 if k % 8 == 4 else np.sign(k) for k in SUBSTITUTIONS]
             ends += [len(labels)] * 3
         elif operator == "Z":  # the X flips are left out
             flips[target, partition[kind]] += 1
-    mults = np.array([1] * len(labels) + list(flips.values()),
-                     dtype=np.int64)
+    mults = np.array([1] * len(labels) + list(flips.values()))
     for q, label in flips:
         labels.append(label)
-        patterns.append(bits.get(q, 0))
+        masks.append(bit[q])
+        turns.append(0)
         ends.append(len(labels))
-    # a substitution of k pi/8 adds k pi/8 turns; a flip adds 8 where its
-    # Z reads -1
-    dim = 1 << c.n
-    steps = np.concatenate([
-        np.multiply.outer(np.array(turns, dtype=np.int64), SUBSTITUTIONS
-                          ).transpose(0, 2, 1).reshape(-1, dim),
-        4 * (1 - np.array([z_signs(1 << q, c.n) for q, _ in flips],
-                          dtype=np.int64).reshape(-1, dim))])
-    steps = (steps[:, basis] % 16).astype(np.uint8)
-    # a P_{+-pi/4} branch mixes I and P; a P_{pi/2} branch and a flip are
-    # Paulis
-    quarters = np.array([k % 8 != 4 for k in SUBSTITUTIONS] * len(turns)
-                        + [False] * len(flips))
-    ends = np.array(ends, dtype=np.int32)
     labels = np.array(labels, dtype=np.uint8)
-    patterns = np.array(patterns)
-    # the pattern a Pauli of each event's pattern turns each pattern into
-    moves = np.arange(1 << len(checks)) ^ patterns[:, None]
-    shape = (1 << len(rest), 1 << len(checks))
-    phi = c.ideal_kept
-    unit = 2.0 ** -(c.n + len(checks))  # |r|^2 of a pure |+>^n start is 1
-    # each entry of r is a sum of 2^nc unit roots, an algebraic integer:
-    # 0, or of norm (the product of its 8 conjugates, each at most 2^nc in
-    # modulus) a nonzero integer and so at least 2^(-7 nc) in modulus.  A
-    # 0 reads within about 4^nc eps, so a branch the checks reject reads
-    # |r|^2 below this, and any other above it
-    rejected = 2.0 ** (-14 * len(checks) - 2)
+    masks = np.array(masks)
+    # t and -t, for the imaginary and the real part of t i C
+    turns = np.array([turns, [-t for t in turns]], dtype=np.int8)
+    ends = np.array(ends, dtype=np.uint8)
+    patterns, mixes = masks >> len(rest), turns[0] != 0
 
-    def read(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (dev, mass) rows of the branches of these exponents, and
-        whether the checks let each through."""
-        # positions 2j and 2j + 1 differ in the first check bit only
-        pairs = expo[:, ::2] << 4
-        pairs |= expo[:, 1::2]
-        # einsum's own loop: no BLAS call, and 6x .sum's speed on these rows
-        r = np.einsum("ijk->ij", _PAIRS.take(pairs).reshape(
-            (len(expo), shape[0], -1)))
-        norms = np.empty((2, len(expo)))
-        squares = r.view(np.float64)
-        np.einsum("ij,ij->i", squares, squares, out=norms[1])
-        r -= np.multiply.outer(r @ phi.conj(), phi)
-        np.einsum("ij,ij->i", squares, squares, out=norms[0])
-        return norms * unit, norms[1] > rejected
-
-    def flush(pieces):
-        """Read the pieces' sets in one chunk, and yield each piece's kept
-        sets."""
-        expo = np.concatenate([piece[1] for piece in pieces])
-        # r @ phi rounds a lone row otherwise (BLAS's dot) than the rows of
-        # a matrix, so a lone set is read twice; only the empty set, of
-        # its own size, is read alone
-        norms, through = read(np.concatenate([expo, expo]) if len(expo) == 1
-                              else expo)
-        lo = 0
-        for sets, _, ways in pieces:
-            at = np.flatnonzero(through[lo:lo + len(ways)])
-            yield labels.take(sets[:, at]), norms[:, lo + at], ways[at]
-            lo += len(ways)
-
-    def grow(rows, new):
-        """The sets ``rows`` of the last size grown by the events ``new``,
-        their exponents, and the sets of the run each stands for."""
+    def grow(rows, new, width: int):
+        """The sets ``rows`` of the last size grown by the events ``new``:
+        their events, the sets of the run each stands for, their mixes, and
+        the first ``width`` of their coefficients' real and imaginary
+        parts."""
         sets = np.empty((len(every) + 1, len(rows)), dtype=np.uint8)
         sets[:-1], sets[-1] = every.take(rows, axis=1), new
         # C(m, j) = C(m, j - 1) (m - j + 1) / j, j the new event's count
         j = (sets == new).sum(axis=0)
         grown_ways = ways.take(rows) * (mults.take(new) - j + 1) // j
-        grown = expo.take(rows, axis=0) + steps.take(new, axis=0)
-        grown &= 15
-        return sets, grown, grown_ways
+        # Z_m moves the parent's term at a ^ m to a, and t i I keeps it
+        at = np.arange(width) ^ masks.take(new)[:, None]
+        at += (rows * dim)[:, None]
+        grown_re, grown_im = re.take(at), im.take(at)
+        grown_re += turns[1].take(new)[:, None] * im[rows, :width]
+        grown_im += turns[0].take(new)[:, None] * re[rows, :width]
+        return (sets, grown_ways, powers.take(rows) + mixes.take(new),
+                grown_re, grown_im)
 
-    # every set of the last size, their exponents, the sets of the run each
-    # stands for, its first event to add and the patterns its terms reach
-    every, expo = np.zeros((0, 1), dtype=np.uint8), pre[None]
+    # every set of the last size, the sets of the run each stands for, its
+    # mixes j, its coefficients and its first event to add
+    every = np.zeros((0, 1), dtype=np.uint8)
     ways = np.ones(1, dtype=np.int64)
-    start = np.zeros(1, dtype=np.int32)
-    reach = np.arange(1 << len(checks))[None] == 0
-    yield labels.take(every), read(expo)[0], ways
+    powers = np.zeros(1, dtype=np.int8)
+    re, im = np.zeros((2, 1, dim), dtype=np.int8)
+    re[0, 0] = 1
+    start = np.zeros(1, dtype=np.uint8)
+    yield labels.take(every), _read(re[:, :free], im[:, :free], powers), ways
     events = np.arange(len(labels))
-    per = max(1, _BLOCK_BYTES // (16 << c.n))
-    block = max(1, _POSITIONS // len(labels))
-    pieces, held = [], 0
     for k in range(1, order + 1):
-        # each set grows by each event from its start on; a growth can pass
-        # if a term of the set reaches the new Pauli's pattern, or, for a
-        # mix, pattern 0
+        last = k == order
+        width = free if last else dim
+        # a growth's index: its terms', its set's and its event's
+        block = max(1, _BLOCK_BYTES // (8 * (width + 2) * len(labels)))
         grown = []
         for lo in range(0, len(start), block):
             valid = events >= start[lo:lo + block, None]
-            can = reach[lo:lo + block].take(patterns, axis=1)
-            can |= reach[lo:lo + block, :1] & quarters
+            # the check patterns at which each set has a nonzero term
+            reach = ((re[lo:lo + block] != 0) | (im[lo:lo + block] != 0)
+                     ).reshape(len(valid), -1, free).any(axis=2)
+            can = reach.take(patterns, axis=1)
+            can |= reach[:, :1] & mixes
             can &= valid
-            rows, new = np.nonzero(can)
+            rows, new = np.nonzero(can if last else valid)
+            through = can[rows, new]
             rows += lo
-            at = 0
-            while at < len(rows):
-                end = at + per - held
-                pieces.append(grow(rows[at:end], new[at:end]))
-                held += len(pieces[-1][2])
-                at = end
-                if held == per:
-                    yield from flush(pieces)
-                    pieces, held = [], 0
-            if k < order:
-                rows, new = np.nonzero(valid)
-                grown.append((rows + lo, new))
-        if k < order:
-            rows, new = map(np.concatenate, zip(*grown))
-            parents = reach.take(rows, axis=0)
-            reach = np.take_along_axis(parents, moves.take(new, axis=0),
-                                       axis=1)
-            reach |= parents & quarters.take(new)[:, None]
-            every, expo, ways = grow(rows, new)
-            last = every[-1]
-            count = (every == last).sum(axis=0)
-            start = np.where(count < mults.take(last), last, ends.take(last))
-    if pieces:
-        yield from flush(pieces)
+            sets, grown_ways, grown_powers, grown_re, grown_im = grow(
+                rows, new, width)
+            norms = _read(grown_re[through, :free], grown_im[through, :free],
+                          grown_powers[through])
+            passed = norms[1] > 0
+            kept = np.flatnonzero(through)[passed]
+            yield (labels.take(sets[:, kept]), norms[:, passed],
+                   grown_ways[kept])
+            if not last:
+                grown.append((sets, grown_ways, grown_powers, grown_re,
+                              grown_im))
+        if not last:
+            sets, grown_ways, grown_powers, grown_re, grown_im = zip(*grown)
+            every = np.concatenate(sets, axis=1)
+            ways, powers, re, im = map(np.concatenate, (
+                grown_ways, grown_powers, grown_re, grown_im))
+            final = every[-1]
+            count = (every == final).sum(axis=0)
+            start = np.where(count < mults.take(final), final,
+                             ends.take(final))
+
+
+def _read(re: np.ndarray, im: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The (dev, mass) rows of the sets whose terms that flip no check have
+    the coefficients ``re`` + i ``im`` (one row per set, the identity's
+    first) and whose mixes number ``powers``."""
+    norms = np.zeros((2, len(re)))
+    for part in re, im:
+        part = part.astype(float)
+        norms[0] -= part[:, 0] * part[:, 0]
+        norms[1] += np.einsum("ij,ij->i", part, part)
+    norms[0] += norms[1]
+    norms *= _HALVES.take(powers)
+    return norms
 
 
 def signature_sums(schedule, order: int,
@@ -297,9 +270,11 @@ def signature_sums(schedule, order: int,
     (:func:`kept_sets`), summed by signature, each kind of event of class
     ``partition[kind]``, in read-only arrays.
 
-    Each signature's dev and mass are correctly rounded sums
-    (``math.fsum``) of its sets', each set counted as often as the sets of
-    the run it stands for.
+    Each set's dev and mass, times the sets of the run it stands for, is
+    an exact multiple of 2^-order (:func:`kept_sets`), so one
+    ``np.bincount`` per size sums them exactly: its float64 totals stay
+    exact while every integer total, in units of 2^-order, is below 2^53
+    (a set's mass is at most 1).
     """
     width = max(partition) + 1
     terms, sums, low = [], [], 0
@@ -313,32 +288,19 @@ def signature_sums(schedule, order: int,
         key = np.zeros(labels.shape[1], dtype=np.int64)
         for row in labels:
             key = key * width + row
-        by_key = np.argsort(key, kind="stable")
-        starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
-        # a norm splits into two halves of 26 bits (Veltkamp), so each
-        # half's product with the set's ways is exact
-        lower = norms[:, by_key]
-        upper = lower * 134217729.0
-        upper -= upper - lower
-        lower -= upper
-        ways = ways[by_key]
-        upper *= ways
-        lower *= ways
-        bounds = starts.tolist() + [len(key)]
-        # each signature's slices of a row, read in place: no list of the
-        # whole row (a 15-to-1's would add 0.8 MB to a sweep's peak) and no
-        # list per slice
-        rows = list(zip(map(memoryview, upper), map(memoryview, lower)))
-        sums += [[math.fsum(itertools.chain(u[lo:hi], v[lo:hi]))
-                  for u, v in rows]
-                 for lo, hi in zip(bounds, bounds[1:])]
-        padded = np.full((order, len(starts)), width, dtype=np.intp)
-        padded[:k] = labels[:, by_key[starts]]
+        key, first, signature = np.unique(key, return_index=True,
+                                          return_inverse=True)
+        count = len(key)
+        sums.append(np.bincount(
+            np.concatenate([signature, signature + count]),
+            (norms * ways).ravel(), 2 * count).reshape(2, count))
+        padded = np.full((order, count), width, dtype=np.intp)
+        padded[:k] = labels[:, first]
         terms.append(padded)
         if k <= 1:
-            low += len(starts)
-    table = EventSets(np.concatenate(terms, axis=1), np.array(sums).T.copy(),
-                      low)
+            low += count
+    table = EventSets(np.concatenate(terms, axis=1),
+                      np.concatenate(sums, axis=1), low)
     table.terms.flags.writeable = table.sums.flags.writeable = False
     return table
 
@@ -351,10 +313,10 @@ def read_p_out(table: EventSets, odds: list[float], outputs: int
 
     A set E weighs prod over E of the odds p_e / keep_e relative to the
     zero-event run, and every set of one signature weighs the same.  The
-    read is N / outputs, N = sum(weight * dev), a correctly rounded sum
-    (``math.fsum``) over the signatures; the run's p_out is N / (outputs
-    * T), T = sum(weight * mass) >= 1, which the read does not sum, since a
-    bound from a run's zero-event mass up needs only N
+    read is N / outputs, N = sum(weight * dev) over the signatures' exact
+    sums, a correctly rounded sum (``math.fsum``); the run's p_out is
+    N / (outputs * T), T = sum(weight * mass) >= 1, which the read does not
+    sum, since a bound from a run's zero-event mass up needs only N
     (``factory._table_bound``).  The floor is that of an engine readout of
     the run, which reads grades 0 and 1 as squared deviation norms and the
     rest as differences, times T: eps^2 of the mass of zero and one event

@@ -524,9 +524,11 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
     classes of equal odds; a partition not seen before (as at p_phys = 0,
     where every rotation has the same odds) enumerates them again.  The
     read is N / outputs, N the sum over the table's sets s of rho_s dev_s,
-    rho_s the product of their odds; the sums are correctly rounded
-    (``math.fsum``), so N lands within 4 eps of the exact sum over the
-    sets, and the floor likewise; the slack's 16 eps of N covers it.
+    rho_s the product of their odds.  The table's sums are exact, each
+    term, an exact sum times at most K <= 3 odds, rounds at most K times,
+    and the sum (``math.fsum``) once more, so N lands within 4 eps of the
+    exact sum over the sets, and the floor likewise; the slack's 16 eps of
+    N covers it.
 
     N bounds the run with the X flips.  A run at any kmax reads p_out =
     N'/(outputs T), with T <= 1 its success mass and N' the sum over its

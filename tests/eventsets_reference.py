@@ -1,8 +1,11 @@
 """The event-set enumeration as it was before it learned to skip the sets
-that the checks reject: it grows and reads every set of up to ``order``
-events, in chunks of positions, and drops a set only once it reads
-|r|^2 below ``rejected``.  The tests compare ``eventsets.kept_sets`` and
-``eventsets.signature_sums`` against it, set by set and byte by byte.
+that the checks reject and to read them as Pauli terms: it grows and
+reads every set of up to ``order`` events in float, from its phases, in
+chunks of positions, and drops a set only once it reads |r|^2 below
+``rejected``.  The tests compare ``eventsets.kept_sets`` and
+``eventsets.signature_sums`` against it, set by set and byte by byte,
+once its reads are rounded to the exact ones' lattice of multiples of
+2^-order.
 """
 from __future__ import annotations
 
@@ -11,8 +14,12 @@ from collections import Counter
 import numpy as np
 
 from msdsim.density import SUBSTITUTIONS, _BLOCK_BYTES
-from msdsim.eventsets import _PAIRS
 from msdsim.pauli import Rotation, RotationAngle, phase_exponents, z_signs
+
+# every phase of a run without X flips is a power of exp(i pi/8); _PAIRS
+# holds the sum of powers a and b at 16 a + b
+_ROOTS = np.exp(1j * np.pi / 8 * np.arange(16))
+_PAIRS = (_ROOTS[:, None] + _ROOTS[None, :]).ravel()
 
 
 def kept_sets(schedule, order: int, partition: tuple[int, ...]):

@@ -35,6 +35,7 @@ from msdsim.factory import (
     sweep,
 )
 from msdsim.noise import DistanceSet, PhysicalNoise, StorageRates
+from msdsim.pauli import equal_up_to_phase, phase_exponents
 from msdsim.reference import TABLE1, TABLE2, row_config
 from eventsets_reference import kept_sets as chunked_kept_sets
 from oracle import DensityMatrix
@@ -1899,8 +1900,11 @@ def test_event_sets_hold_the_undetected_error_sets(family, counts):
     for labels, norms, _ in eventsets.kept_sets(schedule, len(counts),
                                                 partition):
         if len(labels):
+            # a set of P_{pi/2} branches is one Pauli term: kept, it reads
+            # mass 1 and dev 0 (the term is the identity) or 1
             dev, mass = norms[:, ~labels.any(axis=0)]
-            got[len(labels) - 1] += int(np.count_nonzero(dev > 1e-9 * mass))
+            assert (mass == 1.0).all() and np.isin(dev, (0.0, 1.0)).all()
+            got[len(labels) - 1] += int(np.count_nonzero(dev))
     assert got == counts
     assert got.index(next(filter(None, got))) + 1 == _leading_order(family)
 
@@ -1913,20 +1917,34 @@ def _same_table(got: eventsets.EventSets, want: eventsets.EventSets) -> bool:
                                  (got.sums, want.sums))))
 
 
+def _on_the_lattice(norms: np.ndarray, order: int) -> np.ndarray:
+    """Each read rounded to the nearest multiple of 2^-order."""
+    return np.ldexp(np.rint(np.ldexp(norms, order)), -order)
+
+
+def _lattice_kept_sets(schedule, order: int, partition):
+    """The chunked reference's kept sets, their float reads on the lattice
+    of multiples of 2^-order that the exact reads lie on."""
+    for labels, norms, ways in chunked_kept_sets(schedule, order, partition):
+        yield labels, _on_the_lattice(norms, order), ways
+
+
 def _assert_tables_match_the_reference(family: str, partition) -> None:
-    """signature_sums at every order up to K, byte for byte as the chunked
-    enumeration that reads every set makes them."""
+    """signature_sums at every order up to K, byte for byte as it sums the
+    sets of the chunked enumeration that reads every set, their reads
+    rounded to the lattice."""
     schedule = build_schedule(family)
     for order in range(1, _leading_order(family) + 1):
         got = eventsets.signature_sums(schedule, order, partition)
-        with mock.patch.object(eventsets, "kept_sets", chunked_kept_sets):
+        with mock.patch.object(eventsets, "kept_sets", _lattice_kept_sets):
             want = eventsets.signature_sums(schedule, order, partition)
         assert _same_table(got, want), (family, order)
 
 
 class TestEventSets:
-    """The enumeration reads only the sets that the checks can pass, and
-    its tables are the chunked reference's, byte for byte."""
+    """The enumeration reads only the sets that the checks can pass, each
+    exactly, and its tables are the chunked reference's, byte for byte,
+    once the reference's reads are rounded to the exact lattice."""
 
     @settings(max_examples=4, deadline=None)
     @given(data=st.data())
@@ -1958,12 +1976,8 @@ class TestEventSets:
     def test_only_sets_that_pass_are_read(self, family, monkeypatch):
         # the kept sets are the reference's, set by set, so every set the
         # filter skips reads |r|^2 below ``rejected`` there; and each set
-        # read is kept (the last chunk reads a lone set twice)
-        row = next(r for r in TABLE1 + TABLE2 if r.family == family)
-        schedule = build_schedule(family)
-        partition = _classes(schedule,
-                             factory._noise_inputs(row_config(row), 6))[0]
-        order = _leading_order(family)
+        # read is kept
+        schedule, order, partition = self._first_row(family)
 
         def sets(chunks):
             return sorted((tuple(labels), dev, mass, w)
@@ -1974,13 +1988,69 @@ class TestEventSets:
 
         read = []
 
-        class Counting:
-            def take(self, pairs):
-                read.append(len(pairs))
-                return table.take(pairs)
+        def counting(re, im, powers):
+            read.append(len(re))
+            return exact(re, im, powers)
 
-        table = eventsets._PAIRS
-        monkeypatch.setattr(eventsets, "_PAIRS", Counting())
+        exact = eventsets._read
+        monkeypatch.setattr(eventsets, "_read", counting)
         got = sets(eventsets.kept_sets(schedule, order, partition))
-        assert got == sets(chunked_kept_sets(schedule, order, partition))
-        assert len(got) <= sum(read) <= len(got) + 1
+        assert got == sets(_lattice_kept_sets(schedule, order, partition))
+        assert sum(read) == len(got)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_reference_reads_within_4_eps_of_the_exact_reads(self,
+                                                                 family):
+        # the reference's float reads, rounded to the lattice, are the
+        # exact reads set by set (test_only_sets_that_pass_are_read)
+        schedule, order, partition = self._first_row(family)
+        eps = factory._EPS
+        for _, norms, _ in chunked_kept_sets(schedule, order, partition):
+            exact = _on_the_lattice(norms, order)
+            assert (abs(norms - exact) <= 4 * eps * exact[1]).all()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_read_is_exact(self, family):
+        # each kept set's dev and mass are multiples of 2^-order, and the
+        # empty set reads the ideal output exactly, with no round-off
+        schedule, order, partition = self._first_row(family)
+        chunks = list(eventsets.kept_sets(schedule, order, partition))
+        labels, norms, ways = chunks[0]
+        assert labels.shape == (0, 1)
+        assert norms.tolist() == [[0.0], [1.0]] and ways.tolist() == [1]
+        for labels, norms, ways in chunks:
+            units = np.ldexp(norms, order)
+            assert (units == np.rint(units)).all()
+            assert ((0.0 <= norms[0]) & (norms[0] <= norms[1])
+                    & (0.0 < norms[1]) & (norms[1] <= 1.0)).all()
+
+    def test_orders_past_the_int8_bound_are_rejected(self):
+        # each coefficient's parts are at most 2^order, which int8 holds
+        # up to order 6
+        schedule, _, partition = self._first_row("L2_15xCCZ")
+        with pytest.raises(ValueError, match="at most 6, got 7"):
+            next(eventsets.kept_sets(schedule, 7, partition))
+
+    @pytest.mark.parametrize("kind", sorted(factory.LEADING_ORDER))
+    def test_the_noiseless_run_leaves_the_ideal_output_and_plus(self, kind):
+        # the one assumption of kept_sets: the noiseless run of each
+        # family's circuit leaves ideal_kept on the qubits other than the
+        # checks and |+> on the checks, up to global phase
+        c = catalog(kind)
+        state = np.exp(1j * np.pi / 8 * phase_exponents(c.rotations, c.n))
+        rest = [q for q in range(c.n) if q not in c.check_qubits]
+        x = np.arange(1 << c.n)
+        y = sum(((x >> q) & 1) << i for i, q in enumerate(rest))
+        want = c.ideal_kept[y] * 2.0 ** ((c.n - len(c.check_qubits)) / 2)
+        assert equal_up_to_phase(state, want)
+        dropped = phase_exponents(c.rotations[1:], c.n)
+        assert not equal_up_to_phase(np.exp(1j * np.pi / 8 * dropped), want)
+
+    @staticmethod
+    def _first_row(family: str):
+        """(schedule, K, partition) of the family's first table row."""
+        row = next(r for r in TABLE1 + TABLE2 if r.family == family)
+        schedule = build_schedule(family)
+        partition = _classes(schedule,
+                             factory._noise_inputs(row_config(row), 6))[0]
+        return schedule, _leading_order(family), partition
