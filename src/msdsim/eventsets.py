@@ -9,7 +9,11 @@ end.  So each set of events leaves one pure branch, a sum of Pauli terms
 on the ideal output, whose deviation from the ideal output and success
 mass depend on the schedule alone and are read exactly
 (:func:`kept_sets`).  The events and their kinds are the entries of
-``Schedule.events``.
+``Schedule.events``, and the schedule fixes each kind's class
+(``Schedule.classes``): a branch or the output flips of the rotations of
+one shape, or one storage or consumption Z kind.  So a family has one
+table (:func:`signature_sums`), and a run reads it at its classes' odds
+(:func:`class_odds`).
 """
 from __future__ import annotations
 
@@ -48,63 +52,43 @@ class EventSets(NamedTuple):
     low: int
 
 
-def classes(schedule, profiles, probabilities: tuple[float, ...]
-            ) -> tuple[tuple[int, ...], list[float]]:
-    """The class of each kind of error event the event sets hold, in a run
-    of ``schedule`` whose rotations have the error ``profiles`` and whose
-    channels (``schedule.events``) the ``probabilities``, and each class's
-    odds.
+def class_odds(schedule, profiles, kinds: list[float]) -> list[float]:
+    """The odds of each class of ``schedule.classes`` in a run of
+    ``schedule`` whose rotations have the error ``profiles`` and whose
+    kinds of channel the probabilities ``kinds``
+    (``factory._kind_probabilities``).
 
     An event's odds are p / keep, keep being 1 less the probability of its
     channel (a rotation's three branches, or one flip), which must be
-    above 0.  The kinds of one branch of the rotations, keyed by its index
-    in the profile's ``branches``, are grouped by equal odds, in order of
-    first appearance, and each Z kind of storage or consumption, 4R to 4R+n
-    for R rotations and n qubits, is a class of its own, so that distances
-    at which two qubits' storage odds coincide read the same table.
-
-    A rotation's kinds depend only on its profile and its shape
-    (``Schedule.shapes``), so their keys are built once per distinct pair,
-    at its first rotation, and each flip kind's at its first entry
-    (``Schedule.first``).
+    above 0.  A shape's classes, one per branch and one for its output
+    flips, read the profile of its first rotation: every rotation of one
+    shape must have one profile, as ``factory._noise_inputs`` builds one
+    per shape.  Each storage or consumption Z kind is a class of its own.
     """
-    first, rotations = schedule.first, len(profiles)
-    # each class's key and number, in order of first appearance; a kind no
-    # entry has, as a rotation's output flips if its axis holds no output,
-    # reads as an output flip of odds 0
-    none = (3, 0.0)
-    number = {}
-    pairs = list(zip(map(id, profiles), schedule.shapes))
-    groups = {}
-    for pair in dict.fromkeys(pairs):
-        ri = pairs.index(pair)
-        f, keep = profiles[ri], 1.0 - probabilities[first[4 * ri]]
-        z = 0.0 if first[4 * ri + 3] is None else probabilities[
-            first[4 * ri + 3]]
-        keys = [(col, p / keep) for col, (p, _) in enumerate(f.branches)]
-        keys.append((3, z / (1.0 - z)))
-        groups[pair] = [number.setdefault(key, len(number)) for key in keys]
-    partition = list(itertools.chain.from_iterable(map(groups.__getitem__,
-                                                       pairs)))
-    z_kinds = range(4 * rotations, 4 * rotations + schedule.circuit.n + 1)
-    for kind, i in zip(z_kinds, first[z_kinds.start:z_kinds.stop]):
-        key = none if i is None else (kind, probabilities[i]
-                                      / (1.0 - probabilities[i]))
-        partition.append(number.setdefault(key, len(number)))
-    return tuple(partition), [o for _, o in number]
+    shapes = schedule.shapes
+    odds = []
+    for shape in dict.fromkeys(shapes):
+        f = profiles[shapes.index(shape)]
+        keep = 1.0 - f.p_error
+        odds += [p / keep for p, _ in f.branches]
+        odds.append(f.p_z_output / (1.0 - f.p_z_output))
+    storage = 4 * len(shapes)  # the first storage Z kind
+    return odds + [p / (1.0 - p) for p in
+                   kinds[storage:storage + schedule.circuit.n + 1]]
 
 
-def kept_sets(schedule, order: int, partition: tuple[int, ...]):
+def kept_sets(schedule, order: int):
     """Yield the runs of ``schedule`` without X flips, one per set of up to
     ``order`` error events that the checks let through, in chunks.
 
     The events are the Z-type entries of ``schedule.events``: each
     rotation's three substitution branches, a set holding at most one per
     rotation, and the Z flips, a rotation's output flips and every storage
-    and consumption Z flip.  Each kind of event of :func:`classes` is of
-    class ``partition[kind]``.  All Z flips on one qubit are the same
-    operator, so the m flips of one class on qubit q enter as one event of
-    multiplicity m: a set that holds it j <= m times stands for C(m, j)
+    and consumption Z flip.  Each kind of event is of class
+    ``schedule.classes[kind]``.  All Z flips on one qubit are the same
+    operator, so the m flips of one class on qubit q (the output flips of
+    one shape's rotations, or one kind's storage flips) enter as one event
+    of multiplicity m: a set that holds it j <= m times stands for C(m, j)
     sets of the run, each with the same branch.  A chunk is ``(labels,
     norms, ways)``, each with one column per set and the sets of one chunk
     of one size: ``labels`` holds each event's class, ``norms`` each set's
@@ -147,7 +131,7 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     """
     if order > 6:
         raise ValueError(f"order must be at most 6, got {order}")
-    c = schedule.circuit
+    c, classes = schedule.circuit, schedule.classes
     checks = sorted(c.check_qubits)
     rest = [q for q in range(c.n) if q not in c.check_qubits]
     # each qubit's bit in a term's Z pattern, the other qubits' first: the
@@ -161,14 +145,14 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
     flips = Counter()  # the multiplicity of each (qubit, class) of Z flips
     for _, source, operator, target, kind in schedule.events:
         if source == "rotation":
-            labels += partition[kind:kind + 3]
+            labels += classes[kind:kind + 3]
             masks += [sum(map(bit.get, operator.axis.support))] * 3
             # k pi/8 more about P: -i P at k = 4, (I -+ i P) / sqrt(2) at
             # k = +-2
             turns += [0 if k % 8 == 4 else np.sign(k) for k in SUBSTITUTIONS]
             ends += [len(labels)] * 3
         elif operator == "Z":  # the X flips are left out
-            flips[target, partition[kind]] += 1
+            flips[target, classes[kind]] += 1
     mults = np.array([1] * len(labels) + list(flips.values()))
     for q, label in flips:
         labels.append(label)
@@ -264,11 +248,11 @@ def _read(re: np.ndarray, im: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return norms
 
 
-def signature_sums(schedule, order: int,
-                   partition: tuple[int, ...]) -> EventSets:
+def signature_sums(schedule, order: int) -> EventSets:
     """The runs of ``schedule`` without X flips up to ``order`` events
     (:func:`kept_sets`), summed by signature, each kind of event of class
-    ``partition[kind]``, in read-only arrays.
+    ``schedule.classes[kind]``, in read-only arrays: the table every run
+    of the schedule reads, whatever its noise.
 
     Each set's dev and mass, times the sets of the run it stands for, is
     an exact multiple of 2^-order (:func:`kept_sets`), so one
@@ -276,11 +260,10 @@ def signature_sums(schedule, order: int,
     exact while every integer total, in units of 2^-order, is below 2^53
     (a set's mass is at most 1).
     """
-    width = max(partition) + 1
+    width = max(schedule.classes) + 1
     terms, sums, low = [], [], 0
-    for k, chunks in itertools.groupby(
-            kept_sets(schedule, order, partition),
-            key=lambda chunk: len(chunk[0])):
+    for k, chunks in itertools.groupby(kept_sets(schedule, order),
+                                       key=lambda chunk: len(chunk[0])):
         labels, norms, ways = (np.concatenate(part, axis=-1)
                                for part in zip(*chunks))
         labels = np.sort(labels, axis=0)
@@ -309,7 +292,8 @@ def read_p_out(table: EventSets, odds: list[float], outputs: int
                ) -> tuple[float, float]:
     """(p_out, its floor) of a run without X flips from its signature
     sums, each times the run's success mass T relative to its zero-event
-    branch's, each class of events having the odds ``odds[i]``.
+    branch's, each class of events having the odds ``odds[i]``
+    (:func:`class_odds`).
 
     A set E weighs prod over E of the odds p_e / keep_e relative to the
     zero-event run, and every set of one signature weighs the same.  The

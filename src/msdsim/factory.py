@@ -40,7 +40,8 @@ from .circuits import (LEADING_ORDER, PLUS, Circuit, NoiseSpec, catalog,
 from .density import (DEFAULT_MAX_GRADE, GradedDensityMatrix,
                       RotationErrorProfile, _rejected, _sum_checks,
                       check_kmax, pure_state_infidelity)
-from .eventsets import _EPS, EventSets, classes, read_p_out, signature_sums
+from .eventsets import (_EPS, EventSets, class_odds, read_p_out,
+                        signature_sums)
 from .noise import (
     DistanceSet,
     PhysicalNoise,
@@ -273,10 +274,13 @@ class Schedule:
     The per-configuration readers take what they need of ``events`` from
     maps made here, with no walk of their own.  ``take`` reads each
     entry's probability, in order, from a list of one value per kind
-    (:func:`_probabilities`).  ``first`` holds each kind's first entry
-    (None if it has none, as a branch kind), and ``shapes`` each rotation's
+    (:func:`_probabilities`).  ``shapes`` holds each rotation's shape
     (whether its axis holds an output, whether it holds more than one
     qubit), on which its error profile and its output flips depend.
+    ``classes`` maps each Z kind to its class in the event sets
+    (:mod:`eventsets`): with S distinct shapes, in order of first
+    appearance, kind 4i+col of a rotation of the s-th to 4s+col, and the
+    storage Z kind 4R+q to 4S+q and the consumption Z kind to 4S+n.
     """
 
     circuit: Circuit
@@ -287,10 +291,9 @@ class Schedule:
         init=False, repr=False, compare=False)
     take: Callable[[list[float]], tuple[float, ...]] = field(
         init=False, repr=False, compare=False)
-    first: tuple[int | None, ...] = field(init=False, repr=False,
-                                          compare=False)
     shapes: tuple[tuple[bool, bool], ...] = field(init=False, repr=False,
                                                   compare=False)
+    classes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = self.circuit
@@ -320,12 +323,14 @@ class Schedule:
         object.__setattr__(self, "events", tuple(events))
         kinds = [kind for *_, kind in events]
         object.__setattr__(self, "take", itemgetter(*kinds))
-        first = {kind: i for i, kind in reversed(list(enumerate(kinds)))}
-        object.__setattr__(self, "first", tuple(
-            map(first.get, range(flips + c.n + 1))))
         object.__setattr__(self, "shapes", tuple(
             (not c.output_qubits.isdisjoint(r.axis.support),
              len(r.axis.support) > 1) for r in c.rotations))
+        distinct = list(dict.fromkeys(self.shapes))
+        object.__setattr__(self, "classes", tuple(
+            [4 * distinct.index(shape) + col for shape in self.shapes
+             for col in range(4)]
+            + [4 * len(distinct) + q for q in range(c.n + 1)]))
         last = {q: i for i, (_, source, r, _, _) in enumerate(events)
                 if source == "rotation" for q in r.axis.support}
         leaving = {}
@@ -382,20 +387,25 @@ def cycle_cost(config: FactoryConfig, p_fail_L1: float) -> float:
 LIVE_MIN_QUBITS = 6
 
 
-def _probabilities(schedule: Schedule, inputs: tuple) -> tuple[float, ...]:
-    """The probability of each entry of ``schedule.events`` under the
-    noise ``inputs`` (:func:`_noise_inputs`), a rotation's being that of
-    its three substitution branches together: one read, through
-    ``Schedule.take``, of a list of one value per kind, 0 at the branch
+def _kind_probabilities(schedule: Schedule, inputs: tuple) -> list[float]:
+    """The probability of each kind of channel of ``schedule.events`` under
+    the noise ``inputs`` (:func:`_noise_inputs`), a rotation's being that
+    of its three substitution branches together, and 0 at the branch
     kinds, which no entry has."""
     profiles, rates, cycles, consumption = inputs
     stored = list(map(rates.__getitem__, range(schedule.circuit.n)))
     rotations = [0.0] * (4 * len(profiles))
     rotations[::4] = [f.p_error for f in profiles]
     rotations[3::4] = [f.p_z_output for f in profiles]
-    return schedule.take(
-        rotations + [cycles * r.pZ for r in stored] + [consumption.pZ]
-        + [cycles * r.pX for r in stored] + [consumption.pX])
+    return (rotations + [cycles * r.pZ for r in stored] + [consumption.pZ]
+            + [cycles * r.pX for r in stored] + [consumption.pX])
+
+
+def _probabilities(schedule: Schedule, inputs: tuple) -> tuple[float, ...]:
+    """The probability of each entry of ``schedule.events`` under the
+    noise ``inputs``: one read, through ``Schedule.take``, of
+    :func:`_kind_probabilities`."""
+    return schedule.take(_kind_probabilities(schedule, inputs))
 
 
 def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
@@ -509,10 +519,9 @@ def simulate_circuit(c: Circuit, noise: NoiseSpec,
 
 
 @lru_cache(maxsize=None)
-def _event_sets(family: str, order: int,
-                partition: tuple[int, ...]) -> EventSets:
+def _event_sets(family: str, order: int) -> EventSets:
     """Memoized :func:`eventsets.signature_sums` of a family's schedule."""
-    return signature_sums(build_schedule(family), order, partition)
+    return signature_sums(build_schedule(family), order)
 
 
 def _table_bound(family: str, inputs: tuple, order: int) -> float:
@@ -520,10 +529,10 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
     noise ``inputs`` at any kmax >= ``order``, with no engine run.
 
     The bound reads the run's order-``order`` sums without its X flips
-    from the family's event sets (:mod:`eventsets`) of its partition into
-    classes of equal odds; a partition not seen before (as at p_phys = 0,
-    where every rotation has the same odds) enumerates them again.  The
-    read is N / outputs, N the sum over the table's sets s of rho_s dev_s,
+    from the family's one table of event sets (:mod:`eventsets`), whose
+    classes the schedule fixes (``Schedule.classes``), at each class's
+    odds in this run (:func:`eventsets.class_odds`).  The read is
+    N / outputs, N the sum over the table's sets s of rho_s dev_s,
     rho_s the product of their odds.  The table's sums are exact, each
     term, an exact sum times at most K <= 3 odds, rounds at most K times,
     and the sum (``math.fsum``) once more, so N lands within 4 eps of the
@@ -543,16 +552,16 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
     includes it.
     """
     schedule = build_schedule(family)
-    probabilities = _probabilities(schedule, inputs)
+    kinds = _kind_probabilities(schedule, inputs)
+    probabilities = schedule.take(kinds)
     zero_mass = math.prod([1.0 - p for p in probabilities])
     # the keeps' product underflows, or a keep, summed in another order
     # than the profile checks it in, rounds to 0
     if zero_mass == 0.0:
         return 0.0
-    partition, odds = classes(schedule, inputs[0], probabilities)
     outputs = schedule.circuit.outputs
-    read, floor = read_p_out(_event_sets(family, order, partition), odds,
-                             outputs)
+    read, floor = read_p_out(_event_sets(family, order),
+                             class_odds(schedule, inputs[0], kinds), outputs)
     # this read and an engine run's each round by about the floor plus a
     # few eps of p_out (table1 row 5's engine readouts at two orders
     # differed by 0.1 floor; other float orders moved it by up to 2.6)
@@ -615,8 +624,8 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
         dx, dz, p_fail = d.dX, d.dZ, 0.0
     try:
         # one profile per shape of rotation (Schedule.shapes), built in
-        # order of first appearance; at level 1 a single-qubit rotation is
-        # on a check
+        # order of first appearance, as eventsets.class_odds requires; at
+        # level 1 a single-qubit rotation is on a check
         shapes = schedule.shapes
         l_anc, made = layout.l_anc(d), {}
         for outputs, multi in dict.fromkeys(shapes):
@@ -741,11 +750,12 @@ def p_out_lower_bound(config: FactoryConfig,
     The bound is :func:`_table_bound`: the family's top-level schedule run
     at order K, its circuit's leading undetected order (3 for 15-to-1, 2
     for 20-to-4 and 8-to-CCZ), without its storage and consumption X
-    flips, read from the family's sums over event sets; a level-2
-    family's level-1 input is the kmax one, from the cache.  It misses
-    what the X flips and the orders above K add: on the paper's 24 table
-    rows it is 0.918 to 1.000 of p_out.  At kmax < K the run holds no set
-    of K events, and the bound is 0.
+    flips, read from the family's one table of sums over event sets,
+    built at its first screen; a level-2 family's level-1 input is the
+    kmax one, from the cache.  It misses what the X flips and the orders
+    above K add: on the paper's 24 table rows it is 0.918 to 1.000 of
+    p_out.  At kmax < K the run holds no set of K events, and the bound
+    is 0.
     """
     check_kmax(kmax)
     order = LEADING_ORDER[build_schedule(config.family).circuit.name]
@@ -790,8 +800,8 @@ def sweep(
     exceeds the target cannot meet it and is not simulated.  Skipping it
     changes neither the feasible set nor any pruning decision.  The
     screen runs no engine: it reads sums over event sets built once per
-    family and partition of the events into classes of equal odds.  A
-    value repeated in a range counts once.
+    family, whose classes of events the schedule fixes.  A value repeated
+    in a range counts once.
     """
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(

@@ -22,15 +22,15 @@ _ROOTS = np.exp(1j * np.pi / 8 * np.arange(16))
 _PAIRS = (_ROOTS[:, None] + _ROOTS[None, :]).ravel()
 
 
-def kept_sets(schedule, order: int, partition: tuple[int, ...]):
+def kept_sets(schedule, order: int):
     """Yield the runs of ``schedule`` without X flips, one per set of up to
     ``order`` error events that the checks let through, in chunks.
 
     The events are the Z-type entries of ``schedule.events``: each
     rotation's three substitution branches, a set holding at most one per
     rotation, and the Z flips, a rotation's output flips and every storage
-    and consumption Z flip.  Each kind of event of :func:`classes` is of
-    class ``partition[kind]``.  All Z flips on one qubit are the same
+    and consumption Z flip.  Each kind of event is of class
+    ``schedule.classes[kind]``.  All Z flips on one qubit are the same
     operator, so the m flips of one class on qubit q enter as one event of
     multiplicity m: a set that holds it j <= m times stands for C(m, j)
     sets of the run, each with the same branch.  A chunk is ``(labels,
@@ -76,10 +76,10 @@ def kept_sets(schedule, order: int, partition: tuple[int, ...]):
             for col, k in enumerate(SUBSTITUTIONS):
                 steps.append(phase_exponents(
                     [Rotation(operator.axis, RotationAngle(k))], c.n)[basis])
-                labels.append(partition[kind + col])
+                labels.append(schedule.classes[kind + col])
             ends += [len(steps)] * 3
         elif operator == "Z":  # the X flips are left out
-            flips[target, partition[kind]] += 1
+            flips[target, schedule.classes[kind]] += 1
     mults = [1] * len(steps)
     for (q, label), m in flips.items():
         steps.append((4 * (1 - z_signs(1 << q, c.n)[basis])).astype(np.int64))

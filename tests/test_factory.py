@@ -866,6 +866,16 @@ class TestReports:
                                    r.qubits * r.cycles / 4, rtol=1e-12)
 
 
+# (family, p_phys, ranges) of perfbench's two sweep workloads
+_BENCHMARK_GRIDS = [
+    ("L1_15to1", 1e-3, {"dX": range(5, 22, 2), "dZ": range(3, 12, 2),
+                        "dm": range(3, 12, 2)}),
+    ("L2_15x20", 1e-4, {"dX": (7, 9), "dZ": (3, 5), "dm": (3, 5),
+                        "dX2": (13, 15, 17), "dZ2": (5, 7), "dm2": (7, 9),
+                        "nL1": (4, 6)}),
+]
+
+
 class TestSweep:
     def test_pareto_front_keeps_undominated(self):
         noise = PhysicalNoise(1e-4)
@@ -1012,11 +1022,7 @@ class TestSweep:
         assert calls == simulated
 
     @pytest.mark.parametrize("family, p, ranges, valid", [
-        ("L1_15to1", 1e-3, {"dX": range(5, 22, 2), "dZ": range(3, 12, 2),
-                            "dm": range(3, 12, 2)}, 150),
-        ("L2_15x20", 1e-4, {"dX": (7, 9), "dZ": (3, 5), "dm": (3, 5),
-                            "dX2": (13, 15, 17), "dZ2": (5, 7),
-                            "dm2": (7, 9), "nL1": (4, 6)}, 192),
+        (*grid, valid) for grid, valid in zip(_BENCHMARK_GRIDS, (150, 192))
     ], ids=["sweep_l1_15to1", "sweep_l2_15x20"])
     def test_benchmark_grids_bound_no_lower_than_the_ratio_bound(
             self, family, p, ranges, valid):
@@ -1328,10 +1334,10 @@ def _leading_order(family: str) -> int:
     return factory.LEADING_ORDER[build_schedule(family).circuit.name]
 
 
-def _classes(schedule, inputs):
-    """The screen's partition of the run's kinds of events, and its odds."""
-    return eventsets.classes(schedule, inputs[0],
-                             factory._probabilities(schedule, inputs))
+def _odds(schedule, inputs) -> list[float]:
+    """The odds of each class of ``schedule.classes`` in the run."""
+    return eventsets.class_odds(schedule, inputs[0],
+                                factory._kind_probabilities(schedule, inputs))
 
 
 def _p_out_of(table: eventsets.EventSets, odds, outputs: int
@@ -1357,18 +1363,17 @@ def _table_p_out(family: str, inputs, order: int) -> tuple[float, float]:
     """The table's order-K (p_out, floor) of the family's run without X
     flips."""
     schedule = build_schedule(family)
-    partition, odds = _classes(schedule, inputs)
-    return _p_out_of(factory._event_sets(family, order, partition), odds,
-                     schedule.circuit.outputs)
+    return _p_out_of(factory._event_sets(family, order),
+                     _odds(schedule, inputs), schedule.circuit.outputs)
 
 
 def _table_read(family: str, inputs, order: int) -> tuple[float, float]:
     """The screen's read of the family's run without X flips: its p_out
     and floor times its success mass T (``eventsets.read_p_out``)."""
     schedule = build_schedule(family)
-    partition, odds = _classes(schedule, inputs)
-    return eventsets.read_p_out(factory._event_sets(family, order, partition),
-                                odds, schedule.circuit.outputs)
+    return eventsets.read_p_out(factory._event_sets(family, order),
+                                _odds(schedule, inputs),
+                                schedule.circuit.outputs)
 
 
 def _set_by_set(family: str, inputs, order: int
@@ -1379,10 +1384,9 @@ def _set_by_set(family: str, inputs, order: int
     math.fsum; and each of the two times the run's success mass T, as
     ``eventsets.read_p_out`` reads them."""
     schedule = build_schedule(family)
-    partition, odds = _classes(schedule, inputs)
+    odds = _odds(schedule, inputs)
     dev, low, high = [], [], []
-    for labels, norms, ways in eventsets.kept_sets(schedule, order,
-                                                   partition):
+    for labels, norms, ways in eventsets.kept_sets(schedule, order):
         for events, d, m, w in zip(labels.T.tolist(), *norms.tolist(),
                                    ways.tolist()):
             weight = math.prod(odds[e] for e in events)
@@ -1469,25 +1473,35 @@ def _walked_probabilities(schedule, inputs) -> tuple[float, ...]:
         for _, source, operator, target, kind in schedule.events])
 
 
-def _walked_classes(schedule, profiles, probabilities):
-    """``eventsets.classes``, entry by entry: each Z kind's class key at
-    its first entry, numbered in order of first appearance."""
-    none = (3, 0.0)
-    c = schedule.circuit
-    keys = [none] * (4 * len(c.rotations) + c.n + 1)
-    for (_, source, operator, target, kind), p in zip(schedule.events,
-                                                      probabilities):
-        if operator == "X" or keys[kind] is not none:
-            continue
+def _walked_odds(schedule, inputs) -> dict[int, set[float]]:
+    """Each class of ``schedule.classes`` that some Z-type entry of
+    ``schedule.events`` holds, with the odds p / keep that its entries
+    read, entry by entry."""
+    profiles = inputs[0]
+    read = collections.defaultdict(set)
+    for (_, source, operator, target, kind), p in zip(
+            schedule.events, _walked_probabilities(schedule, inputs)):
         if source == "rotation":
             f, keep = profiles[target], 1.0 - p
-            keys[kind:kind + 3] = ((0, f.p_half / keep),
-                                   (1, f.p_quarter / keep),
-                                   (2, f.p_mquarter / keep))
-        else:
-            keys[kind] = (3 if source == "output" else kind, p / (1.0 - p))
-    number = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    return tuple(map(number.__getitem__, keys)), [o for _, o in number]
+            for col, branch in enumerate((f.p_half, f.p_quarter,
+                                          f.p_mquarter)):
+                read[schedule.classes[kind + col]].add(branch / keep)
+        elif operator == "Z":
+            read[schedule.classes[kind]].add(p / (1.0 - p))
+    return read
+
+
+def _assert_one_odds_per_class(schedule, inputs) -> None:
+    """Every rotation of one shape has one profile object, and every kind
+    of one class reads one odds value, the class's in the screen's read
+    (``eventsets.class_odds``)."""
+    profiles = {}
+    for shape, f in zip(schedule.shapes, inputs[0]):
+        assert profiles.setdefault(shape, f) is f
+    odds = _odds(schedule, inputs)
+    assert len(odds) == max(schedule.classes) + 1
+    walked = _walked_odds(schedule, inputs)
+    assert walked == {label: {odds[label]} for label in walked}
 
 
 def _walked_profiles(config: FactoryConfig) -> list[RotationErrorProfile]:
@@ -1513,28 +1527,36 @@ def _walked_profiles(config: FactoryConfig) -> list[RotationErrorProfile]:
 
 
 def _assert_maps_match_a_walk(schedule, inputs) -> None:
-    """The schedule's maps give the walks' probabilities, value for value,
-    and, where no channel is certain to happen, the same classes and
-    odds."""
-    probabilities = factory._probabilities(schedule, inputs)
-    assert probabilities == _walked_probabilities(schedule, inputs)
-    if min(probabilities) >= 0.0 and max(probabilities) < 1.0:
-        assert eventsets.classes(schedule, inputs[0], probabilities) == (
-            _walked_classes(schedule, inputs[0], probabilities))
+    """The schedule's maps give the walk's probabilities, value for
+    value."""
+    assert factory._probabilities(schedule, inputs) == (
+        _walked_probabilities(schedule, inputs))
+
+
+def _coinciding(inputs) -> tuple:
+    """Level-1 15-to-1 noise ``inputs`` with the first shape's rotations
+    (single-qubit, on checks) given the second shape's profile: the two
+    shapes' classes read equal odds."""
+    profiles = list(dict.fromkeys(inputs[0]))
+    assert len(profiles) == 3
+    return ([profiles[1] if f is profiles[0] else f for f in inputs[0]],
+            *inputs[1:])
 
 
 class TestEventMaps:
-    """``Schedule.take``, ``first`` and ``shapes`` stand for walks of
+    """``Schedule.take``, ``shapes`` and ``classes`` stand for walks of
     ``Schedule.events`` and of the rotations."""
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_maps_match_a_walk_of_the_events(self, data):
-        # at p_phys = 0 or not, c_T 1 or 10, with edge storage rates, and
-        # with the rotations sharing profile objects, or equal copies of
-        # them, in any pattern
+        # at p_phys = 0 or not, c_T 1 or 10, with edge storage rates: one
+        # odds value per class; and with the rotations sharing profile
+        # objects, or equal copies of them, in any pattern, the walk's
+        # probabilities
         for family in FAMILIES:
             _, inputs = data.draw(_edge_inputs(family))
+            _assert_one_odds_per_class(build_schedule(family), inputs)
             profiles = inputs[0]
             if data.draw(st.booleans()):
                 pool = list(profiles) + [dataclasses.replace(f)
@@ -1556,20 +1578,34 @@ class TestEventMaps:
         inputs = factory._noise_inputs(config, 6)
         assert inputs[0] == _walked_profiles(config)
         _assert_maps_match_a_walk(build_schedule(family), inputs)
+        _assert_one_odds_per_class(build_schedule(family), inputs)
 
     def test_maps_match_with_coinciding_profiles(self):
-        # test_coinciding_profiles_get_their_own_table's run
-        inputs = factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6)
-        classes = list(dict.fromkeys(inputs[0]))
-        coinciding = ([classes[1] if f == classes[0] else f
-                       for f in inputs[0]], *inputs[1:])
+        # test_coinciding_profiles_read_the_family_table's run: the first
+        # shape's classes read the odds of the second's, each its own
+        inputs = _coinciding(factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6))
         schedule = build_schedule("L1_15to1")
-        _assert_maps_match_a_walk(schedule, coinciding)
-        probabilities = factory._probabilities(schedule, coinciding)
-        assert len(eventsets.classes(schedule, coinciding[0],
-                                     probabilities)[1]) < len(
-            eventsets.classes(schedule, inputs[0],
-                              factory._probabilities(schedule, inputs))[1])
+        _assert_maps_match_a_walk(schedule, inputs)
+        _assert_one_odds_per_class(schedule, inputs)
+        odds = _odds(schedule, inputs)
+        assert odds[:4] == odds[4:8] and odds[:4] != odds[8:12]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_classes_follow_the_shapes(self, family):
+        # with S distinct shapes in order of first appearance, rotation i
+        # of the s-th shape has the classes 4s to 4s + 3, and storage and
+        # consumption Z kinds 4R + q the classes 4S + q
+        schedule = build_schedule(family)
+        c = schedule.circuit
+        seen, want = [], []
+        for r in c.rotations:
+            shape = (bool(c.output_qubits & set(r.axis.support)),
+                     len(r.axis.support) > 1)
+            if shape not in seen:
+                seen.append(shape)
+            want += range(4 * seen.index(shape), 4 * seen.index(shape) + 4)
+        want += range(4 * len(seen), 4 * len(seen) + c.n + 1)
+        assert schedule.classes == tuple(want)
 
     @pytest.mark.parametrize("kind", CATALOG_KINDS)
     def test_maps_match_on_a_bare_circuit(self, kind):
@@ -1586,9 +1622,9 @@ class TestEventMaps:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_one_probability_per_kind(self, data):
-        # every entry has a kind, entries of one kind are one channel's
-        # (the walk reads them the same probability), and first[kind] is
-        # the kind's first entry, or None for a kind no entry has
+        # every entry has a kind, and entries of one kind are one
+        # channel's: Schedule.take, reading one value per kind, gives the
+        # walk's probability of every entry
         rate = st.sampled_from([0.0, 1e-5, 2e-4, 0.1])
         runs = [(build_schedule(family), data.draw(_edge_inputs(family))[1])
                 for family in FAMILIES]
@@ -1604,15 +1640,12 @@ class TestEventMaps:
                 3.0, StorageRates(data.draw(rate), data.draw(rate)))))
         for schedule, inputs in runs:
             c = schedule.circuit
-            first = {}
-            for i, ((*_, kind), p) in enumerate(zip(
-                    schedule.events, _walked_probabilities(schedule,
-                                                           inputs))):
+            walked = _walked_probabilities(schedule, inputs)
+            kinds = [0.0] * (4 * len(c.rotations) + 2 * c.n + 2)
+            for (*_, kind), p in zip(schedule.events, walked):
                 assert type(kind) is int
-                assert first.setdefault(kind, (i, p))[1] == p
-            assert schedule.first == tuple(
-                first[kind][0] if kind in first else None
-                for kind in range(4 * len(c.rotations) + 2 * c.n + 2))
+                kinds[kind] = p
+            assert schedule.take(kinds) == walked
 
 
 class TestScreen:
@@ -1687,12 +1720,10 @@ class TestScreen:
         # and the signatures of at most one event come first
         family = config.family
         schedule = build_schedule(family)
-        partition, odds = _classes(schedule, factory._noise_inputs(config, 6))
-        pad = len(odds)
+        pad = len(_odds(schedule, factory._noise_inputs(config, 6)))
         order = _leading_order(family)
         groups, most = {}, 1
-        for labels, norms, ways in eventsets.kept_sets(schedule, order,
-                                                       partition):
+        for labels, norms, ways in eventsets.kept_sets(schedule, order):
             for events, dev, mass, w in zip(labels.T.tolist(),
                                             *norms.tolist(), ways.tolist()):
                 key = tuple(sorted(events)) + (pad,) * (order - len(events))
@@ -1701,7 +1732,7 @@ class TestScreen:
                 masses += [mass] * w
                 most = max(most, w)
         assert most > 1  # some set stands for several of the run
-        table = factory._event_sets(family, order, partition)
+        table = factory._event_sets(family, order)
         got = {tuple(terms): (dev, mass) for terms, dev, mass in zip(
             table.terms.T.tolist(), *table.sums.tolist())}
         assert got == {key: (math.fsum(devs), math.fsum(masses))
@@ -1711,37 +1742,42 @@ class TestScreen:
         assert sizes[:table.low] == sorted(sizes[:table.low])
         assert max(sizes[:table.low]) == 1 < min(sizes[table.low:])
 
-    def test_coinciding_profiles_get_their_own_table(self):
-        # three profile classes at level 1: single-qubit rotations, and
-        # multi-qubit ones without and with the output qubit.  Give the
-        # first class the second's profile and the partition collapses
+    def test_coinciding_profiles_read_the_family_table(self):
+        # three shapes at level 1: single-qubit rotations, and multi-qubit
+        # ones without and with the output qubit.  Give the first shape the
+        # second's profile: the two shapes' classes read equal odds, and
+        # the run reads the family's one table, built for the drawn run
         family, order = "L1_15to1", 3
-        schedule = build_schedule(family)
         inputs = factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6)
-        profiles = inputs[0]
-        classes = list(dict.fromkeys(profiles))
-        assert len(classes) == 3
-        coinciding = ([classes[1] if f == classes[0] else f
-                       for f in profiles], *inputs[1:])
+        coinciding = _coinciding(inputs)
         factory._event_sets.cache_clear()
+        factory._table_bound(family, inputs, order)
+        factory._table_bound(family, coinciding, order)
         p_out, floor = _table_p_out(family, coinciding, order)
-        coarse, odds = _classes(schedule, coinciding)
-        assert factory._event_sets.cache_info().currsize == 1
-        table = factory._event_sets(family, order, coarse)
-        assert factory._event_sets.cache_info().hits == 1
-        finer, finer_odds = _classes(schedule, inputs)
-        finer_table = factory._event_sets(family, order, finer)
-        assert table.terms.shape[1] < finer_table.terms.shape[1]
-        # the finer table read with each of its classes at its odds in the
-        # coinciding run
-        same = _p_out_of(
-            finer_table, [odds[coarse[finer.index(i)]]
-                          for i in range(len(finer_odds))], 1)
-        assert same == pytest.approx((p_out, floor), rel=4 * factory._EPS,
-                                     abs=0)
+        info = factory._event_sets.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
         want = _set_by_set(family, coinciding, order)[0]
         assert (p_out, floor) == pytest.approx(want, rel=4 * factory._EPS,
                                                abs=0)
+
+    def test_one_table_per_family(self):
+        # the screens of both benchmark grids, of the 24 table rows, of
+        # each family at p_phys = 0 (where every rotation's odds are 0) and
+        # of coinciding profiles all read one table per family
+        factory._event_sets.cache_clear()
+        configs = [config for family, p, ranges in _BENCHMARK_GRIDS
+                   for config in _valid_configs(family, ranges,
+                                                PhysicalNoise(p))]
+        for row in TABLE1 + TABLE2:
+            configs += [row_config(row), dataclasses.replace(
+                row_config(row), noise=PhysicalNoise(0.0))]
+        for config in configs:
+            p_out_lower_bound(config)
+        inputs = factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6)
+        factory._table_bound("L1_15to1", _coinciding(inputs), 3)
+        info = factory._event_sets.cache_info()
+        assert {config.family for config in configs} == set(FAMILIES)
+        assert (info.misses, info.currsize) == (len(FAMILIES),) * 2
 
     @pytest.mark.parametrize("config", [
         _l1(7, 3, 3, 1e-4),
@@ -1892,17 +1928,15 @@ def test_event_sets_hold_the_undetected_error_sets(family, counts):
     # the kept sets of P_{pi/2} branches alone that spoil the output.  The
     # recorded LEADING_ORDER is the first order with such a set
     schedule = build_schedule(family)
-    rotations = 4 * len(schedule.circuit.rotations)
-    # class 0 holds the P_{pi/2} branches, class 1 every other kind
-    partition = tuple(int(kind >= rotations or kind % 4 != 0)
-                      for kind in range(rotations + schedule.circuit.n + 1))
+    # the P_{pi/2} branches' classes are 4s, s below the number of shapes
+    shapes = len(set(schedule.shapes))
     got = [0] * len(counts)
-    for labels, norms, _ in eventsets.kept_sets(schedule, len(counts),
-                                                partition):
+    for labels, norms, _ in eventsets.kept_sets(schedule, len(counts)):
         if len(labels):
             # a set of P_{pi/2} branches is one Pauli term: kept, it reads
             # mass 1 and dev 0 (the term is the identity) or 1
-            dev, mass = norms[:, ~labels.any(axis=0)]
+            dev, mass = norms[:, ((labels < 4 * shapes)
+                                  & (labels % 4 == 0)).all(axis=0)]
             assert (mass == 1.0).all() and np.isin(dev, (0.0, 1.0)).all()
             got[len(labels) - 1] += int(np.count_nonzero(dev))
     assert got == counts
@@ -1922,23 +1956,29 @@ def _on_the_lattice(norms: np.ndarray, order: int) -> np.ndarray:
     return np.ldexp(np.rint(np.ldexp(norms, order)), -order)
 
 
-def _lattice_kept_sets(schedule, order: int, partition):
+def _lattice_kept_sets(schedule, order: int):
     """The chunked reference's kept sets, their float reads on the lattice
     of multiples of 2^-order that the exact reads lie on."""
-    for labels, norms, ways in chunked_kept_sets(schedule, order, partition):
+    for labels, norms, ways in chunked_kept_sets(schedule, order):
         yield labels, _on_the_lattice(norms, order), ways
 
 
-def _assert_tables_match_the_reference(family: str, partition) -> None:
-    """signature_sums at every order up to K, byte for byte as it sums the
-    sets of the chunked enumeration that reads every set, their reads
-    rounded to the lattice."""
-    schedule = build_schedule(family)
-    for order in range(1, _leading_order(family) + 1):
-        got = eventsets.signature_sums(schedule, order, partition)
-        with mock.patch.object(eventsets, "kept_sets", _lattice_kept_sets):
-            want = eventsets.signature_sums(schedule, order, partition)
-        assert _same_table(got, want), (family, order)
+def _reference_table(family: str, order: int) -> eventsets.EventSets:
+    """signature_sums as it sums the sets of the chunked enumeration that
+    reads every set, their reads rounded to the lattice."""
+    with mock.patch.object(eventsets, "kept_sets", _lattice_kept_sets):
+        return eventsets.signature_sums(build_schedule(family), order)
+
+
+def _assert_the_screen_reads_the_reference(family: str, inputs) -> None:
+    """The screen's run at the noise ``inputs`` builds the family's one
+    table, and it is the reference's, byte for byte."""
+    order = _leading_order(family)
+    factory._event_sets.cache_clear()
+    factory._table_bound(family, inputs, order)
+    assert factory._event_sets.cache_info().misses == 1
+    assert _same_table(factory._event_sets(family, order),
+                       _reference_table(family, order))
 
 
 class TestEventSets:
@@ -1946,38 +1986,35 @@ class TestEventSets:
     exactly, and its tables are the chunked reference's, byte for byte,
     once the reference's reads are rounded to the exact lattice."""
 
-    @settings(max_examples=4, deadline=None)
-    @given(data=st.data())
-    def test_tables_match_the_reference(self, data):
+    def test_tables_match_the_reference(self):
+        # each family's one table at every order up to K
         for family in FAMILIES:
-            config, inputs = data.draw(_edge_inputs(family))
-            _assert_tables_match_the_reference(
-                family, _classes(build_schedule(family), inputs)[0])
+            schedule = build_schedule(family)
+            for order in range(1, _leading_order(family) + 1):
+                assert _same_table(
+                    eventsets.signature_sums(schedule, order),
+                    _reference_table(family, order)), (family, order)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_tables_match_the_reference_at_zero_noise(self, family):
-        # at p_phys = 0 every rotation has the same odds
+        # at p_phys = 0 every rotation's odds are 0, and the screen reads
+        # the family's one table all the same
         row = next(r for r in TABLE1 + TABLE2 if r.family == family)
         config = dataclasses.replace(row_config(row),
                                      noise=PhysicalNoise(0.0))
-        _assert_tables_match_the_reference(family, _classes(
-            build_schedule(family), factory._noise_inputs(config, 6))[0])
+        _assert_the_screen_reads_the_reference(
+            family, factory._noise_inputs(config, 6))
 
     def test_tables_match_the_reference_at_coinciding_profiles(self):
-        family = "L1_15to1"
-        inputs = factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6)
-        classes = list(dict.fromkeys(inputs[0]))
-        coinciding = ([classes[1] if f == classes[0] else f
-                       for f in inputs[0]], *inputs[1:])
-        _assert_tables_match_the_reference(
-            family, _classes(build_schedule(family), coinciding)[0])
+        _assert_the_screen_reads_the_reference("L1_15to1", _coinciding(
+            factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6)))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_only_sets_that_pass_are_read(self, family, monkeypatch):
         # the kept sets are the reference's, set by set, so every set the
         # filter skips reads |r|^2 below ``rejected`` there; and each set
         # read is kept
-        schedule, order, partition = self._first_row(family)
+        schedule, order = build_schedule(family), _leading_order(family)
 
         def sets(chunks):
             return sorted((tuple(labels), dev, mass, w)
@@ -1994,8 +2031,8 @@ class TestEventSets:
 
         exact = eventsets._read
         monkeypatch.setattr(eventsets, "_read", counting)
-        got = sets(eventsets.kept_sets(schedule, order, partition))
-        assert got == sets(_lattice_kept_sets(schedule, order, partition))
+        got = sets(eventsets.kept_sets(schedule, order))
+        assert got == sets(_lattice_kept_sets(schedule, order))
         assert sum(read) == len(got)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -2003,9 +2040,9 @@ class TestEventSets:
                                                                  family):
         # the reference's float reads, rounded to the lattice, are the
         # exact reads set by set (test_only_sets_that_pass_are_read)
-        schedule, order, partition = self._first_row(family)
+        schedule, order = build_schedule(family), _leading_order(family)
         eps = factory._EPS
-        for _, norms, _ in chunked_kept_sets(schedule, order, partition):
+        for _, norms, _ in chunked_kept_sets(schedule, order):
             exact = _on_the_lattice(norms, order)
             assert (abs(norms - exact) <= 4 * eps * exact[1]).all()
 
@@ -2013,8 +2050,8 @@ class TestEventSets:
     def test_every_read_is_exact(self, family):
         # each kept set's dev and mass are multiples of 2^-order, and the
         # empty set reads the ideal output exactly, with no round-off
-        schedule, order, partition = self._first_row(family)
-        chunks = list(eventsets.kept_sets(schedule, order, partition))
+        schedule, order = build_schedule(family), _leading_order(family)
+        chunks = list(eventsets.kept_sets(schedule, order))
         labels, norms, ways = chunks[0]
         assert labels.shape == (0, 1)
         assert norms.tolist() == [[0.0], [1.0]] and ways.tolist() == [1]
@@ -2027,9 +2064,8 @@ class TestEventSets:
     def test_orders_past_the_int8_bound_are_rejected(self):
         # each coefficient's parts are at most 2^order, which int8 holds
         # up to order 6
-        schedule, _, partition = self._first_row("L2_15xCCZ")
         with pytest.raises(ValueError, match="at most 6, got 7"):
-            next(eventsets.kept_sets(schedule, 7, partition))
+            next(eventsets.kept_sets(build_schedule("L2_15xCCZ"), 7))
 
     @pytest.mark.parametrize("kind", sorted(factory.LEADING_ORDER))
     def test_the_noiseless_run_leaves_the_ideal_output_and_plus(self, kind):
@@ -2045,12 +2081,3 @@ class TestEventSets:
         assert equal_up_to_phase(state, want)
         dropped = phase_exponents(c.rotations[1:], c.n)
         assert not equal_up_to_phase(np.exp(1j * np.pi / 8 * dropped), want)
-
-    @staticmethod
-    def _first_row(family: str):
-        """(schedule, K, partition) of the family's first table row."""
-        row = next(r for r in TABLE1 + TABLE2 if r.family == family)
-        schedule = build_schedule(family)
-        partition = _classes(schedule,
-                             factory._noise_inputs(row_config(row), 6))[0]
-        return schedule, _leading_order(family), partition

@@ -3,7 +3,7 @@ builder of its one list of error channels, ``Schedule.__post_init__``,
 and ``build_schedule``, which makes the steps from a family's layout.
 
 Every other reader (the engine run, the screen's bound, the event sets'
-classes and enumeration) takes a run's events from ``Schedule.events``.
+odds and enumeration) takes a run's events from ``Schedule.events``.
 A read of an attribute named ``steps``, ``stored`` or
 ``rotation_outputs`` (the last two being the per-step and per-rotation
 walks that the list replaced) anywhere else fails.
@@ -11,7 +11,7 @@ walks that the list replaced) anywhere else fails.
 Only three readers walk ``Schedule.events`` itself: its builder, the
 engine run (``_run_schedule``) and the enumeration (``kept_sets``), each
 once per family or per run.  The per-candidate readers (``_probabilities``
-and ``classes``) read the maps the builder makes, so a read of an
+and ``class_odds``) read the maps the builder makes, so a read of an
 attribute named ``events`` anywhere else fails.
 """
 from __future__ import annotations
@@ -102,7 +102,7 @@ def test_no_per_candidate_walk_of_the_events():
 def test_the_guard_sees_an_event_walk():
     for source in ("def _probabilities(schedule, inputs):\n"
                    "    return tuple(p for _, p in schedule.events)",
-                   "def classes(schedule, profiles, probabilities):\n"
+                   "def class_odds(schedule, profiles, kinds):\n"
                    "    return schedule.events[-1][-1]",
                    "def _run_schedule(schedule):\n"
                    "    def inner():\n"

@@ -140,19 +140,20 @@ def _first_row(m, family: str):
 
 
 def _table_of(m, config):
-    """(schedule, order, partition, odds) of a configuration's screen."""
+    """(schedule, order, odds) of a configuration's screen."""
     f = m.factory
     schedule = f.build_schedule(config.family)
     inputs = f._noise_inputs(config, 6)
-    partition, odds = m.eventsets.classes(
-        schedule, inputs[0], f._probabilities(schedule, inputs))
-    return schedule, f.LEADING_ORDER[schedule.circuit.name], partition, odds
+    odds = m.eventsets.class_odds(schedule, inputs[0],
+                                  f._kind_probabilities(schedule, inputs))
+    return schedule, f.LEADING_ORDER[schedule.circuit.name], odds
 
 
 def _signature_sums(family: str):
     def setup(m):
-        schedule, order, partition, _ = _table_of(m, _first_row(m, family))
-        return lambda: m.eventsets.signature_sums(schedule, order, partition)
+        schedule = m.factory.build_schedule(family)
+        order = m.factory.LEADING_ORDER[schedule.circuit.name]
+        return lambda: m.eventsets.signature_sums(schedule, order)
     return setup
 
 
@@ -166,8 +167,8 @@ def _screen(m):
 
 def _read(m):
     config = _first_row(m, "L1_15to1")
-    schedule, order, partition, odds = _table_of(m, config)
-    table = m.factory._event_sets(config.family, order, partition)
+    schedule, order, odds = _table_of(m, config)
+    table = m.factory._event_sets(config.family, order)
     return lambda: m.eventsets.read_p_out(table, odds, 1)
 
 
