@@ -68,7 +68,7 @@ Usage::
 
     rho = GradedDensityMatrix.init_plus(5)
     prof = RotationErrorProfile(1e-4, 0.0, 0.0, 0.0)
-    rotation = Rotation(PauliProduct("ZIIII"), RotationAngle(1))
+    rotation = Rotation(PauliProduct("ZIIII"), RotationAngle(-1))
     rho = rho.apply_faulty_rotation(rotation, prof)
     rho = rho.apply_x_flip(1, 1e-4).apply_z_flips([(0, 1e-4), (1, 2e-4)])
     rho = rho.release(0, [2**-0.5, 0.5 - 0.5j], [("Z", 1e-4)])
@@ -802,8 +802,6 @@ class GradedDensityMatrix:
         factors, of which it must be the product with a state of the other
         qubits, and summed over the bits of the qubits outside the
         stack."""
-        if len(self.live) == self.n:
-            return psi
         t = psi.reshape((2,) * self.n)
         # the lowest qubit first: the higher ones keep their axes
         for q in sorted(self.released):

@@ -8,12 +8,12 @@ other and with the ideal rotations, and the run projects once, at its
 end.  So each set of events leaves one pure branch, a sum of Pauli terms
 on the ideal output, whose deviation from the ideal output and success
 mass depend on the schedule alone and are read exactly
-(:func:`kept_sets`).  The events and their kinds are the entries of
-``Schedule.events``, and the schedule fixes each kind's class
-(``Schedule.classes``): a branch or the output flips of the rotations of
-one shape, or one storage or consumption Z kind.  So a family has one
-table (:func:`signature_sums`), and a run reads it at its classes' odds
-(:func:`class_odds`).
+(:func:`kept_sets`).  The events are the entries of ``Schedule.events``,
+each labelled by its kind: a branch or the output flips of the rotations
+of one shape, or one storage or consumption Z kind, and events of one
+kind have one probability.  So a family has one table
+(:func:`signature_sums`), and a run reads it at its kinds' odds
+(:func:`kind_odds`).
 """
 from __future__ import annotations
 
@@ -36,11 +36,11 @@ class EventSets(NamedTuple):
     """A schedule's runs without X flips, summed by signature.
 
     A set of error events weighs the product of its events' odds, and
-    events of one class have equal odds, so every set of one signature,
-    the sorted multiset of its events' classes, weighs the same.
-    ``terms`` is an (order, signatures) array of each signature's classes,
-    padded with the number of classes, which the read points at odds 1:
-    a signature's classes are a column, so the read takes a row at a time.
+    events of one kind have equal odds, so every set of one signature,
+    the sorted multiset of its events' kinds, weighs the same.  ``terms``
+    is an (order, signatures) array of each signature's kinds, padded
+    with the number of Z kinds, which the read points at odds 1: a
+    signature's kinds are a column, so the read takes a row at a time.
     ``sums`` is a (2, signatures) array of the deviation from the ideal
     output and the success mass of its sets, each set counted as often as
     the sets of the run it stands for and each sum exact.  The first
@@ -52,29 +52,24 @@ class EventSets(NamedTuple):
     low: int
 
 
-def class_odds(schedule, profiles, kinds: list[float]) -> list[float]:
-    """The odds of each class of ``schedule.classes`` in a run of
-    ``schedule`` whose rotations have the error ``profiles`` and whose
-    kinds of channel the probabilities ``kinds``
+def kind_odds(schedule, profiles, kinds: list[float]) -> list[float]:
+    """The odds of each Z kind of ``schedule.events`` in a run of
+    ``schedule`` whose shapes of rotation have the error ``profiles``, one
+    per shape, and whose kinds of channel the probabilities ``kinds``
     (``factory._kind_probabilities``).
 
     An event's odds are p / keep, keep being 1 less the probability of its
     channel (a rotation's three branches, or one flip), which must be
-    above 0.  A shape's classes, one per branch and one for its output
-    flips, read the profile of its first rotation: every rotation of one
-    shape must have one profile, as ``factory._noise_inputs`` builds one
-    per shape.  Each storage or consumption Z kind is a class of its own.
+    above 0.  A shape's kinds are one per branch and one for its output
+    flips, then come the storage and consumption Z kinds.
     """
-    shapes = schedule.shapes
     odds = []
-    for shape in dict.fromkeys(shapes):
-        f = profiles[shapes.index(shape)]
+    for f in profiles:
         keep = 1.0 - f.p_error
         odds += [p / keep for p, _ in f.branches]
         odds.append(f.p_z_output / (1.0 - f.p_z_output))
-    storage = 4 * len(shapes)  # the first storage Z kind
     return odds + [p / (1.0 - p) for p in
-                   kinds[storage:storage + schedule.circuit.n + 1]]
+                   kinds[len(odds):len(odds) + schedule.circuit.n + 1]]
 
 
 def kept_sets(schedule, order: int):
@@ -84,14 +79,14 @@ def kept_sets(schedule, order: int):
     The events are the Z-type entries of ``schedule.events``: each
     rotation's three substitution branches, a set holding at most one per
     rotation, and the Z flips, a rotation's output flips and every storage
-    and consumption Z flip.  Each kind of event is of class
-    ``schedule.classes[kind]``.  All Z flips on one qubit are the same
-    operator, so the m flips of one class on qubit q (the output flips of
-    one shape's rotations, or one kind's storage flips) enter as one event
-    of multiplicity m: a set that holds it j <= m times stands for C(m, j)
+    and consumption Z flip, each labelled by its kind: a rotation's
+    branches ``kind`` to ``kind + 2``.  All Z flips on one qubit are the
+    same operator, so the m flips of one kind on qubit q (the output flips
+    of one shape's rotations, or q's storage flips) enter as one event of
+    multiplicity m: a set that holds it j <= m times stands for C(m, j)
     sets of the run, each with the same branch.  A chunk is ``(labels,
     norms, ways)``, each with one column per set and the sets of one chunk
-    of one size: ``labels`` holds each event's class, ``norms`` each set's
+    of one size: ``labels`` holds each event's kind, ``norms`` each set's
     deviation from the ideal output and success mass, and ``ways`` how
     many sets of the run it stands for, the product of its flips' C(m, j).
     The sizes come in increasing order.
@@ -131,7 +126,7 @@ def kept_sets(schedule, order: int):
     """
     if order > 6:
         raise ValueError(f"order must be at most 6, got {order}")
-    c, classes = schedule.circuit, schedule.classes
+    c = schedule.circuit
     checks = sorted(c.check_qubits)
     rest = [q for q in range(c.n) if q not in c.check_qubits]
     # each qubit's bit in a term's Z pattern, the other qubits' first: the
@@ -139,20 +134,20 @@ def kept_sets(schedule, order: int):
     # checks are its bits from len(rest) on
     bit = {q: 1 << i for i, q in enumerate(rest + checks)}
     free, dim = 1 << len(rest), 1 << c.n
-    # each event's class, Z pattern and t, and the event that starts the
+    # each event's kind, Z pattern and t, and the event that starts the
     # next channel (a rotation's branches are adjacent)
     labels, masks, turns, ends = [], [], [], []
-    flips = Counter()  # the multiplicity of each (qubit, class) of Z flips
+    flips = Counter()  # the multiplicity of each (qubit, kind) of Z flips
     for _, source, operator, target, kind in schedule.events:
         if source == "rotation":
-            labels += classes[kind:kind + 3]
+            labels += range(kind, kind + 3)
             masks += [sum(map(bit.get, operator.axis.support))] * 3
             # k pi/8 more about P: -i P at k = 4, (I -+ i P) / sqrt(2) at
             # k = +-2
             turns += [0 if k % 8 == 4 else np.sign(k) for k in SUBSTITUTIONS]
             ends += [len(labels)] * 3
         elif operator == "Z":  # the X flips are left out
-            flips[target, classes[kind]] += 1
+            flips[target, kind] += 1
     mults = np.array([1] * len(labels) + list(flips.values()))
     for q, label in flips:
         labels.append(label)
@@ -250,9 +245,8 @@ def _read(re: np.ndarray, im: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 def signature_sums(schedule, order: int) -> EventSets:
     """The runs of ``schedule`` without X flips up to ``order`` events
-    (:func:`kept_sets`), summed by signature, each kind of event of class
-    ``schedule.classes[kind]``, in read-only arrays: the table every run
-    of the schedule reads, whatever its noise.
+    (:func:`kept_sets`), summed by signature, in read-only arrays: the
+    table every run of the schedule reads, whatever its noise.
 
     Each set's dev and mass, times the sets of the run it stands for, is
     an exact multiple of 2^-order (:func:`kept_sets`), so one
@@ -260,7 +254,8 @@ def signature_sums(schedule, order: int) -> EventSets:
     exact while every integer total, in units of 2^-order, is below 2^53
     (a set's mass is at most 1).
     """
-    width = max(schedule.classes) + 1
+    # the Z kinds: 4 per shape, one per qubit's storage, one consumption
+    width = 4 * len(schedule.shapes) + schedule.circuit.n + 1
     terms, sums, low = [], [], 0
     for k, chunks in itertools.groupby(kept_sets(schedule, order),
                                        key=lambda chunk: len(chunk[0])):
@@ -292,8 +287,8 @@ def read_p_out(table: EventSets, odds: list[float], outputs: int
                ) -> tuple[float, float]:
     """(p_out, its floor) of a run without X flips from its signature
     sums, each times the run's success mass T relative to its zero-event
-    branch's, each class of events having the odds ``odds[i]``
-    (:func:`class_odds`).
+    branch's, each kind of event i having the odds ``odds[i]``
+    (:func:`kind_odds`).
 
     A set E weighs prod over E of the odds p_e / keep_e relative to the
     zero-event run, and every set of one signature weighs the same.  The

@@ -40,7 +40,7 @@ from .circuits import (LEADING_ORDER, PLUS, Circuit, NoiseSpec, catalog,
 from .density import (DEFAULT_MAX_GRADE, GradedDensityMatrix,
                       RotationErrorProfile, _rejected, _sum_checks,
                       check_kmax, pure_state_infidelity)
-from .eventsets import (_EPS, EventSets, class_odds, read_p_out,
+from .eventsets import (_EPS, EventSets, kind_odds, read_p_out,
                         signature_sums)
 from .noise import (
     DistanceSet,
@@ -258,11 +258,13 @@ class Schedule:
     an X and a Z flip on each output, consumed at step ``len(steps)``.  An
     entry is (step, source, operator, target, kind): source "rotation",
     "output", "storage" or "consumption"; operator the ``Rotation``, "X"
-    or "Z"; target the rotation's index or the qubit; kind, with R
-    rotations and n qubits, 4i for rotation i (its branches 4i to 4i+2),
-    4i+3 for its output flips, 4R+q for q's storage Z flips, 4R+n for the
-    consumption Z flips, 4R+n+1+q for q's storage X flips and 4R+2n+1 for
-    the consumption X flips.  Entries of one kind have one probability.
+    or "Z"; target the rotation's index or the qubit; kind, with S
+    shapes of rotation (``shapes``) and n qubits, 4s for a rotation of the
+    s-th shape (its branches 4s to 4s+2), 4s+3 for its output flips, 4S+q
+    for q's storage Z flips, 4S+n for the consumption Z flips, 4S+n+1+q
+    for q's storage X flips and 4S+2n+1 for the consumption X flips.
+    Entries of one kind have one probability, and the Z kinds label the
+    events of the event sets (:mod:`eventsets`).
 
     ``leaving`` maps the index in ``events`` of each rotation that is the
     last on an output whose ideal state is a single-qubit factor
@@ -274,13 +276,10 @@ class Schedule:
     The per-configuration readers take what they need of ``events`` from
     maps made here, with no walk of their own.  ``take`` reads each
     entry's probability, in order, from a list of one value per kind
-    (:func:`_probabilities`).  ``shapes`` holds each rotation's shape
-    (whether its axis holds an output, whether it holds more than one
-    qubit), on which its error profile and its output flips depend.
-    ``classes`` maps each Z kind to its class in the event sets
-    (:mod:`eventsets`): with S distinct shapes, in order of first
-    appearance, kind 4i+col of a rotation of the s-th to 4s+col, and the
-    storage Z kind 4R+q to 4S+q and the consumption Z kind to 4S+n.
+    (:func:`_kind_probabilities`).  ``shapes`` holds the distinct shapes
+    of the rotations (whether the axis holds an output, whether it holds
+    more than one qubit), in order of first appearance: a rotation's error
+    profile and its output flips depend on its shape alone.
     """
 
     circuit: Circuit
@@ -293,11 +292,13 @@ class Schedule:
         init=False, repr=False, compare=False)
     shapes: tuple[tuple[bool, bool], ...] = field(init=False, repr=False,
                                                   compare=False)
-    classes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = self.circuit
-        storage = 4 * len(c.rotations)
+        shapes = [(not c.output_qubits.isdisjoint(r.axis.support),
+                   len(r.axis.support) > 1) for r in c.rotations]
+        distinct = list(dict.fromkeys(shapes))
+        storage = 4 * len(distinct)
         flips = storage + c.n + 1  # the X kinds follow the Z kinds
         events = []
         initialized: set[int] = set()
@@ -308,8 +309,9 @@ class Schedule:
                 if not set(r.axis.support) <= initialized:
                     raise ValueError(
                         f"rotation {ri} touches an uninitialized qubit")
-                events.append((step, "rotation", r, ri, 4 * ri))
-                events += [(step, "output", "Z", q, 4 * ri + 3) for q in
+                kind = 4 * distinct.index(shapes[ri])
+                events.append((step, "rotation", r, ri, kind))
+                events += [(step, "output", "Z", q, kind + 3) for q in
                            sorted(c.output_qubits & set(r.axis.support))]
             for q in sorted(initialized):
                 events += [(step, "storage", "X", q, flips + q),
@@ -323,14 +325,7 @@ class Schedule:
         object.__setattr__(self, "events", tuple(events))
         kinds = [kind for *_, kind in events]
         object.__setattr__(self, "take", itemgetter(*kinds))
-        object.__setattr__(self, "shapes", tuple(
-            (not c.output_qubits.isdisjoint(r.axis.support),
-             len(r.axis.support) > 1) for r in c.rotations))
-        distinct = list(dict.fromkeys(self.shapes))
-        object.__setattr__(self, "classes", tuple(
-            [4 * distinct.index(shape) + col for shape in self.shapes
-             for col in range(4)]
-            + [4 * len(distinct) + q for q in range(c.n + 1)]))
+        object.__setattr__(self, "shapes", tuple(distinct))
         last = {q: i for i, (_, source, r, _, _) in enumerate(events)
                 if source == "rotation" for q in r.axis.support}
         leaving = {}
@@ -401,20 +396,14 @@ def _kind_probabilities(schedule: Schedule, inputs: tuple) -> list[float]:
             + [cycles * r.pX for r in stored] + [consumption.pX])
 
 
-def _probabilities(schedule: Schedule, inputs: tuple) -> tuple[float, ...]:
-    """The probability of each entry of ``schedule.events`` under the
-    noise ``inputs``: one read, through ``Schedule.take``, of
-    :func:`_kind_probabilities`."""
-    return schedule.take(_kind_probabilities(schedule, inputs))
-
-
 def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     """Run one schedule, of a factory or of a bare circuit
     (:func:`simulate_circuit`), on one graded state, whose channels update
     it in place: the one driver of the graded engine.
 
     The run applies the channels of ``schedule.events`` in order, at their
-    :func:`_probabilities` under the noise ``inputs`` (:func:`_noise_inputs`).
+    probabilities under the noise ``inputs`` (:func:`_noise_inputs`), read
+    through ``Schedule.take`` from :func:`_kind_probabilities`.
     Its E events of nonzero probability hold at most E errors, so it keeps
     min(kmax, E) grades; with none it reads 0 and builds no state.
 
@@ -435,7 +424,7 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     """
     check_kmax(kmax)
     c = schedule.circuit
-    probabilities = _probabilities(schedule, inputs)
+    probabilities = schedule.take(_kind_probabilities(schedule, inputs))
     events = sum(p > 0.0 for p in probabilities)
     if not events:
         # noiseless: the engine would read its round-off
@@ -444,14 +433,14 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     profiles = inputs[0]
     rho = GradedDensityMatrix.init_plus(c.n, min(kmax, events))
     z_flips, x_flips, consumed = [], {q: [] for q in range(c.n)}, []
-    for i, ((_, source, operator, target, _), p) in enumerate(
+    for i, ((_, source, operator, target, kind), p) in enumerate(
             zip(schedule.events, probabilities)):
         if source == "rotation":
             for q in operator.axis.support:
                 for x in x_flips[q]:
                     rho = rho.apply_x_flip(q, x)
                 x_flips[q] = []
-            rho = rho.apply_faulty_rotation(operator, profiles[target])
+            rho = rho.apply_faulty_rotation(operator, profiles[kind // 4])
             for q, flips in leaving.get(i, ()):
                 if len(rho.live) >= LIVE_MIN_QUBITS:
                     z_flips = [f for f in z_flips if f[0] != q]
@@ -514,8 +503,8 @@ def simulate_circuit(c: Circuit, noise: NoiseSpec,
     schedule = Schedule(c, (tuple(range(len(c.rotations))),),
                         {0: tuple(range(c.n))})
     return _run_schedule(schedule, (
-        [profile] * len(c.rotations), dict.fromkeys(range(c.n), zero), 0.0,
-        zero), kmax)
+        [profile] * len(schedule.shapes), dict.fromkeys(range(c.n), zero),
+        0.0, zero), kmax)
 
 
 @lru_cache(maxsize=None)
@@ -530,21 +519,20 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
 
     The bound reads the run's order-``order`` sums without its X flips
     from the family's one table of event sets (:mod:`eventsets`), whose
-    classes the schedule fixes (``Schedule.classes``), at each class's
-    odds in this run (:func:`eventsets.class_odds`).  The read is
-    N / outputs, N the sum over the table's sets s of rho_s dev_s,
-    rho_s the product of their odds.  The table's sums are exact, each
-    term, an exact sum times at most K <= 3 odds, rounds at most K times,
-    and the sum (``math.fsum``) once more, so N lands within 4 eps of the
-    exact sum over the sets, and the floor likewise; the slack's 16 eps of
-    N covers it.
+    events the schedule's Z kinds label, at each kind's odds in this run
+    (:func:`eventsets.kind_odds`).  The read is N / outputs, N the sum
+    over the table's sets s of rho_s dev_s, rho_s the product of their
+    odds.  The table's sums are exact, each term, an exact sum times at
+    most K <= 3 odds, rounds at most K times, and the sum (``math.fsum``)
+    once more, so N lands within 4 eps of the exact sum over the sets, and
+    the floor likewise; the slack's 16 eps of N covers it.
 
     N bounds the run with the X flips.  A run at any kmax reads p_out =
     N'/(outputs T), with T <= 1 its success mass and N' the sum over its
     kept event sets s of w_s dev_s, every dev_s >= 0.  Every set the table
     holds is a set of at most ``order`` events of that run with no X flip
     in it, and weighs there Z rho_s, Z being prod(1 - p_e) over every
-    error channel of the run (:func:`_probabilities`).  So p_out(with X
+    error channel of the run (``Schedule.take``).  So p_out(with X
     flips) >= Z * (N / outputs - slack), with no tail and no success mass
     (the table's own, >= 1, would only lower it).  The run holds up to
     (S^2/2)/Z in grades 2 and up, with S the sum of those probabilities,
@@ -561,7 +549,7 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
         return 0.0
     outputs = schedule.circuit.outputs
     read, floor = read_p_out(_event_sets(family, order),
-                             class_odds(schedule, inputs[0], kinds), outputs)
+                             kind_odds(schedule, inputs[0], kinds), outputs)
     # this read and an engine run's each round by about the floor plus a
     # few eps of p_out (table1 row 5's engine readouts at two orders
     # differed by 0.1 floor; other float orders moved it by up to 2.6)
@@ -601,7 +589,8 @@ def _level1_block(config: FactoryConfig) -> FactoryConfig:
 
 def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
     """(profiles, storage rates, storage cycles, consumption) of
-    ``config``'s schedule.
+    ``config``'s schedule, one profile per shape of rotation
+    (``Schedule.shapes``).
 
     A level-1 rotation is lattice surgery with a faulty T measurement, or
     a single-qubit rotation on a check; a level-2 one consumes a state of
@@ -623,20 +612,16 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
     else:
         dx, dz, p_fail = d.dX, d.dZ, 0.0
     try:
-        # one profile per shape of rotation (Schedule.shapes), built in
-        # order of first appearance, as eventsets.class_odds requires; at
-        # level 1 a single-qubit rotation is on a check
-        shapes = schedule.shapes
-        l_anc, made = layout.l_anc(d), {}
-        for outputs, multi in dict.fromkeys(shapes):
-            made[outputs, multi] = (
-                level2_rotation_profile(noise, level1.p_out, l_anc, d.dX2,
-                                        d.dm2, layout.l_move(d), outputs)
-                if level2
-                else multiqubit_rotation_profile(noise, l_anc, d.dX, d.dm,
-                                                 outputs)
-                if multi else single_qubit_rotation_profile(noise, d.dZ, d.dm))
-        profiles = list(map(made.__getitem__, shapes))
+        # one profile per shape of rotation (Schedule.shapes); at level 1
+        # a single-qubit rotation is on a check
+        l_anc = layout.l_anc(d)
+        profiles = [
+            level2_rotation_profile(noise, level1.p_out, l_anc, d.dX2, d.dm2,
+                                    layout.l_move(d), outputs)
+            if level2
+            else multiqubit_rotation_profile(noise, l_anc, d.dX, d.dm, outputs)
+            if multi else single_qubit_rotation_profile(noise, d.dZ, d.dm)
+            for outputs, multi in schedule.shapes]
         rate = {dh: patch_storage_rates(noise, dx, dh) for dh in (dx, dz)}
         rates = {q: rate[dx if q in c.output_qubits else dz]
                  for q in range(c.n)}
@@ -800,7 +785,7 @@ def sweep(
     exceeds the target cannot meet it and is not simulated.  Skipping it
     changes neither the feasible set nor any pruning decision.  The
     screen runs no engine: it reads sums over event sets built once per
-    family, whose classes of events the schedule fixes.  A value repeated
+    family, whose events the schedule's kinds label.  A value repeated
     in a range counts once.
     """
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):

@@ -29,16 +29,16 @@ def kept_sets(schedule, order: int):
     The events are the Z-type entries of ``schedule.events``: each
     rotation's three substitution branches, a set holding at most one per
     rotation, and the Z flips, a rotation's output flips and every storage
-    and consumption Z flip.  Each kind of event is of class
-    ``schedule.classes[kind]``.  All Z flips on one qubit are the same
-    operator, so the m flips of one class on qubit q enter as one event of
-    multiplicity m: a set that holds it j <= m times stands for C(m, j)
-    sets of the run, each with the same branch.  A chunk is ``(labels,
-    norms, ways)``, each with one column per set and the sets of one chunk
-    of one size: ``labels`` holds each event's class, ``norms`` each set's
-    deviation from the ideal output and success mass, and ``ways`` how
-    many sets of the run it stands for, the product of its flips' C(m, j).
-    The sizes come in increasing order.
+    and consumption Z flip, each labelled by its kind: a rotation's
+    branches ``kind`` to ``kind + 2``.  All Z flips on one qubit are the
+    same operator, so the m flips of one kind on qubit q enter as one
+    event of multiplicity m: a set that holds it j <= m times stands for
+    C(m, j) sets of the run, each with the same branch.  A chunk is
+    ``(labels, norms, ways)``, each with one column per set and the sets
+    of one chunk of one size: ``labels`` holds each event's kind, ``norms``
+    each set's deviation from the ideal output and success mass, and
+    ``ways`` how many sets of the run it stands for, the product of its
+    flips' C(m, j).  The sizes come in increasing order.
 
     Every event and every ideal rotation is a diagonal phase, a power of
     exp(i pi/8), so the pre-measurement state a set leaves has amplitudes
@@ -67,19 +67,19 @@ def kept_sets(schedule, order: int):
                 for pos, q in enumerate(checks + rest))
     # the ideal rotations' exponents at each position
     pre = phase_exponents(c.rotations, c.n)[basis]
-    # each event's exponents and class, and the event that starts the next
+    # each event's exponents and kind, and the event that starts the next
     # channel (a rotation's branches are adjacent)
     steps, labels, ends = [], [], []
-    flips = Counter()  # the multiplicity of each (qubit, class) of Z flips
+    flips = Counter()  # the multiplicity of each (qubit, kind) of Z flips
     for _, source, operator, target, kind in schedule.events:
         if source == "rotation":
             for col, k in enumerate(SUBSTITUTIONS):
                 steps.append(phase_exponents(
                     [Rotation(operator.axis, RotationAngle(k))], c.n)[basis])
-                labels.append(schedule.classes[kind + col])
+                labels.append(kind + col)
             ends += [len(steps)] * 3
         elif operator == "Z":  # the X flips are left out
-            flips[target, schedule.classes[kind]] += 1
+            flips[target, kind] += 1
     mults = [1] * len(steps)
     for (q, label), m in flips.items():
         steps.append((4 * (1 - z_signs(1 << q, c.n)[basis])).astype(np.int64))

@@ -15,7 +15,8 @@ import msdsim.factory as factory
 from msdsim import eventsets, noise as noise_model
 from msdsim.circuits import (CATALOG_KINDS, catalog, coherent,
                              random_pauli, z_only)
-from msdsim.density import GradedDensityMatrix, RotationErrorProfile
+from msdsim.density import (SUBSTITUTIONS, GradedDensityMatrix,
+                            RotationErrorProfile)
 from msdsim.factory import (
     FAMILIES,
     LAYOUTS,
@@ -51,6 +52,17 @@ def _l2(family, dx, dz, dm, dx2, dz2, dm2, n_l1, p, ct=1.0):
         family, DistanceSet(dx, dz, dm, dx2, dz2, dm2, n_l1),
         PhysicalNoise(p, ct),
     )
+
+
+def _shape_numbers(c) -> list[int]:
+    """Each rotation's shape's index among the circuit's distinct shapes
+    (whether its axis holds an output, whether it holds more than one
+    qubit), in order of first appearance, its axis tested rotation by
+    rotation: the reference for ``Schedule.shapes``."""
+    shapes = [(bool(c.output_qubits & set(r.axis.support)),
+               len(r.axis.support) > 1) for r in c.rotations]
+    seen = list(dict.fromkeys(shapes))
+    return [seen.index(shape) for shape in shapes]
 
 
 class TestConfigValidation:
@@ -191,15 +203,18 @@ class TestSchedules:
         assert steps == sorted(steps)
         assert {source for _, source, *_ in s.events[-2 * consumed:]} == {
             "consumption"}
-        # the Z kinds of storage and consumption, then the X kinds
-        storage = 4 * len(c.rotations)
+        # a rotation of the s-th shape has the kind 4s, then the Z kinds
+        # of storage and consumption, then the X kinds
+        shapes = _shape_numbers(c)
+        storage = 4 * (max(shapes) + 1)
         flips = {"Z": storage, "X": storage + c.n + 1}
         for before, (step, source, operator, target, kind) in zip(
                 [None, *s.events], s.events):
             if source == "rotation":
                 assert operator is c.rotations[target]
                 assert target in s.steps[step]
-                assert kind == 4 * target
+                assert kind == 4 * shapes[target]
+                axis = operator.axis.support
                 # after the last step's storage, or this step's rotations
                 assert (before is None or before[1] == "storage"
                         or before[0] == step)
@@ -208,7 +223,6 @@ class TestSchedules:
                 assert operator == "Z" and kind % 4 == 3
                 assert before[1] in ("rotation", "output")
                 assert before[4] // 4 == kind // 4 and before[0] == step
-                axis = c.rotations[kind // 4].axis.support
                 assert target in c.output_qubits and target in axis
                 assert before[1] == "rotation" or before[3] < target
             elif operator == "X":
@@ -710,8 +724,9 @@ def test_a_schedule_run_matches_the_dense_oracle(family):
     schedule = (build_schedule(family) if family in FAMILIES
                 else _one_step(family))
     c = schedule.circuit
-    profiles = [RotationErrorProfile(1e-3 * (1 + i % 3), 2e-3, 1e-3, 3e-3)
-                for i in range(len(c.rotations))]
+    profiles = [RotationErrorProfile(1e-3 * (1 + s), 2e-3, 1e-3, 3e-3)
+                for s in range(len(schedule.shapes))]
+    shapes = _shape_numbers(c)
     rates = {q: StorageRates(1e-3 * (q + 1), 5e-4 * (c.n - q))
              for q in range(c.n)}
     consumption = StorageRates(4e-3, 2e-3)
@@ -721,7 +736,7 @@ def test_a_schedule_run_matches_the_dense_oracle(family):
     for step, rotations in enumerate(schedule.steps):
         initialized.update(schedule.initialize.get(step, ()))
         for ri in rotations:
-            r, profile = c.rotations[ri], profiles[ri]
+            r, profile = c.rotations[ri], profiles[shapes[ri]]
             dense = dense.apply_faulty_rotation(r, profile)
             outputs = sorted(c.output_qubits & set(r.axis.support))
             dense = dense.apply_z_flips([(q, profile.p_z_output)
@@ -755,7 +770,7 @@ def test_kmax_is_clamped_to_the_event_count(monkeypatch):
     monkeypatch.setattr(GradedDensityMatrix, "init_plus", spy)
     schedule = build_schedule("L1_15to1")
     inputs = factory._noise_inputs(_l1(7, 3, 3, 1e-4), 6)
-    events = sum(p > 0.0 for p in factory._probabilities(schedule, inputs))
+    events = sum(p > 0.0 for p in _probabilities(schedule, inputs))
     assert events == 78
     c = catalog("fifteen_to_one")  # one event per rotation
     for kmax in (events + 1, 10**12):
@@ -1335,9 +1350,14 @@ def _leading_order(family: str) -> int:
 
 
 def _odds(schedule, inputs) -> list[float]:
-    """The odds of each class of ``schedule.classes`` in the run."""
-    return eventsets.class_odds(schedule, inputs[0],
-                                factory._kind_probabilities(schedule, inputs))
+    """The odds of each Z kind of ``schedule.events`` in the run."""
+    return eventsets.kind_odds(schedule, inputs[0],
+                               factory._kind_probabilities(schedule, inputs))
+
+
+def _probabilities(schedule, inputs) -> tuple[float, ...]:
+    """The probability of each entry of ``schedule.events`` in the run."""
+    return schedule.take(factory._kind_probabilities(schedule, inputs))
 
 
 def _p_out_of(table: eventsets.EventSets, odds, outputs: int
@@ -1413,7 +1433,7 @@ def _slack(schedule, inputs, value: float, floor: float
     """Z, the product of every channel's keep, and the slack the screen
     takes for a read ``value`` of p_out with this ``floor``."""
     outputs = schedule.circuit.outputs
-    probabilities = factory._probabilities(schedule, inputs)
+    probabilities = _probabilities(schedule, inputs)
     z = math.prod(1.0 - p for p in probabilities)
     return z, (16 * (floor / outputs + factory._EPS * value)
                + 8 * factory._EPS * sum(probabilities)**2 / z / outputs)
@@ -1441,9 +1461,9 @@ def _assert_table_matches_the_engine(family: str, inputs) -> None:
     no_x = (profiles, {q: StorageRates(0.0, r.pZ) for q, r in rates.items()},
             cycles, StorageRates(0.0, consumption.pZ))
     # the run's channels at their probabilities, every X flip's at 0
-    assert factory._probabilities(schedule, no_x) == tuple(
+    assert _probabilities(schedule, no_x) == tuple(
         0.0 if operator == "X" else p for (_, _, operator, _, _), p in zip(
-            schedule.events, factory._probabilities(schedule, inputs)))
+            schedule.events, _probabilities(schedule, inputs)))
     run = factory._run_schedule(schedule, no_x, order)
     channels = 1 + sum(source in ("rotation", "output")
                        for _, source, *_ in schedule.events)
@@ -1456,28 +1476,37 @@ def _assert_table_matches_the_engine(family: str, inputs) -> None:
         z * (read - full), rel=1e-12, abs=1e-300)
 
 
+def _rotation_profiles(schedule, inputs) -> list[RotationErrorProfile]:
+    """Each rotation's profile among the noise ``inputs``' ones, one per
+    shape, its shape read from its axis (:func:`_shape_numbers`)."""
+    return [inputs[0][s] for s in _shape_numbers(schedule.circuit)]
+
+
 def _walked_probabilities(schedule, inputs) -> tuple[float, ...]:
     """The probability of each entry of ``schedule.events``, entry by
-    entry: the reference for the map that ``factory._probabilities``
-    reads."""
-    profiles, rates, cycles, consumption = inputs
+    entry, an output flip's from the profile of the rotation it follows:
+    the reference for the map that ``Schedule.take`` reads."""
+    _, rates, cycles, consumption = inputs
+    profiles = _rotation_profiles(schedule, inputs)
     stored = {"X": {q: cycles * r.pX for q, r in rates.items()},
               "Z": {q: cycles * r.pZ for q, r in rates.items()}}
     consumed = {"X": consumption.pX, "Z": consumption.pZ}
-    return tuple([
-        profiles[target].p_half + profiles[target].p_quarter
-        + profiles[target].p_mquarter if source == "rotation"
-        else profiles[kind // 4].p_z_output if source == "output"
-        else stored[operator][target] if source == "storage"
-        else consumed[operator]
-        for _, source, operator, target, kind in schedule.events])
+    walked = []
+    for _, source, operator, target, _ in schedule.events:
+        if source == "rotation":
+            f = profiles[target]
+            walked.append(f.p_half + f.p_quarter + f.p_mquarter)
+        else:
+            walked.append(f.p_z_output if source == "output"
+                          else stored[operator][target]
+                          if source == "storage" else consumed[operator])
+    return tuple(walked)
 
 
 def _walked_odds(schedule, inputs) -> dict[int, set[float]]:
-    """Each class of ``schedule.classes`` that some Z-type entry of
-    ``schedule.events`` holds, with the odds p / keep that its entries
-    read, entry by entry."""
-    profiles = inputs[0]
+    """Each Z kind that some Z-type entry of ``schedule.events`` holds,
+    with the odds p / keep that its entries read, entry by entry."""
+    profiles = _rotation_profiles(schedule, inputs)
     read = collections.defaultdict(set)
     for (_, source, operator, target, kind), p in zip(
             schedule.events, _walked_probabilities(schedule, inputs)):
@@ -1485,21 +1514,19 @@ def _walked_odds(schedule, inputs) -> dict[int, set[float]]:
             f, keep = profiles[target], 1.0 - p
             for col, branch in enumerate((f.p_half, f.p_quarter,
                                           f.p_mquarter)):
-                read[schedule.classes[kind + col]].add(branch / keep)
+                read[kind + col].add(branch / keep)
         elif operator == "Z":
-            read[schedule.classes[kind]].add(p / (1.0 - p))
+            read[kind].add(p / (1.0 - p))
     return read
 
 
-def _assert_one_odds_per_class(schedule, inputs) -> None:
-    """Every rotation of one shape has one profile object, and every kind
-    of one class reads one odds value, the class's in the screen's read
-    (``eventsets.class_odds``)."""
-    profiles = {}
-    for shape, f in zip(schedule.shapes, inputs[0]):
-        assert profiles.setdefault(shape, f) is f
+def _assert_one_odds_per_kind(schedule, inputs) -> None:
+    """The noise ``inputs`` hold one profile per shape, and every entry of
+    one Z kind reads one odds value, the kind's in the screen's read
+    (``eventsets.kind_odds``)."""
+    assert len(inputs[0]) == len(schedule.shapes)
     odds = _odds(schedule, inputs)
-    assert len(odds) == max(schedule.classes) + 1
+    assert len(odds) == 4 * len(schedule.shapes) + schedule.circuit.n + 1
     walked = _walked_odds(schedule, inputs)
     assert walked == {label: {odds[label]} for label in walked}
 
@@ -1529,42 +1556,42 @@ def _walked_profiles(config: FactoryConfig) -> list[RotationErrorProfile]:
 def _assert_maps_match_a_walk(schedule, inputs) -> None:
     """The schedule's maps give the walk's probabilities, value for
     value."""
-    assert factory._probabilities(schedule, inputs) == (
+    assert _probabilities(schedule, inputs) == (
         _walked_probabilities(schedule, inputs))
 
 
 def _coinciding(inputs) -> tuple:
-    """Level-1 15-to-1 noise ``inputs`` with the first shape's rotations
-    (single-qubit, on checks) given the second shape's profile: the two
-    shapes' classes read equal odds."""
-    profiles = list(dict.fromkeys(inputs[0]))
+    """Level-1 15-to-1 noise ``inputs`` with the first shape (single-qubit
+    rotations, on checks) given the second shape's profile: the two
+    shapes' kinds read equal odds."""
+    profiles = inputs[0]
     assert len(profiles) == 3
-    return ([profiles[1] if f is profiles[0] else f for f in inputs[0]],
-            *inputs[1:])
+    return ([profiles[1], *profiles[1:]], *inputs[1:])
 
 
 class TestEventMaps:
-    """``Schedule.take``, ``shapes`` and ``classes`` stand for walks of
-    ``Schedule.events`` and of the rotations."""
+    """``Schedule.take`` and ``shapes``, and the kinds of
+    ``Schedule.events``, stand for walks of the events and of the
+    rotations."""
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_maps_match_a_walk_of_the_events(self, data):
-        # at p_phys = 0 or not, c_T 1 or 10, with edge storage rates: one
-        # odds value per class; and with the rotations sharing profile
-        # objects, or equal copies of them, in any pattern, the walk's
-        # probabilities
+        # at p_phys = 0 or not, c_T 1 or 10, with edge storage rates, and
+        # with the shapes sharing profile objects, or equal copies of
+        # them, in any pattern: the walk's probabilities, and one odds
+        # value per kind
         for family in FAMILIES:
             _, inputs = data.draw(_edge_inputs(family))
-            _assert_one_odds_per_class(build_schedule(family), inputs)
             profiles = inputs[0]
             if data.draw(st.booleans()):
                 pool = list(profiles) + [dataclasses.replace(f)
                                          for f in profiles]
                 profiles = [data.draw(st.sampled_from(pool))
                             for _ in profiles]
-            _assert_maps_match_a_walk(build_schedule(family),
-                                      (profiles, *inputs[1:]))
+            inputs = (profiles, *inputs[1:])
+            _assert_maps_match_a_walk(build_schedule(family), inputs)
+            _assert_one_odds_per_kind(build_schedule(family), inputs)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("p, ct", [(0.0, 1.0), (1e-4, 10.0),
@@ -1576,45 +1603,85 @@ class TestEventMaps:
             **{k: values[k] for k in LAYOUTS[family].keys}),
             PhysicalNoise(p, ct))
         inputs = factory._noise_inputs(config, 6)
-        assert inputs[0] == _walked_profiles(config)
-        _assert_maps_match_a_walk(build_schedule(family), inputs)
-        _assert_one_odds_per_class(build_schedule(family), inputs)
+        schedule = build_schedule(family)
+        assert _rotation_profiles(schedule, inputs) == (
+            _walked_profiles(config))
+        _assert_maps_match_a_walk(schedule, inputs)
+        _assert_one_odds_per_kind(schedule, inputs)
 
     def test_maps_match_with_coinciding_profiles(self):
         # test_coinciding_profiles_read_the_family_table's run: the first
-        # shape's classes read the odds of the second's, each its own
+        # shape's kinds read the odds of the second's, each its own
         inputs = _coinciding(factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6))
         schedule = build_schedule("L1_15to1")
         _assert_maps_match_a_walk(schedule, inputs)
-        _assert_one_odds_per_class(schedule, inputs)
+        _assert_one_odds_per_kind(schedule, inputs)
         odds = _odds(schedule, inputs)
         assert odds[:4] == odds[4:8] and odds[:4] != odds[8:12]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_classes_follow_the_shapes(self, family):
-        # with S distinct shapes in order of first appearance, rotation i
-        # of the s-th shape has the classes 4s to 4s + 3, and storage and
-        # consumption Z kinds 4R + q the classes 4S + q
+        # the rotations are classed by shape, in order of first
+        # appearance (Schedule.shapes): every rotation of the s-th shape
+        # has the kind 4s and its output flips 4s + 3 (the storage and
+        # consumption kinds that follow: TestSchedules)
         schedule = build_schedule(family)
-        c = schedule.circuit
-        seen, want = [], []
-        for r in c.rotations:
-            shape = (bool(c.output_qubits & set(r.axis.support)),
-                     len(r.axis.support) > 1)
-            if shape not in seen:
-                seen.append(shape)
-            want += range(4 * seen.index(shape), 4 * seen.index(shape) + 4)
-        want += range(4 * len(seen), 4 * len(seen) + c.n + 1)
-        assert schedule.classes == tuple(want)
+        shapes = _shape_numbers(schedule.circuit)
+        assert len(schedule.shapes) == max(shapes) + 1
+        for _, source, _, target, kind in schedule.events:
+            if source == "rotation":
+                rotation = target
+                assert kind == 4 * shapes[rotation]
+            elif source == "output":
+                assert kind == 4 * shapes[rotation] + 3
+
+    @pytest.mark.parametrize("name", [*FAMILIES, *CATALOG_KINDS])
+    def test_one_profile_per_shape(self, name, monkeypatch):
+        # the noise inputs of a family's run (_noise_inputs) and of a bare
+        # circuit's (simulate_circuit) hold one profile per shape, every
+        # rotation of one shape has one kind, and the kept sets of one
+        # event are labelled by the Z kinds of exactly the entries the
+        # checks let through: the branches and flips whose Z support
+        # holds no check, and the P_{+-pi/4} branches, which keep a term
+        if name in FAMILIES:
+            schedule = build_schedule(name)
+            values = {"dX": 13, "dZ": 5, "dm": 5, "dX2": 25, "dZ2": 9,
+                      "dm2": 9, "nL1": 4}
+            inputs = factory._noise_inputs(FactoryConfig(name, DistanceSet(
+                **{k: values[k] for k in LAYOUTS[name].keys}),
+                PhysicalNoise(1e-4)), 6)
+        else:
+            runs = []
+            monkeypatch.setattr(factory, "_run_schedule",
+                                lambda *run: runs.append(run))
+            factory.simulate_circuit(catalog(name), random_pauli(1e-3))
+            [(schedule, inputs, _)] = runs
+        assert len(inputs[0]) == len(schedule.shapes)
+        checks = schedule.circuit.check_qubits
+        shapes = _shape_numbers(schedule.circuit)
+        kinds, passed = collections.defaultdict(set), set()
+        for _, source, operator, target, kind in schedule.events:
+            if source == "rotation":
+                kinds[shapes[target]].add(kind)
+                clear = checks.isdisjoint(operator.axis.support)
+                passed.update(kind + col for col, k in enumerate(
+                    SUBSTITUTIONS) if clear or k % 8 != 4)
+            elif operator == "Z" and target not in checks:
+                passed.add(kind)
+        assert all(len(k) == 1 for k in kinds.values())
+        assert len(set.union(*kinds.values())) == len(kinds)
+        labels = {label for labels, _, _ in eventsets.kept_sets(schedule, 1)
+                  for label in labels.ravel().tolist()}
+        assert labels == passed
 
     @pytest.mark.parametrize("kind", CATALOG_KINDS)
     def test_maps_match_on_a_bare_circuit(self, kind):
         # simulate_circuit's one-step schedules, some without outputs
         schedule = _one_step(kind)
         c = schedule.circuit
-        profiles = [RotationErrorProfile(1e-3 * (i % 3), 2e-4, 3e-4,
-                                         1e-4 * (i % 2))
-                    for i in range(len(c.rotations))]
+        profiles = [RotationErrorProfile(1e-3 * (s % 3), 2e-4, 3e-4,
+                                         1e-4 * (s % 2))
+                    for s in range(len(schedule.shapes))]
         rates = {q: StorageRates(1e-5 * q, 2e-5) for q in range(c.n)}
         _assert_maps_match_a_walk(schedule, (profiles, rates, 3.0,
                                              StorageRates(1e-4, 2e-4)))
@@ -1631,9 +1698,9 @@ class TestEventMaps:
         for kind in CATALOG_KINDS:
             schedule = _one_step(kind)
             c = schedule.circuit
-            profiles = [RotationErrorProfile(1e-3 * (i % 3), 2e-4, 3e-4,
-                                             1e-4 * (i % 2))
-                        for i in range(len(c.rotations))]
+            profiles = [RotationErrorProfile(1e-3 * (s % 3), 2e-4, 3e-4,
+                                             1e-4 * (s % 2))
+                        for s in range(len(schedule.shapes))]
             runs.append((schedule, (
                 profiles, {q: StorageRates(data.draw(rate), data.draw(rate))
                            for q in range(c.n)},
@@ -1641,7 +1708,7 @@ class TestEventMaps:
         for schedule, inputs in runs:
             c = schedule.circuit
             walked = _walked_probabilities(schedule, inputs)
-            kinds = [0.0] * (4 * len(c.rotations) + 2 * c.n + 2)
+            kinds = [0.0] * (4 * len(schedule.shapes) + 2 * c.n + 2)
             for (*_, kind), p in zip(schedule.events, walked):
                 assert type(kind) is int
                 kinds[kind] = p
@@ -1745,7 +1812,7 @@ class TestScreen:
     def test_coinciding_profiles_read_the_family_table(self):
         # three shapes at level 1: single-qubit rotations, and multi-qubit
         # ones without and with the output qubit.  Give the first shape the
-        # second's profile: the two shapes' classes read equal odds, and
+        # second's profile: the two shapes' kinds read equal odds, and
         # the run reads the family's one table, built for the drawn run
         family, order = "L1_15to1", 3
         inputs = factory._noise_inputs(_l1(13, 3, 5, 5e-4), 6)
@@ -1800,10 +1867,11 @@ class TestScreen:
         schedule = build_schedule(config.family)
         c = schedule.circuit
         applied, stored, initialized = [], [], set()
+        shapes = _shape_numbers(c)
         for step, rotations in enumerate(schedule.steps):
             initialized.update(schedule.initialize.get(step, ()))
             for ri in rotations:
-                p = profiles[ri]
+                p = profiles[shapes[ri]]
                 applied.append(1.0 - p.p_half - p.p_quarter - p.p_mquarter)
                 outputs = c.output_qubits & set(c.rotations[ri].axis.support)
                 applied += [1.0 - p.p_z_output] * len(outputs)
@@ -1928,8 +1996,8 @@ def test_event_sets_hold_the_undetected_error_sets(family, counts):
     # the kept sets of P_{pi/2} branches alone that spoil the output.  The
     # recorded LEADING_ORDER is the first order with such a set
     schedule = build_schedule(family)
-    # the P_{pi/2} branches' classes are 4s, s below the number of shapes
-    shapes = len(set(schedule.shapes))
+    # the P_{pi/2} branches' kinds are 4s, s below the number of shapes
+    shapes = len(schedule.shapes)
     got = [0] * len(counts)
     for labels, norms, _ in eventsets.kept_sets(schedule, len(counts)):
         if len(labels):

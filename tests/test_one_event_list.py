@@ -10,9 +10,10 @@ walks that the list replaced) anywhere else fails.
 
 Only three readers walk ``Schedule.events`` itself: its builder, the
 engine run (``_run_schedule``) and the enumeration (``kept_sets``), each
-once per family or per run.  The per-candidate readers (``_probabilities``
-and ``class_odds``) read the maps the builder makes, so a read of an
-attribute named ``events`` anywhere else fails.
+once per family or per run.  The per-candidate readers
+(``_kind_probabilities``, read through ``Schedule.take``, and
+``kind_odds``) read the maps the builder makes, so a read of an attribute
+named ``events`` anywhere else fails.
 """
 from __future__ import annotations
 
@@ -100,9 +101,9 @@ def test_no_per_candidate_walk_of_the_events():
 
 
 def test_the_guard_sees_an_event_walk():
-    for source in ("def _probabilities(schedule, inputs):\n"
+    for source in ("def _kind_probabilities(schedule, inputs):\n"
                    "    return tuple(p for _, p in schedule.events)",
-                   "def class_odds(schedule, profiles, kinds):\n"
+                   "def kind_odds(schedule, profiles, kinds):\n"
                    "    return schedule.events[-1][-1]",
                    "def _run_schedule(schedule):\n"
                    "    def inner():\n"

@@ -144,8 +144,8 @@ def _table_of(m, config):
     f = m.factory
     schedule = f.build_schedule(config.family)
     inputs = f._noise_inputs(config, 6)
-    odds = m.eventsets.class_odds(schedule, inputs[0],
-                                  f._kind_probabilities(schedule, inputs))
+    odds = m.eventsets.kind_odds(schedule, inputs[0],
+                                 f._kind_probabilities(schedule, inputs))
     return schedule, f.LEADING_ORDER[schedule.circuit.name], odds
 
 
