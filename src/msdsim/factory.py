@@ -513,9 +513,10 @@ def _event_sets(family: str, order: int) -> EventSets:
     return signature_sums(build_schedule(family), order)
 
 
-def _table_bound(family: str, inputs: tuple, order: int) -> float:
+def _table_bound(family: str, inputs: tuple, order: int, upper=None) -> float:
     """A lower bound on the p_out of the family's schedule run with the
-    noise ``inputs`` at any kmax >= ``order``, with no engine run.
+    noise ``inputs``, or any between them and ``upper``, at any kmax >=
+    ``order``, with no engine run.
 
     The bound reads the run's order-``order`` sums without its X flips
     from the family's one table of event sets (:mod:`eventsets`), whose
@@ -537,11 +538,13 @@ def _table_bound(family: str, inputs: tuple, order: int) -> float:
     (the table's own, >= 1, would only lower it).  The run holds up to
     (S^2/2)/Z in grades 2 and up, with S the sum of those probabilities,
     so its floor may exceed this one's by eps times that; the slack
-    includes it.
+    includes it.  N only grows with the odds and Z only shrinks with the
+    probabilities, so N may read ``inputs`` and Z and S ``upper``.
     """
     schedule = build_schedule(family)
     kinds = _kind_probabilities(schedule, inputs)
-    probabilities = schedule.take(kinds)
+    probabilities = schedule.take(
+        kinds if upper is None else _kind_probabilities(schedule, upper))
     zero_mass = math.prod([1.0 - p for p in probabilities])
     # the keeps' product underflows, or a keep, summed in another order
     # than the profile checks it in, rounds to 0
@@ -587,15 +590,16 @@ def _level1_block(config: FactoryConfig) -> FactoryConfig:
                          config.noise)
 
 
-def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
+def _noise_inputs(config: FactoryConfig, kmax: int,
+                  level1: ScheduleRun | None = None) -> tuple:
     """(profiles, storage rates, storage cycles, consumption) of
     ``config``'s schedule, one profile per shape of rotation
     (``Schedule.shapes``).
 
     A level-1 rotation is lattice surgery with a faulty T measurement, or
     a single-qubit rotation on a check; a level-2 one consumes a state of
-    the level-1 block's ``kmax`` run, from the cache.  Storage and
-    consumption are charged at the top level's distances.
+    ``level1``, by default the level-1 block's ``kmax`` run from the
+    cache.  Storage and consumption are charged at the top level's distances.
 
     For some distances the closed-form noise model leaves its domain (a
     probability reaches 1) below p_phys = 0.01; there it raises a
@@ -607,7 +611,8 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
     d, noise, c = config.distances, config.noise, schedule.circuit
     level2 = layout.level == 2
     if level2:
-        level1 = _level1_input(config, kmax)
+        if level1 is None:
+            level1 = _from_block(config, level1_output_error, kmax)
         dx, dz, p_fail = d.dX2, d.dZ2, level1.p_fail
     else:
         dx, dz, p_fail = d.dX, d.dZ, 0.0
@@ -641,15 +646,23 @@ def _noise_inputs(config: FactoryConfig, kmax: int) -> tuple:
     return profiles, rates, cycles, StorageRates(consume, consume)
 
 
-def _level1_input(config: FactoryConfig, kmax: int) -> ScheduleRun:
-    """The run of a level-2 ``config``'s level-1 block
-    (:func:`level1_output_error`); if it is outside the noise model's
-    range, the NoiseDomainError names the requested protocol too."""
+def _from_block(config: FactoryConfig, read: Callable, *args):
+    """``read(config, *args)``, a read of a level-2 ``config``'s level-1
+    block, whose NoiseDomainError names the requested protocol too."""
     try:
-        return level1_output_error(config, kmax)
+        return read(config, *args)
     except NoiseDomainError as e:
         raise NoiseDomainError(
             f"{e}, the level-1 block of {protocol_name(config)}") from None
+
+
+def _level1_mass(config: FactoryConfig, kmax: int) -> float:
+    """Z1 = prod(1 - p) over the channels of ``config``'s level-1 block."""
+    block = _level1_block(config)
+    schedule = build_schedule(block.family)
+    inputs = _noise_inputs(block, kmax)
+    return math.prod([1.0 - p for p in schedule.take(
+        _kind_probabilities(schedule, inputs))])
 
 
 def protocol_name(config: FactoryConfig) -> str:
@@ -730,23 +743,45 @@ def simulate_factory(config: FactoryConfig,
 def p_out_lower_bound(config: FactoryConfig,
                       kmax: int = DEFAULT_MAX_GRADE) -> float:
     """A lower bound on ``simulate_factory(config, kmax).p_out``, with no
-    engine run.
+    engine run at the top level.
 
     The bound is :func:`_table_bound`: the family's top-level schedule run
     at order K, its circuit's leading undetected order (3 for 15-to-1, 2
     for 20-to-4 and 8-to-CCZ), without its storage and consumption X
     flips, read from the family's one table of sums over event sets,
     built at its first screen; a level-2 family's level-1 input is the
-    kmax one, from the cache.  It misses what the X flips and the orders
-    above K add: on the paper's 24 table rows it is 0.918 to 1.000 of
-    p_out.  At kmax < K the run holds no set of K events, and the bound
-    is 0.
+    kmax one, run if it is not in the cache.  It misses what the X flips
+    and the orders above K add: on the paper's 24 table rows it is 0.918
+    to 1.000 of p_out.  At kmax < K the run holds no set of K events, and
+    the bound is 0.
     """
     check_kmax(kmax)
     order = LEADING_ORDER[build_schedule(config.family).circuit.name]
     if kmax < order:
         return 0.0
     return _table_bound(config.family, _noise_inputs(config, kmax), order)
+
+
+def _level1_free_bound(config: FactoryConfig, kmax: int,
+                       level1_mass: float) -> float:
+    """At most :func:`p_out_lower_bound` of a level-2 ``config`` whose
+    level-1 block's zero-error mass is Z1 = ``level1_mass``, with no engine
+    run: :func:`_table_bound` with N at p_L1 = p_fail_L1 = 0 and Z and S at
+    both (1 - Z1)/Z1.  A block run of success mass T1 >= Z1 reads p_fail =
+    1 - T1 and p_out <= 1 - Z1/T1, both below that, and every level-2
+    probability and odds grows with both.  0 where that end reaches 1 or
+    leaves the noise model's range.
+    """
+    order = LEADING_ORDER[build_schedule(config.family).circuit.name]
+    if kmax < order or level1_mass <= 0.5:
+        return 0.0
+    top = (1.0 - level1_mass) / level1_mass
+    try:
+        upper = _noise_inputs(config, kmax, ScheduleRun(top, top))
+    except NoiseDomainError:
+        return 0.0
+    lower = _noise_inputs(config, kmax, ScheduleRun(0.0, 0.0))
+    return _table_bound(config.family, lower, order, upper)
 
 
 def sweep(
@@ -771,22 +806,22 @@ def sweep(
     qubitcycles_per_state, ties broken by qubits then distances.
 
     Candidates are costed before they are simulated, and simulated
-    cheapest first.  Qubits are closed-form; qubitcycles/state are exact
-    for level-2 families (their cycles need only the memoized level-1
-    p_fail) and bounded below by the p_fail = 0 value for level-1 families
-    (cycles grow with the block's own p_fail).  A candidate whose costs an
-    already simulated, target-meeting configuration strictly dominates can
-    never reach the front and is not simulated.  Dominance is transitive,
-    so the front -- and every reported p_out -- is the same as simulating
+    cheapest first.  Qubits are closed-form; qubitcycles/state are
+    bounded below by their value at level-1 p_fail = 0 (cycles grow with
+    it), with no engine run.  A candidate whose costs an already
+    simulated, target-meeting configuration strictly dominates can never
+    reach the front and is not simulated.  Dominance is transitive, so
+    the front -- and every reported p_out -- is the same as simulating
     the whole grid, whatever the order of the ranges.
 
     Each candidate left is screened before it is simulated: one whose
     :func:`p_out_lower_bound` (at the top circuit's leading order)
     exceeds the target cannot meet it and is not simulated.  Skipping it
     changes neither the feasible set nor any pruning decision.  The
-    screen runs no engine: it reads sums over event sets built once per
-    family, whose events the schedule's kinds label.  A value repeated
-    in a range counts once.
+    screen reads sums over event sets built once per family, and runs no
+    engine until a candidate passes it: a level-2 one first passes
+    :func:`_level1_free_bound`, before its level-1 block runs.  A value
+    repeated in a range counts once.
     """
     if not (math.isfinite(target_p_out) and target_p_out > 0.0):
         raise ValueError(
@@ -796,7 +831,7 @@ def sweep(
                         {**ranges, "full": consumption_prefactor_toggle},
                         {"full": "consumption prefactor"})
     keys, level2 = LAYOUTS[family].keys, LAYOUTS[family].level == 2
-    candidates = []
+    candidates, masses = [], {}
     invalid, out_of_range = [], []
     for combo in itertools.product(*(dict.fromkeys(ranges[k]) for k in keys)):
         kwargs = dict(zip(keys, combo))
@@ -807,24 +842,29 @@ def sweep(
         except ValueError as e:
             invalid.append(e)
             continue
-        try:
-            p_fail = _level1_input(config, kmax).p_fail if level2 else 0.0
+        try:  # each level-1 block's zero-error mass, once
+            if level2 and combo[:3] not in masses:
+                masses[combo[:3]] = _from_block(config, _level1_mass, kmax)
         except NoiseDomainError as e:
             out_of_range.append(e)
             continue
-        qubits, _, per_state = _costs(config, p_fail)
-        candidates.append((per_state, qubits, combo, config))
+        qubits, _, per_state = _costs(config, 0.0)
+        candidates.append((per_state, qubits, combo, config,
+                           masses.get(combo[:3], 1.0)))
     if invalid and not candidates and not out_of_range:
         raise invalid[0]
     candidates.sort(key=lambda c: c[:3])
+    # a level-1 candidate has no level-1 input: its own bound runs no engine
+    screen = _level1_free_bound if level2 else lambda config, kmax, mass: 0.0
     feasible = []
     ran = False
-    for per_state, qubits, combo, config in candidates:
+    for per_state, qubits, combo, config, mass in candidates:
         if any(_dominates(r.qubits, r.qubitcycles_per_state, qubits,
                           per_state) for r, _ in feasible):
             continue
         try:
-            if p_out_lower_bound(config, kmax) <= target_p_out:
+            if (screen(config, kmax, mass) <= target_p_out
+                    and p_out_lower_bound(config, kmax) <= target_p_out):
                 report = simulate_factory(config, kmax)
                 if report.p_out <= target_p_out:
                     feasible.append((report, combo))

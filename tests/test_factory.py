@@ -1951,6 +1951,9 @@ class TestScreen:
             calls.append(("simulate", config))
             return _simulate_once(config, kmax)
 
+        # the level-1-free step lets every candidate through to this one
+        monkeypatch.setattr(factory, "_level1_free_bound",
+                            lambda config, kmax, mass: 0.0)
         monkeypatch.setattr(factory, "p_out_lower_bound", bound)
         monkeypatch.setattr(factory, "simulate_factory", simulate)
         assert sweep(family, ranges, noise, 1e-30) == []
@@ -1984,6 +1987,128 @@ class TestScreen:
         with pytest.raises(factory.NoiseDomainError,
                            match=r"\(20-to-4\)_\{25,5,9\}"):
             sweep("L2_15x20", {**ranges, "dZ2": [5]}, noise, 1.0)
+
+
+_LEVEL2_FAMILIES = [f for f in FAMILIES if LAYOUTS[f].level == 2]
+
+
+def _level1_free_bound(config: FactoryConfig, kmax: int = 6) -> float:
+    """The sweep's bound of a level-2 ``config`` before its level-1 block
+    runs, at its block's zero-error mass."""
+    return factory._level1_free_bound(
+        config, kmax, factory._from_block(config, factory._level1_mass, kmax))
+
+
+def _assert_below_the_bound(config: FactoryConfig) -> float:
+    """The level-1-free bound is at most p_out_lower_bound, which is at
+    most the simulated p_out; return the first."""
+    free = _level1_free_bound(config)
+    assert free <= p_out_lower_bound(config) <= _simulate_once(config).p_out
+    return free
+
+
+class TestLevel1FreeScreen:
+    """The bound over every level-1 input a block's run can give, which
+    screens level-2 sweep candidates before their block runs."""
+
+    def test_below_the_bound_on_the_benchmark_grid(self):
+        family, p, ranges = _BENCHMARK_GRIDS[1]
+        configs = _valid_configs(family, ranges, PhysicalNoise(p))
+        assert len(configs) == 192
+        free = [_assert_below_the_bound(config) for config in configs]
+        # it holds at every point, and it is what rules them out
+        assert min(free) > 0.0
+
+    @pytest.mark.parametrize("row", [
+        row for row in TABLE1 + TABLE2 if LAYOUTS[row.family].level == 2])
+    def test_below_the_bound_on_the_table_rows(self, row):
+        _assert_below_the_bound(row_config(row))
+
+    @settings(max_examples=30, deadline=None)
+    @given(config=st.sampled_from(_LEVEL2_FAMILIES).flatmap(_configs))
+    def test_below_the_bound(self, config):
+        try:
+            _simulate_once(config)
+        except factory.NoiseDomainError:
+            assume(False)
+        _assert_below_the_bound(config)
+
+    def test_range_of_one_point_and_no_bound(self):
+        # with no level-1 input, or a block of zero-error mass 1, the range
+        # is one point and the bound is p_out_lower_bound's
+        config = _l1(7, 3, 3, 1e-4)
+        assert factory._level1_free_bound(config, 6, 1.0) == (
+            p_out_lower_bound(config))
+        config = _l2("L2_15x20", 9, 3, 3, 15, 7, 9, 4, 1e-4)
+        assert factory._level1_free_bound(config, 6, 1.0) == (
+            factory._table_bound(config.family, factory._noise_inputs(
+                config, 6, factory.ScheduleRun(0.0, 0.0)), 2))
+        assert _level1_free_bound(config, kmax=1) == 0.0
+        # a block of zero-error mass 1/2 or less gives no upper end below 1
+        assert factory._level1_free_bound(config, 6, 0.5) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=st.sampled_from(_LEVEL2_FAMILIES).flatmap(_configs),
+           data=st.data())
+    def test_level2_probabilities_grow_with_the_level1_input(self, config,
+                                                             data):
+        # the bound reads N at the range's lower end and Z at its upper
+        # end: every kind's probability and odds must not fall as p_L1
+        # (the P_{pi/2} rate) or p_fail_L1 (the storage cycles) grows
+        rates = st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.4])
+        low = factory.ScheduleRun(data.draw(rates), data.draw(rates))
+        high = factory.ScheduleRun(low.p_out + data.draw(rates),
+                                   low.p_fail + data.draw(rates))
+        try:
+            upper = factory._noise_inputs(config, 6, high)
+        except factory.NoiseDomainError:
+            assume(False)
+        lower = factory._noise_inputs(config, 6, low)
+        schedule = build_schedule(config.family)
+        for read in (factory._kind_probabilities, _odds):
+            assert all(a <= b for a, b in zip(read(schedule, lower),
+                                              read(schedule, upper),
+                                              strict=True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), data=st.data())
+    def test_storage_cycles_grow_with_the_level1_p_fail(self, family, data):
+        d = data.draw(_configs(family)).distances
+        p, q = sorted(data.draw(st.floats(0.0, 0.999)) for _ in range(2))
+        storage = LAYOUTS[family].storage
+        assert storage(d, p) <= storage(d, q)
+
+    def test_benchmark_grid_runs_three_level1_blocks(self, monkeypatch):
+        # the grid's 98 screened candidates pass through the bound before
+        # any block runs; 3 of the 8 blocks then run (all 8 ran before)
+        family, p, ranges = _BENCHMARK_GRIDS[1]
+        runs, screened = [], []
+        run_level1 = factory._run_level1
+        free_bound = factory._level1_free_bound
+
+        def counted_run(config, kmax):
+            runs.append(config)
+            return run_level1(config, kmax)
+
+        def counted_bound(config, kmax, mass):
+            screened.append(config)
+            return free_bound(config, kmax, mass)
+
+        monkeypatch.setattr(factory, "_run_level1", counted_run)
+        monkeypatch.setattr(factory, "_level1_free_bound", counted_bound)
+        monkeypatch.setattr(factory, "simulate_factory", _simulate_once)
+        cached = dict(factory._LEVEL1_RUNS)
+        factory._LEVEL1_RUNS.clear()
+        try:
+            front = sweep(family, ranges, PhysicalNoise(p), 1e-14)
+        finally:
+            factory._LEVEL1_RUNS.clear()
+            factory._LEVEL1_RUNS.update(cached)
+        assert [r.protocol for r in front] == [
+            "(15-to-1)^4_{9,3,3} x (20-to-4)_{15,7,9}"]
+        assert len(screened) == len(set(screened)) == 98
+        assert [c.distances for c in runs] == [
+            DistanceSet(7, 3, 3), DistanceSet(9, 3, 3), DistanceSet(7, 3, 5)]
 
 
 @pytest.mark.parametrize("family, counts", [

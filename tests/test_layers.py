@@ -49,3 +49,17 @@ def test_every_layer_sets_up_on_this_tree():
             setup(m)()
     finally:
         layers.unload("_layers_smoke")
+
+
+def test_measure_leaves_the_bytecode_flag_as_it_found_it():
+    # measure writes no bytecode while it loads its copies, then restores
+    # the flag, so the rest of a session writes bytecode as before
+    layers = _harness()
+    saved = sys.dont_write_bytecode
+    try:
+        for flag in (False, True):
+            sys.dont_write_bytecode = flag
+            layers.measure(ROOT, ROOT, ["read_p_out"], 1, 0.001)
+            assert sys.dont_write_bytecode is flag
+    finally:
+        sys.dont_write_bytecode = saved

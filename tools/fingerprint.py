@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import io
 import itertools
 import sys
@@ -33,18 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
-from layers import load, unload  # noqa: E402
+from layers import load, unload, workloads  # noqa: E402
 
 CIRCUIT_NOISES = ("z:1e-3", "pauli:1e-3", "coherent:0.01", "z:0")
-
-
-def _workloads():
-    """The benchmark's workload definitions, read as they are."""
-    spec = importlib.util.spec_from_file_location(
-        "_fingerprint_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _cli(m, *argv: str) -> str:
@@ -101,14 +91,14 @@ def _circuits(m) -> str:
 
 def groups(m) -> dict[str, str]:
     """Each group's output, computed by the loaded package ``m``."""
-    workloads = _workloads()
-    outputs = {"rows": _rows(m), "grid_bounds": _grid_bounds(m, workloads),
+    bench = workloads()
+    outputs = {"rows": _rows(m), "grid_bounds": _grid_bounds(m, bench),
                "verify": _cli(m, "verify")}
     for name in ("table1", "table2"):
         outputs[name] = _cli(m, "table", "--name", name, "--verbose")
-    for name in workloads.SWEEPS:
+    for name in bench.SWEEPS:
         outputs[name] = "".join(_cli(m, *argv)
-                                for argv in workloads.commands(name, 0))
+                                for argv in bench.commands(name, 0))
     outputs["circuit"] = _circuits(m)
     return outputs
 

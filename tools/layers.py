@@ -43,6 +43,8 @@ from pathlib import Path
 
 import numpy
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # the package's modules, each after the ones it imports
 MODULES = ("pauli", "density", "noise", "circuits", "eventsets", "factory",
            "reference", "cli")
@@ -65,6 +67,15 @@ def unload(name: str) -> None:
     for key in [k for k in sys.modules
                 if k == name or k.startswith(name + ".")]:
         del sys.modules[key]
+
+
+def workloads():
+    """The benchmark's workload definitions, read as they are."""
+    spec = importlib.util.spec_from_file_location(
+        "_layers_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- the layers: each takes a loaded package and returns a call to time ----
@@ -172,6 +183,25 @@ def _read(m):
     return lambda: m.eventsets.read_p_out(table, odds, 1)
 
 
+def _sweep_l2_grid(m):
+    """One ``factory.sweep`` on the benchmark's ``sweep_l2_15x20`` grid,
+    its level-1 runs cleared from the cache first, as in a fresh process
+    (its tables stay built)."""
+    bench = workloads()
+    fixed, lists = bench.SWEEPS["sweep_l2_15x20"]
+    flags = dict(zip(fixed[::2], fixed[1::2]))
+    family = m.cli.FAMILY_NAMES[flags["--family"]]
+    ranges = {bench.SWEEP_FIELDS[flag]: values
+              for flag, values in lists.items()}
+    noise = m.noise.PhysicalNoise(float(flags["--pphys"]))
+    target = float(flags["--target"])
+
+    def call():
+        m.factory._LEVEL1_RUNS.clear()
+        m.factory.sweep(family, ranges, noise, target)
+    return call
+
+
 def _pareto(m):
     """The Pareto filter over 200 reports of scattered costs."""
     report = m.factory.simulate_factory(_first_row(m, "L1_15to1"))
@@ -212,6 +242,7 @@ LAYERS = {
                       "L2_15xCCZ", "L2_15x15_small")},
     "screen": _screen,
     "read_p_out": _read,
+    "sweep_l2_grid": _sweep_l2_grid,
     "pareto_front": _pareto,
     "undetected_error_sets": _undetected,
     "import": _imports,
@@ -250,10 +281,9 @@ def compare(calls, rounds: int, seconds: float) -> dict:
             "rounds": rounds}
 
 
-def measure(parent: Path, change: Path, layers, rounds: int,
-            seconds: float) -> dict:
-    """Time ``layers`` of the two trees; return the JSON record."""
-    sys.dont_write_bytecode = True
+def _runs(parent: Path, change: Path, layers, rounds: int,
+          seconds: float) -> list[dict]:
+    """Each layer's A/B and A/A runs (:func:`measure`)."""
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         packages = {}
@@ -280,6 +310,18 @@ def measure(parent: Path, change: Path, layers, rounds: int,
                 runs.append(run)
         for name in packages:
             unload(f"_layers_{name}")
+    return runs
+
+
+def measure(parent: Path, change: Path, layers, rounds: int,
+            seconds: float) -> dict:
+    """Time ``layers`` of the two trees; return the JSON record.  No
+    bytecode is written meanwhile; the flag is restored after."""
+    write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        runs = _runs(parent, change, layers, rounds, seconds)
+    finally:
+        sys.dont_write_bytecode = write
     return {
         "harness": (
             "tools/layers.py: the parent, a copy of the parent and the "
