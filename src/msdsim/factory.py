@@ -266,12 +266,20 @@ class Schedule:
     Entries of one kind have one probability, and the Z kinds label the
     events of the event sets (:mod:`eventsets`).
 
-    ``leaving`` maps the index in ``events`` of each rotation that is the
-    last on an output whose ideal state is a single-qubit factor
-    (``Circuit.output_factors``) to those outputs, each with the indices
-    of the flips that its release would fold in: every Z flip on it, and
-    every X flip on it after that rotation.  Whether it leaves is the
-    run's to decide (:func:`_run_schedule`).
+    ``plan`` is the run, compiled once, as no noise changes it: the
+    :class:`GradedDensityMatrix` calls, by name, that :func:`_run_schedule`
+    makes, each (call, argument, indices in ``events`` of the
+    probabilities it takes).  A flip waits while it commutes, grade counts
+    included.  Z flips wait for one pass before the checks.  An X flip on
+    q waits for the next rotation on q, or past the projection, which
+    keeps the outputs alone, renumbered: there it runs at their dimension,
+    as do the consumption flips and the readout, or on a check it is
+    absorbed (Pi X_c = Pi), a grade shift.  An output in
+    ``Circuit.output_factors`` leaves the stack after its last rotation
+    (:meth:`GradedDensityMatrix.release`), with every Z flip on it and
+    every X flip after that rotation folded in, if the stack then holds at
+    least ``LIVE_MIN_QUBITS`` qubits: those of the rotations so far, less
+    those released (a flip enters none before the Z pass).
 
     The per-configuration readers take what they need of ``events`` from
     maps made here, with no walk of their own.  ``take`` reads each
@@ -286,7 +294,7 @@ class Schedule:
     steps: tuple[tuple[int, ...], ...]
     initialize: dict[int, tuple[int, ...]]
     events: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
-    leaving: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = field(
+    plan: tuple[tuple[str, object, tuple[int, ...]], ...] = field(
         init=False, repr=False, compare=False)
     take: Callable[[list[float]], tuple[float, ...]] = field(
         init=False, repr=False, compare=False)
@@ -323,19 +331,46 @@ class Schedule:
             events += [(len(self.steps), "consumption", "X", q, flips + c.n),
                        (len(self.steps), "consumption", "Z", q, storage + c.n)]
         object.__setattr__(self, "events", tuple(events))
-        kinds = [kind for *_, kind in events]
-        object.__setattr__(self, "take", itemgetter(*kinds))
+        object.__setattr__(self, "take", itemgetter(*[e[-1] for e in events]))
         object.__setattr__(self, "shapes", tuple(distinct))
         last = {q: i for i, (_, source, r, _, _) in enumerate(events)
                 if source == "rotation" for q in r.axis.support}
-        leaving = {}
-        for q in c.output_factors:
-            leaving.setdefault(last[q], []).append((q, tuple(
-                i for i, (_, source, operator, target, _) in enumerate(events)
-                if source != "rotation" and target == q
-                and (operator == "Z" or i > last[q]))))
-        object.__setattr__(self, "leaving", {
-            i: tuple(outputs) for i, outputs in leaving.items()})
+        plan, before, consumed, live, folded = [], [], [], set(), set()
+        waiting = {q: [] for q in range(c.n)}
+        for i, (_, source, operator, target, kind) in enumerate(events):
+            if source != "rotation":
+                if i not in folded:
+                    (waiting[target] if operator == "X" else consumed
+                     if source == "consumption" else before).append(i)
+                continue
+            for q in operator.axis.support:
+                plan += [("apply_x_flip", q, (j,)) for j in waiting[q]]
+                waiting[q] = []
+            plan.append(("apply_faulty_rotation", (operator, kind // 4), ()))
+            live.update(operator.axis.support)
+            for q, factor in c.output_factors.items():
+                if last[q] == i and len(live) >= LIVE_MIN_QUBITS:
+                    folds = tuple(j for j, (_, source, letter, target, _) in
+                                  enumerate(events) if source != "rotation"
+                                  and target == q and (letter == "Z" or j > i))
+                    plan.append(("release", (q, factor, tuple(
+                        events[j][2] for j in folds)), folds))
+                    live.remove(q)
+                    folded.update(folds)
+        before = tuple(j for j in before if j not in folded)
+        plan.append(("apply_z_flips", tuple(events[j][3] for j in before),
+                     before))
+        if c.check_qubits:  # project_plus takes a nonempty check set
+            plan.append(("project_plus", c.check_qubits, ()))
+        plan.append(("apply_absorbed_flips", None, tuple(
+            j for q in sorted(c.check_qubits) for j in waiting.pop(q))))
+        # the projection keeps the other qubits, numbered in order
+        kept = {q: k for k, q in enumerate(waiting)}
+        plan += [("apply_x_flip", kept[q], (j,))
+                 for q, pending in waiting.items() for j in pending]
+        plan.append(("apply_z_flips", tuple(
+            kept[events[j][3]] for j in consumed), tuple(consumed)))
+        object.__setattr__(self, "plan", tuple(plan))
 
 
 @lru_cache(maxsize=None)
@@ -398,29 +433,13 @@ def _kind_probabilities(schedule: Schedule, inputs: tuple) -> list[float]:
 
 def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     """Run one schedule, of a factory or of a bare circuit
-    (:func:`simulate_circuit`), on one graded state, whose channels update
-    it in place: the one driver of the graded engine.
-
-    The run applies the channels of ``schedule.events`` in order, at their
-    probabilities under the noise ``inputs`` (:func:`_noise_inputs`), read
-    through ``Schedule.take`` from :func:`_kind_probabilities`.
-    Its E events of nonzero probability hold at most E errors, so it keeps
-    min(kmax, E) grades; with none it reads 0 and builds no state.
-
-    A flip waits while it commutes, grade counts included.  Z flips wait
-    for one pass before the checks.  An X flip on q waits for the next
-    rotation on q, or past the projection, which keeps the outputs alone:
-    there it runs at their dimension, as do the consumption flips and the
-    readout, or on a check it is absorbed (Pi X_c = Pi), a grade shift.
-    A circuit without checks skips the projection and keeps every qubit.
-
-    An output in ``Schedule.leaving`` leaves the grade stack after its
-    last rotation (:meth:`GradedDensityMatrix.release`) if the stack then
-    holds at least ``LIVE_MIN_QUBITS`` qubits, with every Z flip
-    on it and every X flip after that rotation folded in; the rotations
-    after it run on the other qubits.  A narrower stack keeps it: there a
-    channel costs about the same at any width, and the release would not
-    pay for itself.
+    (:func:`simulate_circuit`): make the engine calls of ``Schedule.plan``
+    on one graded state, which they update in place, at the probabilities
+    of its channels under the noise ``inputs`` (:func:`_noise_inputs`),
+    read through ``Schedule.take`` from :func:`_kind_probabilities`, each
+    rotation at its shape's profile.  This is the one driver of the graded
+    engine.  Its E events of nonzero probability hold at most E errors, so
+    it keeps min(kmax, E) grades; with none it reads 0 and builds no state.
     """
     check_kmax(kmax)
     c = schedule.circuit
@@ -429,43 +448,23 @@ def _run_schedule(schedule: Schedule, inputs: tuple, kmax: int) -> ScheduleRun:
     if not events:
         # noiseless: the engine would read its round-off
         return ScheduleRun(0.0, 0.0)
-    leaving, folded = schedule.leaving, set()
-    profiles = inputs[0]
-    rho = GradedDensityMatrix.init_plus(c.n, min(kmax, events))
-    z_flips, x_flips, consumed = [], {q: [] for q in range(c.n)}, []
-    for i, ((_, source, operator, target, kind), p) in enumerate(
-            zip(schedule.events, probabilities)):
-        if source == "rotation":
-            for q in operator.axis.support:
-                for x in x_flips[q]:
-                    rho = rho.apply_x_flip(q, x)
-                x_flips[q] = []
-            rho = rho.apply_faulty_rotation(operator, profiles[kind // 4])
-            for q, flips in leaving.get(i, ()):
-                if len(rho.live) >= LIVE_MIN_QUBITS:
-                    z_flips = [f for f in z_flips if f[0] != q]
-                    rho = rho.release(q, c.output_factors[q], [
-                        (schedule.events[j][2], probabilities[j])
-                        for j in flips])
-                    folded.update(flips)
-        elif i in folded:
-            continue
-        elif operator == "X":
-            x_flips[target].append(p)
+    rho, p_fail = GradedDensityMatrix.init_plus(c.n, min(kmax, events)), 0.0
+    for call, argument, indices in schedule.plan:
+        taken = [probabilities[j] for j in indices]
+        if call == "apply_x_flip":
+            rho = rho.apply_x_flip(argument, *taken)
+        elif call == "apply_faulty_rotation":
+            rotation, shape = argument
+            rho = rho.apply_faulty_rotation(rotation, inputs[0][shape])
+        elif call == "apply_z_flips":
+            rho = rho.apply_z_flips(list(zip(argument, taken)))
+        elif call == "release":
+            qubit, factor, letters = argument
+            rho = rho.release(qubit, factor, list(zip(letters, taken)))
+        elif call == "project_plus":
+            rho, p_fail = rho.project_plus(argument)
         else:
-            (consumed if source == "consumption" else z_flips).append(
-                (target, p))
-    rho, p_fail = rho.apply_z_flips(z_flips), 0.0
-    if c.check_qubits:  # project_plus takes a nonempty check set
-        rho, p_fail = rho.project_plus(c.check_qubits)
-    rho = rho.apply_absorbed_flips(
-        [p for q in sorted(c.check_qubits) for p in x_flips.pop(q)])
-    # the projection kept the other qubits, numbered in order
-    kept = {q: i for i, q in enumerate(x_flips)}
-    for q, flips in x_flips.items():
-        for p in flips:
-            rho = rho.apply_x_flip(kept[q], p)
-    rho = rho.apply_z_flips([(kept[q], p) for q, p in consumed])
+            rho = rho.apply_absorbed_flips(taken)
     return ScheduleRun(rho.infidelity_with_pure(c.ideal_kept) / c.outputs,
                        p_fail)
 

@@ -697,10 +697,9 @@ def test_outputs_leave_from_six_live_qubits_on(config, releases,
     # last rotation, but a release pays only on a wide stack: the 20-to-4
     # releases outputs 0 and 1 (at 7 and 6 live qubits), not 2 and 3 (5
     # live), and a 15-to-1 run (5 qubits) releases nothing
-    leaving = build_schedule(config.family).leaving
-    assert sorted(q for outputs in leaving.values() for q, _ in outputs) == (
+    assert sorted(catalog(LAYOUTS[config.family].circuit).output_factors) == (
         [0, 1, 2, 3] if config.family == "L2_15x20" else [0])
-    assert build_schedule("L2_15xCCZ").leaving == {}
+    assert not catalog(LAYOUTS["L2_15xCCZ"].circuit).output_factors
     factory.level1_output_error(config)  # level 1 runs uncounted
     _, _, released = _counted(monkeypatch, config)
     assert [q for q, _, _ in released] == releases
@@ -711,6 +710,33 @@ def _one_step(kind: str) -> Schedule:
     c = catalog(kind)
     return Schedule(c, (tuple(range(len(c.rotations))),),
                     {0: tuple(range(c.n))})
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, *CATALOG_KINDS])
+def test_the_plan_takes_every_event_once(name):
+    # the plan applies every rotation once, in the events' order, and
+    # every other entry of the events is taken once: by an X flip, a Z
+    # pass, the absorbed flips or a release, each of its own letter.  Only
+    # the 20-to-4's outputs 0 and 1 leave, in its family and bare
+    schedule = build_schedule(name) if name in FAMILIES else _one_step(name)
+    events = schedule.events
+    rotations, taken, released = [], collections.Counter(), []
+    letters = {"apply_x_flip": "X", "apply_absorbed_flips": "X",
+               "apply_z_flips": "Z", "release": "XZ"}
+    for call, argument, indices in schedule.plan:
+        if call == "apply_faulty_rotation":
+            rotations.append(argument[0])
+        if call == "release":
+            released.append(argument[0])
+        assert all(events[j][2] in letters.get(call, "") for j in indices)
+        taken.update(indices)
+    assert rotations == [r for _, source, r, _, _ in events
+                         if source == "rotation"]
+    assert len(rotations) == len(schedule.circuit.rotations)
+    assert sorted(taken.elements()) == [
+        i for i, (_, source, *_) in enumerate(events) if source != "rotation"]
+    assert released == ([0, 1] if name in ("L2_15x20", "twenty_to_four")
+                        else [])
 
 
 @pytest.mark.parametrize("family", ["L2_15xCCZ", "L1_15to1", "L2_15x20",

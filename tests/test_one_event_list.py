@@ -8,9 +8,10 @@ A read of an attribute named ``steps``, ``stored`` or
 ``rotation_outputs`` (the last two being the per-step and per-rotation
 walks that the list replaced) anywhere else fails.
 
-Only three readers walk ``Schedule.events`` itself: its builder, the
-engine run (``_run_schedule``) and the enumeration (``kept_sets``), each
-once per family or per run.  The per-candidate readers
+Only two readers walk ``Schedule.events`` itself: its builder and the
+enumeration (``kept_sets``), each once per family.  The engine run
+(``_run_schedule``) walks the plan the builder compiles, with no branch
+on an event's source, and the per-candidate readers
 (``_kind_probabilities``, read through ``Schedule.take``, and
 ``kind_odds``) read the maps the builder makes, so a read of an attribute
 named ``events`` anywhere else fails.
@@ -25,7 +26,6 @@ WALKS = {"steps", "stored", "rotation_outputs"}
 ALLOWED = {("factory.py", "Schedule.__post_init__"),
            ("factory.py", "build_schedule")}
 EVENT_READERS = {("factory.py", "Schedule.__post_init__"),
-                 ("factory.py", "_run_schedule"),
                  ("eventsets.py", "kept_sets")}
 
 
@@ -107,15 +107,15 @@ def test_the_guard_sees_an_event_walk():
                    "    return schedule.events[-1][-1]",
                    "def _run_schedule(schedule):\n"
                    "    def inner():\n"
-                   "        return schedule.events"):
+                   "        return schedule.events",
+                   "def _run_schedule(schedule):\n"
+                   "    return schedule.events"):
         assert _event_reads(source, "factory.py") or _event_reads(
             source, "eventsets.py"), source
     # the readers, each in its own module
     assert _event_reads("def kept_sets(schedule):\n"
                         "    return schedule.events", "factory.py")
     for source, filename in (
-            ("def _run_schedule(schedule):\n"
-             "    return schedule.events", "factory.py"),
             ("class Schedule:\n"
              "    def __post_init__(self):\n"
              "        return self.events", "factory.py"),
